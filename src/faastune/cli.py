@@ -89,6 +89,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
         app = sim.load_app(args.app)
     except FaastuneError as exc:
         return _fail(str(exc), 2)
+    if args.alpha is not None and not 0 <= args.alpha <= 100:
+        return _fail(f"--alpha must be in [0, 100], got {args.alpha}", 2)
     ladder = args.ladder or MemoryLadder()
     rng = random.Random(args.seed)
     try:
@@ -136,7 +138,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             usd_per_gb_second=args.usd_per_gb_second,
             billing_granularity_ms=args.billing_granularity_ms,
         )
-        objective = Objective(args.objective)
+    except (FaastuneError, ValueError) as exc:
+        return _fail(str(exc), 2)
+    objective = Objective(args.objective)
+    try:
         if args.algorithm == "brute":
             result = search.brute_force(graph, profs, ladder, slo, objective, cost_model)
         elif objective is Objective.MIN_COST:
@@ -146,7 +151,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             )
         elif objective is Objective.MIN_TIME:
             result = search.greedy_min_time(
-                graph, profs, ladder, slo, gamma=args.gamma, cost_model=cost_model,
+                graph, profs, ladder, slo, cost_model,
                 allow_non_monotone=args.allow_non_monotone,
             )
         else:
@@ -198,7 +203,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except (FaastuneError, ValueError) as exc:
         return _fail(f"configuration does not match app: {exc}", 2)
 
-    slo = SloSpec(slo_seconds=args.slo, percentile=args.percentile)
+    try:
+        slo = SloSpec(slo_seconds=args.slo, percentile=args.percentile)
+    except ValueError as exc:
+        return _fail(str(exc), 2)
     report = sim.validate_config(
         app, config, slo, n_requests=args.requests, rng=random.Random(args.seed)
     )
@@ -334,7 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", required=True)
     p.add_argument("--slo", type=float, required=True, help="latency target in seconds")
     p.add_argument("--objective", choices=[o.value for o in Objective], default="feasible")
-    p.add_argument("--gamma", type=float, default=0.01, help="min-time bisection precision (s)")
     p.add_argument("--algorithm", choices=["greedy", "brute"], default="greedy")
     p.add_argument("--ladder", type=_parse_ladder, default=None,
                    help="restrict to these MB values (default: sizes common to all profiles)")

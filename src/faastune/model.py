@@ -232,8 +232,8 @@ class SloSpec:
     percentile: float = 95.0
 
     def __post_init__(self):
-        if self.slo_seconds <= 0:
-            raise ValueError("slo_seconds must be positive")
+        if not 0 < self.slo_seconds < math.inf:
+            raise ValueError("slo_seconds must be positive and finite")
         if not 0 < self.percentile <= 100:
             raise ValueError("percentile must be in (0, 100]")
 
@@ -254,23 +254,29 @@ class CostModel:
     billing_granularity_ms: int = 1
 
     def __post_init__(self):
-        if self.usd_per_gb_second <= 0:
-            raise ValueError("usd_per_gb_second must be positive")
+        if not 0 < self.usd_per_gb_second < math.inf:
+            raise ValueError("usd_per_gb_second must be positive and finite")
         if self.billing_granularity_ms <= 0:
             raise ValueError("billing_granularity_ms must be positive")
 
-    def billed_seconds(self, duration_s: float) -> float:
-        """Round a duration up to the billing granularity."""
+    def _billed_ms(self, duration_s: float) -> int:
         if duration_s < 0:
             raise ValueError("duration_s must be non-negative")
         gran = self.billing_granularity_ms
         # The 1e-9 slack keeps exact multiples (e.g. 0.1 s at 1 ms) from
         # being pushed into the next tick by float noise.
-        ticks = math.ceil(duration_s * 1000.0 / gran - 1e-9)
-        return ticks * gran / 1000.0
+        return math.ceil(duration_s * 1000.0 / gran - 1e-9) * gran
 
-    def invocation_cost(self, duration_s: float, memory_mb: int) -> float:
-        return self.billed_seconds(duration_s) * (memory_mb / 1024.0) * self.usd_per_gb_second
+    def billed_seconds(self, duration_s: float) -> float:
+        """Round a duration up to the billing granularity."""
+        return self._billed_ms(duration_s) / 1000.0
+
+    def cost_units(self, duration_s: float, memory_mb: int) -> int:
+        """Exact cost of one invocation in MB-milliseconds: billing ticks
+        times granularity (ms) times memory (MB). Sums of these are exact
+        and independent of order; :func:`configuration_cost` converts them
+        to USD."""
+        return self._billed_ms(duration_s) * memory_mb
 
 
 def configuration_cost(
@@ -280,18 +286,17 @@ def configuration_cost(
 ) -> float:
     """Estimated USD per application invocation for a memory configuration.
 
-    Sums each function's representative duration (rounded up to the billing
-    granularity) times its memory in GB times the GB-second rate. Functions
-    are summed in name order so the result does not depend on dict ordering.
+    Sums each function's exact integer cost (representative duration rounded
+    up to the billing granularity, in ms, times memory in MB) and converts
+    the total to USD once, at the GB-second rate.
     """
-    total = 0.0
-    for function in sorted(config):
-        memory_mb = config[function]
+    units = 0
+    for function, memory_mb in config.items():
         profile = profiles.get(function)
         if profile is None:
             raise MissingProfile(function, memory_mb)
-        total += cost_model.invocation_cost(profile.representative(memory_mb), memory_mb)
-    return total
+        units += cost_model.cost_units(profile.representative(memory_mb), memory_mb)
+    return units * cost_model.usd_per_gb_second / 1_024_000
 
 
 def check_configuration(

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence as Seq
 
 from .errors import InsufficientSamples, MissingCell
-from .estimate import combine_times
+from .estimate import GraphEvaluator
 from .model import CallGraph, ExecutionSample, FunctionProfile, MemoryLadder
 
 DEFAULT_ALPHA_CANDIDATES = (50.0, 75.0, 90.0, 99.0)
@@ -173,6 +173,7 @@ def select_alpha(
         n_holdout = min(counts[memory_mb] - 1, max(1, round(holdout_fraction * counts[memory_mb])))
         splits[memory_mb] = (sorted(indices[n_holdout:]), sorted(indices[:n_holdout]))
 
+    evaluator = GraphEvaluator(graph)
     best_alpha = ordered[0]
     best_mse = math.inf
     for alpha in ordered:
@@ -185,11 +186,9 @@ def select_alpha(
                 )
                 for f in functions
             }
-            estimated = combine_times(graph, fitted)
+            estimated = evaluator.evaluate(fitted)
             observed = [
-                combine_times(
-                    graph, {f: cells[f][memory_mb][i].duration_s for f in functions}
-                )
+                evaluator.evaluate({f: cells[f][memory_mb][i].duration_s for f in functions})
                 for i in holdout_idx
             ]
             target = percentile_linear(observed, alpha)

@@ -5,15 +5,16 @@ current representative execution times. The slowest function gets more
 memory first, one ladder rung at a time, until the estimated end-to-end
 latency fits the SLO. On top of that, ``greedy_min_cost`` keeps trading
 memory for time only while the relative cost increase does not exceed the
-relative time gain, and ``greedy_min_time`` binary-searches the tightest
-SLO the greedy can still satisfy. ``brute_force`` scans every combination
-and is the optimality oracle for small instances.
+relative time gain, and ``greedy_min_time`` walks the whole bump order,
+whose minimum estimate is the tightest SLO the greedy can satisfy.
+``brute_force`` scans every combination and is the optimality oracle for
+small instances. All of them evaluate the graph with one
+:class:`~faastune.estimate.GraphEvaluator`.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -24,15 +25,13 @@ from .errors import (
     ProfileNotMonotone,
     SearchSpaceTooLarge,
 )
+from .estimate import GraphEvaluator
 from .model import (
     CallGraph,
     CostModel,
-    FunctionNode,
     FunctionProfile,
     MemoryLadder,
     Objective,
-    Parallel,
-    Sequence,
     SloSpec,
     configuration_cost,
 )
@@ -48,8 +47,8 @@ class SearchResult:
 
     ``config`` is None when no configuration satisfies the SLO (that is an
     outcome, not an error). ``iterations`` counts algorithm steps (heap
-    pops, bisection rounds or scanned combinations) and ``evaluations``
-    counts end-to-end latency estimations.
+    pops or scanned combinations) and ``evaluations`` counts end-to-end
+    latency estimations.
     """
 
     algorithm: str
@@ -77,86 +76,91 @@ class SearchResult:
         }
 
 
-class _GraphEvaluator:
-    """Caches per-node latency so one function's memory bump re-evaluates
-    only the path to the root, with the same float operations (and thus
-    bit-identical results) as a fresh ``estimate_time``."""
+def _result(
+    algorithm: str,
+    started: float,
+    iterations: int,
+    evaluations: int,
+    config: dict[str, int] | None = None,
+    estimated_time_s: float | None = None,
+    estimated_cost_usd: float | None = None,
+) -> SearchResult:
+    """A search outcome timed from ``started``; empty unless ``config`` is given."""
+    return SearchResult(
+        algorithm=algorithm,
+        config=config,
+        estimated_time_s=estimated_time_s,
+        estimated_cost_usd=estimated_cost_usd,
+        iterations=iterations,
+        evaluations=evaluations,
+        elapsed_s=time.perf_counter() - started,
+    )
+
+
+def _representatives(
+    functions: tuple[str, ...],
+    profiles: Mapping[str, FunctionProfile],
+    rungs: tuple[int, ...],
+    allow_non_monotone: bool,
+) -> dict[str, list[float]]:
+    """Each function's representatives, indexed by rung position."""
+    table: dict[str, list[float]] = {}
+    for name in functions:
+        profile = profiles.get(name)
+        if profile is None:
+            raise MissingProfile(name)
+        reps = [profile.representative(memory_mb) for memory_mb in rungs]
+        if not allow_non_monotone and any(b > a for a, b in zip(reps, reps[1:])):
+            raise ProfileNotMonotone(name)
+        table[name] = reps
+    return table
+
+
+class _Trajectory:
+    """The greedy bump order, which depends only on the representatives.
+
+    All functions start at the lowest rung. Each pop takes the function
+    with the largest current representative from a max-heap (ties break on
+    the function name) and moves it one rung up; a function popped at the
+    top rung leaves the heap for good. ``estimate`` follows every bump.
+    """
 
     def __init__(
         self,
         graph: CallGraph,
         profiles: Mapping[str, FunctionProfile],
-        config: Mapping[str, int],
+        rungs: tuple[int, ...],
+        allow_non_monotone: bool,
+        on_pop: PopHook | None = None,
     ):
-        self._profiles = profiles
-        self._is_sequence: list[bool] = []
-        self._child_values: list[list[float]] = []
-        self._parent: list[int] = []
-        self._slot: list[int] = []
-        self._values: list[float] = []
-        self._leaf_of: dict[str, int] = {}
+        seconds = _representatives(graph.functions(), profiles, rungs, allow_non_monotone)
+        self._seconds = seconds
+        self._evaluator = GraphEvaluator(graph)
+        self.rung = dict.fromkeys(seconds, 0)
+        self.estimate = self._evaluator.evaluate({name: s[0] for name, s in seconds.items()})
+        self.iterations = 0
+        self.evaluations = 1
+        self._heap = [(-s[0], name) for name, s in seconds.items()]
+        heapq.heapify(self._heap)
+        self._on_pop = on_pop
 
-        def build(node, parent: int, slot: int) -> float:
-            index = len(self._values)
-            self._parent.append(parent)
-            self._slot.append(slot)
-            if isinstance(node, FunctionNode):
-                value = profiles[node.name].representative(config[node.name])
-                self._is_sequence.append(False)
-                self._child_values.append([])
-                self._values.append(value)
-                self._leaf_of[node.name] = index
-                return value
-            self._is_sequence.append(isinstance(node, Sequence))
-            self._child_values.append([])
-            self._values.append(0.0)
-            child_values = [build(c, index, i) for i, c in enumerate(node.children)]
-            self._child_values[index] = child_values
-            # Same reduction order as the recursive estimator, so values agree
-            # bit for bit with a fresh estimate.
-            value = sum(child_values) if self._is_sequence[index] else max(child_values)
-            self._values[index] = value
-            return value
-
-        build(graph.root, -1, 0)
-
-    @property
-    def root_value(self) -> float:
-        return self._values[0]
-
-    def set_memory(self, function: str, memory_mb: int) -> float:
-        """Re-point one function's representative; returns the new root value."""
-        index = self._leaf_of[function]
-        value = self._profiles[function].representative(memory_mb)
-        self._values[index] = value
-        parent = self._parent[index]
-        slot = self._slot[index]
-        while parent >= 0:
-            kids = self._child_values[parent]
-            kids[slot] = value
-            value = sum(kids) if self._is_sequence[parent] else max(kids)
-            self._values[parent] = value
-            slot = self._slot[parent]
-            parent = self._parent[parent]
-        return value
-
-
-def _check_profiles(
-    functions: tuple[str, ...],
-    profiles: Mapping[str, FunctionProfile],
-    rungs: tuple[int, ...],
-    allow_non_monotone: bool,
-) -> None:
-    for name in functions:
-        profile = profiles.get(name)
-        if profile is None:
-            raise MissingProfile(name)
-        for memory_mb in rungs:
-            profile.representative(memory_mb)  # raises MissingProfile
-        if not allow_non_monotone:
-            reps = [profile.representatives[m] for m in rungs]
-            if any(b > a for a, b in zip(reps, reps[1:])):
-                raise ProfileNotMonotone(name)
+    def bump(self) -> str | None:
+        """Pop until one function moves up a rung and return its name; None
+        once the heap is empty."""
+        while self._heap:
+            key, name = heapq.heappop(self._heap)
+            self.iterations += 1
+            if self._on_pop is not None:
+                self._on_pop(name, -key, [-k for k, _ in self._heap])
+            index = self.rung[name] + 1
+            if index < len(self._seconds[name]):
+                self.rung[name] = index
+                seconds = self._seconds[name][index]
+                self.estimate = self._evaluator.set(name, seconds)
+                self.evaluations += 1
+                heapq.heappush(self._heap, (-seconds, name))
+                return name
+        return None
 
 
 def greedy_slo(
@@ -170,62 +174,24 @@ def greedy_slo(
 ) -> SearchResult:
     """Find a feasible configuration by bumping the slowest function first.
 
-    All functions start at the smallest ladder size. While the estimate
-    exceeds the SLO, the function with the largest current representative
-    is popped from a max-heap and moved one rung up (ties break on the
-    function name); a function that reaches the top rung leaves the heap
-    for good. Returns an empty result when the heap drains without success,
-    which on monotone profiles means even the all-maximum configuration is
-    infeasible. Performs at most N*(M-1)+1 latency estimations.
+    Walks the greedy bump order (all functions at the smallest ladder size,
+    then the slowest function one rung up per pop, ties on the function
+    name) until the estimate fits the SLO. Returns an empty result when the
+    heap drains without success, which on monotone profiles means even the
+    all-maximum configuration is infeasible. Performs at most N*(M-1)+1
+    latency estimations.
     """
     started = time.perf_counter()
-    cost_model = cost_model or CostModel()
-    functions = graph.functions()
     rungs = ladder.effective()
-    _check_profiles(functions, profiles, rungs, allow_non_monotone)
-
-    config = {name: rungs[0] for name in functions}
-    evaluator = _GraphEvaluator(graph, profiles, config)
-    estimate = evaluator.root_value
-    evaluations = 1
-    rung_index = {name: 0 for name in functions}
-    heap = [(-profiles[name].representative(rungs[0]), name) for name in functions]
-    heapq.heapify(heap)
-    iterations = 0
-
-    while True:
-        if estimate <= slo.slo_seconds:
-            return SearchResult(
-                algorithm="greedy",
-                config=dict(config),
-                estimated_time_s=estimate,
-                estimated_cost_usd=configuration_cost(config, profiles, cost_model),
-                iterations=iterations,
-                evaluations=evaluations,
-                elapsed_s=time.perf_counter() - started,
-            )
-        if not heap:
-            return SearchResult(
-                algorithm="greedy",
-                config=None,
-                estimated_time_s=None,
-                estimated_cost_usd=None,
-                iterations=iterations,
-                evaluations=evaluations,
-                elapsed_s=time.perf_counter() - started,
-            )
-        key, name = heapq.heappop(heap)
-        iterations += 1
-        if on_pop is not None:
-            on_pop(name, -key, [-k for k, _ in heap])
-        next_index = rung_index[name] + 1
-        if next_index < len(rungs):
-            rung_index[name] = next_index
-            memory_mb = rungs[next_index]
-            config[name] = memory_mb
-            estimate = evaluator.set_memory(name, memory_mb)
-            evaluations += 1
-            heapq.heappush(heap, (-profiles[name].representative(memory_mb), name))
+    walk = _Trajectory(graph, profiles, rungs, allow_non_monotone, on_pop)
+    while not walk.estimate <= slo.slo_seconds:
+        if walk.bump() is None:
+            return _result("greedy", started, walk.iterations, walk.evaluations)
+    config = {name: rungs[index] for name, index in walk.rung.items()}
+    return _result(
+        "greedy", started, walk.iterations, walk.evaluations, config, walk.estimate,
+        configuration_cost(config, profiles, cost_model or CostModel()),
+    )
 
 
 def greedy_min_cost(
@@ -243,11 +209,13 @@ def greedy_min_cost(
 
         |new_cost - old_cost| / old_cost  <=  |old_time - new_time| / old_time
 
-    at the application level, and the result still meets the SLO. A
-    function whose bump fails the test is frozen at its current size and
-    never revisited. The cheapest feasible configuration seen anywhere
-    along the way (including the starting point) is returned, so the cost
-    never exceeds the plain greedy result's.
+    at the application level, and the result still meets the SLO. Costs
+    are exact integers (:meth:`CostModel.cost_units`), so each trial's cost
+    is the current one plus one cell's change. A function whose bump fails
+    the test is frozen at its current size and never revisited. The
+    cheapest feasible configuration seen anywhere along the way (including
+    the starting point) is returned, so the cost never exceeds the plain
+    greedy result's.
     """
     started = time.perf_counter()
     cost_model = cost_model or CostModel()
@@ -255,30 +223,26 @@ def greedy_min_cost(
         graph, profiles, ladder, slo, cost_model, allow_non_monotone=allow_non_monotone
     )
     if not base.found:
-        return SearchResult(
-            algorithm="greedy-min-cost",
-            config=None,
-            estimated_time_s=None,
-            estimated_cost_usd=None,
-            iterations=base.iterations,
-            evaluations=base.evaluations,
-            elapsed_s=time.perf_counter() - started,
-        )
+        return _result("greedy-min-cost", started, base.iterations, base.evaluations)
 
     rungs = ladder.effective()
-    config = dict(base.config)
-    evaluator = _GraphEvaluator(graph, profiles, config)
-    current_time = evaluator.root_value
-    current_cost = configuration_cost(config, profiles, cost_model)
+    seconds = _representatives(tuple(base.config), profiles, rungs, allow_non_monotone=True)
+    rung = {name: rungs.index(memory) for name, memory in base.config.items()}
+    units = {
+        name: cost_model.cost_units(seconds[name][index], rungs[index])
+        for name, index in rung.items()
+    }
+    evaluator = GraphEvaluator(graph)
+    current_time = evaluator.evaluate({name: seconds[name][index] for name, index in rung.items()})
+    current_cost = sum(units.values())
     evaluations = base.evaluations + 1
     iterations = base.iterations
 
-    best_config = dict(config)
+    best_rung = dict(rung)
     best_cost = current_cost
     best_time = current_time
 
-    rung_index = {name: rungs.index(memory) for name, memory in config.items()}
-    heap = [(-profiles[name].representative(m), name) for name, m in config.items()]
+    heap = [(-seconds[name][index], name) for name, index in rung.items()]
     heapq.heapify(heap)
 
     def relative(delta: float, reference: float) -> float:
@@ -289,39 +253,33 @@ def greedy_min_cost(
     while heap:
         _, name = heapq.heappop(heap)
         iterations += 1
-        next_index = rung_index[name] + 1
-        if next_index >= len(rungs):
+        index = rung[name] + 1
+        if index >= len(rungs):
             continue
-        memory_mb = rungs[next_index]
-        trial_time = evaluator.set_memory(name, memory_mb)
+        trial_time = evaluator.set(name, seconds[name][index])
         evaluations += 1
-        trial_config = dict(config)
-        trial_config[name] = memory_mb
-        trial_cost = configuration_cost(trial_config, profiles, cost_model)
+        trial_units = cost_model.cost_units(seconds[name][index], rungs[index])
+        trial_cost = current_cost + trial_units - units[name]
         worth_it = relative(trial_cost - current_cost, current_cost) <= relative(
             current_time - trial_time, current_time
         )
         if trial_time > slo.slo_seconds or not worth_it:
-            evaluator.set_memory(name, config[name])  # revert; freeze this function
+            evaluator.set(name, seconds[name][rung[name]])  # revert; freeze this function
             continue
-        config = trial_config
-        rung_index[name] = next_index
+        rung[name] = index
+        units[name] = trial_units
         current_time = trial_time
         current_cost = trial_cost
         if trial_cost < best_cost or (trial_cost == best_cost and trial_time < best_time):
-            best_config = dict(trial_config)
+            best_rung = dict(rung)
             best_cost = trial_cost
             best_time = trial_time
-        heapq.heappush(heap, (-profiles[name].representative(memory_mb), name))
+        heapq.heappush(heap, (-seconds[name][index], name))
 
-    return SearchResult(
-        algorithm="greedy-min-cost",
-        config=best_config,
-        estimated_time_s=best_time,
-        estimated_cost_usd=best_cost,
-        iterations=iterations,
-        evaluations=evaluations,
-        elapsed_s=time.perf_counter() - started,
+    config = {name: rungs[index] for name, index in best_rung.items()}
+    return _result(
+        "greedy-min-cost", started, iterations, evaluations, config, best_time,
+        configuration_cost(config, profiles, cost_model),
     )
 
 
@@ -330,69 +288,43 @@ def greedy_min_time(
     profiles: Mapping[str, FunctionProfile],
     ladder: MemoryLadder,
     slo: SloSpec,
-    gamma: float = 0.01,
     cost_model: CostModel | None = None,
     allow_non_monotone: bool = False,
 ) -> SearchResult:
-    """Binary-search the lowest latency the greedy search can reach.
+    """The lowest latency the greedy search can reach, in one pass.
 
-    The plain greedy result bounds the search from above; zero bounds it
-    from below. Each round re-runs the greedy search with the midpoint as
-    a tightened SLO: success moves the upper bound down to the achieved
-    time, failure moves the lower bound up to the midpoint. Stops when the
-    bounds are within ``gamma`` seconds and returns the best configuration
-    seen (so with gamma >= the starting estimate the greedy result comes
-    back unchanged).
+    The greedy bump order does not depend on the SLO, so every SLO the
+    greedy search can meet is met at some point of one fixed trajectory,
+    and the tightest such SLO is that trajectory's minimum estimate. This
+    walks the whole trajectory (until the heap is empty; exactly
+    N*(M-1)+1 latency estimations) and returns the first configuration
+    that reaches the minimum, or an empty result when the minimum exceeds
+    the SLO. ``iterations`` counts heap pops.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     started = time.perf_counter()
-    cost_model = cost_model or CostModel()
-    base = greedy_slo(
-        graph, profiles, ladder, slo, cost_model, allow_non_monotone=allow_non_monotone
-    )
-    if not base.found:
-        return SearchResult(
-            algorithm="greedy-min-time",
-            config=None,
-            estimated_time_s=None,
-            estimated_cost_usd=None,
-            iterations=base.iterations,
-            evaluations=base.evaluations,
-            elapsed_s=time.perf_counter() - started,
-        )
+    rungs = ladder.effective()
+    walk = _Trajectory(graph, profiles, rungs, allow_non_monotone)
+    bumps: list[str] = []
+    best_time = math.inf
+    best_step = 0
+    while True:
+        if walk.estimate < best_time:
+            best_time = walk.estimate
+            best_step = len(bumps)
+        name = walk.bump()
+        if name is None:
+            break
+        bumps.append(name)
+    if not best_time <= slo.slo_seconds:
+        return _result("greedy-min-time", started, walk.iterations, walk.evaluations)
 
-    low = 0.0
-    high = base.estimated_time_s
-    best = base
-    rounds = 0
-    evaluations = base.evaluations
-    while high - low > gamma:
-        middle = (low + high) / 2.0
-        trial = greedy_slo(
-            graph,
-            profiles,
-            ladder,
-            SloSpec(slo_seconds=middle, percentile=slo.percentile),
-            cost_model,
-            allow_non_monotone=allow_non_monotone,
-        )
-        rounds += 1
-        evaluations += trial.evaluations
-        if trial.found:
-            high = trial.estimated_time_s
-            best = trial
-        else:
-            low = middle
-
-    return SearchResult(
-        algorithm="greedy-min-time",
-        config=dict(best.config),
-        estimated_time_s=best.estimated_time_s,
-        estimated_cost_usd=best.estimated_cost_usd,
-        iterations=rounds,
-        evaluations=evaluations,
-        elapsed_s=time.perf_counter() - started,
+    rung = dict.fromkeys(walk.rung, 0)
+    for name in bumps[:best_step]:
+        rung[name] += 1
+    config = {name: rungs[index] for name, index in rung.items()}
+    return _result(
+        "greedy-min-time", started, walk.iterations, walk.evaluations, config, best_time,
+        configuration_cost(config, profiles, cost_model or CostModel()),
     )
 
 
@@ -408,78 +340,68 @@ def brute_force(
 ) -> SearchResult:
     """Exhaustively scan all M^N configurations for the global optimum.
 
-    Functions are ordered by name and the ladder ascends, so ties resolve
-    to the lexicographically smallest memory vector. Always scans the full
-    space (the evaluation count is exactly M^N); refuses to start beyond
-    ``max_evaluations`` combinations unless ``force`` is set.
+    Functions are ordered by name and the ladder ascends, and the scan
+    turns the configuration like an odometer (the last function fastest),
+    re-evaluating only the functions whose rung changed. Ties therefore
+    resolve to the lexicographically smallest memory vector. Always scans
+    the full space (the evaluation count is exactly M^N); refuses to start
+    beyond ``max_evaluations`` combinations unless ``force`` is set.
     """
     started = time.perf_counter()
     cost_model = cost_model or CostModel()
     functions = tuple(sorted(graph.functions()))
     rungs = ladder.effective()
-    _check_profiles(functions, profiles, rungs, allow_non_monotone=True)
+    seconds = _representatives(functions, profiles, rungs, allow_non_monotone=True)
 
     combinations = len(rungs) ** len(functions)
     if combinations > max_evaluations and not force:
         raise SearchSpaceTooLarge(combinations, max_evaluations)
 
-    representatives = {
-        name: {m: profiles[name].representative(m) for m in rungs} for name in functions
-    }
-    costs = {
-        name: {m: cost_model.invocation_cost(representatives[name][m], m) for m in rungs}
+    units = {
+        name: [cost_model.cost_units(s, m) for s, m in zip(seconds[name], rungs)]
         for name in functions
     }
+    index = [0] * len(functions)
+    evaluator = GraphEvaluator(graph)
+    total_time = evaluator.evaluate({name: seconds[name][0] for name in functions})
+    total_cost = sum(units[name][0] for name in functions)
 
-    best_config: dict[str, int] | None = None
+    def turn(position: int, rung: int) -> float:
+        nonlocal total_cost
+        name = functions[position]
+        total_cost += units[name][rung] - units[name][index[position]]
+        index[position] = rung
+        return evaluator.set(name, seconds[name][rung])
+
+    best_index: list[int] | None = None
     best_time = math.inf
-    best_cost = math.inf
     best_metric = math.inf
-    times: dict[str, float] = {}
-
-    def walk(node) -> float:
-        if isinstance(node, FunctionNode):
-            return times[node.name]
-        if isinstance(node, Parallel):
-            return max(walk(child) for child in node.children)
-        return sum(walk(child) for child in node.children)
-
-    for assignment in itertools.product(rungs, repeat=len(functions)):
-        for name, memory_mb in zip(functions, assignment):
-            times[name] = representatives[name][memory_mb]
-        total_time = walk(graph.root)
+    top = len(rungs) - 1
+    for step in range(combinations):
+        if step:
+            position = len(functions) - 1
+            while index[position] == top:
+                total_time = turn(position, 0)
+                position -= 1
+            total_time = turn(position, index[position] + 1)
         if total_time > slo.slo_seconds:
             continue
-        total_cost = sum(costs[name][m] for name, m in zip(functions, assignment))
         if objective is Objective.MIN_COST:
             metric = total_cost
         elif objective is Objective.MIN_TIME:
             metric = total_time
         else:
-            metric = 0.0 if best_config is None else math.inf  # first feasible wins
+            metric = 0.0 if best_index is None else math.inf  # first feasible wins
         if metric < best_metric:
             best_metric = metric
-            best_config = dict(zip(functions, assignment))
+            best_index = list(index)
             best_time = total_time
-            best_cost = total_cost
 
-    elapsed = time.perf_counter() - started
-    if best_config is None:
-        return SearchResult(
-            algorithm=f"brute-force-{objective.value}",
-            config=None,
-            estimated_time_s=None,
-            estimated_cost_usd=None,
-            iterations=combinations,
-            evaluations=combinations,
-            elapsed_s=elapsed,
-        )
-    return SearchResult(
-        algorithm=f"brute-force-{objective.value}",
-        config=best_config,
-        estimated_time_s=best_time,
-        estimated_cost_usd=best_cost,
-        iterations=combinations,
-        evaluations=combinations,
-        elapsed_s=elapsed,
+    algorithm = f"brute-force-{objective.value}"
+    if best_index is None:
+        return _result(algorithm, started, combinations, combinations)
+    config = {name: rungs[i] for name, i in zip(functions, best_index)}
+    return _result(
+        algorithm, started, combinations, combinations, config, best_time,
+        configuration_cost(config, profiles, cost_model),
     )

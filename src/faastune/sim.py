@@ -29,7 +29,7 @@ from .model import (
     normalize_graph,
 )
 from .profiles import percentile_linear
-from .traces import TraceLog, TraceSegment, graph_from_dict, graph_to_dict
+from .traces import TraceLog, TraceSegment, compose_invocation, graph_from_dict, graph_to_dict
 
 #: Above this memory size the vCPU share allotted to a single-threaded
 #: function stops growing, so compute time stops improving.
@@ -164,18 +164,10 @@ def _invocation_tree(node: GraphNode) -> _Invocation:
 
 
 def _graph_from_invocation(inv: _Invocation) -> GraphNode:
-    """Canonical composition of an invocation tree (inverse of the reader)."""
-    head = FunctionNode(inv.function)
-    if not inv.groups:
-        return head
-    composed = [
-        _graph_from_invocation(g[0])
-        if len(g) == 1
-        else Parallel(tuple(_graph_from_invocation(m) for m in g))
-        for g in inv.groups
-    ]
-    tail = composed[0] if len(composed) == 1 else Sequence(tuple(composed))
-    return Sequence((head, tail))
+    """Composition of an invocation tree (inverse of the reader once normalized)."""
+    return compose_invocation(
+        inv.function, [[_graph_from_invocation(m) for m in g] for g in inv.groups]
+    )
 
 
 # --- application generation --------------------------------------------------

@@ -300,6 +300,17 @@ def _parallel_groups(
     return groups
 
 
+def compose_invocation(function: str, groups: list[list[GraphNode]]) -> GraphNode:
+    """One invocation as a graph node: the function, then each group of the
+    calls it makes, in order; a lone call stands as itself and concurrent
+    calls form a parallel group. The node is not canonical until
+    :func:`normalize_graph` splices the nesting."""
+    head = FunctionNode(function)
+    if not groups:
+        return head
+    return Sequence((head, *(g[0] if len(g) == 1 else Parallel(tuple(g)) for g in groups)))
+
+
 def build_call_graph(log: TraceLog) -> CallGraph:
     """Reconstruct the application call graph from one or more traces.
 
@@ -335,16 +346,8 @@ def build_call_graph(log: TraceLog) -> CallGraph:
 
     def subtree(name: str) -> GraphNode:
         kids = children.get(name)
-        node = FunctionNode(name)
-        if not kids:
-            return node
-        groups = _parallel_groups(kids, shapes, mean_start)
-        composed = [
-            subtree(g[0]) if len(g) == 1 else Parallel(tuple(subtree(m) for m in g))
-            for g in groups
-        ]
-        tail = composed[0] if len(composed) == 1 else Sequence(tuple(composed))
-        return Sequence((node, tail))
+        groups = _parallel_groups(kids, shapes, mean_start) if kids else []
+        return compose_invocation(name, [[subtree(m) for m in g] for g in groups])
 
     return normalize_graph(CallGraph(subtree(reference.root)))
 

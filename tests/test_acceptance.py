@@ -127,7 +127,7 @@ def corpus():
             "slo": slo,
             "greedy": greedy_slo(graph, profiles, ladder, slo),
             "min_cost": greedy_min_cost(graph, profiles, ladder, slo),
-            "min_time": greedy_min_time(graph, profiles, ladder, slo, gamma=GAMMA),
+            "min_time": greedy_min_time(graph, profiles, ladder, slo),
             "bf_any": brute_force(graph, profiles, ladder, slo, Objective.FEASIBLE),
             "bf_cost": brute_force(graph, profiles, ladder, slo, Objective.MIN_COST),
             "bf_time": brute_force(graph, profiles, ladder, slo, Objective.MIN_TIME),
@@ -201,9 +201,36 @@ def test_criterion_6_evaluation_count_bound(corpus):
             f"greedy used {case['greedy'].evaluations} evaluations, bound {bound}"
         )
         worst = max(worst, case["greedy"].evaluations / bound)
+        assert case["min_time"].evaluations <= bound, (
+            f"min-time used {case['min_time'].evaluations} evaluations, bound {bound}"
+        )
     print(
-        f"PASS criterion 6 (evaluation bound): greedy never exceeded N*(M-1)+1 "
+        f"PASS criterion 6 (evaluation bound): greedy and min-time never exceeded N*(M-1)+1 "
         f"across {len(corpus)} instances (max utilisation {worst:.0%})"
+    )
+
+
+def test_min_time_is_the_tightest_slo_greedy_meets_and_estimates_are_exact(corpus):
+    exact = 0
+    for case in corpus:
+        for key in ("greedy", "min_cost", "min_time", "bf_any", "bf_cost", "bf_time"):
+            result = case[key]
+            if result.found:
+                fresh = estimate_time(case["graph"], result.config, case["profiles"])
+                assert result.estimated_time_s == fresh, f"{key}: estimate not bit-identical"
+        fast = case["min_time"]
+        if not fast.found:
+            continue
+        instance = (case["graph"], case["profiles"], case["ladder"])
+        at_minimum = greedy_slo(*instance, SloSpec(fast.estimated_time_s))
+        assert at_minimum.config == fast.config
+        tighter = SloSpec(math.nextafter(fast.estimated_time_s, 0.0))
+        assert not greedy_slo(*instance, tighter).found
+        exact += 1
+    print(
+        f"\nPASS min-time exactness: on {exact} feasible instances greedy_slo at the "
+        "min-time estimate returns the min-time config and one ulp tighter is infeasible; "
+        "every search's estimate equals estimate_time bit for bit"
     )
 
 
@@ -237,7 +264,7 @@ def test_criterion_7_scalability_shape():
             _timed(lambda: greedy_min_cost(graph, profiles, ladder, slo), repeats)
         )
         walls["min_time"].append(
-            _timed(lambda: greedy_min_time(graph, profiles, ladder, slo, gamma=GAMMA), repeats)
+            _timed(lambda: greedy_min_time(graph, profiles, ladder, slo), repeats)
         )
 
     slopes = {}

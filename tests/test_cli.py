@@ -86,6 +86,35 @@ def test_missing_app_file_exits_2(workdir):
                  "--out", str(workdir / "r.json")]) == 2
 
 
+@pytest.fixture(scope="module")
+def pipeline_files(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("inputs")
+    app, profiles, result, _, code = _pipeline(workdir, slo="4.0")
+    assert code == 0
+    return {"app": str(app), "profiles": str(profiles), "result": str(result),
+            "out": str(workdir / "out.json")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--app", "{app}", "--profiles", "{profiles}", "--slo", "0"],
+    ["optimize", "--app", "{app}", "--profiles", "{profiles}", "--slo", "nan"],
+    ["optimize", "--app", "{app}", "--profiles", "{profiles}", "--slo", "inf"],
+    ["optimize", "--app", "{app}", "--profiles", "{profiles}", "--slo", "4",
+     "--usd-per-gb-second", "0"],
+    ["optimize", "--app", "{app}", "--profiles", "{profiles}", "--slo", "4",
+     "--usd-per-gb-second", "nan"],
+    ["optimize", "--app", "{app}", "--profiles", "{app}", "--slo", "4"],
+    ["profile", "--app", "{app}", "--alpha", "150"],
+    ["validate", "--app", "{app}", "--config", "{result}", "--slo", "-1"],
+    ["validate", "--app", "{app}", "--config", "{result}", "--slo", "4", "--percentile", "0"],
+], ids=["slo-0", "slo-nan", "slo-inf", "price-0", "price-nan", "profiles-not-a-table",
+        "alpha-150", "validate-slo-negative", "validate-percentile-0"])
+def test_out_of_range_input_exits_2_with_error_line(pipeline_files, argv, capsys):
+    argv = [arg.format(**pipeline_files) for arg in argv] + ["--out", pipeline_files["out"]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_mismatched_config_and_app_exit_2(workdir):
     app2 = workdir / "other.json"
     _, _, result, _, code = _pipeline(workdir, slo="5.0")
@@ -134,6 +163,20 @@ def test_artifacts_are_deterministic(workdir):
     assert main(["profile", "--app", str(app), "--requests", "20", "--seed", "3",
                  "--out", str(profiles2)]) == 0
     assert profiles2.read_text() == profiles.read_text()
+
+
+@pytest.mark.parametrize("shape,seed,slo", [("demo3", "11", "2.0"), ("demo6", "12", "2.5"),
+                                           ("petstore", "13", "1.5")])
+def test_result_artifacts_match_golden_records(workdir, shape, seed, slo):
+    golden = json.loads((Path(__file__).parent / "golden_results.json").read_text())
+    app, profiles, _, _, code = _pipeline(workdir, shape=shape, seed=seed, slo=slo)
+    assert code == 0
+    for objective in ("feasible", "min-cost", "min-time"):
+        out = workdir / f"{objective}.result.json"
+        assert main(["optimize", "--app", str(app), "--profiles", str(profiles),
+                     "--slo", slo, "--objective", objective, "--out", str(out)]) == 0
+        expected = json.dumps(golden[f"{shape}/{objective}"], indent=2, sort_keys=True) + "\n"
+        assert out.read_text() == expected, f"{shape}/{objective}"
 
 
 def test_timing_sidecar_keeps_wall_time_out_of_artifacts(workdir):

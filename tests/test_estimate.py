@@ -14,7 +14,8 @@ from faastune import (
     generate_app,
 )
 from faastune.errors import MissingProfile, PartialConfiguration
-from helpers import make_profile, random_monotone_profile, schedule_end_to_end
+from faastune.estimate import GraphEvaluator
+from helpers import make_profile, messy_tree, random_monotone_profile, schedule_end_to_end
 
 
 def _two_function_profiles():
@@ -50,6 +51,33 @@ def test_random_trees_match_schedule_oracle(seed):
     assert combine_times(graph, times) == pytest.approx(
         schedule_end_to_end(graph, times), rel=1e-12
     )
+
+
+def _recursive(node, times):
+    """Reference composition that the flat evaluator must match bit for bit."""
+    if isinstance(node, FunctionNode):
+        return times[node.name]
+    values = [_recursive(child, times) for child in node.children]
+    return sum(values) if isinstance(node, Sequence) else max(values)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_evaluator_updates_are_bit_identical_to_recursive_composition(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 60)
+    if seed % 2:
+        graph = CallGraph(messy_tree(rng, [f"f{i}" for i in range(n)]))  # unnormalized
+    else:
+        graph = generate_app(n_functions=n, shape=rng.choice(("random", "chain")), seed=seed).graph
+    functions = graph.functions()
+    times = {f: rng.uniform(0.01, 5.0) for f in functions}
+    evaluator = GraphEvaluator(graph)
+    assert evaluator.evaluate(times) == _recursive(graph.root, times)
+    for _ in range(200):
+        name = rng.choice(functions)
+        times[name] = rng.uniform(0.01, 5.0)
+        assert evaluator.set(name, times[name]) == _recursive(graph.root, times)
+    assert evaluator.evaluate(times) == combine_times(graph, times)
 
 
 def test_compositionality_of_sequence_and_parallel():

@@ -153,14 +153,6 @@ def test_min_cost_propagates_infeasibility():
 # --- min-time variant ----------------------------------------------------------
 
 
-def test_gamma_wider_than_beta_returns_base_config():
-    graph, profiles, ladder = _single_function_setup({128: 4.0, 256: 1.0})
-    base = greedy_slo(graph, profiles, ladder, SloSpec(5.0))
-    result = greedy_min_time(graph, profiles, ladder, SloSpec(5.0), gamma=10.0)
-    assert result.config == base.config
-    assert result.iterations == 0
-
-
 def test_min_time_converges_to_hand_enumerated_optimum():
     graph, profiles, ladder = _single_function_setup(
         {128: 4.0, 256: 2.0, 512: 1.5, 1024: 1.5}
@@ -180,12 +172,6 @@ def test_min_time_never_slower_than_base():
         if base.found:
             assert fast.estimated_time_s <= base.estimated_time_s
             assert fast.estimated_time_s <= slo.slo_seconds
-
-
-def test_min_time_rejects_bad_gamma():
-    graph, profiles, ladder = _single_function_setup({128: 1.0})
-    with pytest.raises(ValueError):
-        greedy_min_time(graph, profiles, ladder, SloSpec(2.0), gamma=0.0)
 
 
 # --- brute force -----------------------------------------------------------------
