@@ -60,6 +60,14 @@ class OrphanSegment(FaastuneError):
         super().__init__(f"segment {segment_id!r} references an unknown parent")
 
 
+class UnreachableSegment(FaastuneError):
+    """A segment's parent chain never reaches its trace's root (a cycle)."""
+
+    def __init__(self, segment_id: str):
+        self.segment_id = segment_id
+        super().__init__(f"segment {segment_id!r} does not reach its trace's root segment")
+
+
 class InconsistentTopology(FaastuneError):
     """Traces disagree on the application structure beyond the majority rule."""
 

@@ -107,11 +107,13 @@ GraphNode = Union[FunctionNode, Sequence, Parallel]
 
 def iter_function_names(node: GraphNode) -> Iterator[str]:
     """Yield function names in left-to-right (execution) order."""
-    if isinstance(node, FunctionNode):
-        yield node.name
-    else:
-        for child in node.children:
-            yield from iter_function_names(child)
+    pending = [node]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, FunctionNode):
+            yield node.name
+        else:
+            pending.extend(reversed(node.children))
 
 
 @dataclass(frozen=True)

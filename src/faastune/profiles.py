@@ -232,12 +232,20 @@ def load_profiles(path: str | Path) -> dict[str, FunctionProfile]:
         if missing:
             raise ValueError(f"profile file missing columns: {sorted(missing)}")
         for row in reader:
+            if None in row.values():
+                raise ValueError(f"{path}: line {reader.line_num}: missing fields")
             function = row["function"]
             alpha = float(row["alpha"])
             if alphas.setdefault(function, alpha) != alpha:
                 raise ValueError(f"inconsistent alpha for function {function!r}")
+            representative = float(row["representative_s"])
+            if not 0 <= representative < math.inf:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: representative_s must be "
+                    f"finite and non-negative, got {row['representative_s']!r}"
+                )
             rows.setdefault(function, {})[int(row["memory_mb"])] = (
-                float(row["representative_s"]),
+                representative,
                 int(row["sample_count"]),
             )
     profiles: dict[str, FunctionProfile] = {}

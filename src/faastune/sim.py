@@ -1,11 +1,12 @@
 """Deterministic virtual-time FaaS platform used for profiling and validation.
 
-Applications are invocation trees: each function does its own work first,
-then triggers its child groups one group after another, all members of a
-group concurrently. Compute-bound work speeds up proportionally with memory
-until the vCPU share saturates; backend-bound work ignores memory. Runs are
-fully reproducible from a seed and complete in virtual time, so experiments
-cost milliseconds regardless of the simulated latencies.
+Applications are call graphs in which every invocation starts at one
+function: it does its own work first, then triggers its call groups one
+group after another, all members of a group concurrently. Compute-bound
+work speeds up proportionally with memory until the vCPU share saturates;
+backend-bound work ignores memory. Runs are fully reproducible from a seed
+and complete in virtual time, so experiments cost milliseconds regardless
+of the simulated latencies.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .model import (
     normalize_graph,
 )
 from .profiles import percentile_linear
-from .traces import TraceLog, TraceSegment, compose_invocation, graph_from_dict, graph_to_dict
+from .traces import TraceLog, TraceSegment, compose_calls, graph_from_dict, graph_to_dict
 
 #: Above this memory size the vCPU share allotted to a single-threaded
 #: function stops growing, so compute time stops improving.
@@ -99,6 +100,18 @@ class SimApp:
         for parent in self.baas_children:
             if parent not in functions:
                 raise ValueError(f"baas_children parent {parent!r} is not a function")
+        # run_load starts every invocation at a single function: the root and
+        # each parallel member must be a function or a sequence opening with one.
+        root = normalize_graph(self.graph).root
+        nodes = [root]
+        for node in nodes:
+            if not isinstance(node, FunctionNode):
+                nodes.extend(node.children)
+        if isinstance(root, Parallel) or any(
+            isinstance(node, Sequence) and not isinstance(node.children[0], FunctionNode)
+            for node in nodes
+        ):
+            raise ValueError("graph has no single entry function, so it cannot be simulated")
 
     def noiseless(self) -> "SimApp":
         """Copy with jitter and cold starts disabled; latencies become exact."""
@@ -128,88 +141,34 @@ def sim_duration(
     return duration, cold
 
 
-# --- invocation structure ----------------------------------------------------
-
-
-@dataclass
-class _Invocation:
-    function: str
-    groups: list[list["_Invocation"]] = field(default_factory=list)
-
-
-def _invocation_tree(node: GraphNode) -> _Invocation:
-    """Read a normalized call graph as an invocation tree.
-
-    On canonical graphs the reading is unambiguous: a sequence is its
-    leading function followed by that function's groups (one per element),
-    and each parallel member is itself an invocation subtree. Graphs whose
-    first executed element is not a single function have no single entry
-    point and cannot be realized as traces.
-    """
-    if isinstance(node, FunctionNode):
-        return _Invocation(node.name)
-    if isinstance(node, Sequence) and isinstance(node.children[0], FunctionNode):
-        inv = _Invocation(node.children[0].name)
-        for child in node.children[1:]:
-            if isinstance(child, FunctionNode):
-                inv.groups.append([_Invocation(child.name)])
-            elif isinstance(child, Parallel):
-                inv.groups.append([_invocation_tree(member) for member in child.children])
-            else:
-                inv.groups.append([_invocation_tree(child)])
-        return inv
-    raise ValueError(
-        "graph is not realizable as an invocation tree: it has no single entry function"
-    )
-
-
-def _graph_from_invocation(inv: _Invocation) -> GraphNode:
-    """Composition of an invocation tree (inverse of the reader once normalized)."""
-    return compose_invocation(
-        inv.function, [[_graph_from_invocation(m) for m in g] for g in inv.groups]
-    )
-
-
 # --- application generation --------------------------------------------------
 
-
-def _chain_invocation(n: int) -> _Invocation:
-    root = _Invocation("f1")
-    root.groups = [[_Invocation(f"f{i}")] for i in range(2, n + 1)]
-    return root
-
-
-def _demo3_invocation() -> _Invocation:
-    root = _Invocation("f1")
-    root.groups = [[_Invocation("f2")], [_Invocation("f3")]]
-    return root
-
-
-def _demo6_invocation() -> _Invocation:
-    f2 = _Invocation("f2", [[_Invocation("f4")], [_Invocation("f5")]])
-    f3 = _Invocation("f3", [[_Invocation("f6")]])
-    return _Invocation("f1", [[f2, f3]])
+#: Fixed topologies as call tables: each function's ordered groups of callees.
+_DEMO_CALLS = {
+    "demo3": {"f1": [["f2"], ["f3"]]},
+    "demo6": {"f1": [["f2", "f3"]], "f2": [["f4"], ["f5"]], "f3": [["f6"]]},
+    "demo10": {
+        "f1": [["f2", "f3", "f4"], ["f10"]],
+        "f2": [["f5"], ["f6"]],
+        "f3": [["f7", "f8"]],
+        "f4": [["f9"]],
+    },
+}
 
 
-def _demo10_invocation() -> _Invocation:
-    f2 = _Invocation("f2", [[_Invocation("f5")], [_Invocation("f6")]])
-    f3 = _Invocation("f3", [[_Invocation("f7"), _Invocation("f8")]])
-    f4 = _Invocation("f4", [[_Invocation("f9")]])
-    return _Invocation("f1", [[f2, f3, f4], [_Invocation("f10")]])
-
-
-def _random_invocation(n: int, rng: random.Random) -> _Invocation:
-    root = _Invocation("f1")
-    nodes = [root]
+def _random_calls(n: int, rng: random.Random) -> dict[str, list[list[str]]]:
+    calls: dict[str, list[list[str]]] = {"f1": []}
+    names = ["f1"]
     for i in range(2, n + 1):
-        inv = _Invocation(f"f{i}")
-        parent = rng.choice(nodes)
-        if parent.groups and rng.random() < 0.35:
-            rng.choice(parent.groups).append(inv)  # join an existing group -> parallel
+        name = f"f{i}"
+        groups = calls[rng.choice(names)]
+        if groups and rng.random() < 0.35:
+            rng.choice(groups).append(name)  # join an existing group -> parallel
         else:
-            parent.groups.append([inv])  # new sequential group
-        nodes.append(inv)
-    return root
+            groups.append([name])  # new sequential group
+        calls[name] = []
+        names.append(name)
+    return calls
 
 
 PETSTORE_FUNCTIONS = (
@@ -222,9 +181,8 @@ PETSTORE_FUNCTIONS = (
 
 
 def _petstore_app(seed: int) -> SimApp:
-    checkout = _Invocation("pet-checkout")
-    checkout.groups = [[_Invocation(name)] for name in PETSTORE_FUNCTIONS[1:]]
-    graph = normalize_graph(CallGraph(_graph_from_invocation(checkout)))
+    calls = {"pet-checkout": [[name] for name in PETSTORE_FUNCTIONS[1:]]}
+    graph = normalize_graph(CallGraph(compose_calls("pet-checkout", calls)))
     common = dict(
         cold_start_s=DEFAULT_COLD_START_S,
         cold_start_prob=DEFAULT_COLD_START_PROB,
@@ -278,18 +236,16 @@ def generate_app(
     rng = random.Random(seed)
     if shape == "petstore":
         return _petstore_app(seed)
-    if shape == "demo3":
-        inv = _demo3_invocation()
-    elif shape == "demo6":
-        inv = _demo6_invocation()
-    elif shape == "demo10":
-        inv = _demo10_invocation()
+    if shape in _DEMO_CALLS:
+        calls = _DEMO_CALLS[shape]
+    elif n_functions < 1:
+        raise InvalidShape("n_functions must be at least 1")
+    elif shape == "chain":
+        calls = {"f1": [[f"f{i}"] for i in range(2, n_functions + 1)]}
     else:
-        if n_functions < 1:
-            raise InvalidShape("n_functions must be at least 1")
-        inv = _chain_invocation(n_functions) if shape == "chain" else _random_invocation(n_functions, rng)
+        calls = _random_calls(n_functions, rng)
 
-    graph = normalize_graph(CallGraph(_graph_from_invocation(inv)))
+    graph = normalize_graph(CallGraph(compose_calls("f1", calls)))
     specs = {
         name: SimFunctionSpec(
             function=name,
@@ -315,37 +271,41 @@ def run_load(
 ) -> TraceLog:
     """Issue ``k_requests`` synchronous requests and record their traces.
 
-    Each request walks the invocation tree in virtual time: a function's
-    segment covers its own work, child groups start when the previous group
-    (or the invoker's own work) finishes, and members of a group share a
-    start time. Backend children appear as ``baas`` segments inside their
-    function's span.
+    Each request walks the normalized call graph in virtual time: a
+    function node is a bare call, a sequence is its leading function
+    followed by that function's call groups, and a parallel node is one
+    group. A function's segment covers its own work, each group starts when
+    the previous group (or the invoker's own work) finishes, and members of
+    a group share a start time. Backend children appear as ``baas``
+    segments inside their function's span.
     """
-    entry = _invocation_tree(normalize_graph(app.graph).root)
+    root = normalize_graph(app.graph).root
     log = TraceLog()
     for request in range(k_requests):
         trace_id = f"{trace_prefix}-{request:05d}"
         segments: list[TraceSegment] = []
         counter = iter(range(10**9))
 
-        def emit(inv: _Invocation, start: float, parent_id: str | None) -> float:
-            spec = app.specs[inv.function]
-            duration, cold = sim_duration(spec, config[inv.function], rng)
+        def emit(node: GraphNode, start: float, parent_id: str | None) -> float:
+            head, *groups = node.children if isinstance(node, Sequence) else (node,)
+            function = head.name
+            spec = app.specs[function]
+            duration, cold = sim_duration(spec, config[function], rng)
             segment_id = f"{trace_id}.{next(counter):04d}"
             segments.append(
                 TraceSegment(
                     trace_id=trace_id,
                     segment_id=segment_id,
                     parent_id=parent_id,
-                    name=inv.function,
+                    name=function,
                     kind="function",
                     start_time=start,
                     end_time=start + duration,
-                    memory_mb=config[inv.function],
+                    memory_mb=config[function],
                     cold_start=cold,
                 )
             )
-            backends = app.baas_children.get(inv.function, ())
+            backends = app.baas_children.get(function, ())
             for j, backend in enumerate(backends):
                 segments.append(
                     TraceSegment(
@@ -359,11 +319,14 @@ def run_load(
                     )
                 )
             clock = start + duration
-            for group in inv.groups:
-                clock = max(emit(member, clock, segment_id) for member in group)
+            for group in groups:
+                if isinstance(group, Parallel):
+                    clock = max(emit(member, clock, segment_id) for member in group.children)
+                else:
+                    clock = emit(group, clock, segment_id)
             return clock
 
-        emit(entry, 0.0, None)
+        emit(root, 0.0, None)
         log.traces[trace_id] = segments
     return log
 

@@ -9,9 +9,10 @@ graph is built, since only functions can be resized.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Mapping
 
 from .errors import (
     DuplicateFunction,
@@ -22,6 +23,7 @@ from .errors import (
     OrphanSegment,
     ParseError,
     SchemaError,
+    UnreachableSegment,
 )
 from .model import (
     CallGraph,
@@ -55,8 +57,10 @@ class TraceSegment:
             raise ValueError("trace_id, segment_id and name must be non-empty")
         if self.kind not in SEGMENT_KINDS:
             raise ValueError(f"kind must be one of {SEGMENT_KINDS}, got {self.kind!r}")
-        if self.end_time < self.start_time:
-            raise ValueError("end_time must not precede start_time")
+        if not -math.inf < self.start_time <= self.end_time < math.inf:
+            raise ValueError(
+                "start_time and end_time must be finite, end_time not before start_time"
+            )
         if self.memory_mb is not None and self.memory_mb <= 0:
             raise ValueError("memory_mb must be positive when present")
 
@@ -127,9 +131,11 @@ def parse_trace_file(source: str | Path | IO[str]) -> TraceLog:
     """Parse newline-delimited segment records into a :class:`TraceLog`.
 
     Referential integrity is enforced per trace: parent ids must resolve
-    (:class:`OrphanSegment`), segment ids must be unique and exactly one
-    segment per trace may lack a parent (:class:`MultipleRoots`). Malformed
-    lines raise :class:`ParseError` with their line number.
+    (:class:`OrphanSegment`), segment ids must be unique, exactly one
+    segment per trace may lack a parent (:class:`MultipleRoots`) and every
+    segment must reach it through its parents (:class:`UnreachableSegment`,
+    which catches cycles). Malformed lines raise :class:`ParseError` with
+    their line number.
     """
     if hasattr(source, "read"):
         log = _parse_lines(iter(source))  # type: ignore[arg-type]
@@ -138,8 +144,16 @@ def parse_trace_file(source: str | Path | IO[str]) -> TraceLog:
             log = _parse_lines(fh)
 
     for trace_id, segments in log.traces.items():
+        children: dict[str | None, list[str]] = {}
+        for s in segments:
+            children.setdefault(s.parent_id, []).append(s.segment_id)
+        roots = children.get(None, [])
+        reached = list(roots)
+        for segment_id in reached:
+            reached.extend(children.get(segment_id, ()))
+        if len(roots) == 1 and len(reached) == len(segments):
+            continue
         ids = {s.segment_id for s in segments}
-        roots = [s for s in segments if s.parent_id is None]
         for s in segments:
             if s.parent_id is not None and s.parent_id not in ids:
                 raise OrphanSegment(s.segment_id)
@@ -147,6 +161,7 @@ def parse_trace_file(source: str | Path | IO[str]) -> TraceLog:
             raise MultipleRoots(trace_id)
         if not roots:
             raise ParseError(0, f"trace {trace_id!r} has no root segment")
+        raise UnreachableSegment(min(ids.difference(reached)))
     return log
 
 
@@ -300,15 +315,17 @@ def _parallel_groups(
     return groups
 
 
-def compose_invocation(function: str, groups: list[list[GraphNode]]) -> GraphNode:
-    """One invocation as a graph node: the function, then each group of the
-    calls it makes, in order; a lone call stands as itself and concurrent
-    calls form a parallel group. The node is not canonical until
-    :func:`normalize_graph` splices the nesting."""
-    head = FunctionNode(function)
+def compose_calls(root: str, calls: Mapping[str, list[list[str]]]) -> GraphNode:
+    """The graph of an invocation structure: ``root`` runs, then each group of
+    the functions it calls (``calls[root]``, in order); a lone call stands as
+    itself and concurrent calls form a parallel group. The node is not
+    canonical until :func:`normalize_graph` splices the nesting."""
+    head = FunctionNode(root)
+    groups = calls.get(root)
     if not groups:
         return head
-    return Sequence((head, *(g[0] if len(g) == 1 else Parallel(tuple(g)) for g in groups)))
+    nodes = [[compose_calls(m, calls) for m in g] for g in groups]
+    return Sequence((head, *(g[0] if len(g) == 1 else Parallel(tuple(g)) for g in nodes)))
 
 
 def build_call_graph(log: TraceLog) -> CallGraph:
@@ -344,12 +361,8 @@ def build_call_graph(log: TraceLog) -> CallGraph:
         for name in reference.parent_of
     }
 
-    def subtree(name: str) -> GraphNode:
-        kids = children.get(name)
-        groups = _parallel_groups(kids, shapes, mean_start) if kids else []
-        return compose_invocation(name, [[subtree(m) for m in g] for g in groups])
-
-    return normalize_graph(CallGraph(subtree(reference.root)))
+    calls = {name: _parallel_groups(kids, shapes, mean_start) for name, kids in children.items()}
+    return normalize_graph(CallGraph(compose_calls(reference.root, calls)))
 
 
 # --- declarative graph files -------------------------------------------------

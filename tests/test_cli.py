@@ -91,8 +91,19 @@ def pipeline_files(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("inputs")
     app, profiles, result, _, code = _pipeline(workdir, slo="4.0")
     assert code == 0
+    # The demo3 app with its three functions started concurrently: no entry function.
+    spec = json.loads(app.read_text())
+    spec["graph"] = {"kind": "parallel", "children": spec["graph"]["children"]}
+    parallel_app = workdir / "parallel-root.json"
+    parallel_app.write_text(json.dumps(spec))
+    header, _, *rest = profiles.read_text().splitlines(keepends=True)
+    short_profiles = workdir / "short-row.csv"
+    short_profiles.write_text(header + "f1,128\n" + "".join(rest))
+    nan_profiles = workdir / "nan.csv"
+    nan_profiles.write_text(header + "f1,128,50.0,nan,20\n" + "".join(rest))
     return {"app": str(app), "profiles": str(profiles), "result": str(result),
-            "out": str(workdir / "out.json")}
+            "parallel_app": str(parallel_app), "short_profiles": str(short_profiles),
+            "nan_profiles": str(nan_profiles), "out": str(workdir / "out.json")}
 
 
 @pytest.mark.parametrize("argv", [
@@ -107,12 +118,27 @@ def pipeline_files(tmp_path_factory):
     ["profile", "--app", "{app}", "--alpha", "150"],
     ["validate", "--app", "{app}", "--config", "{result}", "--slo", "-1"],
     ["validate", "--app", "{app}", "--config", "{result}", "--slo", "4", "--percentile", "0"],
+    ["profile", "--app", "{parallel_app}"],
+    ["validate", "--app", "{parallel_app}", "--config", "{result}", "--slo", "4"],
+    ["optimize", "--app", "{parallel_app}", "--profiles", "{profiles}", "--slo", "4"],
+    ["optimize", "--app", "{app}", "--profiles", "{short_profiles}", "--slo", "4"],
+    ["optimize", "--app", "{app}", "--profiles", "{nan_profiles}", "--slo", "4"],
 ], ids=["slo-0", "slo-nan", "slo-inf", "price-0", "price-nan", "profiles-not-a-table",
-        "alpha-150", "validate-slo-negative", "validate-percentile-0"])
+        "alpha-150", "validate-slo-negative", "validate-percentile-0",
+        "profile-no-entry-function", "validate-no-entry-function",
+        "optimize-app-no-entry-function", "profiles-short-row", "profiles-nan-representative"])
 def test_out_of_range_input_exits_2_with_error_line(pipeline_files, argv, capsys):
     argv = [arg.format(**pipeline_files) for arg in argv] + ["--out", pipeline_files["out"]]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_graph_without_entry_function_still_optimizes_from_graph_file(pipeline_files):
+    graph = json.loads(Path(pipeline_files["parallel_app"]).read_text())["graph"]
+    graph_file = Path(pipeline_files["out"]).with_name("parallel-root.graph.json")
+    graph_file.write_text(json.dumps(graph))
+    assert main(["optimize", "--graph", str(graph_file), "--profiles", pipeline_files["profiles"],
+                 "--slo", "4", "--out", pipeline_files["out"]]) == 0
 
 
 def test_mismatched_config_and_app_exit_2(workdir):

@@ -1,7 +1,10 @@
+import hashlib
 import io
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from faastune import (
     FunctionNode,
@@ -27,7 +30,8 @@ from faastune import (
 )
 from faastune.errors import InvalidShape
 from faastune.model import CallGraph
-from faastune.sim import CPU_SATURATION_MB, end_to_end_durations
+from faastune.sim import CPU_SATURATION_MB, SHAPES, end_to_end_durations
+from faastune.traces import compose_calls, graph_to_dict
 
 
 def _compute_spec(name="f1", work=512.0, **kw):
@@ -196,23 +200,116 @@ def test_traces_are_byte_identical_per_seed():
     assert dump() == dump()
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_round_trip_recovers_generated_graph(seed):
+@pytest.mark.parametrize("shape,seed", [
+    *(pytest.param("random", seed, id=str(seed)) for seed in range(25)),
+    *(pytest.param(shape, 3, id=shape) for shape in SHAPES if shape != "random"),
+])
+def test_round_trip_recovers_generated_graph(shape, seed):
     n = random.Random(seed).randint(1, 12)
-    app = generate_app(n, "random", seed=seed).noiseless()
+    app = generate_app(n, shape, seed=seed).noiseless()
     config = {f: 128 for f in app.graph.functions()}
     log = run_load(app, config, 3, random.Random(seed))
-    assert build_call_graph(log) == app.graph
+    backends = {s.name for s in log.all_segments() if s.kind == "baas"}
+    assert backends == {b for names in app.baas_children.values() for b in names}
+    assert build_call_graph(log) == app.graph  # backend segments are dropped
 
 
-def test_unrealizable_graph_rejected_by_run_load():
+@st.composite
+def call_tables(draw):
+    """A call table over f1..fn rooted at f1, with its functions' work units."""
+    n = draw(st.integers(1, 10))
+    calls = {"f1": []}
+    for i in range(2, n + 1):
+        groups = calls[draw(st.sampled_from(sorted(calls)))]
+        if groups and draw(st.booleans()):
+            groups[draw(st.integers(0, len(groups) - 1))].append(f"f{i}")
+        else:
+            groups.append([f"f{i}"])
+        calls[f"f{i}"] = []
+    work = draw(st.lists(st.sampled_from((64.0, 300.0, 1000.0)), min_size=n, max_size=n))
+    return calls, dict(zip(calls, work))
+
+
+@given(call_tables())
+@example(({"f1": [["f2", "f3"], ["f6"]], "f2": [["f4", "f5"]], "f3": [], "f4": [["f7"]],
+           "f5": [], "f6": [], "f7": []}, {f"f{i}": 300.0 for i in range(1, 8)}))
+@settings(max_examples=60, deadline=None)
+def test_composed_call_tables_simulate_and_rebuild_to_their_graph(table):
+    calls, work = table
+    graph = normalize_graph(CallGraph(compose_calls("f1", calls)))
+    specs = {name: _compute_spec(name, work=work[name]) for name in graph.functions()}
+    app = SimApp(graph=graph, specs=specs)
+    log = run_load(app, {f: 128 for f in graph.functions()}, 2, random.Random(0))
+    assert build_call_graph(log) == graph
+
+
+def test_unrealizable_graph_rejected_by_sim_app():
     graph = normalize_graph(
         CallGraph(Parallel((FunctionNode("f1"), FunctionNode("f2"))))
     )
     specs = {name: _compute_spec(name) for name in graph.functions()}
-    app = SimApp(graph=graph, specs=specs)
     with pytest.raises(ValueError):
-        run_load(app, {"f1": 128, "f2": 128}, 1, random.Random(0))
+        SimApp(graph=graph, specs=specs)
+
+
+#: sha256 of the saved app, of the profiling trace file (default ladder,
+#: 4 requests per rung, rng seeded with the app seed) and of the graph
+#: rebuilt from it, at seeds 0 and 5 (chain and random with 40 functions).
+PINNED_DIGESTS = {
+    ("chain", 0): ("ab6c08c545c8f336eeb203ba89c19fa1c9ccc5b15fa35caae4c38910d8f1ea17",
+                   "bdce18aa5e9a7933d68589ee02aa24111bb68103c2559ccd4f00dc58b3143b06",
+                   "c2ea5dd5c7ead6b5d2e4add7fecc92964deaee40d495b554d75fda2e62c6fdaa"),
+    ("chain", 5): ("18120fb29ffe03584ae4be5590bb4d6a57fbe4656bdd8a594493a006b3759043",
+                   "d3ad79bca467f19f0568f90ce0d492b2f253fc910bcc10be013936ce25cd9e1c",
+                   "c2ea5dd5c7ead6b5d2e4add7fecc92964deaee40d495b554d75fda2e62c6fdaa"),
+    ("demo3", 0): ("a65969c3f27bda40c0aa5097ad7afa9e83b7e4a795f0028b4b942bcbca8fd805",
+                   "feca317a08cd33e9730322a83b3aff73ce4689ba79a206941de42a5460f3d4cf",
+                   "beab1f345fc440693dac2ab4a52b742243f9516bd33dffdc857d6c2c35729815"),
+    ("demo3", 5): ("2159934f4509b3826d33989998ef74f327eaf58035ecdcc5150b668afdcc4f49",
+                   "40682d137c776e63741b338e09ae41e4302da9a581f77a7866d98b0cc8cf3f03",
+                   "beab1f345fc440693dac2ab4a52b742243f9516bd33dffdc857d6c2c35729815"),
+    ("demo6", 0): ("07dabc63d97f925768d06f5a2cf6f6435ac4b953724f9f3969b1f8652d2b5ffb",
+                   "d33a72044c5ab48f2723d75d9a3a20d5312cc859dcab0198ffa45917c5fdac6a",
+                   "891adcf534dc979d76e5b789956544e46c38cbe2ff900de4b0518fa93b904818"),
+    ("demo6", 5): ("28bc44e96b5a13e9be2826f77c4383073cc280d7a216a93b864de0b7a0effe09",
+                   "3112fc58f3cb2031f405a6468f19064ee2b979b172c6ef1ccfcfe6dbc8faa24f",
+                   "891adcf534dc979d76e5b789956544e46c38cbe2ff900de4b0518fa93b904818"),
+    ("demo10", 0): ("8bf09f4b0e9170061bd730456b7ced873349d1283fcc22ddecdb7a8d9a68da1e",
+                    "2cc3ad74b7b8791abab4bffdf04c2aef6033c7f6ab0a8ca00b67b7cc97851bdb",
+                    "8b936dadf0162180c13ead9dc1268eb51b583922f888767a23e98d9eefd852cc"),
+    ("demo10", 5): ("8db3c99eda90418895927abeaf0dc4604a1b7888b89749b0b06e5f4d4fb48cca",
+                    "0f51ae032726bc2f952d138a1d048a4ed0c587cbb9eab189d51d48a6cb3ac244",
+                    "8b936dadf0162180c13ead9dc1268eb51b583922f888767a23e98d9eefd852cc"),
+    ("petstore", 0): ("bdc20f977b02bf2797e61d94769512cd5d423f3a403d47bca83a9a635ec2090c",
+                      "18bc7c6b9a5a89c76cac0ee5c7d39319e8cbbee2815a8136cbb34a31e70ebae3",
+                      "7d94ca0476629ed2dadd02b38dfded62f819ac4d35ad9ccb9da5a7b3b6a7bbfd"),
+    ("petstore", 5): ("d01e0e29460736d0587e8ba3359df4d341127afbe79f5016b786cdf0c25751f7",
+                      "c2ca10e9004629899e2f4f3b0e0adec90fb3f25c3651336a3261c7cbc53dc99e",
+                      "7d94ca0476629ed2dadd02b38dfded62f819ac4d35ad9ccb9da5a7b3b6a7bbfd"),
+    ("random", 0): ("f1309d75c91b0dd2fa0482a5ad29ed767effba5c1ff4260ca2cb50143433bc7c",
+                    "9a009d1bcc6c0791e15d0133ed99ecb30032dd6f5329da72725017c786758203",
+                    "8ea0df8ec03335da78e25223a107a783995f601a9f8d8982e756ee94039968e8"),
+    ("random", 5): ("257e718580090e2821d3a92b9edd97fa4863d86ec541517c8aa323da6a486022",
+                    "fd5192109edfb151d128f5464b04a08d2706836af1b431ba6ff35deb29ca3f1d",
+                    "a28cabdf58b2bc96852d5f740ec83ea37aa7c5c23e0fbc8520c9b8477586227f"),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_generated_apps_and_profiling_traces_are_pinned(shape, tmp_path):
+    for seed in (0, 5):
+        app = generate_app(40, shape, seed=seed)
+        save_app(app, tmp_path / "app.json")
+        log = profile_application(app, MemoryLadder(), k_per_level=4, rng=random.Random(seed))
+        buffer = io.StringIO()
+        write_trace_file(log, buffer)
+        graph = json.dumps(graph_to_dict(build_call_graph(log).root), sort_keys=True)
+        digests = tuple(
+            hashlib.sha256(data).hexdigest()
+            for data in ((tmp_path / "app.json").read_bytes(), buffer.getvalue().encode(),
+                         graph.encode())
+        )
+        assert digests == PINNED_DIGESTS[shape, seed], (shape, seed)
 
 
 # --- profiling runs and validation -------------------------------------------

@@ -27,6 +27,7 @@ from faastune.errors import (
     OrphanSegment,
     ParseError,
     SchemaError,
+    UnreachableSegment,
 )
 from faastune.traces import TraceLog, TraceSegment, graph_to_dict
 
@@ -80,6 +81,24 @@ def test_unknown_parent_is_an_orphan():
 def test_two_parentless_segments_is_multiple_roots():
     with pytest.raises(MultipleRoots):
         _log(_line(seg="s1"), _line(seg="s2", name="f2"))
+
+
+def test_segments_naming_each_other_as_parent_are_unreachable():
+    with pytest.raises(UnreachableSegment) as excinfo:
+        _log(
+            _line(seg="root", name="root"),
+            _line(seg="a", parent="b", name="a"),
+            _line(seg="b", parent="a", name="b"),
+        )
+    assert excinfo.value.segment_id == "a"
+
+
+def test_nan_time_reports_line_number():
+    record = json.loads(_line(seg="s2", parent="s1", name="f2"))
+    record["end_time"] = float("nan")
+    with pytest.raises(ParseError) as excinfo:
+        _log(_line(seg="s1"), json.dumps(record))
+    assert excinfo.value.line == 2
 
 
 def test_malformed_line_reports_line_number():
