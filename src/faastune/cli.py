@@ -45,6 +45,19 @@ def _write_timing_sidecar(path: Path, elapsed_s: float) -> None:
     Path(str(path) + ".timing").write_text(f"elapsed_s={elapsed_s!r}\n")
 
 
+def _read_record(path: Path) -> dict:
+    """The JSON object stored at ``path``; ValueError, naming the file, if
+    it is not one."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
 def _read_timing_sidecar(path: Path) -> float | None:
     sidecar = Path(str(path) + ".timing")
     if not sidecar.exists():
@@ -91,6 +104,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
         return _fail(str(exc), 2)
     if args.alpha is not None and not 0 <= args.alpha <= 100:
         return _fail(f"--alpha must be in [0, 100], got {args.alpha}", 2)
+    if args.requests < 1:
+        return _fail(f"--requests must be at least 1, got {args.requests}", 2)
     ladder = args.ladder or MemoryLadder()
     rng = random.Random(args.seed)
     try:
@@ -187,18 +202,22 @@ def cmd_validate(args: argparse.Namespace) -> int:
     for path in (args.app, args.config):
         if not Path(path).exists():
             return _fail(f"file not found: {path}", 2)
+    if args.requests < 1:
+        return _fail(f"--requests must be at least 1, got {args.requests}", 2)
     try:
         app = sim.load_app(args.app)
-        with open(args.config) as fh:
-            record = json.load(fh)
-    except (FaastuneError, json.JSONDecodeError) as exc:
+        record = _read_record(Path(args.config))
+    except (FaastuneError, ValueError) as exc:
         return _fail(str(exc), 2)
     config = record.get("config")
     if not config:
         return _fail(f"{args.config} holds an empty (infeasible) configuration", 2)
-    config = {name: int(memory) for name, memory in config.items()}
-    ladder = MemoryLadder(values=tuple(sorted(set(config.values()))), cap_mb=None)
     try:
+        config = {name: int(memory) for name, memory in config.items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        return _fail(f"{args.config}: invalid configuration: {exc}", 2)
+    try:
+        ladder = MemoryLadder(values=tuple(sorted(set(config.values()))), cap_mb=None)
         check_configuration(app.graph, config, ladder)
     except (FaastuneError, ValueError) as exc:
         return _fail(f"configuration does not match app: {exc}", 2)
@@ -233,8 +252,7 @@ def _report_rows(results_dir: Path) -> list[dict]:
     rows = []
     for result_path in sorted(results_dir.glob("*.result.json")):
         stem = result_path.name[: -len(".result.json")]
-        with open(result_path) as fh:
-            record = json.load(fh)
+        record = _read_record(result_path)
         row = {
             "name": stem,
             "app": "",
@@ -250,8 +268,7 @@ def _report_rows(results_dir: Path) -> list[dict]:
         }
         validation_path = results_dir / f"{stem}.validation.json"
         if validation_path.exists():
-            with open(validation_path) as fh:
-                validation = json.load(fh)
+            validation = _read_record(validation_path)
             row["app"] = validation.get("app_shape", "")
             if validation.get("conformance") is not None:
                 row["conformance_pct"] = validation["conformance"] * 100.0
@@ -278,7 +295,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     results_dir = Path(args.results)
     if not results_dir.is_dir():
         return _fail(f"not a directory: {results_dir}", 2)
-    rows = _report_rows(results_dir)
+    try:
+        rows = _report_rows(results_dir)
+    except ValueError as exc:
+        return _fail(str(exc), 2)
     if not rows:
         return _fail(f"no *.result.json files in {results_dir}", 2)
 

@@ -118,12 +118,31 @@ def iter_function_names(node: GraphNode) -> Iterator[str]:
 
 @dataclass(frozen=True)
 class CallGraph:
-    """Recursive sequence/parallel composition of function invocations."""
+    """Recursive sequence/parallel composition of function invocations.
+
+    Construction puts ``root`` in canonical form: same-kind nesting is
+    spliced out, single-child sequences collapse and parallel branches are
+    ordered by the smallest function name they contain. Raises
+    :class:`EmptyGroup` on arity violations and :class:`DuplicateFunction`
+    if any function appears twice.
+    """
 
     root: GraphNode
+    _functions: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        root = _normalize_node(self.root)
+        names = tuple(iter_function_names(root))
+        seen: set[str] = set()
+        for name in names:
+            if name in seen:
+                raise DuplicateFunction(name)
+            seen.add(name)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "_functions", names)
 
     def functions(self) -> tuple[str, ...]:
-        return tuple(iter_function_names(self.root))
+        return self._functions
 
 
 def _min_name(node: GraphNode) -> str:
@@ -154,23 +173,6 @@ def _normalize_node(node: GraphNode) -> GraphNode:
     # max() is commutative: order parallel branches by the smallest function
     # name they contain to make graphs comparable.
     return Parallel(tuple(sorted(flattened, key=_min_name)))
-
-
-def normalize_graph(graph: CallGraph) -> CallGraph:
-    """Canonicalize a call graph: splice out same-kind nesting, collapse
-    single-child sequences, order parallel branches canonically and verify
-    arity and function-uniqueness invariants.
-
-    Idempotent. Raises :class:`EmptyGroup` on arity violations and
-    :class:`DuplicateFunction` if any function appears twice.
-    """
-    root = _normalize_node(graph.root)
-    seen: set[str] = set()
-    for name in iter_function_names(root):
-        if name in seen:
-            raise DuplicateFunction(name)
-        seen.add(name)
-    return CallGraph(root)
 
 
 @dataclass(frozen=True)

@@ -119,10 +119,13 @@ def _representatives(
 class _Trajectory:
     """The greedy bump order, which depends only on the representatives.
 
-    All functions start at the lowest rung. Each pop takes the function
-    with the largest current representative from a max-heap (ties break on
-    the function name) and moves it one rung up; a function popped at the
-    top rung leaves the heap for good. ``estimate`` follows every bump.
+    Functions start at the lowest rung, or at the rung indices in
+    ``start``. Each pop takes the function with the largest current
+    representative from a max-heap (ties break on the function name) and
+    moves it one rung up; a function popped at the top rung leaves the heap
+    for good. ``keep(function, rung, estimate)``, when given, judges every
+    move: a rejected move is undone and its function leaves the heap too.
+    ``estimate`` follows every kept move.
     """
 
     def __init__(
@@ -132,17 +135,23 @@ class _Trajectory:
         rungs: tuple[int, ...],
         allow_non_monotone: bool,
         on_pop: PopHook | None = None,
+        start: Mapping[str, int] | None = None,
+        keep: Callable[[str, int, float], bool] | None = None,
     ):
         seconds = _representatives(graph.functions(), profiles, rungs, allow_non_monotone)
-        self._seconds = seconds
+        self.seconds = seconds
         self._evaluator = GraphEvaluator(graph)
         self.rung = dict.fromkeys(seconds, 0)
-        self.estimate = self._evaluator.evaluate({name: s[0] for name, s in seconds.items()})
+        self.rung.update(start or {})
+        self.estimate = self._evaluator.evaluate(
+            {name: seconds[name][index] for name, index in self.rung.items()}
+        )
         self.iterations = 0
         self.evaluations = 1
-        self._heap = [(-s[0], name) for name, s in seconds.items()]
+        self._heap = [(-seconds[name][index], name) for name, index in self.rung.items()]
         heapq.heapify(self._heap)
         self._on_pop = on_pop
+        self._keep = keep
 
     def bump(self) -> str | None:
         """Pop until one function moves up a rung and return its name; None
@@ -153,11 +162,15 @@ class _Trajectory:
             if self._on_pop is not None:
                 self._on_pop(name, -key, [-k for k, _ in self._heap])
             index = self.rung[name] + 1
-            if index < len(self._seconds[name]):
-                self.rung[name] = index
-                seconds = self._seconds[name][index]
-                self.estimate = self._evaluator.set(name, seconds)
+            if index < len(self.seconds[name]):
+                seconds = self.seconds[name][index]
+                estimate = self._evaluator.set(name, seconds)
                 self.evaluations += 1
+                if self._keep is not None and not self._keep(name, index, estimate):
+                    self._evaluator.set(name, self.seconds[name][index - 1])
+                    continue
+                self.rung[name] = index
+                self.estimate = estimate
                 heapq.heappush(self._heap, (-seconds, name))
                 return name
         return None
@@ -226,59 +239,43 @@ def greedy_min_cost(
         return _result("greedy-min-cost", started, base.iterations, base.evaluations)
 
     rungs = ladder.effective()
-    seconds = _representatives(tuple(base.config), profiles, rungs, allow_non_monotone=True)
-    rung = {name: rungs.index(memory) for name, memory in base.config.items()}
-    units = {
-        name: cost_model.cost_units(seconds[name][index], rungs[index])
-        for name, index in rung.items()
-    }
-    evaluator = GraphEvaluator(graph)
-    current_time = evaluator.evaluate({name: seconds[name][index] for name, index in rung.items()})
-    current_cost = sum(units.values())
-    evaluations = base.evaluations + 1
-    iterations = base.iterations
-
-    best_rung = dict(rung)
-    best_cost = current_cost
-    best_time = current_time
-
-    heap = [(-seconds[name][index], name) for name, index in rung.items()]
-    heapq.heapify(heap)
 
     def relative(delta: float, reference: float) -> float:
         if reference == 0:
             return 0.0 if delta == 0 else math.inf
         return abs(delta) / abs(reference)
 
-    while heap:
-        _, name = heapq.heappop(heap)
-        iterations += 1
-        index = rung[name] + 1
-        if index >= len(rungs):
-            continue
-        trial_time = evaluator.set(name, seconds[name][index])
-        evaluations += 1
-        trial_units = cost_model.cost_units(seconds[name][index], rungs[index])
-        trial_cost = current_cost + trial_units - units[name]
-        worth_it = relative(trial_cost - current_cost, current_cost) <= relative(
-            current_time - trial_time, current_time
+    def keep(name: str, index: int, trial_time: float) -> bool:
+        nonlocal cost
+        trial_units = cost_model.cost_units(walk.seconds[name][index], rungs[index])
+        trial_cost = cost + trial_units - units[name]
+        worth_it = relative(trial_cost - cost, cost) <= relative(
+            walk.estimate - trial_time, walk.estimate
         )
         if trial_time > slo.slo_seconds or not worth_it:
-            evaluator.set(name, seconds[name][rung[name]])  # revert; freeze this function
-            continue
-        rung[name] = index
+            return False
         units[name] = trial_units
-        current_time = trial_time
-        current_cost = trial_cost
-        if trial_cost < best_cost or (trial_cost == best_cost and trial_time < best_time):
-            best_rung = dict(rung)
-            best_cost = trial_cost
-            best_time = trial_time
-        heapq.heappush(heap, (-seconds[name][index], name))
+        cost = trial_cost
+        return True
+
+    walk = _Trajectory(  # greedy_slo has checked monotonicity already
+        graph, profiles, rungs, allow_non_monotone=True,
+        start={name: rungs.index(memory) for name, memory in base.config.items()}, keep=keep,
+    )
+    units = {
+        name: cost_model.cost_units(walk.seconds[name][index], rungs[index])
+        for name, index in walk.rung.items()
+    }
+    cost = sum(units.values())
+    best_rung, best_cost, best_time = dict(walk.rung), cost, walk.estimate
+    while walk.bump() is not None:
+        if cost < best_cost or (cost == best_cost and walk.estimate < best_time):
+            best_rung, best_cost, best_time = dict(walk.rung), cost, walk.estimate
 
     config = {name: rungs[index] for name, index in best_rung.items()}
     return _result(
-        "greedy-min-cost", started, iterations, evaluations, config, best_time,
+        "greedy-min-cost", started, base.iterations + walk.iterations,
+        base.evaluations + walk.evaluations, config, best_time,
         configuration_cost(config, profiles, cost_model),
     )
 

@@ -27,7 +27,6 @@ from .model import (
     Parallel,
     Sequence,
     SloSpec,
-    normalize_graph,
 )
 from .profiles import percentile_linear
 from .traces import TraceLog, TraceSegment, compose_calls, graph_from_dict, graph_to_dict
@@ -102,12 +101,11 @@ class SimApp:
                 raise ValueError(f"baas_children parent {parent!r} is not a function")
         # run_load starts every invocation at a single function: the root and
         # each parallel member must be a function or a sequence opening with one.
-        root = normalize_graph(self.graph).root
-        nodes = [root]
+        nodes = [self.graph.root]
         for node in nodes:
             if not isinstance(node, FunctionNode):
                 nodes.extend(node.children)
-        if isinstance(root, Parallel) or any(
+        if isinstance(self.graph.root, Parallel) or any(
             isinstance(node, Sequence) and not isinstance(node.children[0], FunctionNode)
             for node in nodes
         ):
@@ -182,7 +180,7 @@ PETSTORE_FUNCTIONS = (
 
 def _petstore_app(seed: int) -> SimApp:
     calls = {"pet-checkout": [[name] for name in PETSTORE_FUNCTIONS[1:]]}
-    graph = normalize_graph(CallGraph(compose_calls("pet-checkout", calls)))
+    graph = CallGraph(compose_calls("pet-checkout", calls))
     common = dict(
         cold_start_s=DEFAULT_COLD_START_S,
         cold_start_prob=DEFAULT_COLD_START_PROB,
@@ -245,7 +243,7 @@ def generate_app(
     else:
         calls = _random_calls(n_functions, rng)
 
-    graph = normalize_graph(CallGraph(compose_calls("f1", calls)))
+    graph = CallGraph(compose_calls("f1", calls))
     specs = {
         name: SimFunctionSpec(
             function=name,
@@ -271,15 +269,13 @@ def run_load(
 ) -> TraceLog:
     """Issue ``k_requests`` synchronous requests and record their traces.
 
-    Each request walks the normalized call graph in virtual time: a
-    function node is a bare call, a sequence is its leading function
-    followed by that function's call groups, and a parallel node is one
-    group. A function's segment covers its own work, each group starts when
+    Each request walks the call graph in virtual time: a function node is
+    a bare call, a sequence is its leading function followed by that
+    function's call groups, and a parallel node is one group. A function's segment covers its own work, each group starts when
     the previous group (or the invoker's own work) finishes, and members of
     a group share a start time. Backend children appear as ``baas``
     segments inside their function's span.
     """
-    root = normalize_graph(app.graph).root
     log = TraceLog()
     for request in range(k_requests):
         trace_id = f"{trace_prefix}-{request:05d}"
@@ -326,7 +322,7 @@ def run_load(
                     clock = emit(group, clock, segment_id)
             return clock
 
-        emit(root, 0.0, None)
+        emit(app.graph.root, 0.0, None)
         log.traces[trace_id] = segments
     return log
 
@@ -453,7 +449,7 @@ def load_app(path: str | Path) -> SimApp:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: {exc}") from None
     try:
-        graph = normalize_graph(CallGraph(graph_from_dict(data["graph"])))
+        graph = CallGraph(graph_from_dict(data["graph"]))
         specs = {
             name: SimFunctionSpec(function=name, **fields)
             for name, fields in data["functions"].items()

@@ -32,7 +32,6 @@ from .model import (
     GraphNode,
     Parallel,
     Sequence,
-    normalize_graph,
 )
 
 SEGMENT_KINDS = ("function", "baas")
@@ -233,6 +232,7 @@ def _intervals_overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
 
 @dataclass
 class _TraceShape:
+    trace_id: str
     root: str
     parent_of: dict[str, str | None]
     intervals: dict[str, tuple[float, float]]
@@ -257,7 +257,9 @@ def _trace_shape(trace_id: str, segments: list[TraceSegment]) -> _TraceShape | N
             root = s.name
             parent_of[s.name] = None
             continue
-        parent = by_id[s.parent_id]
+        parent = by_id.get(s.parent_id)
+        if parent is None:
+            raise OrphanSegment(s.segment_id)
         if parent.kind != "function":
             raise InconsistentTopology(
                 f"trace {trace_id!r}: function {s.name!r} is invoked by "
@@ -268,7 +270,7 @@ def _trace_shape(trace_id: str, segments: list[TraceSegment]) -> _TraceShape | N
         raise InconsistentTopology(
             f"trace {trace_id!r}: root segment is not a function"
         )
-    return _TraceShape(root=root, parent_of=parent_of, intervals=intervals)
+    return _TraceShape(trace_id, root, parent_of, intervals)
 
 
 def _parallel_groups(
@@ -318,8 +320,9 @@ def _parallel_groups(
 def compose_calls(root: str, calls: Mapping[str, list[list[str]]]) -> GraphNode:
     """The graph of an invocation structure: ``root`` runs, then each group of
     the functions it calls (``calls[root]``, in order); a lone call stands as
-    itself and concurrent calls form a parallel group. The node is not
-    canonical until :func:`normalize_graph` splices the nesting."""
+    itself and concurrent calls form a parallel group. The node nests a
+    sequence per calling function; wrapping it in a :class:`CallGraph`
+    splices that nesting into canonical form."""
     head = FunctionNode(root)
     groups = calls.get(root)
     if not groups:
@@ -335,7 +338,11 @@ def build_call_graph(log: TraceLog) -> CallGraph:
     function invokes which (:class:`InconsistentTopology` otherwise);
     parallel-versus-sequence classification of siblings is decided by
     majority vote over the traces' interval overlaps, and sequential
-    siblings are ordered by mean start time.
+    siblings are ordered by mean start time. As in :func:`parse_trace_file`,
+    a function segment whose parent is not in its trace raises
+    :class:`OrphanSegment` and one that never reaches the root (a cycle)
+    raises :class:`UnreachableSegment`, so a log built in memory cannot
+    lose functions either.
     """
     shapes: list[_TraceShape] = []
     for trace_id, segments in log.traces.items():
@@ -362,7 +369,12 @@ def build_call_graph(log: TraceLog) -> CallGraph:
     }
 
     calls = {name: _parallel_groups(kids, shapes, mean_start) for name, kids in children.items()}
-    return normalize_graph(CallGraph(compose_calls(reference.root, calls)))
+    graph = CallGraph(compose_calls(reference.root, calls))
+    lost = set(reference.parent_of).difference(graph.functions())
+    if lost:
+        segments = log.traces[reference.trace_id]
+        raise UnreachableSegment(min(s.segment_id for s in segments if s.name in lost))
+    return graph
 
 
 # --- declarative graph files -------------------------------------------------
@@ -399,16 +411,10 @@ def graph_to_dict(node: GraphNode) -> dict:
 
 
 def load_manual_graph(path: str | Path) -> CallGraph:
-    """Load and normalize a user-written declarative call graph."""
+    """Load a user-written declarative call graph (in canonical form)."""
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: {exc}") from None
-    return normalize_graph(CallGraph(graph_from_dict(data)))
-
-
-def save_graph(graph: CallGraph, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(graph_to_dict(graph.root), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return CallGraph(graph_from_dict(data))

@@ -101,9 +101,20 @@ def pipeline_files(tmp_path_factory):
     short_profiles.write_text(header + "f1,128\n" + "".join(rest))
     nan_profiles = workdir / "nan.csv"
     nan_profiles.write_text(header + "f1,128,50.0,nan,20\n" + "".join(rest))
+    list_config = workdir / "list-config.json"
+    list_config.write_text(json.dumps([json.loads(result.read_text())]))
+    record = json.loads(result.read_text())
+    record["config"]["f1"] = "abc"
+    text_memory = workdir / "text-memory.json"
+    text_memory.write_text(json.dumps(record))
+    malformed_results = workdir / "malformed"
+    malformed_results.mkdir()
+    (malformed_results / "broken.result.json").write_text("{not json")
     return {"app": str(app), "profiles": str(profiles), "result": str(result),
             "parallel_app": str(parallel_app), "short_profiles": str(short_profiles),
-            "nan_profiles": str(nan_profiles), "out": str(workdir / "out.json")}
+            "nan_profiles": str(nan_profiles), "list_config": str(list_config),
+            "text_memory": str(text_memory), "malformed_results": str(malformed_results),
+            "out": str(workdir / "out.json")}
 
 
 @pytest.mark.parametrize("argv", [
@@ -123,10 +134,20 @@ def pipeline_files(tmp_path_factory):
     ["optimize", "--app", "{parallel_app}", "--profiles", "{profiles}", "--slo", "4"],
     ["optimize", "--app", "{app}", "--profiles", "{short_profiles}", "--slo", "4"],
     ["optimize", "--app", "{app}", "--profiles", "{nan_profiles}", "--slo", "4"],
+    ["validate", "--app", "{app}", "--config", "{result}", "--slo", "4", "--requests", "0"],
+    ["validate", "--app", "{app}", "--config", "{result}", "--slo", "4", "--requests", "-3"],
+    ["validate", "--app", "{app}", "--config", "{list_config}", "--slo", "4"],
+    ["validate", "--app", "{app}", "--config", "{text_memory}", "--slo", "4"],
+    ["profile", "--app", "{app}", "--requests", "0", "--alpha", "50"],
+    ["profile", "--app", "{app}", "--requests", "0"],
+    ["report", "--results", "{malformed_results}"],
 ], ids=["slo-0", "slo-nan", "slo-inf", "price-0", "price-nan", "profiles-not-a-table",
         "alpha-150", "validate-slo-negative", "validate-percentile-0",
         "profile-no-entry-function", "validate-no-entry-function",
-        "optimize-app-no-entry-function", "profiles-short-row", "profiles-nan-representative"])
+        "optimize-app-no-entry-function", "profiles-short-row", "profiles-nan-representative",
+        "validate-requests-0", "validate-requests-negative", "validate-config-list",
+        "validate-config-text-memory", "profile-requests-0-alpha", "profile-requests-0",
+        "report-malformed-result"])
 def test_out_of_range_input_exits_2_with_error_line(pipeline_files, argv, capsys):
     argv = [arg.format(**pipeline_files) for arg in argv] + ["--out", pipeline_files["out"]]
     assert main(argv) == 2

@@ -66,7 +66,7 @@ def test_evaluator_updates_are_bit_identical_to_recursive_composition(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 60)
     if seed % 2:
-        graph = CallGraph(messy_tree(rng, [f"f{i}" for i in range(n)]))  # unnormalized
+        graph = CallGraph(messy_tree(rng, [f"f{i}" for i in range(n)]))  # canonicalized messy tree
     else:
         graph = generate_app(n_functions=n, shape=rng.choice(("random", "chain")), seed=seed).graph
     functions = graph.functions()

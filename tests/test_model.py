@@ -12,7 +12,6 @@ from faastune import (
     Sequence,
     SloSpec,
     configuration_cost,
-    normalize_graph,
 )
 from faastune.errors import DuplicateFunction, EmptyGroup, MissingProfile
 from helpers import make_profile, messy_tree
@@ -71,44 +70,49 @@ def test_slo_spec_validation():
 
 def test_nested_single_sequences_collapse_to_function():
     graph = CallGraph(Sequence((Sequence((FunctionNode("f1"),)),)))
-    assert normalize_graph(graph).root == FunctionNode("f1")
+    assert graph.root == FunctionNode("f1")
 
 
 def test_parallel_of_one_is_an_arity_violation():
     with pytest.raises(EmptyGroup):
-        normalize_graph(CallGraph(Parallel((FunctionNode("f1"),))))
+        CallGraph(Parallel((FunctionNode("f1"),)))
 
 
 def test_empty_sequence_rejected():
     with pytest.raises(EmptyGroup):
-        normalize_graph(CallGraph(Sequence(())))
+        CallGraph(Sequence(()))
 
 
 def test_normal_form_untouched():
     root = Sequence((FunctionNode("f1"), Parallel((FunctionNode("f2"), FunctionNode("f3")))))
-    assert normalize_graph(CallGraph(root)).root == root
+    assert CallGraph(root).root == root
 
 
 def test_duplicate_function_rejected():
-    graph = CallGraph(Sequence((FunctionNode("f1"), FunctionNode("f1"))))
     with pytest.raises(DuplicateFunction):
-        normalize_graph(graph)
+        CallGraph(Sequence((FunctionNode("f1"), FunctionNode("f1"))))
 
 
 def test_parallel_children_are_ordered_canonically():
     a = Sequence((FunctionNode("z"), FunctionNode("b")))
     b = FunctionNode("a")
-    graph = normalize_graph(CallGraph(Parallel((a, b))))
+    graph = CallGraph(Parallel((a, b)))
     assert graph.root.children[0] == b  # ordered by smallest contained name
+
+
+def _leaves(node):
+    if isinstance(node, FunctionNode):
+        return [node.name]
+    return [name for child in node.children for name in _leaves(child)]
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_normalize_is_idempotent(seed):
     rng = random.Random(seed)
     names = [f"f{i}" for i in range(1, rng.randint(2, 9))]
-    graph = CallGraph(messy_tree(rng, names))
-    once = normalize_graph(graph)
-    assert normalize_graph(once) == once
+    once = CallGraph(messy_tree(rng, names))
+    assert CallGraph(once.root) == once
+    assert once.functions() == tuple(_leaves(once.root))
     assert sorted(once.functions()) == sorted(names)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -20,7 +21,6 @@ from faastune import (
     extract_samples,
     generate_app,
     load_app,
-    normalize_graph,
     profile_application,
     run_load,
     save_app,
@@ -28,6 +28,7 @@ from faastune import (
     validate_config,
     write_trace_file,
 )
+from faastune import model
 from faastune.errors import InvalidShape
 from faastune.model import CallGraph
 from faastune.sim import CPU_SATURATION_MB, SHAPES, end_to_end_durations
@@ -52,7 +53,7 @@ def test_demo3_is_one_function_invoking_two_in_sequence():
 def test_demo_shapes_have_expected_sizes_and_parallelism(shape, count):
     app = generate_app(shape=shape, seed=0)
     assert len(app.graph.functions()) == count
-    assert normalize_graph(app.graph) == app.graph
+    assert CallGraph(app.graph.root) == app.graph
 
     def has_parallel(node):
         if isinstance(node, Parallel):
@@ -149,10 +150,10 @@ def test_noiseless_run_matches_estimate_exactly():
 
 
 def test_parallel_pair_runs_in_single_function_time():
-    graph = normalize_graph(CallGraph(Sequence((
+    graph = CallGraph(Sequence((
         FunctionNode("f1"),
         Parallel((FunctionNode("f2"), FunctionNode("f3"))),
-    ))))
+    )))
     specs = {name: _compute_spec(name, work=256.0) for name in graph.functions()}
     app = SimApp(graph=graph, specs=specs)
     config = {f: 128 for f in graph.functions()}
@@ -236,7 +237,7 @@ def call_tables(draw):
 @settings(max_examples=60, deadline=None)
 def test_composed_call_tables_simulate_and_rebuild_to_their_graph(table):
     calls, work = table
-    graph = normalize_graph(CallGraph(compose_calls("f1", calls)))
+    graph = CallGraph(compose_calls("f1", calls))
     specs = {name: _compute_spec(name, work=work[name]) for name in graph.functions()}
     app = SimApp(graph=graph, specs=specs)
     log = run_load(app, {f: 128 for f in graph.functions()}, 2, random.Random(0))
@@ -244,12 +245,26 @@ def test_composed_call_tables_simulate_and_rebuild_to_their_graph(table):
 
 
 def test_unrealizable_graph_rejected_by_sim_app():
-    graph = normalize_graph(
-        CallGraph(Parallel((FunctionNode("f1"), FunctionNode("f2"))))
-    )
+    graph = CallGraph(Parallel((FunctionNode("f1"), FunctionNode("f2"))))
     specs = {name: _compute_spec(name) for name in graph.functions()}
     with pytest.raises(ValueError):
         SimApp(graph=graph, specs=specs)
+
+
+def test_built_apps_are_not_normalized_again(monkeypatch):
+    app = generate_app(8, "random", seed=7)
+
+    def refuse(node):
+        raise AssertionError("a built graph was normalized again")
+
+    monkeypatch.setattr(model, "_normalize_node", refuse)
+    copy = dataclasses.replace(app, specs=dict(app.specs))
+    quiet = app.noiseless()
+    config = {f: 256 for f in app.graph.functions()}
+    assert len(run_load(copy, config, 2, random.Random(0))) == 2
+    ladder = MemoryLadder(values=(128, 256), cap_mb=None)
+    assert len(profile_application(quiet, ladder, k_per_level=2)) == 4
+    assert validate_config(app, config, SloSpec(100.0), n_requests=3).conformance == 1.0
 
 
 #: sha256 of the saved app, of the profiling trace file (default ladder,

@@ -13,7 +13,6 @@ from faastune import (
     extract_samples,
     generate_app,
     load_manual_graph,
-    normalize_graph,
     parse_trace_file,
     run_load,
     write_trace_file,
@@ -249,6 +248,29 @@ def test_function_invoked_by_baas_is_rejected():
         build_call_graph(log)
 
 
+def _segment(segment_id, parent_id, name, start=0.0, end=1.0):
+    return TraceSegment("t1", segment_id, name, "function", start, end, parent_id, 128)
+
+
+def test_in_memory_cycle_is_unreachable_not_dropped():
+    log = TraceLog({"t1": [
+        _segment("root", None, "root", 0.0, 3.0),
+        _segment("a", "b", "a"),
+        _segment("b", "a", "b"),
+    ]})
+    assert len(extract_samples(log)) == 3
+    with pytest.raises(UnreachableSegment) as excinfo:
+        build_call_graph(log)
+    assert excinfo.value.segment_id == "a"
+
+
+def test_in_memory_unknown_parent_is_an_orphan():
+    log = TraceLog({"t1": [_segment("root", None, "root", 0.0, 3.0), _segment("a", "zzz", "a")]})
+    with pytest.raises(OrphanSegment) as excinfo:
+        build_call_graph(log)
+    assert excinfo.value.segment_id == "a"
+
+
 # --- samples -----------------------------------------------------------------
 
 
@@ -288,7 +310,7 @@ def test_manual_graph_for_six_function_tree(tmp_path):
     graph = generate_app(shape="demo6", seed=1).graph
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(graph_to_dict(graph.root)))
-    assert load_manual_graph(path) == normalize_graph(graph)
+    assert load_manual_graph(path) == graph
 
 
 def test_manual_single_function(tmp_path):
