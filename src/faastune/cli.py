@@ -45,9 +45,18 @@ def _write_timing_sidecar(path: Path, elapsed_s: float) -> None:
     Path(str(path) + ".timing").write_text(f"elapsed_s={elapsed_s!r}\n")
 
 
+#: Record fields that ``validate`` and ``report`` compute with: the type
+#: each must have when present, and its description for error messages.
+_RECORD_FIELDS = {
+    "algorithm": ((str,), "a string"),
+    "estimated_time_s": ((int, float, type(None)), "a number or null"),
+    "conformance": ((int, float, type(None)), "a number or null"),
+}
+
+
 def _read_record(path: Path) -> dict:
     """The JSON object stored at ``path``; ValueError, naming the file, if
-    it is not one."""
+    it is not one or if a field in :data:`_RECORD_FIELDS` has a wrong type."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -55,6 +64,10 @@ def _read_record(path: Path) -> dict:
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    for name, (types, expected) in _RECORD_FIELDS.items():
+        value = data.get(name)
+        if name in data and (not isinstance(value, types) or isinstance(value, bool)):
+            raise ValueError(f"{path}: field {name!r} must be {expected}, got {value!r}")
     return data
 
 
@@ -217,8 +230,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except (AttributeError, TypeError, ValueError) as exc:
         return _fail(f"{args.config}: invalid configuration: {exc}", 2)
     try:
-        ladder = MemoryLadder(values=tuple(sorted(set(config.values()))), cap_mb=None)
-        check_configuration(app.graph, config, ladder)
+        check_configuration(app.graph, config)
     except (FaastuneError, ValueError) as exc:
         return _fail(f"configuration does not match app: {exc}", 2)
 

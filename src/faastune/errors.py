@@ -120,7 +120,7 @@ class SearchSpaceTooLarge(FaastuneError):
         self.limit = limit
         super().__init__(
             f"exhaustive search would evaluate {combinations} configurations "
-            f"(guard limit {limit}); pass force=True to run anyway"
+            f"(guard limit {limit}); use the greedy search or a shorter ladder"
         )
 
 

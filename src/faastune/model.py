@@ -57,18 +57,8 @@ class MemoryLadder:
         return tuple(v for v in self.values if v <= self.cap_mb)
 
     @property
-    def minimum(self) -> int:
-        return self.effective()[0]
-
-    @property
     def maximum(self) -> int:
         return self.effective()[-1]
-
-    def next_up(self, memory_mb: int) -> int | None:
-        """The next rung above ``memory_mb``, or None at the top."""
-        rungs = self.effective()
-        i = rungs.index(memory_mb)
-        return rungs[i + 1] if i + 1 < len(rungs) else None
 
 
 @dataclass(frozen=True)
@@ -198,16 +188,15 @@ class FunctionProfile:
     """Latency representatives for one function across the memory ladder.
 
     ``representatives[m]`` is the ``alpha``-th percentile of the observed
-    durations at memory ``m``. ``raw_representatives`` keeps the
-    pre-repair values when monotone repair has been applied.
+    durations at memory ``m`` (after monotone repair, the running minimum
+    of those percentiles), and ``sample_counts[m]`` is how many durations
+    were observed there. The samples themselves are not kept.
     """
 
     function: str
     alpha: float
     representatives: Mapping[int, float]
     sample_counts: Mapping[int, int] = field(default_factory=dict)
-    samples: Mapping[int, tuple[ExecutionSample, ...]] = field(default_factory=dict)
-    raw_representatives: Mapping[int, float] | None = None
 
     def memories(self) -> tuple[int, ...]:
         return tuple(sorted(self.representatives))
@@ -219,12 +208,7 @@ class FunctionProfile:
             raise MissingProfile(self.function, memory_mb) from None
 
     def sample_count(self, memory_mb: int) -> int:
-        return self.sample_counts.get(memory_mb, len(self.samples.get(memory_mb, ())))
-
-    def is_monotone(self) -> bool:
-        """True if representatives never increase as memory grows."""
-        reps = [self.representatives[m] for m in self.memories()]
-        return all(b <= a for a, b in zip(reps, reps[1:]))
+        return self.sample_counts.get(memory_mb, 0)
 
 
 @dataclass(frozen=True)
@@ -263,24 +247,17 @@ class CostModel:
         if self.billing_granularity_ms <= 0:
             raise ValueError("billing_granularity_ms must be positive")
 
-    def _billed_ms(self, duration_s: float) -> int:
+    def cost_units(self, duration_s: float, memory_mb: int) -> int:
+        """Exact cost of one invocation in MB-milliseconds: the duration
+        rounded up to whole billing ticks, times granularity (ms) times
+        memory (MB). Sums of these are exact and independent of order;
+        :func:`configuration_cost` converts them to USD."""
         if duration_s < 0:
             raise ValueError("duration_s must be non-negative")
         gran = self.billing_granularity_ms
         # The 1e-9 slack keeps exact multiples (e.g. 0.1 s at 1 ms) from
         # being pushed into the next tick by float noise.
-        return math.ceil(duration_s * 1000.0 / gran - 1e-9) * gran
-
-    def billed_seconds(self, duration_s: float) -> float:
-        """Round a duration up to the billing granularity."""
-        return self._billed_ms(duration_s) / 1000.0
-
-    def cost_units(self, duration_s: float, memory_mb: int) -> int:
-        """Exact cost of one invocation in MB-milliseconds: billing ticks
-        times granularity (ms) times memory (MB). Sums of these are exact
-        and independent of order; :func:`configuration_cost` converts them
-        to USD."""
-        return self._billed_ms(duration_s) * memory_mb
+        return math.ceil(duration_s * 1000.0 / gran - 1e-9) * gran * memory_mb
 
 
 def configuration_cost(
@@ -303,10 +280,9 @@ def configuration_cost(
     return units * cost_model.usd_per_gb_second / 1_024_000
 
 
-def check_configuration(
-    graph: CallGraph, config: Mapping[str, int], ladder: MemoryLadder
-) -> None:
-    """Verify a configuration is total over the graph and on the ladder."""
+def check_configuration(graph: CallGraph, config: Mapping[str, int]) -> None:
+    """Verify a configuration is total over the graph and assigns every
+    function a positive integer memory size."""
     functions = set(graph.functions())
     for name in functions:
         if name not in config:
@@ -314,7 +290,6 @@ def check_configuration(
     extra = set(config) - functions
     if extra:
         raise ValueError(f"configuration assigns unknown functions: {sorted(extra)}")
-    rungs = set(ladder.effective())
     for name, memory_mb in config.items():
-        if memory_mb not in rungs:
-            raise ValueError(f"{name!r}: {memory_mb} MB is not on the memory ladder")
+        if not isinstance(memory_mb, int) or memory_mb <= 0:
+            raise ValueError(f"{name!r}: memory must be a positive integer, got {memory_mb!r}")

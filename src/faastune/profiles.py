@@ -19,7 +19,11 @@ from .errors import InsufficientSamples, MissingCell
 from .estimate import GraphEvaluator
 from .model import CallGraph, ExecutionSample, FunctionProfile, MemoryLadder
 
+#: The choice percentiles :func:`select_alpha` picks from, ascending.
 DEFAULT_ALPHA_CANDIDATES = (50.0, 75.0, 90.0, 99.0)
+
+#: Share of each cell's requests :func:`select_alpha` holds out for scoring.
+HOLDOUT_FRACTION = 0.3
 
 
 def percentile_linear(values: Iterable[float], pct: float) -> float:
@@ -71,7 +75,6 @@ def build_profiles(
         by_memory = cells[function]
         representatives: dict[int, float] = {}
         counts: dict[int, int] = {}
-        frozen: dict[int, tuple[ExecutionSample, ...]] = {}
         for memory_mb in rungs:
             cell = by_memory.get(memory_mb)
             if not cell:
@@ -79,13 +82,11 @@ def build_profiles(
             durations = [s.duration_s for s in cell]
             representatives[memory_mb] = percentile_linear(durations, alpha)
             counts[memory_mb] = len(cell)
-            frozen[memory_mb] = tuple(cell)
         profiles[function] = FunctionProfile(
             function=function,
             alpha=alpha,
             representatives=representatives,
             sample_counts=counts,
-            samples=frozen,
         )
     return profiles
 
@@ -94,51 +95,38 @@ def monotone_repair(profile: FunctionProfile) -> FunctionProfile:
     """Clamp representatives to their running minimum up the ladder.
 
     More memory never helps less under the repaired profile, which is what
-    the greedy search assumes when it trades memory for time. Original
-    values are kept in ``raw_representatives`` for reporting. Idempotent.
+    the greedy search assumes when it trades memory for time. The original
+    values are not kept. Idempotent.
     """
-    memories = profile.memories()
     repaired: dict[int, float] = {}
     best = math.inf
-    for m in memories:
+    for m in profile.memories():
         best = min(best, profile.representatives[m])
         repaired[m] = best
-    raw = profile.raw_representatives
-    if raw is None:
-        raw = dict(profile.representatives)
-    return replace(profile, representatives=repaired, raw_representatives=raw)
+    return replace(profile, representatives=repaired)
 
 
 def select_alpha(
     samples: Iterable[ExecutionSample],
     ladder: MemoryLadder,
     graph: CallGraph,
-    candidates: Seq[float] = DEFAULT_ALPHA_CANDIDATES,
-    holdout_fraction: float = 0.3,
     seed: int = 0,
 ) -> float:
     """Pick the choice percentile that best predicts end-to-end latency.
 
-    For each candidate alpha the samples of every cell are split into a fit
-    part and a holdout part (same request indices across functions, so the
-    holdout end-to-end latencies can be reconstructed by composing each
-    request's actual durations over the graph). The candidate whose fitted
-    uniform-memory estimates have the lowest mean squared error against the
-    alpha-th percentile of the holdout end-to-end latencies wins; ties go
-    to the smaller alpha.
+    The candidates are :data:`DEFAULT_ALPHA_CANDIDATES`. The requests of
+    every ladder level are split once, by ``seed``, into a fit part and a
+    holdout part holding :data:`HOLDOUT_FRACTION` of them (same request
+    indices across functions, so the holdout end-to-end latencies can be
+    reconstructed by composing each request's actual durations over the
+    graph). The candidate whose fitted uniform-memory estimates have the
+    lowest mean squared error against the alpha-th percentile of the
+    holdout end-to-end latencies wins; ties go to the smaller alpha.
 
     Requires cells aligned by request order with at least 4 samples each,
     as produced by profiling runs; raises :class:`InsufficientSamples`
     otherwise.
     """
-    if not candidates:
-        raise ValueError("candidates must not be empty")
-    if not 0 < holdout_fraction < 1:
-        raise ValueError("holdout_fraction must be in (0, 1)")
-    ordered = sorted(candidates)
-    if len(ordered) == 1:
-        return ordered[0]
-
     rungs = ladder.effective()
     functions = graph.functions()
     cells = _group_cells(samples, rungs)
@@ -170,13 +158,13 @@ def select_alpha(
     for memory_mb in rungs:
         indices = list(range(counts[memory_mb]))
         rng.shuffle(indices)
-        n_holdout = min(counts[memory_mb] - 1, max(1, round(holdout_fraction * counts[memory_mb])))
+        n_holdout = min(counts[memory_mb] - 1, max(1, round(HOLDOUT_FRACTION * counts[memory_mb])))
         splits[memory_mb] = (sorted(indices[n_holdout:]), sorted(indices[:n_holdout]))
 
     evaluator = GraphEvaluator(graph)
-    best_alpha = ordered[0]
+    best_alpha = DEFAULT_ALPHA_CANDIDATES[0]
     best_mse = math.inf
-    for alpha in ordered:
+    for alpha in DEFAULT_ALPHA_CANDIDATES:
         total = 0.0
         for memory_mb in rungs:
             fit_idx, holdout_idx = splits[memory_mb]
@@ -244,10 +232,14 @@ def load_profiles(path: str | Path) -> dict[str, FunctionProfile]:
                     f"{path}: line {reader.line_num}: representative_s must be "
                     f"finite and non-negative, got {row['representative_s']!r}"
                 )
-            rows.setdefault(function, {})[int(row["memory_mb"])] = (
-                representative,
-                int(row["sample_count"]),
-            )
+            by_memory = rows.setdefault(function, {})
+            memory_mb = int(row["memory_mb"])
+            if memory_mb in by_memory:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: duplicate row for "
+                    f"{function!r} at {memory_mb} MB"
+                )
+            by_memory[memory_mb] = (representative, int(row["sample_count"]))
     profiles: dict[str, FunctionProfile] = {}
     for function, by_memory in rows.items():
         profiles[function] = FunctionProfile(

@@ -36,9 +36,9 @@ from .model import (
     configuration_cost,
 )
 
-#: Callback invoked on every heap pop with (function, its key time, and the
-#: remaining entries' times); a testing/diagnostics hook.
-PopHook = Callable[[str, float, list[float]], None]
+#: ``brute_force`` refuses to start beyond this many combinations, which
+#: keeps an exhaustive scan to minutes.
+BRUTE_FORCE_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,6 @@ class _Trajectory:
         profiles: Mapping[str, FunctionProfile],
         rungs: tuple[int, ...],
         allow_non_monotone: bool,
-        on_pop: PopHook | None = None,
         start: Mapping[str, int] | None = None,
         keep: Callable[[str, int, float], bool] | None = None,
     ):
@@ -150,17 +149,14 @@ class _Trajectory:
         self.evaluations = 1
         self._heap = [(-seconds[name][index], name) for name, index in self.rung.items()]
         heapq.heapify(self._heap)
-        self._on_pop = on_pop
         self._keep = keep
 
     def bump(self) -> str | None:
         """Pop until one function moves up a rung and return its name; None
         once the heap is empty."""
         while self._heap:
-            key, name = heapq.heappop(self._heap)
+            _, name = heapq.heappop(self._heap)
             self.iterations += 1
-            if self._on_pop is not None:
-                self._on_pop(name, -key, [-k for k, _ in self._heap])
             index = self.rung[name] + 1
             if index < len(self.seconds[name]):
                 seconds = self.seconds[name][index]
@@ -183,7 +179,6 @@ def greedy_slo(
     slo: SloSpec,
     cost_model: CostModel | None = None,
     allow_non_monotone: bool = False,
-    on_pop: PopHook | None = None,
 ) -> SearchResult:
     """Find a feasible configuration by bumping the slowest function first.
 
@@ -196,7 +191,7 @@ def greedy_slo(
     """
     started = time.perf_counter()
     rungs = ladder.effective()
-    walk = _Trajectory(graph, profiles, rungs, allow_non_monotone, on_pop)
+    walk = _Trajectory(graph, profiles, rungs, allow_non_monotone)
     while not walk.estimate <= slo.slo_seconds:
         if walk.bump() is None:
             return _result("greedy", started, walk.iterations, walk.evaluations)
@@ -332,8 +327,6 @@ def brute_force(
     slo: SloSpec,
     objective: Objective = Objective.FEASIBLE,
     cost_model: CostModel | None = None,
-    max_evaluations: int = 10_000_000,
-    force: bool = False,
 ) -> SearchResult:
     """Exhaustively scan all M^N configurations for the global optimum.
 
@@ -341,8 +334,9 @@ def brute_force(
     turns the configuration like an odometer (the last function fastest),
     re-evaluating only the functions whose rung changed. Ties therefore
     resolve to the lexicographically smallest memory vector. Always scans
-    the full space (the evaluation count is exactly M^N); refuses to start
-    beyond ``max_evaluations`` combinations unless ``force`` is set.
+    the full space (the evaluation count is exactly M^N); raises
+    :class:`SearchSpaceTooLarge` before scanning when M^N exceeds
+    :data:`BRUTE_FORCE_LIMIT`.
     """
     started = time.perf_counter()
     cost_model = cost_model or CostModel()
@@ -351,8 +345,8 @@ def brute_force(
     seconds = _representatives(functions, profiles, rungs, allow_non_monotone=True)
 
     combinations = len(rungs) ** len(functions)
-    if combinations > max_evaluations and not force:
-        raise SearchSpaceTooLarge(combinations, max_evaluations)
+    if combinations > BRUTE_FORCE_LIMIT:
+        raise SearchSpaceTooLarge(combinations, BRUTE_FORCE_LIMIT)
 
     units = {
         name: [cost_model.cost_units(s, m) for s, m in zip(seconds[name], rungs)]

@@ -218,16 +218,16 @@ def generate_app(
     n_functions: int = 3,
     shape: str = "random",
     seed: int = 0,
-    jitter_cv: float = DEFAULT_JITTER_CV,
-    cold_start_prob: float = DEFAULT_COLD_START_PROB,
-    cold_start_s: float = DEFAULT_COLD_START_S,
 ) -> SimApp:
     """Create a synthetic application.
 
     Named shapes (``demo3``, ``demo6``, ``demo10``, ``petstore``) have fixed
     topologies and ignore ``n_functions``; ``chain`` and ``random`` build an
     ``n_functions``-sized app. Work units are drawn from the seed, so the
-    same (shape, n, seed) always yields the same app.
+    same (shape, n, seed) always yields the same app. Every function gets
+    the default jitter and cold starts (``DEFAULT_JITTER_CV`` and
+    ``DEFAULT_COLD_START_*``; petstore's backend-bound functions jitter
+    more); to simulate other noise, ``dataclasses.replace`` the specs.
     """
     if shape not in SHAPES:
         raise InvalidShape(f"unknown shape {shape!r}; choose from {SHAPES}")
@@ -248,9 +248,9 @@ def generate_app(
         name: SimFunctionSpec(
             function=name,
             work=rng.uniform(*DEFAULT_WORK_RANGE),
-            cold_start_s=cold_start_s,
-            cold_start_prob=cold_start_prob,
-            jitter_cv=jitter_cv,
+            cold_start_s=DEFAULT_COLD_START_S,
+            cold_start_prob=DEFAULT_COLD_START_PROB,
+            jitter_cv=DEFAULT_JITTER_CV,
         )
         for name in graph.functions()
     }

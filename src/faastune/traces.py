@@ -254,6 +254,8 @@ def _trace_shape(trace_id: str, segments: list[TraceSegment]) -> _TraceShape | N
     for s in functions:
         intervals[s.name] = (s.start_time, s.end_time)
         if s.parent_id is None:
+            if root is not None:
+                raise MultipleRoots(trace_id)
             root = s.name
             parent_of[s.name] = None
             continue
@@ -339,7 +341,8 @@ def build_call_graph(log: TraceLog) -> CallGraph:
     parallel-versus-sequence classification of siblings is decided by
     majority vote over the traces' interval overlaps, and sequential
     siblings are ordered by mean start time. As in :func:`parse_trace_file`,
-    a function segment whose parent is not in its trace raises
+    a second parentless function segment raises :class:`MultipleRoots`, a
+    function segment whose parent is not in its trace raises
     :class:`OrphanSegment` and one that never reaches the root (a cycle)
     raises :class:`UnreachableSegment`, so a log built in memory cannot
     lose functions either.

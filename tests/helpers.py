@@ -68,6 +68,35 @@ def schedule_end_to_end(graph: CallGraph, times: dict[str, float]) -> float:
     return finish(graph.root, 0.0)
 
 
+def reference_greedy(graph: CallGraph, profiles, ladder: MemoryLadder, slo: SloSpec):
+    """Naive greedy oracle: ``(config or None, steps)``.
+
+    Until the schedule oracle's estimate fits the SLO, scan every function
+    still in play for the largest current representative (ties to the
+    smaller name) and move it one rung up; a function picked at the top
+    rung leaves play. Each pick is one step, as each heap pop is one of
+    ``greedy_slo``'s iterations.
+    """
+    rungs = ladder.effective()
+    rung = dict.fromkeys(graph.functions(), 0)
+    in_play = set(rung)
+    steps = 0
+
+    def current(name):
+        return profiles[name].representative(rungs[rung[name]])
+
+    while schedule_end_to_end(graph, {f: current(f) for f in rung}) > slo.slo_seconds:
+        if not in_play:
+            return None, steps
+        name = min(in_play, key=lambda f: (-current(f), f))
+        steps += 1
+        if rung[name] == len(rungs) - 1:
+            in_play.remove(name)
+        else:
+            rung[name] += 1
+    return {f: rungs[i] for f, i in rung.items()}, steps
+
+
 def messy_tree(rng: random.Random, names: list[str]):
     """Random graph over exactly ``names``, allowing single-child sequences
     and nested same-kind groups; used to exercise normalization."""

@@ -107,14 +107,35 @@ def pipeline_files(tmp_path_factory):
     record["config"]["f1"] = "abc"
     text_memory = workdir / "text-memory.json"
     text_memory.write_text(json.dumps(record))
+    record["config"]["f1"] = 0
+    zero_memory = workdir / "zero-memory.json"
+    zero_memory.write_text(json.dumps(record))
+    record = json.loads(result.read_text())
+    record["estimated_time_s"] = "x"
+    text_estimate = workdir / "text-estimate.json"
+    text_estimate.write_text(json.dumps(record))
+    alpha = rest[0].split(",")[2]
+    duplicate_profiles = workdir / "duplicate-row.csv"
+    duplicate_profiles.write_text(profiles.read_text() + f"f1,128,{alpha},9.0,5\n")
     malformed_results = workdir / "malformed"
     malformed_results.mkdir()
     (malformed_results / "broken.result.json").write_text("{not json")
+    int_algorithm = workdir / "int-algorithm"
+    int_algorithm.mkdir()
+    record = json.loads(result.read_text())
+    record["algorithm"] = 5
+    (int_algorithm / "run.result.json").write_text(json.dumps(record))
+    text_conformance = workdir / "text-conformance"
+    text_conformance.mkdir()
+    (text_conformance / "run.result.json").write_text(result.read_text())
+    (text_conformance / "run.validation.json").write_text(json.dumps({"conformance": "x"}))
     return {"app": str(app), "profiles": str(profiles), "result": str(result),
             "parallel_app": str(parallel_app), "short_profiles": str(short_profiles),
             "nan_profiles": str(nan_profiles), "list_config": str(list_config),
-            "text_memory": str(text_memory), "malformed_results": str(malformed_results),
-            "out": str(workdir / "out.json")}
+            "text_memory": str(text_memory), "zero_memory": str(zero_memory),
+            "text_estimate": str(text_estimate), "duplicate_profiles": str(duplicate_profiles),
+            "malformed_results": str(malformed_results), "int_algorithm": str(int_algorithm),
+            "text_conformance": str(text_conformance), "out": str(workdir / "out.json")}
 
 
 @pytest.mark.parametrize("argv", [
@@ -141,13 +162,19 @@ def pipeline_files(tmp_path_factory):
     ["profile", "--app", "{app}", "--requests", "0", "--alpha", "50"],
     ["profile", "--app", "{app}", "--requests", "0"],
     ["report", "--results", "{malformed_results}"],
+    ["validate", "--app", "{app}", "--config", "{text_estimate}", "--slo", "4"],
+    ["report", "--results", "{int_algorithm}"],
+    ["report", "--results", "{text_conformance}"],
+    ["validate", "--app", "{app}", "--config", "{zero_memory}", "--slo", "4"],
+    ["optimize", "--app", "{app}", "--profiles", "{duplicate_profiles}", "--slo", "4"],
 ], ids=["slo-0", "slo-nan", "slo-inf", "price-0", "price-nan", "profiles-not-a-table",
         "alpha-150", "validate-slo-negative", "validate-percentile-0",
         "profile-no-entry-function", "validate-no-entry-function",
         "optimize-app-no-entry-function", "profiles-short-row", "profiles-nan-representative",
         "validate-requests-0", "validate-requests-negative", "validate-config-list",
         "validate-config-text-memory", "profile-requests-0-alpha", "profile-requests-0",
-        "report-malformed-result"])
+        "report-malformed-result", "validate-estimate-text", "report-algorithm-int",
+        "report-conformance-text", "validate-config-zero-memory", "profiles-duplicate-row"])
 def test_out_of_range_input_exits_2_with_error_line(pipeline_files, argv, capsys):
     argv = [arg.format(**pipeline_files) for arg in argv] + ["--out", pipeline_files["out"]]
     assert main(argv) == 2

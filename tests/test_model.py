@@ -20,7 +20,6 @@ from helpers import make_profile, messy_tree
 def test_default_ladder_is_capped_at_2gb():
     ladder = MemoryLadder()
     assert ladder.effective() == (128, 256, 512, 1024, 2048)
-    assert ladder.minimum == 128
     assert ladder.maximum == 2048
 
 
@@ -28,12 +27,6 @@ def test_uncapped_ladder_keeps_all_values():
     ladder = MemoryLadder(cap_mb=None)
     assert ladder.effective()[-1] == 10240
     assert len(ladder.effective()) == 8
-
-
-def test_next_up_walks_one_rung():
-    ladder = MemoryLadder(values=(128, 256, 512), cap_mb=None)
-    assert ladder.next_up(128) == 256
-    assert ladder.next_up(512) is None
 
 
 @pytest.mark.parametrize(
@@ -132,11 +125,11 @@ def test_zero_duration_costs_nothing():
 
 def test_billing_rounds_up_to_granularity():
     model = CostModel(billing_granularity_ms=100)
-    assert model.billed_seconds(1.05) == pytest.approx(1.1)
-    assert model.billed_seconds(1.1) == pytest.approx(1.1)
+    assert model.cost_units(1.05, 128) == 1100 * 128
+    assert model.cost_units(1.1, 128) == 1100 * 128
     default = CostModel()
-    assert default.billed_seconds(0.1) == pytest.approx(0.1)  # exact tick stays put
-    assert default.billed_seconds(1.0005) == pytest.approx(1.001)
+    assert default.cost_units(0.1, 256) == 100 * 256  # exact tick stays put
+    assert default.cost_units(1.0005, 256) == 1001 * 256
 
 
 def test_cost_monotone_and_linear_in_memory_at_fixed_duration():

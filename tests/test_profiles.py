@@ -85,7 +85,6 @@ def test_repair_applies_running_minimum():
     profile = make_profile("f1", {128: 4.5, 256: 2.3, 512: 2.5, 1024: 1.1})
     repaired = monotone_repair(profile)
     assert [repaired.representatives[m] for m in (128, 256, 512, 1024)] == [4.5, 2.3, 2.3, 1.1]
-    assert repaired.raw_representatives[512] == 2.5
 
 
 def test_repair_is_identity_on_monotone_profiles():
@@ -100,13 +99,15 @@ def test_repair_keeps_flat_backend_bound_profiles():
 
 def test_repair_is_idempotent_and_output_monotone():
     rng = random.Random(3)
+    rungs = (128, 256, 512, 1024, 2048)
     for _ in range(25):
-        reps = {m: rng.uniform(0.1, 5.0) for m in (128, 256, 512, 1024, 2048)}
+        reps = {m: rng.uniform(0.1, 5.0) for m in rungs}
         once = monotone_repair(make_profile("f1", reps))
-        assert once.is_monotone()
+        assert once.memories() == rungs
+        for i, m in enumerate(rungs):  # running minimum of the raw values
+            assert once.representatives[m] == min(reps[k] for k in rungs[: i + 1])
         twice = monotone_repair(once)
         assert twice.representatives == once.representatives
-        assert twice.raw_representatives == once.raw_representatives
 
 
 # --- select_alpha ------------------------------------------------------------
@@ -127,12 +128,6 @@ def test_identical_durations_tie_break_to_smallest_alpha():
     ladder = MemoryLadder(values=(128, 256), cap_mb=None)
     samples = _uniform_level_samples(graph, ladder, lambda f, m, j: 128.0 / m)
     assert select_alpha(samples, ladder, graph) == 50.0
-
-
-def test_single_candidate_is_returned_directly():
-    graph = generate_app(shape="demo3", seed=0).graph
-    ladder = MemoryLadder(values=(128,), cap_mb=None)
-    assert select_alpha([], ladder, graph, candidates=[75]) == 75
 
 
 def test_insufficient_samples_rejected():

@@ -18,8 +18,15 @@ from faastune import (
     greedy_min_time,
     greedy_slo,
 )
+from faastune import search
 from faastune.errors import MissingProfile, ProfileNotMonotone, SearchSpaceTooLarge
-from helpers import make_profile, random_instance, random_monotone_profile, schedule_end_to_end
+from helpers import (
+    make_profile,
+    random_instance,
+    random_monotone_profile,
+    reference_greedy,
+    schedule_end_to_end,
+)
 
 
 def _single_function_setup(reps):
@@ -74,24 +81,24 @@ def test_profiles_must_cover_the_ladder():
 
 def test_heap_always_pops_the_current_maximum():
     rng = random.Random(2)
-    for _ in range(30):
+    for _ in range(60):
         graph, profiles, ladder, slo = random_instance(rng)
-
-        def check(name, popped_time, remaining):
-            assert all(popped_time >= t for t in remaining)
-
-        greedy_slo(graph, profiles, ladder, slo, on_pop=check)
+        result = greedy_slo(graph, profiles, ladder, slo)
+        assert (result.config, result.iterations) == reference_greedy(
+            graph, profiles, ladder, slo
+        )
 
 
 def test_heap_ties_break_on_function_name():
     graph = generate_app(shape="demo3", seed=1).graph
+    ladder = MemoryLadder(values=(128, 256), cap_mb=None)
     profiles = {f: make_profile(f, {128: 5.0, 256: 1.0}) for f in graph.functions()}
-    popped = []
-    greedy_slo(
-        graph, profiles, MemoryLadder(values=(128, 256), cap_mb=None), SloSpec(3.5),
-        on_pop=lambda name, t, rest: popped.append(name),
-    )
-    assert popped == sorted(popped)
+    for slo in (SloSpec(12.0), SloSpec(8.0), SloSpec(3.5), SloSpec(1.0)):  # 1-3 bumps, none
+        result = greedy_slo(graph, profiles, ladder, slo)
+        assert (result.config, result.iterations) == reference_greedy(graph, profiles, ladder, slo)
+    assert greedy_slo(graph, profiles, ladder, SloSpec(8.0)).config == {
+        "f1": 256, "f2": 256, "f3": 128
+    }
 
 
 def test_results_identical_to_fresh_estimates_and_deterministic():
@@ -213,16 +220,21 @@ def test_brute_force_tie_breaks_to_lexicographically_smallest_vector():
     assert result.config == {f: 128 for f in graph.functions()}
 
 
-def test_space_guard_trips_and_can_be_forced():
-    graph = generate_app(n_functions=3, shape="chain", seed=1).graph
-    rungs = (128, 256, 512, 1024)
+def test_space_guard_trips_before_scanning(monkeypatch):
+    # 5^11 ~ 4.9e7 combinations: above the limit, so nothing may be scanned
+    graph = generate_app(n_functions=11, shape="chain", seed=1).graph
+    rungs = (128, 256, 512, 1024, 2048)
     rng = random.Random(8)
     profiles = {f: random_monotone_profile(f, rungs, rng) for f in graph.functions()}
     ladder = MemoryLadder(values=rungs, cap_mb=None)
-    with pytest.raises(SearchSpaceTooLarge):
-        brute_force(graph, profiles, ladder, SloSpec(1.0), max_evaluations=10)
-    result = brute_force(graph, profiles, ladder, SloSpec(1.0), max_evaluations=10, force=True)
-    assert result.evaluations == 64
+
+    def no_scan(graph):
+        raise AssertionError("brute force started scanning past the guard")
+
+    monkeypatch.setattr(search, "GraphEvaluator", no_scan)
+    with pytest.raises(SearchSpaceTooLarge) as caught:
+        brute_force(graph, profiles, ladder, SloSpec(1.0))
+    assert caught.value.combinations == 5**11 > search.BRUTE_FORCE_LIMIT == 10**7
 
 
 def test_brute_force_matches_independent_enumeration():

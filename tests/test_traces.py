@@ -264,6 +264,16 @@ def test_in_memory_cycle_is_unreachable_not_dropped():
     assert excinfo.value.segment_id == "a"
 
 
+def test_in_memory_second_root_is_multiple_roots():
+    log = TraceLog({"t1": [
+        _segment("root", None, "root", 0.0, 3.0),
+        _segment("other", None, "other", 0.0, 1.0),
+    ]})
+    with pytest.raises(MultipleRoots) as excinfo:
+        build_call_graph(log)
+    assert excinfo.value.trace_id == "t1"
+
+
 def test_in_memory_unknown_parent_is_an_orphan():
     log = TraceLog({"t1": [_segment("root", None, "root", 0.0, 3.0), _segment("a", "zzz", "a")]})
     with pytest.raises(OrphanSegment) as excinfo:
