@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -49,14 +50,16 @@ def _write_timing_sidecar(path: Path, elapsed_s: float) -> None:
 #: each must have when present, and its description for error messages.
 _RECORD_FIELDS = {
     "algorithm": ((str,), "a string"),
-    "estimated_time_s": ((int, float, type(None)), "a number or null"),
-    "conformance": ((int, float, type(None)), "a number or null"),
+    "estimated_time_s": ((int, float, type(None)), "a finite number or null"),
+    "conformance": ((int, float, type(None)), "a finite number or null"),
 }
 
 
 def _read_record(path: Path) -> dict:
     """The JSON object stored at ``path``; ValueError, naming the file, if
-    it is not one or if a field in :data:`_RECORD_FIELDS` has a wrong type."""
+    it is not one, if a field in :data:`_RECORD_FIELDS` has a wrong type or
+    if a number in one is NaN or infinite (``json`` reads those, but writing
+    them back would not be standard JSON)."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -66,7 +69,11 @@ def _read_record(path: Path) -> dict:
         raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
     for name, (types, expected) in _RECORD_FIELDS.items():
         value = data.get(name)
-        if name in data and (not isinstance(value, types) or isinstance(value, bool)):
+        if name in data and (
+            not isinstance(value, types)
+            or isinstance(value, bool)
+            or (isinstance(value, float) and not math.isfinite(value))
+        ):
             raise ValueError(f"{path}: field {name!r} must be {expected}, got {value!r}")
     return data
 
@@ -225,14 +232,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
     config = record.get("config")
     if not config:
         return _fail(f"{args.config} holds an empty (infeasible) configuration", 2)
-    try:
-        config = {name: int(memory) for name, memory in config.items()}
-    except (AttributeError, TypeError, ValueError) as exc:
-        return _fail(f"{args.config}: invalid configuration: {exc}", 2)
+    if not isinstance(config, dict):
+        return _fail(f"{args.config}: invalid configuration: expected an object, "
+                     f"got {type(config).__name__}", 2)
     try:
         check_configuration(app.graph, config)
     except (FaastuneError, ValueError) as exc:
-        return _fail(f"configuration does not match app: {exc}", 2)
+        return _fail(f"{args.config}: invalid configuration for {args.app}: {exc}", 2)
 
     try:
         slo = SloSpec(slo_seconds=args.slo, percentile=args.percentile)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 from .errors import DuplicateFunction, EmptyGroup, MissingProfile, PartialConfiguration
 
@@ -165,22 +165,34 @@ def _normalize_node(node: GraphNode) -> GraphNode:
     return Parallel(tuple(sorted(flattened, key=_min_name)))
 
 
-@dataclass(frozen=True)
-class ExecutionSample:
-    """One observed execution of a function at a given memory size."""
-
+class _SampleFields(NamedTuple):
     function: str
     memory_mb: int
     duration_s: float
     cold_start: bool = False
 
-    def __post_init__(self):
-        if not self.function:
+
+class ExecutionSample(_SampleFields):
+    """One observed execution of a function at a given memory size.
+
+    A checked tuple: traces yield one per function segment, so construction
+    stays cheap, but every field is validated as it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, function: str, memory_mb: int, duration_s: float, cold_start: bool = False):
+        if not function:
             raise ValueError("function name must be non-empty")
-        if self.memory_mb <= 0:
+        if memory_mb <= 0:
             raise ValueError("memory_mb must be positive")
-        if self.duration_s < 0:
+        if duration_s < 0:
             raise ValueError("duration_s must be non-negative")
+        return tuple.__new__(cls, (function, memory_mb, duration_s, cold_start))
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``; route both through the checks.
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -282,7 +294,7 @@ def configuration_cost(
 
 def check_configuration(graph: CallGraph, config: Mapping[str, int]) -> None:
     """Verify a configuration is total over the graph and assigns every
-    function a positive integer memory size."""
+    function a positive integer memory size (a bool is not one)."""
     functions = set(graph.functions())
     for name in functions:
         if name not in config:
@@ -291,5 +303,5 @@ def check_configuration(graph: CallGraph, config: Mapping[str, int]) -> None:
     if extra:
         raise ValueError(f"configuration assigns unknown functions: {sorted(extra)}")
     for name, memory_mb in config.items():
-        if not isinstance(memory_mb, int) or memory_mb <= 0:
+        if not isinstance(memory_mb, int) or isinstance(memory_mb, bool) or memory_mb <= 0:
             raise ValueError(f"{name!r}: memory must be a positive integer, got {memory_mb!r}")

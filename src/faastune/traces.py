@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     DuplicateFunction,
@@ -37,10 +37,7 @@ from .model import (
 SEGMENT_KINDS = ("function", "baas")
 
 
-@dataclass(frozen=True)
-class TraceSegment:
-    """One timed span from a distributed trace."""
-
+class _SegmentFields(NamedTuple):
     trace_id: str
     segment_id: str
     name: str
@@ -51,17 +48,47 @@ class TraceSegment:
     memory_mb: int | None = None
     cold_start: bool | None = None
 
-    def __post_init__(self):
-        if not self.trace_id or not self.segment_id or not self.name:
+
+class TraceSegment(_SegmentFields):
+    """One timed span from a distributed trace.
+
+    A checked tuple: the parser and the simulator build one per span, so
+    construction stays cheap, but every field is validated as it is built.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        trace_id: str,
+        segment_id: str,
+        name: str,
+        kind: str,
+        start_time: float,
+        end_time: float,
+        parent_id: str | None = None,
+        memory_mb: int | None = None,
+        cold_start: bool | None = None,
+    ):
+        if not trace_id or not segment_id or not name:
             raise ValueError("trace_id, segment_id and name must be non-empty")
-        if self.kind not in SEGMENT_KINDS:
-            raise ValueError(f"kind must be one of {SEGMENT_KINDS}, got {self.kind!r}")
-        if not -math.inf < self.start_time <= self.end_time < math.inf:
+        if kind not in SEGMENT_KINDS:
+            raise ValueError(f"kind must be one of {SEGMENT_KINDS}, got {kind!r}")
+        if not -math.inf < start_time <= end_time < math.inf:
             raise ValueError(
                 "start_time and end_time must be finite, end_time not before start_time"
             )
-        if self.memory_mb is not None and self.memory_mb <= 0:
+        if memory_mb is not None and memory_mb <= 0:
             raise ValueError("memory_mb must be positive when present")
+        return tuple.__new__(
+            cls,
+            (trace_id, segment_id, name, kind, start_time, end_time, parent_id, memory_mb, cold_start),
+        )
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``; route both through the checks.
+        return cls(*iterable)
 
     @property
     def duration_s(self) -> float:
@@ -83,27 +110,55 @@ class TraceLog:
 
 
 _REQUIRED_KEYS = ("trace_id", "segment_id", "name", "kind", "start_time", "end_time")
-_OPTIONAL_KEYS = ("parent_id", "memory_mb", "cold_start")
+_REQUIRED_KEY_SET = frozenset(_REQUIRED_KEYS)
+_KNOWN_KEY_SET = _REQUIRED_KEY_SET | {"parent_id", "memory_mb", "cold_start"}
+
+
+def _mistyped(key: str, value: object, expected: str) -> ValueError:
+    return ValueError(f"{key} must be {expected}, got {value!r}")
 
 
 def _segment_from_record(record: dict) -> TraceSegment:
-    unknown = set(record) - set(_REQUIRED_KEYS) - set(_OPTIONAL_KEYS)
-    if unknown:
-        raise ValueError(f"unknown keys: {sorted(unknown)}")
-    missing = [k for k in _REQUIRED_KEYS if k not in record]
-    if missing:
-        raise ValueError(f"missing keys: {missing}")
+    """The segment a decoded line describes. ValueError on unknown or
+    missing keys and on values whose JSON type is not the one
+    ``docs/file-formats.md`` documents (``json`` decodes to exactly str,
+    int, float, bool or None, and a bool is never a number)."""
+    keys = record.keys()
+    if not keys <= _KNOWN_KEY_SET:
+        raise ValueError(f"unknown keys: {sorted(keys - _KNOWN_KEY_SET)}")
+    if not keys >= _REQUIRED_KEY_SET:
+        raise ValueError(f"missing keys: {[k for k in _REQUIRED_KEYS if k not in record]}")
+    trace_id = record["trace_id"]
+    if type(trace_id) is not str:
+        raise _mistyped("trace_id", trace_id, "a string")
+    segment_id = record["segment_id"]
+    if type(segment_id) is not str:
+        raise _mistyped("segment_id", segment_id, "a string")
+    name = record["name"]
+    if type(name) is not str:
+        raise _mistyped("name", name, "a string")
+    start_time = record["start_time"]
+    if type(start_time) is not float:
+        if type(start_time) is not int:
+            raise _mistyped("start_time", start_time, "a number")
+        start_time = float(start_time)
+    end_time = record["end_time"]
+    if type(end_time) is not float:
+        if type(end_time) is not int:
+            raise _mistyped("end_time", end_time, "a number")
+        end_time = float(end_time)
+    parent_id = record.get("parent_id")
+    if parent_id is not None and type(parent_id) is not str:
+        raise _mistyped("parent_id", parent_id, "a string or null")
     memory_mb = record.get("memory_mb")
+    if memory_mb is not None and type(memory_mb) is not int:
+        raise _mistyped("memory_mb", memory_mb, "an integer or null")
+    cold_start = record.get("cold_start")
+    if cold_start is not None and type(cold_start) is not bool:
+        raise _mistyped("cold_start", cold_start, "a boolean or null")
     return TraceSegment(
-        trace_id=str(record["trace_id"]),
-        segment_id=str(record["segment_id"]),
-        name=str(record["name"]),
-        kind=record["kind"],
-        start_time=float(record["start_time"]),
-        end_time=float(record["end_time"]),
-        parent_id=record.get("parent_id"),
-        memory_mb=int(memory_mb) if memory_mb is not None else None,
-        cold_start=record.get("cold_start"),
+        trace_id, segment_id, name, record["kind"], start_time, end_time,
+        parent_id, memory_mb, cold_start,
     )
 
 
@@ -166,23 +221,32 @@ def parse_trace_file(source: str | Path | IO[str]) -> TraceLog:
 
 def _parse_lines(lines: Iterable[str]) -> TraceLog:
     log = TraceLog()
+    buckets = log.traces
     seen: set[tuple[str, str]] = set()
     for line_no, line in enumerate(lines, start=1):
+        # Decode the stripped line: JSON error columns count from its start.
         text = line.strip()
         if not text:
             continue
         try:
             record = json.loads(text)
-            if not isinstance(record, dict):
+            if type(record) is not dict:
                 raise ValueError("record must be a JSON object")
             segment = _segment_from_record(record)
-        except (json.JSONDecodeError, ValueError, TypeError, KeyError) as exc:
+        # OverflowError: an integer time too large for a float;
+        # RecursionError: arrays or objects nested too deep to decode.
+        except (ValueError, OverflowError, RecursionError) as exc:
             raise ParseError(line_no, str(exc)) from None
-        key = (segment.trace_id, segment.segment_id)
+        trace_id = segment.trace_id
+        key = (trace_id, segment.segment_id)
         if key in seen:
             raise ParseError(line_no, f"duplicate segment_id {segment.segment_id!r}")
         seen.add(key)
-        log.traces.setdefault(segment.trace_id, []).append(segment)
+        bucket = buckets.get(trace_id)
+        if bucket is None:
+            buckets[trace_id] = [segment]
+        else:
+            bucket.append(segment)
     return log
 
 
@@ -215,19 +279,9 @@ def extract_samples(log: TraceLog) -> list[ExecutionSample]:
         if segment.memory_mb is None:
             raise MissingMemoryAnnotation(segment.segment_id)
         samples.append(
-            ExecutionSample(
-                function=segment.name,
-                memory_mb=segment.memory_mb,
-                duration_s=segment.duration_s,
-                cold_start=bool(segment.cold_start),
-            )
+            ExecutionSample(segment.name, segment.memory_mb, segment.duration_s, bool(segment.cold_start))
         )
     return samples
-
-
-def _intervals_overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
-    # Half-open [start, end): touching endpoints do not overlap.
-    return a[0] < b[1] and b[0] < a[1]
 
 
 @dataclass
@@ -287,18 +341,25 @@ def _parallel_groups(
     overestimate, never miss the SLO). Groups are the connected components
     of that relation, ordered by earliest mean start time.
     """
-    n_traces = len(shapes)
+    votes: dict[tuple[str, str], int] = {}
+    for shape in shapes:
+        # Sweep this trace's siblings in (start, end) order. A later sibling
+        # overlaps [start, end) iff it starts before ``end`` (it cannot end
+        # at or before ``start``: in this order that takes two empty spans at
+        # one instant, and then it starts at ``end``), and once one starts at
+        # or after ``end``, every later one does too.
+        spans = sorted(shape.intervals[name] + (name,) for name in siblings)
+        for i, (_, end, a) in enumerate(spans):
+            for other_start, _, b in spans[i + 1 :]:
+                if other_start >= end:
+                    break
+                pair = (a, b) if a < b else (b, a)
+                votes[pair] = votes.get(pair, 0) + 1
     adjacent: dict[str, set[str]] = {name: set() for name in siblings}
-    for i, a in enumerate(siblings):
-        for b in siblings[i + 1 :]:
-            votes = sum(
-                1
-                for shape in shapes
-                if _intervals_overlap(shape.intervals[a], shape.intervals[b])
-            )
-            if votes * 2 > n_traces:
-                adjacent[a].add(b)
-                adjacent[b].add(a)
+    for (a, b), count in votes.items():
+        if count * 2 > len(shapes):
+            adjacent[a].add(b)
+            adjacent[b].add(a)
     groups: list[list[str]] = []
     unvisited = set(siblings)
     for name in siblings:

@@ -115,3 +115,33 @@ def messy_tree(rng: random.Random, names: list[str]):
     if len(children) >= 2 and rng.random() < 0.4:
         return Parallel(children)
     return Sequence(children)
+
+
+def reference_parallel_groups(
+    siblings: list[str],
+    intervals: list[dict[str, tuple[float, float]]],
+    mean_start: dict[str, float],
+) -> list[list[str]]:
+    """Naive oracle for sibling grouping: a pair runs in parallel iff its
+    half-open ``[start, end)`` intervals overlap in a strict majority of the
+    traces (``intervals`` holds one name -> (start, end) dict per trace),
+    counted pair by pair. Groups are the connected components (union-find),
+    each ordered by (mean start, name), and ordered by (earliest mean start,
+    first member)."""
+    leader = {name: name for name in siblings}
+
+    def find(name: str) -> str:
+        while leader[name] != name:
+            name = leader[name]
+        return name
+
+    for i, a in enumerate(siblings):
+        for b in siblings[i + 1 :]:
+            votes = sum(1 for t in intervals if t[a][0] < t[b][1] and t[b][0] < t[a][1])
+            if 2 * votes > len(intervals):
+                leader[find(a)] = find(b)
+    components: dict[str, list[str]] = {}
+    for name in siblings:
+        components.setdefault(find(name), []).append(name)
+    groups = [sorted(c, key=lambda m: (mean_start[m], m)) for c in components.values()]
+    return sorted(groups, key=lambda g: (min(mean_start[m] for m in g), g[0]))

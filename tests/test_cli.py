@@ -110,10 +110,22 @@ def pipeline_files(tmp_path_factory):
     record["config"]["f1"] = 0
     zero_memory = workdir / "zero-memory.json"
     zero_memory.write_text(json.dumps(record))
+    record["config"]["f1"] = 128.9
+    float_memory = workdir / "float-memory.json"
+    float_memory.write_text(json.dumps(record))
+    record["config"]["f1"] = True
+    bool_memory = workdir / "bool-memory.json"
+    bool_memory.write_text(json.dumps(record))
     record = json.loads(result.read_text())
     record["estimated_time_s"] = "x"
     text_estimate = workdir / "text-estimate.json"
     text_estimate.write_text(json.dumps(record))
+    record["estimated_time_s"] = float("nan")
+    nan_estimate = workdir / "nan-estimate.json"
+    nan_estimate.write_text(json.dumps(record))
+    record["estimated_time_s"] = float("inf")
+    inf_estimate = workdir / "inf-estimate.json"
+    inf_estimate.write_text(json.dumps(record))
     alpha = rest[0].split(",")[2]
     duplicate_profiles = workdir / "duplicate-row.csv"
     duplicate_profiles.write_text(profiles.read_text() + f"f1,128,{alpha},9.0,5\n")
@@ -129,13 +141,20 @@ def pipeline_files(tmp_path_factory):
     text_conformance.mkdir()
     (text_conformance / "run.result.json").write_text(result.read_text())
     (text_conformance / "run.validation.json").write_text(json.dumps({"conformance": "x"}))
+    nan_conformance = workdir / "nan-conformance"
+    nan_conformance.mkdir()
+    (nan_conformance / "run.result.json").write_text(result.read_text())
+    (nan_conformance / "run.validation.json").write_text(json.dumps({"conformance": float("nan")}))
     return {"app": str(app), "profiles": str(profiles), "result": str(result),
             "parallel_app": str(parallel_app), "short_profiles": str(short_profiles),
             "nan_profiles": str(nan_profiles), "list_config": str(list_config),
             "text_memory": str(text_memory), "zero_memory": str(zero_memory),
             "text_estimate": str(text_estimate), "duplicate_profiles": str(duplicate_profiles),
             "malformed_results": str(malformed_results), "int_algorithm": str(int_algorithm),
-            "text_conformance": str(text_conformance), "out": str(workdir / "out.json")}
+            "text_conformance": str(text_conformance), "float_memory": str(float_memory),
+            "bool_memory": str(bool_memory), "nan_estimate": str(nan_estimate),
+            "inf_estimate": str(inf_estimate), "nan_conformance": str(nan_conformance),
+            "out": str(workdir / "out.json")}
 
 
 @pytest.mark.parametrize("argv", [
@@ -167,6 +186,11 @@ def pipeline_files(tmp_path_factory):
     ["report", "--results", "{text_conformance}"],
     ["validate", "--app", "{app}", "--config", "{zero_memory}", "--slo", "4"],
     ["optimize", "--app", "{app}", "--profiles", "{duplicate_profiles}", "--slo", "4"],
+    ["validate", "--app", "{app}", "--config", "{float_memory}", "--slo", "4"],
+    ["validate", "--app", "{app}", "--config", "{bool_memory}", "--slo", "4"],
+    ["validate", "--app", "{app}", "--config", "{nan_estimate}", "--slo", "4"],
+    ["validate", "--app", "{app}", "--config", "{inf_estimate}", "--slo", "4"],
+    ["report", "--results", "{nan_conformance}"],
 ], ids=["slo-0", "slo-nan", "slo-inf", "price-0", "price-nan", "profiles-not-a-table",
         "alpha-150", "validate-slo-negative", "validate-percentile-0",
         "profile-no-entry-function", "validate-no-entry-function",
@@ -174,7 +198,9 @@ def pipeline_files(tmp_path_factory):
         "validate-requests-0", "validate-requests-negative", "validate-config-list",
         "validate-config-text-memory", "profile-requests-0-alpha", "profile-requests-0",
         "report-malformed-result", "validate-estimate-text", "report-algorithm-int",
-        "report-conformance-text", "validate-config-zero-memory", "profiles-duplicate-row"])
+        "report-conformance-text", "validate-config-zero-memory", "profiles-duplicate-row",
+        "validate-config-float-memory", "validate-config-bool-memory", "validate-estimate-nan",
+        "validate-estimate-inf", "report-conformance-nan"])
 def test_out_of_range_input_exits_2_with_error_line(pipeline_files, argv, capsys):
     argv = [arg.format(**pipeline_files) for arg in argv] + ["--out", pipeline_files["out"]]
     assert main(argv) == 2

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -48,6 +49,18 @@ def test_sample_validation():
         ExecutionSample(function="f1", memory_mb=128, duration_s=-0.1)
     with pytest.raises(ValueError):
         ExecutionSample(function="", memory_mb=128, duration_s=1.0)
+
+
+def test_samples_are_immutable_checked_tuples():
+    sample = ExecutionSample("f1", 128, 1.0)
+    assert sample == ExecutionSample(function="f1", memory_mb=128, duration_s=1.0, cold_start=False)
+    with pytest.raises(AttributeError):
+        sample.duration_s = 2.0
+    with pytest.raises(AttributeError):
+        sample.extra = 1
+    with pytest.raises(ValueError):
+        sample._replace(memory_mb=0)
+    assert pickle.loads(pickle.dumps(sample)) == sample
 
 
 def test_slo_spec_validation():

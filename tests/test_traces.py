@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faastune import (
     CallGraph,
@@ -28,7 +29,16 @@ from faastune.errors import (
     SchemaError,
     UnreachableSegment,
 )
-from faastune.traces import TraceLog, TraceSegment, graph_to_dict
+from faastune.traces import (
+    SEGMENT_KINDS,
+    TraceLog,
+    TraceSegment,
+    _parallel_groups,
+    _TraceShape,
+    graph_to_dict,
+)
+
+from helpers import reference_parallel_groups
 
 
 def _line(trace="t1", seg="s1", parent=None, name="f1", kind="function",
@@ -131,6 +141,207 @@ def test_round_trip_is_lossless():
     assert reparsed == log
 
 
+# Messages as the parser has always reported them: the JSON decoder's columns
+# count from the first non-blank character of the line.
+_BASE = ('{"trace_id": "t1", "segment_id": "s1", "name": "f1", "kind": "function", '
+         '"start_time": 0.0, "end_time": 1.0, "memory_mb": 128')
+PINNED_MESSAGES = {
+    "not-json": ("{not json",
+                 "line 2: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    "indented": ("   \t{not json",
+                 "line 2: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    "truncated": ('{"trace_id": "t1"', "line 2: Expecting ',' delimiter: line 1 column 18 (char 17)"),
+    "array": ("[1, 2]", "line 2: record must be a JSON object"),
+    "extra-data": (_BASE + "} x", "line 2: Extra data: line 1 column 128 (char 127)"),
+    "byte-order-mark": ("\ufeff" + _BASE + "}",
+                        "line 2: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    "nan-end": (_BASE.replace('"end_time": 1.0', '"end_time": NaN') + "}",
+                "line 2: start_time and end_time must be finite, end_time not before start_time"),
+    "infinite-start": (_BASE.replace('"start_time": 0.0', '"start_time": -Infinity') + "}",
+                       "line 2: start_time and end_time must be finite, end_time not before start_time"),
+    "end-before-start": (_BASE.replace('"start_time": 0.0', '"start_time": 2.0') + "}",
+                         "line 2: start_time and end_time must be finite, end_time not before start_time"),
+    "missing-key": (_BASE.replace('"end_time": 1.0, ', "") + "}", "line 2: missing keys: ['end_time']"),
+    "missing-keys": (_BASE.replace('"trace_id": "t1", ', "").replace('"name": "f1", ', "") + "}",
+                     "line 2: missing keys: ['trace_id', 'name']"),
+    "unknown-keys": (_BASE + ', "zz": 1, "aa": 2}', "line 2: unknown keys: ['aa', 'zz']"),
+    "bad-kind": (_BASE.replace('"function"', '"lambda"') + "}",
+                 "line 2: kind must be one of ('function', 'baas'), got 'lambda'"),
+    "empty-name": (_BASE.replace('"name": "f1"', '"name": ""') + "}",
+                   "line 2: trace_id, segment_id and name must be non-empty"),
+    "zero-memory": (_BASE.replace("128", "0") + "}", "line 2: memory_mb must be positive when present"),
+    "duplicate-segment": (_BASE.replace('"name": "f1"', '"name": "f2", "parent_id": "s1"') + "}",
+                          "line 2: duplicate segment_id 's1'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_MESSAGES))
+def test_parse_error_messages_are_pinned(case):
+    line, message = PINNED_MESSAGES[case]
+    with pytest.raises(ParseError) as excinfo:
+        _log(_BASE + "}", line)
+    assert str(excinfo.value) == message
+    assert excinfo.value.line == 2
+
+
+@pytest.mark.parametrize("field,value", [
+    ("memory_mb", 128.9),
+    ("memory_mb", True),
+    ("memory_mb", "128"),
+    ("start_time", True),
+    ("start_time", "0.5"),
+    ("start_time", None),
+    ("end_time", False),
+    ("end_time", [1.0]),
+    ("cold_start", "yes"),
+    ("cold_start", 1),
+    ("trace_id", 7),
+    ("trace_id", None),
+    ("segment_id", 1.5),
+    ("name", ["f1"]),
+    ("parent_id", 5),
+])
+def test_mistyped_field_is_rejected_with_its_line_number(field, value):
+    record = json.loads(_line(seg="s2", parent="s1", name="f2"))
+    record[field] = value
+    with pytest.raises(ParseError) as excinfo:
+        _log(_line(seg="s1"), json.dumps(record))
+    assert excinfo.value.line == 2
+    assert field in excinfo.value.reason
+
+
+def test_segments_are_immutable_checked_tuples():
+    segment = TraceSegment("t1", "s1", "f1", "function", 1.0, 3.5, memory_mb=128)
+    assert segment.duration_s == 2.5
+    assert segment.parent_id is None and segment.cold_start is None
+    with pytest.raises(AttributeError):
+        segment.end_time = 9.0
+    with pytest.raises(ValueError):
+        segment._replace(end_time=0.5)
+    with pytest.raises(ValueError):
+        TraceSegment("t1", "s1", "f1", "lambda", 1.0, 3.5)
+
+
+def test_documented_types_parse_as_documented():
+    log = _log(
+        _line(seg="s1", start=0, end=2, cold=False),
+        _line(seg="s2", parent="s1", name="f2", start=1, end=1.5, memory=None),
+        '{"trace_id": "t1", "segment_id": "s3", "parent_id": "s1", "name": "f3", "kind": "baas",'
+        ' "start_time": 1.5, "end_time": 2, "memory_mb": null, "cold_start": null}',
+    )
+    root, child, backend = log.traces["t1"]
+    assert (root.start_time, root.end_time, root.cold_start) == (0.0, 2.0, False)
+    assert type(root.start_time) is float and type(backend.end_time) is float
+    assert child.memory_mb is None and child.cold_start is None
+    assert (backend.memory_mb, backend.cold_start) == (None, None)
+
+
+@pytest.mark.parametrize("line", [
+    _line(end=1).replace('"end_time": 1', '"end_time": 1' + "0" * 400),
+    '{"trace_id": ' + "[" * 100_000,
+], ids=["integer-time-too-large", "nested-too-deep"])
+def test_undecodable_line_is_a_parse_error(line):
+    with pytest.raises(ParseError) as excinfo:
+        _log(_line(), line)
+    assert excinfo.value.line == 2
+
+
+# --- generated logs ----------------------------------------------------------
+
+_names = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
+# Few distinct instants, so zero-length and touching intervals are common.
+_instants = st.one_of(st.sampled_from((0.0, 0.5, 1.0, 2.0)), st.floats(-1e6, 1e6))
+
+
+@st.composite
+def _segments(draw, trace_id: str):
+    segment_ids = draw(st.lists(_names, min_size=1, max_size=6, unique=True))
+    segments = []
+    for i, segment_id in enumerate(segment_ids):
+        start, end = sorted((draw(_instants), draw(_instants)))
+        segments.append(TraceSegment(
+            trace_id=trace_id,
+            segment_id=segment_id,
+            name=draw(_names),
+            kind=draw(st.sampled_from(SEGMENT_KINDS)),
+            start_time=start,
+            end_time=end,
+            parent_id=draw(st.sampled_from(segment_ids[:i])) if i else None,
+            memory_mb=draw(st.none() | st.integers(1, 10**12)),
+            cold_start=draw(st.none() | st.booleans()),
+        ))
+    return segments
+
+
+@st.composite
+def trace_logs(draw):
+    """A valid log: each trace a tree of function and baas segments, with
+    every optional field sometimes absent."""
+    trace_ids = draw(st.lists(_names, min_size=1, max_size=4, unique=True))
+    return TraceLog({t: draw(_segments(t)) for t in trace_ids})
+
+
+def _written(log: TraceLog) -> str:
+    buffer = io.StringIO()
+    write_trace_file(log, buffer)
+    return buffer.getvalue()
+
+
+@given(trace_logs())
+@settings(max_examples=80, deadline=None)
+def test_written_logs_parse_back_to_themselves(log):
+    parsed = parse_trace_file(io.StringIO(_written(log)))
+    assert parsed == log
+    assert repr(parsed) == repr(log)  # same order, same value types
+
+
+_WRONG_VALUES = {
+    "trace_id": (7, None, True, ["t"]),
+    "segment_id": (1.5, None, {}),
+    "name": (0, None, ["f"]),
+    "kind": ("lambda", None, 1),
+    "start_time": ("0.5", True, None, float("nan"), float("inf")),
+    "end_time": ("1", False, None, float("nan"), float("-inf")),
+    "parent_id": (5, True, ["s"]),
+    "memory_mb": (128.9, True, "128", 0, -1),
+    "cold_start": ("yes", 1, 0.0),
+}
+
+
+@st.composite
+def corrupted_lines(draw, record: dict) -> str:
+    """One line that the parser must reject: malformed JSON, a non-object,
+    an unknown or missing key, or a field with a wrong type or a
+    non-finite or out-of-range value."""
+    how = draw(st.sampled_from(("truncate", "non-object", "unknown", "missing", "value")))
+    text = json.dumps(record)
+    if how == "truncate":
+        return text[: draw(st.integers(1, len(text) - 1))]
+    if how == "non-object":
+        return draw(st.sampled_from(("[]", "5", '"x"', "null", "true")))
+    record = dict(record)
+    if how == "unknown":
+        record[draw(st.sampled_from(("extra", "memory", "Name")))] = 1
+    elif how == "missing":
+        del record[draw(st.sampled_from(
+            ("trace_id", "segment_id", "name", "kind", "start_time", "end_time")))]
+    else:
+        field = draw(st.sampled_from(sorted(_WRONG_VALUES)))
+        record[field] = draw(st.sampled_from(_WRONG_VALUES[field]))
+    return json.dumps(record)
+
+
+@given(trace_logs(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_a_corrupted_line_is_reported_with_its_number(log, data):
+    lines = _written(log).splitlines()
+    index = data.draw(st.integers(0, len(lines) - 1))
+    lines[index] = data.draw(corrupted_lines(json.loads(lines[index])))
+    with pytest.raises(ParseError) as excinfo:
+        parse_trace_file(io.StringIO("\n".join(lines) + "\n"))
+    assert excinfo.value.line == index + 1
+
+
 # --- graph building ----------------------------------------------------------
 
 
@@ -196,6 +407,33 @@ def test_majority_vote_decides_parallel_vs_sequence():
     assert build_call_graph(tie).root == Sequence(
         (FunctionNode("f1"), FunctionNode("f2"), FunctionNode("f3"))
     )
+
+
+def test_overlap_vote_matches_the_pairwise_reference():
+    rng = random.Random(6)
+    ties = touching = zero_length = 0
+    for _ in range(400):
+        siblings = [f"g{i}" for i in rng.sample(range(20), rng.randint(2, 7))]
+        n_traces = rng.randint(1, 6)
+        intervals = []
+        for _ in range(n_traces):
+            spans = {}
+            for name in siblings:
+                start = rng.choice((0.0, 0.5, 1.0, 1.5, 2.0))
+                spans[name] = (start, start + rng.choice((0.0, 0.5, 1.0, 2.5)))
+            intervals.append(spans)
+        shapes = [_TraceShape(f"t{i}", "root", {}, spans) for i, spans in enumerate(intervals)]
+        mean_start = {m: sum(t[m][0] for t in intervals) / n_traces for m in siblings}
+        assert _parallel_groups(siblings, shapes, mean_start) == reference_parallel_groups(
+            siblings, intervals, mean_start
+        )
+        for i, a in enumerate(siblings):
+            for b in siblings[i + 1 :]:
+                votes = sum(t[a][0] < t[b][1] and t[b][0] < t[a][1] for t in intervals)
+                ties += 0 < 2 * votes == n_traces
+                touching += sum(t[a][1] == t[b][0] or t[b][1] == t[a][0] for t in intervals)
+        zero_length += sum(s == e for t in intervals for s, e in t.values())
+    assert ties and touching and zero_length  # the corpus reaches every edge case
 
 
 def test_record_order_does_not_matter():
