@@ -63,7 +63,7 @@ def _read_record(path: Path) -> dict:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
@@ -251,7 +251,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
     accuracy = None
     if estimated is not None and report.at_percentile_s > 0:
         error_pct = (estimated - report.at_percentile_s) / report.at_percentile_s * 100.0
-        accuracy = 100.0 - error_pct**2
+        try:
+            squared_error = error_pct**2
+        except OverflowError:
+            squared_error = math.inf
+        # An absurd estimate has no accuracy that standard JSON can hold.
+        if math.isfinite(squared_error):
+            accuracy = 100.0 - squared_error
 
     data = report.to_dict()
     data["app_shape"] = app.shape

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import InvalidShape, SchemaError
 from .model import (
@@ -72,14 +72,23 @@ class SimFunctionSpec:
     def __post_init__(self):
         if self.kind not in ("compute", "baas_bound"):
             raise ValueError(f"kind must be 'compute' or 'baas_bound', got {self.kind!r}")
-        if self.kind == "compute" and self.work <= 0:
-            raise ValueError("compute functions need positive work")
-        if self.kind == "baas_bound" and (self.baas_latency_s is None or self.baas_latency_s <= 0):
-            raise ValueError("baas_bound functions need positive baas_latency_s")
+        # Chained comparisons are false for NaN, so these reject it too.
+        if self.kind == "compute" and not 0 < self.work < math.inf:
+            raise ValueError("compute functions need positive, finite work")
+        if self.kind == "baas_bound" and (
+            self.baas_latency_s is None or not 0 < self.baas_latency_s < math.inf
+        ):
+            raise ValueError("baas_bound functions need positive, finite baas_latency_s")
         if not 0 <= self.cold_start_prob <= 1:
             raise ValueError("cold_start_prob must be in [0, 1]")
-        if self.cold_start_s < 0 or self.jitter_cv < 0:
-            raise ValueError("cold_start_s and jitter_cv must be non-negative")
+        if not (0 <= self.cold_start_s < math.inf and 0 <= self.jitter_cv < math.inf):
+            raise ValueError("cold_start_s and jitter_cv must be non-negative and finite")
+
+
+#: One invocation of a request: its function, the index of the invocation
+#: that called it (None for the root) and the indices of the earlier
+#: invocations whose latest end is its start (empty for the root).
+_Invocation = tuple[str, int | None, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -91,6 +100,9 @@ class SimApp:
     baas_children: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     shape: str = "custom"
     seed: int = 0
+    #: The invocations of one request, built from the graph (see
+    #: :func:`_invocation_plan`).
+    _plan: tuple[_Invocation, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         functions = set(self.graph.functions())
@@ -99,17 +111,7 @@ class SimApp:
         for parent in self.baas_children:
             if parent not in functions:
                 raise ValueError(f"baas_children parent {parent!r} is not a function")
-        # run_load starts every invocation at a single function: the root and
-        # each parallel member must be a function or a sequence opening with one.
-        nodes = [self.graph.root]
-        for node in nodes:
-            if not isinstance(node, FunctionNode):
-                nodes.extend(node.children)
-        if isinstance(self.graph.root, Parallel) or any(
-            isinstance(node, Sequence) and not isinstance(node.children[0], FunctionNode)
-            for node in nodes
-        ):
-            raise ValueError("graph has no single entry function, so it cannot be simulated")
+        object.__setattr__(self, "_plan", _invocation_plan(self.graph.root))
 
     def noiseless(self) -> "SimApp":
         """Copy with jitter and cold starts disabled; latencies become exact."""
@@ -120,23 +122,44 @@ class SimApp:
         return replace(self, specs=specs)
 
 
-def sim_duration(
-    spec: SimFunctionSpec, memory_mb: int, rng: random.Random
-) -> tuple[float, bool]:
-    """Draw one execution duration; returns (seconds, had_cold_start)."""
-    if spec.kind == "baas_bound":
-        base = float(spec.baas_latency_s)
-    else:
-        base = spec.work / min(memory_mb, CPU_SATURATION_MB)
-    duration = base
-    if spec.jitter_cv > 0:
-        sigma = math.sqrt(math.log(1.0 + spec.jitter_cv**2))
-        mu = -0.5 * sigma * sigma  # unit-mean lognormal
-        duration *= rng.lognormvariate(mu, sigma)
-    cold = spec.cold_start_prob > 0 and rng.random() < spec.cold_start_prob
-    if cold:
-        duration += spec.cold_start_s
-    return duration, cold
+def _invocation_plan(root: GraphNode) -> tuple[_Invocation, ...]:
+    """The invocations of one request, in the order it emits them (preorder).
+
+    Every invocation starts at a single function: the root and each member
+    of a parallel group must be a function or a sequence opening with one
+    (ValueError otherwise). An invocation does its function's own work,
+    then runs its call groups one after another: a group starts when the
+    previous one (or the invocation's own work) has finished and finishes
+    when all its members have. An invocation that calls nothing is closed
+    by its own end; one that does, by the invocations that close its last
+    group's members. ``max`` returns one of its arguments exactly, so each
+    start is exactly the latest end among the invocations that close the
+    previous group, and the plan lists those: timing a request needs no
+    recursion.
+    """
+    plan: list[_Invocation] = []
+
+    def visit(node: GraphNode, parent: int | None, after: tuple[int, ...]) -> tuple[int, ...]:
+        if isinstance(node, FunctionNode):
+            plan.append((node.name, parent, after))
+            return (len(plan) - 1,)
+        head = node.children[0]
+        if not isinstance(node, Sequence) or not isinstance(head, FunctionNode):
+            raise ValueError("graph has no single entry function, so it cannot be simulated")
+        index = len(plan)
+        plan.append((head.name, parent, after))
+        closing = (index,)
+        for group in node.children[1:]:
+            if isinstance(group, Parallel):
+                after, closing = closing, ()
+                for member in group.children:
+                    closing += visit(member, index, after)
+            else:
+                closing = visit(group, index, closing)
+        return closing
+
+    visit(root, None, ())
+    return tuple(plan)
 
 
 # --- application generation --------------------------------------------------
@@ -260,6 +283,60 @@ def generate_app(
 # --- load execution ----------------------------------------------------------
 
 
+def _simulate(
+    app: SimApp, config: Mapping[str, int], n_requests: int, rng: random.Random
+) -> Iterator[tuple[list[float], list[float], list[bool], float]]:
+    """Yield (starts, durations, cold starts, finish) of ``n_requests``
+    requests, the lists indexed like the app's invocation plan.
+
+    A compute function's base duration is work / min(memory, saturation); a
+    backend-bound one's is its backend latency at any memory. Jitter
+    multiplies the base by one unit-mean lognormal draw, and a function
+    that can start cold then draws once more and, when cold, adds its
+    penalty. Each request draws its invocations in plan order and starts
+    each one at the latest end of the invocations its plan entry lists
+    (the root at 0). Every invocation ends by the time its invoker
+    finishes, so the request's finish is its latest end.
+    """
+    table = []
+    for name, _, after in app._plan:
+        spec = app.specs[name]
+        memory_mb = config[name]
+        if not memory_mb > 0:
+            raise ValueError(f"memory of {name!r} must be positive, got {memory_mb!r}")
+        if spec.kind == "baas_bound":
+            base = float(spec.baas_latency_s)
+        else:
+            base = spec.work / min(memory_mb, CPU_SATURATION_MB)
+        mu = sigma = None
+        if spec.jitter_cv > 0:
+            sigma = math.sqrt(math.log(1.0 + spec.jitter_cv**2))
+            mu = -0.5 * sigma * sigma  # unit-mean lognormal
+        # ``ends`` below holds the request's start (0) before the
+        # invocations' ends, so plan index k reads ends[k + 1].
+        after = tuple(k + 1 for k in after) or (0,)
+        table.append((base, mu, sigma, spec.cold_start_prob, spec.cold_start_s, after))
+    lognormvariate, rand = rng.lognormvariate, rng.random
+    for _ in range(n_requests):
+        starts: list[float] = []
+        durations: list[float] = []
+        colds: list[bool] = []
+        ends = [0.0]
+        for base, mu, sigma, cold_prob, cold_s, after in table:
+            duration = base
+            if sigma is not None:
+                duration *= lognormvariate(mu, sigma)
+            cold = cold_prob > 0 and rand() < cold_prob
+            if cold:
+                duration += cold_s
+            start = ends[after[0]] if len(after) == 1 else max(map(ends.__getitem__, after))
+            starts.append(start)
+            durations.append(duration)
+            colds.append(cold)
+            ends.append(start + duration)
+        yield starts, durations, colds, max(ends)
+
+
 def run_load(
     app: SimApp,
     config: Mapping[str, int],
@@ -271,58 +348,36 @@ def run_load(
 
     Each request walks the call graph in virtual time: a function node is
     a bare call, a sequence is its leading function followed by that
-    function's call groups, and a parallel node is one group. A function's segment covers its own work, each group starts when
-    the previous group (or the invoker's own work) finishes, and members of
-    a group share a start time. Backend children appear as ``baas``
-    segments inside their function's span.
+    function's call groups, and a parallel node is one group. A function's
+    segment covers its own work, each group starts when the previous group
+    (or the invoker's own work) finishes, and members of a group share a
+    start time. Backend children appear as ``baas`` segments inside their
+    function's span.
     """
     log = TraceLog()
-    for request in range(k_requests):
+    plan = app._plan
+    backends = [app.baas_children.get(name, ()) for name, _, _ in plan]
+    requests = _simulate(app, config, k_requests, rng)
+    for request, (starts, durations, colds, _) in enumerate(requests):
         trace_id = f"{trace_prefix}-{request:05d}"
+        ids: list[str] = []
         segments: list[TraceSegment] = []
-        counter = iter(range(10**9))
-
-        def emit(node: GraphNode, start: float, parent_id: str | None) -> float:
-            head, *groups = node.children if isinstance(node, Sequence) else (node,)
-            function = head.name
-            spec = app.specs[function]
-            duration, cold = sim_duration(spec, config[function], rng)
-            segment_id = f"{trace_id}.{next(counter):04d}"
-            segments.append(
-                TraceSegment(
-                    trace_id=trace_id,
-                    segment_id=segment_id,
-                    parent_id=parent_id,
-                    name=function,
-                    kind="function",
-                    start_time=start,
-                    end_time=start + duration,
-                    memory_mb=config[function],
-                    cold_start=cold,
-                )
-            )
-            backends = app.baas_children.get(function, ())
-            for j, backend in enumerate(backends):
-                segments.append(
-                    TraceSegment(
-                        trace_id=trace_id,
-                        segment_id=f"{segment_id}.b{j}",
-                        parent_id=segment_id,
-                        name=backend,
-                        kind="baas",
-                        start_time=start + duration * j / len(backends),
-                        end_time=start + duration * (j + 1) / len(backends),
-                    )
-                )
-            clock = start + duration
-            for group in groups:
-                if isinstance(group, Parallel):
-                    clock = max(emit(member, clock, segment_id) for member in group.children)
-                else:
-                    clock = emit(group, clock, segment_id)
-            return clock
-
-        emit(app.graph.root, 0.0, None)
+        for i, (name, parent, _) in enumerate(plan):
+            segment_id = f"{trace_id}.{i:04d}"
+            ids.append(segment_id)
+            start, duration = starts[i], durations[i]
+            # TraceSegment's fields in order: trace, segment, name, kind,
+            # start, end, parent, memory, cold start.
+            segments.append(TraceSegment(
+                trace_id, segment_id, name, "function", start, start + duration,
+                None if parent is None else ids[parent], config[name], colds[i],
+            ))
+            n = len(backends[i])
+            for j, backend in enumerate(backends[i]):
+                segments.append(TraceSegment(
+                    trace_id, f"{segment_id}.b{j}", backend, "baas",
+                    start + duration * j / n, start + duration * (j + 1) / n, segment_id,
+                ))
         log.traces[trace_id] = segments
     return log
 
@@ -396,8 +451,21 @@ def validate_config(
 ) -> ValidationReport:
     """Issue validation requests and report the fraction meeting the SLO."""
     rng = rng or random.Random(0)
-    log = run_load(app, config, n_requests, rng, trace_prefix="val")
-    durations = end_to_end_durations(log)
+    # A request's traced span also ends at its functions' last backend
+    # calls, and with n > 1 backends ``duration * n / n`` can pass the
+    # function's own end by an ulp.
+    backends = [
+        (i, n)
+        for i, (name, _, _) in enumerate(app._plan)
+        if (n := len(app.baas_children.get(name, ()))) > 1
+    ]
+    durations = []
+    for starts, request_durations, _, finish in _simulate(app, config, n_requests, rng):
+        for i, n in backends:
+            finish = max(finish, starts[i] + request_durations[i] * n / n)
+        durations.append(finish)
+    if not math.isfinite(max(durations)):
+        raise ValueError("simulated request latencies must be finite")
     within = sum(1 for d in durations if d <= slo.slo_seconds)
     return ValidationReport(
         n_requests=n_requests,
@@ -446,7 +514,7 @@ def load_app(path: str | Path) -> SimApp:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SchemaError(f"{path}: {exc}") from None
     try:
         graph = CallGraph(graph_from_dict(data["graph"]))

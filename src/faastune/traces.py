@@ -427,10 +427,13 @@ def build_call_graph(log: TraceLog) -> CallGraph:
     for name, parent in reference.parent_of.items():
         if parent is not None:
             children.setdefault(parent, []).append(name)
-    mean_start = {
-        name: sum(s.intervals[name][0] for s in shapes) / len(shapes)
-        for name in reference.parent_of
-    }
+    # One pass over the traces; each name's starts stay in trace order, so
+    # their sum, and so each mean, does not depend on how they were gathered.
+    starts: dict[str, list[float]] = {name: [] for name in reference.parent_of}
+    for shape in shapes:
+        for name, (start, _) in shape.intervals.items():
+            starts[name].append(start)
+    mean_start = {name: sum(values) / len(shapes) for name, values in starts.items()}
 
     calls = {name: _parallel_groups(kids, shapes, mean_start) for name, kids in children.items()}
     graph = CallGraph(compose_calls(reference.root, calls))
@@ -479,6 +482,6 @@ def load_manual_graph(path: str | Path) -> CallGraph:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SchemaError(f"{path}: {exc}") from None
     return CallGraph(graph_from_dict(data))

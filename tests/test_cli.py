@@ -145,6 +145,12 @@ def pipeline_files(tmp_path_factory):
     nan_conformance.mkdir()
     (nan_conformance / "run.result.json").write_text(result.read_text())
     (nan_conformance / "run.validation.json").write_text(json.dumps({"conformance": float("nan")}))
+    spec = json.loads(app.read_text())
+    spec["functions"]["f1"]["work"] = float("nan")
+    nan_work_app = workdir / "nan-work.json"
+    nan_work_app.write_text(json.dumps(spec))
+    deep_json = workdir / "deeply-nested.json"
+    deep_json.write_text('{"config": ' + "[" * 100_000)
     return {"app": str(app), "profiles": str(profiles), "result": str(result),
             "parallel_app": str(parallel_app), "short_profiles": str(short_profiles),
             "nan_profiles": str(nan_profiles), "list_config": str(list_config),
@@ -154,6 +160,7 @@ def pipeline_files(tmp_path_factory):
             "text_conformance": str(text_conformance), "float_memory": str(float_memory),
             "bool_memory": str(bool_memory), "nan_estimate": str(nan_estimate),
             "inf_estimate": str(inf_estimate), "nan_conformance": str(nan_conformance),
+            "deep_json": str(deep_json), "nan_work_app": str(nan_work_app),
             "out": str(workdir / "out.json")}
 
 
@@ -191,6 +198,10 @@ def pipeline_files(tmp_path_factory):
     ["validate", "--app", "{app}", "--config", "{nan_estimate}", "--slo", "4"],
     ["validate", "--app", "{app}", "--config", "{inf_estimate}", "--slo", "4"],
     ["report", "--results", "{nan_conformance}"],
+    ["validate", "--app", "{app}", "--config", "{deep_json}", "--slo", "4"],
+    ["optimize", "--graph", "{deep_json}", "--profiles", "{profiles}", "--slo", "4"],
+    ["profile", "--app", "{deep_json}"],
+    ["profile", "--app", "{nan_work_app}"],
 ], ids=["slo-0", "slo-nan", "slo-inf", "price-0", "price-nan", "profiles-not-a-table",
         "alpha-150", "validate-slo-negative", "validate-percentile-0",
         "profile-no-entry-function", "validate-no-entry-function",
@@ -200,11 +211,30 @@ def pipeline_files(tmp_path_factory):
         "report-malformed-result", "validate-estimate-text", "report-algorithm-int",
         "report-conformance-text", "validate-config-zero-memory", "profiles-duplicate-row",
         "validate-config-float-memory", "validate-config-bool-memory", "validate-estimate-nan",
-        "validate-estimate-inf", "report-conformance-nan"])
+        "validate-estimate-inf", "report-conformance-nan", "validate-config-deeply-nested",
+        "optimize-graph-deeply-nested", "profile-app-deeply-nested", "profile-app-nan-work"])
 def test_out_of_range_input_exits_2_with_error_line(pipeline_files, argv, capsys):
     argv = [arg.format(**pipeline_files) for arg in argv] + ["--out", pipeline_files["out"]]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_absurd_estimate_validates_without_an_accuracy(pipeline_files, capsys):
+    record = json.loads(Path(pipeline_files["result"]).read_text())
+    record["estimated_time_s"] = 1e200  # its squared error overflows a float
+    config = Path(pipeline_files["out"]).with_name("absurd-estimate.json")
+    config.write_text(json.dumps(record))
+    out = Path(pipeline_files["out"]).with_name("absurd.validation.json")
+    assert main(["validate", "--app", pipeline_files["app"], "--config", str(config),
+                 "--slo", "4", "--out", str(out)]) == 0
+    assert "accuracy" not in capsys.readouterr().out
+
+    def reject(constant):
+        raise ValueError(f"not standard JSON: {constant}")
+
+    validation = json.loads(out.read_text(), parse_constant=reject)
+    assert validation["accuracy_pct"] is None
+    assert validation["estimated_time_s"] == 1e200
 
 
 def test_graph_without_entry_function_still_optimizes_from_graph_file(pipeline_files):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import random
 
 import pytest
@@ -24,14 +25,14 @@ from faastune import (
     profile_application,
     run_load,
     save_app,
-    sim_duration,
     validate_config,
     write_trace_file,
 )
 from faastune import model
 from faastune.errors import InvalidShape
 from faastune.model import CallGraph
-from faastune.sim import CPU_SATURATION_MB, SHAPES, end_to_end_durations
+from faastune.profiles import percentile_linear
+from faastune.sim import CPU_SATURATION_MB, SHAPES, ValidationReport, end_to_end_durations
 from faastune.traces import compose_calls, graph_to_dict
 
 
@@ -93,39 +94,84 @@ def test_generation_deterministic_per_seed():
 # --- duration model ----------------------------------------------------------
 
 
+def _one_call(spec, memory_mb, rng):
+    """Duration and cold-start flag of one request to a one-function app."""
+    app = SimApp(graph=CallGraph(FunctionNode(spec.function)), specs={spec.function: spec})
+    (segment,) = run_load(app, {spec.function: memory_mb}, 1, rng).all_segments()
+    return segment.duration_s, segment.cold_start
+
+
 def test_memory_doubling_halves_compute_time_below_saturation():
     spec = _compute_spec(work=512.0)
-    d128, _ = sim_duration(spec, 128, random.Random(0))
-    d256, _ = sim_duration(spec, 256, random.Random(0))
+    d128, _ = _one_call(spec, 128, random.Random(0))
+    d256, _ = _one_call(spec, 256, random.Random(0))
     assert d128 == pytest.approx(2 * d256, rel=1e-12)
 
 
 def test_memory_saturates_at_vcpu_limit():
     spec = _compute_spec(work=512.0)
-    d2048, _ = sim_duration(spec, 2048, random.Random(0))
-    d4096, _ = sim_duration(spec, 4096, random.Random(0))
+    d2048, _ = _one_call(spec, 2048, random.Random(0))
+    d4096, _ = _one_call(spec, 4096, random.Random(0))
     assert d2048 == d4096 == 512.0 / CPU_SATURATION_MB
 
 
 def test_backend_bound_time_ignores_memory():
     spec = SimFunctionSpec(function="db", kind="baas_bound", baas_latency_s=0.3)
-    d128, _ = sim_duration(spec, 128, random.Random(0))
-    d1024, _ = sim_duration(spec, 1024, random.Random(0))
+    d128, _ = _one_call(spec, 128, random.Random(0))
+    d1024, _ = _one_call(spec, 1024, random.Random(0))
     assert d128 == d1024 == 0.3
 
 
 def test_certain_cold_start_adds_penalty():
     spec = _compute_spec(work=128.0, cold_start_prob=1.0, cold_start_s=0.5)
-    duration, cold = sim_duration(spec, 128, random.Random(0))
+    duration, cold = _one_call(spec, 128, random.Random(0))
     assert cold is True
     assert duration == pytest.approx(1.5)
 
 
 def test_jitter_is_reproducible_per_seed():
     spec = _compute_spec(jitter_cv=0.2)
-    a = [sim_duration(spec, 128, random.Random(4))[0] for _ in range(1)]
-    b = [sim_duration(spec, 128, random.Random(4))[0] for _ in range(1)]
-    assert a == b
+    a, _ = _one_call(spec, 128, random.Random(4))
+    b, _ = _one_call(spec, 128, random.Random(4))
+    assert a == b != 512.0 / 128
+
+
+@pytest.mark.parametrize("jitter_cv,cold_start_prob", [
+    (0.0, 0.0), (1e-200, 0.0), (0.0, 1.0), (0.2, 0.5), (0.05, 0.02),
+])
+def test_each_call_draws_one_lognormal_then_one_uniform(jitter_cv, cold_start_prob):
+    """The duration model, bit for bit: a lognormal draw exactly when there is
+    jitter (even when its sigma underflows to 0), then a uniform draw exactly
+    when a cold start is possible."""
+    spec = _compute_spec(work=300.0, jitter_cv=jitter_cv, cold_start_prob=cold_start_prob,
+                         cold_start_s=0.25)
+    for seed in range(20):
+        rng, reference = random.Random(seed), random.Random(seed)
+        duration, cold = _one_call(spec, 256, rng)
+        expected = 300.0 / 256
+        if jitter_cv > 0:
+            sigma = math.sqrt(math.log(1.0 + jitter_cv**2))
+            expected *= reference.lognormvariate(-0.5 * sigma * sigma, sigma)
+        expected_cold = cold_start_prob > 0 and reference.random() < cold_start_prob
+        if expected_cold:
+            expected += 0.25
+        assert (duration, cold) == (expected, expected_cold)
+        assert rng.getstate() == reference.getstate()
+
+
+def test_simulation_rejects_non_positive_memory_and_non_finite_specs():
+    app = generate_app(shape="demo3", seed=0)
+    config = {f: 128 for f in app.graph.functions()}
+    with pytest.raises(ValueError, match="must be positive"):
+        validate_config(app, {**config, "f2": -128}, SloSpec(1.0))
+    chain = generate_app(2, "chain", seed=0)
+    huge = {name: _compute_spec(name, work=1.5e308) for name in chain.specs}
+    with pytest.raises(ValueError, match="finite"):  # 1.5e308 s twice overflows
+        validate_config(dataclasses.replace(chain, specs=huge), {"f1": 1, "f2": 1}, SloSpec(1.0))
+    with pytest.raises(ValueError, match="finite"):
+        _compute_spec(work=float("inf"))
+    with pytest.raises(ValueError, match="finite"):
+        _compute_spec(cold_start_s=float("nan"))
 
 
 # --- load runs ---------------------------------------------------------------
@@ -244,6 +290,76 @@ def test_composed_call_tables_simulate_and_rebuild_to_their_graph(table):
     assert build_call_graph(log) == graph
 
 
+def _report_from(durations, slo):
+    """The report validate_config gives for these request latencies."""
+    return ValidationReport(
+        n_requests=len(durations),
+        slo_seconds=slo.slo_seconds,
+        percentile=slo.percentile,
+        conformance=sum(1 for d in durations if d <= slo.slo_seconds) / len(durations),
+        min_s=min(durations),
+        median_s=percentile_linear(durations, 50),
+        p95_s=percentile_linear(durations, 95),
+        max_s=max(durations),
+        at_percentile_s=percentile_linear(durations, slo.percentile),
+    )
+
+
+@given(
+    call_tables(),
+    st.lists(st.integers(0, 7), min_size=10, max_size=10),
+    st.sampled_from([(0.0, 0.0), (1e-200, 0.0), (0.0, 1.0), (0.002, 0.001), (0.05, 0.02),
+                     (0.3, 0.5)]),
+    st.lists(st.sampled_from((128, 256, 1024, 3008)), min_size=10, max_size=10),
+    st.integers(0, 2**32),
+)
+@example(({"f1": [["f2", "f3"], ["f6"]], "f2": [["f4", "f5"]], "f3": [], "f4": [["f7"]],
+           "f5": [], "f6": [], "f7": []}, {f"f{i}": 300.0 for i in range(1, 8)}),
+         [3, 7, 0, 5, 1, 6, 2, 0, 0, 0], (0.3, 0.5), [128] * 10, 0)
+@settings(max_examples=80, deadline=None)
+def test_validation_times_requests_as_their_traces_do(table, backends, noise, memories, seed):
+    """validate_config's latencies are end_to_end_durations of run_load's
+    traces, bit for bit, and it leaves the generator in the same state: one
+    request at a time (each report's max is that request's latency) and as
+    one report."""
+    calls, work = table
+    jitter_cv, cold_start_prob = noise
+    graph = CallGraph(compose_calls("f1", calls))
+    names = graph.functions()
+    specs = {
+        name: _compute_spec(name, work=work[name], jitter_cv=jitter_cv,
+                            cold_start_prob=cold_start_prob, cold_start_s=0.2)
+        for name in names
+    }
+    baas = {name: tuple(f"{name}-db{j}" for j in range(count))
+            for name, count in zip(names, backends) if count}
+    app = SimApp(graph=graph, specs=specs, baas_children=baas)
+    config = dict(zip(names, memories))
+    slo = SloSpec(2.5, percentile=90.0)
+    traced, validated = random.Random(seed), random.Random(seed)
+    latencies = end_to_end_durations(run_load(app, config, 30, traced))
+    assert [
+        validate_config(app, config, slo, n_requests=1, rng=validated).max_s for _ in range(30)
+    ] == latencies
+    assert validated.getstate() == traced.getstate()
+    traced, validated = random.Random(seed), random.Random(seed)
+    expected = _report_from(end_to_end_durations(run_load(app, config, 30, traced)), slo)
+    assert validate_config(app, config, slo, n_requests=30, rng=validated) == expected
+    assert validated.getstate() == traced.getstate()
+
+
+def test_latency_ends_with_the_last_backend_call():
+    """With three backends the last one ends at start + duration * 3 / 3, which
+    can pass the function's own end by an ulp; the trace's span includes it."""
+    work = next(w for w in (300 + k / 7 for k in range(1000)) if w / 128 * 3 / 3 > w / 128)
+    graph = CallGraph(FunctionNode("f1"))
+    app = SimApp(graph=graph, specs={"f1": _compute_spec(work=work)},
+                 baas_children={"f1": ("a", "b", "c")})
+    report = validate_config(app, {"f1": 128}, SloSpec(3.0), n_requests=1)
+    assert report.max_s == work / 128 * 3 / 3 > work / 128
+    assert [report.max_s] == end_to_end_durations(run_load(app, {"f1": 128}, 1, random.Random(0)))
+
+
 def test_unrealizable_graph_rejected_by_sim_app():
     graph = CallGraph(Parallel((FunctionNode("f1"), FunctionNode("f2"))))
     specs = {name: _compute_spec(name) for name in graph.functions()}
@@ -354,6 +470,40 @@ def test_validate_config_boundary_is_inclusive():
     (duration,) = end_to_end_durations(run_load(app, config, 1, random.Random(0)))
     report = validate_config(app, config, SloSpec(duration), n_requests=10, rng=random.Random(0))
     assert report.conformance == 1.0
+
+
+#: sha256 of the JSON list of validate_config reports (100 requests, SLO 3 s,
+#: memories 128..2048 MB by function order, rng seeded with the app seed) for
+#: the 12-function (or fixed) app of each shape at seeds 0 and 5, each with
+#: the benchmark's default (cv 0.002, 0.1 %) and noisy (cv 0.05, 2 %) noise.
+PINNED_REPORT_DIGESTS = {
+    "chain": "9ed2e86dde997e6aec564c82a56f04e8015585018fdb45ee683a88b56f9e413c",
+    "demo3": "a99b96e0035ebe947fafe40964b2b8341ef0750abac9109a242e092e7e6c90f0",
+    "demo6": "740b548be7faf2340a56cca691d69b184d1a23d526fe537fc0bcc1505a894baf",
+    "demo10": "27636d770c21be02f2fc75d53a35a31478b27a8fe21fb83b69ff8e943050ac08",
+    "petstore": "46cefb0e41038918584e0629b56933fd291d3e1be54b9f7472dfbecbef808429",
+    "random": "0a5b6c26f902601ed7986eb08f625f2793af533e9f1788d54124bc150dc7eafb",
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_validation_reports_are_pinned(shape):
+    reports = []
+    for seed in (0, 5):
+        for jitter_cv, cold_start_prob in ((0.002, 0.001), (0.05, 0.02)):
+            app = generate_app(12, shape, seed=seed)
+            specs = {
+                name: dataclasses.replace(spec, jitter_cv=jitter_cv, cold_start_prob=cold_start_prob)
+                for name, spec in app.specs.items()
+            }
+            app = dataclasses.replace(app, specs=specs)
+            memories = (128, 256, 512, 1024, 2048)
+            config = {f: memories[i % 5] for i, f in enumerate(app.graph.functions())}
+            report = validate_config(app, config, SloSpec(3.0), n_requests=100,
+                                     rng=random.Random(seed))
+            reports.append(report.to_dict())
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_REPORT_DIGESTS[shape], shape
 
 
 # --- app spec files ----------------------------------------------------------
