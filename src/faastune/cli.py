@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import functools
 import math
 import random
 import sys
@@ -25,7 +25,7 @@ from .model import (
     SloSpec,
     check_configuration,
 )
-from .traces import extract_samples, load_manual_graph
+from .traces import extract_samples, load_manual_graph, read_json, write_json
 
 EXIT_CODES_HELP = """exit codes:
   0  success
@@ -34,12 +34,6 @@ EXIT_CODES_HELP = """exit codes:
   4  no configuration satisfies the SLO (infeasible)
   5  exhaustive search space exceeds the evaluation guard
 """
-
-
-def _write_json(path: Path, data: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _write_timing_sidecar(path: Path, elapsed_s: float) -> None:
@@ -56,15 +50,11 @@ _RECORD_FIELDS = {
 
 
 def _read_record(path: Path) -> dict:
-    """The JSON object stored at ``path``; ValueError, naming the file, if
-    it is not one, if a field in :data:`_RECORD_FIELDS` has a wrong type or
-    if a number in one is NaN or infinite (``json`` reads those, but writing
-    them back would not be standard JSON)."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    """The JSON object stored at ``path``. Raises ValueError, naming the
+    file, if it holds another JSON value, if a field in :data:`_RECORD_FIELDS`
+    has a wrong type or if a number in one is NaN or infinite (``json`` reads
+    those, but writing them back would not be standard JSON)."""
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
     for name, (types, expected) in _RECORD_FIELDS.items():
@@ -100,32 +90,23 @@ def _parse_ladder(text: str) -> MemoryLadder:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class _SimulationFailed(Exception):
+    """Simulating the app or fitting its profiles failed (exit 3)."""
 
 
 def cmd_generate_app(args: argparse.Namespace) -> int:
-    try:
-        app = sim.generate_app(n_functions=args.functions, shape=args.shape, seed=args.seed)
-    except FaastuneError as exc:
-        return _fail(str(exc), 2)
+    app = sim.generate_app(n_functions=args.functions, shape=args.shape, seed=args.seed)
     sim.save_app(app, args.out)
     print(f"wrote {args.out}: shape={app.shape} functions={len(app.graph.functions())}")
     return 0
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    if not Path(args.app).exists():
-        return _fail(f"app file not found: {args.app}", 2)
-    try:
-        app = sim.load_app(args.app)
-    except FaastuneError as exc:
-        return _fail(str(exc), 2)
+    app = sim.load_app(args.app)
     if args.alpha is not None and not 0 <= args.alpha <= 100:
-        return _fail(f"--alpha must be in [0, 100], got {args.alpha}", 2)
+        raise ValueError(f"--alpha must be in [0, 100], got {args.alpha}")
     if args.requests < 1:
-        return _fail(f"--requests must be at least 1, got {args.requests}", 2)
+        raise ValueError(f"--requests must be at least 1, got {args.requests}")
     ladder = args.ladder or MemoryLadder()
     rng = random.Random(args.seed)
     try:
@@ -138,8 +119,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
         built = profiling.build_profiles(samples, ladder, alpha)
         if not args.no_monotone_repair:
             built = {name: profiling.monotone_repair(p) for name, p in built.items()}
-    except FaastuneError as exc:
-        return _fail(f"profiling failed: {exc}", 3)
+    except (FaastuneError, ValueError, OverflowError) as exc:
+        raise _SimulationFailed(f"profiling failed: {exc}") from exc
     profiling.save_profiles(built, args.out)
     print(f"wrote {args.out}: alpha={alpha} functions={len(built)} ladder={ladder.effective()}")
     return 0
@@ -156,53 +137,42 @@ def _infer_ladder(profs: dict) -> MemoryLadder | None:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    for path in (args.app, args.graph, args.profiles):
-        if path and not Path(path).exists():
-            return _fail(f"file not found: {path}", 2)
-    try:
-        if args.app:
-            graph: CallGraph = sim.load_app(args.app).graph
-        else:
-            graph = load_manual_graph(args.graph)
-        profs = profiling.load_profiles(args.profiles)
-        ladder = args.ladder or _infer_ladder(profs)
-        if ladder is None:
-            return _fail("profiles share no common memory sizes; pass --ladder", 2)
-        slo = SloSpec(slo_seconds=args.slo)
-        cost_model = CostModel(
-            usd_per_gb_second=args.usd_per_gb_second,
-            billing_granularity_ms=args.billing_granularity_ms,
-        )
-    except (FaastuneError, ValueError) as exc:
-        return _fail(str(exc), 2)
+    if args.app:
+        graph: CallGraph = sim.load_app(args.app).graph
+    else:
+        graph = load_manual_graph(args.graph)
+    profs = profiling.load_profiles(args.profiles)
+    ladder = args.ladder or _infer_ladder(profs)
+    if ladder is None:
+        raise ValueError("profiles share no common memory sizes; pass --ladder")
+    slo = SloSpec(slo_seconds=args.slo)
+    cost_model = CostModel(
+        usd_per_gb_second=args.usd_per_gb_second,
+        billing_granularity_ms=args.billing_granularity_ms,
+    )
     objective = Objective(args.objective)
-    try:
-        if args.algorithm == "brute":
-            result = search.brute_force(graph, profs, ladder, slo, objective, cost_model)
-        elif objective is Objective.MIN_COST:
-            result = search.greedy_min_cost(
-                graph, profs, ladder, slo, cost_model,
-                allow_non_monotone=args.allow_non_monotone,
-            )
-        elif objective is Objective.MIN_TIME:
-            result = search.greedy_min_time(
-                graph, profs, ladder, slo, cost_model,
-                allow_non_monotone=args.allow_non_monotone,
-            )
-        else:
-            result = search.greedy_slo(
-                graph, profs, ladder, slo, cost_model,
-                allow_non_monotone=args.allow_non_monotone,
-            )
-    except SearchSpaceTooLarge as exc:
-        return _fail(str(exc), 5)
-    except FaastuneError as exc:
-        return _fail(str(exc), 2)
+    if args.algorithm == "brute":
+        result = search.brute_force(graph, profs, ladder, slo, objective, cost_model)
+    elif objective is Objective.MIN_COST:
+        result = search.greedy_min_cost(
+            graph, profs, ladder, slo, cost_model,
+            allow_non_monotone=args.allow_non_monotone,
+        )
+    elif objective is Objective.MIN_TIME:
+        result = search.greedy_min_time(
+            graph, profs, ladder, slo, cost_model,
+            allow_non_monotone=args.allow_non_monotone,
+        )
+    else:
+        result = search.greedy_slo(
+            graph, profs, ladder, slo, cost_model,
+            allow_non_monotone=args.allow_non_monotone,
+        )
 
     record = result.to_record()
     record["objective"] = objective.value
     record["slo_seconds"] = slo.slo_seconds
-    _write_json(Path(args.out), record)
+    write_json(args.out, record)
     _write_timing_sidecar(Path(args.out), result.elapsed_s)
     if not result.found:
         print(
@@ -219,34 +189,28 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    for path in (args.app, args.config):
-        if not Path(path).exists():
-            return _fail(f"file not found: {path}", 2)
     if args.requests < 1:
-        return _fail(f"--requests must be at least 1, got {args.requests}", 2)
-    try:
-        app = sim.load_app(args.app)
-        record = _read_record(Path(args.config))
-    except (FaastuneError, ValueError) as exc:
-        return _fail(str(exc), 2)
+        raise ValueError(f"--requests must be at least 1, got {args.requests}")
+    app = sim.load_app(args.app)
+    record = _read_record(Path(args.config))
     config = record.get("config")
     if not config:
-        return _fail(f"{args.config} holds an empty (infeasible) configuration", 2)
+        raise ValueError(f"{args.config} holds an empty (infeasible) configuration")
     if not isinstance(config, dict):
-        return _fail(f"{args.config}: invalid configuration: expected an object, "
-                     f"got {type(config).__name__}", 2)
+        raise ValueError(f"{args.config}: invalid configuration: expected an object, "
+                         f"got {type(config).__name__}")
     try:
         check_configuration(app.graph, config)
     except (FaastuneError, ValueError) as exc:
-        return _fail(f"{args.config}: invalid configuration for {args.app}: {exc}", 2)
+        raise ValueError(f"{args.config}: invalid configuration for {args.app}: {exc}") from None
 
+    slo = SloSpec(slo_seconds=args.slo, percentile=args.percentile)
     try:
-        slo = SloSpec(slo_seconds=args.slo, percentile=args.percentile)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    report = sim.validate_config(
-        app, config, slo, n_requests=args.requests, rng=random.Random(args.seed)
-    )
+        report = sim.validate_config(
+            app, config, slo, n_requests=args.requests, rng=random.Random(args.seed)
+        )
+    except (FaastuneError, ValueError, OverflowError) as exc:
+        raise _SimulationFailed(f"validation failed: {exc}") from exc
     estimated = record.get("estimated_time_s")
     accuracy = None
     if estimated is not None and report.at_percentile_s > 0:
@@ -264,7 +228,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     data["config"] = dict(sorted(config.items()))
     data["estimated_time_s"] = estimated
     data["accuracy_pct"] = accuracy
-    _write_json(Path(args.out), data)
+    write_json(args.out, data)
     line = f"wrote {args.out}: conformance={report.conformance * 100:.1f}%"
     if accuracy is not None:
         line += f" accuracy={accuracy:.1f}%"
@@ -318,13 +282,10 @@ def _format_cell(value) -> str:
 def cmd_report(args: argparse.Namespace) -> int:
     results_dir = Path(args.results)
     if not results_dir.is_dir():
-        return _fail(f"not a directory: {results_dir}", 2)
-    try:
-        rows = _report_rows(results_dir)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+        raise ValueError(f"not a directory: {results_dir}")
+    rows = _report_rows(results_dir)
     if not rows:
-        return _fail(f"no *.result.json files in {results_dir}", 2)
+        raise ValueError(f"no *.result.json files in {results_dir}")
 
     out = Path(args.out)
     if out.suffix == ".csv":
@@ -349,7 +310,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not
+    change it, and building it costs about twenty times a parse."""
     parser = argparse.ArgumentParser(
         prog="faastune",
         description="Find per-function memory sizes that keep a multi-function "
@@ -414,12 +378,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one command and return its exit code (see :data:`EXIT_CODES_HELP`).
+
+    Commands raise on failure; this is the one place that maps an error to
+    its exit code and prints it as a single ``error:`` line.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SearchSpaceTooLarge as exc:
+        error, code = exc, 5
+    except _SimulationFailed as exc:
+        error, code = exc, 3
+    except (FaastuneError, ValueError, OSError) as exc:
+        error, code = exc, 2
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import PartialConfiguration
+from .errors import MissingProfile, PartialConfiguration
 from .model import (
     CallGraph,
     CostModel,
@@ -110,14 +110,17 @@ def estimate_time(
     """Estimated end-to-end latency (seconds) for a memory configuration.
 
     Raises :class:`PartialConfiguration` when the configuration misses a
-    function and :class:`MissingProfile` when a profile lacks the assigned
-    memory.
+    function and :class:`MissingProfile` when a function has no profile or
+    its profile lacks the assigned memory.
     """
     times: dict[str, float] = {}
     for name in graph.functions():
         if name not in config:
             raise PartialConfiguration(name)
-        times[name] = profiles[name].representative(config[name])
+        profile = profiles.get(name)
+        if profile is None:
+            raise MissingProfile(name)
+        times[name] = profile.representative(config[name])
     return combine_times(graph, times)
 
 

@@ -215,31 +215,34 @@ def load_profiles(path: str | Path) -> dict[str, FunctionProfile]:
     rows: dict[str, dict[int, tuple[float, int]]] = {}
     alphas: dict[str, float] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(PROFILE_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"profile file missing columns: {sorted(missing)}")
-        for row in reader:
-            if None in row.values():
-                raise ValueError(f"{path}: line {reader.line_num}: missing fields")
-            function = row["function"]
-            alpha = float(row["alpha"])
-            if alphas.setdefault(function, alpha) != alpha:
-                raise ValueError(f"inconsistent alpha for function {function!r}")
-            representative = float(row["representative_s"])
-            if not 0 <= representative < math.inf:
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: representative_s must be "
-                    f"finite and non-negative, got {row['representative_s']!r}"
-                )
-            by_memory = rows.setdefault(function, {})
-            memory_mb = int(row["memory_mb"])
-            if memory_mb in by_memory:
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: duplicate row for "
-                    f"{function!r} at {memory_mb} MB"
-                )
-            by_memory[memory_mb] = (representative, int(row["sample_count"]))
+        try:
+            reader = csv.DictReader(fh)
+            missing = set(PROFILE_COLUMNS) - set(reader.fieldnames or ())
+            if missing:
+                raise ValueError(f"profile file missing columns: {sorted(missing)}")
+            for row in reader:
+                if None in row.values():
+                    raise ValueError(f"{path}: line {reader.line_num}: missing fields")
+                function = row["function"]
+                alpha = float(row["alpha"])
+                if alphas.setdefault(function, alpha) != alpha:
+                    raise ValueError(f"inconsistent alpha for function {function!r}")
+                representative = float(row["representative_s"])
+                if not 0 <= representative < math.inf:
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: representative_s must be "
+                        f"finite and non-negative, got {row['representative_s']!r}"
+                    )
+                by_memory = rows.setdefault(function, {})
+                memory_mb = int(row["memory_mb"])
+                if memory_mb in by_memory:
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: duplicate row for "
+                        f"{function!r} at {memory_mb} MB"
+                    )
+                by_memory[memory_mb] = (representative, int(row["sample_count"]))
+        except csv.Error as exc:  # for one, a field longer than csv.field_size_limit()
+            raise ValueError(f"{path}: {exc}") from None
     profiles: dict[str, FunctionProfile] = {}
     for function, by_memory in rows.items():
         profiles[function] = FunctionProfile(

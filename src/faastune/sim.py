@@ -11,7 +11,6 @@ of the simulated latencies.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -29,7 +28,15 @@ from .model import (
     SloSpec,
 )
 from .profiles import percentile_linear
-from .traces import TraceLog, TraceSegment, compose_calls, graph_from_dict, graph_to_dict
+from .traces import (
+    TraceLog,
+    TraceSegment,
+    compose_calls,
+    graph_from_dict,
+    graph_to_dict,
+    read_json,
+    write_json,
+)
 
 #: Above this memory size the vCPU share allotted to a single-threaded
 #: function stops growing, so compute time stops improving.
@@ -505,17 +512,11 @@ def save_app(app: SimApp, path: str | Path) -> None:
         "functions": {name: _spec_to_dict(spec) for name, spec in app.specs.items()},
         "baas_children": {k: list(v) for k, v in app.baas_children.items()},
     }
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, data)
 
 
 def load_app(path: str | Path) -> SimApp:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise SchemaError(f"{path}: {exc}") from None
+    data = read_json(path)
     try:
         graph = CallGraph(graph_from_dict(data["graph"]))
         specs = {
@@ -530,5 +531,5 @@ def load_app(path: str | Path) -> SimApp:
             shape=data.get("shape", "custom"),
             seed=int(data.get("seed", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: invalid app spec: {exc}") from None

@@ -479,9 +479,25 @@ def graph_to_dict(node: GraphNode) -> dict:
 
 def load_manual_graph(path: str | Path) -> CallGraph:
     """Load a user-written declarative call graph (in canonical form)."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise SchemaError(f"{path}: {exc}") from None
-    return CallGraph(graph_from_dict(data))
+    return CallGraph(graph_from_dict(read_json(path)))
+
+
+def read_json(path: str | Path) -> object:
+    """The JSON value stored at ``path``.
+
+    Raises :class:`SchemaError`, naming the file, when the text does not
+    decode: malformed JSON, bytes that are not UTF-8 (both ``ValueError``)
+    or arrays and objects nested too deep for the decoder.
+    """
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+
+
+def write_json(path: str | Path, data: object) -> None:
+    """Write ``data`` with two-space indentation, sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")

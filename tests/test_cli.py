@@ -1,7 +1,11 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faastune.cli import main
 from faastune.traces import graph_to_dict
@@ -151,6 +155,28 @@ def pipeline_files(tmp_path_factory):
     nan_work_app.write_text(json.dumps(spec))
     deep_json = workdir / "deeply-nested.json"
     deep_json.write_text('{"config": ' + "[" * 100_000)
+    binary = workdir / "binary.json"
+    binary.write_bytes(bytes(range(256)))
+    directory = workdir / "a-directory"
+    directory.mkdir()
+    long_field_profiles = workdir / "long-field.csv"
+    long_field_profiles.write_text(header + "f1" * 100_000 + "\n")
+    spec = json.loads(app.read_text())
+    spec["functions"] = list(spec["functions"])
+    function_list_app = workdir / "function-list.json"
+    function_list_app.write_text(json.dumps(spec))
+    # Finite latencies whose simulated sums or jitter overflow a float.
+    spec = json.loads(app.read_text())
+    for name in ("f1", "f2"):
+        spec["functions"][name] = {"kind": "baas_bound", "baas_latency_s": 1e308,
+                                   "cold_start_s": 0.0, "cold_start_prob": 0.0,
+                                   "jitter_cv": 0.0}
+    overflow_app = workdir / "overflow.json"
+    overflow_app.write_text(json.dumps(spec))
+    spec = json.loads(app.read_text())
+    spec["functions"]["f1"]["jitter_cv"] = 1e308
+    jitter_overflow_app = workdir / "jitter-overflow.json"
+    jitter_overflow_app.write_text(json.dumps(spec))
     return {"app": str(app), "profiles": str(profiles), "result": str(result),
             "parallel_app": str(parallel_app), "short_profiles": str(short_profiles),
             "nan_profiles": str(nan_profiles), "list_config": str(list_config),
@@ -161,7 +187,11 @@ def pipeline_files(tmp_path_factory):
             "bool_memory": str(bool_memory), "nan_estimate": str(nan_estimate),
             "inf_estimate": str(inf_estimate), "nan_conformance": str(nan_conformance),
             "deep_json": str(deep_json), "nan_work_app": str(nan_work_app),
-            "out": str(workdir / "out.json")}
+            "binary": str(binary), "directory": str(directory),
+            "long_field_profiles": str(long_field_profiles),
+            "function_list_app": str(function_list_app),
+            "overflow_app": str(overflow_app), "jitter_overflow_app": str(jitter_overflow_app),
+            "results": str(workdir), "out": str(workdir / "out.json")}
 
 
 @pytest.mark.parametrize("argv", [
@@ -202,6 +232,11 @@ def pipeline_files(tmp_path_factory):
     ["optimize", "--graph", "{deep_json}", "--profiles", "{profiles}", "--slo", "4"],
     ["profile", "--app", "{deep_json}"],
     ["profile", "--app", "{nan_work_app}"],
+    ["profile", "--app", "{binary}"],
+    ["profile", "--app", "{directory}"],
+    ["optimize", "--app", "{app}", "--profiles", "{directory}", "--slo", "4"],
+    ["optimize", "--app", "{app}", "--profiles", "{long_field_profiles}", "--slo", "4"],
+    ["profile", "--app", "{function_list_app}"],
 ], ids=["slo-0", "slo-nan", "slo-inf", "price-0", "price-nan", "profiles-not-a-table",
         "alpha-150", "validate-slo-negative", "validate-percentile-0",
         "profile-no-entry-function", "validate-no-entry-function",
@@ -212,11 +247,42 @@ def pipeline_files(tmp_path_factory):
         "report-conformance-text", "validate-config-zero-memory", "profiles-duplicate-row",
         "validate-config-float-memory", "validate-config-bool-memory", "validate-estimate-nan",
         "validate-estimate-inf", "report-conformance-nan", "validate-config-deeply-nested",
-        "optimize-graph-deeply-nested", "profile-app-deeply-nested", "profile-app-nan-work"])
+        "optimize-graph-deeply-nested", "profile-app-deeply-nested", "profile-app-nan-work",
+        "profile-app-binary", "profile-app-directory", "optimize-profiles-directory",
+        "profiles-field-too-long", "profile-app-functions-list"])
 def test_out_of_range_input_exits_2_with_error_line(pipeline_files, argv, capsys):
     argv = [arg.format(**pipeline_files) for arg in argv] + ["--out", pipeline_files["out"]]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--app", "{app}", "--requests", "3"],
+    ["profile", "--app", "{overflow_app}"],
+    ["validate", "--app", "{overflow_app}", "--config", "{result}", "--slo", "4"],
+    ["profile", "--app", "{jitter_overflow_app}"],
+    ["validate", "--app", "{jitter_overflow_app}", "--config", "{result}", "--slo", "4"],
+], ids=["profile-too-few-samples", "profile-latency-overflow", "validate-latency-overflow",
+        "profile-jitter-overflow", "validate-jitter-overflow"])
+def test_simulation_failure_exits_3_with_error_line(pipeline_files, argv, capsys):
+    argv = [arg.format(**pipeline_files) for arg in argv] + ["--out", pipeline_files["out"]]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate-app"],
+    ["profile", "--app", "{app}", "--requests", "4"],
+    ["optimize", "--app", "{app}", "--profiles", "{profiles}", "--slo", "4"],
+    ["validate", "--app", "{app}", "--config", "{result}", "--slo", "4", "--requests", "4"],
+    ["report", "--results", "{results}"],
+], ids=["generate-app", "profile", "optimize", "validate", "report"])
+def test_unwritable_out_exits_2_naming_the_file(pipeline_files, argv, capsys):
+    out = str(Path(pipeline_files["out"]).parent / "absent-directory" / "out.json")
+    argv = [arg.format(**pipeline_files) for arg in argv] + ["--out", out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and out in err
 
 
 def test_absurd_estimate_validates_without_an_accuracy(pipeline_files, capsys):
@@ -343,3 +409,86 @@ def test_help_lists_exit_codes(capsys):
     code = main(["--help"])
     assert code == 0
     assert "exit codes" in capsys.readouterr().out
+
+
+# --- every file argument swapped for input that cannot be used -----------------
+
+#: Each command's arguments, the file arguments the property swaps and the
+#: exit codes it may fail with: 3 from a simulation, 4 from a search that
+#: finds no configuration.
+_FUZZ_COMMANDS = {
+    "profile": (["profile", "--app", "{app}", "--requests", "4"], ("app",), {2, 3}),
+    "optimize": (["optimize", "--app", "{app}", "--profiles", "{profiles}", "--slo", "30"],
+                 ("app", "profiles"), {2, 4}),
+    "optimize-graph": (["optimize", "--graph", "{graph}", "--profiles", "{profiles}",
+                        "--slo", "30"], ("graph",), {2, 4}),
+    "validate": (["validate", "--app", "{app}", "--config", "{config}", "--slo", "30",
+                  "--requests", "4"], ("app", "config"), {2, 3}),
+    "report": (["report", "--results", "{results}"], ("results",), {2}),
+}
+
+_SWAPS = ("random bytes", "truncated", "not an object", "directory", "missing")
+
+#: Every file format here is a JSON object or a CSV table, never another JSON value.
+_NOT_AN_OBJECT = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=6,
+).filter(lambda value: not isinstance(value, dict))
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("fuzz")
+    app, profiles = workdir / "app.json", workdir / "profiles.csv"
+    config = workdir / "run.result.json"
+    assert main(["generate-app", "--shape", "demo3", "--seed", "3", "--out", str(app)]) == 0
+    assert main(["profile", "--app", str(app), "--requests", "4", "--seed", "3",
+                 "--out", str(profiles)]) == 0
+    assert main(["optimize", "--app", str(app), "--profiles", str(profiles), "--slo", "30",
+                 "--out", str(config)]) == 0
+    graph = workdir / "app.graph.json"
+    graph.write_text(json.dumps(json.loads(app.read_text())["graph"]))
+    return workdir, {"app": app, "profiles": profiles, "config": config, "graph": graph,
+                     "results": config}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_unusable_input_files_exit_with_one_error_line(fuzz_inputs, data):
+    workdir, valid = fuzz_inputs
+    command = data.draw(st.sampled_from(sorted(_FUZZ_COMMANDS)), label="command")
+    argv, targets, failure_codes = _FUZZ_COMMANDS[command]
+    target = data.draw(st.sampled_from(targets), label="argument")
+    swap = data.draw(st.sampled_from(_SWAPS), label="swap")
+
+    where = Path(tempfile.mkdtemp(dir=workdir))
+    path = where / valid[target].name
+    if swap == "random bytes":
+        path.write_bytes(data.draw(st.binary(max_size=64)))
+    elif swap == "truncated":
+        text = valid[target].read_bytes().rstrip()
+        path.write_bytes(text[: data.draw(st.integers(0, len(text) - 1))])
+    elif swap == "not an object":
+        path.write_text(json.dumps(data.draw(_NOT_AN_OBJECT)))
+    elif swap == "directory":
+        path.mkdir()
+    # "report --results" names a directory: swap the result record inside it,
+    # or, for a missing path, the directory itself.
+    swapped = where if target == "results" and swap != "missing" else path
+    files = {name: str(file) for name, file in valid.items()}
+    files[target] = str(swapped)
+    argv = [arg.format(**files) for arg in argv] + ["--out", str(where / "out")]
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    allowed = set(failure_codes)
+    # A profile table cut at a row boundary is still a table, and a few
+    # random bytes can spell a JSON object, which is a result record.
+    if (target, swap) in {("profiles", "truncated"), ("results", "random bytes")}:
+        allowed.add(0)
+    assert code in allowed, (argv, code, err.getvalue())
+    if code not in (0, 4):
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

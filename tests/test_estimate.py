@@ -151,5 +151,7 @@ def test_missing_pieces_raise():
         estimate_time(graph, {"f1": 128}, profiles)
     with pytest.raises(MissingProfile):
         estimate_time(graph, {"f1": 128, "f2": 512}, profiles)
+    with pytest.raises(MissingProfile, match="'f2'"):
+        estimate_time(graph, {"f1": 128, "f2": 128}, {"f1": profiles["f1"]})
     with pytest.raises(PartialConfiguration):
         estimate_cost(graph, {"f1": 128}, profiles, CostModel())
