@@ -241,10 +241,16 @@ def _report_rows(results_dir: Path) -> list[dict]:
     for result_path in sorted(results_dir.glob("*.result.json")):
         stem = result_path.name[: -len(".result.json")]
         record = _read_record(result_path)
+        missing = [key for key in ("algorithm", "config") if key not in record]
+        if missing:
+            raise ValueError(f"{result_path}: not a search result: missing fields {missing}")
+        if record["config"] is not None and not isinstance(record["config"], dict):
+            raise ValueError(f"{result_path}: field 'config' must be an object or null, "
+                             f"got {record['config']!r}")
         row = {
             "name": stem,
             "app": "",
-            "algorithm": record.get("algorithm", ""),
+            "algorithm": record["algorithm"],
             "objective": record.get("objective", ""),
             "estimated_time_s": record.get("estimated_time_s"),
             "estimated_cost_usd": record.get("estimated_cost_usd"),

@@ -52,9 +52,18 @@ def _group_cells(
     rung_set = set(rungs)
     cells: dict[str, dict[int, list[ExecutionSample]]] = {}
     for s in samples:
-        if s.memory_mb not in rung_set:
+        function, memory_mb, _, _ = s
+        if memory_mb not in rung_set:
             continue  # off-ladder observations are not modeled
-        cells.setdefault(s.function, {}).setdefault(s.memory_mb, []).append(s)
+        by_memory = cells.get(function)
+        if by_memory is None:
+            cells[function] = {memory_mb: [s]}
+            continue
+        cell = by_memory.get(memory_mb)
+        if cell is None:
+            by_memory[memory_mb] = [s]
+        else:
+            cell.append(s)
     return cells
 
 
@@ -162,12 +171,20 @@ def select_alpha(
         splits[memory_mb] = (sorted(indices[n_holdout:]), sorted(indices[:n_holdout]))
 
     evaluator = GraphEvaluator(graph)
+    # Each holdout request's end-to-end latency does not depend on alpha.
+    observed = {
+        memory_mb: [
+            evaluator.evaluate({f: cells[f][memory_mb][i].duration_s for f in functions})
+            for i in splits[memory_mb][1]
+        ]
+        for memory_mb in rungs
+    }
     best_alpha = DEFAULT_ALPHA_CANDIDATES[0]
     best_mse = math.inf
     for alpha in DEFAULT_ALPHA_CANDIDATES:
         total = 0.0
         for memory_mb in rungs:
-            fit_idx, holdout_idx = splits[memory_mb]
+            fit_idx = splits[memory_mb][0]
             fitted = {
                 f: percentile_linear(
                     [cells[f][memory_mb][i].duration_s for i in fit_idx], alpha
@@ -175,11 +192,7 @@ def select_alpha(
                 for f in functions
             }
             estimated = evaluator.evaluate(fitted)
-            observed = [
-                evaluator.evaluate({f: cells[f][memory_mb][i].duration_s for f in functions})
-                for i in holdout_idx
-            ]
-            target = percentile_linear(observed, alpha)
+            target = percentile_linear(observed[memory_mb], alpha)
             total += (estimated - target) ** 2
         mse = total / len(rungs)
         if mse < best_mse:

@@ -77,6 +77,10 @@ class SimFunctionSpec:
     jitter_cv: float = 0.0
 
     def __post_init__(self):
+        if bool in (type(self.work), type(self.baas_latency_s), type(self.cold_start_s),
+                    type(self.cold_start_prob), type(self.jitter_cv)):
+            raise ValueError("work, baas_latency_s, cold_start_s, cold_start_prob and "
+                             "jitter_cv must be numbers, not booleans")
         if self.kind not in ("compute", "baas_bound"):
             raise ValueError(f"kind must be 'compute' or 'baas_bound', got {self.kind!r}")
         # Chained comparisons are false for NaN, so these reject it too.
@@ -524,11 +528,14 @@ def load_app(path: str | Path) -> SimApp:
             for name, fields in data["functions"].items()
         }
         baas = {k: tuple(v) for k, v in data.get("baas_children", {}).items()}
+        shape = data.get("shape", "custom")
+        if not isinstance(shape, str):
+            raise ValueError(f"shape must be a string, got {shape!r}")
         return SimApp(
             graph=graph,
             specs=specs,
             baas_children=baas,
-            shape=data.get("shape", "custom"),
+            shape=shape,
             seed=int(data.get("seed", 0)),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -114,6 +114,12 @@ _REQUIRED_KEY_SET = frozenset(_REQUIRED_KEYS)
 _KNOWN_KEY_SET = _REQUIRED_KEY_SET | {"parent_id", "memory_mb", "cold_start"}
 
 
+# ``TraceSegment(...)`` and ``ExecutionSample(...)`` with their checks, minus
+# ``type.__call__``: a tuple has no ``__init__`` to run after ``__new__``.
+_new_segment = TraceSegment.__new__
+_new_sample = ExecutionSample.__new__
+
+
 def _mistyped(key: str, value: object, expected: str) -> ValueError:
     return ValueError(f"{key} must be {expected}, got {value!r}")
 
@@ -156,8 +162,8 @@ def _segment_from_record(record: dict) -> TraceSegment:
     cold_start = record.get("cold_start")
     if cold_start is not None and type(cold_start) is not bool:
         raise _mistyped("cold_start", cold_start, "a boolean or null")
-    return TraceSegment(
-        trace_id, segment_id, name, record["kind"], start_time, end_time,
+    return _new_segment(
+        TraceSegment, trace_id, segment_id, name, record["kind"], start_time, end_time,
         parent_id, memory_mb, cold_start,
     )
 
@@ -219,17 +225,31 @@ def parse_trace_file(source: str | Path | IO[str]) -> TraceLog:
     return log
 
 
+#: Decodes one line per call; :func:`json.loads` would add two whitespace
+#: scans and two Python-level calls around the same C scanner.
+_DECODER = json.JSONDecoder()
+
+
 def _parse_lines(lines: Iterable[str]) -> TraceLog:
     log = TraceLog()
     buckets = log.traces
     seen: set[tuple[str, str]] = set()
+    raw_decode = _DECODER.raw_decode
     for line_no, line in enumerate(lines, start=1):
-        # Decode the stripped line: JSON error columns count from its start.
+        # Decode the stripped line: JSON error columns count from its start,
+        # and no JSON whitespace is left around the value.
         text = line.strip()
         if not text:
             continue
         try:
-            record = json.loads(text)
+            try:
+                record, end = raw_decode(text)
+            except ValueError:
+                end = -1
+            if end != len(text):
+                # Not one whole JSON value: ``json.loads`` raises the message
+                # reported ("Extra data", "Unexpected UTF-8 BOM", ...).
+                record = json.loads(text)
             if type(record) is not dict:
                 raise ValueError("record must be a JSON object")
             segment = _segment_from_record(record)
@@ -273,14 +293,14 @@ def extract_samples(log: TraceLog) -> list[ExecutionSample]:
     order, so per-cell sample lists stay aligned by request.
     """
     samples: list[ExecutionSample] = []
-    for segment in log.all_segments():
-        if segment.kind != "function":
-            continue
-        if segment.memory_mb is None:
-            raise MissingMemoryAnnotation(segment.segment_id)
-        samples.append(
-            ExecutionSample(segment.name, segment.memory_mb, segment.duration_s, bool(segment.cold_start))
-        )
+    append = samples.append
+    for segments in log.traces.values():
+        for _, segment_id, name, kind, start_time, end_time, _, memory_mb, cold_start in segments:
+            if kind != "function":
+                continue
+            if memory_mb is None:
+                raise MissingMemoryAnnotation(segment_id)
+            append(_new_sample(ExecutionSample, name, memory_mb, end_time - start_time, bool(cold_start)))
     return samples
 
 

@@ -162,6 +162,26 @@ def pipeline_files(tmp_path_factory):
     long_field_profiles = workdir / "long-field.csv"
     long_field_profiles.write_text(header + "f1" * 100_000 + "\n")
     spec = json.loads(app.read_text())
+    spec["functions"]["f1"]["work"] = True
+    bool_work_app = workdir / "bool-work.json"
+    bool_work_app.write_text(json.dumps(spec))
+    spec = json.loads(app.read_text())
+    spec["functions"]["f1"]["cold_start_prob"] = False
+    bool_probability_app = workdir / "bool-probability.json"
+    bool_probability_app.write_text(json.dumps(spec))
+    spec = json.loads(app.read_text())
+    spec["shape"] = 5
+    int_shape_app = workdir / "int-shape.json"
+    int_shape_app.write_text(json.dumps(spec))
+    empty_result = workdir / "empty-result"
+    empty_result.mkdir()
+    (empty_result / "x.result.json").write_text("{}")
+    list_config_result = workdir / "list-config-result"
+    list_config_result.mkdir()
+    record = json.loads(result.read_text())
+    record["config"] = list(record["config"].values())
+    (list_config_result / "x.result.json").write_text(json.dumps(record))
+    spec = json.loads(app.read_text())
     spec["functions"] = list(spec["functions"])
     function_list_app = workdir / "function-list.json"
     function_list_app.write_text(json.dumps(spec))
@@ -191,6 +211,9 @@ def pipeline_files(tmp_path_factory):
             "long_field_profiles": str(long_field_profiles),
             "function_list_app": str(function_list_app),
             "overflow_app": str(overflow_app), "jitter_overflow_app": str(jitter_overflow_app),
+            "bool_work_app": str(bool_work_app), "bool_probability_app": str(bool_probability_app),
+            "int_shape_app": str(int_shape_app), "empty_result": str(empty_result),
+            "list_config_result": str(list_config_result),
             "results": str(workdir), "out": str(workdir / "out.json")}
 
 
@@ -237,6 +260,11 @@ def pipeline_files(tmp_path_factory):
     ["optimize", "--app", "{app}", "--profiles", "{directory}", "--slo", "4"],
     ["optimize", "--app", "{app}", "--profiles", "{long_field_profiles}", "--slo", "4"],
     ["profile", "--app", "{function_list_app}"],
+    ["profile", "--app", "{bool_work_app}"],
+    ["profile", "--app", "{bool_probability_app}"],
+    ["profile", "--app", "{int_shape_app}"],
+    ["report", "--results", "{empty_result}"],
+    ["report", "--results", "{list_config_result}"],
 ], ids=["slo-0", "slo-nan", "slo-inf", "price-0", "price-nan", "profiles-not-a-table",
         "alpha-150", "validate-slo-negative", "validate-percentile-0",
         "profile-no-entry-function", "validate-no-entry-function",
@@ -249,7 +277,9 @@ def pipeline_files(tmp_path_factory):
         "validate-estimate-inf", "report-conformance-nan", "validate-config-deeply-nested",
         "optimize-graph-deeply-nested", "profile-app-deeply-nested", "profile-app-nan-work",
         "profile-app-binary", "profile-app-directory", "optimize-profiles-directory",
-        "profiles-field-too-long", "profile-app-functions-list"])
+        "profiles-field-too-long", "profile-app-functions-list", "profile-app-bool-work",
+        "profile-app-bool-cold-start-prob", "profile-app-int-shape", "report-empty-result",
+        "report-list-config"])
 def test_out_of_range_input_exits_2_with_error_line(pipeline_files, argv, capsys):
     argv = [arg.format(**pipeline_files) for arg in argv] + ["--out", pipeline_files["out"]]
     assert main(argv) == 2

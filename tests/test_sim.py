@@ -174,6 +174,17 @@ def test_simulation_rejects_non_positive_memory_and_non_finite_specs():
         _compute_spec(cold_start_s=float("nan"))
 
 
+@pytest.mark.parametrize("field", ["work", "baas_latency_s", "cold_start_s",
+                                   "cold_start_prob", "jitter_cv"])
+def test_spec_numbers_reject_booleans_but_take_integers(field):
+    kind = "baas_bound" if field == "baas_latency_s" else "compute"
+    fields = {"kind": kind, "work": 512, "baas_latency_s": 1 if kind == "baas_bound" else None,
+              "cold_start_s": 0, "cold_start_prob": 0, "jitter_cv": 0}
+    SimFunctionSpec(function="f1", **fields)  # JSON integers stay numbers
+    with pytest.raises(ValueError, match="must be numbers, not booleans"):
+        SimFunctionSpec(function="f1", **{**fields, field: True})
+
+
 # --- load runs ---------------------------------------------------------------
 
 

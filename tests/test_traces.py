@@ -1,6 +1,7 @@
 import io
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +36,8 @@ from faastune.traces import (
     TraceSegment,
     _parallel_groups,
     _TraceShape,
+    _parse_lines,
+    _segment_from_record,
     graph_to_dict,
 )
 
@@ -340,6 +343,104 @@ def test_a_corrupted_line_is_reported_with_its_number(log, data):
     with pytest.raises(ParseError) as excinfo:
         parse_trace_file(io.StringIO("\n".join(lines) + "\n"))
     assert excinfo.value.line == index + 1
+
+
+# Text around a line's value: JSON and non-JSON whitespace, a byte-order mark,
+# brackets, separators and a second value.
+_AFFIXES = st.sampled_from(("", " ", "\t", "\r", "\u00a0", "\x0b", "\ufeff", "}", "]", ",",
+                            "x", '"', "\\", '{"a": 1}', "[]", "0"))
+
+
+def _record_check(text: str):
+    """What ``json.loads`` makes of a stripped line, checked as a record:
+    the segment, or the message of the first error."""
+    try:
+        record = json.loads(text)
+        if type(record) is not dict:
+            raise ValueError("record must be a JSON object")
+        return _segment_from_record(record)
+    except (ValueError, OverflowError, RecursionError) as exc:
+        return str(exc)
+
+
+@given(trace_logs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_each_line_decodes_as_json_loads_does(log, data):
+    lines = _written(log).splitlines()
+    record = json.loads(data.draw(st.sampled_from(lines)))
+    body = data.draw(st.one_of(
+        st.just(json.dumps(record)),
+        corrupted_lines(record),
+        st.text(max_size=40),
+        st.recursive(st.none() | st.booleans() | st.floats() | st.text(max_size=5),
+                     lambda xs: st.lists(xs) | st.dictionaries(st.text(max_size=5), xs),
+                     max_leaves=5).map(json.dumps),
+    ))
+    line = data.draw(_AFFIXES) + body + data.draw(_AFFIXES)
+    if not line.strip():
+        assert _parse_lines([line]).traces == {}  # blank lines are skipped
+        return
+    expected = _record_check(line.strip())
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as excinfo:
+            _parse_lines([line])
+        assert (excinfo.value.line, excinfo.value.reason) == (1, expected)
+    else:
+        parsed = _parse_lines([line])
+        assert repr(list(parsed.all_segments())) == repr([expected])
+        fields = expected._asdict()
+        assert fields == {**fields, **json.loads(line.strip())}  # the decoded record's values
+
+
+def test_lines_that_decode_together_are_still_checked_one_at_a_time():
+    # Each line fails on its own (an unterminated string, a ':' delimiter,
+    # extra data), but joined into one array they make exactly three objects.
+    lines = ['{"p":"}', '{","r":2}', '{"a":1},{"b":2}']
+    assert len(json.loads("[" + ",".join(lines) + "]")) == 3
+    with pytest.raises(ParseError) as excinfo:
+        parse_trace_file(io.StringIO("\n".join(lines) + "\n"))
+    assert str(excinfo.value) == "line 1: Unterminated string starting at: line 1 column 6 (char 5)"
+    for line in lines[1:]:
+        with pytest.raises(ParseError):
+            _parse_lines([line])
+
+
+@given(trace_logs(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_shuffled_lines_keep_each_trace_segments(log, rng):
+    lines = _written(log).splitlines()
+    rng.shuffle(lines)
+    parsed = parse_trace_file(io.StringIO("\n".join(lines) + "\n"))
+    assert set(parsed.traces) == set(log.traces)
+    for trace_id, segments in log.traces.items():
+        assert Counter(parsed.traces[trace_id]) == Counter(segments)
+
+
+@given(st.sampled_from(("demo3", "demo6", "petstore", "random", "chain")),
+       st.integers(0, 2**31), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_shuffled_lines_rebuild_the_same_graph(shape, seed, rng):
+    app = generate_app(8, shape, seed)
+    log = run_load(app, {f: 256 for f in app.graph.functions()}, 6, random.Random(seed))
+    lines = _written(log).splitlines()
+    rng.shuffle(lines)
+    shuffled = parse_trace_file(io.StringIO("\n".join(lines) + "\n"))
+    assert build_call_graph(shuffled) == build_call_graph(log) == app.graph
+
+
+@given(trace_logs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_a_repeated_segment_id_is_reported_on_the_later_line(log, data):
+    lines = _written(log).splitlines()
+    first = data.draw(st.integers(0, len(lines) - 1))
+    later = data.draw(st.integers(first + 1, len(lines)))
+    record = json.loads(lines[first])
+    record["name"] = data.draw(_names)
+    lines.insert(later, json.dumps(record))
+    with pytest.raises(ParseError) as excinfo:
+        parse_trace_file(io.StringIO("\n".join(lines) + "\n"))
+    assert excinfo.value.line == later + 1
+    assert excinfo.value.reason == f"duplicate segment_id {record['segment_id']!r}"
 
 
 # --- graph building ----------------------------------------------------------
