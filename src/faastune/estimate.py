@@ -7,7 +7,7 @@ children and a parallel group the maximum. Cost is schedule-independent.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import MissingProfile, PartialConfiguration
 from .model import (
@@ -22,44 +22,42 @@ from .model import (
 
 
 class GraphEvaluator:
-    """End-to-end latency of one call graph, laid out flat in post-order.
+    """End-to-end latency of one call graph, with per-function updates.
 
     ``evaluate`` composes a full set of per-function times; ``set`` then
-    changes one function's time and recomputes only the path from it to
-    the root. Every group reduces its children's current values with the
-    builtin ``sum`` (sequence) or ``max`` (parallel), left to right, so a
-    value reached through any series of ``set`` calls is bit-identical to
-    a full ``evaluate`` of the same times.
+    changes one function's time and recomputes the path from it towards
+    the root, stopping at the first group whose child value is unchanged,
+    since nothing above it can change. Every group reduces its children's
+    current values with the builtin ``sum`` (sequence) or ``max``
+    (parallel), left to right, so a value reached through any series of
+    ``set`` calls is bit-identical to a full ``evaluate`` of the same times.
     """
 
     def __init__(self, graph: CallGraph):
-        self._names: list[str | None] = []  # function name of a leaf, None for a group
-        self._reduce: list = []  # sum or max for a group, None for a leaf
-        self._kids: list[list[float] | None] = []  # current child values of a group
-        self._parent: list[int] = []
-        self._slot: list[int] = []
-        self._leaf: dict[str, int] = {}
-        self._add(graph.root)
-
-    def _add(self, node: GraphNode) -> int:
-        if isinstance(node, FunctionNode):
-            index = len(self._names)
-            self._leaf[node.name] = index
-            self._names.append(node.name)
-            self._reduce.append(None)
-            self._kids.append(None)
-        else:
-            children = [self._add(child) for child in node.children]
-            index = len(self._names)
-            for slot, child in enumerate(children):
-                self._parent[child] = index
-                self._slot[child] = slot
-            self._names.append(None)
-            self._reduce.append(sum if isinstance(node, Sequence) else max)
-            self._kids.append([0.0] * len(children))
-        self._parent.append(-1)
-        self._slot.append(0)
-        return index
+        self._top = [0.0]  # the root's value
+        # (name, parent's child values, slot) per function, in execution order
+        self._leaves: list[tuple[str, list[float], int]] = []
+        # (child values, reduce, parent's child values, slot) per group, in
+        # reverse pre-order, so children come before their parents
+        self._groups: list[tuple[list[float], Callable, list[float], int]] = []
+        # per function, the (child values, slot, reduce) steps up to the root
+        self._paths: dict[str, tuple[tuple[list[float], int, Callable], ...]] = {}
+        pending: list[tuple[GraphNode, list[float], int, tuple]] = [
+            (graph.root, self._top, 0, ())
+        ]
+        while pending:
+            node, parent, slot, above = pending.pop()
+            if isinstance(node, FunctionNode):
+                self._leaves.append((node.name, parent, slot))
+                self._paths[node.name] = above
+                continue
+            values = [0.0] * len(node.children)
+            reduce = sum if isinstance(node, Sequence) else max
+            self._groups.append((values, reduce, parent, slot))
+            for index in range(len(node.children) - 1, -1, -1):
+                path = ((values, index, reduce),) + above
+                pending.append((node.children[index], values, index, path))
+        self._groups.reverse()
 
     def evaluate(self, times: Mapping[str, float]) -> float:
         """Compose per-function durations (seconds) into the root's duration.
@@ -67,33 +65,26 @@ class GraphEvaluator:
         Raises :class:`PartialConfiguration` for the first function, in
         execution order, that ``times`` lacks.
         """
-        value = 0.0
-        for index, reduce in enumerate(self._reduce):
-            if reduce is None:
-                name = self._names[index]
-                try:
-                    value = times[name]
-                except KeyError:
-                    raise PartialConfiguration(name) from None
-            else:
-                value = reduce(self._kids[index])
-            parent = self._parent[index]
-            if parent >= 0:
-                self._kids[parent][self._slot[index]] = value
-        return value
+        for name, values, slot in self._leaves:
+            try:
+                values[slot] = times[name]
+            except KeyError:
+                raise PartialConfiguration(name) from None
+        for values, reduce, parent, slot in self._groups:
+            parent[slot] = reduce(values)
+        return self._top[0]
 
     def set(self, function: str, seconds: float) -> float:
         """Change one function's duration after :meth:`evaluate`; returns
         the new root duration."""
-        index = self._leaf[function]
         value = seconds
-        parent = self._parent[index]
-        while parent >= 0:
-            kids = self._kids[parent]
-            kids[self._slot[index]] = value
-            value = self._reduce[parent](kids)
-            index = parent
-            parent = self._parent[index]
+        for values, slot, reduce in self._paths[function]:
+            # Equal floats have equal bits, except 0.0 and -0.0.
+            if values[slot] == value and value:
+                return self._top[0]
+            values[slot] = value
+            value = reduce(values)
+        self._top[0] = value
         return value
 
 

@@ -3,19 +3,20 @@
 Three greedy variants share one engine: a max-heap over the functions'
 current representative execution times. The slowest function gets more
 memory first, one ladder rung at a time, until the estimated end-to-end
-latency fits the SLO. On top of that, ``greedy_min_cost`` keeps trading
-memory for time only while the relative cost increase does not exceed the
-relative time gain, and ``greedy_min_time`` walks the whole bump order,
-whose minimum estimate is the tightest SLO the greedy can satisfy.
-``brute_force`` scans every combination and is the optimality oracle for
-small instances. All of them evaluate the graph with one
-:class:`~faastune.estimate.GraphEvaluator`.
+latency fits the SLO. On top of that, ``greedy_min_cost`` continues its own
+feasible walk, trading memory for time only while the relative cost
+increase does not exceed the relative time gain, and ``greedy_min_time``
+walks the whole bump order, whose minimum estimate is the tightest SLO the
+greedy can satisfy. ``brute_force`` scans every combination and is the
+optimality oracle for small instances. All of them evaluate the graph with
+one :class:`~faastune.estimate.GraphEvaluator`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -109,8 +110,11 @@ def _representatives(
         profile = profiles.get(name)
         if profile is None:
             raise MissingProfile(name)
-        reps = [profile.representative(memory_mb) for memory_mb in rungs]
-        if not allow_non_monotone and any(b > a for a, b in zip(reps, reps[1:])):
+        try:
+            reps = [profile.representatives[memory_mb] for memory_mb in rungs]
+        except KeyError:  # raise MissingProfile for the first rung it lacks
+            reps = [profile.representative(memory_mb) for memory_mb in rungs]
+        if not allow_non_monotone and any(map(operator.gt, reps[1:], reps)):
             raise ProfileNotMonotone(name)
         table[name] = reps
     return table
@@ -119,13 +123,13 @@ def _representatives(
 class _Trajectory:
     """The greedy bump order, which depends only on the representatives.
 
-    Functions start at the lowest rung, or at the rung indices in
-    ``start``. Each pop takes the function with the largest current
-    representative from a max-heap (ties break on the function name) and
-    moves it one rung up; a function popped at the top rung leaves the heap
-    for good. ``keep(function, rung, estimate)``, when given, judges every
-    move: a rejected move is undone and its function leaves the heap too.
-    ``estimate`` follows every kept move.
+    Functions start at the lowest rung. Each pop takes the function with
+    the largest current representative from a max-heap (ties break on the
+    function name) and moves it one rung up; a function popped at the top
+    rung leaves the heap for good. :meth:`restart` can hand in
+    ``keep(function, rung, estimate)`` to judge every move: a rejected move
+    is undone and its function leaves the heap too. ``estimate`` follows
+    every kept move.
     """
 
     def __init__(
@@ -134,41 +138,58 @@ class _Trajectory:
         profiles: Mapping[str, FunctionProfile],
         rungs: tuple[int, ...],
         allow_non_monotone: bool,
-        start: Mapping[str, int] | None = None,
-        keep: Callable[[str, int, float], bool] | None = None,
     ):
-        seconds = _representatives(graph.functions(), profiles, rungs, allow_non_monotone)
-        self.seconds = seconds
+        self.seconds = _representatives(graph.functions(), profiles, rungs, allow_non_monotone)
         self._evaluator = GraphEvaluator(graph)
-        self.rung = dict.fromkeys(seconds, 0)
-        self.rung.update(start or {})
+        self._set = self._evaluator.set
+        self.rung = dict.fromkeys(self.seconds, 0)
+        self.iterations = 0
+        self.evaluations = 0
+        self.restart(None)
+
+    def restart(self, keep: Callable[[str, int, float], bool] | None) -> None:
+        """Evaluate the current rungs and put every function back on the
+        heap, as a fresh trajectory starting there would; from then on
+        ``keep``, when given, judges every move."""
+        seconds = self.seconds
         self.estimate = self._evaluator.evaluate(
             {name: seconds[name][index] for name, index in self.rung.items()}
         )
-        self.iterations = 0
-        self.evaluations = 1
+        self.evaluations += 1
         self._heap = [(-seconds[name][index], name) for name, index in self.rung.items()]
         heapq.heapify(self._heap)
         self._keep = keep
 
+    def reach(self, slo_seconds: float) -> bool:
+        """Bump until the estimate fits ``slo_seconds``; False if the heap
+        empties first."""
+        while not self.estimate <= slo_seconds:
+            if self.bump() is None:
+                return False
+        return True
+
     def bump(self) -> str | None:
         """Pop until one function moves up a rung and return its name; None
         once the heap is empty."""
-        while self._heap:
-            _, name = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            # Entries are distinct (-seconds, name) pairs, so replacing the
+            # top in place pops in the same order as a pop and a push.
+            name = heap[0][1]
             self.iterations += 1
             index = self.rung[name] + 1
-            if index < len(self.seconds[name]):
-                seconds = self.seconds[name][index]
-                estimate = self._evaluator.set(name, seconds)
+            row = self.seconds[name]
+            if index < len(row):
+                seconds = row[index]
+                estimate = self._set(name, seconds)
                 self.evaluations += 1
-                if self._keep is not None and not self._keep(name, index, estimate):
-                    self._evaluator.set(name, self.seconds[name][index - 1])
-                    continue
-                self.rung[name] = index
-                self.estimate = estimate
-                heapq.heappush(self._heap, (-seconds, name))
-                return name
+                if self._keep is None or self._keep(name, index, estimate):
+                    self.rung[name] = index
+                    self.estimate = estimate
+                    heapq.heapreplace(heap, (-seconds, name))
+                    return name
+                self._set(name, row[index - 1])
+            heapq.heappop(heap)
         return None
 
 
@@ -192,9 +213,8 @@ def greedy_slo(
     started = time.perf_counter()
     rungs = ladder.effective()
     walk = _Trajectory(graph, profiles, rungs, allow_non_monotone)
-    while not walk.estimate <= slo.slo_seconds:
-        if walk.bump() is None:
-            return _result("greedy", started, walk.iterations, walk.evaluations)
+    if not walk.reach(slo.slo_seconds):
+        return _result("greedy", started, walk.iterations, walk.evaluations)
     config = {name: rungs[index] for name, index in walk.rung.items()}
     return _result(
         "greedy", started, walk.iterations, walk.evaluations, config, walk.estimate,
@@ -212,8 +232,10 @@ def greedy_min_cost(
 ) -> SearchResult:
     """Feasible-first search, then keep bumping only where it pays off.
 
-    Starting from the ``greedy_slo`` configuration, each pop considers one
-    more rung for the slowest function and accepts it iff
+    Walks the ``greedy_slo`` bump order to the SLO, then continues that walk
+    from the feasible configuration with every function back on the heap
+    (counted as one more estimation): each pop considers one more rung for
+    the slowest function and accepts it iff
 
         |new_cost - old_cost| / old_cost  <=  |old_time - new_time| / old_time
 
@@ -227,13 +249,10 @@ def greedy_min_cost(
     """
     started = time.perf_counter()
     cost_model = cost_model or CostModel()
-    base = greedy_slo(
-        graph, profiles, ladder, slo, cost_model, allow_non_monotone=allow_non_monotone
-    )
-    if not base.found:
-        return _result("greedy-min-cost", started, base.iterations, base.evaluations)
-
     rungs = ladder.effective()
+    walk = _Trajectory(graph, profiles, rungs, allow_non_monotone)
+    if not walk.reach(slo.slo_seconds):
+        return _result("greedy-min-cost", started, walk.iterations, walk.evaluations)
 
     def relative(delta: float, reference: float) -> float:
         if reference == 0:
@@ -253,15 +272,12 @@ def greedy_min_cost(
         cost = trial_cost
         return True
 
-    walk = _Trajectory(  # greedy_slo has checked monotonicity already
-        graph, profiles, rungs, allow_non_monotone=True,
-        start={name: rungs.index(memory) for name, memory in base.config.items()}, keep=keep,
-    )
     units = {
         name: cost_model.cost_units(walk.seconds[name][index], rungs[index])
         for name, index in walk.rung.items()
     }
     cost = sum(units.values())
+    walk.restart(keep)
     best_rung, best_cost, best_time = dict(walk.rung), cost, walk.estimate
     while walk.bump() is not None:
         if cost < best_cost or (cost == best_cost and walk.estimate < best_time):
@@ -269,8 +285,7 @@ def greedy_min_cost(
 
     config = {name: rungs[index] for name, index in best_rung.items()}
     return _result(
-        "greedy-min-cost", started, base.iterations + walk.iterations,
-        base.evaluations + walk.evaluations, config, best_time,
+        "greedy-min-cost", started, walk.iterations, walk.evaluations, config, best_time,
         configuration_cost(config, profiles, cost_model),
     )
 

@@ -531,12 +531,9 @@ def load_app(path: str | Path) -> SimApp:
         shape = data.get("shape", "custom")
         if not isinstance(shape, str):
             raise ValueError(f"shape must be a string, got {shape!r}")
-        return SimApp(
-            graph=graph,
-            specs=specs,
-            baas_children=baas,
-            shape=shape,
-            seed=int(data.get("seed", 0)),
-        )
+        seed = data.get("seed", 0)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        return SimApp(graph=graph, specs=specs, baas_children=baas, shape=shape, seed=seed)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: invalid app spec: {exc}") from None

@@ -173,6 +173,12 @@ def pipeline_files(tmp_path_factory):
     spec["shape"] = 5
     int_shape_app = workdir / "int-shape.json"
     int_shape_app.write_text(json.dumps(spec))
+    seed_apps = {}
+    for kind, seed in (("bool", True), ("float", 7.9), ("text", "12")):
+        spec = json.loads(app.read_text())
+        spec["seed"] = seed
+        seed_apps[f"{kind}_seed_app"] = workdir / f"{kind}-seed.json"
+        seed_apps[f"{kind}_seed_app"].write_text(json.dumps(spec))
     empty_result = workdir / "empty-result"
     empty_result.mkdir()
     (empty_result / "x.result.json").write_text("{}")
@@ -214,6 +220,7 @@ def pipeline_files(tmp_path_factory):
             "bool_work_app": str(bool_work_app), "bool_probability_app": str(bool_probability_app),
             "int_shape_app": str(int_shape_app), "empty_result": str(empty_result),
             "list_config_result": str(list_config_result),
+            **{key: str(path) for key, path in seed_apps.items()},
             "results": str(workdir), "out": str(workdir / "out.json")}
 
 
@@ -265,6 +272,9 @@ def pipeline_files(tmp_path_factory):
     ["profile", "--app", "{int_shape_app}"],
     ["report", "--results", "{empty_result}"],
     ["report", "--results", "{list_config_result}"],
+    ["profile", "--app", "{bool_seed_app}"],
+    ["profile", "--app", "{float_seed_app}"],
+    ["profile", "--app", "{text_seed_app}"],
 ], ids=["slo-0", "slo-nan", "slo-inf", "price-0", "price-nan", "profiles-not-a-table",
         "alpha-150", "validate-slo-negative", "validate-percentile-0",
         "profile-no-entry-function", "validate-no-entry-function",
@@ -279,7 +289,8 @@ def pipeline_files(tmp_path_factory):
         "profile-app-binary", "profile-app-directory", "optimize-profiles-directory",
         "profiles-field-too-long", "profile-app-functions-list", "profile-app-bool-work",
         "profile-app-bool-cold-start-prob", "profile-app-int-shape", "report-empty-result",
-        "report-list-config"])
+        "report-list-config", "profile-app-bool-seed", "profile-app-float-seed",
+        "profile-app-text-seed"])
 def test_out_of_range_input_exits_2_with_error_line(pipeline_files, argv, capsys):
     argv = [arg.format(**pipeline_files) for arg in argv] + ["--out", pipeline_files["out"]]
     assert main(argv) == 2

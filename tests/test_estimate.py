@@ -1,6 +1,8 @@
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faastune import (
     CallGraph,
@@ -78,6 +80,60 @@ def test_evaluator_updates_are_bit_identical_to_recursive_composition(seed):
         times[name] = rng.uniform(0.01, 5.0)
         assert evaluator.set(name, times[name]) == _recursive(graph.root, times)
     assert evaluator.evaluate(times) == combine_times(graph, times)
+
+
+@st.composite
+def _graphs(draw):
+    """Canonical graphs of 1-12 functions, with nested parallel groups."""
+
+    def tree(names):
+        if len(names) == 1:
+            return FunctionNode(names[0])
+        parts = draw(st.integers(2, min(4, len(names))))
+        cuts = sorted(draw(st.sets(
+            st.integers(1, len(names) - 1), min_size=parts - 1, max_size=parts - 1
+        )))
+        bounds = list(zip([0] + cuts, cuts + [len(names)]))
+        kind = draw(st.sampled_from((Sequence, Parallel)))
+        return kind(tuple(tree(names[lo:hi]) for lo, hi in bounds))
+
+    return CallGraph(tree([f"f{i}" for i in range(draw(st.integers(1, 12)))]))
+
+
+#: A few durations, so parallel maxima tie and a time is often set to the
+#: value it already has; 0.1, 0.2 and 0.7 round differently by summation order.
+_TIMES = st.sampled_from((0.0, -0.0, 0.1, 0.2, 0.7, 3.0))
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=_graphs(), data=st.data())
+def test_evaluator_early_stop_is_bit_identical(graph, data):
+    functions = graph.functions()
+    times = {f: data.draw(_TIMES) for f in functions}
+    evaluator = GraphEvaluator(graph)
+    assert _bits(evaluator.evaluate(times)) == _bits(_recursive(graph.root, times))
+    updates = data.draw(st.lists(st.tuples(st.sampled_from(functions), _TIMES), max_size=200))
+    for name, seconds in updates:
+        times[name] = seconds
+        value = evaluator.set(name, seconds)
+        assert _bits(value) == _bits(_recursive(graph.root, times))
+        assert _bits(value) == _bits(GraphEvaluator(graph).evaluate(times))
+    missing = data.draw(st.sets(st.sampled_from(functions), min_size=1))
+    partial = {f: t for f, t in times.items() if f not in missing}
+    with pytest.raises(PartialConfiguration) as error:
+        evaluator.evaluate(partial)
+    assert error.value.function == next(f for f in functions if f in missing)
+
+
+def test_setting_a_zero_over_a_negative_zero_is_not_an_early_stop():
+    graph = CallGraph(Parallel((FunctionNode("f1"), FunctionNode("f2"))))
+    evaluator = GraphEvaluator(graph)
+    assert _bits(evaluator.evaluate({"f1": -0.0, "f2": 0.0})) == _bits(-0.0)
+    assert _bits(evaluator.set("f1", 0.0)) == _bits(max(0.0, 0.0))
 
 
 def test_compositionality_of_sequence_and_parallel():

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -311,3 +313,43 @@ def test_pipeline_orderings_on_simulated_three_function_app():
     assert cheap.estimated_cost_usd <= base.estimated_cost_usd
     assert fast.estimated_time_s <= base.estimated_time_s
     assert fast.estimated_time_s <= cheap.estimated_time_s
+
+
+# --- pinned records -------------------------------------------------------------
+
+#: sha256 over every record ``_pinned_records`` yields, as computed by the
+#: reference implementation. Any change to a configuration, an estimate, a
+#: cost or an iteration or evaluation count changes it.
+PINNED_RECORDS_SHA256 = "ae5da7cc6ddd1bee23a0c26d5a8f7c4724bd75abd57bc3c369c0b7fdb6979ea3"
+
+
+def _pinned_records():
+    """The three greedy searches on random and chain graphs at N = 100, 250
+    and 400 (SLO 1.2x, 1.5x and 2.0x the all-max estimate), then the
+    acceptance corpus with every brute-force objective as well."""
+    ladder = MemoryLadder()
+    rungs = ladder.effective()
+    rng = random.Random(20261018)
+    for n in (100, 250, 400):
+        for shape in ("random", "chain"):
+            graph = generate_app(n_functions=n, shape=shape, seed=rng.randrange(2**31)).graph
+            profiles = {f: random_monotone_profile(f, rungs, rng) for f in graph.functions()}
+            all_max = estimate_time(graph, dict.fromkeys(graph.functions(), rungs[-1]), profiles)
+            for multiplier in (1.2, 1.5, 2.0):
+                slo = SloSpec(all_max * multiplier)
+                for search_fn in (greedy_slo, greedy_min_cost, greedy_min_time):
+                    yield search_fn(graph, profiles, ladder, slo).to_record()
+    rng = random.Random(20260809)  # the acceptance corpus
+    for _ in range(500):
+        instance = random_instance(rng)
+        for search_fn in (greedy_slo, greedy_min_cost, greedy_min_time):
+            yield search_fn(*instance).to_record()
+        for objective in Objective:
+            yield brute_force(*instance, objective).to_record()
+
+
+def test_search_records_are_pinned():
+    digest = hashlib.sha256()
+    for record in _pinned_records():
+        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_RECORDS_SHA256
