@@ -12,6 +12,7 @@ import functools
 import math
 import random
 import sys
+import time
 from pathlib import Path
 
 from . import profiles as profiling
@@ -151,29 +152,25 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         billing_granularity_ms=args.billing_granularity_ms,
     )
     objective = Objective(args.objective)
+    # Looked up at call time, so a search patched on the module is the one that runs.
     if args.algorithm == "brute":
-        result = search.brute_force(graph, profs, ladder, slo, objective, cost_model)
-    elif objective is Objective.MIN_COST:
-        result = search.greedy_min_cost(
-            graph, profs, ladder, slo, cost_model,
-            allow_non_monotone=args.allow_non_monotone,
-        )
-    elif objective is Objective.MIN_TIME:
-        result = search.greedy_min_time(
-            graph, profs, ladder, slo, cost_model,
-            allow_non_monotone=args.allow_non_monotone,
-        )
+        run = functools.partial(search.brute_force, objective=objective)
     else:
-        result = search.greedy_slo(
-            graph, profs, ladder, slo, cost_model,
-            allow_non_monotone=args.allow_non_monotone,
-        )
+        greedy = {
+            Objective.FEASIBLE: search.greedy_slo,
+            Objective.MIN_COST: search.greedy_min_cost,
+            Objective.MIN_TIME: search.greedy_min_time,
+        }[objective]
+        run = functools.partial(greedy, allow_non_monotone=args.allow_non_monotone)
+    started = time.perf_counter()
+    result = run(graph, profs, ladder, slo, cost_model=cost_model)
+    elapsed_s = time.perf_counter() - started
 
     record = result.to_record()
     record["objective"] = objective.value
     record["slo_seconds"] = slo.slo_seconds
     write_json(args.out, record)
-    _write_timing_sidecar(Path(args.out), result.elapsed_s)
+    _write_timing_sidecar(Path(args.out), elapsed_s)
     if not result.found:
         print(
             f"infeasible: no configuration meets SLO {slo.slo_seconds}s "

@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-import time
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -49,7 +48,8 @@ class SearchResult:
     ``config`` is None when no configuration satisfies the SLO (that is an
     outcome, not an error). ``iterations`` counts algorithm steps (heap
     pops or scanned combinations) and ``evaluations`` counts end-to-end
-    latency estimations.
+    latency estimations. It holds no wall time, so equal searches give
+    equal results; ``optimize`` times its call into a sidecar file.
     """
 
     algorithm: str
@@ -58,15 +58,12 @@ class SearchResult:
     estimated_cost_usd: float | None
     iterations: int
     evaluations: int
-    elapsed_s: float
 
     @property
     def found(self) -> bool:
         return self.config is not None
 
     def to_record(self) -> dict:
-        # elapsed_s deliberately excluded: artifacts must be reproducible
-        # byte-for-byte; wall time goes in a sidecar file.
         return {
             "algorithm": self.algorithm,
             "config": dict(sorted(self.config.items())) if self.config else None,
@@ -75,27 +72,6 @@ class SearchResult:
             "iterations": self.iterations,
             "evaluations": self.evaluations,
         }
-
-
-def _result(
-    algorithm: str,
-    started: float,
-    iterations: int,
-    evaluations: int,
-    config: dict[str, int] | None = None,
-    estimated_time_s: float | None = None,
-    estimated_cost_usd: float | None = None,
-) -> SearchResult:
-    """A search outcome timed from ``started``; empty unless ``config`` is given."""
-    return SearchResult(
-        algorithm=algorithm,
-        config=config,
-        estimated_time_s=estimated_time_s,
-        estimated_cost_usd=estimated_cost_usd,
-        iterations=iterations,
-        evaluations=evaluations,
-        elapsed_s=time.perf_counter() - started,
-    )
 
 
 def _representatives(
@@ -198,7 +174,7 @@ def greedy_slo(
     profiles: Mapping[str, FunctionProfile],
     ladder: MemoryLadder,
     slo: SloSpec,
-    cost_model: CostModel | None = None,
+    cost_model: CostModel = CostModel(),
     allow_non_monotone: bool = False,
 ) -> SearchResult:
     """Find a feasible configuration by bumping the slowest function first.
@@ -210,15 +186,14 @@ def greedy_slo(
     all-maximum configuration is infeasible. Performs at most N*(M-1)+1
     latency estimations.
     """
-    started = time.perf_counter()
     rungs = ladder.effective()
     walk = _Trajectory(graph, profiles, rungs, allow_non_monotone)
     if not walk.reach(slo.slo_seconds):
-        return _result("greedy", started, walk.iterations, walk.evaluations)
+        return SearchResult("greedy", None, None, None, walk.iterations, walk.evaluations)
     config = {name: rungs[index] for name, index in walk.rung.items()}
-    return _result(
-        "greedy", started, walk.iterations, walk.evaluations, config, walk.estimate,
-        configuration_cost(config, profiles, cost_model or CostModel()),
+    return SearchResult(
+        "greedy", config, walk.estimate, configuration_cost(config, profiles, cost_model),
+        walk.iterations, walk.evaluations,
     )
 
 
@@ -227,7 +202,7 @@ def greedy_min_cost(
     profiles: Mapping[str, FunctionProfile],
     ladder: MemoryLadder,
     slo: SloSpec,
-    cost_model: CostModel | None = None,
+    cost_model: CostModel = CostModel(),
     allow_non_monotone: bool = False,
 ) -> SearchResult:
     """Feasible-first search, then keep bumping only where it pays off.
@@ -247,12 +222,12 @@ def greedy_min_cost(
     the starting point) is returned, so the cost never exceeds the plain
     greedy result's.
     """
-    started = time.perf_counter()
-    cost_model = cost_model or CostModel()
     rungs = ladder.effective()
     walk = _Trajectory(graph, profiles, rungs, allow_non_monotone)
     if not walk.reach(slo.slo_seconds):
-        return _result("greedy-min-cost", started, walk.iterations, walk.evaluations)
+        return SearchResult(
+            "greedy-min-cost", None, None, None, walk.iterations, walk.evaluations
+        )
 
     def relative(delta: float, reference: float) -> float:
         if reference == 0:
@@ -284,9 +259,9 @@ def greedy_min_cost(
             best_rung, best_cost, best_time = dict(walk.rung), cost, walk.estimate
 
     config = {name: rungs[index] for name, index in best_rung.items()}
-    return _result(
-        "greedy-min-cost", started, walk.iterations, walk.evaluations, config, best_time,
-        configuration_cost(config, profiles, cost_model),
+    return SearchResult(
+        "greedy-min-cost", config, best_time, configuration_cost(config, profiles, cost_model),
+        walk.iterations, walk.evaluations,
     )
 
 
@@ -295,7 +270,7 @@ def greedy_min_time(
     profiles: Mapping[str, FunctionProfile],
     ladder: MemoryLadder,
     slo: SloSpec,
-    cost_model: CostModel | None = None,
+    cost_model: CostModel = CostModel(),
     allow_non_monotone: bool = False,
 ) -> SearchResult:
     """The lowest latency the greedy search can reach, in one pass.
@@ -308,7 +283,6 @@ def greedy_min_time(
     that reaches the minimum, or an empty result when the minimum exceeds
     the SLO. ``iterations`` counts heap pops.
     """
-    started = time.perf_counter()
     rungs = ladder.effective()
     walk = _Trajectory(graph, profiles, rungs, allow_non_monotone)
     bumps: list[str] = []
@@ -323,15 +297,17 @@ def greedy_min_time(
             break
         bumps.append(name)
     if not best_time <= slo.slo_seconds:
-        return _result("greedy-min-time", started, walk.iterations, walk.evaluations)
+        return SearchResult(
+            "greedy-min-time", None, None, None, walk.iterations, walk.evaluations
+        )
 
     rung = dict.fromkeys(walk.rung, 0)
     for name in bumps[:best_step]:
         rung[name] += 1
     config = {name: rungs[index] for name, index in rung.items()}
-    return _result(
-        "greedy-min-time", started, walk.iterations, walk.evaluations, config, best_time,
-        configuration_cost(config, profiles, cost_model or CostModel()),
+    return SearchResult(
+        "greedy-min-time", config, best_time, configuration_cost(config, profiles, cost_model),
+        walk.iterations, walk.evaluations,
     )
 
 
@@ -341,7 +317,7 @@ def brute_force(
     ladder: MemoryLadder,
     slo: SloSpec,
     objective: Objective = Objective.FEASIBLE,
-    cost_model: CostModel | None = None,
+    cost_model: CostModel = CostModel(),
 ) -> SearchResult:
     """Exhaustively scan all M^N configurations for the global optimum.
 
@@ -353,8 +329,6 @@ def brute_force(
     :class:`SearchSpaceTooLarge` before scanning when M^N exceeds
     :data:`BRUTE_FORCE_LIMIT`.
     """
-    started = time.perf_counter()
-    cost_model = cost_model or CostModel()
     functions = tuple(sorted(graph.functions()))
     rungs = ladder.effective()
     seconds = _representatives(functions, profiles, rungs, allow_non_monotone=True)
@@ -405,9 +379,9 @@ def brute_force(
 
     algorithm = f"brute-force-{objective.value}"
     if best_index is None:
-        return _result(algorithm, started, combinations, combinations)
+        return SearchResult(algorithm, None, None, None, combinations, combinations)
     config = {name: rungs[i] for name, i in zip(functions, best_index)}
-    return _result(
-        algorithm, started, combinations, combinations, config, best_time,
-        configuration_cost(config, profiles, cost_model),
+    return SearchResult(
+        algorithm, config, best_time, configuration_cost(config, profiles, cost_model),
+        combinations, combinations,
     )

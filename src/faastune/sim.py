@@ -68,7 +68,6 @@ class SimFunctionSpec:
     and an additive Bernoulli cold-start penalty sit on top of the base.
     """
 
-    function: str
     work: float = 0.0
     kind: str = "compute"
     baas_latency_s: float | None = None
@@ -221,11 +220,10 @@ def _petstore_app(seed: int) -> SimApp:
         jitter_cv=DEFAULT_JITTER_CV,
     )
     specs = {
-        "pet-checkout": SimFunctionSpec("pet-checkout", work=320.0, **common),
-        "pet-currency": SimFunctionSpec("pet-currency", work=220.0, **common),
-        "pet-email": SimFunctionSpec("pet-email", work=260.0, **common),
+        "pet-checkout": SimFunctionSpec(work=320.0, **common),
+        "pet-currency": SimFunctionSpec(work=220.0, **common),
+        "pet-email": SimFunctionSpec(work=260.0, **common),
         "pet-payment": SimFunctionSpec(
-            "pet-payment",
             kind="baas_bound",
             baas_latency_s=0.25,
             cold_start_s=DEFAULT_COLD_START_S,
@@ -233,7 +231,6 @@ def _petstore_app(seed: int) -> SimApp:
             jitter_cv=PETSTORE_BAAS_JITTER_CV,
         ),
         "pet-shipping": SimFunctionSpec(
-            "pet-shipping",
             kind="baas_bound",
             baas_latency_s=0.30,
             cold_start_s=DEFAULT_COLD_START_S,
@@ -280,7 +277,6 @@ def generate_app(
     graph = CallGraph(compose_calls("f1", calls))
     specs = {
         name: SimFunctionSpec(
-            function=name,
             work=rng.uniform(*DEFAULT_WORK_RANGE),
             cold_start_s=DEFAULT_COLD_START_S,
             cold_start_prob=DEFAULT_COLD_START_PROB,
@@ -362,8 +358,8 @@ def run_load(
     function's call groups, and a parallel node is one group. A function's
     segment covers its own work, each group starts when the previous group
     (or the invoker's own work) finishes, and members of a group share a
-    start time. Backend children appear as ``baas`` segments inside their
-    function's span.
+    start time. Backend children appear as ``baas`` segments that split
+    their function's span evenly, the last ending with the function.
     """
     log = TraceLog()
     plan = app._plan
@@ -385,9 +381,12 @@ def run_load(
             ))
             n = len(backends[i])
             for j, backend in enumerate(backends[i]):
+                # The last call ends with its function, which
+                # ``start + duration * n / n`` can pass by an ulp.
+                end = start + duration if j == n - 1 else start + duration * (j + 1) / n
                 segments.append(TraceSegment(
                     trace_id, f"{segment_id}.b{j}", backend, "baas",
-                    start + duration * j / n, start + duration * (j + 1) / n, segment_id,
+                    start + duration * j / n, end, segment_id,
                 ))
         log.traces[trace_id] = segments
     return log
@@ -462,19 +461,7 @@ def validate_config(
 ) -> ValidationReport:
     """Issue validation requests and report the fraction meeting the SLO."""
     rng = rng or random.Random(0)
-    # A request's traced span also ends at its functions' last backend
-    # calls, and with n > 1 backends ``duration * n / n`` can pass the
-    # function's own end by an ulp.
-    backends = [
-        (i, n)
-        for i, (name, _, _) in enumerate(app._plan)
-        if (n := len(app.baas_children.get(name, ()))) > 1
-    ]
-    durations = []
-    for starts, request_durations, _, finish in _simulate(app, config, n_requests, rng):
-        for i, n in backends:
-            finish = max(finish, starts[i] + request_durations[i] * n / n)
-        durations.append(finish)
+    durations = [finish for _, _, _, finish in _simulate(app, config, n_requests, rng)]
     if not math.isfinite(max(durations)):
         raise ValueError("simulated request latencies must be finite")
     within = sum(1 for d in durations if d <= slo.slo_seconds)
@@ -523,10 +510,7 @@ def load_app(path: str | Path) -> SimApp:
     data = read_json(path)
     try:
         graph = CallGraph(graph_from_dict(data["graph"]))
-        specs = {
-            name: SimFunctionSpec(function=name, **fields)
-            for name, fields in data["functions"].items()
-        }
+        specs = {name: SimFunctionSpec(**fields) for name, fields in data["functions"].items()}
         baas = {k: tuple(v) for k, v in data.get("baas_children", {}).items()}
         shape = data.get("shape", "custom")
         if not isinstance(shape, str):

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from faastune.cli import main
 from faastune.traces import graph_to_dict
-from faastune import generate_app
+from faastune import generate_app, load_app, run_load, write_trace_file
 
 
 @pytest.fixture()
@@ -173,6 +175,10 @@ def pipeline_files(tmp_path_factory):
     spec["shape"] = 5
     int_shape_app = workdir / "int-shape.json"
     int_shape_app.write_text(json.dumps(spec))
+    spec = json.loads(app.read_text())
+    spec["functions"]["f1"]["function"] = "f1"
+    function_key_app = workdir / "function-key.json"
+    function_key_app.write_text(json.dumps(spec))
     seed_apps = {}
     for kind, seed in (("bool", True), ("float", 7.9), ("text", "12")):
         spec = json.loads(app.read_text())
@@ -218,7 +224,8 @@ def pipeline_files(tmp_path_factory):
             "function_list_app": str(function_list_app),
             "overflow_app": str(overflow_app), "jitter_overflow_app": str(jitter_overflow_app),
             "bool_work_app": str(bool_work_app), "bool_probability_app": str(bool_probability_app),
-            "int_shape_app": str(int_shape_app), "empty_result": str(empty_result),
+            "int_shape_app": str(int_shape_app), "function_key_app": str(function_key_app),
+            "empty_result": str(empty_result),
             "list_config_result": str(list_config_result),
             **{key: str(path) for key, path in seed_apps.items()},
             "results": str(workdir), "out": str(workdir / "out.json")}
@@ -275,6 +282,7 @@ def pipeline_files(tmp_path_factory):
     ["profile", "--app", "{bool_seed_app}"],
     ["profile", "--app", "{float_seed_app}"],
     ["profile", "--app", "{text_seed_app}"],
+    ["profile", "--app", "{function_key_app}"],
 ], ids=["slo-0", "slo-nan", "slo-inf", "price-0", "price-nan", "profiles-not-a-table",
         "alpha-150", "validate-slo-negative", "validate-percentile-0",
         "profile-no-entry-function", "validate-no-entry-function",
@@ -290,7 +298,7 @@ def pipeline_files(tmp_path_factory):
         "profiles-field-too-long", "profile-app-functions-list", "profile-app-bool-work",
         "profile-app-bool-cold-start-prob", "profile-app-int-shape", "report-empty-result",
         "report-list-config", "profile-app-bool-seed", "profile-app-float-seed",
-        "profile-app-text-seed"])
+        "profile-app-text-seed", "profile-app-function-key"])
 def test_out_of_range_input_exits_2_with_error_line(pipeline_files, argv, capsys):
     argv = [arg.format(**pipeline_files) for arg in argv] + ["--out", pipeline_files["out"]]
     assert main(argv) == 2
@@ -414,6 +422,31 @@ def test_result_artifacts_match_golden_records(workdir, shape, seed, slo):
                      "--slo", slo, "--objective", objective, "--out", str(out)]) == 0
         expected = json.dumps(golden[f"{shape}/{objective}"], indent=2, sort_keys=True) + "\n"
         assert out.read_text() == expected, f"{shape}/{objective}"
+
+
+def test_petstore_validation_and_traces_are_pinned(workdir):
+    """sha256 of petstore's three `validate` reports (one per objective, 200
+    requests) and of a 20-request `run_load` trace file, the outputs that
+    depend on how backend calls are laid out."""
+    golden = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
+    app, profiles, _, _, code = _pipeline(workdir, shape="petstore", seed="13", slo="1.5")
+    assert code == 0
+    reports = hashlib.sha256()
+    for objective in ("feasible", "min-cost", "min-time"):
+        result = workdir / f"{objective}.result.json"
+        report = workdir / f"{objective}.validation.json"
+        assert main(["optimize", "--app", str(app), "--profiles", str(profiles), "--slo", "1.5",
+                     "--objective", objective, "--out", str(result)]) == 0
+        assert main(["validate", "--app", str(app), "--config", str(result), "--slo", "1.5",
+                     "--requests", "200", "--seed", "99", "--out", str(report)]) == 0
+        reports.update(report.read_bytes())
+    assert reports.hexdigest() == golden["petstore/validate-reports"]
+    petstore = load_app(app)
+    config = dict.fromkeys(petstore.graph.functions(), 512)
+    trace = io.StringIO()
+    write_trace_file(run_load(petstore, config, 20, random.Random(13)), trace)
+    digest = hashlib.sha256(trace.getvalue().encode()).hexdigest()
+    assert digest == golden["petstore/run-load-trace"]
 
 
 def test_timing_sidecar_keeps_wall_time_out_of_artifacts(workdir):

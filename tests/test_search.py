@@ -103,6 +103,24 @@ def test_heap_ties_break_on_function_name():
     }
 
 
+@pytest.mark.parametrize("objective", Objective)
+def test_equal_searches_give_equal_results(objective):
+    """A result is a plain value: the same search on the same instance gives
+    an equal result, found or not."""
+    graph = generate_app(shape="demo6", seed=2).graph
+    rungs = MemoryLadder().effective()
+    rng = random.Random(2)
+    profiles = {f: random_monotone_profile(f, rungs, rng) for f in graph.functions()}
+    all_max = estimate_time(graph, dict.fromkeys(graph.functions(), rungs[-1]), profiles)
+    searches = (greedy_slo, greedy_min_cost, greedy_min_time,
+                lambda *instance: brute_force(*instance, objective))
+    for slo, found in ((SloSpec(1.5 * all_max), True), (SloSpec(0.5 * all_max), False)):
+        for run in searches:
+            first = run(graph, profiles, MemoryLadder(), slo)
+            assert first.found is found
+            assert run(graph, profiles, MemoryLadder(), slo) == first
+
+
 def test_results_identical_to_fresh_estimates_and_deterministic():
     rng = random.Random(3)
     for _ in range(40):

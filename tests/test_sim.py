@@ -36,8 +36,8 @@ from faastune.sim import CPU_SATURATION_MB, SHAPES, ValidationReport, end_to_end
 from faastune.traces import compose_calls, graph_to_dict
 
 
-def _compute_spec(name="f1", work=512.0, **kw):
-    return SimFunctionSpec(function=name, work=work, **kw)
+def _compute_spec(work=512.0, **kw):
+    return SimFunctionSpec(work=work, **kw)
 
 
 # --- shapes ------------------------------------------------------------------
@@ -96,8 +96,8 @@ def test_generation_deterministic_per_seed():
 
 def _one_call(spec, memory_mb, rng):
     """Duration and cold-start flag of one request to a one-function app."""
-    app = SimApp(graph=CallGraph(FunctionNode(spec.function)), specs={spec.function: spec})
-    (segment,) = run_load(app, {spec.function: memory_mb}, 1, rng).all_segments()
+    app = SimApp(graph=CallGraph(FunctionNode("f1")), specs={"f1": spec})
+    (segment,) = run_load(app, {"f1": memory_mb}, 1, rng).all_segments()
     return segment.duration_s, segment.cold_start
 
 
@@ -116,7 +116,7 @@ def test_memory_saturates_at_vcpu_limit():
 
 
 def test_backend_bound_time_ignores_memory():
-    spec = SimFunctionSpec(function="db", kind="baas_bound", baas_latency_s=0.3)
+    spec = SimFunctionSpec(kind="baas_bound", baas_latency_s=0.3)
     d128, _ = _one_call(spec, 128, random.Random(0))
     d1024, _ = _one_call(spec, 1024, random.Random(0))
     assert d128 == d1024 == 0.3
@@ -165,7 +165,7 @@ def test_simulation_rejects_non_positive_memory_and_non_finite_specs():
     with pytest.raises(ValueError, match="must be positive"):
         validate_config(app, {**config, "f2": -128}, SloSpec(1.0))
     chain = generate_app(2, "chain", seed=0)
-    huge = {name: _compute_spec(name, work=1.5e308) for name in chain.specs}
+    huge = {name: _compute_spec(work=1.5e308) for name in chain.specs}
     with pytest.raises(ValueError, match="finite"):  # 1.5e308 s twice overflows
         validate_config(dataclasses.replace(chain, specs=huge), {"f1": 1, "f2": 1}, SloSpec(1.0))
     with pytest.raises(ValueError, match="finite"):
@@ -180,9 +180,9 @@ def test_spec_numbers_reject_booleans_but_take_integers(field):
     kind = "baas_bound" if field == "baas_latency_s" else "compute"
     fields = {"kind": kind, "work": 512, "baas_latency_s": 1 if kind == "baas_bound" else None,
               "cold_start_s": 0, "cold_start_prob": 0, "jitter_cv": 0}
-    SimFunctionSpec(function="f1", **fields)  # JSON integers stay numbers
+    SimFunctionSpec(**fields)  # JSON integers stay numbers
     with pytest.raises(ValueError, match="must be numbers, not booleans"):
-        SimFunctionSpec(function="f1", **{**fields, field: True})
+        SimFunctionSpec(**{**fields, field: True})
 
 
 # --- load runs ---------------------------------------------------------------
@@ -211,17 +211,17 @@ def test_parallel_pair_runs_in_single_function_time():
         FunctionNode("f1"),
         Parallel((FunctionNode("f2"), FunctionNode("f3"))),
     )))
-    specs = {name: _compute_spec(name, work=256.0) for name in graph.functions()}
+    specs = {name: _compute_spec(work=256.0) for name in graph.functions()}
     app = SimApp(graph=graph, specs=specs)
     config = {f: 128 for f in graph.functions()}
     (duration,) = end_to_end_durations(run_load(app, config, 1, random.Random(0)))
     assert duration == pytest.approx(2 * (256.0 / 128))  # f1 plus one of the pair
 
 
-def test_segment_layout_invariants():
-    app = generate_app(shape="petstore", seed=3)
-    config = {f: 512 for f in app.graph.functions()}
-    log = run_load(app, config, 5, random.Random(1))
+def _assert_segment_layout(log):
+    """Each trace of a chain app has one root, backend calls inside their
+    function's span, invoked functions starting no earlier than their
+    invoker, and siblings one after another."""
     for segments in log.traces.values():
         by_id = {s.segment_id: s for s in segments}
         roots = [s for s in segments if s.parent_id is None]
@@ -242,7 +242,22 @@ def test_segment_layout_invariants():
                 (s for s in siblings if s.kind == "function"), key=lambda s: s.start_time
             )
             for a, b in zip(functions, functions[1:]):
-                assert a.end_time <= b.start_time  # petstore chain: strictly sequential
+                assert a.end_time <= b.start_time  # a chain: strictly sequential
+
+
+def test_segment_layout_invariants():
+    app = generate_app(shape="petstore", seed=3)
+    config = {f: 512 for f in app.graph.functions()}
+    _assert_segment_layout(run_load(app, config, 5, random.Random(1)))
+
+
+def test_segment_layout_invariants_with_three_backends_per_function():
+    app = generate_app(8, shape="chain", seed=3)
+    specs = {name: dataclasses.replace(spec, jitter_cv=0.05) for name, spec in app.specs.items()}
+    baas = {name: tuple(f"{name}-db{j}" for j in range(3)) for name in app.graph.functions()}
+    app = dataclasses.replace(app, specs=specs, baas_children=baas)
+    config = {f: 512 for f in app.graph.functions()}
+    _assert_segment_layout(run_load(app, config, 20, random.Random(1)))
 
 
 def test_traces_are_byte_identical_per_seed():
@@ -295,7 +310,7 @@ def call_tables(draw):
 def test_composed_call_tables_simulate_and_rebuild_to_their_graph(table):
     calls, work = table
     graph = CallGraph(compose_calls("f1", calls))
-    specs = {name: _compute_spec(name, work=work[name]) for name in graph.functions()}
+    specs = {name: _compute_spec(work=work[name]) for name in graph.functions()}
     app = SimApp(graph=graph, specs=specs)
     log = run_load(app, {f: 128 for f in graph.functions()}, 2, random.Random(0))
     assert build_call_graph(log) == graph
@@ -338,7 +353,7 @@ def test_validation_times_requests_as_their_traces_do(table, backends, noise, me
     graph = CallGraph(compose_calls("f1", calls))
     names = graph.functions()
     specs = {
-        name: _compute_spec(name, work=work[name], jitter_cv=jitter_cv,
+        name: _compute_spec(work=work[name], jitter_cv=jitter_cv,
                             cold_start_prob=cold_start_prob, cold_start_s=0.2)
         for name in names
     }
@@ -359,21 +374,26 @@ def test_validation_times_requests_as_their_traces_do(table, backends, noise, me
     assert validated.getstate() == traced.getstate()
 
 
-def test_latency_ends_with_the_last_backend_call():
-    """With three backends the last one ends at start + duration * 3 / 3, which
-    can pass the function's own end by an ulp; the trace's span includes it."""
+def test_backend_calls_end_within_their_function():
+    """With three backends ``duration * 3 / 3`` can pass the function's own
+    end by an ulp; the last call ends with the function instead, and the
+    validated latency is the function's end."""
     work = next(w for w in (300 + k / 7 for k in range(1000)) if w / 128 * 3 / 3 > w / 128)
     graph = CallGraph(FunctionNode("f1"))
     app = SimApp(graph=graph, specs={"f1": _compute_spec(work=work)},
                  baas_children={"f1": ("a", "b", "c")})
+    function, *backends = run_load(app, {"f1": 128}, 1, random.Random(0)).all_segments()
+    assert [b.name for b in backends] == ["a", "b", "c"]
+    for backend in backends:
+        assert function.start_time <= backend.start_time <= backend.end_time <= function.end_time
+    assert backends[-1].end_time == function.end_time == work / 128
     report = validate_config(app, {"f1": 128}, SloSpec(3.0), n_requests=1)
-    assert report.max_s == work / 128 * 3 / 3 > work / 128
-    assert [report.max_s] == end_to_end_durations(run_load(app, {"f1": 128}, 1, random.Random(0)))
+    assert report.max_s == function.end_time
 
 
 def test_unrealizable_graph_rejected_by_sim_app():
     graph = CallGraph(Parallel((FunctionNode("f1"), FunctionNode("f2"))))
-    specs = {name: _compute_spec(name) for name in graph.functions()}
+    specs = {name: _compute_spec() for name in graph.functions()}
     with pytest.raises(ValueError):
         SimApp(graph=graph, specs=specs)
 

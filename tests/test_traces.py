@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import random
@@ -22,6 +23,7 @@ from faastune import (
 from faastune.errors import (
     DuplicateFunction,
     EmptyAfterFiltering,
+    FaastuneError,
     InconsistentTopology,
     MissingMemoryAnnotation,
     MultipleRoots,
@@ -618,6 +620,73 @@ def test_in_memory_unknown_parent_is_an_orphan():
     with pytest.raises(OrphanSegment) as excinfo:
         build_call_graph(log)
     assert excinfo.value.segment_id == "a"
+
+
+@st.composite
+def edited_logs(draw):
+    """A ``run_load`` log of 3-5 traces of a generated app whose functions
+    may call backends, with one edit in one trace: a function segment
+    dropped, a function renamed to a sibling's name, a function re-parented
+    to another function or to a backend, or a backend segment dropped.
+    Returns the generating graph, the edit and the edited log."""
+    shape = draw(st.sampled_from(("chain", "random", "demo6", "demo10", "petstore")))
+    app = generate_app(draw(st.integers(1, 8)), shape, seed=draw(st.integers(0, 2**16)))
+    if not app.baas_children:
+        names = app.graph.functions()
+        counts = draw(st.lists(st.integers(0, 2), min_size=len(names), max_size=len(names)))
+        baas = {name: tuple(f"{name}-db{j}" for j in range(count))
+                for name, count in zip(names, counts) if count}
+        app = dataclasses.replace(app, baas_children=baas)
+    config = dict.fromkeys(app.graph.functions(), 256)
+    log = run_load(app, config, draw(st.integers(3, 5)), random.Random(draw(st.integers(0, 99))))
+    trace_id = draw(st.sampled_from(sorted(log.traces)))
+    segments = log.traces[trace_id]
+    functions = [s for s in segments if s.kind == "function"]
+    backends = [s for s in segments if s.kind == "baas"]
+    siblings = [(s, t) for s in functions for t in functions
+                if s is not t and s.parent_id is not None and s.parent_id == t.parent_id]
+    edits = ["drop-function"]
+    if len(segments) > 1:
+        edits.append("re-parent")
+    if siblings:
+        edits.append("rename")
+    if backends:
+        edits.append("drop-backend")
+    edit = draw(st.sampled_from(edits))
+    if edit in ("drop-function", "drop-backend"):
+        dropped = draw(st.sampled_from(functions if edit == "drop-function" else backends))
+        segments = [s for s in segments if s is not dropped]
+    elif edit == "rename":
+        renamed, sibling = draw(st.sampled_from(siblings))
+        segments = [s._replace(name=sibling.name) if s is renamed else s for s in segments]
+    else:
+        moved = draw(st.sampled_from(functions))
+        parent = draw(st.sampled_from([s for s in segments if s is not moved]))
+        segments = [s._replace(parent_id=parent.segment_id) if s is moved else s
+                    for s in segments]
+    log.traces[trace_id] = segments
+    return app.graph, edit, log
+
+
+@given(edited_logs())
+@settings(max_examples=500, deadline=None)
+def test_an_edited_trace_rebuilds_its_graph_or_raises_a_typed_error(case):
+    """One edited trace among the log's others: ``build_call_graph`` returns
+    the generating graph or raises a ``FaastuneError``, on the log in memory
+    and after writing and parsing it. A renamed function always raises, and
+    a dropped backend segment never changes the graph."""
+    graph, edit, log = case
+    buffer = io.StringIO()
+    write_trace_file(log, buffer)
+    for rebuild in (lambda: build_call_graph(log),
+                    lambda: build_call_graph(parse_trace_file(io.StringIO(buffer.getvalue())))):
+        try:
+            rebuilt = rebuild()
+        except FaastuneError:
+            assert edit != "drop-backend"
+            continue
+        assert edit != "rename"
+        assert rebuilt == graph
 
 
 # --- samples -----------------------------------------------------------------
