@@ -190,39 +190,56 @@ def _segment_to_record(segment: TraceSegment) -> dict:
 def parse_trace_file(source: str | Path | IO[str]) -> TraceLog:
     """Parse newline-delimited segment records into a :class:`TraceLog`.
 
-    Referential integrity is enforced per trace: parent ids must resolve
-    (:class:`OrphanSegment`), segment ids must be unique, exactly one
-    segment per trace may lack a parent (:class:`MultipleRoots`) and every
-    segment must reach it through its parents (:class:`UnreachableSegment`,
-    which catches cycles). Malformed lines raise :class:`ParseError` with
-    their line number.
+    Malformed lines and segment ids repeated within a trace raise
+    :class:`ParseError` with their line number; each trace must then form
+    one tree (:func:`_check_tree`: :class:`OrphanSegment`,
+    :class:`MultipleRoots` or :class:`UnreachableSegment` otherwise).
     """
     if hasattr(source, "read"):
         log = _parse_lines(iter(source))  # type: ignore[arg-type]
     else:
         with open(source) as fh:
             log = _parse_lines(fh)
-
     for trace_id, segments in log.traces.items():
-        children: dict[str | None, list[str]] = {}
-        for s in segments:
-            children.setdefault(s.parent_id, []).append(s.segment_id)
-        roots = children.get(None, [])
-        reached = list(roots)
-        for segment_id in reached:
-            reached.extend(children.get(segment_id, ()))
-        if len(roots) == 1 and len(reached) == len(segments):
-            continue
-        ids = {s.segment_id for s in segments}
-        for s in segments:
-            if s.parent_id is not None and s.parent_id not in ids:
-                raise OrphanSegment(s.segment_id)
-        if len(roots) > 1:
-            raise MultipleRoots(trace_id)
-        if not roots:
-            raise ParseError(0, f"trace {trace_id!r} has no root segment")
-        raise UnreachableSegment(min(ids.difference(reached)))
+        _check_tree(trace_id, segments)
     return log
+
+
+def _check_tree(trace_id: str, segments: list[TraceSegment]) -> dict[str, TraceSegment]:
+    """The segments of one trace by id, once they are checked to form one tree.
+
+    Segment ids must be unique and the trace must have a root segment
+    (:class:`ParseError` at line 0 otherwise), parent ids must resolve
+    (:class:`OrphanSegment`), exactly one segment may lack a parent
+    (:class:`MultipleRoots`) and every segment must reach it through its
+    parents (:class:`UnreachableSegment`, which catches cycles).
+    """
+    by_id: dict[str, TraceSegment] = {}
+    children: dict[str | None, list[str]] = {}
+    for s in segments:
+        segment_id = s.segment_id
+        by_id[segment_id] = s
+        children.setdefault(s.parent_id, []).append(segment_id)
+    if len(by_id) != len(segments):
+        seen: set[str] = set()
+        for s in segments:
+            if s.segment_id in seen:
+                raise ParseError(0, f"trace {trace_id!r} repeats segment_id {s.segment_id!r}")
+            seen.add(s.segment_id)
+    roots = children.get(None, [])
+    reached = list(roots)
+    for segment_id in reached:
+        reached.extend(children.get(segment_id, ()))
+    if len(roots) == 1 and len(reached) == len(segments):
+        return by_id
+    for s in segments:
+        if s.parent_id is not None and s.parent_id not in by_id:
+            raise OrphanSegment(s.segment_id)
+    if len(roots) > 1:
+        raise MultipleRoots(trace_id)
+    if not roots:
+        raise ParseError(0, f"trace {trace_id!r} has no root segment")
+    raise UnreachableSegment(min(by_id.keys() - reached))
 
 
 #: Decodes one line per call; :func:`json.loads` would add two whitespace
@@ -304,80 +321,63 @@ def extract_samples(log: TraceLog) -> list[ExecutionSample]:
     return samples
 
 
-@dataclass
-class _TraceShape:
-    trace_id: str
-    root: str
-    parent_of: dict[str, str | None]
-    intervals: dict[str, tuple[float, float]]
-
-
-def _trace_shape(trace_id: str, segments: list[TraceSegment]) -> _TraceShape | None:
-    by_id = {s.segment_id: s for s in segments}
-    functions = [s for s in segments if s.kind == "function"]
-    if not functions:
-        return None
-    names_seen: set[str] = set()
-    for s in functions:
-        if s.name in names_seen:
-            raise DuplicateFunction(s.name)
-        names_seen.add(s.name)
+def _trace_shape(
+    trace_id: str, segments: list[TraceSegment]
+) -> tuple[dict[str, str | None], dict[str, tuple[float, float]]] | None:
+    """A checked trace's parent of each function and ``(start, end)`` of
+    each function, both by name; None when it holds no function segment."""
+    by_id = _check_tree(trace_id, segments)
     parent_of: dict[str, str | None] = {}
     intervals: dict[str, tuple[float, float]] = {}
-    root: str | None = None
-    for s in functions:
+    for s in segments:
+        if s.kind != "function":
+            continue
+        if s.name in intervals:
+            raise DuplicateFunction(s.name)
         intervals[s.name] = (s.start_time, s.end_time)
         if s.parent_id is None:
-            if root is not None:
-                raise MultipleRoots(trace_id)
-            root = s.name
             parent_of[s.name] = None
             continue
-        parent = by_id.get(s.parent_id)
-        if parent is None:
-            raise OrphanSegment(s.segment_id)
+        parent = by_id[s.parent_id]
         if parent.kind != "function":
             raise InconsistentTopology(
                 f"trace {trace_id!r}: function {s.name!r} is invoked by "
                 f"backend service {parent.name!r}, which cannot be modeled"
             )
         parent_of[s.name] = parent.name
-    if root is None:
-        raise InconsistentTopology(
-            f"trace {trace_id!r}: root segment is not a function"
-        )
-    return _TraceShape(trace_id, root, parent_of, intervals)
+    return (parent_of, intervals) if intervals else None
 
 
 def _parallel_groups(
     siblings: list[str],
-    shapes: list[_TraceShape],
+    intervals: list[dict[str, tuple[float, float]]],
     mean_start: dict[str, float],
 ) -> list[list[str]]:
     """Cluster siblings into concurrently-executed groups.
 
     A pair runs in parallel iff its intervals overlap in a strict majority
     of traces (ties are sequential: a sequential estimate can only
-    overestimate, never miss the SLO). Groups are the connected components
+    overestimate, never miss the SLO); ``intervals`` holds each trace's
+    ``(start, end)`` by function name. Groups are the connected components
     of that relation, ordered by earliest mean start time.
     """
     votes: dict[tuple[str, str], int] = {}
-    for shape in shapes:
+    for spans in intervals:
         # Sweep this trace's siblings in (start, end) order. A later sibling
         # overlaps [start, end) iff it starts before ``end`` (it cannot end
         # at or before ``start``: in this order that takes two empty spans at
         # one instant, and then it starts at ``end``), and once one starts at
         # or after ``end``, every later one does too.
-        spans = sorted(shape.intervals[name] + (name,) for name in siblings)
-        for i, (_, end, a) in enumerate(spans):
-            for other_start, _, b in spans[i + 1 :]:
+        ordered = sorted(spans[name] + (name,) for name in siblings)
+        for i, (_, end, a) in enumerate(ordered):
+            for other_start, _, b in ordered[i + 1 :]:
                 if other_start >= end:
                     break
                 pair = (a, b) if a < b else (b, a)
                 votes[pair] = votes.get(pair, 0) + 1
     adjacent: dict[str, set[str]] = {name: set() for name in siblings}
     for (a, b), count in votes.items():
-        if count * 2 > len(shapes):
+        if count * 2 > len(intervals):
             adjacent[a].add(b)
             adjacent[b].add(a)
     groups: list[list[str]] = []
@@ -417,51 +417,48 @@ def compose_calls(root: str, calls: Mapping[str, list[list[str]]]) -> GraphNode:
 def build_call_graph(log: TraceLog) -> CallGraph:
     """Reconstruct the application call graph from one or more traces.
 
-    Backend-service segments are dropped. All traces must agree on which
-    function invokes which (:class:`InconsistentTopology` otherwise);
-    parallel-versus-sequence classification of siblings is decided by
-    majority vote over the traces' interval overlaps, and sequential
-    siblings are ordered by mean start time. As in :func:`parse_trace_file`,
-    a second parentless function segment raises :class:`MultipleRoots`, a
-    function segment whose parent is not in its trace raises
-    :class:`OrphanSegment` and one that never reaches the root (a cycle)
-    raises :class:`UnreachableSegment`, so a log built in memory cannot
-    lose functions either.
+    Each trace must pass :func:`_check_tree`, as a parsed one does, so a
+    log built in memory fails as its written file would. Backend-service
+    segments are then dropped, and a trace with no segments or only backend
+    segments is skipped (:class:`EmptyAfterFiltering` when every trace is).
+    All traces must agree on which function invokes which
+    (:class:`InconsistentTopology` otherwise); parallel-versus-sequence
+    classification of siblings is decided by majority vote over the traces'
+    interval overlaps, and sequential siblings are ordered by mean start
+    time.
     """
-    shapes: list[_TraceShape] = []
+    shapes = []
     for trace_id, segments in log.traces.items():
-        shape = _trace_shape(trace_id, segments)
+        # A file cannot hold an empty trace; skip one built in memory alike.
+        shape = _trace_shape(trace_id, segments) if segments else None
         if shape is not None:
             shapes.append(shape)
     if not shapes:
         raise EmptyAfterFiltering("no function segments in any trace")
 
-    reference = shapes[0]
-    for shape in shapes[1:]:
-        if shape.parent_of != reference.parent_of or shape.root != reference.root:
-            raise InconsistentTopology(
-                "traces imply different invocation structures"
-            )
+    parent_of = shapes[0][0]
+    if any(other != parent_of for other, _ in shapes[1:]):
+        raise InconsistentTopology("traces imply different invocation structures")
+    intervals = [spans for _, spans in shapes]
 
+    # Exactly one function has no parent: a checked trace has one root and
+    # no function under a backend.
     children: dict[str, list[str]] = {}
-    for name, parent in reference.parent_of.items():
-        if parent is not None:
+    for name, parent in parent_of.items():
+        if parent is None:
+            root = name
+        else:
             children.setdefault(parent, []).append(name)
     # One pass over the traces; each name's starts stay in trace order, so
     # their sum, and so each mean, does not depend on how they were gathered.
-    starts: dict[str, list[float]] = {name: [] for name in reference.parent_of}
-    for shape in shapes:
-        for name, (start, _) in shape.intervals.items():
+    starts: dict[str, list[float]] = {name: [] for name in parent_of}
+    for spans in intervals:
+        for name, (start, _) in spans.items():
             starts[name].append(start)
-    mean_start = {name: sum(values) / len(shapes) for name, values in starts.items()}
+    mean_start = {name: sum(values) / len(intervals) for name, values in starts.items()}
 
-    calls = {name: _parallel_groups(kids, shapes, mean_start) for name, kids in children.items()}
-    graph = CallGraph(compose_calls(reference.root, calls))
-    lost = set(reference.parent_of).difference(graph.functions())
-    if lost:
-        segments = log.traces[reference.trace_id]
-        raise UnreachableSegment(min(s.segment_id for s in segments if s.name in lost))
-    return graph
+    calls = {name: _parallel_groups(kids, intervals, mean_start) for name, kids in children.items()}
+    return CallGraph(compose_calls(root, calls))
 
 
 # --- declarative graph files -------------------------------------------------

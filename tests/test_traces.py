@@ -37,7 +37,6 @@ from faastune.traces import (
     TraceLog,
     TraceSegment,
     _parallel_groups,
-    _TraceShape,
     _parse_lines,
     _segment_from_record,
     graph_to_dict,
@@ -85,26 +84,6 @@ def test_baas_segments_are_kept_by_the_parser():
     )
     kinds = [s.kind for s in log.all_segments()]
     assert kinds == ["function", "baas"]
-
-
-def test_unknown_parent_is_an_orphan():
-    with pytest.raises(OrphanSegment):
-        _log(_line(seg="s1"), _line(seg="s2", parent="nope", name="f2"))
-
-
-def test_two_parentless_segments_is_multiple_roots():
-    with pytest.raises(MultipleRoots):
-        _log(_line(seg="s1"), _line(seg="s2", name="f2"))
-
-
-def test_segments_naming_each_other_as_parent_are_unreachable():
-    with pytest.raises(UnreachableSegment) as excinfo:
-        _log(
-            _line(seg="root", name="root"),
-            _line(seg="a", parent="b", name="a"),
-            _line(seg="b", parent="a", name="b"),
-        )
-    assert excinfo.value.segment_id == "a"
 
 
 def test_nan_time_reports_line_number():
@@ -525,9 +504,8 @@ def test_overlap_vote_matches_the_pairwise_reference():
                 start = rng.choice((0.0, 0.5, 1.0, 1.5, 2.0))
                 spans[name] = (start, start + rng.choice((0.0, 0.5, 1.0, 2.5)))
             intervals.append(spans)
-        shapes = [_TraceShape(f"t{i}", "root", {}, spans) for i, spans in enumerate(intervals)]
         mean_start = {m: sum(t[m][0] for t in intervals) / n_traces for m in siblings}
-        assert _parallel_groups(siblings, shapes, mean_start) == reference_parallel_groups(
+        assert _parallel_groups(siblings, intervals, mean_start) == reference_parallel_groups(
             siblings, intervals, mean_start
         )
         for i, a in enumerate(siblings):
@@ -573,6 +551,27 @@ def test_duplicate_function_in_one_trace_rejected():
         build_call_graph(log)
 
 
+@pytest.mark.parametrize("skipped", [
+    [],
+    [TraceSegment("x", "db", "orders-db", "baas", 0.0, 1.0)],
+    [TraceSegment("x", "q", "queue", "baas", 0.0, 2.0),
+     TraceSegment("x", "db", "orders-db", "baas", 0.5, 1.0, "q")],
+], ids=["empty", "one-backend", "backends-only"])
+def test_a_trace_without_function_segments_is_skipped(skipped):
+    """Such a trace says nothing about the functions: the graph is the one
+    the other traces give, and only a log of such traces is empty."""
+    app = generate_app(shape="petstore", seed=3)
+    log = run_load(app, dict.fromkeys(app.graph.functions(), 256), 3, random.Random(0))
+    beside = TraceLog({"x": skipped, **log.traces})
+    assert build_call_graph(beside) == build_call_graph(log) == app.graph
+    assert build_call_graph(parse_trace_file(io.StringIO(_written(beside)))) == app.graph
+    alone = TraceLog({"x": skipped})
+    for rebuild in (lambda: build_call_graph(alone),
+                    lambda: build_call_graph(parse_trace_file(io.StringIO(_written(alone))))):
+        with pytest.raises(EmptyAfterFiltering):
+            rebuild()
+
+
 def test_baas_only_traces_are_empty_after_filtering():
     log = TraceLog({"t1": [TraceSegment("t1", "s1", "db", "baas", 0.0, 1.0)]})
     with pytest.raises(EmptyAfterFiltering):
@@ -589,37 +588,42 @@ def test_function_invoked_by_baas_is_rejected():
         build_call_graph(log)
 
 
-def _segment(segment_id, parent_id, name, start=0.0, end=1.0):
-    return TraceSegment("t1", segment_id, name, "function", start, end, parent_id, 128)
+# Traces of one function root and more segments, each (segment_id, parent_id,
+# name, kind), that break the tree rule; with the error they raise and the
+# segment or trace it names.
+_MALFORMED_TREES = {
+    "function-orphan": ([("a", "zzz", "a", "function")], OrphanSegment, "a"),
+    "function-second-root": ([("b", None, "b", "function")], MultipleRoots, "t1"),
+    "function-cycle": ([("a", "b", "a", "function"), ("b", "a", "b", "function")],
+                       UnreachableSegment, "a"),
+    "backend-orphan": ([("db", "nope", "db", "baas")], OrphanSegment, "db"),
+    "backend-second-root": ([("db", None, "db", "baas")], MultipleRoots, "t1"),
+    "backend-cycle": ([("x", "y", "x-db", "baas"), ("y", "x", "y-db", "baas")],
+                      UnreachableSegment, "x"),
+    "duplicate-id": ([("a", "root", "a", "function"), ("a", "root", "b", "function")],
+                     ParseError, "a"),
+    "duplicate-id-with-child": ([("a", "root", "a", "function"), ("a", "root", "b", "function"),
+                                 ("c", "a", "c", "function")], ParseError, "a"),
+}
 
 
-def test_in_memory_cycle_is_unreachable_not_dropped():
-    log = TraceLog({"t1": [
-        _segment("root", None, "root", 0.0, 3.0),
-        _segment("a", "b", "a"),
-        _segment("b", "a", "b"),
+@pytest.mark.parametrize("case", sorted(_MALFORMED_TREES))
+def test_a_malformed_tree_fails_alike_from_a_file_and_in_memory(case):
+    rest, error, culprit = _MALFORMED_TREES[case]
+    log = TraceLog({"t1": [TraceSegment("t1", "root", "root", "function", 0.0, 3.0, None, 128)] + [
+        TraceSegment("t1", segment_id, name, kind, 0.0, 1.0, parent_id,
+                     128 if kind == "function" else None)
+        for segment_id, parent_id, name, kind in rest
     ]})
-    assert len(extract_samples(log)) == 3
-    with pytest.raises(UnreachableSegment) as excinfo:
+    assert len(extract_samples(log)) == sum(s.kind == "function" for s in log.all_segments())
+    with pytest.raises(error) as from_file:
+        parse_trace_file(io.StringIO(_written(log)))
+    with pytest.raises(error) as in_memory:
         build_call_graph(log)
-    assert excinfo.value.segment_id == "a"
-
-
-def test_in_memory_second_root_is_multiple_roots():
-    log = TraceLog({"t1": [
-        _segment("root", None, "root", 0.0, 3.0),
-        _segment("other", None, "other", 0.0, 1.0),
-    ]})
-    with pytest.raises(MultipleRoots) as excinfo:
-        build_call_graph(log)
-    assert excinfo.value.trace_id == "t1"
-
-
-def test_in_memory_unknown_parent_is_an_orphan():
-    log = TraceLog({"t1": [_segment("root", None, "root", 0.0, 3.0), _segment("a", "zzz", "a")]})
-    with pytest.raises(OrphanSegment) as excinfo:
-        build_call_graph(log)
-    assert excinfo.value.segment_id == "a"
+    for raised in (from_file.value, in_memory.value):
+        assert repr(culprit) in str(raised)
+    if error is not ParseError:  # a ParseError names its line, which is 0 in memory
+        assert vars(in_memory.value) == vars(from_file.value)
 
 
 @st.composite
@@ -627,7 +631,8 @@ def edited_logs(draw):
     """A ``run_load`` log of 3-5 traces of a generated app whose functions
     may call backends, with one edit in one trace: a function segment
     dropped, a function renamed to a sibling's name, a function re-parented
-    to another function or to a backend, or a backend segment dropped.
+    to another function or to a backend, a backend segment dropped or
+    re-parented to an id no segment has, or one segment given another's id.
     Returns the generating graph, the edit and the edited log."""
     shape = draw(st.sampled_from(("chain", "random", "demo6", "demo10", "petstore")))
     app = generate_app(draw(st.integers(1, 8)), shape, seed=draw(st.integers(0, 2**16)))
@@ -647,11 +652,11 @@ def edited_logs(draw):
                 if s is not t and s.parent_id is not None and s.parent_id == t.parent_id]
     edits = ["drop-function"]
     if len(segments) > 1:
-        edits.append("re-parent")
+        edits += ["re-parent", "duplicate-id"]
     if siblings:
         edits.append("rename")
     if backends:
-        edits.append("drop-backend")
+        edits += ["drop-backend", "orphan-backend"]
     edit = draw(st.sampled_from(edits))
     if edit in ("drop-function", "drop-backend"):
         dropped = draw(st.sampled_from(functions if edit == "drop-function" else backends))
@@ -659,6 +664,13 @@ def edited_logs(draw):
     elif edit == "rename":
         renamed, sibling = draw(st.sampled_from(siblings))
         segments = [s._replace(name=sibling.name) if s is renamed else s for s in segments]
+    elif edit == "orphan-backend":
+        moved = draw(st.sampled_from(backends))
+        segments = [s._replace(parent_id="no-such-segment") if s is moved else s for s in segments]
+    elif edit == "duplicate-id":
+        source, target = draw(st.permutations(segments))[:2]
+        segments = [s._replace(segment_id=source.segment_id) if s is target else s
+                    for s in segments]
     else:
         moved = draw(st.sampled_from(functions))
         parent = draw(st.sampled_from([s for s in segments if s is not moved]))
@@ -672,21 +684,27 @@ def edited_logs(draw):
 @settings(max_examples=500, deadline=None)
 def test_an_edited_trace_rebuilds_its_graph_or_raises_a_typed_error(case):
     """One edited trace among the log's others: ``build_call_graph`` returns
-    the generating graph or raises a ``FaastuneError``, on the log in memory
-    and after writing and parsing it. A renamed function always raises, and
-    a dropped backend segment never changes the graph."""
+    the generating graph or raises a ``FaastuneError``, and it ends alike on
+    the log in memory and after writing and parsing it: the same graph or
+    the same error type. A renamed function, an orphaned backend and a
+    repeated segment id always raise, and a dropped backend segment never
+    changes the graph."""
     graph, edit, log = case
-    buffer = io.StringIO()
-    write_trace_file(log, buffer)
-    for rebuild in (lambda: build_call_graph(log),
-                    lambda: build_call_graph(parse_trace_file(io.StringIO(buffer.getvalue())))):
+
+    def outcome(rebuild):
         try:
-            rebuilt = rebuild()
-        except FaastuneError:
-            assert edit != "drop-backend"
-            continue
-        assert edit != "rename"
-        assert rebuilt == graph
+            return rebuild()
+        except FaastuneError as exc:
+            return type(exc)
+
+    in_memory = outcome(lambda: build_call_graph(log))
+    assert in_memory == outcome(lambda: build_call_graph(parse_trace_file(io.StringIO(_written(log)))))
+    if edit == "drop-backend":
+        assert in_memory == graph
+    elif edit in ("rename", "orphan-backend", "duplicate-id"):
+        assert isinstance(in_memory, type)
+    elif not isinstance(in_memory, type):
+        assert in_memory == graph
 
 
 # --- samples -----------------------------------------------------------------
