@@ -86,6 +86,26 @@ def test_baas_segments_are_kept_by_the_parser():
     assert kinds == ["function", "baas"]
 
 
+def test_unknown_parent_is_an_orphan():
+    with pytest.raises(OrphanSegment):
+        _log(_line(seg="s1"), _line(seg="s2", parent="nope", name="f2"))
+
+
+def test_two_parentless_segments_is_multiple_roots():
+    with pytest.raises(MultipleRoots):
+        _log(_line(seg="s1"), _line(seg="s2", name="f2"))
+
+
+def test_segments_naming_each_other_as_parent_are_unreachable():
+    with pytest.raises(UnreachableSegment) as excinfo:
+        _log(
+            _line(seg="root", name="root"),
+            _line(seg="a", parent="b", name="a"),
+            _line(seg="b", parent="a", name="b"),
+        )
+    assert excinfo.value.segment_id == "a"
+
+
 def test_nan_time_reports_line_number():
     record = json.loads(_line(seg="s2", parent="s1", name="f2"))
     record["end_time"] = float("nan")
@@ -586,6 +606,39 @@ def test_function_invoked_by_baas_is_rejected():
     )
     with pytest.raises(InconsistentTopology):
         build_call_graph(log)
+
+
+def _segment(segment_id, parent_id, name, start=0.0, end=1.0):
+    return TraceSegment("t1", segment_id, name, "function", start, end, parent_id, 128)
+
+
+def test_in_memory_cycle_is_unreachable_not_dropped():
+    log = TraceLog({"t1": [
+        _segment("root", None, "root", 0.0, 3.0),
+        _segment("a", "b", "a"),
+        _segment("b", "a", "b"),
+    ]})
+    assert len(extract_samples(log)) == 3
+    with pytest.raises(UnreachableSegment) as excinfo:
+        build_call_graph(log)
+    assert excinfo.value.segment_id == "a"
+
+
+def test_in_memory_second_root_is_multiple_roots():
+    log = TraceLog({"t1": [
+        _segment("root", None, "root", 0.0, 3.0),
+        _segment("other", None, "other", 0.0, 1.0),
+    ]})
+    with pytest.raises(MultipleRoots) as excinfo:
+        build_call_graph(log)
+    assert excinfo.value.trace_id == "t1"
+
+
+def test_in_memory_unknown_parent_is_an_orphan():
+    log = TraceLog({"t1": [_segment("root", None, "root", 0.0, 3.0), _segment("a", "zzz", "a")]})
+    with pytest.raises(OrphanSegment) as excinfo:
+        build_call_graph(log)
+    assert excinfo.value.segment_id == "a"
 
 
 # Traces of one function root and more segments, each (segment_id, parent_id,
