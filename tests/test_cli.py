@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from faastune.cli import main
 from faastune.traces import graph_to_dict
 from faastune import generate_app, load_app, run_load, write_trace_file
+from faastune.sim import SHAPES
 
 
 @pytest.fixture()
@@ -447,6 +448,27 @@ def test_petstore_validation_and_traces_are_pinned(workdir):
     write_trace_file(run_load(petstore, config, 20, random.Random(13)), trace)
     digest = hashlib.sha256(trace.getvalue().encode()).hexdigest()
     assert digest == golden["petstore/run-load-trace"]
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["default", "noisy"])
+@pytest.mark.parametrize("seed", ["5", "8"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_profile_tables_are_pinned(workdir, shape, seed, noisy):
+    """sha256 of the `profile` table of every shape at two seeds, at the
+    simulator's default noise and at jitter cv 0.05 with 2 % cold starts."""
+    golden = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
+    app = workdir / "app.json"
+    profiles = workdir / "profiles.csv"
+    assert main(["generate-app", "--shape", shape, "--functions", "6", "--seed", seed,
+                 "--out", str(app)]) == 0
+    if noisy:
+        spec = json.loads(app.read_text())
+        for fields in spec["functions"].values():
+            fields.update(jitter_cv=0.05, cold_start_prob=0.02)
+        app.write_text(json.dumps(spec))
+    assert main(["profile", "--app", str(app), "--seed", seed, "--out", str(profiles)]) == 0
+    key = f"profile/{shape}-{seed}" + ("-noisy" if noisy else "")
+    assert hashlib.sha256(profiles.read_bytes()).hexdigest() == golden[key]
 
 
 def test_timing_sidecar_keeps_wall_time_out_of_artifacts(workdir):
