@@ -26,7 +26,7 @@ from .model import (
     SloSpec,
     check_configuration,
 )
-from .traces import extract_samples, load_manual_graph, read_json, write_json
+from .traces import load_manual_graph, read_json, write_json
 
 EXIT_CODES_HELP = """exit codes:
   0  success
@@ -111,8 +111,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     ladder = args.ladder or MemoryLadder()
     rng = random.Random(args.seed)
     try:
-        log = sim.profile_application(app, ladder, k_per_level=args.requests, rng=rng)
-        samples = extract_samples(log)
+        samples = sim.profile_samples(app, ladder, k_per_level=args.requests, rng=rng)
         if args.alpha is not None:
             alpha = args.alpha
         else:

@@ -20,6 +20,7 @@ from typing import Iterator, Mapping
 from .errors import InvalidShape, SchemaError
 from .model import (
     CallGraph,
+    ExecutionSample,
     FunctionNode,
     GraphNode,
     MemoryLadder,
@@ -31,6 +32,7 @@ from .profiles import percentile_linear
 from .traces import (
     TraceLog,
     TraceSegment,
+    _new_sample,
     compose_calls,
     graph_from_dict,
     graph_to_dict,
@@ -402,6 +404,7 @@ def profile_application(
 
     Starts at the smallest (default) memory and walks the ladder upward,
     reconfiguring all functions together; returns the concatenated log.
+    :func:`profile_samples` draws the same samples without the log.
     """
     rng = rng or random.Random(0)
     merged = TraceLog()
@@ -412,14 +415,47 @@ def profile_application(
     return merged
 
 
-def end_to_end_durations(log: TraceLog) -> list[float]:
-    """Per-trace span from first segment start to last segment end."""
-    durations = []
-    for segments in log.traces.values():
-        start = min(s.start_time for s in segments)
-        end = max(s.end_time for s in segments)
-        durations.append(end - start)
-    return durations
+def profile_samples(
+    app: SimApp,
+    ladder: MemoryLadder,
+    k_per_level: int = 50,
+    rng: random.Random | None = None,
+) -> list[ExecutionSample]:
+    """``extract_samples(profile_application(...))``, drawn without a trace.
+
+    The same rungs, requests and random draws in the same order, one sample
+    per invocation in plan order, each duration read as ``(start + duration)
+    - start``, as it is read off a segment. Raises ValueError wherever
+    building the trace does: on a request whose finish is not finite, on a
+    function whose span overflows when ``run_load`` splits it among its
+    backend calls, and on a backend call with an empty name.
+    """
+    rng = rng or random.Random(0)
+    names = [name for name, _, _ in app._plan]
+    backends = [app.baas_children.get(name, ()) for name in names]
+    # ``run_load`` times backend call j of n at ``start + duration * j / n``;
+    # with n >= 3 calls, ``duration * (n - 1)`` can overflow although the
+    # span's end does not.
+    splits = [(i, len(calls) - 1) for i, calls in enumerate(backends) if len(calls) >= 3]
+    unnamed = not all(map(all, backends))
+    samples: list[ExecutionSample] = []
+    extend = samples.extend
+    for memory_mb in ladder.effective():
+        config = {name: memory_mb for name in app.graph.functions()}
+        for starts, durations, colds, finish in _simulate(app, config, k_per_level, rng):
+            if not finish < math.inf:
+                raise ValueError("simulated request latencies must be finite")
+            for i, last in splits:
+                if not durations[i] * last < math.inf:
+                    raise ValueError(f"the span of {names[i]!r} is too long to split "
+                                     f"among its {last + 1} backend calls")
+            if unnamed:
+                raise ValueError("backend call names must be non-empty")
+            extend([
+                _new_sample(ExecutionSample, name, memory_mb, (start + duration) - start, cold)
+                for name, start, duration, cold in zip(names, starts, durations, colds)
+            ])
+    return samples
 
 
 @dataclass(frozen=True)

@@ -325,26 +325,34 @@ def _trace_shape(
     trace_id: str, segments: list[TraceSegment]
 ) -> tuple[dict[str, str | None], dict[str, tuple[float, float]]] | None:
     """A checked trace's parent of each function and ``(start, end)`` of
-    each function, both by name; None when it holds no function segment."""
+    each function, both by name; None when it holds no function segment.
+
+    Every segment must carry ``trace_id`` (:class:`ParseError` at line 0
+    otherwise): a parsed trace always does, a log built in memory may not.
+    """
     by_id = _check_tree(trace_id, segments)
     parent_of: dict[str, str | None] = {}
     intervals: dict[str, tuple[float, float]] = {}
-    for s in segments:
-        if s.kind != "function":
+    for trace, segment_id, name, kind, start_time, end_time, parent_id, _, _ in segments:
+        if trace != trace_id:
+            raise ParseError(
+                0, f"trace {trace_id!r} holds segment {segment_id!r} of trace {trace!r}"
+            )
+        if kind != "function":
             continue
-        if s.name in intervals:
-            raise DuplicateFunction(s.name)
-        intervals[s.name] = (s.start_time, s.end_time)
-        if s.parent_id is None:
-            parent_of[s.name] = None
+        if name in intervals:
+            raise DuplicateFunction(name)
+        intervals[name] = (start_time, end_time)
+        if parent_id is None:
+            parent_of[name] = None
             continue
-        parent = by_id[s.parent_id]
+        parent = by_id[parent_id]
         if parent.kind != "function":
             raise InconsistentTopology(
-                f"trace {trace_id!r}: function {s.name!r} is invoked by "
+                f"trace {trace_id!r}: function {name!r} is invoked by "
                 f"backend service {parent.name!r}, which cannot be modeled"
             )
-        parent_of[s.name] = parent.name
+        parent_of[name] = parent.name
     return (parent_of, intervals) if intervals else None
 
 

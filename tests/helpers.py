@@ -13,6 +13,7 @@ from faastune import (
     Parallel,
     Sequence,
     SloSpec,
+    TraceLog,
     estimate_time,
     generate_app,
 )
@@ -66,6 +67,16 @@ def schedule_end_to_end(graph: CallGraph, times: dict[str, float]) -> float:
         return max(finish(child, t0) for child in node.children)
 
     return finish(graph.root, 0.0)
+
+
+def end_to_end_durations(log: TraceLog) -> list[float]:
+    """Per-trace span from first segment start to last segment end."""
+    durations = []
+    for segments in log.traces.values():
+        start = min(s.start_time for s in segments)
+        end = max(s.end_time for s in segments)
+        durations.append(end - start)
+    return durations
 
 
 def reference_greedy(graph: CallGraph, profiles, ladder: MemoryLadder, slo: SloSpec):

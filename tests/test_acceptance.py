@@ -30,8 +30,7 @@ from faastune import (
     select_alpha,
     validate_config,
 )
-from faastune.sim import end_to_end_durations
-from helpers import random_instance, random_monotone_profile
+from helpers import end_to_end_durations, random_instance, random_monotone_profile
 
 SHAPE_SEEDS = {"demo3": 101, "demo6": 102, "demo10": 103, "petstore": 104}
 SLO_MULTIPLIERS = (1.2, 1.5, 2.0)

@@ -210,6 +210,13 @@ def pipeline_files(tmp_path_factory):
     spec["functions"]["f1"]["jitter_cv"] = 1e308
     jitter_overflow_app = workdir / "jitter-overflow.json"
     jitter_overflow_app.write_text(json.dumps(spec))
+    # A 1e308 s span split among three backend calls: ``duration * 2`` overflows.
+    spec = json.loads(app.read_text())
+    spec["functions"]["f2"] = {"kind": "baas_bound", "baas_latency_s": 1e308,
+                               "cold_start_s": 0.0, "cold_start_prob": 0.0, "jitter_cv": 0.0}
+    spec["baas_children"] = {"f2": ["db", "queue", "cache"]}
+    split_overflow_app = workdir / "split-overflow.json"
+    split_overflow_app.write_text(json.dumps(spec))
     return {"app": str(app), "profiles": str(profiles), "result": str(result),
             "parallel_app": str(parallel_app), "short_profiles": str(short_profiles),
             "nan_profiles": str(nan_profiles), "list_config": str(list_config),
@@ -224,6 +231,7 @@ def pipeline_files(tmp_path_factory):
             "long_field_profiles": str(long_field_profiles),
             "function_list_app": str(function_list_app),
             "overflow_app": str(overflow_app), "jitter_overflow_app": str(jitter_overflow_app),
+            "split_overflow_app": str(split_overflow_app),
             "bool_work_app": str(bool_work_app), "bool_probability_app": str(bool_probability_app),
             "int_shape_app": str(int_shape_app), "function_key_app": str(function_key_app),
             "empty_result": str(empty_result),
@@ -312,8 +320,9 @@ def test_out_of_range_input_exits_2_with_error_line(pipeline_files, argv, capsys
     ["validate", "--app", "{overflow_app}", "--config", "{result}", "--slo", "4"],
     ["profile", "--app", "{jitter_overflow_app}"],
     ["validate", "--app", "{jitter_overflow_app}", "--config", "{result}", "--slo", "4"],
+    ["profile", "--app", "{split_overflow_app}"],
 ], ids=["profile-too-few-samples", "profile-latency-overflow", "validate-latency-overflow",
-        "profile-jitter-overflow", "validate-jitter-overflow"])
+        "profile-jitter-overflow", "validate-jitter-overflow", "profile-backend-split-overflow"])
 def test_simulation_failure_exits_3_with_error_line(pipeline_files, argv, capsys):
     argv = [arg.format(**pipeline_files) for arg in argv] + ["--out", pipeline_files["out"]]
     assert main(argv) == 3

@@ -23,6 +23,7 @@ from faastune import (
     generate_app,
     load_app,
     profile_application,
+    profile_samples,
     run_load,
     save_app,
     validate_config,
@@ -32,8 +33,9 @@ from faastune import model
 from faastune.errors import InvalidShape
 from faastune.model import CallGraph
 from faastune.profiles import percentile_linear
-from faastune.sim import CPU_SATURATION_MB, SHAPES, ValidationReport, end_to_end_durations
+from faastune.sim import CPU_SATURATION_MB, SHAPES, ValidationReport
 from faastune.traces import compose_calls, graph_to_dict
+from helpers import end_to_end_durations
 
 
 def _compute_spec(work=512.0, **kw):
@@ -485,6 +487,91 @@ def test_profile_application_covers_every_level():
     samples = extract_samples(log)
     profiles = build_profiles(samples, ladder, alpha=95)  # no MissingCell
     assert set(profiles) == set(app.graph.functions())
+
+
+def _profiled(sampler, app, ladder, k, seed):
+    """The samples ``sampler`` draws (ValueError if it raises one), their
+    durations' hex forms and the generator's state afterwards."""
+    rng = random.Random(seed)
+    try:
+        samples = sampler(app, ladder, k_per_level=k, rng=rng)
+    except ValueError:
+        return ValueError, None, rng.getstate()
+    return samples, [s.duration_s.hex() for s in samples], rng.getstate()
+
+
+def _traced_samples(app, ladder, k_per_level, rng):
+    return extract_samples(profile_application(app, ladder, k_per_level=k_per_level, rng=rng))
+
+
+@pytest.mark.parametrize("noise", [None, (0.05, 0.02), (0.0, 0.0)], ids=["default", "noisy", "zero"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_profile_samples_are_the_samples_of_the_profiling_traces(shape, noise):
+    app = generate_app(9, shape, seed=4)
+    if noise is not None:
+        jitter_cv, cold_start_prob = noise
+        app = dataclasses.replace(app, specs={
+            name: dataclasses.replace(spec, jitter_cv=jitter_cv, cold_start_prob=cold_start_prob)
+            for name, spec in app.specs.items()
+        })
+    drawn = _profiled(profile_samples, app, MemoryLadder(), 12, seed=4)
+    assert drawn == _profiled(_traced_samples, app, MemoryLadder(), 12, seed=4)
+    assert len(drawn[0]) == 5 * 12 * len(app.graph.functions())
+
+
+# Latencies around a float's range: 6e307 s splits among two backend calls
+# but not among three, and 1e308 s run after anything else overflows.
+_PROFILED_SPECS = {
+    "compute": _compute_spec(work=300.0, jitter_cv=0.05, cold_start_prob=0.1, cold_start_s=0.2),
+    "backend": SimFunctionSpec(kind="baas_bound", baas_latency_s=0.25, jitter_cv=0.04),
+    "huge": SimFunctionSpec(kind="baas_bound", baas_latency_s=6e307),
+    "overflowing": SimFunctionSpec(kind="baas_bound", baas_latency_s=1e308),
+}
+
+
+@given(
+    call_tables(),
+    st.lists(st.sampled_from(sorted(_PROFILED_SPECS)), min_size=10, max_size=10),
+    st.lists(st.integers(0, 4), min_size=10, max_size=10),
+    st.sets(st.sampled_from(model.DEFAULT_MEMORY_MB), min_size=1),
+    st.integers(0, 5),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_profile_samples_draw_and_fail_as_the_trace_path_does(table, kinds, backends, rungs, k,
+                                                              seed):
+    """Equal samples, bit for bit, or a ValueError from both paths, with the
+    generator left in the same state either way."""
+    calls, _ = table
+    graph = CallGraph(compose_calls("f1", calls))
+    names = graph.functions()
+    specs = {name: _PROFILED_SPECS[kind] for name, kind in zip(names, kinds)}
+    baas = {name: tuple(f"{name}-db{j}" for j in range(count))
+            for name, count in zip(names, backends) if count}
+    app = SimApp(graph=graph, specs=specs, baas_children=baas)
+    ladder = MemoryLadder(values=tuple(sorted(rungs)), cap_mb=None)
+    assert (_profiled(profile_samples, app, ladder, k, seed)
+            == _profiled(_traced_samples, app, ladder, k, seed))
+
+
+def _petstore_payment(latency_s, backends):
+    app = generate_app(shape="petstore", seed=2)
+    payment = dataclasses.replace(app.specs["pet-payment"], baas_latency_s=latency_s, jitter_cv=0.0)
+    return dataclasses.replace(app, specs={**app.specs, "pet-payment": payment},
+                               baas_children={**app.baas_children, "pet-payment": backends})
+
+
+@pytest.mark.parametrize("latency_s,backends,fails", [
+    (1e308, ("db", "queue", "cache"), True),  # 1e308 * 2 overflows
+    (1e308, ("db", "queue"), False),  # 1e308 * 1 does not
+    (0.25, ("db", ""), True),  # run_load cannot name the second call
+    (0.25, (), False),
+], ids=["three-backends-overflow", "two-backends", "unnamed-backend", "no-backend"])
+def test_profile_samples_raise_where_building_the_trace_does(latency_s, backends, fails):
+    app = _petstore_payment(latency_s, backends)
+    drawn = _profiled(profile_samples, app, MemoryLadder(), 3, seed=0)
+    assert drawn == _profiled(_traced_samples, app, MemoryLadder(), 3, seed=0)
+    assert (drawn[0] is ValueError) == fails
 
 
 def test_validate_config_with_huge_slo_fully_conforms():

@@ -641,6 +641,28 @@ def test_in_memory_unknown_parent_is_an_orphan():
     assert excinfo.value.segment_id == "a"
 
 
+@pytest.mark.parametrize("foreign", [("r", "c"), ("db",)], ids=["every-segment", "one-backend"])
+def test_in_memory_segment_of_another_trace_is_rejected(foreign):
+    """A trace's segments must carry its id. With every segment foreign, the
+    log holds trace "b" twice, and its written file repeats segment ids."""
+    def segment(segment_id, parent_id, name, kind, start, end):
+        trace_id = "b" if segment_id in foreign else "a"
+        memory_mb = 128 if kind == "function" else None
+        return TraceSegment(trace_id, segment_id, name, kind, start, end, parent_id, memory_mb)
+
+    segments = [segment("r", None, "f1", "function", 0.0, 2.0),
+                segment("db", "r", "orders-db", "baas", 0.0, 1.0),
+                segment("c", "r", "f2", "function", 1.0, 2.0)]
+    if foreign == ("r", "c"):
+        segments = [s for s in segments if s.kind == "function"]
+    log = TraceLog({"a": segments, "b": [s._replace(trace_id="b") for s in segments]})
+    with pytest.raises(ParseError) as excinfo:
+        build_call_graph(log)
+    assert "trace 'a'" in str(excinfo.value) and "of trace 'b'" in str(excinfo.value)
+    with pytest.raises(ParseError, match="duplicate segment_id"):
+        parse_trace_file(io.StringIO(_written(log)))
+
+
 # Traces of one function root and more segments, each (segment_id, parent_id,
 # name, kind), that break the tree rule; with the error they raise and the
 # segment or trace it names.
