@@ -519,8 +519,9 @@ def test_profile_samples_are_the_samples_of_the_profiling_traces(shape, noise):
     assert len(drawn[0]) == 5 * 12 * len(app.graph.functions())
 
 
-# Latencies around a float's range: 6e307 s splits among two backend calls
-# but not among three, and 1e308 s run after anything else overflows.
+# Latencies near a float's limit: a 6e307 s span splits among three backend
+# calls but not four (6e307 * 3 overflows), a 1e308 s span among two but not
+# three, and a few such spans in sequence overflow the request's finish.
 _PROFILED_SPECS = {
     "compute": _compute_spec(work=300.0, jitter_cv=0.05, cold_start_prob=0.1, cold_start_s=0.2),
     "backend": SimFunctionSpec(kind="baas_bound", baas_latency_s=0.25, jitter_cv=0.04),
