@@ -120,9 +120,11 @@ class SimApp:
         functions = set(self.graph.functions())
         if set(self.specs) != functions:
             raise ValueError("specs must cover exactly the graph's functions")
-        for parent in self.baas_children:
+        for parent, backends in self.baas_children.items():
             if parent not in functions:
                 raise ValueError(f"baas_children parent {parent!r} is not a function")
+            if not isinstance(backends, (tuple, list)) or not all(type(b) is str and b for b in backends):
+                raise ValueError(f"backends of {parent!r} must be a list of non-empty strings")
         object.__setattr__(self, "_plan", _invocation_plan(self.graph.root))
 
     def noiseless(self) -> "SimApp":
@@ -305,7 +307,7 @@ def _simulate(
     penalty. Each request draws its invocations in plan order and starts
     each one at the latest end of the invocations its plan entry lists
     (the root at 0). Every invocation ends by the time its invoker
-    finishes, so the request's finish is its latest end.
+    finishes, so the request's finish is its latest end (ValueError, once drawn, if not finite).
     """
     table = []
     for name, _, after in app._plan:
@@ -343,7 +345,10 @@ def _simulate(
             durations.append(duration)
             colds.append(cold)
             ends.append(start + duration)
-        yield starts, durations, colds, max(ends)
+        finish = max(ends)
+        if not finish < math.inf:
+            raise ValueError("simulated request latencies must be finite")
+        yield starts, durations, colds, finish
 
 
 def run_load(
@@ -363,7 +368,14 @@ def run_load(
     start time. Backend children appear as ``baas`` segments that split
     their function's span evenly, the last ending with the function.
     """
-    log = TraceLog()
+    return TraceLog(_load_traces(app, config, k_requests, rng, trace_prefix))
+
+
+def _load_traces(
+    app: SimApp, config: Mapping[str, int], k_requests: int, rng: random.Random, trace_prefix: str
+) -> dict[str, list[TraceSegment]]:
+    """The traces of :func:`run_load` by trace id, before the log checks them."""
+    traces: dict[str, list[TraceSegment]] = {}
     plan = app._plan
     backends = [app.baas_children.get(name, ()) for name, _, _ in plan]
     requests = _simulate(app, config, k_requests, rng)
@@ -390,8 +402,8 @@ def run_load(
                     trace_id, f"{segment_id}.b{j}", backend, "baas",
                     start + duration * j / n, end, segment_id,
                 ))
-        log.traces[trace_id] = segments
-    return log
+        traces[trace_id] = segments
+    return traces
 
 
 def profile_application(
@@ -407,12 +419,11 @@ def profile_application(
     :func:`profile_samples` draws the same samples without the log.
     """
     rng = rng or random.Random(0)
-    merged = TraceLog()
+    traces: dict[str, list[TraceSegment]] = {}
     for memory_mb in ladder.effective():
         config = {name: memory_mb for name in app.graph.functions()}
-        level = run_load(app, config, k_per_level, rng, trace_prefix=f"m{memory_mb}")
-        merged.traces.update(level.traces)
-    return merged
+        traces.update(_load_traces(app, config, k_per_level, rng, f"m{memory_mb}"))
+    return TraceLog(traces)
 
 
 def profile_samples(
@@ -426,9 +437,8 @@ def profile_samples(
     The same rungs, requests and random draws in the same order, one sample
     per invocation in plan order, each duration read as ``(start + duration)
     - start``, as it is read off a segment. Raises ValueError wherever
-    building the trace does: on a request whose finish is not finite, on a
-    function whose span overflows when ``run_load`` splits it among its
-    backend calls, and on a backend call with an empty name.
+    building the trace does: on a request whose finish is not finite and on
+    a span too long to split among its backend calls as ``run_load`` does.
     """
     rng = rng or random.Random(0)
     names = [name for name, _, _ in app._plan]
@@ -437,20 +447,15 @@ def profile_samples(
     # with n >= 3 calls, ``duration * (n - 1)`` can overflow although the
     # span's end does not.
     splits = [(i, len(calls) - 1) for i, calls in enumerate(backends) if len(calls) >= 3]
-    unnamed = not all(map(all, backends))
     samples: list[ExecutionSample] = []
     extend = samples.extend
     for memory_mb in ladder.effective():
         config = {name: memory_mb for name in app.graph.functions()}
-        for starts, durations, colds, finish in _simulate(app, config, k_per_level, rng):
-            if not finish < math.inf:
-                raise ValueError("simulated request latencies must be finite")
+        for starts, durations, colds, _ in _simulate(app, config, k_per_level, rng):
             for i, last in splits:
                 if not durations[i] * last < math.inf:
                     raise ValueError(f"the span of {names[i]!r} is too long to split "
                                      f"among its {last + 1} backend calls")
-            if unnamed:
-                raise ValueError("backend call names must be non-empty")
             extend([
                 _new_sample(ExecutionSample, name, memory_mb, (start + duration) - start, cold)
                 for name, start, duration, cold in zip(names, starts, durations, colds)
@@ -496,10 +501,10 @@ def validate_config(
     rng: random.Random | None = None,
 ) -> ValidationReport:
     """Issue validation requests and report the fraction meeting the SLO."""
+    if n_requests < 1:
+        raise ValueError(f"n_requests must be at least 1, got {n_requests!r}")
     rng = rng or random.Random(0)
     durations = [finish for _, _, _, finish in _simulate(app, config, n_requests, rng)]
-    if not math.isfinite(max(durations)):
-        raise ValueError("simulated request latencies must be finite")
     within = sum(1 for d in durations if d <= slo.slo_seconds)
     return ValidationReport(
         n_requests=n_requests,
@@ -547,7 +552,7 @@ def load_app(path: str | Path) -> SimApp:
     try:
         graph = CallGraph(graph_from_dict(data["graph"]))
         specs = {name: SimFunctionSpec(**fields) for name, fields in data["functions"].items()}
-        baas = {k: tuple(v) for k, v in data.get("baas_children", {}).items()}
+        baas = {k: tuple(v) if type(v) is list else v for k, v in data.get("baas_children", {}).items()}
         shape = data.get("shape", "custom")
         if not isinstance(shape, str):
             raise ValueError(f"shape must be a string, got {shape!r}")

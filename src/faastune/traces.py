@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
@@ -95,11 +96,21 @@ class TraceSegment(_SegmentFields):
         return self.end_time - self.start_time
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceLog:
-    """Segments grouped by trace, in file/emission order."""
+    """Segments grouped by trace, in file/emission order. Each trace must
+    be one tree (:func:`_check_tree`) when built; ``traces`` is read-only."""
 
-    traces: dict[str, list[TraceSegment]] = field(default_factory=dict)
+    traces: Mapping[str, tuple[TraceSegment, ...]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        traces = {trace_id: tuple(segments) for trace_id, segments in self.traces.items()}
+        for trace_id, segments in traces.items():
+            _check_tree(trace_id, segments)
+        object.__setattr__(self, "traces", MappingProxyType(traces))
+
+    def __reduce__(self):  # a mapping proxy does not pickle; the dict it shows does
+        return TraceLog, (dict(self.traces),)
 
     def all_segments(self) -> Iterator[TraceSegment]:
         for segments in self.traces.values():
@@ -192,32 +203,31 @@ def parse_trace_file(source: str | Path | IO[str]) -> TraceLog:
 
     Malformed lines and segment ids repeated within a trace raise
     :class:`ParseError` with their line number; each trace must then form
-    one tree (:func:`_check_tree`: :class:`OrphanSegment`,
-    :class:`MultipleRoots` or :class:`UnreachableSegment` otherwise).
+    one tree, as every :class:`TraceLog` does.
     """
     if hasattr(source, "read"):
-        log = _parse_lines(iter(source))  # type: ignore[arg-type]
+        traces = _parse_lines(iter(source))  # type: ignore[arg-type]
     else:
         with open(source) as fh:
-            log = _parse_lines(fh)
-    for trace_id, segments in log.traces.items():
-        _check_tree(trace_id, segments)
-    return log
+            traces = _parse_lines(fh)
+    return TraceLog(traces)
 
 
-def _check_tree(trace_id: str, segments: list[TraceSegment]) -> dict[str, TraceSegment]:
-    """The segments of one trace by id, once they are checked to form one tree.
+def _check_tree(trace_id: str, segments: tuple[TraceSegment, ...]) -> None:
+    """Check that the segments of one trace form one tree.
 
-    Segment ids must be unique and the trace must have a root segment
-    (:class:`ParseError` at line 0 otherwise), parent ids must resolve
-    (:class:`OrphanSegment`), exactly one segment may lack a parent
-    (:class:`MultipleRoots`) and every segment must reach it through its
-    parents (:class:`UnreachableSegment`, which catches cycles).
+    Each segment must carry ``trace_id``, ids must be unique and the trace
+    must have a root segment (:class:`ParseError` at line 0 otherwise),
+    parent ids must resolve (:class:`OrphanSegment`), exactly one segment
+    may lack a parent (:class:`MultipleRoots`) and every segment must reach
+    it through its parents (:class:`UnreachableSegment`, catching cycles).
     """
     by_id: dict[str, TraceSegment] = {}
     children: dict[str | None, list[str]] = {}
     for s in segments:
         segment_id = s.segment_id
+        if s.trace_id != trace_id:
+            raise ParseError(0, f"trace {trace_id!r} holds segment {segment_id!r} of trace {s.trace_id!r}")
         by_id[segment_id] = s
         children.setdefault(s.parent_id, []).append(segment_id)
     if len(by_id) != len(segments):
@@ -231,7 +241,7 @@ def _check_tree(trace_id: str, segments: list[TraceSegment]) -> dict[str, TraceS
     for segment_id in reached:
         reached.extend(children.get(segment_id, ()))
     if len(roots) == 1 and len(reached) == len(segments):
-        return by_id
+        return
     for s in segments:
         if s.parent_id is not None and s.parent_id not in by_id:
             raise OrphanSegment(s.segment_id)
@@ -247,9 +257,8 @@ def _check_tree(trace_id: str, segments: list[TraceSegment]) -> dict[str, TraceS
 _DECODER = json.JSONDecoder()
 
 
-def _parse_lines(lines: Iterable[str]) -> TraceLog:
-    log = TraceLog()
-    buckets = log.traces
+def _parse_lines(lines: Iterable[str]) -> dict[str, list[TraceSegment]]:
+    buckets: dict[str, list[TraceSegment]] = {}
     seen: set[tuple[str, str]] = set()
     raw_decode = _DECODER.raw_decode
     for line_no, line in enumerate(lines, start=1):
@@ -284,7 +293,7 @@ def _parse_lines(lines: Iterable[str]) -> TraceLog:
             buckets[trace_id] = [segment]
         else:
             bucket.append(segment)
-    return log
+    return buckets
 
 
 def write_trace_file(log: TraceLog, target: str | Path | IO[str]) -> None:
@@ -322,22 +331,14 @@ def extract_samples(log: TraceLog) -> list[ExecutionSample]:
 
 
 def _trace_shape(
-    trace_id: str, segments: list[TraceSegment]
+    trace_id: str, segments: tuple[TraceSegment, ...]
 ) -> tuple[dict[str, str | None], dict[str, tuple[float, float]]] | None:
     """A checked trace's parent of each function and ``(start, end)`` of
-    each function, both by name; None when it holds no function segment.
-
-    Every segment must carry ``trace_id`` (:class:`ParseError` at line 0
-    otherwise): a parsed trace always does, a log built in memory may not.
-    """
-    by_id = _check_tree(trace_id, segments)
+    each function, both by name; None when it holds no function segment."""
+    by_id = {s.segment_id: s for s in segments}
     parent_of: dict[str, str | None] = {}
     intervals: dict[str, tuple[float, float]] = {}
-    for trace, segment_id, name, kind, start_time, end_time, parent_id, _, _ in segments:
-        if trace != trace_id:
-            raise ParseError(
-                0, f"trace {trace_id!r} holds segment {segment_id!r} of trace {trace!r}"
-            )
+    for _, _, name, kind, start_time, end_time, parent_id, _, _ in segments:
         if kind != "function":
             continue
         if name in intervals:
@@ -425,22 +426,16 @@ def compose_calls(root: str, calls: Mapping[str, list[list[str]]]) -> GraphNode:
 def build_call_graph(log: TraceLog) -> CallGraph:
     """Reconstruct the application call graph from one or more traces.
 
-    Each trace must pass :func:`_check_tree`, as a parsed one does, so a
-    log built in memory fails as its written file would. Backend-service
-    segments are then dropped, and a trace with no segments or only backend
-    segments is skipped (:class:`EmptyAfterFiltering` when every trace is).
+    Each trace is one tree, as in every :class:`TraceLog`. Backend-service
+    segments are dropped, and a trace with only backend segments is skipped
+    (:class:`EmptyAfterFiltering` when every trace is).
     All traces must agree on which function invokes which
     (:class:`InconsistentTopology` otherwise); parallel-versus-sequence
     classification of siblings is decided by majority vote over the traces'
     interval overlaps, and sequential siblings are ordered by mean start
     time.
     """
-    shapes = []
-    for trace_id, segments in log.traces.items():
-        # A file cannot hold an empty trace; skip one built in memory alike.
-        shape = _trace_shape(trace_id, segments) if segments else None
-        if shape is not None:
-            shapes.append(shape)
+    shapes = [s for s in map(_trace_shape, log.traces, log.traces.values()) if s is not None]
     if not shapes:
         raise EmptyAfterFiltering("no function segments in any trace")
 

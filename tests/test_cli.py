@@ -217,6 +217,14 @@ def pipeline_files(tmp_path_factory):
     spec["baas_children"] = {"f2": ["db", "queue", "cache"]}
     split_overflow_app = workdir / "split-overflow.json"
     split_overflow_app.write_text(json.dumps(spec))
+    # Backend names that are not a JSON list of non-empty strings.
+    backend_apps = {}
+    for kind, backends in (("string", "payments-db"), ("number", [7]), ("nested", [["x"]]),
+                           ("empty", [""])):
+        spec = json.loads(app.read_text())
+        spec["baas_children"] = {"f2": backends}
+        backend_apps[f"{kind}_backend_app"] = workdir / f"{kind}-backend.json"
+        backend_apps[f"{kind}_backend_app"].write_text(json.dumps(spec))
     return {"app": str(app), "profiles": str(profiles), "result": str(result),
             "parallel_app": str(parallel_app), "short_profiles": str(short_profiles),
             "nan_profiles": str(nan_profiles), "list_config": str(list_config),
@@ -237,6 +245,7 @@ def pipeline_files(tmp_path_factory):
             "empty_result": str(empty_result),
             "list_config_result": str(list_config_result),
             **{key: str(path) for key, path in seed_apps.items()},
+            **{key: str(path) for key, path in backend_apps.items()},
             "results": str(workdir), "out": str(workdir / "out.json")}
 
 
@@ -292,6 +301,9 @@ def pipeline_files(tmp_path_factory):
     ["profile", "--app", "{float_seed_app}"],
     ["profile", "--app", "{text_seed_app}"],
     ["profile", "--app", "{function_key_app}"],
+    *[[command, "--app", f"{{{kind}_backend_app}}", *rest]
+      for kind in ("string", "number", "nested", "empty")
+      for command, *rest in (["profile"], ["validate", "--config", "{result}", "--slo", "4"])],
 ], ids=["slo-0", "slo-nan", "slo-inf", "price-0", "price-nan", "profiles-not-a-table",
         "alpha-150", "validate-slo-negative", "validate-percentile-0",
         "profile-no-entry-function", "validate-no-entry-function",
@@ -307,7 +319,9 @@ def pipeline_files(tmp_path_factory):
         "profiles-field-too-long", "profile-app-functions-list", "profile-app-bool-work",
         "profile-app-bool-cold-start-prob", "profile-app-int-shape", "report-empty-result",
         "report-list-config", "profile-app-bool-seed", "profile-app-float-seed",
-        "profile-app-text-seed", "profile-app-function-key"])
+        "profile-app-text-seed", "profile-app-function-key",
+        *[f"{command}-app-{kind}-backend" for kind in ("string", "number", "nested", "empty")
+          for command in ("profile", "validate")]])
 def test_out_of_range_input_exits_2_with_error_line(pipeline_files, argv, capsys):
     argv = [arg.format(**pipeline_files) for arg in argv] + ["--out", pipeline_files["out"]]
     assert main(argv) == 2

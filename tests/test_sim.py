@@ -166,6 +166,8 @@ def test_simulation_rejects_non_positive_memory_and_non_finite_specs():
     config = {f: 128 for f in app.graph.functions()}
     with pytest.raises(ValueError, match="must be positive"):
         validate_config(app, {**config, "f2": -128}, SloSpec(1.0))
+    with pytest.raises(ValueError, match="n_requests must be at least 1"):
+        validate_config(app, config, SloSpec(1.0), n_requests=0)
     chain = generate_app(2, "chain", seed=0)
     huge = {name: _compute_spec(work=1.5e308) for name in chain.specs}
     with pytest.raises(ValueError, match="finite"):  # 1.5e308 s twice overflows
@@ -393,6 +395,14 @@ def test_backend_calls_end_within_their_function():
     assert report.max_s == function.end_time
 
 
+@pytest.mark.parametrize("backends", ["payments-db", [7], [["x"]], [""], ("db", None)],
+                         ids=["string", "number", "nested-list", "empty-name", "none"])
+def test_backend_names_must_be_non_empty_strings(backends):
+    app = generate_app(shape="petstore", seed=2)
+    with pytest.raises(ValueError, match="'pet-payment' must be a list of non-empty strings"):
+        dataclasses.replace(app, baas_children={"pet-payment": backends})
+
+
 def test_unrealizable_graph_rejected_by_sim_app():
     graph = CallGraph(Parallel((FunctionNode("f1"), FunctionNode("f2"))))
     specs = {name: _compute_spec() for name in graph.functions()}
@@ -565,10 +575,14 @@ def _petstore_payment(latency_s, backends):
 @pytest.mark.parametrize("latency_s,backends,fails", [
     (1e308, ("db", "queue", "cache"), True),  # 1e308 * 2 overflows
     (1e308, ("db", "queue"), False),  # 1e308 * 1 does not
-    (0.25, ("db", ""), True),  # run_load cannot name the second call
+    (0.25, ("db", ""), None),  # no app has a call run_load cannot name
     (0.25, (), False),
 ], ids=["three-backends-overflow", "two-backends", "unnamed-backend", "no-backend"])
 def test_profile_samples_raise_where_building_the_trace_does(latency_s, backends, fails):
+    if fails is None:
+        with pytest.raises(ValueError, match="non-empty strings"):
+            _petstore_payment(latency_s, backends)
+        return
     app = _petstore_payment(latency_s, backends)
     drawn = _profiled(profile_samples, app, MemoryLadder(), 3, seed=0)
     assert drawn == _profiled(_traced_samples, app, MemoryLadder(), 3, seed=0)

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import io
 import json
+import pickle
 import random
 from collections import Counter
 
@@ -36,9 +38,11 @@ from faastune.traces import (
     SEGMENT_KINDS,
     TraceLog,
     TraceSegment,
+    _check_tree,
     _parallel_groups,
     _parse_lines,
     _segment_from_record,
+    _segment_to_record,
     graph_to_dict,
 )
 
@@ -131,6 +135,16 @@ def test_missing_required_key_reports_line_number():
 def test_duplicate_segment_id_rejected():
     with pytest.raises(ParseError):
         _log(_line(seg="s1"), _line(seg="s1", name="f2", parent="s1"))
+
+
+def test_a_built_log_is_read_only_and_so_are_its_copies():
+    log = _log(_line(seg="s1"), _line(seg="s2", parent="s1", name="f2"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        log.traces = {}
+    for value in (log, pickle.loads(pickle.dumps(log)), copy.deepcopy(log)):
+        assert value == log and type(value.traces["t1"]) is tuple
+        with pytest.raises(TypeError):
+            value.traces["t2"] = value.traces["t1"]
 
 
 def test_round_trip_is_lossless():
@@ -291,6 +305,13 @@ def _written(log: TraceLog) -> str:
     return buffer.getvalue()
 
 
+def _dumped(traces: dict[str, list[TraceSegment]]) -> str:
+    """The lines ``write_trace_file`` would write for these segments, which
+    need not form a valid :class:`TraceLog`."""
+    return "".join(json.dumps(_segment_to_record(s)) + "\n"
+                   for segments in traces.values() for s in segments)
+
+
 @given(trace_logs())
 @settings(max_examples=80, deadline=None)
 def test_written_logs_parse_back_to_themselves(log):
@@ -379,7 +400,7 @@ def test_each_line_decodes_as_json_loads_does(log, data):
     ))
     line = data.draw(_AFFIXES) + body + data.draw(_AFFIXES)
     if not line.strip():
-        assert _parse_lines([line]).traces == {}  # blank lines are skipped
+        assert _parse_lines([line]) == {}  # blank lines are skipped
         return
     expected = _record_check(line.strip())
     if isinstance(expected, str):
@@ -388,7 +409,7 @@ def test_each_line_decodes_as_json_loads_does(log, data):
         assert (excinfo.value.line, excinfo.value.reason) == (1, expected)
     else:
         parsed = _parse_lines([line])
-        assert repr(list(parsed.all_segments())) == repr([expected])
+        assert repr(list(parsed.values())) == repr([[expected]])
         fields = expected._asdict()
         assert fields == {**fields, **json.loads(line.strip())}  # the decoded record's values
 
@@ -572,11 +593,10 @@ def test_duplicate_function_in_one_trace_rejected():
 
 
 @pytest.mark.parametrize("skipped", [
-    [],
     [TraceSegment("x", "db", "orders-db", "baas", 0.0, 1.0)],
     [TraceSegment("x", "q", "queue", "baas", 0.0, 2.0),
      TraceSegment("x", "db", "orders-db", "baas", 0.5, 1.0, "q")],
-], ids=["empty", "one-backend", "backends-only"])
+], ids=["one-backend", "backends-only"])
 def test_a_trace_without_function_segments_is_skipped(skipped):
     """Such a trace says nothing about the functions: the graph is the one
     the other traces give, and only a log of such traces is empty."""
@@ -590,6 +610,14 @@ def test_a_trace_without_function_segments_is_skipped(skipped):
                     lambda: build_call_graph(parse_trace_file(io.StringIO(_written(alone))))):
         with pytest.raises(EmptyAfterFiltering):
             rebuild()
+
+
+def test_an_empty_trace_is_rejected_when_the_log_is_built():
+    """An empty trace has no root, so no log holds one (a file cannot)."""
+    with pytest.raises(ParseError) as excinfo:
+        TraceLog({"t1": [TraceSegment("t1", "s1", "f1", "function", 0.0, 1.0, None, 128)],
+                  "x": []})
+    assert (excinfo.value.line, excinfo.value.reason) == (0, "trace 'x' has no root segment")
 
 
 def test_baas_only_traces_are_empty_after_filtering():
@@ -613,31 +641,27 @@ def _segment(segment_id, parent_id, name, start=0.0, end=1.0):
 
 
 def test_in_memory_cycle_is_unreachable_not_dropped():
-    log = TraceLog({"t1": [
-        _segment("root", None, "root", 0.0, 3.0),
-        _segment("a", "b", "a"),
-        _segment("b", "a", "b"),
-    ]})
-    assert len(extract_samples(log)) == 3
     with pytest.raises(UnreachableSegment) as excinfo:
-        build_call_graph(log)
+        TraceLog({"t1": [
+            _segment("root", None, "root", 0.0, 3.0),
+            _segment("a", "b", "a"),
+            _segment("b", "a", "b"),
+        ]})
     assert excinfo.value.segment_id == "a"
 
 
 def test_in_memory_second_root_is_multiple_roots():
-    log = TraceLog({"t1": [
-        _segment("root", None, "root", 0.0, 3.0),
-        _segment("other", None, "other", 0.0, 1.0),
-    ]})
     with pytest.raises(MultipleRoots) as excinfo:
-        build_call_graph(log)
+        TraceLog({"t1": [
+            _segment("root", None, "root", 0.0, 3.0),
+            _segment("other", None, "other", 0.0, 1.0),
+        ]})
     assert excinfo.value.trace_id == "t1"
 
 
 def test_in_memory_unknown_parent_is_an_orphan():
-    log = TraceLog({"t1": [_segment("root", None, "root", 0.0, 3.0), _segment("a", "zzz", "a")]})
     with pytest.raises(OrphanSegment) as excinfo:
-        build_call_graph(log)
+        TraceLog({"t1": [_segment("root", None, "root", 0.0, 3.0), _segment("a", "zzz", "a")]})
     assert excinfo.value.segment_id == "a"
 
 
@@ -655,12 +679,12 @@ def test_in_memory_segment_of_another_trace_is_rejected(foreign):
                 segment("c", "r", "f2", "function", 1.0, 2.0)]
     if foreign == ("r", "c"):
         segments = [s for s in segments if s.kind == "function"]
-    log = TraceLog({"a": segments, "b": [s._replace(trace_id="b") for s in segments]})
+    traces = {"a": segments, "b": [s._replace(trace_id="b") for s in segments]}
     with pytest.raises(ParseError) as excinfo:
-        build_call_graph(log)
+        TraceLog(traces)
     assert "trace 'a'" in str(excinfo.value) and "of trace 'b'" in str(excinfo.value)
     with pytest.raises(ParseError, match="duplicate segment_id"):
-        parse_trace_file(io.StringIO(_written(log)))
+        parse_trace_file(io.StringIO(_dumped(traces)))
 
 
 # Traces of one function root and more segments, each (segment_id, parent_id,
@@ -685,16 +709,15 @@ _MALFORMED_TREES = {
 @pytest.mark.parametrize("case", sorted(_MALFORMED_TREES))
 def test_a_malformed_tree_fails_alike_from_a_file_and_in_memory(case):
     rest, error, culprit = _MALFORMED_TREES[case]
-    log = TraceLog({"t1": [TraceSegment("t1", "root", "root", "function", 0.0, 3.0, None, 128)] + [
+    traces = {"t1": [TraceSegment("t1", "root", "root", "function", 0.0, 3.0, None, 128)] + [
         TraceSegment("t1", segment_id, name, kind, 0.0, 1.0, parent_id,
                      128 if kind == "function" else None)
         for segment_id, parent_id, name, kind in rest
-    ]})
-    assert len(extract_samples(log)) == sum(s.kind == "function" for s in log.all_segments())
+    ]}
     with pytest.raises(error) as from_file:
-        parse_trace_file(io.StringIO(_written(log)))
+        parse_trace_file(io.StringIO(_dumped(traces)))
     with pytest.raises(error) as in_memory:
-        build_call_graph(log)
+        TraceLog(traces)
     for raised in (from_file.value, in_memory.value):
         assert repr(culprit) in str(raised)
     if error is not ParseError:  # a ParseError names its line, which is 0 in memory
@@ -708,7 +731,7 @@ def edited_logs(draw):
     dropped, a function renamed to a sibling's name, a function re-parented
     to another function or to a backend, a backend segment dropped or
     re-parented to an id no segment has, or one segment given another's id.
-    Returns the generating graph, the edit and the edited log."""
+    Returns the generating graph, the edit and the edited traces by id."""
     shape = draw(st.sampled_from(("chain", "random", "demo6", "demo10", "petstore")))
     app = generate_app(draw(st.integers(1, 8)), shape, seed=draw(st.integers(0, 2**16)))
     if not app.baas_children:
@@ -751,20 +774,19 @@ def edited_logs(draw):
         parent = draw(st.sampled_from([s for s in segments if s is not moved]))
         segments = [s._replace(parent_id=parent.segment_id) if s is moved else s
                     for s in segments]
-    log.traces[trace_id] = segments
-    return app.graph, edit, log
+    return app.graph, edit, {**log.traces, trace_id: segments}
 
 
 @given(edited_logs())
 @settings(max_examples=500, deadline=None)
 def test_an_edited_trace_rebuilds_its_graph_or_raises_a_typed_error(case):
-    """One edited trace among the log's others: ``build_call_graph`` returns
-    the generating graph or raises a ``FaastuneError``, and it ends alike on
-    the log in memory and after writing and parsing it: the same graph or
-    the same error type. A renamed function, an orphaned backend and a
-    repeated segment id always raise, and a dropped backend segment never
-    changes the graph."""
-    graph, edit, log = case
+    """One edited trace among the log's others: building the log and its
+    graph returns the generating graph or raises a ``FaastuneError``, and it
+    ends alike in memory and after writing and parsing the segments: the
+    same graph or the same error type, unless the edit empties the trace.
+    A renamed function, an orphaned backend and a repeated segment id
+    always raise, and a dropped backend segment never changes the graph."""
+    graph, edit, traces = case
 
     def outcome(rebuild):
         try:
@@ -772,14 +794,34 @@ def test_an_edited_trace_rebuilds_its_graph_or_raises_a_typed_error(case):
         except FaastuneError as exc:
             return type(exc)
 
-    in_memory = outcome(lambda: build_call_graph(log))
-    assert in_memory == outcome(lambda: build_call_graph(parse_trace_file(io.StringIO(_written(log)))))
+    in_memory = outcome(lambda: build_call_graph(TraceLog(traces)))
+    from_file = outcome(lambda: build_call_graph(parse_trace_file(io.StringIO(_dumped(traces)))))
+    if not all(traces.values()):
+        # A trace emptied by the edit has no root, so the log rejects it; its
+        # file holds no line of it, and the other traces give the graph.
+        assert (in_memory, from_file) == (ParseError, graph)
+        return
+    assert in_memory == from_file
     if edit == "drop-backend":
         assert in_memory == graph
     elif edit in ("rename", "orphan-backend", "duplicate-id"):
         assert isinstance(in_memory, type)
     elif not isinstance(in_memory, type):
         assert in_memory == graph
+
+
+def test_parsing_then_building_the_graph_checks_each_trace_once(monkeypatch):
+    app = generate_app(shape="petstore", seed=3)
+    text = _written(run_load(app, dict.fromkeys(app.graph.functions(), 256), 4, random.Random(0)))
+    checked = []
+
+    def counted(trace_id, segments):
+        checked.append(trace_id)
+        return _check_tree(trace_id, segments)
+
+    monkeypatch.setattr("faastune.traces._check_tree", counted)
+    assert build_call_graph(parse_trace_file(io.StringIO(text))) == app.graph
+    assert checked == [f"req-{i:05d}" for i in range(4)]
 
 
 # --- samples -----------------------------------------------------------------
