@@ -224,36 +224,62 @@ def save_profiles(profiles: Mapping[str, FunctionProfile], path: str | Path) -> 
 
 
 def load_profiles(path: str | Path) -> dict[str, FunctionProfile]:
-    """Read profiles written by :func:`save_profiles` (samples are not kept)."""
+    """Read profiles written by :func:`save_profiles` (samples are not kept).
+
+    The header must name every column of :data:`PROFILE_COLUMNS`, each
+    once; other columns are ignored. Blank lines are skipped. A row with
+    fewer or more fields than the header, a repeated (function, memory)
+    row, an alpha that differs between a function's rows, a representative
+    that is negative or not finite, or a negative sample count raises
+    ValueError.
+    """
     rows: dict[str, dict[int, tuple[float, int]]] = {}
     alphas: dict[str, float] = {}
     with open(path, newline="") as fh:
         try:
-            reader = csv.DictReader(fh)
-            missing = set(PROFILE_COLUMNS) - set(reader.fieldnames or ())
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            missing = set(PROFILE_COLUMNS) - set(header)
             if missing:
                 raise ValueError(f"profile file missing columns: {sorted(missing)}")
+            if len(set(header)) < len(header):
+                repeated = sorted({name for name in header if header.count(name) > 1})
+                raise ValueError(f"{path}: line {reader.line_num}: columns named twice: {repeated}")
+            width = len(header)
+            at_function, at_memory, at_alpha, at_representative, at_count = map(
+                header.index, PROFILE_COLUMNS)
             for row in reader:
-                if None in row.values():
-                    raise ValueError(f"{path}: line {reader.line_num}: missing fields")
-                function = row["function"]
-                alpha = float(row["alpha"])
+                if not row:
+                    continue  # a blank line
+                if len(row) != width:
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: missing fields" if len(row) < width else
+                        f"{path}: line {reader.line_num}: {len(row)} fields, the header names {width}"
+                    )
+                function = row[at_function]
+                alpha = float(row[at_alpha])
                 if alphas.setdefault(function, alpha) != alpha:
                     raise ValueError(f"inconsistent alpha for function {function!r}")
-                representative = float(row["representative_s"])
+                representative = float(row[at_representative])
                 if not 0 <= representative < math.inf:
                     raise ValueError(
                         f"{path}: line {reader.line_num}: representative_s must be "
-                        f"finite and non-negative, got {row['representative_s']!r}"
+                        f"finite and non-negative, got {row[at_representative]!r}"
                     )
                 by_memory = rows.setdefault(function, {})
-                memory_mb = int(row["memory_mb"])
+                memory_mb = int(row[at_memory])
                 if memory_mb in by_memory:
                     raise ValueError(
                         f"{path}: line {reader.line_num}: duplicate row for "
                         f"{function!r} at {memory_mb} MB"
                     )
-                by_memory[memory_mb] = (representative, int(row["sample_count"]))
+                sample_count = int(row[at_count])
+                if sample_count < 0:
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: sample_count must be "
+                        f"non-negative, got {row[at_count]!r}"
+                    )
+                by_memory[memory_mb] = (representative, sample_count)
         except csv.Error as exc:  # for one, a field longer than csv.field_size_limit()
             raise ValueError(f"{path}: {exc}") from None
     profiles: dict[str, FunctionProfile] = {}

@@ -324,10 +324,12 @@ def _simulate(
             sigma = math.sqrt(math.log(1.0 + spec.jitter_cv**2))
             mu = -0.5 * sigma * sigma  # unit-mean lognormal
         # ``ends`` below holds the request's start (0) before the
-        # invocations' ends, so plan index k reads ends[k + 1].
+        # invocations' ends, so plan index k reads ends[k + 1]. An entry
+        # that waits on one end keeps it as a plain index.
         after = tuple(k + 1 for k in after) or (0,)
-        table.append((base, mu, sigma, spec.cold_start_prob, spec.cold_start_s, after))
-    lognormvariate, rand = rng.lognormvariate, rng.random
+        table.append((base, mu, sigma, spec.cold_start_prob, spec.cold_start_s,
+                      after[0] if len(after) == 1 else after))
+    rand, log, exp, nv_magic = rng.random, math.log, math.exp, random.NV_MAGICCONST
     for _ in range(n_requests):
         starts: list[float] = []
         durations: list[float] = []
@@ -336,11 +338,20 @@ def _simulate(
         for base, mu, sigma, cold_prob, cold_s, after in table:
             duration = base
             if sigma is not None:
-                duration *= lognormvariate(mu, sigma)
+                # rng.lognormvariate(mu, sigma) inline: the Kinderman-Monahan
+                # loop of random.Random.normalvariate, operation for
+                # operation, so the draw and the generator state are its own.
+                while True:
+                    u1 = rand()
+                    u2 = 1.0 - rand()
+                    z = nv_magic * (u1 - 0.5) / u2
+                    if z * z / 4.0 <= -log(u2):
+                        break
+                duration *= exp(mu + z * sigma)
             cold = cold_prob > 0 and rand() < cold_prob
             if cold:
                 duration += cold_s
-            start = ends[after[0]] if len(after) == 1 else max(map(ends.__getitem__, after))
+            start = ends[after] if type(after) is int else max(map(ends.__getitem__, after))
             starts.append(start)
             durations.append(duration)
             colds.append(cold)

@@ -103,9 +103,18 @@ def pipeline_files(tmp_path_factory):
     spec["graph"] = {"kind": "parallel", "children": spec["graph"]["children"]}
     parallel_app = workdir / "parallel-root.json"
     parallel_app.write_text(json.dumps(spec))
-    header, _, *rest = profiles.read_text().splitlines(keepends=True)
+    header, first, *rest = profiles.read_text().splitlines(keepends=True)
     short_profiles = workdir / "short-row.csv"
     short_profiles.write_text(header + "f1,128\n" + "".join(rest))
+    # Tables that would load with a value dropped, with the last copy of a
+    # repeated column winning, or with a negative sample count.
+    extra_field_profiles = workdir / "extra-field.csv"
+    extra_field_profiles.write_text(header + first.rstrip("\r\n") + ",7\n" + "".join(rest))
+    repeated_column_profiles = workdir / "repeated-column.csv"
+    repeated_column_profiles.write_text("".join(
+        line.rstrip("\r\n") + "," + line.split(",")[2] + "\n" for line in [header, first, *rest]))
+    negative_count_profiles = workdir / "negative-count.csv"
+    negative_count_profiles.write_text(header + first.rsplit(",", 1)[0] + ",-1\n" + "".join(rest))
     nan_profiles = workdir / "nan.csv"
     nan_profiles.write_text(header + "f1,128,50.0,nan,20\n" + "".join(rest))
     list_config = workdir / "list-config.json"
@@ -227,6 +236,9 @@ def pipeline_files(tmp_path_factory):
         backend_apps[f"{kind}_backend_app"].write_text(json.dumps(spec))
     return {"app": str(app), "profiles": str(profiles), "result": str(result),
             "parallel_app": str(parallel_app), "short_profiles": str(short_profiles),
+            "extra_field_profiles": str(extra_field_profiles),
+            "repeated_column_profiles": str(repeated_column_profiles),
+            "negative_count_profiles": str(negative_count_profiles),
             "nan_profiles": str(nan_profiles), "list_config": str(list_config),
             "text_memory": str(text_memory), "zero_memory": str(zero_memory),
             "text_estimate": str(text_estimate), "duplicate_profiles": str(duplicate_profiles),
@@ -291,6 +303,9 @@ def pipeline_files(tmp_path_factory):
     ["profile", "--app", "{directory}"],
     ["optimize", "--app", "{app}", "--profiles", "{directory}", "--slo", "4"],
     ["optimize", "--app", "{app}", "--profiles", "{long_field_profiles}", "--slo", "4"],
+    ["optimize", "--app", "{app}", "--profiles", "{extra_field_profiles}", "--slo", "4"],
+    ["optimize", "--app", "{app}", "--profiles", "{repeated_column_profiles}", "--slo", "4"],
+    ["optimize", "--app", "{app}", "--profiles", "{negative_count_profiles}", "--slo", "4"],
     ["profile", "--app", "{function_list_app}"],
     ["profile", "--app", "{bool_work_app}"],
     ["profile", "--app", "{bool_probability_app}"],
@@ -316,7 +331,8 @@ def pipeline_files(tmp_path_factory):
         "validate-estimate-inf", "report-conformance-nan", "validate-config-deeply-nested",
         "optimize-graph-deeply-nested", "profile-app-deeply-nested", "profile-app-nan-work",
         "profile-app-binary", "profile-app-directory", "optimize-profiles-directory",
-        "profiles-field-too-long", "profile-app-functions-list", "profile-app-bool-work",
+        "profiles-field-too-long", "profiles-extra-field", "profiles-repeated-column",
+        "profiles-negative-sample-count", "profile-app-functions-list", "profile-app-bool-work",
         "profile-app-bool-cold-start-prob", "profile-app-int-shape", "report-empty-result",
         "report-list-config", "profile-app-bool-seed", "profile-app-float-seed",
         "profile-app-text-seed", "profile-app-function-key",

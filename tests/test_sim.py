@@ -29,7 +29,7 @@ from faastune import (
     validate_config,
     write_trace_file,
 )
-from faastune import model
+from faastune import model, sim
 from faastune.errors import InvalidShape
 from faastune.model import CallGraph
 from faastune.profiles import percentile_linear
@@ -376,6 +376,94 @@ def test_validation_times_requests_as_their_traces_do(table, backends, noise, me
     expected = _report_from(end_to_end_durations(run_load(app, config, 30, traced)), slo)
     assert validate_config(app, config, slo, n_requests=30, rng=validated) == expected
     assert validated.getstate() == traced.getstate()
+
+
+def _reference_walk(app, config, n_requests, rng):
+    """The simulator's walk drawn through ``rng.lognormvariate`` and
+    ``rng.random``, one invocation at a time, without the inline draw."""
+    table = []
+    for name, _, after in app._plan:
+        spec, memory_mb = app.specs[name], config[name]
+        if not memory_mb > 0:
+            raise ValueError(f"memory of {name!r} must be positive, got {memory_mb!r}")
+        if spec.kind == "baas_bound":
+            base = float(spec.baas_latency_s)
+        else:
+            base = spec.work / min(memory_mb, CPU_SATURATION_MB)
+        sigma = None
+        if spec.jitter_cv > 0:
+            sigma = math.sqrt(math.log(1.0 + spec.jitter_cv**2))
+        table.append((base, sigma, spec.cold_start_prob, spec.cold_start_s,
+                      tuple(k + 1 for k in after) or (0,)))
+    for _ in range(n_requests):
+        starts, durations, colds, ends = [], [], [], [0.0]
+        for base, sigma, cold_prob, cold_s, after in table:
+            duration = base
+            if sigma is not None:
+                duration *= rng.lognormvariate(-0.5 * sigma * sigma, sigma)
+            cold = cold_prob > 0 and rng.random() < cold_prob
+            if cold:
+                duration += cold_s
+            start = max(ends[k] for k in after)
+            starts.append(start)
+            durations.append(duration)
+            colds.append(cold)
+            ends.append(start + duration)
+        finish = max(ends)
+        if not finish < math.inf:
+            raise ValueError("simulated request latencies must be finite")
+        yield starts, durations, colds, finish
+
+
+def _walked(walk, app, config, n_requests, seed):
+    """Each request ``walk`` yields, its floats in hex, then the error that
+    ended the walk (if any), and the generator's state afterwards."""
+    rng = random.Random(seed)
+    requests = []
+    try:
+        for starts, durations, colds, finish in walk(app, config, n_requests, rng):
+            requests.append(([x.hex() for x in starts], [x.hex() for x in durations], colds,
+                             finish.hex()))
+    except (OverflowError, ValueError) as exc:
+        requests.append((type(exc), str(exc)))
+    return requests, rng.getstate()
+
+
+@given(
+    call_tables(),
+    st.lists(st.tuples(st.one_of(st.sampled_from((0.0, 1e-200)), st.floats(0.0, 10.0)),
+                       st.sampled_from((0.0, 0.02, 1.0))),
+             min_size=10, max_size=10),
+    st.lists(st.sampled_from((128, 256, 1024, 3008)), min_size=10, max_size=10),
+    st.sampled_from((None, None, None, "huge-root", "overflowing-cv")),
+    st.integers(1, 8),
+    st.integers(0, 2**32),
+)
+@example(({"f1": [["f2", "f3"], ["f6"]], "f2": [["f4", "f5"]], "f3": [], "f4": [["f7"]],
+           "f5": [], "f6": [], "f7": []}, {f"f{i}": 300.0 for i in range(1, 8)}),
+         [(1e-200, 0.0), (10.0, 1.0), (0.3, 0.02)] + [(0.05, 0.02)] * 7, [128] * 10, None, 8, 0)
+@settings(max_examples=200, deadline=None)
+def test_walk_draws_as_lognormvariate_does(table, noise, memories, extreme, n_requests, seed):
+    """The inline lognormal draw is ``random.Random.lognormvariate``'s, bit for
+    bit: equal requests, equal errors (a 1e308 s root overflows under jitter,
+    a 1e155 cv overflows its square) and equal generator states."""
+    calls, work = table
+    graph = CallGraph(compose_calls("f1", calls))
+    names = graph.functions()
+    specs = {
+        name: _compute_spec(work=work[name], jitter_cv=jitter_cv, cold_start_prob=cold_start_prob,
+                            cold_start_s=0.2)
+        for name, (jitter_cv, cold_start_prob) in zip(names, noise)
+    }
+    if extreme == "huge-root":
+        specs["f1"] = SimFunctionSpec(kind="baas_bound", baas_latency_s=1e308,
+                                      jitter_cv=specs["f1"].jitter_cv)
+    elif extreme == "overflowing-cv":
+        specs["f1"] = dataclasses.replace(specs["f1"], jitter_cv=1e155)
+    app = SimApp(graph=graph, specs=specs)
+    config = dict(zip(names, memories))
+    assert (_walked(sim._simulate, app, config, n_requests, seed)
+            == _walked(_reference_walk, app, config, n_requests, seed))
 
 
 def test_backend_calls_end_within_their_function():
