@@ -241,7 +241,8 @@ def load_profiles(path: str | Path) -> dict[str, FunctionProfile]:
             header = next(reader, [])
             missing = set(PROFILE_COLUMNS) - set(header)
             if missing:
-                raise ValueError(f"profile file missing columns: {sorted(missing)}")
+                raise ValueError(f"{path}: line {reader.line_num}: profile file missing "
+                                 f"columns: {sorted(missing)}")
             if len(set(header)) < len(header):
                 repeated = sorted({name for name in header if header.count(name) > 1})
                 raise ValueError(f"{path}: line {reader.line_num}: columns named twice: {repeated}")
@@ -259,7 +260,8 @@ def load_profiles(path: str | Path) -> dict[str, FunctionProfile]:
                 function = row[at_function]
                 alpha = float(row[at_alpha])
                 if alphas.setdefault(function, alpha) != alpha:
-                    raise ValueError(f"inconsistent alpha for function {function!r}")
+                    raise ValueError(f"{path}: line {reader.line_num}: inconsistent alpha "
+                                     f"for function {function!r}")
                 representative = float(row[at_representative])
                 if not 0 <= representative < math.inf:
                     raise ValueError(

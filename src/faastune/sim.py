@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -126,14 +126,6 @@ class SimApp:
             if not isinstance(backends, (tuple, list)) or not all(type(b) is str and b for b in backends):
                 raise ValueError(f"backends of {parent!r} must be a list of non-empty strings")
         object.__setattr__(self, "_plan", _invocation_plan(self.graph.root))
-
-    def noiseless(self) -> "SimApp":
-        """Copy with jitter and cold starts disabled; latencies become exact."""
-        specs = {
-            name: replace(spec, jitter_cv=0.0, cold_start_prob=0.0)
-            for name, spec in self.specs.items()
-        }
-        return replace(self, specs=specs)
 
 
 def _invocation_plan(root: GraphNode) -> tuple[_Invocation, ...]:
@@ -367,7 +359,6 @@ def run_load(
     config: Mapping[str, int],
     k_requests: int,
     rng: random.Random,
-    trace_prefix: str = "req",
 ) -> TraceLog:
     """Issue ``k_requests`` synchronous requests and record their traces.
 
@@ -377,9 +368,11 @@ def run_load(
     segment covers its own work, each group starts when the previous group
     (or the invoker's own work) finishes, and members of a group share a
     start time. Backend children appear as ``baas`` segments that split
-    their function's span evenly, the last ending with the function.
+    their function's span evenly: call j of n starts at ``start + duration
+    * (j / n)``, and the last ends with the function. Trace ids are
+    ``req-00000``, ``req-00001``, ...
     """
-    return TraceLog(_load_traces(app, config, k_requests, rng, trace_prefix))
+    return TraceLog(_load_traces(app, config, k_requests, rng, "req"))
 
 
 def _load_traces(
@@ -406,12 +399,12 @@ def _load_traces(
             ))
             n = len(backends[i])
             for j, backend in enumerate(backends[i]):
-                # The last call ends with its function, which
-                # ``start + duration * n / n`` can pass by an ulp.
-                end = start + duration if j == n - 1 else start + duration * (j + 1) / n
+                # ``j / n`` is at most 1, so no boundary passes the
+                # function's end or overflows; the last call ends with it.
+                end = start + duration if j == n - 1 else start + duration * ((j + 1) / n)
                 segments.append(TraceSegment(
                     trace_id, f"{segment_id}.b{j}", backend, "baas",
-                    start + duration * j / n, end, segment_id,
+                    start + duration * (j / n), end, segment_id,
                 ))
         traces[trace_id] = segments
     return traces
@@ -447,26 +440,17 @@ def profile_samples(
 
     The same rungs, requests and random draws in the same order, one sample
     per invocation in plan order, each duration read as ``(start + duration)
-    - start``, as it is read off a segment. Raises ValueError wherever
-    building the trace does: on a request whose finish is not finite and on
-    a span too long to split among its backend calls as ``run_load`` does.
+    - start``, as it is read off a segment. On a valid app both paths fail
+    only where the walker does: ValueError on a request whose finish is not
+    finite.
     """
     rng = rng or random.Random(0)
     names = [name for name, _, _ in app._plan]
-    backends = [app.baas_children.get(name, ()) for name in names]
-    # ``run_load`` times backend call j of n at ``start + duration * j / n``;
-    # with n >= 3 calls, ``duration * (n - 1)`` can overflow although the
-    # span's end does not.
-    splits = [(i, len(calls) - 1) for i, calls in enumerate(backends) if len(calls) >= 3]
     samples: list[ExecutionSample] = []
     extend = samples.extend
     for memory_mb in ladder.effective():
         config = {name: memory_mb for name in app.graph.functions()}
         for starts, durations, colds, _ in _simulate(app, config, k_per_level, rng):
-            for i, last in splits:
-                if not durations[i] * last < math.inf:
-                    raise ValueError(f"the span of {names[i]!r} is too long to split "
-                                     f"among its {last + 1} backend calls")
             extend([
                 _new_sample(ExecutionSample, name, memory_mb, (start + duration) - start, cold)
                 for name, start, duration, cold in zip(names, starts, durations, colds)

@@ -3,6 +3,7 @@ independent oracles the implementation is checked against."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from faastune import (
@@ -12,6 +13,7 @@ from faastune import (
     MemoryLadder,
     Parallel,
     Sequence,
+    SimApp,
     SloSpec,
     TraceLog,
     estimate_time,
@@ -50,6 +52,15 @@ def random_instance(rng: random.Random):
     all_min = estimate_time(graph, {f: rungs[0] for f in graph.functions()}, profiles)
     slo = SloSpec(rng.uniform(0.5 * all_max, max(1.1 * all_min, 0.6 * all_max)))
     return graph, profiles, ladder, slo
+
+
+def noiseless(app: SimApp) -> SimApp:
+    """Copy of ``app`` with jitter and cold starts disabled; latencies become exact."""
+    specs = {
+        name: dataclasses.replace(spec, jitter_cv=0.0, cold_start_prob=0.0)
+        for name, spec in app.specs.items()
+    }
+    return dataclasses.replace(app, specs=specs)
 
 
 def schedule_end_to_end(graph: CallGraph, times: dict[str, float]) -> float:

@@ -30,7 +30,7 @@ from faastune import (
     select_alpha,
     validate_config,
 )
-from helpers import end_to_end_durations, random_instance, random_monotone_profile
+from helpers import end_to_end_durations, noiseless, random_instance, random_monotone_profile
 
 SHAPE_SEEDS = {"demo3": 101, "demo6": 102, "demo10": 103, "petstore": 104}
 SLO_MULTIPLIERS = (1.2, 1.5, 2.0)
@@ -304,7 +304,7 @@ def test_criterion_8_round_trip_and_zero_jitter_consistency():
     worst_delta = 0.0
     for i in range(100):
         rng = random.Random(8000 + i)
-        app = generate_app(rng.randint(1, 12), "random", seed=8000 + i).noiseless()
+        app = noiseless(generate_app(rng.randint(1, 12), "random", seed=8000 + i))
         functions = app.graph.functions()
         config = {f: 128 for f in functions}
         log = run_load(app, config, 3, random.Random(i))

@@ -11,8 +11,21 @@ from hypothesis import given, settings, strategies as st
 
 from faastune.cli import main
 from faastune.traces import graph_to_dict
-from faastune import generate_app, load_app, run_load, write_trace_file
+from faastune import (
+    MemoryLadder,
+    build_profiles,
+    extract_samples,
+    generate_app,
+    load_app,
+    monotone_repair,
+    profile_application,
+    run_load,
+    save_profiles,
+    select_alpha,
+    write_trace_file,
+)
 from faastune.sim import SHAPES
+from profile_digests import SEEDS, profile_digest, profile_key
 
 
 @pytest.fixture()
@@ -219,7 +232,8 @@ def pipeline_files(tmp_path_factory):
     spec["functions"]["f1"]["jitter_cv"] = 1e308
     jitter_overflow_app = workdir / "jitter-overflow.json"
     jitter_overflow_app.write_text(json.dumps(spec))
-    # A 1e308 s span split among three backend calls: ``duration * 2`` overflows.
+    # A 1e308 s span split among three backend calls, although ``duration * 2``
+    # overflows a float.
     spec = json.loads(app.read_text())
     spec["functions"]["f2"] = {"kind": "baas_bound", "baas_latency_s": 1e308,
                                "cold_start_s": 0.0, "cold_start_prob": 0.0, "jitter_cv": 0.0}
@@ -350,13 +364,26 @@ def test_out_of_range_input_exits_2_with_error_line(pipeline_files, argv, capsys
     ["validate", "--app", "{overflow_app}", "--config", "{result}", "--slo", "4"],
     ["profile", "--app", "{jitter_overflow_app}"],
     ["validate", "--app", "{jitter_overflow_app}", "--config", "{result}", "--slo", "4"],
-    ["profile", "--app", "{split_overflow_app}"],
 ], ids=["profile-too-few-samples", "profile-latency-overflow", "validate-latency-overflow",
-        "profile-jitter-overflow", "validate-jitter-overflow", "profile-backend-split-overflow"])
+        "profile-jitter-overflow", "validate-jitter-overflow"])
 def test_simulation_failure_exits_3_with_error_line(pipeline_files, argv, capsys):
     argv = [arg.format(**pipeline_files) for arg in argv] + ["--out", pipeline_files["out"]]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_profile_splits_a_huge_span_among_three_backends(pipeline_files, workdir):
+    """The table of an app whose 1e308 s span three backend calls share is
+    the one profiling its traces gives."""
+    app_path = pipeline_files["split_overflow_app"]
+    out, expected = workdir / "profiles.csv", workdir / "expected.csv"
+    assert main(["profile", "--app", app_path, "--seed", "3", "--out", str(out)]) == 0
+    app, ladder = load_app(app_path), MemoryLadder()
+    samples = extract_samples(profile_application(app, ladder, rng=random.Random(3)))
+    alpha = select_alpha(samples, ladder, app.graph, seed=3)
+    built = build_profiles(samples, ladder, alpha)
+    save_profiles({name: monotone_repair(p) for name, p in built.items()}, expected)
+    assert out.read_text() == expected.read_text()
 
 
 @pytest.mark.parametrize("argv", [
@@ -490,24 +517,14 @@ def test_petstore_validation_and_traces_are_pinned(workdir):
 
 
 @pytest.mark.parametrize("noisy", [False, True], ids=["default", "noisy"])
-@pytest.mark.parametrize("seed", ["5", "8"])
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_profile_tables_are_pinned(workdir, shape, seed, noisy):
     """sha256 of the `profile` table of every shape at two seeds, at the
-    simulator's default noise and at jitter cv 0.05 with 2 % cold starts."""
+    simulator's default noise and at jitter cv 0.05 with 2 % cold starts
+    (``tests/profile_digests.py`` checks the same under any interpreter)."""
     golden = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
-    app = workdir / "app.json"
-    profiles = workdir / "profiles.csv"
-    assert main(["generate-app", "--shape", shape, "--functions", "6", "--seed", seed,
-                 "--out", str(app)]) == 0
-    if noisy:
-        spec = json.loads(app.read_text())
-        for fields in spec["functions"].values():
-            fields.update(jitter_cv=0.05, cold_start_prob=0.02)
-        app.write_text(json.dumps(spec))
-    assert main(["profile", "--app", str(app), "--seed", seed, "--out", str(profiles)]) == 0
-    key = f"profile/{shape}-{seed}" + ("-noisy" if noisy else "")
-    assert hashlib.sha256(profiles.read_bytes()).hexdigest() == golden[key]
+    assert profile_digest(workdir, shape, seed, noisy) == golden[profile_key(shape, seed, noisy)]
 
 
 def test_timing_sidecar_keeps_wall_time_out_of_artifacts(workdir):

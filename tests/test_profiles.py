@@ -237,3 +237,19 @@ def test_profile_csv_round_trip(tmp_path):
     assert loaded["f1"].alpha == 90
     assert loaded["f1"].representatives == profiles["f1"].representatives
     assert loaded["f1"].sample_count(128) == 3
+
+
+_HEADER = "function,memory_mb,alpha,representative_s,sample_count\n"
+
+
+@pytest.mark.parametrize("table,line,message", [
+    ("function,memory_mb,alpha\nf1,128,95\n", 1,
+     "profile file missing columns: ['representative_s', 'sample_count']"),
+    (_HEADER + "f1,128,50,1.0,3\n\nf1,256,90,0.5,3\n", 4, "inconsistent alpha for function 'f1'"),
+], ids=["missing-columns", "inconsistent-alpha"])
+def test_load_profiles_errors_name_the_file_and_line(tmp_path, table, line, message):
+    path = tmp_path / "profiles.csv"
+    path.write_text(table)
+    with pytest.raises(ValueError) as raised:
+        load_profiles(path)
+    assert str(raised.value) == f"{path}: line {line}: {message}"

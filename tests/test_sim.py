@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -35,7 +36,7 @@ from faastune.model import CallGraph
 from faastune.profiles import percentile_linear
 from faastune.sim import CPU_SATURATION_MB, SHAPES, ValidationReport
 from faastune.traces import compose_calls, graph_to_dict
-from helpers import end_to_end_durations
+from helpers import end_to_end_durations, noiseless
 
 
 def _compute_spec(work=512.0, **kw):
@@ -200,7 +201,7 @@ def test_run_load_emits_k_traces():
 
 
 def test_noiseless_run_matches_estimate_exactly():
-    app = generate_app(shape="demo10", seed=2).noiseless()
+    app = noiseless(generate_app(shape="demo10", seed=2))
     config = {f: 256 for f in app.graph.functions()}
     log = run_load(app, config, 1, random.Random(0))
     samples = extract_samples(log)
@@ -264,6 +265,41 @@ def test_segment_layout_invariants_with_three_backends_per_function():
     _assert_segment_layout(run_load(app, config, 20, random.Random(1)))
 
 
+@pytest.mark.parametrize("backends", [3, 4, 5])
+def test_segment_layout_invariants_with_spans_near_the_float_maximum(backends):
+    """``duration * j`` overflows on f1's span (1e308 * 2), yet every
+    boundary of the even split stays inside its function's span."""
+    graph = CallGraph(compose_calls("f1", {"f1": [["f2"], ["f3"]]}))
+    latencies = {"f1": 1e308, "f2": 3e307, "f3": 4e307}  # the finish, 1.7e308, is finite
+    specs = {name: SimFunctionSpec(kind="baas_bound", baas_latency_s=latency)
+             for name, latency in latencies.items()}
+    baas = {name: tuple(f"{name}-db{j}" for j in range(backends)) for name in latencies}
+    app = SimApp(graph=graph, specs=specs, baas_children=baas)
+    log = run_load(app, dict.fromkeys(latencies, 512), 2, random.Random(1))
+    _assert_segment_layout(log)
+    assert sum(s.kind == "baas" for s in log.all_segments()) == 2 * 3 * backends
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+@given(
+    st.one_of(st.floats(0, _FLOAT_MAX), st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308])),
+    st.one_of(st.floats(0, _FLOAT_MAX),
+              st.sampled_from([5e-324, 1.5e-323, 2.225073858507201e-308, 1e308, _FLOAT_MAX])),
+)
+@example(0.0, 5e-324)  # the smallest subnormal: half of it rounds
+@example(1e308, 7e307)
+@example(0.0, _FLOAT_MAX)
+def test_boundaries_of_one_or_two_backend_calls_equal_dividing_last(start, duration):
+    """``start + duration * (j / n)`` times call j of n as ``start + duration
+    * j / n`` did, bit for bit, for every boundary of one or two calls."""
+    for n in (1, 2):
+        for j in range(n):
+            old, new = start + duration * j / n, start + duration * (j / n)
+            assert old.hex() == new.hex(), (n, j)
+
+
 def test_traces_are_byte_identical_per_seed():
     app = generate_app(shape="demo6", seed=4)
     config = {f: 256 for f in app.graph.functions()}
@@ -283,7 +319,7 @@ def test_traces_are_byte_identical_per_seed():
 ])
 def test_round_trip_recovers_generated_graph(shape, seed):
     n = random.Random(seed).randint(1, 12)
-    app = generate_app(n, shape, seed=seed).noiseless()
+    app = noiseless(generate_app(n, shape, seed=seed))
     config = {f: 128 for f in app.graph.functions()}
     log = run_load(app, config, 3, random.Random(seed))
     backends = {s.name for s in log.all_segments() if s.kind == "baas"}
@@ -506,7 +542,7 @@ def test_built_apps_are_not_normalized_again(monkeypatch):
 
     monkeypatch.setattr(model, "_normalize_node", refuse)
     copy = dataclasses.replace(app, specs=dict(app.specs))
-    quiet = app.noiseless()
+    quiet = noiseless(app)
     config = {f: 256 for f in app.graph.functions()}
     assert len(run_load(copy, config, 2, random.Random(0))) == 2
     ladder = MemoryLadder(values=(128, 256), cap_mb=None)
@@ -617,9 +653,9 @@ def test_profile_samples_are_the_samples_of_the_profiling_traces(shape, noise):
     assert len(drawn[0]) == 5 * 12 * len(app.graph.functions())
 
 
-# Latencies near a float's limit: a 6e307 s span splits among three backend
-# calls but not four (6e307 * 3 overflows), a 1e308 s span among two but not
-# three, and a few such spans in sequence overflow the request's finish.
+# Latencies near a float's limit: spans whose ``duration * j`` overflows for
+# three or four backend calls, and a few such spans in sequence overflow the
+# request's finish.
 _PROFILED_SPECS = {
     "compute": _compute_spec(work=300.0, jitter_cv=0.05, cold_start_prob=0.1, cold_start_s=0.2),
     "backend": SimFunctionSpec(kind="baas_bound", baas_latency_s=0.25, jitter_cv=0.04),
@@ -661,7 +697,7 @@ def _petstore_payment(latency_s, backends):
 
 
 @pytest.mark.parametrize("latency_s,backends,fails", [
-    (1e308, ("db", "queue", "cache"), True),  # 1e308 * 2 overflows
+    (1e308, ("db", "queue", "cache"), False),  # 1e308 * (2 / 3) does not overflow
     (1e308, ("db", "queue"), False),  # 1e308 * 1 does not
     (0.25, ("db", ""), None),  # no app has a call run_load cannot name
     (0.25, (), False),
@@ -686,7 +722,7 @@ def test_validate_config_with_huge_slo_fully_conforms():
 
 
 def test_validate_config_boundary_is_inclusive():
-    app = generate_app(shape="demo3", seed=7).noiseless()
+    app = noiseless(generate_app(shape="demo3", seed=7))
     config = {f: 128 for f in app.graph.functions()}
     (duration,) = end_to_end_durations(run_load(app, config, 1, random.Random(0)))
     report = validate_config(app, config, SloSpec(duration), n_requests=10, rng=random.Random(0))
