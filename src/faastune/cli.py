@@ -116,9 +116,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
             alpha = args.alpha
         else:
             alpha = profiling.select_alpha(samples, ladder, app.graph, seed=args.seed)
-        built = profiling.build_profiles(samples, ladder, alpha)
-        if not args.no_monotone_repair:
-            built = {name: profiling.monotone_repair(p) for name, p in built.items()}
+        built = {name: profiling.monotone_repair(p)
+                 for name, p in profiling.build_profiles(samples, ladder, alpha).items()}
     except (FaastuneError, ValueError, OverflowError) as exc:
         raise _SimulationFailed(f"profiling failed: {exc}") from exc
     profiling.save_profiles(built, args.out)
@@ -155,12 +154,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if args.algorithm == "brute":
         run = functools.partial(search.brute_force, objective=objective)
     else:
-        greedy = {
+        run = {
             Objective.FEASIBLE: search.greedy_slo,
             Objective.MIN_COST: search.greedy_min_cost,
             Objective.MIN_TIME: search.greedy_min_time,
         }[objective]
-        run = functools.partial(greedy, allow_non_monotone=args.allow_non_monotone)
     started = time.perf_counter()
     result = run(graph, profs, ladder, slo, cost_model=cost_model)
     elapsed_s = time.perf_counter() - started
@@ -340,8 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=None,
                    help="fix the choice percentile instead of auto-selecting")
-    p.add_argument("--no-monotone-repair", action="store_true",
-                   help="keep raw representatives even if they increase with memory")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_profile)
 
@@ -357,7 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="restrict to these MB values (default: sizes common to all profiles)")
     p.add_argument("--usd-per-gb-second", type=float, default=CostModel().usd_per_gb_second)
     p.add_argument("--billing-granularity-ms", type=int, default=1)
-    p.add_argument("--allow-non-monotone", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_optimize)
 

@@ -69,7 +69,8 @@ class UnreachableSegment(FaastuneError):
 
 
 class InconsistentTopology(FaastuneError):
-    """Traces disagree on the application structure beyond the majority rule."""
+    """Traces imply different invocation structures (their function parent
+    maps differ), or a backend service invokes a function."""
 
 
 class EmptyAfterFiltering(FaastuneError):
@@ -102,13 +103,15 @@ class InsufficientSamples(FaastuneError):
 
 
 class ProfileNotMonotone(FaastuneError):
-    """A profile's representatives increase with memory; repair or acknowledge."""
+    """A profile's representatives increase with memory, which the greedy
+    search cannot take; monotone repair or brute force can."""
 
     def __init__(self, function: str):
         self.function = function
         super().__init__(
-            f"profile for {function!r} is not non-increasing in memory; "
-            "apply monotone repair or pass allow_non_monotone=True"
+            f"profile for {function!r} is not non-increasing in memory, which the greedy "
+            "search needs; re-run 'faastune profile', which repairs it, or use "
+            "'optimize --algorithm brute'"
         )
 
 

@@ -203,6 +203,16 @@ def select_alpha(
 
 PROFILE_COLUMNS = ("function", "memory_mb", "alpha", "representative_s", "sample_count")
 
+#: The numeric columns of a profile table, in :data:`PROFILE_COLUMNS` order:
+#: how :func:`load_profiles` reads each, the values it takes and that rule
+#: in words. ``alpha`` has the range ``profile --alpha`` enforces.
+_NUMBER_COLUMNS = (
+    ("memory_mb", int, lambda value: value > 0, "a positive integer"),
+    ("alpha", float, lambda value: 0 <= value <= 100, "a number in [0, 100]"),
+    ("representative_s", float, lambda value: 0 <= value < math.inf, "finite and non-negative"),
+    ("sample_count", int, lambda value: value >= 0, "a non-negative integer"),
+)
+
 
 def save_profiles(profiles: Mapping[str, FunctionProfile], path: str | Path) -> None:
     """Write profiles as a CSV table, one row per (function, memory)."""
@@ -228,10 +238,12 @@ def load_profiles(path: str | Path) -> dict[str, FunctionProfile]:
 
     The header must name every column of :data:`PROFILE_COLUMNS`, each
     once; other columns are ignored. Blank lines are skipped. A row with
-    fewer or more fields than the header, a repeated (function, memory)
-    row, an alpha that differs between a function's rows, a representative
-    that is negative or not finite, or a negative sample count raises
-    ValueError.
+    fewer or more fields than the header, an empty function name, a
+    ``memory_mb`` that is not a positive integer, an ``alpha`` outside
+    [0, 100], a ``representative_s`` that is negative or not finite, a
+    ``sample_count`` that is not a non-negative integer, a repeated
+    (function, memory) row or an alpha that differs between a function's
+    rows raises ValueError naming the file and the line.
     """
     rows: dict[str, dict[int, tuple[float, int]]] = {}
     alphas: dict[str, float] = {}
@@ -247,8 +259,8 @@ def load_profiles(path: str | Path) -> dict[str, FunctionProfile]:
                 repeated = sorted({name for name in header if header.count(name) > 1})
                 raise ValueError(f"{path}: line {reader.line_num}: columns named twice: {repeated}")
             width = len(header)
-            at_function, at_memory, at_alpha, at_representative, at_count = map(
-                header.index, PROFILE_COLUMNS)
+            at_function = header.index("function")
+            numbers = [(header.index(name), *rule) for name, *rule in _NUMBER_COLUMNS]
             for row in reader:
                 if not row:
                     continue  # a blank line
@@ -258,28 +270,28 @@ def load_profiles(path: str | Path) -> dict[str, FunctionProfile]:
                         f"{path}: line {reader.line_num}: {len(row)} fields, the header names {width}"
                     )
                 function = row[at_function]
-                alpha = float(row[at_alpha])
+                if not function:
+                    raise ValueError(f"{path}: line {reader.line_num}: empty function name")
+                values = []
+                for at, convert, valid, rule in numbers:
+                    try:
+                        value = convert(row[at])
+                        ok = valid(value)
+                    except ValueError:
+                        ok = False
+                    if not ok:
+                        raise ValueError(f"{path}: line {reader.line_num}: {header[at]} must "
+                                         f"be {rule}, got {row[at]!r}")
+                    values.append(value)
+                memory_mb, alpha, representative, sample_count = values
                 if alphas.setdefault(function, alpha) != alpha:
                     raise ValueError(f"{path}: line {reader.line_num}: inconsistent alpha "
                                      f"for function {function!r}")
-                representative = float(row[at_representative])
-                if not 0 <= representative < math.inf:
-                    raise ValueError(
-                        f"{path}: line {reader.line_num}: representative_s must be "
-                        f"finite and non-negative, got {row[at_representative]!r}"
-                    )
                 by_memory = rows.setdefault(function, {})
-                memory_mb = int(row[at_memory])
                 if memory_mb in by_memory:
                     raise ValueError(
                         f"{path}: line {reader.line_num}: duplicate row for "
                         f"{function!r} at {memory_mb} MB"
-                    )
-                sample_count = int(row[at_count])
-                if sample_count < 0:
-                    raise ValueError(
-                        f"{path}: line {reader.line_num}: sample_count must be "
-                        f"non-negative, got {row[at_count]!r}"
                     )
                 by_memory[memory_mb] = (representative, sample_count)
         except csv.Error as exc:  # for one, a field longer than csv.field_size_limit()

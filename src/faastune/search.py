@@ -7,9 +7,10 @@ latency fits the SLO. On top of that, ``greedy_min_cost`` continues its own
 feasible walk, trading memory for time only while the relative cost
 increase does not exceed the relative time gain, and ``greedy_min_time``
 walks the whole bump order, whose minimum estimate is the tightest SLO the
-greedy can satisfy. ``brute_force`` scans every combination and is the
-optimality oracle for small instances. All of them evaluate the graph with
-one :class:`~faastune.estimate.GraphEvaluator`.
+greedy can satisfy; all three raise ``ProfileNotMonotone`` on a profile
+that gets slower with more memory. ``brute_force`` takes any table, scans
+every combination and is the optimality oracle for small instances. All
+of them evaluate the graph with one :class:`~faastune.estimate.GraphEvaluator`.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ def _representatives(
     functions: tuple[str, ...],
     profiles: Mapping[str, FunctionProfile],
     rungs: tuple[int, ...],
-    allow_non_monotone: bool,
 ) -> dict[str, list[float]]:
     """Each function's representatives, indexed by rung position."""
     table: dict[str, list[float]] = {}
@@ -87,12 +87,9 @@ def _representatives(
         if profile is None:
             raise MissingProfile(name)
         try:
-            reps = [profile.representatives[memory_mb] for memory_mb in rungs]
+            table[name] = [profile.representatives[memory_mb] for memory_mb in rungs]
         except KeyError:  # raise MissingProfile for the first rung it lacks
-            reps = [profile.representative(memory_mb) for memory_mb in rungs]
-        if not allow_non_monotone and any(map(operator.gt, reps[1:], reps)):
-            raise ProfileNotMonotone(name)
-        table[name] = reps
+            table[name] = [profile.representative(memory_mb) for memory_mb in rungs]
     return table
 
 
@@ -102,7 +99,10 @@ class _Trajectory:
     Functions start at the lowest rung. Each pop takes the function with
     the largest current representative from a max-heap (ties break on the
     function name) and moves it one rung up; a function popped at the top
-    rung leaves the heap for good. :meth:`restart` can hand in
+    rung leaves the heap for good. The walk assumes more memory never makes
+    a function slower, so it raises :class:`ProfileNotMonotone` for the
+    first function, in execution order, whose representatives increase
+    along the ladder. :meth:`restart` can hand in
     ``keep(function, rung, estimate)`` to judge every move: a rejected move
     is undone and its function leaves the heap too. ``estimate`` follows
     every kept move.
@@ -113,9 +113,11 @@ class _Trajectory:
         graph: CallGraph,
         profiles: Mapping[str, FunctionProfile],
         rungs: tuple[int, ...],
-        allow_non_monotone: bool,
     ):
-        self.seconds = _representatives(graph.functions(), profiles, rungs, allow_non_monotone)
+        self.seconds = _representatives(graph.functions(), profiles, rungs)
+        for name, reps in self.seconds.items():
+            if any(map(operator.gt, reps[1:], reps)):
+                raise ProfileNotMonotone(name)
         self._evaluator = GraphEvaluator(graph)
         self._set = self._evaluator.set
         self.rung = dict.fromkeys(self.seconds, 0)
@@ -175,19 +177,19 @@ def greedy_slo(
     ladder: MemoryLadder,
     slo: SloSpec,
     cost_model: CostModel = CostModel(),
-    allow_non_monotone: bool = False,
 ) -> SearchResult:
     """Find a feasible configuration by bumping the slowest function first.
 
     Walks the greedy bump order (all functions at the smallest ladder size,
     then the slowest function one rung up per pop, ties on the function
     name) until the estimate fits the SLO. Returns an empty result when the
-    heap drains without success, which on monotone profiles means even the
-    all-maximum configuration is infeasible. Performs at most N*(M-1)+1
-    latency estimations.
+    heap drains without success, which means even the all-maximum
+    configuration is infeasible, since the greedy search takes only
+    profiles whose representatives never increase with memory. Performs at
+    most N*(M-1)+1 latency estimations.
     """
     rungs = ladder.effective()
-    walk = _Trajectory(graph, profiles, rungs, allow_non_monotone)
+    walk = _Trajectory(graph, profiles, rungs)
     if not walk.reach(slo.slo_seconds):
         return SearchResult("greedy", None, None, None, walk.iterations, walk.evaluations)
     config = {name: rungs[index] for name, index in walk.rung.items()}
@@ -203,7 +205,6 @@ def greedy_min_cost(
     ladder: MemoryLadder,
     slo: SloSpec,
     cost_model: CostModel = CostModel(),
-    allow_non_monotone: bool = False,
 ) -> SearchResult:
     """Feasible-first search, then keep bumping only where it pays off.
 
@@ -223,7 +224,7 @@ def greedy_min_cost(
     greedy result's.
     """
     rungs = ladder.effective()
-    walk = _Trajectory(graph, profiles, rungs, allow_non_monotone)
+    walk = _Trajectory(graph, profiles, rungs)
     if not walk.reach(slo.slo_seconds):
         return SearchResult(
             "greedy-min-cost", None, None, None, walk.iterations, walk.evaluations
@@ -271,7 +272,6 @@ def greedy_min_time(
     ladder: MemoryLadder,
     slo: SloSpec,
     cost_model: CostModel = CostModel(),
-    allow_non_monotone: bool = False,
 ) -> SearchResult:
     """The lowest latency the greedy search can reach, in one pass.
 
@@ -284,7 +284,7 @@ def greedy_min_time(
     the SLO. ``iterations`` counts heap pops.
     """
     rungs = ladder.effective()
-    walk = _Trajectory(graph, profiles, rungs, allow_non_monotone)
+    walk = _Trajectory(graph, profiles, rungs)
     bumps: list[str] = []
     best_time = math.inf
     best_step = 0
@@ -331,7 +331,7 @@ def brute_force(
     """
     functions = tuple(sorted(graph.functions()))
     rungs = ladder.effective()
-    seconds = _representatives(functions, profiles, rungs, allow_non_monotone=True)
+    seconds = _representatives(functions, profiles, rungs)
 
     combinations = len(rungs) ** len(functions)
     if combinations > BRUTE_FORCE_LIMIT:

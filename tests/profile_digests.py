@@ -1,16 +1,20 @@
-"""The golden ``profile/*`` digests, recomputed through the CLI.
+"""The golden CLI artifacts, recomputed through the CLI.
 
-``test_cli.test_profile_tables_are_pinned`` checks each table with
-:func:`profile_digest`. Run as a script, this module recomputes all 24 and
-compares them with ``golden_digests.json``. It needs nothing but the
-standard library and faastune, so it also runs under interpreters that have
-no pytest:
+``test_cli.test_profile_tables_are_pinned`` checks each ``profile/*`` table
+with :func:`profile_digest`. Run as a script, this module recomputes all 24
+and compares them with ``golden_digests.json``; it also recomputes the nine
+``optimize`` records of ``golden_results.json`` and the
+``petstore/validate-reports`` digest, which ``test_cli`` checks too. It
+needs nothing but the standard library and faastune, so it also runs under
+interpreters that have no pytest:
 
     PYTHONPATH=src python3 -B tests/profile_digests.py
 
 The simulator draws its jitter with the operations of CPython's
 ``random.Random.normalvariate``, so a change to that method in some CPython
-release shows up here as a mismatch. Exits 1 if any digest differs.
+release shows up here as a mismatch, and so does a change to how the
+builtin ``sum`` adds floats, which the latency estimate uses (CPython 3.12
+made it compensated). Exits 1 if anything differs.
 """
 
 from __future__ import annotations
@@ -28,7 +32,13 @@ from faastune import cli
 from faastune.sim import SHAPES
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
+GOLDEN_RESULTS = Path(__file__).with_name("golden_results.json")
 SEEDS = ("5", "8")
+#: The (shape, seed, SLO) of each app whose ``optimize`` records are pinned.
+RESULT_CASES = (("demo3", "11", "2.0"), ("demo6", "12", "2.5"), ("petstore", "13", "1.5"))
+OBJECTIVES = ("feasible", "min-cost", "min-time")
+#: The ``golden_digests.json`` key of petstore's three `validate` reports.
+REPORTS_KEY = "petstore/validate-reports"
 
 
 def profile_key(shape: str, seed: str, noisy: bool) -> str:
@@ -58,21 +68,63 @@ def profile_digest(workdir: Path, shape: str, seed: str, noisy: bool) -> str:
     return hashlib.sha256(profiles.read_bytes()).hexdigest()
 
 
+def optimize_results(workdir: Path, shape: str, seed: str, slo: str) -> dict[str, Path]:
+    """The `optimize` record of each objective, keyed ``{shape}/{objective}``,
+    for an app of ``shape`` generated at ``seed`` and profiled there with 20
+    requests per memory size."""
+    app = workdir / "app.json"
+    profiles = workdir / "profiles.csv"
+    _run(["generate-app", "--shape", shape, "--seed", seed, "--out", str(app)])
+    _run(["profile", "--app", str(app), "--requests", "20", "--seed", seed,
+          "--out", str(profiles)])
+    results = {}
+    for objective in OBJECTIVES:
+        results[f"{shape}/{objective}"] = out = workdir / f"{objective}.result.json"
+        _run(["optimize", "--app", str(app), "--profiles", str(profiles), "--slo", slo,
+              "--objective", objective, "--out", str(out)])
+    return results
+
+
+def validate_reports_digest(workdir: Path, results: dict[str, Path], slo: str) -> str:
+    """sha256 of the `validate` reports (200 requests, seed 99) of
+    ``results``, in order, against the app :func:`optimize_results` wrote."""
+    reports = hashlib.sha256()
+    for result in results.values():
+        report = result.with_name(result.name.replace(".result.", ".validation."))
+        _run(["validate", "--app", str(workdir / "app.json"), "--config", str(result),
+              "--slo", slo, "--requests", "200", "--seed", "99", "--out", str(report)])
+        reports.update(report.read_bytes())
+    return reports.hexdigest()
+
+
 def check() -> int:
-    """Print one line per mismatch and a summary; 1 if any digest differs."""
+    """Print one line per mismatch and a summary; 1 if anything differs."""
     golden = json.loads(GOLDEN.read_text())
+    golden_results = json.loads(GOLDEN_RESULTS.read_text())
     keys = [(shape, seed, noisy) for shape in SHAPES for seed in SEEDS for noisy in (False, True)]
-    mismatches = []
+    profile_mismatches, result_mismatches = [], []
     with tempfile.TemporaryDirectory() as workdir, redirect_stdout(io.StringIO()):
         for shape, seed, noisy in keys:
             key = profile_key(shape, seed, noisy)
             if profile_digest(Path(workdir), shape, seed, noisy) != golden[key]:
-                mismatches.append(key)
-    for key in mismatches:
+                profile_mismatches.append(key)
+        for shape, seed, slo in RESULT_CASES:
+            results = optimize_results(Path(workdir), shape, seed, slo)
+            for key, result in results.items():
+                expected = json.dumps(golden_results[key], indent=2, sort_keys=True) + "\n"
+                if result.read_text() != expected:
+                    result_mismatches.append(key)
+            if shape == "petstore":
+                if validate_reports_digest(Path(workdir), results, slo) != golden[REPORTS_KEY]:
+                    result_mismatches.append(REPORTS_KEY)
+    for key in profile_mismatches + result_mismatches:
         print(f"mismatch: {key}")
+    checked = len(RESULT_CASES) * len(OBJECTIVES) + 1
     print(f"{platform.python_implementation()} {platform.python_version()}: "
-          f"{len(keys) - len(mismatches)} of {len(keys)} profile digests match {GOLDEN.name}")
-    return 1 if mismatches else 0
+          f"{len(keys) - len(profile_mismatches)} of {len(keys)} profile digests match "
+          f"{GOLDEN.name}; {checked - len(result_mismatches)} of {checked} results and "
+          f"reports match {GOLDEN_RESULTS.name} and {GOLDEN.name}")
+    return 1 if profile_mismatches or result_mismatches else 0
 
 
 if __name__ == "__main__":

@@ -93,6 +93,47 @@ def test_infeasible_slo_exits_4_and_reports_empty_config(workdir, capsys):
     assert record["config"] is None
 
 
+@pytest.fixture()
+def non_monotone_files(workdir):
+    """f1 then f2, where f2 gets slower with more memory; an SLO of 2.8 s
+    is met only with f2 at 128 MB and f1 at 256 or 512 MB."""
+    graph = workdir / "graph.json"
+    graph.write_text(json.dumps({"kind": "sequence", "children": [
+        {"kind": "function", "name": "f1"}, {"kind": "function", "name": "f2"}]}))
+    profiles = workdir / "profiles.csv"
+    profiles.write_text(
+        "function,memory_mb,alpha,representative_s,sample_count\n"
+        "f1,128,50.0,1.51,3\nf1,256,50.0,1.13,3\nf1,512,50.0,1.1,3\n"
+        "f2,128,50.0,1.66,3\nf2,256,50.0,1.91,3\nf2,512,50.0,1.88,3\n")
+    return ["optimize", "--graph", str(graph), "--profiles", str(profiles), "--slo", "2.8",
+            "--out", str(workdir / "run.result.json")]
+
+
+@pytest.mark.parametrize("objective", ["feasible", "min-cost", "min-time"])
+def test_greedy_on_a_non_monotone_table_exits_2_naming_the_function(
+        non_monotone_files, objective, capsys):
+    assert main(non_monotone_files + ["--objective", objective]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'f2'" in err
+
+
+def test_brute_force_takes_a_non_monotone_table(non_monotone_files, workdir):
+    assert main(non_monotone_files + ["--algorithm", "brute"]) == 0
+    record = json.loads((workdir / "run.result.json").read_text())
+    assert record["config"] == {"f1": 256, "f2": 128}
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--app", "{app}", "--no-monotone-repair"],
+    ["optimize", "--app", "{app}", "--profiles", "{profiles}", "--slo", "4",
+     "--allow-non-monotone"],
+], ids=["profile-no-monotone-repair", "optimize-allow-non-monotone"])
+def test_removed_monotone_flags_exit_2_with_usage(pipeline_files, argv, capsys):
+    argv = [arg.format(**pipeline_files) for arg in argv] + ["--out", pipeline_files["out"]]
+    assert main(argv) == 2
+    assert "usage: faastune" in capsys.readouterr().err
+
+
 def test_zero_functions_exits_2(workdir):
     assert main(["generate-app", "--shape", "chain", "--functions", "0",
                  "--out", str(workdir / "x.json")]) == 2
@@ -104,6 +145,15 @@ def test_missing_app_file_exits_2(workdir):
     assert main(["optimize", "--app", str(workdir / "absent.json"),
                  "--profiles", str(workdir / "p.csv"), "--slo", "1",
                  "--out", str(workdir / "r.json")]) == 2
+
+
+#: Profile-table variants ``pipeline_files`` writes: the column edited and its
+#: new value.
+_BAD_VALUE_PROFILES = {
+    "text_memory": (1, "abc"), "zero_memory": (1, "0"), "negative_memory": (1, "-128"),
+    "empty_function": (0, ""), "text_alpha": (2, "abc"), "nan_alpha": (2, "nan"),
+    "alpha_150": (2, "150"), "text_representative": (3, "abc"), "text_count": (4, "abc"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +180,17 @@ def pipeline_files(tmp_path_factory):
     negative_count_profiles.write_text(header + first.rsplit(",", 1)[0] + ",-1\n" + "".join(rest))
     nan_profiles = workdir / "nan.csv"
     nan_profiles.write_text(header + "f1,128,50.0,nan,20\n" + "".join(rest))
+    # One bad value in f1's first row, or for alpha in all of f1's rows (they
+    # must agree on it).
+    bad_value_profiles = {}
+    for kind, (column, value) in _BAD_VALUE_PROFILES.items():
+        rows = [line.rstrip("\r\n").split(",") for line in [first, *rest]]
+        for row in rows:
+            if row is rows[0] or (column == 2 and row[0] == "f1"):
+                row[column] = value
+        bad_value_profiles[f"{kind}_profiles"] = workdir / f"{kind}-profiles.csv"
+        bad_value_profiles[f"{kind}_profiles"].write_text(
+            header + "".join(",".join(row) + "\n" for row in rows))
     list_config = workdir / "list-config.json"
     list_config.write_text(json.dumps([json.loads(result.read_text())]))
     record = json.loads(result.read_text())
@@ -271,6 +332,7 @@ def pipeline_files(tmp_path_factory):
             "empty_result": str(empty_result),
             "list_config_result": str(list_config_result),
             **{key: str(path) for key, path in seed_apps.items()},
+            **{key: str(path) for key, path in bad_value_profiles.items()},
             **{key: str(path) for key, path in backend_apps.items()},
             "results": str(workdir), "out": str(workdir / "out.json")}
 
@@ -333,6 +395,8 @@ def pipeline_files(tmp_path_factory):
     *[[command, "--app", f"{{{kind}_backend_app}}", *rest]
       for kind in ("string", "number", "nested", "empty")
       for command, *rest in (["profile"], ["validate", "--config", "{result}", "--slo", "4"])],
+    *[["optimize", "--app", "{app}", "--profiles", f"{{{kind}_profiles}}", "--slo", "4"]
+      for kind in _BAD_VALUE_PROFILES],
 ], ids=["slo-0", "slo-nan", "slo-inf", "price-0", "price-nan", "profiles-not-a-table",
         "alpha-150", "validate-slo-negative", "validate-percentile-0",
         "profile-no-entry-function", "validate-no-entry-function",
@@ -351,7 +415,8 @@ def pipeline_files(tmp_path_factory):
         "report-list-config", "profile-app-bool-seed", "profile-app-float-seed",
         "profile-app-text-seed", "profile-app-function-key",
         *[f"{command}-app-{kind}-backend" for kind in ("string", "number", "nested", "empty")
-          for command in ("profile", "validate")]])
+          for command in ("profile", "validate")],
+        *[f"profiles-{kind.replace('_', '-')}" for kind in _BAD_VALUE_PROFILES]])
 def test_out_of_range_input_exits_2_with_error_line(pipeline_files, argv, capsys):
     argv = [arg.format(**pipeline_files) for arg in argv] + ["--out", pipeline_files["out"]]
     assert main(argv) == 2

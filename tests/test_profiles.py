@@ -246,7 +246,19 @@ _HEADER = "function,memory_mb,alpha,representative_s,sample_count\n"
     ("function,memory_mb,alpha\nf1,128,95\n", 1,
      "profile file missing columns: ['representative_s', 'sample_count']"),
     (_HEADER + "f1,128,50,1.0,3\n\nf1,256,90,0.5,3\n", 4, "inconsistent alpha for function 'f1'"),
-], ids=["missing-columns", "inconsistent-alpha"])
+    (_HEADER + "f1,abc,50,1.0,3\n", 2, "memory_mb must be a positive integer, got 'abc'"),
+    (_HEADER + "f1,0,50,1.0,3\n", 2, "memory_mb must be a positive integer, got '0'"),
+    (_HEADER + "f1,128,50,1.0,3\nf1,-128,50,1.0,3\n", 3,
+     "memory_mb must be a positive integer, got '-128'"),
+    (_HEADER + "f1,128,abc,1.0,3\n", 2, "alpha must be a number in [0, 100], got 'abc'"),
+    (_HEADER + "f1,128,nan,1.0,3\n", 2, "alpha must be a number in [0, 100], got 'nan'"),
+    (_HEADER + "f1,128,150,1.0,3\n", 2, "alpha must be a number in [0, 100], got '150'"),
+    (_HEADER + "f1,128,50,abc,3\n", 2, "representative_s must be finite and non-negative, got 'abc'"),
+    (_HEADER + "f1,128,50,1.0,abc\n", 2, "sample_count must be a non-negative integer, got 'abc'"),
+    (_HEADER + ",128,50,1.0,3\n", 2, "empty function name"),
+], ids=["missing-columns", "inconsistent-alpha", "text-memory", "zero-memory", "negative-memory",
+        "text-alpha", "nan-alpha", "alpha-150", "text-representative", "text-sample-count",
+        "empty-function"])
 def test_load_profiles_errors_name_the_file_and_line(tmp_path, table, line, message):
     path = tmp_path / "profiles.csv"
     path.write_text(table)

@@ -67,11 +67,15 @@ def test_infeasible_slo_returns_empty_result():
 
 
 def test_non_monotone_profiles_need_acknowledgement():
+    """Every greedy search refuses a profile that gets slower with more
+    memory; brute force takes it."""
     graph, profiles, ladder = _single_function_setup({128: 1.0, 256: 2.0})
-    with pytest.raises(ProfileNotMonotone):
-        greedy_slo(graph, profiles, ladder, SloSpec(10.0))
-    result = greedy_slo(graph, profiles, ladder, SloSpec(10.0), allow_non_monotone=True)
-    assert result.found
+    for greedy in (greedy_slo, greedy_min_cost, greedy_min_time):
+        with pytest.raises(ProfileNotMonotone):
+            greedy(graph, profiles, ladder, SloSpec(10.0))
+    for objective in Objective:
+        result = brute_force(graph, profiles, ladder, SloSpec(10.0), objective)
+        assert result.config == {"f1": 128}
 
 
 def test_profiles_must_cover_the_ladder():
