@@ -17,6 +17,7 @@ from .model import (
     FunctionProfile,
     GraphNode,
     Sequence,
+    check_configuration,
     configuration_cost,
 )
 
@@ -100,14 +101,13 @@ def estimate_time(
 ) -> float:
     """Estimated end-to-end latency (seconds) for a memory configuration.
 
-    Raises :class:`PartialConfiguration` when the configuration misses a
-    function and :class:`MissingProfile` when a function has no profile or
+    Raises what :func:`check_configuration` raises for a configuration it
+    rejects, and :class:`MissingProfile` when a function has no profile or
     its profile lacks the assigned memory.
     """
+    check_configuration(graph, config)
     times: dict[str, float] = {}
     for name in graph.functions():
-        if name not in config:
-            raise PartialConfiguration(name)
         profile = profiles.get(name)
         if profile is None:
             raise MissingProfile(name)
@@ -121,10 +121,11 @@ def estimate_cost(
     profiles: Mapping[str, FunctionProfile],
     cost_model: CostModel,
 ) -> float:
-    """Estimated USD per invocation; independent of sequence/parallel shape."""
-    restricted: dict[str, int] = {}
-    for name in graph.functions():
-        if name not in config:
-            raise PartialConfiguration(name)
-        restricted[name] = config[name]
-    return configuration_cost(restricted, profiles, cost_model)
+    """Estimated USD per invocation; independent of sequence/parallel shape.
+
+    Raises what :func:`check_configuration` raises for a configuration it
+    rejects, and :class:`MissingProfile` when a function has no profile or
+    its profile lacks the assigned memory.
+    """
+    check_configuration(graph, config)
+    return configuration_cost(config, profiles, cost_model)

@@ -294,12 +294,16 @@ def configuration_cost(
 
 def check_configuration(graph: CallGraph, config: Mapping[str, int]) -> None:
     """Verify a configuration is total over the graph and assigns every
-    function a positive integer memory size (a bool is not one)."""
-    functions = set(graph.functions())
-    for name in functions:
+    function a positive integer memory size (a bool is not one).
+
+    Raises :class:`PartialConfiguration` for the first function, in
+    execution order, that ``config`` lacks, and ValueError for a function
+    the graph does not have or a memory size that is not one.
+    """
+    for name in graph.functions():
         if name not in config:
             raise PartialConfiguration(name)
-    extra = set(config) - functions
+    extra = set(config).difference(graph.functions())
     if extra:
         raise ValueError(f"configuration assigns unknown functions: {sorted(extra)}")
     for name, memory_mb in config.items():

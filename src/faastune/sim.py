@@ -27,6 +27,7 @@ from .model import (
     Parallel,
     Sequence,
     SloSpec,
+    check_configuration,
 )
 from .profiles import percentile_linear
 from .traces import (
@@ -170,8 +171,9 @@ def _invocation_plan(root: GraphNode) -> tuple[_Invocation, ...]:
 
 # --- application generation --------------------------------------------------
 
-#: Fixed topologies as call tables: each function's ordered groups of callees.
-_DEMO_CALLS = {
+#: Fixed topologies as call tables: each function's ordered groups of
+#: callees. The first function listed is the entry.
+_FIXED_CALLS = {
     "demo3": {"f1": [["f2"], ["f3"]]},
     "demo6": {"f1": [["f2", "f3"]], "f2": [["f4"], ["f5"]], "f3": [["f6"]]},
     "demo10": {
@@ -180,7 +182,16 @@ _DEMO_CALLS = {
         "f3": [["f7", "f8"]],
         "f4": [["f9"]],
     },
+    "petstore": {
+        "pet-checkout": [["pet-currency"], ["pet-payment"], ["pet-shipping"], ["pet-email"]],
+    },
 }
+
+#: Petstore's compute functions and their fixed work units; other shapes
+#: draw work from the seed.
+_PETSTORE_WORK = {"pet-checkout": 320.0, "pet-currency": 220.0, "pet-email": 260.0}
+#: Petstore's backend-bound functions: (backend, latency in seconds).
+_PETSTORE_BACKENDS = {"pet-payment": ("payments-db", 0.25), "pet-shipping": ("shipping-db", 0.30)}
 
 
 def _random_calls(n: int, rng: random.Random) -> dict[str, list[list[str]]]:
@@ -198,49 +209,6 @@ def _random_calls(n: int, rng: random.Random) -> dict[str, list[list[str]]]:
     return calls
 
 
-PETSTORE_FUNCTIONS = (
-    "pet-checkout",
-    "pet-currency",
-    "pet-payment",
-    "pet-shipping",
-    "pet-email",
-)
-
-
-def _petstore_app(seed: int) -> SimApp:
-    calls = {"pet-checkout": [[name] for name in PETSTORE_FUNCTIONS[1:]]}
-    graph = CallGraph(compose_calls("pet-checkout", calls))
-    common = dict(
-        cold_start_s=DEFAULT_COLD_START_S,
-        cold_start_prob=DEFAULT_COLD_START_PROB,
-        jitter_cv=DEFAULT_JITTER_CV,
-    )
-    specs = {
-        "pet-checkout": SimFunctionSpec(work=320.0, **common),
-        "pet-currency": SimFunctionSpec(work=220.0, **common),
-        "pet-email": SimFunctionSpec(work=260.0, **common),
-        "pet-payment": SimFunctionSpec(
-            kind="baas_bound",
-            baas_latency_s=0.25,
-            cold_start_s=DEFAULT_COLD_START_S,
-            cold_start_prob=DEFAULT_COLD_START_PROB,
-            jitter_cv=PETSTORE_BAAS_JITTER_CV,
-        ),
-        "pet-shipping": SimFunctionSpec(
-            kind="baas_bound",
-            baas_latency_s=0.30,
-            cold_start_s=DEFAULT_COLD_START_S,
-            cold_start_prob=DEFAULT_COLD_START_PROB,
-            jitter_cv=PETSTORE_BAAS_JITTER_CV,
-        ),
-    }
-    baas = {
-        "pet-payment": ("payments-db",),
-        "pet-shipping": ("shipping-db",),
-    }
-    return SimApp(graph=graph, specs=specs, baas_children=baas, shape="petstore", seed=seed)
-
-
 def generate_app(
     n_functions: int = 3,
     shape: str = "random",
@@ -250,19 +218,18 @@ def generate_app(
 
     Named shapes (``demo3``, ``demo6``, ``demo10``, ``petstore``) have fixed
     topologies and ignore ``n_functions``; ``chain`` and ``random`` build an
-    ``n_functions``-sized app. Work units are drawn from the seed, so the
-    same (shape, n, seed) always yields the same app. Every function gets
-    the default jitter and cold starts (``DEFAULT_JITTER_CV`` and
+    ``n_functions``-sized app. Work units are drawn from the seed, in
+    execution order, except petstore's, which are fixed; so the same
+    (shape, n, seed) always yields the same app. Every function gets the
+    default jitter and cold starts (``DEFAULT_JITTER_CV`` and
     ``DEFAULT_COLD_START_*``; petstore's backend-bound functions jitter
     more); to simulate other noise, ``dataclasses.replace`` the specs.
     """
     if shape not in SHAPES:
         raise InvalidShape(f"unknown shape {shape!r}; choose from {SHAPES}")
     rng = random.Random(seed)
-    if shape == "petstore":
-        return _petstore_app(seed)
-    if shape in _DEMO_CALLS:
-        calls = _DEMO_CALLS[shape]
+    if shape in _FIXED_CALLS:
+        calls = _FIXED_CALLS[shape]
     elif n_functions < 1:
         raise InvalidShape("n_functions must be at least 1")
     elif shape == "chain":
@@ -270,17 +237,22 @@ def generate_app(
     else:
         calls = _random_calls(n_functions, rng)
 
-    graph = CallGraph(compose_calls("f1", calls))
-    specs = {
-        name: SimFunctionSpec(
-            work=rng.uniform(*DEFAULT_WORK_RANGE),
-            cold_start_s=DEFAULT_COLD_START_S,
-            cold_start_prob=DEFAULT_COLD_START_PROB,
-            jitter_cv=DEFAULT_JITTER_CV,
-        )
-        for name in graph.functions()
-    }
-    return SimApp(graph=graph, specs=specs, shape=shape, seed=seed)
+    graph = CallGraph(compose_calls(next(iter(calls)), calls))
+    specs: dict[str, SimFunctionSpec] = {}
+    baas: dict[str, tuple[str, ...]] = {}
+    # Petstore's spec files list its functions by name.
+    for name in sorted(graph.functions()) if shape == "petstore" else graph.functions():
+        if name in _PETSTORE_BACKENDS:
+            backend, latency_s = _PETSTORE_BACKENDS[name]
+            baas[name] = (backend,)
+            latency = dict(kind="baas_bound", baas_latency_s=latency_s,
+                           jitter_cv=PETSTORE_BAAS_JITTER_CV)
+        else:
+            work = _PETSTORE_WORK[name] if shape == "petstore" else rng.uniform(*DEFAULT_WORK_RANGE)
+            latency = dict(work=work, jitter_cv=DEFAULT_JITTER_CV)
+        specs[name] = SimFunctionSpec(cold_start_s=DEFAULT_COLD_START_S,
+                                      cold_start_prob=DEFAULT_COLD_START_PROB, **latency)
+    return SimApp(graph=graph, specs=specs, baas_children=baas, shape=shape, seed=seed)
 
 
 # --- load execution ----------------------------------------------------------
@@ -300,13 +272,14 @@ def _simulate(
     each one at the latest end of the invocations its plan entry lists
     (the root at 0). Every invocation ends by the time its invoker
     finishes, so the request's finish is its latest end (ValueError, once drawn, if not finite).
+    A configuration :func:`check_configuration` refuses raises its error
+    before anything is drawn.
     """
+    check_configuration(app.graph, config)
     table = []
     for name, _, after in app._plan:
         spec = app.specs[name]
         memory_mb = config[name]
-        if not memory_mb > 0:
-            raise ValueError(f"memory of {name!r} must be positive, got {memory_mb!r}")
         if spec.kind == "baas_bound":
             base = float(spec.baas_latency_s)
         else:

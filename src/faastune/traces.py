@@ -91,10 +91,6 @@ class TraceSegment(_SegmentFields):
         # ``_replace`` builds through ``_make``; route both through the checks.
         return cls(*iterable)
 
-    @property
-    def duration_s(self) -> float:
-        return self.end_time - self.start_time
-
 
 @dataclass(frozen=True)
 class TraceLog:
@@ -115,9 +111,6 @@ class TraceLog:
     def all_segments(self) -> Iterator[TraceSegment]:
         for segments in self.traces.values():
             yield from segments
-
-    def __len__(self) -> int:
-        return len(self.traces)
 
 
 _REQUIRED_KEYS = ("trace_id", "segment_id", "name", "kind", "start_time", "end_time")

@@ -1,12 +1,13 @@
 """The golden CLI artifacts, recomputed through the CLI.
 
 ``test_cli.test_profile_tables_are_pinned`` checks each ``profile/*`` table
-with :func:`profile_digest`. Run as a script, this module recomputes all 24
-and compares them with ``golden_digests.json``; it also recomputes the nine
-``optimize`` records of ``golden_results.json`` and the
-``petstore/validate-reports`` digest, which ``test_cli`` checks too. It
-needs nothing but the standard library and faastune, so it also runs under
-interpreters that have no pytest:
+with :func:`profile_digest`, and ``test_cli.test_generated_apps_are_pinned``
+each ``app/*`` spec file with :func:`app_digest`. Run as a script, this
+module recomputes all 24 tables and 12 spec files and compares them with
+``golden_digests.json``; it also recomputes the nine ``optimize`` records of
+``golden_results.json`` and the ``petstore/validate-reports`` digest, which
+``test_cli`` checks too. It needs nothing but the standard library and
+faastune, so it also runs under interpreters that have no pytest:
 
     PYTHONPATH=src python3 -B tests/profile_digests.py
 
@@ -45,20 +46,32 @@ def profile_key(shape: str, seed: str, noisy: bool) -> str:
     return f"profile/{shape}-{seed}" + ("-noisy" if noisy else "")
 
 
+def app_key(shape: str, seed: str) -> str:
+    return f"app/{shape}-{seed}"
+
+
 def _run(argv: list[str]) -> None:
     code = cli.main(argv)
     if code != 0:
         raise RuntimeError(f"faastune {' '.join(argv)} exited {code}")
 
 
-def profile_digest(workdir: Path, shape: str, seed: str, noisy: bool) -> str:
-    """sha256 of the `profile` table of a 6-function app of ``shape``,
-    generated and profiled at ``seed``, at the simulator's default noise or,
-    if ``noisy``, at jitter cv 0.05 with 2 % cold starts."""
+def app_digest(workdir: Path, shape: str, seed: str) -> str:
+    """sha256 of the `generate-app` spec file of a 6-function app of
+    ``shape`` at ``seed``, written to ``workdir / "app.json"``."""
     app = workdir / "app.json"
-    profiles = workdir / "profiles.csv"
     _run(["generate-app", "--shape", shape, "--functions", "6", "--seed", seed,
           "--out", str(app)])
+    return hashlib.sha256(app.read_bytes()).hexdigest()
+
+
+def profile_digest(workdir: Path, shape: str, seed: str, noisy: bool) -> str:
+    """sha256 of the `profile` table of the app :func:`app_digest` writes,
+    profiled at ``seed``, at the simulator's default noise or, if ``noisy``,
+    at jitter cv 0.05 with 2 % cold starts."""
+    app = workdir / "app.json"
+    profiles = workdir / "profiles.csv"
+    app_digest(workdir, shape, seed)
     if noisy:
         spec = json.loads(app.read_text())
         for fields in spec["functions"].values():
@@ -101,9 +114,13 @@ def check() -> int:
     """Print one line per mismatch and a summary; 1 if anything differs."""
     golden = json.loads(GOLDEN.read_text())
     golden_results = json.loads(GOLDEN_RESULTS.read_text())
-    keys = [(shape, seed, noisy) for shape in SHAPES for seed in SEEDS for noisy in (False, True)]
-    profile_mismatches, result_mismatches = [], []
+    apps = [(shape, seed) for shape in SHAPES for seed in SEEDS]
+    keys = [(shape, seed, noisy) for shape, seed in apps for noisy in (False, True)]
+    app_mismatches, profile_mismatches, result_mismatches = [], [], []
     with tempfile.TemporaryDirectory() as workdir, redirect_stdout(io.StringIO()):
+        for shape, seed in apps:
+            if app_digest(Path(workdir), shape, seed) != golden[app_key(shape, seed)]:
+                app_mismatches.append(app_key(shape, seed))
         for shape, seed, noisy in keys:
             key = profile_key(shape, seed, noisy)
             if profile_digest(Path(workdir), shape, seed, noisy) != golden[key]:
@@ -117,14 +134,16 @@ def check() -> int:
             if shape == "petstore":
                 if validate_reports_digest(Path(workdir), results, slo) != golden[REPORTS_KEY]:
                     result_mismatches.append(REPORTS_KEY)
-    for key in profile_mismatches + result_mismatches:
+    mismatches = app_mismatches + profile_mismatches + result_mismatches
+    for key in mismatches:
         print(f"mismatch: {key}")
     checked = len(RESULT_CASES) * len(OBJECTIVES) + 1
     print(f"{platform.python_implementation()} {platform.python_version()}: "
+          f"{len(apps) - len(app_mismatches)} of {len(apps)} app and "
           f"{len(keys) - len(profile_mismatches)} of {len(keys)} profile digests match "
           f"{GOLDEN.name}; {checked - len(result_mismatches)} of {checked} results and "
           f"reports match {GOLDEN_RESULTS.name} and {GOLDEN.name}")
-    return 1 if profile_mismatches or result_mismatches else 0
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

@@ -25,7 +25,17 @@ from faastune import (
     write_trace_file,
 )
 from faastune.sim import SHAPES
-from profile_digests import SEEDS, profile_digest, profile_key
+from profile_digests import (
+    REPORTS_KEY,
+    RESULT_CASES,
+    SEEDS,
+    app_digest,
+    app_key,
+    optimize_results,
+    profile_digest,
+    profile_key,
+    validate_reports_digest,
+)
 
 
 @pytest.fixture()
@@ -542,18 +552,12 @@ def test_artifacts_are_deterministic(workdir):
     assert profiles2.read_text() == profiles.read_text()
 
 
-@pytest.mark.parametrize("shape,seed,slo", [("demo3", "11", "2.0"), ("demo6", "12", "2.5"),
-                                           ("petstore", "13", "1.5")])
+@pytest.mark.parametrize("shape,seed,slo", RESULT_CASES)
 def test_result_artifacts_match_golden_records(workdir, shape, seed, slo):
     golden = json.loads((Path(__file__).parent / "golden_results.json").read_text())
-    app, profiles, _, _, code = _pipeline(workdir, shape=shape, seed=seed, slo=slo)
-    assert code == 0
-    for objective in ("feasible", "min-cost", "min-time"):
-        out = workdir / f"{objective}.result.json"
-        assert main(["optimize", "--app", str(app), "--profiles", str(profiles),
-                     "--slo", slo, "--objective", objective, "--out", str(out)]) == 0
-        expected = json.dumps(golden[f"{shape}/{objective}"], indent=2, sort_keys=True) + "\n"
-        assert out.read_text() == expected, f"{shape}/{objective}"
+    for key, result in optimize_results(workdir, shape, seed, slo).items():
+        expected = json.dumps(golden[key], indent=2, sort_keys=True) + "\n"
+        assert result.read_text() == expected, key
 
 
 def test_petstore_validation_and_traces_are_pinned(workdir):
@@ -561,24 +565,23 @@ def test_petstore_validation_and_traces_are_pinned(workdir):
     requests) and of a 20-request `run_load` trace file, the outputs that
     depend on how backend calls are laid out."""
     golden = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
-    app, profiles, _, _, code = _pipeline(workdir, shape="petstore", seed="13", slo="1.5")
-    assert code == 0
-    reports = hashlib.sha256()
-    for objective in ("feasible", "min-cost", "min-time"):
-        result = workdir / f"{objective}.result.json"
-        report = workdir / f"{objective}.validation.json"
-        assert main(["optimize", "--app", str(app), "--profiles", str(profiles), "--slo", "1.5",
-                     "--objective", objective, "--out", str(result)]) == 0
-        assert main(["validate", "--app", str(app), "--config", str(result), "--slo", "1.5",
-                     "--requests", "200", "--seed", "99", "--out", str(report)]) == 0
-        reports.update(report.read_bytes())
-    assert reports.hexdigest() == golden["petstore/validate-reports"]
-    petstore = load_app(app)
+    results = optimize_results(workdir, "petstore", "13", "1.5")
+    assert validate_reports_digest(workdir, results, "1.5") == golden[REPORTS_KEY]
+    petstore = load_app(workdir / "app.json")
     config = dict.fromkeys(petstore.graph.functions(), 512)
     trace = io.StringIO()
     write_trace_file(run_load(petstore, config, 20, random.Random(13)), trace)
     digest = hashlib.sha256(trace.getvalue().encode()).hexdigest()
     assert digest == golden["petstore/run-load-trace"]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_generated_apps_are_pinned(workdir, shape, seed):
+    """sha256 of the `generate-app` spec file of every shape at two seeds
+    (``tests/profile_digests.py`` checks the same under any interpreter)."""
+    golden = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
+    assert app_digest(workdir, shape, seed) == golden[app_key(shape, seed)]
 
 
 @pytest.mark.parametrize("noisy", [False, True], ids=["default", "noisy"])

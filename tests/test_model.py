@@ -1,7 +1,10 @@
+import io
 import pickle
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faastune import (
     CallGraph,
@@ -13,8 +16,17 @@ from faastune import (
     Sequence,
     SloSpec,
     configuration_cost,
+    estimate_cost,
+    estimate_time,
+    generate_app,
+    parse_trace_file,
+    run_load,
+    validate_config,
+    write_trace_file,
 )
-from faastune.errors import DuplicateFunction, EmptyGroup, MissingProfile
+from faastune.errors import DuplicateFunction, EmptyGroup, MissingProfile, PartialConfiguration
+from faastune.model import check_configuration
+from faastune.sim import SHAPES
 from helpers import make_profile, messy_tree
 
 
@@ -163,3 +175,80 @@ def test_missing_profile_raises():
     profiles = {"f1": make_profile("f1", {128: 1.0})}
     with pytest.raises(MissingProfile):
         configuration_cost({"f1": 256}, profiles, CostModel())
+
+
+# --- configurations ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_check_configuration_names_the_first_missing_function_in_execution_order(shape):
+    graph = generate_app(6, shape, seed=5).graph
+    functions = graph.functions()
+    for k in range(len(functions)):
+        for present in (functions[:k], functions[:k] + functions[k + 1:]):
+            with pytest.raises(PartialConfiguration) as error:
+                check_configuration(graph, dict.fromkeys(present, 128))
+            assert error.value.function == functions[k]
+
+
+def _profiles(graph):
+    return {f: make_profile(f, {128: 1.0, 256: 0.5}) for f in graph.functions()}
+
+
+#: The library entry points that take a configuration, each called with a
+#: demo3 app, a configuration and a generator.
+_TAKES_A_CONFIGURATION = {
+    "run_load": lambda app, config, rng: run_load(app, config, 2, rng),
+    "validate_config": lambda app, config, rng: validate_config(
+        app, config, SloSpec(10.0), n_requests=2, rng=rng),
+    "estimate_time": lambda app, config, rng: estimate_time(app.graph, config, _profiles(app.graph)),
+    "estimate_cost": lambda app, config, rng: estimate_cost(
+        app.graph, config, _profiles(app.graph), CostModel()),
+}
+
+
+@pytest.mark.parametrize("entry", list(_TAKES_A_CONFIGURATION))
+@pytest.mark.parametrize("config,error,match", [
+    pytest.param({"f1": 128, "f3": 128}, PartialConfiguration, "'f2'", id="missing"),
+    pytest.param({"f1": 128, "f2": 128, "f3": 128, "f9": 128}, ValueError,
+                 r"unknown functions: \['f9'\]", id="unknown"),
+    pytest.param({"f1": 128, "f2": True, "f3": 128}, ValueError, "got True", id="bool"),
+    pytest.param({"f1": 128, "f2": 512.5, "f3": 128}, ValueError, "got 512.5", id="float"),
+    pytest.param({"f1": 128, "f2": 0, "f3": 128}, ValueError, "got 0", id="zero"),
+    pytest.param({"f1": 128, "f2": -128, "f3": 128}, ValueError, "got -128", id="negative"),
+])
+def test_entry_points_apply_the_configuration_check(entry, config, error, match):
+    """Each raises what ``check_configuration`` raises, before any draw."""
+    app = generate_app(shape="demo3", seed=0)
+    with pytest.raises(error, match=match) as expected:
+        check_configuration(app.graph, config)
+    rng = random.Random(0)
+    with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
+        _TAKES_A_CONFIGURATION[entry](app, config, rng)
+    assert rng.getstate() == random.Random(0).getstate()
+
+
+#: Memory sizes ``check_configuration`` refuses: not positive, or not an int.
+_BAD_MEMORY = st.one_of(st.integers(-2, 0), st.booleans(), st.floats(0.5, 4096.0))
+
+
+@given(st.sampled_from(SHAPES), st.lists(st.integers(1, 2**40), min_size=10, max_size=10),
+       st.none() | st.tuples(st.integers(0, 9), _BAD_MEMORY), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_run_load_traces_read_back_for_every_accepted_configuration(shape, memories, bad, seed):
+    """``run_load`` refuses what ``check_configuration`` refuses; what it
+    accepts, ``parse_trace_file`` reads back from the written file."""
+    app = generate_app(6, shape, seed=seed)
+    if bad is not None:
+        memories[bad[0]] = bad[1]
+    config = dict(zip(app.graph.functions(), memories))
+    try:
+        check_configuration(app.graph, config)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            run_load(app, config, 2, random.Random(seed))
+        return
+    log = run_load(app, config, 2, random.Random(seed))
+    written = io.StringIO()
+    write_trace_file(log, written)
+    assert parse_trace_file(io.StringIO(written.getvalue())) == log

@@ -77,7 +77,7 @@ def test_minimal_three_segment_trace_parses():
         _line(seg="s2", parent="s1", name="f2", start=1.0, end=2.0),
         _line(seg="s3", parent="s1", name="f3", start=2.0, end=3.0),
     )
-    assert len(log) == 1
+    assert len(log.traces) == 1
     assert len(log.traces["t1"]) == 3
 
 
@@ -230,7 +230,7 @@ def test_mistyped_field_is_rejected_with_its_line_number(field, value):
 
 def test_segments_are_immutable_checked_tuples():
     segment = TraceSegment("t1", "s1", "f1", "function", 1.0, 3.5, memory_mb=128)
-    assert segment.duration_s == 2.5
+    assert segment.end_time - segment.start_time == 2.5
     assert segment.parent_id is None and segment.cold_start is None
     with pytest.raises(AttributeError):
         segment.end_time = 9.0
