@@ -1,10 +1,13 @@
 """The golden CLI artifacts, recomputed through the CLI.
 
 ``test_cli.test_profile_tables_are_pinned`` checks each ``profile/*`` table
-with :func:`profile_digest`, and ``test_cli.test_generated_apps_are_pinned``
-each ``app/*`` spec file with :func:`app_digest`. Run as a script, this
-module recomputes all 24 tables and 12 spec files and compares them with
-``golden_digests.json``; it also recomputes the nine ``optimize`` records of
+with :func:`profile_digest`, ``test_cli.test_generated_apps_are_pinned``
+each ``app/*`` spec file with :func:`app_digest`, and
+``test_traces.test_trace_ingestion_is_pinned`` each ``ingest/*`` record of
+what trace ingestion learns with :func:`ingest_digest`. Run as a script,
+this module recomputes all 24 tables, 12 spec files and 24 ingestion
+records and compares them with ``golden_digests.json``; it also recomputes
+the nine ``optimize`` records of
 ``golden_results.json`` and the ``petstore/validate-reports`` digest, which
 ``test_cli`` checks too. It needs nothing but the standard library and
 faastune, so it also runs under interpreters that have no pytest:
@@ -24,13 +27,23 @@ import hashlib
 import io
 import json
 import platform
+import random
 import sys
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from faastune import cli
+from faastune import cli, sim
+from faastune.model import MemoryLadder
+from faastune.profiles import build_profiles, monotone_repair, select_alpha
 from faastune.sim import SHAPES
+from faastune.traces import (
+    build_call_graph,
+    extract_samples,
+    graph_to_dict,
+    parse_trace_file,
+    write_trace_file,
+)
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 GOLDEN_RESULTS = Path(__file__).with_name("golden_results.json")
@@ -50,6 +63,10 @@ def app_key(shape: str, seed: str) -> str:
     return f"app/{shape}-{seed}"
 
 
+def ingest_key(shape: str, seed: str, noisy: bool) -> str:
+    return f"ingest/{shape}-{seed}" + ("-noisy" if noisy else "")
+
+
 def _run(argv: list[str]) -> None:
     code = cli.main(argv)
     if code != 0:
@@ -65,20 +82,52 @@ def app_digest(workdir: Path, shape: str, seed: str) -> str:
     return hashlib.sha256(app.read_bytes()).hexdigest()
 
 
-def profile_digest(workdir: Path, shape: str, seed: str, noisy: bool) -> str:
-    """sha256 of the `profile` table of the app :func:`app_digest` writes,
-    profiled at ``seed``, at the simulator's default noise or, if ``noisy``,
-    at jitter cv 0.05 with 2 % cold starts."""
+def _write_app(workdir: Path, shape: str, seed: str, noisy: bool) -> Path:
+    """The spec file :func:`app_digest` writes, at the simulator's default
+    noise or, if ``noisy``, at jitter cv 0.05 with 2 % cold starts."""
     app = workdir / "app.json"
-    profiles = workdir / "profiles.csv"
     app_digest(workdir, shape, seed)
     if noisy:
         spec = json.loads(app.read_text())
         for fields in spec["functions"].values():
             fields.update(jitter_cv=0.05, cold_start_prob=0.02)
         app.write_text(json.dumps(spec))
+    return app
+
+
+def profile_digest(workdir: Path, shape: str, seed: str, noisy: bool) -> str:
+    """sha256 of the `profile` table of the app :func:`_write_app` writes,
+    profiled at ``seed``."""
+    app = _write_app(workdir, shape, seed, noisy)
+    profiles = workdir / "profiles.csv"
     _run(["profile", "--app", str(app), "--seed", seed, "--out", str(profiles)])
     return hashlib.sha256(profiles.read_bytes()).hexdigest()
+
+
+def ingest_digest(workdir: Path, shape: str, seed: str, noisy: bool) -> str:
+    """sha256 of what trace ingestion learns from the app :func:`_write_app`
+    writes: its `profile_application` log (default ladder and requests,
+    drawn at ``seed``) is written to a file and parsed back, and the digest
+    covers the rebuilt graph (as :func:`graph_to_dict` writes it), every
+    extracted sample, the alpha :func:`select_alpha` picks at ``seed`` and
+    the monotone-repaired profiles :func:`build_profiles` fits with it."""
+    app = sim.load_app(_write_app(workdir, shape, seed, noisy))
+    ladder = MemoryLadder()
+    trace = workdir / "trace.ndjson"
+    write_trace_file(sim.profile_application(app, ladder, rng=random.Random(int(seed))), trace)
+    log = parse_trace_file(trace)
+    graph = build_call_graph(log)
+    samples = extract_samples(log)
+    alpha = select_alpha(samples, ladder, graph, seed=int(seed))
+    profiles = {name: monotone_repair(p) for name, p in build_profiles(samples, ladder, alpha).items()}
+    learned = {
+        "graph": graph_to_dict(graph.root),
+        "samples": samples,
+        "alpha": alpha,
+        "profiles": {name: [[m, p.representatives[m], p.sample_counts[m]] for m in p.memories()]
+                     for name, p in profiles.items()},
+    }
+    return hashlib.sha256(json.dumps(learned, sort_keys=True).encode()).hexdigest()
 
 
 def optimize_results(workdir: Path, shape: str, seed: str, slo: str) -> dict[str, Path]:
@@ -116,7 +165,7 @@ def check() -> int:
     golden_results = json.loads(GOLDEN_RESULTS.read_text())
     apps = [(shape, seed) for shape in SHAPES for seed in SEEDS]
     keys = [(shape, seed, noisy) for shape, seed in apps for noisy in (False, True)]
-    app_mismatches, profile_mismatches, result_mismatches = [], [], []
+    app_mismatches, profile_mismatches, ingest_mismatches, result_mismatches = [], [], [], []
     with tempfile.TemporaryDirectory() as workdir, redirect_stdout(io.StringIO()):
         for shape, seed in apps:
             if app_digest(Path(workdir), shape, seed) != golden[app_key(shape, seed)]:
@@ -125,6 +174,9 @@ def check() -> int:
             key = profile_key(shape, seed, noisy)
             if profile_digest(Path(workdir), shape, seed, noisy) != golden[key]:
                 profile_mismatches.append(key)
+            key = ingest_key(shape, seed, noisy)
+            if ingest_digest(Path(workdir), shape, seed, noisy) != golden[key]:
+                ingest_mismatches.append(key)
         for shape, seed, slo in RESULT_CASES:
             results = optimize_results(Path(workdir), shape, seed, slo)
             for key, result in results.items():
@@ -134,13 +186,14 @@ def check() -> int:
             if shape == "petstore":
                 if validate_reports_digest(Path(workdir), results, slo) != golden[REPORTS_KEY]:
                     result_mismatches.append(REPORTS_KEY)
-    mismatches = app_mismatches + profile_mismatches + result_mismatches
+    mismatches = app_mismatches + profile_mismatches + ingest_mismatches + result_mismatches
     for key in mismatches:
         print(f"mismatch: {key}")
     checked = len(RESULT_CASES) * len(OBJECTIVES) + 1
     print(f"{platform.python_implementation()} {platform.python_version()}: "
-          f"{len(apps) - len(app_mismatches)} of {len(apps)} app and "
-          f"{len(keys) - len(profile_mismatches)} of {len(keys)} profile digests match "
+          f"{len(apps) - len(app_mismatches)} of {len(apps)} app, "
+          f"{len(keys) - len(profile_mismatches)} of {len(keys)} profile and "
+          f"{len(keys) - len(ingest_mismatches)} of {len(keys)} ingest digests match "
           f"{GOLDEN.name}; {checked - len(result_mismatches)} of {checked} results and "
           f"reports match {GOLDEN_RESULTS.name} and {GOLDEN.name}")
     return 1 if mismatches else 0

@@ -46,7 +46,9 @@ from faastune.traces import (
     graph_to_dict,
 )
 
+from faastune.sim import SHAPES
 from helpers import reference_parallel_groups
+from profile_digests import GOLDEN, SEEDS, ingest_digest, ingest_key
 
 
 def _line(trace="t1", seg="s1", parent=None, name="f1", kind="function",
@@ -822,6 +824,18 @@ def test_parsing_then_building_the_graph_checks_each_trace_once(monkeypatch):
     monkeypatch.setattr("faastune.traces._check_tree", counted)
     assert build_call_graph(parse_trace_file(io.StringIO(text))) == app.graph
     assert checked == [f"req-{i:05d}" for i in range(4)]
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["default", "noisy"])
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_trace_ingestion_is_pinned(tmp_path, shape, seed, noisy):
+    """sha256 of the graph, samples, alpha and repaired profiles learned from
+    a written profiling log of every shape at two seeds, at default and
+    noisy settings (``tests/profile_digests.py`` checks the same under any
+    interpreter)."""
+    golden = json.loads(GOLDEN.read_text())
+    assert ingest_digest(tmp_path, shape, seed, noisy) == golden[ingest_key(shape, seed, noisy)]
 
 
 # --- samples -----------------------------------------------------------------
