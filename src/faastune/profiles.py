@@ -33,7 +33,11 @@ def percentile_linear(values: Iterable[float], pct: float) -> float:
     ceil order statistics. This is the single percentile definition used
     everywhere in the package so results are bit-reproducible.
     """
-    xs = sorted(values)
+    return _percentile_of_sorted(sorted(values), pct)
+
+
+def _percentile_of_sorted(xs: list[float], pct: float) -> float:
+    """:func:`percentile_linear` of ``xs``, which is in ascending order."""
     if not xs:
         raise ValueError("cannot take a percentile of no values")
     if not 0 <= pct <= 100:
@@ -48,22 +52,18 @@ def percentile_linear(values: Iterable[float], pct: float) -> float:
 
 def _group_cells(
     samples: Iterable[ExecutionSample], rungs: Seq[int]
-) -> dict[str, dict[int, list[ExecutionSample]]]:
-    rung_set = set(rungs)
-    cells: dict[str, dict[int, list[ExecutionSample]]] = {}
-    for s in samples:
-        function, memory_mb, _, _ = s
-        if memory_mb not in rung_set:
+) -> dict[int, dict[str, list[float]]]:
+    """Each rung's sample durations by function, in sample order."""
+    cells: dict[int, dict[str, list[float]]] = {memory_mb: {} for memory_mb in rungs}
+    for function, memory_mb, duration_s, _ in samples:
+        by_function = cells.get(memory_mb)
+        if by_function is None:
             continue  # off-ladder observations are not modeled
-        by_memory = cells.get(function)
-        if by_memory is None:
-            cells[function] = {memory_mb: [s]}
-            continue
-        cell = by_memory.get(memory_mb)
-        if cell is None:
-            by_memory[memory_mb] = [s]
+        durations = by_function.get(function)
+        if durations is None:
+            by_function[function] = [duration_s]
         else:
-            cell.append(s)
+            durations.append(duration_s)
     return cells
 
 
@@ -80,17 +80,15 @@ def build_profiles(
     rungs = ladder.effective()
     cells = _group_cells(samples, rungs)
     profiles: dict[str, FunctionProfile] = {}
-    for function in sorted(cells):
-        by_memory = cells[function]
+    for function in sorted(set().union(*cells.values())):
         representatives: dict[int, float] = {}
         counts: dict[int, int] = {}
         for memory_mb in rungs:
-            cell = by_memory.get(memory_mb)
-            if not cell:
+            durations = cells[memory_mb].get(function)
+            if not durations:
                 raise MissingCell(function, memory_mb)
-            durations = [s.duration_s for s in cell]
             representatives[memory_mb] = percentile_linear(durations, alpha)
-            counts[memory_mb] = len(cell)
+            counts[memory_mb] = len(durations)
         profiles[function] = FunctionProfile(
             function=function,
             alpha=alpha,
@@ -139,15 +137,16 @@ def select_alpha(
     rungs = ladder.effective()
     functions = graph.functions()
     cells = _group_cells(samples, rungs)
+    sampled = set().union(*cells.values())
     for function in functions:
-        if function not in cells:
+        if function not in sampled:
             raise InsufficientSamples(f"no samples for function {function!r}")
 
     counts: dict[int, int] = {}
     for memory_mb in rungs:
         sizes = set()
         for function in functions:
-            cell = cells[function].get(memory_mb)
+            cell = cells[memory_mb].get(function)
             if not cell:
                 raise MissingCell(function, memory_mb)
             sizes.add(len(cell))
@@ -171,28 +170,27 @@ def select_alpha(
         splits[memory_mb] = (sorted(indices[n_holdout:]), sorted(indices[:n_holdout]))
 
     evaluator = GraphEvaluator(graph)
-    # Each holdout request's end-to-end latency does not depend on alpha.
-    observed = {
-        memory_mb: [
-            evaluator.evaluate({f: cells[f][memory_mb][i].duration_s for f in functions})
-            for i in splits[memory_mb][1]
-        ]
-        for memory_mb in rungs
-    }
+    # Neither each function's fit durations nor each holdout request's
+    # end-to-end latency depends on alpha: both are sorted once.
+    fits: dict[int, dict[str, list[float]]] = {}
+    observed: dict[int, list[float]] = {}
+    for memory_mb in rungs:
+        fit_idx, holdout_idx = splits[memory_mb]
+        by_function = cells[memory_mb]
+        fits[memory_mb] = {
+            f: sorted(map(by_function[f].__getitem__, fit_idx)) for f in functions
+        }
+        observed[memory_mb] = sorted(
+            evaluator.evaluate({f: by_function[f][i] for f in functions}) for i in holdout_idx
+        )
     best_alpha = DEFAULT_ALPHA_CANDIDATES[0]
     best_mse = math.inf
     for alpha in DEFAULT_ALPHA_CANDIDATES:
         total = 0.0
         for memory_mb in rungs:
-            fit_idx = splits[memory_mb][0]
-            fitted = {
-                f: percentile_linear(
-                    [cells[f][memory_mb][i].duration_s for i in fit_idx], alpha
-                )
-                for f in functions
-            }
+            fitted = {f: _percentile_of_sorted(xs, alpha) for f, xs in fits[memory_mb].items()}
             estimated = evaluator.evaluate(fitted)
-            target = percentile_linear(observed[memory_mb], alpha)
+            target = _percentile_of_sorted(observed[memory_mb], alpha)
             total += (estimated - target) ** 2
         mse = total / len(rungs)
         if mse < best_mse:

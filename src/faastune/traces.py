@@ -8,6 +8,7 @@ graph is built, since only functions can be resized.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -114,8 +115,7 @@ class TraceLog:
 
 
 _REQUIRED_KEYS = ("trace_id", "segment_id", "name", "kind", "start_time", "end_time")
-_REQUIRED_KEY_SET = frozenset(_REQUIRED_KEYS)
-_KNOWN_KEY_SET = _REQUIRED_KEY_SET | {"parent_id", "memory_mb", "cold_start"}
+_KNOWN_KEY_SET = frozenset(_REQUIRED_KEYS) | {"parent_id", "memory_mb", "cold_start"}
 
 
 # ``TraceSegment(...)`` and ``ExecutionSample(...)`` with their checks, minus
@@ -128,48 +128,13 @@ def _mistyped(key: str, value: object, expected: str) -> ValueError:
     return ValueError(f"{key} must be {expected}, got {value!r}")
 
 
-def _segment_from_record(record: dict) -> TraceSegment:
-    """The segment a decoded line describes. ValueError on unknown or
-    missing keys and on values whose JSON type is not the one
-    ``docs/file-formats.md`` documents (``json`` decodes to exactly str,
-    int, float, bool or None, and a bool is never a number)."""
+def _bad_keys(record: dict) -> str:
+    """Why the keys of ``record`` are not those of a segment: unknown keys
+    first, then missing ones."""
     keys = record.keys()
     if not keys <= _KNOWN_KEY_SET:
-        raise ValueError(f"unknown keys: {sorted(keys - _KNOWN_KEY_SET)}")
-    if not keys >= _REQUIRED_KEY_SET:
-        raise ValueError(f"missing keys: {[k for k in _REQUIRED_KEYS if k not in record]}")
-    trace_id = record["trace_id"]
-    if type(trace_id) is not str:
-        raise _mistyped("trace_id", trace_id, "a string")
-    segment_id = record["segment_id"]
-    if type(segment_id) is not str:
-        raise _mistyped("segment_id", segment_id, "a string")
-    name = record["name"]
-    if type(name) is not str:
-        raise _mistyped("name", name, "a string")
-    start_time = record["start_time"]
-    if type(start_time) is not float:
-        if type(start_time) is not int:
-            raise _mistyped("start_time", start_time, "a number")
-        start_time = float(start_time)
-    end_time = record["end_time"]
-    if type(end_time) is not float:
-        if type(end_time) is not int:
-            raise _mistyped("end_time", end_time, "a number")
-        end_time = float(end_time)
-    parent_id = record.get("parent_id")
-    if parent_id is not None and type(parent_id) is not str:
-        raise _mistyped("parent_id", parent_id, "a string or null")
-    memory_mb = record.get("memory_mb")
-    if memory_mb is not None and type(memory_mb) is not int:
-        raise _mistyped("memory_mb", memory_mb, "an integer or null")
-    cold_start = record.get("cold_start")
-    if cold_start is not None and type(cold_start) is not bool:
-        raise _mistyped("cold_start", cold_start, "a boolean or null")
-    return _new_segment(
-        TraceSegment, trace_id, segment_id, name, record["kind"], start_time, end_time,
-        parent_id, memory_mb, cold_start,
-    )
+        return f"unknown keys: {sorted(keys - _KNOWN_KEY_SET)}"
+    return f"missing keys: {[k for k in _REQUIRED_KEYS if k not in record]}"
 
 
 def _segment_to_record(segment: TraceSegment) -> dict:
@@ -196,14 +161,40 @@ def parse_trace_file(source: str | Path | IO[str]) -> TraceLog:
 
     Malformed lines and segment ids repeated within a trace raise
     :class:`ParseError` with their line number; each trace must then form
-    one tree, as every :class:`TraceLog` does.
+    one tree, as every :class:`TraceLog` does. A path is read as UTF-8, and
+    its first line that is not UTF-8 is a :class:`ParseError` too.
     """
     if hasattr(source, "read"):
         traces = _parse_lines(iter(source))  # type: ignore[arg-type]
     else:
-        with open(source) as fh:
-            traces = _parse_lines(fh)
+        with open(source, encoding="utf-8") as fh:
+            try:
+                traces = _parse_lines(fh)
+            except UnicodeDecodeError:
+                raise _undecodable_line(Path(source).read_bytes()) from None
     return TraceLog(traces)
+
+
+def _undecodable_line(data: bytes) -> ParseError:
+    """The error for the first line of ``data`` that is not UTF-8.
+
+    The text layer decodes whole chunks, so the lines before that line in
+    its chunk were never parsed: they are parsed here first, and an error
+    among them is raised instead. Lines end as in text mode, at ``\\n``,
+    ``\\r\\n`` or ``\\r``.
+    """
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        error = exc
+    lines = io.StringIO(data[: error.start].decode("utf-8"), newline=None).readlines()
+    head = lines.pop() if lines and not lines[-1].endswith("\n") else ""
+    _parse_lines(lines)
+    at = error.start - len(head.encode("utf-8"))  # where the line starts
+    in_line = UnicodeDecodeError(
+        "utf-8", data[at : error.end], error.start - at, error.end - at, error.reason
+    )
+    return ParseError(len(lines) + 1, str(in_line))
 
 
 def _check_tree(trace_id: str, segments: tuple[TraceSegment, ...]) -> None:
@@ -215,34 +206,42 @@ def _check_tree(trace_id: str, segments: tuple[TraceSegment, ...]) -> None:
     may lack a parent (:class:`MultipleRoots`) and every segment must reach
     it through its parents (:class:`UnreachableSegment`, catching cycles).
     """
-    by_id: dict[str, TraceSegment] = {}
-    children: dict[str | None, list[str]] = {}
-    for s in segments:
-        segment_id = s.segment_id
-        if s.trace_id != trace_id:
-            raise ParseError(0, f"trace {trace_id!r} holds segment {segment_id!r} of trace {s.trace_id!r}")
-        by_id[segment_id] = s
-        children.setdefault(s.parent_id, []).append(segment_id)
-    if len(by_id) != len(segments):
+    parent_of: dict[str, str | None] = {}
+    roots = 0
+    parents_first = True  # every parent is listed before its children
+    for segment_trace, segment_id, _, _, _, _, parent_id, _, _ in segments:
+        if segment_trace != trace_id:
+            raise ParseError(0, f"trace {trace_id!r} holds segment {segment_id!r} of trace {segment_trace!r}")
+        if parent_id is None:
+            roots += 1
+        elif parent_id not in parent_of:
+            parents_first = False
+        parent_of[segment_id] = parent_id
+    if len(parent_of) != len(segments):
         seen: set[str] = set()
         for s in segments:
             if s.segment_id in seen:
                 raise ParseError(0, f"trace {trace_id!r} repeats segment_id {s.segment_id!r}")
             seen.add(s.segment_id)
-    roots = children.get(None, [])
-    reached = list(roots)
+    if roots == 1 and parents_first:
+        return  # each parent path runs up the list to the one root
+    children: dict[str | None, list[str]] = {}
+    for segment_id, parent_id in parent_of.items():
+        children.setdefault(parent_id, []).append(segment_id)
+    root_ids = children.get(None, [])
+    reached = list(root_ids)
     for segment_id in reached:
         reached.extend(children.get(segment_id, ()))
-    if len(roots) == 1 and len(reached) == len(segments):
+    if len(root_ids) == 1 and len(reached) == len(segments):
         return
     for s in segments:
-        if s.parent_id is not None and s.parent_id not in by_id:
+        if s.parent_id is not None and s.parent_id not in parent_of:
             raise OrphanSegment(s.segment_id)
-    if len(roots) > 1:
+    if len(root_ids) > 1:
         raise MultipleRoots(trace_id)
-    if not roots:
+    if not root_ids:
         raise ParseError(0, f"trace {trace_id!r} has no root segment")
-    raise UnreachableSegment(min(by_id.keys() - reached))
+    raise UnreachableSegment(min(parent_of.keys() - reached))
 
 
 #: Decodes one line per call; :func:`json.loads` would add two whitespace
@@ -250,9 +249,16 @@ def _check_tree(trace_id: str, segments: tuple[TraceSegment, ...]) -> None:
 _DECODER = json.JSONDecoder()
 
 
-def _parse_lines(lines: Iterable[str]) -> dict[str, list[TraceSegment]]:
-    buckets: dict[str, list[TraceSegment]] = {}
-    seen: set[tuple[str, str]] = set()
+def _parse_lines(lines: Iterable[str]) -> dict[str, tuple[TraceSegment, ...]]:
+    """Each trace's segments, in line order.
+
+    Each non-blank line is decoded and checked on its own. Within one call,
+    equal trace ids, names and kinds share one string object, and a parent
+    id that names a segment already read is that segment's own id object.
+    """
+    traces: dict[str, dict[str, TraceSegment]] = {}
+    shared = {kind: kind for kind in SEGMENT_KINDS}
+    share = shared.setdefault
     raw_decode = _DECODER.raw_decode
     for line_no, line in enumerate(lines, start=1):
         # Decode the stripped line: JSON error columns count from its start,
@@ -271,22 +277,66 @@ def _parse_lines(lines: Iterable[str]) -> dict[str, list[TraceSegment]]:
                 record = json.loads(text)
             if type(record) is not dict:
                 raise ValueError("record must be a JSON object")
-            segment = _segment_from_record(record)
+            # The keys and JSON types ``docs/file-formats.md`` documents:
+            # ``json`` decodes to exactly str, int, float, bool or None, and
+            # a bool is never a number. With every required key present, the
+            # record holds no other key iff its size counts only optional keys.
+            try:
+                trace_id = record["trace_id"]
+                segment_id = record["segment_id"]
+                name = record["name"]
+                kind = record["kind"]
+                start_time = record["start_time"]
+                end_time = record["end_time"]
+            except KeyError:
+                raise ValueError(_bad_keys(record)) from None
+            if len(record) != 6 + ("parent_id" in record) + ("memory_mb" in record) + ("cold_start" in record):
+                raise ValueError(_bad_keys(record))
+            if type(trace_id) is not str:
+                raise _mistyped("trace_id", trace_id, "a string")
+            if type(segment_id) is not str:
+                raise _mistyped("segment_id", segment_id, "a string")
+            if type(name) is not str:
+                raise _mistyped("name", name, "a string")
+            if type(start_time) is not float:
+                if type(start_time) is not int:
+                    raise _mistyped("start_time", start_time, "a number")
+                start_time = float(start_time)
+            if type(end_time) is not float:
+                if type(end_time) is not int:
+                    raise _mistyped("end_time", end_time, "a number")
+                end_time = float(end_time)
+            parent_id = record.get("parent_id")
+            if parent_id is not None and type(parent_id) is not str:
+                raise _mistyped("parent_id", parent_id, "a string or null")
+            memory_mb = record.get("memory_mb")
+            if memory_mb is not None and type(memory_mb) is not int:
+                raise _mistyped("memory_mb", memory_mb, "an integer or null")
+            cold_start = record.get("cold_start")
+            if cold_start is not None and type(cold_start) is not bool:
+                raise _mistyped("cold_start", cold_start, "a boolean or null")
+            if type(kind) is str:
+                kind = share(kind, kind)
+            trace_id = share(trace_id, trace_id)
+            segments = traces.get(trace_id)
+            if segments is None:
+                segments = traces[trace_id] = {}
+            elif parent_id is not None:
+                parent = segments.get(parent_id)
+                if parent is not None:
+                    parent_id = parent[1]
+            segment = _new_segment(
+                TraceSegment, trace_id, segment_id, share(name, name), kind, start_time,
+                end_time, parent_id, memory_mb, cold_start,
+            )
         # OverflowError: an integer time too large for a float;
         # RecursionError: arrays or objects nested too deep to decode.
         except (ValueError, OverflowError, RecursionError) as exc:
             raise ParseError(line_no, str(exc)) from None
-        trace_id = segment.trace_id
-        key = (trace_id, segment.segment_id)
-        if key in seen:
-            raise ParseError(line_no, f"duplicate segment_id {segment.segment_id!r}")
-        seen.add(key)
-        bucket = buckets.get(trace_id)
-        if bucket is None:
-            buckets[trace_id] = [segment]
-        else:
-            bucket.append(segment)
-    return buckets
+        if segment_id in segments:
+            raise ParseError(line_no, f"duplicate segment_id {segment_id!r}")
+        segments[segment_id] = segment
+    return {trace_id: tuple(segments.values()) for trace_id, segments in traces.items()}
 
 
 def write_trace_file(log: TraceLog, target: str | Path | IO[str]) -> None:
@@ -325,52 +375,59 @@ def extract_samples(log: TraceLog) -> list[ExecutionSample]:
 
 def _trace_shape(
     trace_id: str, segments: tuple[TraceSegment, ...]
-) -> tuple[dict[str, str | None], dict[str, tuple[float, float]]] | None:
-    """A checked trace's parent of each function and ``(start, end)`` of
-    each function, both by name; None when it holds no function segment."""
-    by_id = {s.segment_id: s for s in segments}
+) -> tuple[dict[str, str | None], dict[str, float], dict[str, float]] | None:
+    """A checked trace's parent, start and end of each function, all three
+    by name; None when it holds no function segment."""
+    by_id = {s[1]: s for s in segments}
     parent_of: dict[str, str | None] = {}
-    intervals: dict[str, tuple[float, float]] = {}
+    starts: dict[str, float] = {}
+    ends: dict[str, float] = {}
     for _, _, name, kind, start_time, end_time, parent_id, _, _ in segments:
         if kind != "function":
             continue
-        if name in intervals:
+        if name in starts:
             raise DuplicateFunction(name)
-        intervals[name] = (start_time, end_time)
+        starts[name] = start_time
+        ends[name] = end_time
         if parent_id is None:
             parent_of[name] = None
             continue
         parent = by_id[parent_id]
-        if parent.kind != "function":
+        if parent[3] != "function":
             raise InconsistentTopology(
                 f"trace {trace_id!r}: function {name!r} is invoked by "
-                f"backend service {parent.name!r}, which cannot be modeled"
+                f"backend service {parent[2]!r}, which cannot be modeled"
             )
-        parent_of[name] = parent.name
-    return (parent_of, intervals) if intervals else None
+        parent_of[name] = parent[2]
+    return (parent_of, starts, ends) if starts else None
 
 
 def _parallel_groups(
     siblings: list[str],
-    intervals: list[dict[str, tuple[float, float]]],
+    starts: list[dict[str, float]],
+    ends: list[dict[str, float]],
     mean_start: dict[str, float],
 ) -> list[list[str]]:
     """Cluster siblings into concurrently-executed groups.
 
     A pair runs in parallel iff its intervals overlap in a strict majority
     of traces (ties are sequential: a sequential estimate can only
-    overestimate, never miss the SLO); ``intervals`` holds each trace's
-    ``(start, end)`` by function name. Groups are the connected components
-    of that relation, ordered by earliest mean start time.
+    overestimate, never miss the SLO); ``starts[t]`` and ``ends[t]`` hold
+    trace ``t``'s start and end of each function by name. Groups are the
+    connected components of that relation, ordered by earliest mean start
+    time.
     """
+    if len(siblings) == 1:
+        return [list(siblings)]
     votes: dict[tuple[str, str], int] = {}
-    for spans in intervals:
+    for trace_starts, trace_ends in zip(starts, ends):
         # Sweep this trace's siblings in (start, end) order. A later sibling
         # overlaps [start, end) iff it starts before ``end`` (it cannot end
         # at or before ``start``: in this order that takes two empty spans at
         # one instant, and then it starts at ``end``), and once one starts at
         # or after ``end``, every later one does too.
-        ordered = sorted(spans[name] + (name,) for name in siblings)
+        ordered = sorted(zip(map(trace_starts.__getitem__, siblings),
+                             map(trace_ends.__getitem__, siblings), siblings))
         for i, (_, end, a) in enumerate(ordered):
             for other_start, _, b in ordered[i + 1 :]:
                 if other_start >= end:
@@ -379,7 +436,7 @@ def _parallel_groups(
                 votes[pair] = votes.get(pair, 0) + 1
     adjacent: dict[str, set[str]] = {name: set() for name in siblings}
     for (a, b), count in votes.items():
-        if count * 2 > len(intervals):
+        if count * 2 > len(starts):
             adjacent[a].add(b)
             adjacent[b].add(a)
     groups: list[list[str]] = []
@@ -433,9 +490,10 @@ def build_call_graph(log: TraceLog) -> CallGraph:
         raise EmptyAfterFiltering("no function segments in any trace")
 
     parent_of = shapes[0][0]
-    if any(other != parent_of for other, _ in shapes[1:]):
+    if any(other != parent_of for other, _, _ in shapes[1:]):
         raise InconsistentTopology("traces imply different invocation structures")
-    intervals = [spans for _, spans in shapes]
+    starts = [trace_starts for _, trace_starts, _ in shapes]
+    ends = [trace_ends for _, _, trace_ends in shapes]
 
     # Exactly one function has no parent: a checked trace has one root and
     # no function under a backend.
@@ -445,15 +503,14 @@ def build_call_graph(log: TraceLog) -> CallGraph:
             root = name
         else:
             children.setdefault(parent, []).append(name)
-    # One pass over the traces; each name's starts stay in trace order, so
-    # their sum, and so each mean, does not depend on how they were gathered.
-    starts: dict[str, list[float]] = {name: [] for name in parent_of}
-    for spans in intervals:
-        for name, (start, _) in spans.items():
-            starts[name].append(start)
-    mean_start = {name: sum(values) / len(intervals) for name, values in starts.items()}
+    # Each name's starts are summed in trace order, so each mean does not
+    # depend on how they were gathered.
+    mean_start = {
+        name: sum([trace_starts[name] for trace_starts in starts]) / len(starts)
+        for name in parent_of
+    }
 
-    calls = {name: _parallel_groups(kids, intervals, mean_start) for name, kids in children.items()}
+    calls = {name: _parallel_groups(kids, starts, ends, mean_start) for name, kids in children.items()}
     return CallGraph(compose_calls(root, calls))
 
 

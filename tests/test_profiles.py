@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from faastune import (
     ExecutionSample,
@@ -16,10 +16,11 @@ from faastune import (
     save_profiles,
     select_alpha,
 )
-from faastune.errors import InsufficientSamples, MissingCell
+from faastune.errors import FaastuneError, InsufficientSamples, MissingCell
 from faastune.estimate import combine_times
+from faastune.model import DEFAULT_MEMORY_MB
 from faastune.profiles import DEFAULT_ALPHA_CANDIDATES
-from helpers import make_profile
+from helpers import make_profile, reference_build_profiles, reference_select_alpha
 
 
 def _samples(function, memory, durations):
@@ -221,6 +222,70 @@ def test_select_alpha_deterministic_given_seed():
     assert all(
         select_alpha(samples, ladder, graph, seed=42) == first for _ in range(3)
     )
+
+
+def _fitted(fit, *args, **kwargs):
+    """What ``fit`` returns, as its repr, or its error's class and message."""
+    try:
+        return repr(fit(*args, **kwargs))
+    except FaastuneError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.integers(1, 5), st.integers(0, 2**31), st.data())
+@settings(max_examples=120, deadline=None)
+def test_fitting_matches_the_reference(n_functions, app_seed, data):
+    """Profiling-shaped sample sets: 4-60 requests per rung, durations that
+    tie often or have tails of random weight, random cold flags and samples
+    off the ladder mixed in; now and then a cell one request short or long,
+    a rung with too few requests, a missing cell or a function the graph
+    does not hold. ``select_alpha`` and ``build_profiles`` must give the
+    reference's alpha and profiles, or its error."""
+    graph = generate_app(n_functions=n_functions, shape="random", seed=app_seed).graph
+    functions = list(graph.functions())
+    if data.draw(st.booleans()):
+        functions.append("zz-unmodeled")
+    rungs = tuple(sorted(data.draw(st.lists(st.sampled_from(DEFAULT_MEMORY_MB), min_size=1,
+                                            max_size=4, unique=True))))
+    ladder = MemoryLadder(values=rungs, cap_mb=None)
+    off_ladder = [m for m in (64, *DEFAULT_MEMORY_MB, 4096) if m not in rungs]
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    tails = {f: rng.choice((0.0, 0.2, 0.8, 1.5)) for f in functions}
+
+    def duration(function: str) -> float:
+        if not tails[function] or rng.random() < 0.3:
+            return rng.choice((0.0, 0.25, 1.0, 2.5))
+        return rng.lognormvariate(0.0, tails[function])
+
+    edit = data.draw(st.sampled_from(("none", "none", "none", "extra", "drop", "drop-cell", "short")))
+    samples = []
+    for memory_mb in rungs:
+        k = data.draw(st.integers(4, 60), label=f"requests at {memory_mb}")
+        if edit == "short" and memory_mb == rungs[-1]:
+            k = data.draw(st.integers(1, 3))
+        for _ in range(k):
+            for function in functions:
+                samples.append(ExecutionSample(function, memory_mb, duration(function),
+                                               rng.random() < 0.1))
+                if rng.random() < 0.05:
+                    samples.append(ExecutionSample(function, rng.choice(off_ladder), duration(function)))
+    if edit == "extra":
+        samples.append(ExecutionSample(rng.choice(functions), rng.choice(rungs), 1.0))
+    elif edit == "drop":
+        del samples[rng.randrange(len(samples))]
+    elif edit == "drop-cell":
+        cell = (rng.choice(functions), rng.choice(rungs))
+        samples = [s for s in samples if (s.function, s.memory_mb) != cell]
+    if data.draw(st.booleans()):
+        rng.shuffle(samples)
+
+    seed = data.draw(st.integers(0, 2**16))
+    alpha = _fitted(select_alpha, samples, ladder, graph, seed=seed)
+    assert alpha == _fitted(reference_select_alpha, samples, ladder, graph, seed=seed)
+    for pct in (*DEFAULT_ALPHA_CANDIDATES, data.draw(st.floats(0, 100))):
+        assert _fitted(build_profiles, samples, ladder, pct) == _fitted(
+            reference_build_profiles, samples, ladder, pct
+        )
 
 
 # --- serialization -----------------------------------------------------------

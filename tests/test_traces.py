@@ -4,7 +4,9 @@ import io
 import json
 import pickle
 import random
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,13 +43,17 @@ from faastune.traces import (
     _check_tree,
     _parallel_groups,
     _parse_lines,
-    _segment_from_record,
     _segment_to_record,
     graph_to_dict,
 )
 
 from faastune.sim import SHAPES
-from helpers import reference_parallel_groups
+from helpers import (
+    reference_check_tree,
+    reference_parallel_groups,
+    reference_parse_lines,
+    reference_segment_from_record,
+)
 from profile_digests import GOLDEN, SEEDS, ingest_digest, ingest_key
 
 
@@ -192,16 +198,64 @@ PINNED_MESSAGES = {
     "zero-memory": (_BASE.replace("128", "0") + "}", "line 2: memory_mb must be positive when present"),
     "duplicate-segment": (_BASE.replace('"name": "f1"', '"name": "f2", "parent_id": "s1"') + "}",
                           "line 2: duplicate segment_id 's1'"),
+    # Bytes, not text: a line that is not UTF-8 can only come from a file.
+    "not-utf-8": (_BASE.replace('"f1"', '"f\xff"').encode("latin-1") + b"}",
+                  "line 2: 'utf-8' codec can't decode byte 0xff in position 49: invalid start byte"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_MESSAGES))
-def test_parse_error_messages_are_pinned(case):
+def test_parse_error_messages_are_pinned(case, tmp_path):
     line, message = PINNED_MESSAGES[case]
+    path = tmp_path / "trace.ndjson"
+    if isinstance(line, str):
+        with pytest.raises(ParseError) as excinfo:
+            _log(_BASE + "}", line)
+        assert str(excinfo.value) == message
+        line = line.encode("utf-8")
+    path.write_bytes((_BASE + "}\n").encode("utf-8") + line + b"\n")
     with pytest.raises(ParseError) as excinfo:
-        _log(_BASE + "}", line)
+        parse_trace_file(path)
     assert str(excinfo.value) == message
     assert excinfo.value.line == 2
+
+
+_BAD_UTF8 = (b"\xff", b"\xc3(", b"\xe2\x82", b"\xed\xa0\x80", b"\xf0\x9f\x98")
+
+
+@given(st.integers(0, 299), st.integers(0, 299), st.sampled_from(_BAD_UTF8), st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_first_line_that_is_not_utf8_or_not_valid_is_reported(bad_at, broken_at, sequence, data):
+    """A 300-line file, about 55 KB, so the text layer decodes it in several
+    chunks: one line holds bytes that are not UTF-8 and another line may be
+    malformed JSON. The error is the one a line-by-line read gives: the
+    earlier of the two lines, with the codec's message for that line
+    alone."""
+    raw = [_line(trace=f"t{i}", name=f"f{i % 7}").encode() for i in range(300)]
+    cut = data.draw(st.integers(1, len(raw[bad_at]) - 1))
+    raw[bad_at] = raw[bad_at][:cut] + sequence + raw[bad_at][cut:]
+    if data.draw(st.booleans()):
+        raw[broken_at] = raw[broken_at][: data.draw(st.integers(1, 40))]
+    ending = data.draw(st.sampled_from((b"\n", b"\r\n", b"\r")))
+
+    decoded = []
+    for line_no, line in enumerate(raw, start=1):
+        try:
+            decoded.append(line.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            expected = ParseError(line_no, str(exc))
+            break
+    try:
+        reference_parse_lines(decoded)
+    except ParseError as exc:
+        expected = exc
+
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "trace.ndjson"
+        path.write_bytes(ending.join(raw) + ending)
+        with pytest.raises(ParseError) as excinfo:
+            parse_trace_file(path)
+    assert (excinfo.value.line, excinfo.value.reason) == (expected.line, expected.reason)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -274,8 +328,8 @@ _instants = st.one_of(st.sampled_from((0.0, 0.5, 1.0, 2.0)), st.floats(-1e6, 1e6
 
 
 @st.composite
-def _segments(draw, trace_id: str):
-    segment_ids = draw(st.lists(_names, min_size=1, max_size=6, unique=True))
+def _segments(draw, trace_id: str, ids=_names):
+    segment_ids = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
     segments = []
     for i, segment_id in enumerate(segment_ids):
         start, end = sorted((draw(_instants), draw(_instants)))
@@ -294,11 +348,12 @@ def _segments(draw, trace_id: str):
 
 
 @st.composite
-def trace_logs(draw):
+def trace_logs(draw, ids=_names):
     """A valid log: each trace a tree of function and baas segments, with
-    every optional field sometimes absent."""
+    every optional field sometimes absent; segment ids are drawn from
+    ``ids``."""
     trace_ids = draw(st.lists(_names, min_size=1, max_size=4, unique=True))
-    return TraceLog({t: draw(_segments(t)) for t in trace_ids})
+    return TraceLog({t: draw(_segments(t, ids)) for t in trace_ids})
 
 
 def _written(log: TraceLog) -> str:
@@ -382,7 +437,7 @@ def _record_check(text: str):
         record = json.loads(text)
         if type(record) is not dict:
             raise ValueError("record must be a JSON object")
-        return _segment_from_record(record)
+        return reference_segment_from_record(record)
     except (ValueError, OverflowError, RecursionError) as exc:
         return str(exc)
 
@@ -411,9 +466,68 @@ def test_each_line_decodes_as_json_loads_does(log, data):
         assert (excinfo.value.line, excinfo.value.reason) == (1, expected)
     else:
         parsed = _parse_lines([line])
-        assert repr(list(parsed.values())) == repr([[expected]])
+        assert repr(list(parsed.values())) == repr([(expected,)])
         fields = expected._asdict()
         assert fields == {**fields, **json.loads(line.strip())}  # the decoded record's values
+
+
+def _outcome(parse, text: str):
+    """The log ``parse`` makes of ``text`` as its repr, or its error's class
+    and message (a :class:`ParseError`'s message holds its line)."""
+    try:
+        return repr(parse(text))
+    except FaastuneError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_parse(text: str) -> TraceLog:
+    traces = reference_parse_lines(io.StringIO(text))
+    for trace_id, segments in traces.items():
+        reference_check_tree(trace_id, tuple(segments))
+    return TraceLog(traces)
+
+
+def _parse(text: str) -> TraceLog:
+    return parse_trace_file(io.StringIO(text))
+
+
+_POOLED_IDS = st.sampled_from(("s1", "s2", "s3", "s4", "s5", "s6"))
+
+
+@given(trace_logs(ids=_POOLED_IDS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_whole_files_parse_as_the_reference_parser_does(log, data):
+    """Segment ids from a pool of six repeat across traces; lines may be
+    shuffled (parents after their children), given another parent, repeated
+    with another name, corrupted, indented, or joined by blank lines. The
+    parser must give the reference's log, or its error class, line and
+    message."""
+    lines = _written(log).splitlines()
+    if data.draw(st.booleans()):
+        data.draw(st.randoms(use_true_random=False)).shuffle(lines)
+    for _ in range(data.draw(st.integers(0, 2))):
+        index = data.draw(st.integers(0, len(lines) - 1))
+        record = json.loads(lines[index])
+        record["parent_id"] = data.draw(st.none() | _POOLED_IDS)
+        lines[index] = json.dumps(record)
+    for _ in range(data.draw(st.integers(0, 2))):
+        record = json.loads(data.draw(st.sampled_from(lines)))
+        record["name"] = data.draw(_names)
+        lines.insert(data.draw(st.integers(0, len(lines))), json.dumps(record))
+    if data.draw(st.booleans()):
+        index = data.draw(st.integers(0, len(lines) - 1))
+        lines[index] = data.draw(corrupted_lines(json.loads(lines[index])))
+    for _ in range(data.draw(st.integers(0, 2))):
+        index = data.draw(st.integers(0, len(lines) - 1))
+        lines[index] = data.draw(st.sampled_from((" ", "\t", "  "))) + lines[index] + " "
+    for _ in range(data.draw(st.integers(0, 2))):
+        blank = data.draw(st.sampled_from(("", " ", "\t", " \t ")))
+        lines.insert(data.draw(st.integers(0, len(lines))), blank)
+    text = "\n".join(lines) + "\n"
+    expected = _outcome(_reference_parse, text)
+    assert _outcome(_parse, text) == expected
+    if isinstance(expected, str):
+        assert _parse(text) == _parse(text) == _reference_parse(text)
 
 
 def test_lines_that_decode_together_are_still_checked_one_at_a_time():
@@ -548,8 +662,14 @@ def test_overlap_vote_matches_the_pairwise_reference():
                 spans[name] = (start, start + rng.choice((0.0, 0.5, 1.0, 2.5)))
             intervals.append(spans)
         mean_start = {m: sum(t[m][0] for t in intervals) / n_traces for m in siblings}
-        assert _parallel_groups(siblings, intervals, mean_start) == reference_parallel_groups(
+        starts = [{m: s for m, (s, _) in t.items()} for t in intervals]
+        ends = [{m: e for m, (_, e) in t.items()} for t in intervals]
+        assert _parallel_groups(siblings, starts, ends, mean_start) == reference_parallel_groups(
             siblings, intervals, mean_start
+        )
+        lone = siblings[:1]
+        assert _parallel_groups(lone, starts, ends, mean_start) == reference_parallel_groups(
+            lone, intervals, mean_start
         )
         for i, a in enumerate(siblings):
             for b in siblings[i + 1 :]:
