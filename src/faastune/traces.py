@@ -290,7 +290,8 @@ def _parse_lines(lines: Iterable[str]) -> dict[str, tuple[TraceSegment, ...]]:
                 end_time = record["end_time"]
             except KeyError:
                 raise ValueError(_bad_keys(record)) from None
-            if len(record) != 6 + ("parent_id" in record) + ("memory_mb" in record) + ("cold_start" in record):
+            optional = ("parent_id" in record) + ("memory_mb" in record) + ("cold_start" in record)
+            if len(record) != 6 + optional:
                 raise ValueError(_bad_keys(record))
             if type(trace_id) is not str:
                 raise _mistyped("trace_id", trace_id, "a string")
