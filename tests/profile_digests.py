@@ -1,4 +1,4 @@
-"""The golden CLI artifacts, recomputed through the CLI.
+"""The golden artifacts, recomputed through the CLI and through trace ingestion.
 
 ``test_cli.test_profile_tables_are_pinned`` checks each ``profile/*`` table
 with :func:`profile_digest`, ``test_cli.test_generated_apps_are_pinned``
@@ -7,10 +7,10 @@ each ``app/*`` spec file with :func:`app_digest`, and
 what trace ingestion learns with :func:`ingest_digest`. Run as a script,
 this module recomputes all 24 tables, 12 spec files and 24 ingestion
 records and compares them with ``golden_digests.json``; it also recomputes
-the nine ``optimize`` records of
-``golden_results.json`` and the ``petstore/validate-reports`` digest, which
-``test_cli`` checks too. It needs nothing but the standard library and
-faastune, so it also runs under interpreters that have no pytest:
+the nine ``optimize`` records of ``golden_results.json`` and the
+``petstore/validate-reports`` digest, which ``test_cli`` checks too. It
+needs nothing but the standard library and faastune, so it also runs under
+interpreters that have no pytest:
 
     PYTHONPATH=src python3 -B tests/profile_digests.py
 
