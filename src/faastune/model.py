@@ -271,6 +271,11 @@ class CostModel:
         # being pushed into the next tick by float noise.
         return math.ceil(duration_s * 1000.0 / gran - 1e-9) * gran * memory_mb
 
+    def usd(self, units: int) -> float:
+        """USD for a sum of :meth:`cost_units`, converted once at the
+        GB-second rate."""
+        return units * self.usd_per_gb_second / 1_024_000
+
 
 def configuration_cost(
     config: Mapping[str, int],
@@ -289,7 +294,7 @@ def configuration_cost(
         if profile is None:
             raise MissingProfile(function, memory_mb)
         units += cost_model.cost_units(profile.representative(memory_mb), memory_mb)
-    return units * cost_model.usd_per_gb_second / 1_024_000
+    return cost_model.usd(units)
 
 
 def check_configuration(graph: CallGraph, config: Mapping[str, int]) -> None:

@@ -128,7 +128,8 @@ def select_alpha(
     reconstructed by composing each request's actual durations over the
     graph). The candidate whose fitted uniform-memory estimates have the
     lowest mean squared error against the alpha-th percentile of the
-    holdout end-to-end latencies wins; ties go to the smaller alpha.
+    holdout end-to-end latencies wins; ties go to the smaller alpha. A
+    candidate whose squared error overflows the float range scores inf.
 
     Requires cells aligned by request order with at least 4 samples each,
     as produced by profiling runs; raises :class:`InsufficientSamples`
@@ -191,7 +192,10 @@ def select_alpha(
             fitted = {f: _percentile_of_sorted(xs, alpha) for f, xs in fits[memory_mb].items()}
             estimated = evaluator.evaluate(fitted)
             target = _percentile_of_sorted(observed[memory_mb], alpha)
-            total += (estimated - target) ** 2
+            try:
+                total += (estimated - target) ** 2
+            except OverflowError:  # the squared error is beyond the float range
+                total = math.inf
         mse = total / len(rungs)
         if mse < best_mse:
             best_mse = mse

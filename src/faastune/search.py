@@ -1,25 +1,31 @@
 """Search the memory-configuration space for SLO-feasible assignments.
 
-Three greedy variants share one engine: a max-heap over the functions'
-current representative execution times. The slowest function gets more
-memory first, one ladder rung at a time, until the estimated end-to-end
-latency fits the SLO. On top of that, ``greedy_min_cost`` continues its own
-feasible walk, trading memory for time only while the relative cost
-increase does not exceed the relative time gain, and ``greedy_min_time``
-walks the whole bump order, whose minimum estimate is the tightest SLO the
-greedy can satisfy; all three raise ``ProfileNotMonotone`` on a profile
-that gets slower with more memory. ``brute_force`` takes any table, scans
-every combination and is the optimality oracle for small instances. All
-of them evaluate the graph with one :class:`~faastune.estimate.GraphEvaluator`.
+The three greedy variants walk one order, the greedy bump order: every
+function starts at the smallest ladder size, and each step moves the
+function with the largest current representative (ties on the function
+name) one rung up, until the estimated end-to-end latency fits the SLO.
+Representatives never increase with memory, so that order is the list of
+all (function, rung) cells sorted by descending representative, then name,
+then rung; each search sorts it once and walks it in a flat loop.
+``greedy_slo`` stops at the first estimate within the SLO.
+``greedy_min_cost`` walks on from there, trading memory for time only while
+the relative cost increase does not exceed the relative time gain, and
+``greedy_min_time`` walks the whole order, whose minimum estimate is the
+tightest SLO the greedy can satisfy; all three raise ``ProfileNotMonotone``
+on a profile that gets slower with more memory. ``brute_force`` takes any
+table, scans every combination and is the optimality oracle for small
+instances. Every search raises ValueError for a NaN representative before
+it estimates anything, and all of them evaluate the graph with one
+:class:`~faastune.estimate.GraphEvaluator`.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from itertools import chain, repeat
+from typing import Mapping
 
 from .errors import (
     MissingProfile,
@@ -34,7 +40,6 @@ from .model import (
     MemoryLadder,
     Objective,
     SloSpec,
-    configuration_cost,
 )
 
 #: ``brute_force`` refuses to start beyond this many combinations, which
@@ -47,10 +52,11 @@ class SearchResult:
     """Outcome of one search run.
 
     ``config`` is None when no configuration satisfies the SLO (that is an
-    outcome, not an error). ``iterations`` counts algorithm steps (heap
-    pops or scanned combinations) and ``evaluations`` counts end-to-end
-    latency estimations. It holds no wall time, so equal searches give
-    equal results; ``optimize`` times its call into a sidecar file.
+    outcome, not an error). ``iterations`` counts algorithm steps (cells
+    of the bump order taken, or scanned combinations) and ``evaluations``
+    counts end-to-end latency estimations. It holds no wall time, so equal
+    searches give equal results; ``optimize`` times its call into a sidecar
+    file.
     """
 
     algorithm: str
@@ -79,34 +85,55 @@ def _representatives(
     functions: tuple[str, ...],
     profiles: Mapping[str, FunctionProfile],
     rungs: tuple[int, ...],
-) -> dict[str, list[float]]:
-    """Each function's representatives, indexed by rung position."""
-    table: dict[str, list[float]] = {}
+) -> dict[str, tuple[float, ...]]:
+    """Each function's representatives, indexed by rung position.
+
+    Raises :class:`MissingProfile` for the first function (then rung) it
+    lacks, then ValueError for the first NaN representative.
+    """
+    if len(rungs) > 1:
+        fetch = operator.itemgetter(*rungs)
+    else:  # itemgetter of one key returns the bare value, not a 1-tuple
+        def fetch(representatives, memory_mb=rungs[0]):
+            return (representatives[memory_mb],)
+    table: dict[str, tuple[float, ...]] = {}
     for name in functions:
         profile = profiles.get(name)
         if profile is None:
             raise MissingProfile(name)
         try:
-            table[name] = [profile.representatives[memory_mb] for memory_mb in rungs]
+            table[name] = fetch(profile.representatives)
         except KeyError:  # raise MissingProfile for the first rung it lacks
-            table[name] = [profile.representative(memory_mb) for memory_mb in rungs]
+            table[name] = tuple(profile.representative(memory_mb) for memory_mb in rungs)
+    if math.isnan(sum(chain.from_iterable(table.values()))):  # or infinities of both signs
+        for name, row in table.items():
+            for memory_mb, seconds in zip(rungs, row):
+                if math.isnan(seconds):
+                    raise ValueError(f"representative of {name!r} at {memory_mb} MB is NaN")
     return table
 
 
-class _Trajectory:
-    """The greedy bump order, which depends only on the representatives.
+class _BumpOrder:
+    """The greedy bump order of one instance, set up for a walk.
 
-    Functions start at the lowest rung. Each pop takes the function with
-    the largest current representative from a max-heap (ties break on the
-    function name) and moves it one rung up; a function popped at the top
-    rung leaves the heap for good. The walk assumes more memory never makes
-    a function slower, so it raises :class:`ProfileNotMonotone` for the
-    first function, in execution order, whose representatives increase
-    along the ladder. :meth:`restart` can hand in
-    ``keep(function, rung, estimate)`` to judge every move: a rejected move
-    is undone and its function leaves the heap too. ``estimate`` follows
-    every kept move.
+    Cell ``i`` is function ``names[i]`` at rung position ``i % M``; cells
+    are numbered by function name, then rung. Taking cell ``i`` moves its
+    function one rung up, to representative ``up[i]``, or moves nothing
+    when ``up[i]`` is None (the top rung). ``order`` lists the cells by
+    descending representative; a stable sort keeps ties in name, then rung
+    order. Rows never increase along the ladder, so that is the order in
+    which a max-heap of each function's current representative (ties on the
+    name) pops them, and a function's cells come in rung order: a walk of
+    ``order`` is the greedy search, all functions at the lowest rung, then
+    the slowest one up one rung per step. ``evaluator`` holds the
+    all-minimum configuration, whose estimate is ``estimate``; ``seconds``
+    holds each function's representatives, in execution order.
+
+    Raises :class:`ProfileNotMonotone` for the first function, in execution
+    order, whose representatives increase along the ladder.
     """
+
+    __slots__ = ("seconds", "order", "names", "up", "evaluator", "estimate")
 
     def __init__(
         self,
@@ -114,61 +141,89 @@ class _Trajectory:
         profiles: Mapping[str, FunctionProfile],
         rungs: tuple[int, ...],
     ):
-        self.seconds = _representatives(graph.functions(), profiles, rungs)
-        for name, reps in self.seconds.items():
-            if any(map(operator.gt, reps[1:], reps)):
-                raise ProfileNotMonotone(name)
-        self._evaluator = GraphEvaluator(graph)
-        self._set = self._evaluator.set
-        self.rung = dict.fromkeys(self.seconds, 0)
-        self.iterations = 0
-        self.evaluations = 0
-        self.restart(None)
+        seconds = _representatives(graph.functions(), profiles, rungs)
+        by_name = sorted(seconds)
+        per_row = len(rungs)
+        flat = list(chain.from_iterable(map(seconds.__getitem__, by_name)))
+        # Past a row's top rung ``up`` is -inf for the monotone check, then None.
+        up: list = flat[1:]
+        up.append(-math.inf)
+        up[per_row - 1::per_row] = [-math.inf] * len(by_name)
+        if any(map(operator.gt, up, flat)):
+            raise ProfileNotMonotone(
+                next(name for name, row in seconds.items() if any(map(operator.gt, row[1:], row)))
+            )
+        up[per_row - 1::per_row] = [None] * len(by_name)
+        self.seconds = seconds
+        self.order = sorted(range(len(flat)), key=flat.__getitem__, reverse=True)
+        self.names = list(chain.from_iterable(map(repeat, by_name, repeat(per_row))))
+        self.up = up
+        self.evaluator = GraphEvaluator(graph)
+        self.estimate = self.evaluator.evaluate({name: row[0] for name, row in seconds.items()})
 
-    def restart(self, keep: Callable[[str, int, float], bool] | None) -> None:
-        """Evaluate the current rungs and put every function back on the
-        heap, as a fresh trajectory starting there would; from then on
-        ``keep``, when given, judges every move."""
-        seconds = self.seconds
-        self.estimate = self._evaluator.evaluate(
-            {name: seconds[name][index] for name, index in self.rung.items()}
-        )
-        self.evaluations += 1
-        self._heap = [(-seconds[name][index], name) for name, index in self.rung.items()]
-        heapq.heapify(self._heap)
-        self._keep = keep
 
-    def reach(self, slo_seconds: float) -> bool:
-        """Bump until the estimate fits ``slo_seconds``; False if the heap
-        empties first."""
-        while not self.estimate <= slo_seconds:
-            if self.bump() is None:
-                return False
-        return True
+def _walk_to(slo_seconds: float, walk: _BumpOrder) -> tuple[int, float] | None:
+    """Take ``walk.order`` from the start until the estimate fits
+    ``slo_seconds``; returns how many cells were taken and the estimate
+    then, or None if it never fits."""
+    estimate = walk.estimate
+    if estimate <= slo_seconds:
+        return 0, estimate
+    names, up, set_seconds = walk.names, walk.up, walk.evaluator.set
+    for taken, cell in enumerate(walk.order, 1):
+        seconds = up[cell]
+        if seconds is not None:
+            estimate = set_seconds(names[cell], seconds)
+            if estimate <= slo_seconds:
+                return taken, estimate
+    return None
 
-    def bump(self) -> str | None:
-        """Pop until one function moves up a rung and return its name; None
-        once the heap is empty."""
-        heap = self._heap
-        while heap:
-            # Entries are distinct (-seconds, name) pairs, so replacing the
-            # top in place pops in the same order as a pop and a push.
-            name = heap[0][1]
-            self.iterations += 1
-            index = self.rung[name] + 1
-            row = self.seconds[name]
-            if index < len(row):
-                seconds = row[index]
-                estimate = self._set(name, seconds)
-                self.evaluations += 1
-                if self._keep is None or self._keep(name, index, estimate):
-                    self.rung[name] = index
-                    self.estimate = estimate
-                    heapq.heapreplace(heap, (-seconds, name))
-                    return name
-                self._set(name, row[index - 1])
-            heapq.heappop(heap)
-        return None
+
+def _rungs_after(walk: _BumpOrder, taken: int, per_row: int) -> dict[str, int]:
+    """Each function's rung position, in execution order, once the first
+    ``taken`` cells of ``walk.order`` are taken from the all-minimum
+    configuration; ``per_row`` is the number of rungs."""
+    rung = dict.fromkeys(walk.seconds, 0)
+    names, up = walk.names, walk.up
+    for cell in walk.order[:taken]:
+        if up[cell] is not None:
+            rung[names[cell]] = cell % per_row + 1
+    return rung
+
+
+def _units(
+    rung: Mapping[str, int],
+    seconds: Mapping[str, tuple[float, ...]],
+    rungs: tuple[int, ...],
+    cost_model: CostModel,
+) -> dict[str, int]:
+    """Each function's :meth:`CostModel.cost_units` at its rung position."""
+    cost_units = cost_model.cost_units
+    return {name: cost_units(seconds[name][index], rungs[index]) for name, index in rung.items()}
+
+
+def _found(
+    algorithm: str,
+    rung: Mapping[str, int],
+    estimate: float,
+    units: int,
+    rungs: tuple[int, ...],
+    cost_model: CostModel,
+    iterations: int,
+    evaluations: int,
+) -> SearchResult:
+    """The result for the rung positions ``rung``, which cost ``units``."""
+    config = {name: rungs[index] for name, index in rung.items()}
+    return SearchResult(
+        algorithm, config, estimate, cost_model.usd(units), iterations, evaluations
+    )
+
+
+def _not_found(algorithm: str, walk: _BumpOrder) -> SearchResult:
+    """The empty result of a walk that took every cell: N*M steps and
+    N*(M-1)+1 estimations."""
+    cells = len(walk.order)
+    return SearchResult(algorithm, None, None, None, cells, cells - len(walk.seconds) + 1)
 
 
 def greedy_slo(
@@ -181,21 +236,24 @@ def greedy_slo(
     """Find a feasible configuration by bumping the slowest function first.
 
     Walks the greedy bump order (all functions at the smallest ladder size,
-    then the slowest function one rung up per pop, ties on the function
+    then the slowest function one rung up per step, ties on the function
     name) until the estimate fits the SLO. Returns an empty result when the
-    heap drains without success, which means even the all-maximum
-    configuration is infeasible, since the greedy search takes only
-    profiles whose representatives never increase with memory. Performs at
-    most N*(M-1)+1 latency estimations.
+    order runs out first, which means even the all-maximum configuration is
+    infeasible, since the greedy search takes only profiles whose
+    representatives never increase with memory. ``iterations`` counts the
+    cells taken, top-rung cells included; performs at most N*(M-1)+1
+    latency estimations.
     """
     rungs = ladder.effective()
-    walk = _Trajectory(graph, profiles, rungs)
-    if not walk.reach(slo.slo_seconds):
-        return SearchResult("greedy", None, None, None, walk.iterations, walk.evaluations)
-    config = {name: rungs[index] for name, index in walk.rung.items()}
-    return SearchResult(
-        "greedy", config, walk.estimate, configuration_cost(config, profiles, cost_model),
-        walk.iterations, walk.evaluations,
+    walk = _BumpOrder(graph, profiles, rungs)
+    reached = _walk_to(slo.slo_seconds, walk)
+    if reached is None:
+        return _not_found("greedy", walk)
+    taken, estimate = reached
+    rung = _rungs_after(walk, taken, len(rungs))
+    units = sum(_units(rung, walk.seconds, rungs, cost_model).values())
+    return _found(
+        "greedy", rung, estimate, units, rungs, cost_model, taken, sum(rung.values()) + 1
     )
 
 
@@ -208,10 +266,13 @@ def greedy_min_cost(
 ) -> SearchResult:
     """Feasible-first search, then keep bumping only where it pays off.
 
-    Walks the ``greedy_slo`` bump order to the SLO, then continues that walk
-    from the feasible configuration with every function back on the heap
-    (counted as one more estimation): each pop considers one more rung for
-    the slowest function and accepts it iff
+    Walks the ``greedy_slo`` bump order to the SLO, then re-estimates the
+    feasible configuration (one more estimation) and walks the order again
+    from there with every function back in it, as if a fresh walk started
+    at that configuration: it skips each function's cells below its rung
+    and takes its current one, so a function already at the top rung is
+    stepped over once more. Each step considers one more rung for its
+    function and accepts it iff
 
         |new_cost - old_cost| / old_cost  <=  |old_time - new_time| / old_time
 
@@ -224,45 +285,62 @@ def greedy_min_cost(
     greedy result's.
     """
     rungs = ladder.effective()
-    walk = _Trajectory(graph, profiles, rungs)
-    if not walk.reach(slo.slo_seconds):
-        return SearchResult(
-            "greedy-min-cost", None, None, None, walk.iterations, walk.evaluations
-        )
-
-    def relative(delta: float, reference: float) -> float:
-        if reference == 0:
-            return 0.0 if delta == 0 else math.inf
-        return abs(delta) / abs(reference)
-
-    def keep(name: str, index: int, trial_time: float) -> bool:
-        nonlocal cost
-        trial_units = cost_model.cost_units(walk.seconds[name][index], rungs[index])
-        trial_cost = cost + trial_units - units[name]
-        worth_it = relative(trial_cost - cost, cost) <= relative(
-            walk.estimate - trial_time, walk.estimate
-        )
-        if trial_time > slo.slo_seconds or not worth_it:
-            return False
-        units[name] = trial_units
-        cost = trial_cost
-        return True
-
-    units = {
-        name: cost_model.cost_units(walk.seconds[name][index], rungs[index])
-        for name, index in walk.rung.items()
-    }
+    slo_seconds = slo.slo_seconds
+    walk = _BumpOrder(graph, profiles, rungs)
+    reached = _walk_to(slo_seconds, walk)
+    if reached is None:
+        return _not_found("greedy-min-cost", walk)
+    taken, _ = reached
+    per_row = len(rungs)
+    seconds, names, up = walk.seconds, walk.names, walk.up
+    rung = _rungs_after(walk, taken, per_row)
+    moved = sum(rung.values())
+    units = _units(rung, seconds, rungs, cost_model)
     cost = sum(units.values())
-    walk.restart(keep)
-    best_rung, best_cost, best_time = dict(walk.rung), cost, walk.estimate
-    while walk.bump() is not None:
-        if cost < best_cost or (cost == best_cost and walk.estimate < best_time):
-            best_rung, best_cost, best_time = dict(walk.rung), cost, walk.estimate
+    time = walk.evaluator.evaluate(
+        {name: seconds[name][index] for name, index in rung.items()}
+    )
+    # The first ``taken`` cells all lie below their function's rung but for
+    # the ``taken - moved`` top-rung ones, which the second walk steps over
+    # once more; every later cell is its function's current one until the
+    # function is frozen.
+    iterations = 2 * taken - moved
+    evaluations = moved + 2
+    cost_units = cost_model.cost_units
+    set_seconds = walk.evaluator.set
+    frozen: set[str] = set()
+    kept: list[tuple[str, int]] = []
+    best, best_cost, best_time = 0, cost, time
+    for cell in walk.order[taken:]:
+        name = names[cell]
+        if name in frozen:
+            continue
+        iterations += 1
+        trial_seconds = up[cell]
+        if trial_seconds is None:
+            continue
+        trial_time = set_seconds(name, trial_seconds)
+        evaluations += 1
+        index = cell % per_row + 1
+        trial_units = cost_units(trial_seconds, rungs[index])
+        delta = trial_units - units[name]
+        cost_step = abs(delta) / cost if cost else (0.0 if delta == 0 else math.inf)
+        gain = time - trial_time
+        time_step = abs(gain) / abs(time) if time else (0.0 if gain == 0 else math.inf)
+        if trial_time > slo_seconds or not cost_step <= time_step:
+            set_seconds(name, seconds[name][index - 1])
+            frozen.add(name)
+            continue
+        units[name] = trial_units
+        cost += delta
+        time = trial_time
+        kept.append((name, index))
+        if cost < best_cost or (cost == best_cost and time < best_time):
+            best, best_cost, best_time = len(kept), cost, time
 
-    config = {name: rungs[index] for name, index in best_rung.items()}
-    return SearchResult(
-        "greedy-min-cost", config, best_time, configuration_cost(config, profiles, cost_model),
-        walk.iterations, walk.evaluations,
+    rung.update(kept[:best])
+    return _found(
+        "greedy-min-cost", rung, best_time, best_cost, rungs, cost_model, iterations, evaluations
     )
 
 
@@ -278,36 +356,34 @@ def greedy_min_time(
     The greedy bump order does not depend on the SLO, so every SLO the
     greedy search can meet is met at some point of one fixed trajectory,
     and the tightest such SLO is that trajectory's minimum estimate. This
-    walks the whole trajectory (until the heap is empty; exactly
-    N*(M-1)+1 latency estimations) and returns the first configuration
-    that reaches the minimum, or an empty result when the minimum exceeds
-    the SLO. ``iterations`` counts heap pops.
+    walks the whole order (N*M cells, exactly N*(M-1)+1 latency
+    estimations) and returns the first configuration that reaches the
+    minimum, or an empty result when the minimum exceeds the SLO.
+    ``iterations`` counts the cells.
     """
     rungs = ladder.effective()
-    walk = _Trajectory(graph, profiles, rungs)
-    bumps: list[str] = []
+    walk = _BumpOrder(graph, profiles, rungs)
+    names, up, set_seconds = walk.names, walk.up, walk.evaluator.set
     best_time = math.inf
-    best_step = 0
-    while True:
-        if walk.estimate < best_time:
-            best_time = walk.estimate
-            best_step = len(bumps)
-        name = walk.bump()
-        if name is None:
-            break
-        bumps.append(name)
+    best = 0
+    if walk.estimate < best_time:
+        best_time = walk.estimate
+    for taken, cell in enumerate(walk.order, 1):
+        seconds = up[cell]
+        if seconds is not None:
+            estimate = set_seconds(names[cell], seconds)
+            if estimate < best_time:
+                best_time = estimate
+                best = taken
     if not best_time <= slo.slo_seconds:
-        return SearchResult(
-            "greedy-min-time", None, None, None, walk.iterations, walk.evaluations
-        )
+        return _not_found("greedy-min-time", walk)
 
-    rung = dict.fromkeys(walk.rung, 0)
-    for name in bumps[:best_step]:
-        rung[name] += 1
-    config = {name: rungs[index] for name, index in rung.items()}
-    return SearchResult(
-        "greedy-min-time", config, best_time, configuration_cost(config, profiles, cost_model),
-        walk.iterations, walk.evaluations,
+    rung = _rungs_after(walk, best, len(rungs))
+    units = sum(_units(rung, walk.seconds, rungs, cost_model).values())
+    cells = len(walk.order)
+    return _found(
+        "greedy-min-time", rung, best_time, units, rungs, cost_model,
+        cells, cells - len(rung) + 1,
     )
 
 
@@ -337,38 +413,41 @@ def brute_force(
     if combinations > BRUTE_FORCE_LIMIT:
         raise SearchSpaceTooLarge(combinations, BRUTE_FORCE_LIMIT)
 
-    units = {
-        name: [cost_model.cost_units(s, m) for s, m in zip(seconds[name], rungs)]
-        for name in functions
-    }
+    rows = [seconds[name] for name in functions]
+    cost_units = cost_model.cost_units
+    units = [list(map(cost_units, row, rungs)) for row in rows]
     index = [0] * len(functions)
     evaluator = GraphEvaluator(graph)
-    total_time = evaluator.evaluate({name: seconds[name][0] for name in functions})
-    total_cost = sum(units[name][0] for name in functions)
-
-    def turn(position: int, rung: int) -> float:
-        nonlocal total_cost
-        name = functions[position]
-        total_cost += units[name][rung] - units[name][index[position]]
-        index[position] = rung
-        return evaluator.set(name, seconds[name][rung])
+    set_seconds = evaluator.set
+    total_time = evaluator.evaluate({name: row[0] for name, row in zip(functions, rows)})
+    total_cost = sum(row[0] for row in units)
+    by_cost = objective is Objective.MIN_COST
+    by_time = objective is Objective.MIN_TIME
+    slo_seconds = slo.slo_seconds
 
     best_index: list[int] | None = None
     best_time = math.inf
+    best_units = 0
     best_metric = math.inf
     top = len(rungs) - 1
+    last = len(functions) - 1
     for step in range(combinations):
         if step:
-            position = len(functions) - 1
-            while index[position] == top:
-                total_time = turn(position, 0)
+            position = last
+            while index[position] == top:  # roll over to the lowest rung
+                index[position] = 0
+                total_cost += units[position][0] - units[position][top]
+                total_time = set_seconds(functions[position], rows[position][0])
                 position -= 1
-            total_time = turn(position, index[position] + 1)
-        if total_time > slo.slo_seconds:
+            rung = index[position] + 1
+            index[position] = rung
+            total_cost += units[position][rung] - units[position][rung - 1]
+            total_time = set_seconds(functions[position], rows[position][rung])
+        if total_time > slo_seconds:
             continue
-        if objective is Objective.MIN_COST:
+        if by_cost:
             metric = total_cost
-        elif objective is Objective.MIN_TIME:
+        elif by_time:
             metric = total_time
         else:
             metric = 0.0 if best_index is None else math.inf  # first feasible wins
@@ -376,12 +455,12 @@ def brute_force(
             best_metric = metric
             best_index = list(index)
             best_time = total_time
+            best_units = total_cost
 
     algorithm = f"brute-force-{objective.value}"
     if best_index is None:
         return SearchResult(algorithm, None, None, None, combinations, combinations)
-    config = {name: rungs[i] for name, i in zip(functions, best_index)}
-    return SearchResult(
-        algorithm, config, best_time, configuration_cost(config, profiles, cost_model),
+    return _found(
+        algorithm, dict(zip(functions, best_index)), best_time, best_units, rungs, cost_model,
         combinations, combinations,
     )

@@ -4,34 +4,47 @@ independent oracles the implementation is checked against."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import heapq
 import json
 import math
+import operator
 import random
-from typing import Iterable, Sequence as Seq
+from typing import Callable, Iterable, Mapping, Sequence as Seq
 
 from faastune import (
     CallGraph,
+    CostModel,
     FunctionNode,
     FunctionProfile,
     MemoryLadder,
+    Objective,
     Parallel,
     Sequence,
     SimApp,
     SloSpec,
     TraceLog,
+    brute_force,
+    configuration_cost,
     estimate_time,
     generate_app,
+    greedy_min_cost,
+    greedy_min_time,
+    greedy_slo,
 )
 from faastune.errors import (
     InsufficientSamples,
     MissingCell,
+    MissingProfile,
     MultipleRoots,
     OrphanSegment,
     ParseError,
+    ProfileNotMonotone,
     UnreachableSegment,
 )
 from faastune.estimate import GraphEvaluator
 from faastune.model import DEFAULT_MEMORY_MB, ExecutionSample
+from faastune.search import SearchResult
 from faastune.profiles import DEFAULT_ALPHA_CANDIDATES, HOLDOUT_FRACTION
 from faastune.traces import TraceSegment
 
@@ -66,6 +79,45 @@ def random_instance(rng: random.Random):
     all_min = estimate_time(graph, {f: rungs[0] for f in graph.functions()}, profiles)
     slo = SloSpec(rng.uniform(0.5 * all_max, max(1.1 * all_min, 0.6 * all_max)))
     return graph, profiles, ladder, slo
+
+
+#: sha256 over every record :func:`pinned_records` yields, as computed by the
+#: reference implementation. Any change to a configuration, an estimate, a
+#: cost or an iteration or evaluation count changes it.
+PINNED_RECORDS_SHA256 = "ae5da7cc6ddd1bee23a0c26d5a8f7c4724bd75abd57bc3c369c0b7fdb6979ea3"
+
+
+def pinned_records():
+    """The three greedy searches on random and chain graphs at N = 100, 250
+    and 400 (SLO 1.2x, 1.5x and 2.0x the all-max estimate), then the
+    acceptance corpus with every brute-force objective as well."""
+    ladder = MemoryLadder()
+    rungs = ladder.effective()
+    rng = random.Random(20261018)
+    for n in (100, 250, 400):
+        for shape in ("random", "chain"):
+            graph = generate_app(n_functions=n, shape=shape, seed=rng.randrange(2**31)).graph
+            profiles = {f: random_monotone_profile(f, rungs, rng) for f in graph.functions()}
+            all_max = estimate_time(graph, dict.fromkeys(graph.functions(), rungs[-1]), profiles)
+            for multiplier in (1.2, 1.5, 2.0):
+                slo = SloSpec(all_max * multiplier)
+                for search_fn in (greedy_slo, greedy_min_cost, greedy_min_time):
+                    yield search_fn(graph, profiles, ladder, slo).to_record()
+    rng = random.Random(20260809)  # the acceptance corpus
+    for _ in range(500):
+        instance = random_instance(rng)
+        for search_fn in (greedy_slo, greedy_min_cost, greedy_min_time):
+            yield search_fn(*instance).to_record()
+        for objective in Objective:
+            yield brute_force(*instance, objective).to_record()
+
+
+def pinned_records_digest() -> str:
+    """sha256 of :func:`pinned_records`, one sorted-key JSON line each."""
+    digest = hashlib.sha256()
+    for record in pinned_records():
+        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
 
 
 def noiseless(app: SimApp) -> SimApp:
@@ -455,3 +507,244 @@ def reference_select_alpha(
             best_mse = mse
             best_alpha = alpha
     return best_alpha
+
+
+# --- the heap engine the greedy searches walked before the sorted order ----------
+# A verbatim copy of the max-heap trajectory and the three greedy searches
+# built on it, kept as references: every search's record must equal theirs.
+
+
+def _heap_representatives(
+    functions: tuple[str, ...],
+    profiles: Mapping[str, FunctionProfile],
+    rungs: tuple[int, ...],
+) -> dict[str, list[float]]:
+    """Each function's representatives, indexed by rung position."""
+    table: dict[str, list[float]] = {}
+    for name in functions:
+        profile = profiles.get(name)
+        if profile is None:
+            raise MissingProfile(name)
+        try:
+            table[name] = [profile.representatives[memory_mb] for memory_mb in rungs]
+        except KeyError:  # raise MissingProfile for the first rung it lacks
+            table[name] = [profile.representative(memory_mb) for memory_mb in rungs]
+    return table
+
+
+class HeapTrajectory:
+    """The greedy bump order, which depends only on the representatives.
+
+    Functions start at the lowest rung. Each pop takes the function with
+    the largest current representative from a max-heap (ties break on the
+    function name) and moves it one rung up; a function popped at the top
+    rung leaves the heap for good. The walk assumes more memory never makes
+    a function slower, so it raises :class:`ProfileNotMonotone` for the
+    first function, in execution order, whose representatives increase
+    along the ladder. :meth:`restart` can hand in
+    ``keep(function, rung, estimate)`` to judge every move: a rejected move
+    is undone and its function leaves the heap too. ``estimate`` follows
+    every kept move.
+    """
+
+    def __init__(
+        self,
+        graph: CallGraph,
+        profiles: Mapping[str, FunctionProfile],
+        rungs: tuple[int, ...],
+    ):
+        self.seconds = _heap_representatives(graph.functions(), profiles, rungs)
+        for name, reps in self.seconds.items():
+            if any(map(operator.gt, reps[1:], reps)):
+                raise ProfileNotMonotone(name)
+        self._evaluator = GraphEvaluator(graph)
+        self._set = self._evaluator.set
+        self.rung = dict.fromkeys(self.seconds, 0)
+        self.iterations = 0
+        self.evaluations = 0
+        self.restart(None)
+
+    def restart(self, keep: Callable[[str, int, float], bool] | None) -> None:
+        """Evaluate the current rungs and put every function back on the
+        heap, as a fresh trajectory starting there would; from then on
+        ``keep``, when given, judges every move."""
+        seconds = self.seconds
+        self.estimate = self._evaluator.evaluate(
+            {name: seconds[name][index] for name, index in self.rung.items()}
+        )
+        self.evaluations += 1
+        self._heap = [(-seconds[name][index], name) for name, index in self.rung.items()]
+        heapq.heapify(self._heap)
+        self._keep = keep
+
+    def reach(self, slo_seconds: float) -> bool:
+        """Bump until the estimate fits ``slo_seconds``; False if the heap
+        empties first."""
+        while not self.estimate <= slo_seconds:
+            if self.bump() is None:
+                return False
+        return True
+
+    def bump(self) -> str | None:
+        """Pop until one function moves up a rung and return its name; None
+        once the heap is empty."""
+        heap = self._heap
+        while heap:
+            # Entries are distinct (-seconds, name) pairs, so replacing the
+            # top in place pops in the same order as a pop and a push.
+            name = heap[0][1]
+            self.iterations += 1
+            index = self.rung[name] + 1
+            row = self.seconds[name]
+            if index < len(row):
+                seconds = row[index]
+                estimate = self._set(name, seconds)
+                self.evaluations += 1
+                if self._keep is None or self._keep(name, index, estimate):
+                    self.rung[name] = index
+                    self.estimate = estimate
+                    heapq.heapreplace(heap, (-seconds, name))
+                    return name
+                self._set(name, row[index - 1])
+            heapq.heappop(heap)
+        return None
+
+
+def heap_greedy_slo(
+    graph: CallGraph,
+    profiles: Mapping[str, FunctionProfile],
+    ladder: MemoryLadder,
+    slo: SloSpec,
+    cost_model: CostModel = CostModel(),
+) -> SearchResult:
+    """Find a feasible configuration by bumping the slowest function first.
+
+    Walks the greedy bump order (all functions at the smallest ladder size,
+    then the slowest function one rung up per pop, ties on the function
+    name) until the estimate fits the SLO. Returns an empty result when the
+    heap drains without success, which means even the all-maximum
+    configuration is infeasible, since the greedy search takes only
+    profiles whose representatives never increase with memory. Performs at
+    most N*(M-1)+1 latency estimations.
+    """
+    rungs = ladder.effective()
+    walk = HeapTrajectory(graph, profiles, rungs)
+    if not walk.reach(slo.slo_seconds):
+        return SearchResult("greedy", None, None, None, walk.iterations, walk.evaluations)
+    config = {name: rungs[index] for name, index in walk.rung.items()}
+    return SearchResult(
+        "greedy", config, walk.estimate, configuration_cost(config, profiles, cost_model),
+        walk.iterations, walk.evaluations,
+    )
+
+
+def heap_greedy_min_cost(
+    graph: CallGraph,
+    profiles: Mapping[str, FunctionProfile],
+    ladder: MemoryLadder,
+    slo: SloSpec,
+    cost_model: CostModel = CostModel(),
+) -> SearchResult:
+    """Feasible-first search, then keep bumping only where it pays off.
+
+    Walks the ``greedy_slo`` bump order to the SLO, then continues that walk
+    from the feasible configuration with every function back on the heap
+    (counted as one more estimation): each pop considers one more rung for
+    the slowest function and accepts it iff
+
+        |new_cost - old_cost| / old_cost  <=  |old_time - new_time| / old_time
+
+    at the application level, and the result still meets the SLO. Costs
+    are exact integers (:meth:`CostModel.cost_units`), so each trial's cost
+    is the current one plus one cell's change. A function whose bump fails
+    the test is frozen at its current size and never revisited. The
+    cheapest feasible configuration seen anywhere along the way (including
+    the starting point) is returned, so the cost never exceeds the plain
+    greedy result's.
+    """
+    rungs = ladder.effective()
+    walk = HeapTrajectory(graph, profiles, rungs)
+    if not walk.reach(slo.slo_seconds):
+        return SearchResult(
+            "greedy-min-cost", None, None, None, walk.iterations, walk.evaluations
+        )
+
+    def relative(delta: float, reference: float) -> float:
+        if reference == 0:
+            return 0.0 if delta == 0 else math.inf
+        return abs(delta) / abs(reference)
+
+    def keep(name: str, index: int, trial_time: float) -> bool:
+        nonlocal cost
+        trial_units = cost_model.cost_units(walk.seconds[name][index], rungs[index])
+        trial_cost = cost + trial_units - units[name]
+        worth_it = relative(trial_cost - cost, cost) <= relative(
+            walk.estimate - trial_time, walk.estimate
+        )
+        if trial_time > slo.slo_seconds or not worth_it:
+            return False
+        units[name] = trial_units
+        cost = trial_cost
+        return True
+
+    units = {
+        name: cost_model.cost_units(walk.seconds[name][index], rungs[index])
+        for name, index in walk.rung.items()
+    }
+    cost = sum(units.values())
+    walk.restart(keep)
+    best_rung, best_cost, best_time = dict(walk.rung), cost, walk.estimate
+    while walk.bump() is not None:
+        if cost < best_cost or (cost == best_cost and walk.estimate < best_time):
+            best_rung, best_cost, best_time = dict(walk.rung), cost, walk.estimate
+
+    config = {name: rungs[index] for name, index in best_rung.items()}
+    return SearchResult(
+        "greedy-min-cost", config, best_time, configuration_cost(config, profiles, cost_model),
+        walk.iterations, walk.evaluations,
+    )
+
+
+def heap_greedy_min_time(
+    graph: CallGraph,
+    profiles: Mapping[str, FunctionProfile],
+    ladder: MemoryLadder,
+    slo: SloSpec,
+    cost_model: CostModel = CostModel(),
+) -> SearchResult:
+    """The lowest latency the greedy search can reach, in one pass.
+
+    The greedy bump order does not depend on the SLO, so every SLO the
+    greedy search can meet is met at some point of one fixed trajectory,
+    and the tightest such SLO is that trajectory's minimum estimate. This
+    walks the whole trajectory (until the heap is empty; exactly
+    N*(M-1)+1 latency estimations) and returns the first configuration
+    that reaches the minimum, or an empty result when the minimum exceeds
+    the SLO. ``iterations`` counts heap pops.
+    """
+    rungs = ladder.effective()
+    walk = HeapTrajectory(graph, profiles, rungs)
+    bumps: list[str] = []
+    best_time = math.inf
+    best_step = 0
+    while True:
+        if walk.estimate < best_time:
+            best_time = walk.estimate
+            best_step = len(bumps)
+        name = walk.bump()
+        if name is None:
+            break
+        bumps.append(name)
+    if not best_time <= slo.slo_seconds:
+        return SearchResult(
+            "greedy-min-time", None, None, None, walk.iterations, walk.evaluations
+        )
+
+    rung = dict.fromkeys(walk.rung, 0)
+    for name in bumps[:best_step]:
+        rung[name] += 1
+    config = {name: rungs[index] for name, index in rung.items()}
+    return SearchResult(
+        "greedy-min-time", config, best_time, configuration_cost(config, profiles, cost_model),
+        walk.iterations, walk.evaluations,
+    )

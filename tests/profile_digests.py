@@ -8,9 +8,11 @@ what trace ingestion learns with :func:`ingest_digest`. Run as a script,
 this module recomputes all 24 tables, 12 spec files and 24 ingestion
 records and compares them with ``golden_digests.json``; it also recomputes
 the nine ``optimize`` records of ``golden_results.json`` and the
-``petstore/validate-reports`` digest, which ``test_cli`` checks too. It
-needs nothing but the standard library and faastune, so it also runs under
-interpreters that have no pytest:
+``petstore/validate-reports`` digest, which ``test_cli`` checks too, and
+the search records ``test_search.test_search_records_are_pinned`` checks
+against ``helpers.PINNED_RECORDS_SHA256``. It needs nothing but the
+standard library and faastune, so it also runs under interpreters that
+have no pytest:
 
     PYTHONPATH=src python3 -B tests/profile_digests.py
 
@@ -44,6 +46,7 @@ from faastune.traces import (
     parse_trace_file,
     write_trace_file,
 )
+from helpers import PINNED_RECORDS_SHA256, pinned_records_digest
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 GOLDEN_RESULTS = Path(__file__).with_name("golden_results.json")
@@ -186,7 +189,12 @@ def check() -> int:
             if shape == "petstore":
                 if validate_reports_digest(Path(workdir), results, slo) != golden[REPORTS_KEY]:
                     result_mismatches.append(REPORTS_KEY)
-    mismatches = app_mismatches + profile_mismatches + ingest_mismatches + result_mismatches
+    search_digest = pinned_records_digest()
+    search_mismatches = [] if search_digest == PINNED_RECORDS_SHA256 else [
+        f"search records (sha256 {search_digest})"
+    ]
+    mismatches = (app_mismatches + profile_mismatches + ingest_mismatches + result_mismatches
+                  + search_mismatches)
     for key in mismatches:
         print(f"mismatch: {key}")
     checked = len(RESULT_CASES) * len(OBJECTIVES) + 1
@@ -195,7 +203,8 @@ def check() -> int:
           f"{len(keys) - len(profile_mismatches)} of {len(keys)} profile and "
           f"{len(keys) - len(ingest_mismatches)} of {len(keys)} ingest digests match "
           f"{GOLDEN.name}; {checked - len(result_mismatches)} of {checked} results and "
-          f"reports match {GOLDEN_RESULTS.name} and {GOLDEN.name}")
+          f"reports match {GOLDEN_RESULTS.name} and {GOLDEN.name}; the search records "
+          f"{'differ from' if search_mismatches else 'match'} PINNED_RECORDS_SHA256")
     return 1 if mismatches else 0
 
 

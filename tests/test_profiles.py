@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from faastune import (
+    CallGraph,
     ExecutionSample,
+    FunctionNode,
     MemoryLadder,
     build_profiles,
     generate_app,
@@ -137,6 +139,16 @@ def test_insufficient_samples_rejected():
     samples = _uniform_level_samples(graph, ladder, lambda f, m, j: 1.0, k=3)
     with pytest.raises(InsufficientSamples):
         select_alpha(samples, ladder, graph)
+
+
+def test_overflowing_squared_error_scores_alpha_as_infinite():
+    """Durations this far apart square past the float range at every
+    candidate: each scores inf, so the first candidate stands, and nothing
+    raises a bare OverflowError."""
+    graph = CallGraph(FunctionNode("f1"))
+    ladder = MemoryLadder(values=(128,), cap_mb=None)
+    samples = _samples("f1", 128, (1e160, 1.0, 2.0, 3e160, 5.0, 1e150))
+    assert select_alpha(samples, ladder, graph) == DEFAULT_ALPHA_CANDIDATES[0]
 
 
 def test_misaligned_cells_rejected():

@@ -1,9 +1,9 @@
-import hashlib
 import itertools
-import json
+import math
 import random
 
 import pytest
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from faastune import (
     CallGraph,
@@ -22,8 +22,14 @@ from faastune import (
 )
 from faastune import search
 from faastune.errors import MissingProfile, ProfileNotMonotone, SearchSpaceTooLarge
+from faastune.model import DEFAULT_MEMORY_MB
 from helpers import (
+    PINNED_RECORDS_SHA256,
+    heap_greedy_min_cost,
+    heap_greedy_min_time,
+    heap_greedy_slo,
     make_profile,
+    pinned_records_digest,
     random_instance,
     random_monotone_profile,
     reference_greedy,
@@ -85,6 +91,36 @@ def test_profiles_must_cover_the_ladder():
         greedy_slo(graph, profiles, MemoryLadder(values=(128, 256), cap_mb=None), SloSpec(1.0))
 
 
+def _brute_force_searches():
+    return [
+        lambda *instance, objective=objective: brute_force(*instance, objective)
+        for objective in Objective
+    ]
+
+
+@pytest.mark.parametrize("rung", range(3))
+def test_nan_representative_fails_before_any_estimate(rung, monkeypatch):
+    """A NaN cell raises ValueError naming the function and memory size, for
+    every search and every rung, before any estimate is made. A NaN compares
+    false with everything, so it used to pass the monotone check: with NaN
+    at the lowest rung the greedy searches returned a configuration."""
+    graph = generate_app(shape="demo3", seed=1).graph
+    rungs = (128, 256, 512)
+    profiles = {f: make_profile(f, {128: 3.0, 256: 2.0, 512: 1.0}) for f in graph.functions()}
+    reps = dict(profiles["f2"].representatives)
+    reps[rungs[rung]] = math.nan
+    profiles["f2"] = make_profile("f2", reps)
+    ladder = MemoryLadder(values=rungs, cap_mb=None)
+
+    def no_estimate(graph):
+        raise AssertionError("a search estimated a NaN profile")
+
+    monkeypatch.setattr(search, "GraphEvaluator", no_estimate)
+    for run in (greedy_slo, greedy_min_cost, greedy_min_time, *_brute_force_searches()):
+        with pytest.raises(ValueError, match=f"'f2' at {rungs[rung]} MB is NaN"):
+            run(graph, profiles, ladder, SloSpec(10.0))
+
+
 def test_heap_always_pops_the_current_maximum():
     rng = random.Random(2)
     for _ in range(60):
@@ -105,6 +141,81 @@ def test_heap_ties_break_on_function_name():
     assert greedy_slo(graph, profiles, ladder, SloSpec(8.0)).config == {
         "f1": 256, "f2": 256, "f3": 128
     }
+
+
+# --- the sorted bump order against the heap it replaced ---------------------------
+
+#: Representatives the tie property draws from: few values, so rows tie
+#: within themselves and across functions, and zeros occur.
+TIED_VALUES = (0.0, 0.5, 1.0, 2.0, 3.0)
+
+
+@st.composite
+def tied_instances(draw):
+    """A random or chain graph of 1-12 functions on a ladder of 2-5 rungs,
+    with non-increasing rows drawn from :data:`TIED_VALUES` and an SLO at,
+    just inside or just outside the feasibility boundary."""
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(("random", "chain")))
+    graph = generate_app(n_functions=n, shape=shape, seed=draw(st.integers(0, 2**31 - 1))).graph
+    rungs = tuple(sorted(draw(
+        st.lists(st.sampled_from(DEFAULT_MEMORY_MB), min_size=2, max_size=5, unique=True)
+    )))
+    row = st.lists(st.sampled_from(TIED_VALUES), min_size=len(rungs), max_size=len(rungs))
+    profiles = {
+        f: make_profile(f, dict(zip(rungs, sorted(draw(row), reverse=True))))
+        for f in graph.functions()
+    }
+    all_min = estimate_time(graph, dict.fromkeys(graph.functions(), rungs[0]), profiles)
+    all_max = estimate_time(graph, dict.fromkeys(graph.functions(), rungs[-1]), profiles)
+    slos = [s for s in (all_max - 0.5, all_max, all_max + 0.5, (all_min + all_max) / 2, all_min)
+            if s > 0]
+    slo = SloSpec(draw(st.sampled_from(slos or [0.5])))
+    return graph, profiles, MemoryLadder(values=rungs, cap_mb=None), slo
+
+
+HEAP_REFERENCES = (
+    (greedy_slo, heap_greedy_slo),
+    (greedy_min_cost, heap_greedy_min_cost),
+    (greedy_min_time, heap_greedy_min_time),
+)
+
+
+def _differs_from_heap(instance) -> bool:
+    return any(
+        run(*instance).to_record() != reference(*instance).to_record()
+        for run, reference in HEAP_REFERENCES
+    )
+
+
+@given(tied_instances())
+@settings(max_examples=300, deadline=None)
+def test_sorted_order_walks_as_the_heap_popped(instance):
+    for run, reference in HEAP_REFERENCES:
+        assert run(*instance).to_record() == reference(*instance).to_record()
+
+
+def test_tie_property_catches_ties_broken_on_rung_first(monkeypatch):
+    """The tied instances tell the name-then-rung tie-break from a rung-first
+    one: a walk that puts equal representatives in rung, then name order
+    differs from the heap somewhere."""
+
+    class RungFirst(search._BumpOrder):
+        __slots__ = ()
+
+        def __init__(self, graph, profiles, rungs):
+            super().__init__(graph, profiles, rungs)
+            per_row = len(rungs)
+
+            def key(cell):  # cells are numbered by name, then rung
+                return -self.seconds[self.names[cell]][cell % per_row], cell % per_row, cell
+
+            self.order.sort(key=key)
+
+    monkeypatch.setattr(search, "_BumpOrder", RungFirst)
+    find(tied_instances(), _differs_from_heap,
+         settings=settings(max_examples=300, derandomize=True, database=None,
+                           phases=(Phase.generate,)))
 
 
 @pytest.mark.parametrize("objective", Objective)
@@ -339,39 +450,6 @@ def test_pipeline_orderings_on_simulated_three_function_app():
 
 # --- pinned records -------------------------------------------------------------
 
-#: sha256 over every record ``_pinned_records`` yields, as computed by the
-#: reference implementation. Any change to a configuration, an estimate, a
-#: cost or an iteration or evaluation count changes it.
-PINNED_RECORDS_SHA256 = "ae5da7cc6ddd1bee23a0c26d5a8f7c4724bd75abd57bc3c369c0b7fdb6979ea3"
-
-
-def _pinned_records():
-    """The three greedy searches on random and chain graphs at N = 100, 250
-    and 400 (SLO 1.2x, 1.5x and 2.0x the all-max estimate), then the
-    acceptance corpus with every brute-force objective as well."""
-    ladder = MemoryLadder()
-    rungs = ladder.effective()
-    rng = random.Random(20261018)
-    for n in (100, 250, 400):
-        for shape in ("random", "chain"):
-            graph = generate_app(n_functions=n, shape=shape, seed=rng.randrange(2**31)).graph
-            profiles = {f: random_monotone_profile(f, rungs, rng) for f in graph.functions()}
-            all_max = estimate_time(graph, dict.fromkeys(graph.functions(), rungs[-1]), profiles)
-            for multiplier in (1.2, 1.5, 2.0):
-                slo = SloSpec(all_max * multiplier)
-                for search_fn in (greedy_slo, greedy_min_cost, greedy_min_time):
-                    yield search_fn(graph, profiles, ladder, slo).to_record()
-    rng = random.Random(20260809)  # the acceptance corpus
-    for _ in range(500):
-        instance = random_instance(rng)
-        for search_fn in (greedy_slo, greedy_min_cost, greedy_min_time):
-            yield search_fn(*instance).to_record()
-        for objective in Objective:
-            yield brute_force(*instance, objective).to_record()
-
 
 def test_search_records_are_pinned():
-    digest = hashlib.sha256()
-    for record in _pinned_records():
-        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
-    assert digest.hexdigest() == PINNED_RECORDS_SHA256
+    assert pinned_records_digest() == PINNED_RECORDS_SHA256
