@@ -191,10 +191,14 @@ def _undecodable_line(data: bytes) -> ParseError:
     head = lines.pop() if lines and not lines[-1].endswith("\n") else ""
     _parse_lines(lines)
     at = error.start - len(head.encode("utf-8"))  # where the line starts
-    in_line = UnicodeDecodeError(
-        "utf-8", data[at : error.end], error.start - at, error.end - at, error.reason
-    )
-    return ParseError(len(lines) + 1, str(in_line))
+    # Decode the line alone: a sequence cut short by the line's end reads
+    # as "unexpected end of data" on its own, not as the byte that follows.
+    ends = [end for end in (data.find(b"\n", error.start), data.find(b"\r", error.start)) if end >= 0]
+    try:
+        data[at : min(ends, default=len(data))].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return ParseError(len(lines) + 1, str(exc))
+    raise AssertionError("unreachable: the line holds the undecodable bytes")
 
 
 def _check_tree(trace_id: str, segments: tuple[TraceSegment, ...]) -> None:

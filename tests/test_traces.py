@@ -201,6 +201,9 @@ PINNED_MESSAGES = {
     # Bytes, not text: a line that is not UTF-8 can only come from a file.
     "not-utf-8": (_BASE.replace('"f1"', '"f\xff"').encode("latin-1") + b"}",
                   "line 2: 'utf-8' codec can't decode byte 0xff in position 49: invalid start byte"),
+    # A sequence cut short by the line's end, not by the byte that follows.
+    "utf-8-cut-by-line-end": (b'{"trace_id": "\xc3',
+                              "line 2: 'utf-8' codec can't decode byte 0xc3 in position 14: unexpected end of data"),
 }
 
 
