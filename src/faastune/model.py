@@ -1,7 +1,7 @@
 """Core domain types: memory ladder, call graph, samples, profiles, cost model.
 
-Everything here is an immutable value with its invariants checked at
-construction; no I/O and no search logic.
+Everything here but the sample table is an immutable value with its
+invariants checked at construction; no I/O and no search logic.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Iterator, Mapping, Union
 
 from .errors import DuplicateFunction, EmptyGroup, MissingProfile, PartialConfiguration
 
@@ -165,34 +165,11 @@ def _normalize_node(node: GraphNode) -> GraphNode:
     return Parallel(tuple(sorted(flattened, key=_min_name)))
 
 
-class _SampleFields(NamedTuple):
-    function: str
-    memory_mb: int
-    duration_s: float
-    cold_start: bool = False
-
-
-class ExecutionSample(_SampleFields):
-    """One observed execution of a function at a given memory size.
-
-    A checked tuple: traces yield one per function segment, so construction
-    stays cheap, but every field is validated as it is built."""
-
-    __slots__ = ()
-
-    def __new__(cls, function: str, memory_mb: int, duration_s: float, cold_start: bool = False):
-        if not function:
-            raise ValueError("function name must be non-empty")
-        if memory_mb <= 0:
-            raise ValueError("memory_mb must be positive")
-        if duration_s < 0:
-            raise ValueError("duration_s must be non-negative")
-        return tuple.__new__(cls, (function, memory_mb, duration_s, cold_start))
-
-    @classmethod
-    def _make(cls, iterable):
-        # ``_replace`` builds through ``_make``; route both through the checks.
-        return cls(*iterable)
+#: Profiling samples by memory size, then function:
+#: ``samples[memory_mb][function]`` is the cell's ``(durations, colds)``
+#: columns. In a profiling run, row k of every column at one memory size
+#: is request k there. A cell exists from its first sample on.
+Samples = dict[int, dict[str, tuple[list[float], list[bool]]]]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Build per-function latency profiles from execution samples.
+"""Build per-function latency profiles from a sample table.
 
 A profile reduces each (function, memory) sample distribution to a single
 representative: its alpha-th percentile. The choice percentile alpha can be
@@ -13,11 +13,11 @@ import math
 import random
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence as Seq
+from typing import Iterable, Mapping
 
 from .errors import InsufficientSamples, MissingCell
 from .estimate import GraphEvaluator
-from .model import CallGraph, ExecutionSample, FunctionProfile, MemoryLadder
+from .model import CallGraph, FunctionProfile, MemoryLadder, Samples
 
 #: The choice percentiles :func:`select_alpha` picks from, ascending.
 DEFAULT_ALPHA_CANDIDATES = (50.0, 75.0, 90.0, 99.0)
@@ -50,41 +50,25 @@ def _percentile_of_sorted(xs: list[float], pct: float) -> float:
     return xs[lo] + (rank - lo) * (xs[hi] - xs[lo])
 
 
-def _group_cells(
-    samples: Iterable[ExecutionSample], rungs: Seq[int]
-) -> dict[int, dict[str, list[float]]]:
-    """Each rung's sample durations by function, in sample order."""
-    cells: dict[int, dict[str, list[float]]] = {memory_mb: {} for memory_mb in rungs}
-    for function, memory_mb, duration_s, _ in samples:
-        by_function = cells.get(memory_mb)
-        if by_function is None:
-            continue  # off-ladder observations are not modeled
-        durations = by_function.get(function)
-        if durations is None:
-            by_function[function] = [duration_s]
-        else:
-            durations.append(duration_s)
-    return cells
-
-
 def build_profiles(
-    samples: Iterable[ExecutionSample],
+    samples: Samples,
     ladder: MemoryLadder,
     alpha: float,
 ) -> dict[str, FunctionProfile]:
-    """Profile every function that appears in ``samples`` across the ladder.
+    """Profile every function that has samples on the ladder.
 
     Every (function, effective-ladder-memory) cell needs at least one
-    sample; otherwise :class:`MissingCell` is raised.
+    sample; otherwise :class:`MissingCell` is raised. Samples at other
+    memory sizes are not modeled.
     """
     rungs = ladder.effective()
-    cells = _group_cells(samples, rungs)
+    cells = [samples.get(memory_mb, {}) for memory_mb in rungs]
     profiles: dict[str, FunctionProfile] = {}
-    for function in sorted(set().union(*cells.values())):
+    for function in sorted(set().union(*cells)):
         representatives: dict[int, float] = {}
         counts: dict[int, int] = {}
-        for memory_mb in rungs:
-            durations = cells[memory_mb].get(function)
+        for memory_mb, by_function in zip(rungs, cells):
+            durations, _ = by_function.get(function, ((), ()))
             if not durations:
                 raise MissingCell(function, memory_mb)
             representatives[memory_mb] = percentile_linear(durations, alpha)
@@ -114,7 +98,7 @@ def monotone_repair(profile: FunctionProfile) -> FunctionProfile:
 
 
 def select_alpha(
-    samples: Iterable[ExecutionSample],
+    samples: Samples,
     ladder: MemoryLadder,
     graph: CallGraph,
     seed: int = 0,
@@ -123,34 +107,37 @@ def select_alpha(
 
     The candidates are :data:`DEFAULT_ALPHA_CANDIDATES`. The requests of
     every ladder level are split once, by ``seed``, into a fit part and a
-    holdout part holding :data:`HOLDOUT_FRACTION` of them (same request
-    indices across functions, so the holdout end-to-end latencies can be
-    reconstructed by composing each request's actual durations over the
-    graph). The candidate whose fitted uniform-memory estimates have the
-    lowest mean squared error against the alpha-th percentile of the
-    holdout end-to-end latencies wins; ties go to the smaller alpha. A
-    candidate whose squared error overflows the float range scores inf.
+    holdout part holding :data:`HOLDOUT_FRACTION` of them. Row k of every
+    column at a level is request k, so each holdout request's end-to-end
+    latency is its row's actual durations composed over the graph. The
+    candidate whose fitted uniform-memory estimates have the lowest mean
+    squared error against the alpha-th percentile of the holdout end-to-end
+    latencies wins; ties go to the smaller alpha. A candidate whose squared
+    error overflows the float range scores inf.
 
-    Requires cells aligned by request order with at least 4 samples each,
-    as produced by profiling runs; raises :class:`InsufficientSamples`
+    Requires, at every ladder level, a column of at least 4 samples for
+    each function of ``graph``, all of one length, as profiling runs
+    produce; raises :class:`InsufficientSamples` or :class:`MissingCell`
     otherwise.
     """
     rungs = ladder.effective()
     functions = graph.functions()
-    cells = _group_cells(samples, rungs)
-    sampled = set().union(*cells.values())
+    cells = [samples.get(memory_mb, {}) for memory_mb in rungs]
+    sampled = set().union(*cells)
     for function in functions:
         if function not in sampled:
             raise InsufficientSamples(f"no samples for function {function!r}")
 
+    columns: dict[int, dict[str, list[float]]] = {}
     counts: dict[int, int] = {}
-    for memory_mb in rungs:
-        sizes = set()
+    for memory_mb, by_function in zip(rungs, cells):
+        columns[memory_mb] = column = {}
         for function in functions:
-            cell = cells[memory_mb].get(function)
-            if not cell:
+            durations, _ = by_function.get(function, ((), ()))
+            if not durations:
                 raise MissingCell(function, memory_mb)
-            sizes.add(len(cell))
+            column[function] = durations
+        sizes = set(map(len, column.values()))
         if len(sizes) != 1:
             raise InsufficientSamples(
                 f"cells at {memory_mb} MB are not request-aligned across functions"
@@ -177,7 +164,7 @@ def select_alpha(
     observed: dict[int, list[float]] = {}
     for memory_mb in rungs:
         fit_idx, holdout_idx = splits[memory_mb]
-        by_function = cells[memory_mb]
+        by_function = columns[memory_mb]
         fits[memory_mb] = {
             f: sorted(map(by_function[f].__getitem__, fit_idx)) for f in functions
         }

@@ -20,11 +20,11 @@ from typing import Iterator, Mapping
 from .errors import InvalidShape, SchemaError
 from .model import (
     CallGraph,
-    ExecutionSample,
     FunctionNode,
     GraphNode,
     MemoryLadder,
     Parallel,
+    Samples,
     Sequence,
     SloSpec,
     check_configuration,
@@ -33,7 +33,6 @@ from .profiles import percentile_linear
 from .traces import (
     TraceLog,
     TraceSegment,
-    _new_sample,
     compose_calls,
     graph_from_dict,
     graph_to_dict,
@@ -393,7 +392,9 @@ def profile_application(
 
     Starts at the smallest (default) memory and walks the ladder upward,
     reconfiguring all functions together; returns the concatenated log.
-    :func:`profile_samples` draws the same samples without the log.
+    :func:`profile_samples` draws the same sample table
+    :func:`~faastune.traces.extract_samples` reads off this log, without
+    the log.
     """
     rng = rng or random.Random(0)
     traces: dict[str, list[TraceSegment]] = {}
@@ -408,26 +409,31 @@ def profile_samples(
     ladder: MemoryLadder,
     k_per_level: int = 50,
     rng: random.Random | None = None,
-) -> list[ExecutionSample]:
+) -> Samples:
     """``extract_samples(profile_application(...))``, drawn without a trace.
 
-    The same rungs, requests and random draws in the same order, one sample
-    per invocation in plan order, each duration read as ``(start + duration)
-    - start``, as it is read off a segment. On a valid app both paths fail
+    The same rungs, requests and random draws in the same order, row k of
+    each column at a rung being request k there, each duration read as
+    ``(start + duration) - start``, as it is read off a segment. A rung with
+    no request has no cells, as in a trace. On a valid app both paths fail
     only where the walker does: ValueError on a request whose finish is not
     finite.
     """
     rng = rng or random.Random(0)
     names = [name for name, _, _ in app._plan]
-    samples: list[ExecutionSample] = []
-    extend = samples.extend
+    samples: Samples = {}
     for memory_mb in ladder.effective():
         config = {name: memory_mb for name in app.graph.functions()}
+        rows: list[list[float]] = []
+        flags: list[list[bool]] = []
         for starts, durations, colds, _ in _simulate(app, config, k_per_level, rng):
-            extend([
-                _new_sample(ExecutionSample, name, memory_mb, (start + duration) - start, cold)
-                for name, start, duration, cold in zip(names, starts, durations, colds)
-            ])
+            rows.append([(start + duration) - start for start, duration in zip(starts, durations)])
+            flags.append(colds)
+        # The walker gives a row per request; the table keeps a column per function.
+        cells = {name: (list(durations), list(colds))
+                 for name, durations, colds in zip(names, zip(*rows), zip(*flags))}
+        if cells:
+            samples[memory_mb] = cells
     return samples
 
 

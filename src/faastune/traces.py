@@ -29,10 +29,10 @@ from .errors import (
 )
 from .model import (
     CallGraph,
-    ExecutionSample,
     FunctionNode,
     GraphNode,
     Parallel,
+    Samples,
     Sequence,
 )
 
@@ -118,10 +118,9 @@ _REQUIRED_KEYS = ("trace_id", "segment_id", "name", "kind", "start_time", "end_t
 _KNOWN_KEY_SET = frozenset(_REQUIRED_KEYS) | {"parent_id", "memory_mb", "cold_start"}
 
 
-# ``TraceSegment(...)`` and ``ExecutionSample(...)`` with their checks, minus
-# ``type.__call__``: a tuple has no ``__init__`` to run after ``__new__``.
+# ``TraceSegment(...)`` with its checks, minus ``type.__call__``: a tuple
+# has no ``__init__`` to run after ``__new__``.
 _new_segment = TraceSegment.__new__
-_new_sample = ExecutionSample.__new__
 
 
 def _mistyped(key: str, value: object, expected: str) -> ValueError:
@@ -359,22 +358,32 @@ def _write_lines(log: TraceLog, fh: IO[str]) -> None:
         fh.write("\n")
 
 
-def extract_samples(log: TraceLog) -> list[ExecutionSample]:
-    """One sample per function segment; backend-service segments are skipped.
+def extract_samples(log: TraceLog) -> Samples:
+    """The durations and cold flags of every function segment, as a
+    :data:`~faastune.model.Samples` table; backend-service segments are
+    skipped.
 
     Function segments must carry ``memory_mb``
-    (:class:`MissingMemoryAnnotation` otherwise). Samples come out in trace
-    order, so per-cell sample lists stay aligned by request.
+    (:class:`MissingMemoryAnnotation` otherwise). Each column is filled in
+    trace order, whatever order a trace lists its segments in, so in a
+    profiling log, where each trace calls every function once at one memory
+    size, row k of every column at a memory size is the k-th trace there.
     """
-    samples: list[ExecutionSample] = []
-    append = samples.append
+    samples: Samples = {}
     for segments in log.traces.values():
         for _, segment_id, name, kind, start_time, end_time, _, memory_mb, cold_start in segments:
             if kind != "function":
                 continue
             if memory_mb is None:
                 raise MissingMemoryAnnotation(segment_id)
-            append(_new_sample(ExecutionSample, name, memory_mb, end_time - start_time, bool(cold_start)))
+            by_function = samples.get(memory_mb)
+            if by_function is None:
+                by_function = samples[memory_mb] = {}
+            cell = by_function.get(name)
+            if cell is None:
+                cell = by_function[name] = ([], [])
+            cell[0].append(end_time - start_time)
+            cell[1].append(bool(cold_start))
     return samples
 
 

@@ -43,7 +43,7 @@ from faastune.errors import (
     UnreachableSegment,
 )
 from faastune.estimate import GraphEvaluator
-from faastune.model import DEFAULT_MEMORY_MB, ExecutionSample
+from faastune.model import DEFAULT_MEMORY_MB, Samples
 from faastune.search import SearchResult
 from faastune.profiles import DEFAULT_ALPHA_CANDIDATES, HOLDOUT_FRACTION
 from faastune.traces import TraceSegment
@@ -370,6 +370,21 @@ def reference_check_tree(trace_id: str, segments: tuple[TraceSegment, ...]) -> N
 
 
 # --- profile fitting, as written before fit durations were sorted once -------
+# The references read flat (function, memory_mb, duration_s, cold_start)
+# rows, as profiling samples were before they became columns.
+
+SampleRow = tuple[str, int, float, bool]
+
+
+def sample_table(rows: Iterable[SampleRow]) -> Samples:
+    """The :data:`~faastune.model.Samples` table of ``rows``: each cell's
+    columns in row order, a cell from its first row on."""
+    table: Samples = {}
+    for function, memory_mb, duration_s, cold_start in rows:
+        durations, colds = table.setdefault(memory_mb, {}).setdefault(function, ([], []))
+        durations.append(duration_s)
+        colds.append(cold_start)
+    return table
 
 
 def _reference_percentile(values: Iterable[float], pct: float) -> float:
@@ -387,10 +402,10 @@ def _reference_percentile(values: Iterable[float], pct: float) -> float:
 
 
 def _reference_group_cells(
-    samples: Iterable[ExecutionSample], rungs: Seq[int]
-) -> dict[str, dict[int, list[ExecutionSample]]]:
+    samples: Iterable[SampleRow], rungs: Seq[int]
+) -> dict[str, dict[int, list[SampleRow]]]:
     rung_set = set(rungs)
-    cells: dict[str, dict[int, list[ExecutionSample]]] = {}
+    cells: dict[str, dict[int, list[SampleRow]]] = {}
     for s in samples:
         function, memory_mb, _, _ = s
         if memory_mb not in rung_set:
@@ -408,7 +423,7 @@ def _reference_group_cells(
 
 
 def reference_build_profiles(
-    samples: Iterable[ExecutionSample],
+    samples: Iterable[SampleRow],
     ladder: MemoryLadder,
     alpha: float,
 ) -> dict[str, FunctionProfile]:
@@ -424,7 +439,7 @@ def reference_build_profiles(
             cell = by_memory.get(memory_mb)
             if not cell:
                 raise MissingCell(function, memory_mb)
-            durations = [s.duration_s for s in cell]
+            durations = [duration_s for _, _, duration_s, _ in cell]
             representatives[memory_mb] = _reference_percentile(durations, alpha)
             counts[memory_mb] = len(cell)
         profiles[function] = FunctionProfile(
@@ -437,7 +452,7 @@ def reference_build_profiles(
 
 
 def reference_select_alpha(
-    samples: Iterable[ExecutionSample],
+    samples: Iterable[SampleRow],
     ladder: MemoryLadder,
     graph: CallGraph,
     seed: int = 0,
@@ -482,7 +497,7 @@ def reference_select_alpha(
     # Each holdout request's end-to-end latency does not depend on alpha.
     observed = {
         memory_mb: [
-            evaluator.evaluate({f: cells[f][memory_mb][i].duration_s for f in functions})
+            evaluator.evaluate({f: cells[f][memory_mb][i][2] for f in functions})
             for i in splits[memory_mb][1]
         ]
         for memory_mb in rungs
@@ -495,7 +510,7 @@ def reference_select_alpha(
             fit_idx = splits[memory_mb][0]
             fitted = {
                 f: _reference_percentile(
-                    [cells[f][memory_mb][i].duration_s for i in fit_idx], alpha
+                    [cells[f][memory_mb][i][2] for i in fit_idx], alpha
                 )
                 for f in functions
             }

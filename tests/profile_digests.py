@@ -113,7 +113,12 @@ def ingest_digest(workdir: Path, shape: str, seed: str, noisy: bool) -> str:
     drawn at ``seed``) is written to a file and parsed back, and the digest
     covers the rebuilt graph (as :func:`graph_to_dict` writes it), every
     extracted sample, the alpha :func:`select_alpha` picks at ``seed`` and
-    the monotone-repaired profiles :func:`build_profiles` fits with it."""
+    the monotone-repaired profiles :func:`build_profiles` fits with it.
+
+    The samples enter as ``[function, memory_mb, duration_s, cold_start]``
+    rows: the sample table flattened rung by rung, then request by request,
+    then column by column. In a profiling log that is trace order, in which
+    the pinned digests were first taken from a flat list of samples."""
     app = sim.load_app(_write_app(workdir, shape, seed, noisy))
     ladder = MemoryLadder()
     trace = workdir / "trace.ndjson"
@@ -125,7 +130,10 @@ def ingest_digest(workdir: Path, shape: str, seed: str, noisy: bool) -> str:
     profiles = {name: monotone_repair(p) for name, p in build_profiles(samples, ladder, alpha).items()}
     learned = {
         "graph": graph_to_dict(graph.root),
-        "samples": samples,
+        "samples": [[function, memory_mb, duration_s, cold_start]
+                    for memory_mb, by_function in samples.items()
+                    for request in zip(*(zip(*cell) for cell in by_function.values()))
+                    for function, (duration_s, cold_start) in zip(by_function, request)],
         "alpha": alpha,
         "profiles": {name: [[m, p.representatives[m], p.sample_counts[m]] for m in p.memories()]
                      for name, p in profiles.items()},

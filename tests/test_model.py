@@ -1,5 +1,4 @@
 import io
-import pickle
 import random
 import re
 
@@ -9,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from faastune import (
     CallGraph,
     CostModel,
-    ExecutionSample,
     FunctionNode,
     MemoryLadder,
     Parallel,
@@ -54,25 +52,6 @@ def test_bad_ladders_rejected(values):
 def test_cap_below_smallest_value_rejected():
     with pytest.raises(ValueError):
         MemoryLadder(values=(256, 512), cap_mb=128)
-
-
-def test_sample_validation():
-    with pytest.raises(ValueError):
-        ExecutionSample(function="f1", memory_mb=128, duration_s=-0.1)
-    with pytest.raises(ValueError):
-        ExecutionSample(function="", memory_mb=128, duration_s=1.0)
-
-
-def test_samples_are_immutable_checked_tuples():
-    sample = ExecutionSample("f1", 128, 1.0)
-    assert sample == ExecutionSample(function="f1", memory_mb=128, duration_s=1.0, cold_start=False)
-    with pytest.raises(AttributeError):
-        sample.duration_s = 2.0
-    with pytest.raises(AttributeError):
-        sample.extra = 1
-    with pytest.raises(ValueError):
-        sample._replace(memory_mb=0)
-    assert pickle.loads(pickle.dumps(sample)) == sample
 
 
 def test_slo_spec_validation():

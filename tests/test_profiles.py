@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from faastune import (
     CallGraph,
-    ExecutionSample,
     FunctionNode,
     MemoryLadder,
     build_profiles,
@@ -22,11 +21,11 @@ from faastune.errors import FaastuneError, InsufficientSamples, MissingCell
 from faastune.estimate import combine_times
 from faastune.model import DEFAULT_MEMORY_MB
 from faastune.profiles import DEFAULT_ALPHA_CANDIDATES
-from helpers import make_profile, reference_build_profiles, reference_select_alpha
+from helpers import make_profile, reference_build_profiles, reference_select_alpha, sample_table
 
 
 def _samples(function, memory, durations):
-    return [ExecutionSample(function, memory, d) for d in durations]
+    return [(function, memory, d, False) for d in durations]
 
 
 # --- percentile --------------------------------------------------------------
@@ -62,7 +61,7 @@ def test_percentile_matches_numpy_and_stays_in_range(values, pct):
 def test_build_profiles_takes_alpha_percentile_per_cell():
     ladder = MemoryLadder(values=(128, 256), cap_mb=None)
     samples = _samples("f1", 128, [1, 2, 3, 4, 5]) + _samples("f1", 256, [2, 2, 2, 2, 10])
-    profiles = build_profiles(samples, ladder, alpha=50)
+    profiles = build_profiles(sample_table(samples), ladder, alpha=50)
     assert profiles["f1"].representative(128) == 3.0
     assert profiles["f1"].representative(256) == 2.0
     assert profiles["f1"].sample_count(128) == 5
@@ -71,13 +70,13 @@ def test_build_profiles_takes_alpha_percentile_per_cell():
 def test_build_profiles_requires_every_ladder_cell():
     ladder = MemoryLadder(values=(128, 256), cap_mb=None)
     with pytest.raises(MissingCell):
-        build_profiles(_samples("f1", 128, [1.0]), ladder, alpha=50)
+        build_profiles(sample_table(_samples("f1", 128, [1.0])), ladder, alpha=50)
 
 
 def test_off_ladder_samples_are_ignored():
     ladder = MemoryLadder(values=(128,), cap_mb=None)
     samples = _samples("f1", 128, [1.0]) + _samples("f1", 999, [50.0])
-    profiles = build_profiles(samples, ladder, alpha=50)
+    profiles = build_profiles(sample_table(samples), ladder, alpha=50)
     assert profiles["f1"].memories() == (128,)
 
 
@@ -117,12 +116,13 @@ def test_repair_is_idempotent_and_output_monotone():
 
 
 def _uniform_level_samples(graph, ladder, duration_of, k=8):
-    """k aligned requests per uniform memory level with fixed durations."""
+    """Rows of k aligned requests per uniform memory level with fixed
+    durations."""
     samples = []
     for m in ladder.effective():
         for j in range(k):
             for f in graph.functions():
-                samples.append(ExecutionSample(f, m, duration_of(f, m, j)))
+                samples.append((f, m, duration_of(f, m, j), False))
     return samples
 
 
@@ -130,7 +130,7 @@ def test_identical_durations_tie_break_to_smallest_alpha():
     graph = generate_app(shape="demo3", seed=0).graph
     ladder = MemoryLadder(values=(128, 256), cap_mb=None)
     samples = _uniform_level_samples(graph, ladder, lambda f, m, j: 128.0 / m)
-    assert select_alpha(samples, ladder, graph) == 50.0
+    assert select_alpha(sample_table(samples), ladder, graph) == 50.0
 
 
 def test_insufficient_samples_rejected():
@@ -138,7 +138,7 @@ def test_insufficient_samples_rejected():
     ladder = MemoryLadder(values=(128,), cap_mb=None)
     samples = _uniform_level_samples(graph, ladder, lambda f, m, j: 1.0, k=3)
     with pytest.raises(InsufficientSamples):
-        select_alpha(samples, ladder, graph)
+        select_alpha(sample_table(samples), ladder, graph)
 
 
 def test_overflowing_squared_error_scores_alpha_as_infinite():
@@ -148,16 +148,16 @@ def test_overflowing_squared_error_scores_alpha_as_infinite():
     graph = CallGraph(FunctionNode("f1"))
     ladder = MemoryLadder(values=(128,), cap_mb=None)
     samples = _samples("f1", 128, (1e160, 1.0, 2.0, 3e160, 5.0, 1e150))
-    assert select_alpha(samples, ladder, graph) == DEFAULT_ALPHA_CANDIDATES[0]
+    assert select_alpha(sample_table(samples), ladder, graph) == DEFAULT_ALPHA_CANDIDATES[0]
 
 
 def test_misaligned_cells_rejected():
     graph = generate_app(shape="demo3", seed=0).graph
     ladder = MemoryLadder(values=(128,), cap_mb=None)
     samples = _uniform_level_samples(graph, ladder, lambda f, m, j: 1.0, k=5)
-    samples.append(ExecutionSample("f1", 128, 1.0))  # f1 now has one extra
+    samples.append(("f1", 128, 1.0, False))  # f1 now has one extra
     with pytest.raises(InsufficientSamples):
-        select_alpha(samples, ladder, graph)
+        select_alpha(sample_table(samples), ladder, graph)
 
 
 def _oracle_alpha(samples, ladder, graph, seed):
@@ -165,8 +165,8 @@ def _oracle_alpha(samples, ladder, graph, seed):
     functions = graph.functions()
     rungs = ladder.effective()
     cells = {}
-    for s in samples:
-        cells.setdefault((s.function, s.memory_mb), []).append(s.duration_s)
+    for function, memory_mb, duration_s, _ in samples:
+        cells.setdefault((function, memory_mb), []).append(duration_s)
     counts = {m: len(cells[(functions[0], m)]) for m in rungs}
     rng = random.Random(seed)
     splits = {}
@@ -203,7 +203,7 @@ def _heavy_tail_samples(graph, ladder, data_seed, k=30):
             for f in graph.functions():
                 base = 128.0 / m
                 draw = base * rng.lognormvariate(0.0, 0.9)  # heavy right tail
-                samples.append(ExecutionSample(f, m, draw))
+                samples.append((f, m, draw, False))
     return samples
 
 
@@ -213,7 +213,7 @@ def test_heavy_tailed_cells_pick_a_high_alpha_matching_oracle():
     samples = _heavy_tail_samples(graph, ladder, data_seed=13)
     expected = _oracle_alpha(samples, ladder, graph, seed=0)
     assert expected == 90.0  # fixture chosen so the oracle lands on 90
-    assert select_alpha(samples, ladder, graph, seed=0) == expected
+    assert select_alpha(sample_table(samples), ladder, graph, seed=0) == expected
 
 
 @pytest.mark.parametrize("data_seed", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -221,7 +221,7 @@ def test_select_alpha_agrees_with_oracle_on_random_data(data_seed):
     graph = generate_app(shape="demo3", seed=0).graph
     ladder = MemoryLadder(values=(128, 256), cap_mb=None)
     samples = _heavy_tail_samples(graph, ladder, data_seed, k=12)
-    assert select_alpha(samples, ladder, graph, seed=3) == _oracle_alpha(
+    assert select_alpha(sample_table(samples), ladder, graph, seed=3) == _oracle_alpha(
         samples, ladder, graph, seed=3
     )
 
@@ -229,7 +229,7 @@ def test_select_alpha_agrees_with_oracle_on_random_data(data_seed):
 def test_select_alpha_deterministic_given_seed():
     graph = generate_app(shape="demo3", seed=0).graph
     ladder = MemoryLadder(values=(128, 256), cap_mb=None)
-    samples = _heavy_tail_samples(graph, ladder, data_seed=9)
+    samples = sample_table(_heavy_tail_samples(graph, ladder, data_seed=9))
     first = select_alpha(samples, ladder, graph, seed=42)
     assert all(
         select_alpha(samples, ladder, graph, seed=42) == first for _ in range(3)
@@ -277,25 +277,25 @@ def test_fitting_matches_the_reference(n_functions, app_seed, data):
             k = data.draw(st.integers(1, 3))
         for _ in range(k):
             for function in functions:
-                samples.append(ExecutionSample(function, memory_mb, duration(function),
-                                               rng.random() < 0.1))
+                samples.append((function, memory_mb, duration(function), rng.random() < 0.1))
                 if rng.random() < 0.05:
-                    samples.append(ExecutionSample(function, rng.choice(off_ladder), duration(function)))
+                    samples.append((function, rng.choice(off_ladder), duration(function), False))
     if edit == "extra":
-        samples.append(ExecutionSample(rng.choice(functions), rng.choice(rungs), 1.0))
+        samples.append((rng.choice(functions), rng.choice(rungs), 1.0, False))
     elif edit == "drop":
         del samples[rng.randrange(len(samples))]
     elif edit == "drop-cell":
         cell = (rng.choice(functions), rng.choice(rungs))
-        samples = [s for s in samples if (s.function, s.memory_mb) != cell]
+        samples = [s for s in samples if s[:2] != cell]
     if data.draw(st.booleans()):
         rng.shuffle(samples)
 
     seed = data.draw(st.integers(0, 2**16))
-    alpha = _fitted(select_alpha, samples, ladder, graph, seed=seed)
+    table = sample_table(samples)
+    alpha = _fitted(select_alpha, table, ladder, graph, seed=seed)
     assert alpha == _fitted(reference_select_alpha, samples, ladder, graph, seed=seed)
     for pct in (*DEFAULT_ALPHA_CANDIDATES, data.draw(st.floats(0, 100))):
-        assert _fitted(build_profiles, samples, ladder, pct) == _fitted(
+        assert _fitted(build_profiles, table, ladder, pct) == _fitted(
             reference_build_profiles, samples, ladder, pct
         )
 
@@ -306,7 +306,7 @@ def test_fitting_matches_the_reference(n_functions, app_seed, data):
 def test_profile_csv_round_trip(tmp_path):
     ladder = MemoryLadder(values=(128, 256), cap_mb=None)
     samples = _samples("f1", 128, [1.37, 2.21, 3.9]) + _samples("f1", 256, [0.7, 0.9, 1.1])
-    profiles = build_profiles(samples, ladder, alpha=90)
+    profiles = build_profiles(sample_table(samples), ladder, alpha=90)
     path = tmp_path / "profiles.csv"
     save_profiles(profiles, path)
     loaded = load_profiles(path)

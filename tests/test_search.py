@@ -121,6 +121,48 @@ def test_nan_representative_fails_before_any_estimate(rung, monkeypatch):
             run(graph, profiles, ladder, SloSpec(10.0))
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, -1.0, -0.5e-9],
+                         ids=["inf", "minus-inf", "negative", "barely-negative"])
+@pytest.mark.parametrize("rung", range(3))
+def test_infinite_or_negative_representative_fails_before_any_estimate(value, rung, monkeypatch):
+    """An infinite or negative cell raises ValueError naming the function,
+    the memory size and the value, for every search and every rung, before
+    any estimate is made. The greedy searches used to call an infinite
+    table infeasible, and a negative cell failed only after the walk, in
+    ``CostModel.cost_units``."""
+    graph = generate_app(shape="demo3", seed=1).graph
+    rungs = (128, 256, 512)
+    profiles = {f: make_profile(f, {128: 3.0, 256: 2.0, 512: 1.0}) for f in graph.functions()}
+    reps = dict(profiles["f2"].representatives)
+    reps[rungs[rung]] = value
+    profiles["f2"] = make_profile("f2", reps)
+    ladder = MemoryLadder(values=rungs, cap_mb=None)
+
+    def no_estimate(graph):
+        raise AssertionError("a search estimated an infinite or negative profile")
+
+    monkeypatch.setattr(search, "GraphEvaluator", no_estimate)
+    message = f"'f2' at {rungs[rung]} MB is {value!r}, not finite and non-negative"
+    for run in (greedy_slo, greedy_min_cost, greedy_min_time, *_brute_force_searches()):
+        with pytest.raises(ValueError, match=message):
+            run(graph, profiles, ladder, SloSpec(10.0))
+
+
+def test_a_finite_table_whose_sum_overflows_is_searched():
+    """Cells of 1e308 sum past the float range, but each is a duration: the
+    table passes the check, and on a chain whose estimate overflows every
+    greedy search reports the SLO infeasible."""
+    graph = generate_app(3, shape="chain", seed=1).graph
+    rungs = (128, 256)
+    profiles = {f: make_profile(f, {128: 1e308, 256: 1e308}) for f in graph.functions()}
+    assert search._representatives(graph.functions(), profiles, rungs) == {
+        f: (1e308, 1e308) for f in graph.functions()
+    }
+    ladder = MemoryLadder(values=rungs, cap_mb=None)
+    for greedy in (greedy_slo, greedy_min_cost, greedy_min_time):
+        assert not greedy(graph, profiles, ladder, SloSpec(10.0)).found
+
+
 def test_heap_always_pops_the_current_maximum():
     rng = random.Random(2)
     for _ in range(60):

@@ -622,14 +622,18 @@ def test_profile_application_covers_every_level():
 
 
 def _profiled(sampler, app, ladder, k, seed):
-    """The samples ``sampler`` draws (ValueError if it raises one), their
-    durations' hex forms and the generator's state afterwards."""
+    """The sample table ``sampler`` draws (ValueError if it raises one),
+    every duration's hex form by rung, function and request, and the
+    generator's state afterwards."""
     rng = random.Random(seed)
     try:
         samples = sampler(app, ladder, k_per_level=k, rng=rng)
     except ValueError:
         return ValueError, None, rng.getstate()
-    return samples, [s.duration_s.hex() for s in samples], rng.getstate()
+    hexes = [(memory_mb, name, [duration.hex() for duration in durations])
+             for memory_mb, by_function in samples.items()
+             for name, (durations, _) in by_function.items()]
+    return samples, hexes, rng.getstate()
 
 
 def _traced_samples(app, ladder, k_per_level, rng):
@@ -648,7 +652,10 @@ def test_profile_samples_are_the_samples_of_the_profiling_traces(shape, noise):
         })
     drawn = _profiled(profile_samples, app, MemoryLadder(), 12, seed=4)
     assert drawn == _profiled(_traced_samples, app, MemoryLadder(), 12, seed=4)
-    assert len(drawn[0]) == 5 * 12 * len(app.graph.functions())
+    assert list(drawn[0]) == list(MemoryLadder().effective())
+    for by_function in drawn[0].values():
+        assert set(by_function) == set(app.graph.functions())
+        assert all(len(durations) == len(colds) == 12 for durations, colds in by_function.values())
 
 
 # Latencies near a float's limit: spans whose ``duration * j`` overflows for

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from faastune import (
     CallGraph,
     FunctionNode,
+    MemoryLadder,
     Parallel,
     Sequence,
     build_call_graph,
@@ -21,6 +22,7 @@ from faastune import (
     generate_app,
     load_manual_graph,
     parse_trace_file,
+    profile_application,
     run_load,
     write_trace_file,
 )
@@ -966,10 +968,7 @@ def test_trace_ingestion_is_pinned(tmp_path, shape, seed, noisy):
 
 def test_sample_duration_is_end_minus_start():
     log = _log(_line(seg="s1", name="f1", start=10.0, end=14.5, memory=128))
-    (sample,) = extract_samples(log)
-    assert sample.duration_s == 4.5
-    assert sample.memory_mb == 128
-    assert sample.cold_start is False
+    assert extract_samples(log) == {128: {"f1": ([4.5], [False])}}
 
 
 def test_baas_segments_yield_no_samples():
@@ -977,7 +976,7 @@ def test_baas_segments_yield_no_samples():
         _line(seg="s1", name="f1"),
         _line(seg="s2", parent="s1", name="db", kind="baas", memory=None),
     )
-    assert len(extract_samples(log)) == 1
+    assert extract_samples(log) == {128: {"f1": ([1.0], [False])}}
 
 
 def test_function_without_memory_annotation_rejected():
@@ -990,7 +989,34 @@ def test_fifty_traces_of_three_functions_yield_150_samples():
     app = generate_app(shape="demo3", seed=5)
     config = {f: 128 for f in app.graph.functions()}
     log = run_load(app, config, 50, random.Random(1))
-    assert len(extract_samples(log)) == 150
+    (by_function,) = extract_samples(log).values()
+    assert set(by_function) == set(app.graph.functions())
+    assert all(len(durations) == len(colds) == 50 for durations, colds in by_function.values())
+
+
+def test_row_k_is_trace_k_whatever_order_its_segments_are_listed_in():
+    """``select_alpha`` composes each holdout request from one row of the
+    columns, so row k of every column at a memory size must be the k-th
+    trace there, also when traces list their functions in different orders."""
+    app = generate_app(shape="demo6", seed=3)
+    log = profile_application(app, MemoryLadder(values=(128, 256), cap_mb=None), k_per_level=8,
+                              rng=random.Random(2))
+    rng = random.Random(5)
+    shuffled = {trace_id: rng.sample(segments, len(segments))
+                for trace_id, segments in log.traces.items()}
+    orders = {tuple(s.name for s in segments if s.kind == "function")
+              for segments in shuffled.values()}
+    assert len(orders) > 1
+    samples = extract_samples(TraceLog(shuffled))
+    rows: dict[int, int] = {}
+    for segments in log.traces.values():
+        functions = [s for s in segments if s.kind == "function"]
+        k = rows[functions[0].memory_mb] = rows.get(functions[0].memory_mb, -1) + 1
+        for s in functions:
+            durations, colds = samples[s.memory_mb][s.name]
+            assert (durations[k], colds[k]) == (s.end_time - s.start_time, s.cold_start)
+    assert rows == {128: 7, 256: 7}
+    assert samples == extract_samples(log)
 
 
 # --- manual graph files ------------------------------------------------------
