@@ -240,13 +240,17 @@ class CostModel:
         """Exact cost of one invocation in MB-milliseconds: the duration
         rounded up to whole billing ticks, times granularity (ms) times
         memory (MB). Sums of these are exact and independent of order;
-        :func:`configuration_cost` converts them to USD."""
-        if duration_s < 0:
-            raise ValueError("duration_s must be non-negative")
+        :func:`configuration_cost` converts them to USD. Raises ValueError
+        for a negative duration, or one too long to bill a finite number of
+        ticks (from about 1.8e305 s)."""
         gran = self.billing_granularity_ms
+        ticks = duration_s * 1000.0 / gran
+        if not 0 <= ticks < math.inf:
+            raise ValueError(f"duration_s must be non-negative and bill a finite number "
+                             f"of ticks, got {duration_s!r}")
         # The 1e-9 slack keeps exact multiples (e.g. 0.1 s at 1 ms) from
         # being pushed into the next tick by float noise.
-        return math.ceil(duration_s * 1000.0 / gran - 1e-9) * gran * memory_mb
+        return math.ceil(ticks - 1e-9) * gran * memory_mb
 
     def usd(self, units: int) -> float:
         """USD for a sum of :meth:`cost_units`, converted once at the

@@ -6,15 +6,15 @@ function with the largest current representative (ties on the function
 name) one rung up, until the estimated end-to-end latency fits the SLO.
 Representatives never increase with memory, so that order is the list of
 all (function, rung) cells sorted by descending representative, then name,
-then rung; each search sorts it once and walks it in a flat loop.
-``greedy_slo`` stops at the first estimate within the SLO.
-``greedy_min_cost`` walks on from there, trading memory for time only while
-the relative cost increase does not exceed the relative time gain, and
-``greedy_min_time`` walks the whole order, whose minimum estimate is the
-tightest SLO the greedy can satisfy; all three raise ``ProfileNotMonotone``
-on a profile that gets slower with more memory. ``brute_force`` takes any
-table, scans every combination and is the optimality oracle for small
-instances. Every search raises ValueError for a NaN, infinite or negative
+then rung; each search sorts it once and walks it in one shared flat loop,
+told only where to stop. ``greedy_slo`` stops at the first estimate within
+the SLO, and ``greedy_min_time`` walks the whole order, whose minimum
+estimate is the tightest SLO the greedy can satisfy. ``greedy_min_cost``
+stops where ``greedy_slo`` does, then walks on, trading memory for time
+only while the relative cost increase does not exceed the relative time
+gain. All three raise ``ProfileNotMonotone`` on a profile that gets
+slower with more memory. ``brute_force`` takes any table, scans every
+combination and is the optimality oracle for small instances. Every search raises ValueError for a NaN, infinite or negative
 representative before it estimates anything, and all of them evaluate the
 graph with one :class:`~faastune.estimate.GraphEvaluator`.
 """
@@ -170,21 +170,29 @@ class _BumpOrder:
         self.estimate = self.evaluator.evaluate({name: row[0] for name, row in seconds.items()})
 
 
-def _walk_to(slo_seconds: float, walk: _BumpOrder) -> tuple[int, float] | None:
-    """Take ``walk.order`` from the start until the estimate fits
-    ``slo_seconds``; returns how many cells were taken and the estimate
-    then, or None if it never fits."""
-    estimate = walk.estimate
-    if estimate <= slo_seconds:
-        return 0, estimate
+def _walk(walk: _BumpOrder, stop: float) -> tuple[int, int, float, int]:
+    """Take ``walk.order`` from the start until an estimate is within
+    ``stop``, or to its end. Returns the cells taken, the estimations made
+    (the all-minimum one included), the first lowest estimate and the
+    number of cells taken when it was reached."""
+    best_time = walk.estimate
+    if best_time <= stop:
+        return 0, 1, best_time, 0
+    best = 0
+    estimations = 1
     names, up, set_seconds = walk.names, walk.up, walk.evaluator.set
     for taken, cell in enumerate(walk.order, 1):
         seconds = up[cell]
         if seconds is not None:
             estimate = set_seconds(names[cell], seconds)
-            if estimate <= slo_seconds:
-                return taken, estimate
-    return None
+            estimations += 1
+            # Every earlier estimate exceeds ``stop``, so one within it is a
+            # new minimum; strict ``<`` keeps the first minimum.
+            if estimate < best_time:
+                best_time, best = estimate, taken
+                if estimate <= stop:
+                    return taken, estimations, estimate, taken
+    return len(walk.order), estimations, best_time, best
 
 
 def _rungs_after(walk: _BumpOrder, taken: int, per_row: int) -> dict[str, int]:
@@ -227,11 +235,26 @@ def _found(
     )
 
 
-def _not_found(algorithm: str, walk: _BumpOrder) -> SearchResult:
-    """The empty result of a walk that took every cell: N*M steps and
-    N*(M-1)+1 estimations."""
-    cells = len(walk.order)
-    return SearchResult(algorithm, None, None, None, cells, cells - len(walk.seconds) + 1)
+def _greedy(
+    algorithm: str,
+    stop: float,
+    graph: CallGraph,
+    profiles: Mapping[str, FunctionProfile],
+    ladder: MemoryLadder,
+    slo: SloSpec,
+    cost_model: CostModel,
+) -> SearchResult:
+    """The configuration where :func:`_walk` to ``stop`` first reaches its
+    lowest estimate, or an empty result when that estimate misses the SLO;
+    ``iterations`` counts the cells taken."""
+    rungs = ladder.effective()
+    walk = _BumpOrder(graph, profiles, rungs)
+    taken, estimations, best_time, best = _walk(walk, stop)
+    if not best_time <= slo.slo_seconds:
+        return SearchResult(algorithm, None, None, None, taken, estimations)
+    rung = _rungs_after(walk, best, len(rungs))
+    units = sum(_units(rung, walk.seconds, rungs, cost_model).values())
+    return _found(algorithm, rung, best_time, units, rungs, cost_model, taken, estimations)
 
 
 def greedy_slo(
@@ -252,17 +275,7 @@ def greedy_slo(
     cells taken, top-rung cells included; performs at most N*(M-1)+1
     latency estimations.
     """
-    rungs = ladder.effective()
-    walk = _BumpOrder(graph, profiles, rungs)
-    reached = _walk_to(slo.slo_seconds, walk)
-    if reached is None:
-        return _not_found("greedy", walk)
-    taken, estimate = reached
-    rung = _rungs_after(walk, taken, len(rungs))
-    units = sum(_units(rung, walk.seconds, rungs, cost_model).values())
-    return _found(
-        "greedy", rung, estimate, units, rungs, cost_model, taken, sum(rung.values()) + 1
-    )
+    return _greedy("greedy", slo.slo_seconds, graph, profiles, ladder, slo, cost_model)
 
 
 def greedy_min_cost(
@@ -274,9 +287,9 @@ def greedy_min_cost(
 ) -> SearchResult:
     """Feasible-first search, then keep bumping only where it pays off.
 
-    Walks the ``greedy_slo`` bump order to the SLO, then re-estimates the
-    feasible configuration (one more estimation) and walks the order again
-    from there with every function back in it, as if a fresh walk started
+    Walks the ``greedy_slo`` bump order to the SLO, counts the feasible
+    configuration as one more estimation (without estimating it again) and
+    walks the order again from there with every function back in it, as if a fresh walk started
     at that configuration: it skips each function's cells below its rung
     and takes its current one, so a function already at the top rung is
     stepped over once more. Each step considers one more rung for its
@@ -295,25 +308,22 @@ def greedy_min_cost(
     rungs = ladder.effective()
     slo_seconds = slo.slo_seconds
     walk = _BumpOrder(graph, profiles, rungs)
-    reached = _walk_to(slo_seconds, walk)
-    if reached is None:
-        return _not_found("greedy-min-cost", walk)
-    taken, _ = reached
+    taken, estimations, time, _ = _walk(walk, slo_seconds)
+    if not time <= slo_seconds:
+        return SearchResult("greedy-min-cost", None, None, None, taken, estimations)
     per_row = len(rungs)
     seconds, names, up = walk.seconds, walk.names, walk.up
     rung = _rungs_after(walk, taken, per_row)
-    moved = sum(rung.values())
     units = _units(rung, seconds, rungs, cost_model)
     cost = sum(units.values())
-    time = walk.evaluator.evaluate(
-        {name: seconds[name][index] for name, index in rung.items()}
-    )
     # The first ``taken`` cells all lie below their function's rung but for
     # the ``taken - moved`` top-rung ones, which the second walk steps over
     # once more; every later cell is its function's current one until the
-    # function is frozen.
+    # function is frozen. The feasible point counts as one more estimation,
+    # though the evaluator already holds it.
+    moved = estimations - 1
     iterations = 2 * taken - moved
-    evaluations = moved + 2
+    evaluations = estimations + 1
     cost_units = cost_model.cost_units
     set_seconds = walk.evaluator.set
     frozen: set[str] = set()
@@ -369,30 +379,7 @@ def greedy_min_time(
     minimum, or an empty result when the minimum exceeds the SLO.
     ``iterations`` counts the cells.
     """
-    rungs = ladder.effective()
-    walk = _BumpOrder(graph, profiles, rungs)
-    names, up, set_seconds = walk.names, walk.up, walk.evaluator.set
-    best_time = math.inf
-    best = 0
-    if walk.estimate < best_time:
-        best_time = walk.estimate
-    for taken, cell in enumerate(walk.order, 1):
-        seconds = up[cell]
-        if seconds is not None:
-            estimate = set_seconds(names[cell], seconds)
-            if estimate < best_time:
-                best_time = estimate
-                best = taken
-    if not best_time <= slo.slo_seconds:
-        return _not_found("greedy-min-time", walk)
-
-    rung = _rungs_after(walk, best, len(rungs))
-    units = sum(_units(rung, walk.seconds, rungs, cost_model).values())
-    cells = len(walk.order)
-    return _found(
-        "greedy-min-time", rung, best_time, units, rungs, cost_model,
-        cells, cells - len(rung) + 1,
-    )
+    return _greedy("greedy-min-time", -math.inf, graph, profiles, ladder, slo, cost_model)
 
 
 def brute_force(

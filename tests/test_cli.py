@@ -17,7 +17,9 @@ from faastune import (
     extract_samples,
     generate_app,
     load_app,
+    load_profiles,
     monotone_repair,
+    profile_samples,
     profile_application,
     run_load,
     save_profiles,
@@ -523,6 +525,75 @@ def test_space_guard_exits_5(workdir):
                  "--slo", "0.5", "--algorithm", "brute",
                  "--out", str(workdir / "never.json")])
     assert code == 5  # 8^10 combinations exceed the guard
+
+
+def _chain_files(workdir, rows):
+    """A sequence f1 then f2, and a profile table of ``(function, memory_mb,
+    representative_s)`` rows."""
+    graph = workdir / "chain.graph.json"
+    graph.write_text(json.dumps({"kind": "sequence", "children": [
+        {"kind": "function", "name": "f1"}, {"kind": "function", "name": "f2"}]}))
+    profiles = workdir / "chain.csv"
+    profiles.write_text("function,memory_mb,alpha,representative_s,sample_count\n" + "".join(
+        f"{name},{memory_mb},50.0,{seconds},3\n" for name, memory_mb, seconds in rows))
+    return ["optimize", "--graph", str(graph), "--profiles", str(profiles),
+            "--out", str(workdir / "run.result.json")]
+
+
+@pytest.mark.parametrize("algorithm", ["greedy", "brute"])
+def test_a_duration_too_long_to_bill_exits_2(workdir, algorithm, capsys):
+    """1e306 s bills an infinite number of milliseconds: one error line, not
+    a traceback."""
+    argv = _chain_files(workdir, [(name, memory_mb, 1e306) for name in ("f1", "f2")
+                                  for memory_mb in (128, 256)])
+    assert main(argv + ["--slo", "1e307", "--algorithm", algorithm]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finite number of ticks" in err
+
+
+def test_tables_sharing_no_memory_size_exit_2(workdir, capsys):
+    argv = _chain_files(workdir, [("f1", 128, 1.0), ("f2", 256, 1.0)])
+    assert main(argv + ["--slo", "4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: profiles share no common memory sizes; pass --ladder\n")
+
+
+@pytest.mark.parametrize("config", [None, [128], "f1"], ids=["null", "list", "text"])
+def test_validate_a_record_without_a_configuration_object_exits_2(
+        pipeline_files, workdir, config, capsys):
+    record = json.loads(Path(pipeline_files["result"]).read_text())
+    record["config"] = config
+    path = workdir / "run.result.json"
+    path.write_text(json.dumps(record))
+    assert main(["validate", "--app", pipeline_files["app"], "--config", str(path),
+                 "--slo", "4", "--out", str(workdir / "v.json")]) == 2
+    err = capsys.readouterr().err
+    expected = "empty (infeasible) configuration" if config is None else "expected an object"
+    assert err.startswith("error: ") and expected in err
+
+
+def test_ladder_that_is_not_integers_exits_2_with_usage(pipeline_files, capsys):
+    assert main(["profile", "--app", pipeline_files["app"], "--ladder", "128,abc",
+                 "--out", pipeline_files["out"]]) == 2
+    err = capsys.readouterr().err
+    assert "usage: faastune" in err and "invalid ladder '128,abc'" in err
+
+
+def test_profile_with_a_fixed_alpha(pipeline_files, workdir):
+    """``--alpha`` skips the selection: every row is fitted at that
+    percentile, then repaired."""
+    out = workdir / "profiles.csv"
+    assert main(["profile", "--app", pipeline_files["app"], "--requests", "20",
+                 "--seed", "3", "--alpha", "95", "--out", str(out)]) == 0
+    app, ladder = load_app(pipeline_files["app"]), MemoryLadder()
+    samples = profile_samples(app, ladder, k_per_level=20, rng=random.Random(3))
+    expected = {name: monotone_repair(p)
+                for name, p in build_profiles(samples, ladder, 95).items()}
+    loaded = load_profiles(out)
+    assert {p.alpha for p in loaded.values()} == {95.0}
+    assert {name: dict(p.representatives) for name, p in loaded.items()} == {
+        name: dict(p.representatives) for name, p in expected.items()}
 
 
 def test_optimize_on_manual_graph(workdir):

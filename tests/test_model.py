@@ -136,6 +136,15 @@ def test_billing_rounds_up_to_granularity():
     assert default.cost_units(1.0005, 256) == 1001 * 256
 
 
+def test_billing_rejects_a_duration_whose_tick_count_overflows():
+    """From about 1.8e305 s the duration in milliseconds is infinite and
+    bills no whole number of ticks; just below, the count is still exact."""
+    model = CostModel()
+    with pytest.raises(ValueError, match="finite number of ticks, got 1.8e\\+305"):
+        model.cost_units(1.8e305, 128)
+    assert model.cost_units(1.7e305, 128) == int(1.7e305 * 1000.0) * 128  # a whole float
+
+
 def test_cost_monotone_and_linear_in_memory_at_fixed_duration():
     model = CostModel()
     duration = 1.5

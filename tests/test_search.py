@@ -91,6 +91,41 @@ def test_profiles_must_cover_the_ladder():
         greedy_slo(graph, profiles, MemoryLadder(values=(128, 256), cap_mb=None), SloSpec(1.0))
 
 
+@pytest.mark.parametrize("slo,found", [(10.0, True), (1.0, False)],
+                         ids=["feasible", "infeasible"])
+def test_every_search_runs_on_a_one_rung_ladder(slo, found):
+    """On a single rung the only configuration is the all-minimum one: every
+    search estimates it once (min-cost counts it once more) and steps over
+    each function's top-rung cell."""
+    graph = generate_app(shape="demo3", seed=1).graph
+    profiles = {f: make_profile(f, {128: 1.5}) for f in graph.functions()}
+    ladder = MemoryLadder((128,), cap_mb=None)
+    n = len(graph.functions())
+    expected = {  # (iterations, evaluations) per search
+        greedy_slo: (0 if found else n, 1),
+        greedy_min_cost: (n, 2) if found else (n, 1),
+        greedy_min_time: (n, 1),
+    }
+    runs = [*expected.items(), *((run, (1, 1)) for run in _brute_force_searches())]
+    for run, counts in runs:
+        result = run(graph, profiles, ladder, SloSpec(slo))
+        assert (result.iterations, result.evaluations) == counts
+        assert result.found is found
+        if found:
+            assert result.config == dict.fromkeys(graph.functions(), 128)
+            assert result.estimated_time_s == estimate_time(graph, result.config, profiles)
+
+
+def test_a_function_without_a_profile_raises_missing_profile():
+    graph = generate_app(shape="demo3", seed=1).graph
+    profiles = {f: make_profile(f, {128: 2.0, 256: 1.0}) for f in graph.functions()}
+    del profiles["f2"]
+    ladder = MemoryLadder((128, 256), cap_mb=None)
+    for run in (greedy_slo, greedy_min_cost, greedy_min_time, *_brute_force_searches()):
+        with pytest.raises(MissingProfile, match="f2"):
+            run(graph, profiles, ladder, SloSpec(10.0))
+
+
 def _brute_force_searches():
     return [
         lambda *instance, objective=objective: brute_force(*instance, objective)
@@ -344,6 +379,25 @@ def test_min_time_converges_to_hand_enumerated_optimum():
     result = greedy_min_time(graph, profiles, ladder, SloSpec(4.0))
     assert result.config == {"f1": 512}  # smallest memory reaching the 1.5 s floor
     assert result.estimated_time_s == 1.5
+
+
+def test_min_time_estimate_is_the_tightest_slo_the_greedy_meets():
+    """``greedy_slo`` meets the SLO that ``greedy_min_time`` reaches, at the
+    same configuration, and misses the next smaller float: the walk stops
+    at the first estimate within the SLO, which is the first minimum."""
+    rng = random.Random(22)
+    for _ in range(500):
+        graph, profiles, ladder, _ = random_instance(rng)
+        all_min = dict.fromkeys(graph.functions(), ladder.effective()[0])
+        fastest = greedy_min_time(graph, profiles, ladder,
+                                  SloSpec(estimate_time(graph, all_min, profiles)))
+        tightest = fastest.estimated_time_s
+        met = greedy_slo(graph, profiles, ladder, SloSpec(tightest))
+        assert met.found and met.config == fastest.config
+        assert met.estimated_time_s == tightest
+        below = math.nextafter(tightest, 0)
+        if below > 0:
+            assert not greedy_slo(graph, profiles, ladder, SloSpec(below)).found
 
 
 def test_min_time_never_slower_than_base():
