@@ -7,6 +7,7 @@ invariants checked at construction; no I/O and no search logic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping, Union
@@ -233,8 +234,13 @@ class CostModel:
     def __post_init__(self):
         if not 0 < self.usd_per_gb_second < math.inf:
             raise ValueError("usd_per_gb_second must be positive and finite")
-        if self.billing_granularity_ms <= 0:
-            raise ValueError("billing_granularity_ms must be positive")
+        gran = self.billing_granularity_ms
+        # A bool is an int, and an int beyond the float range cannot divide
+        # a float duration.
+        if not (isinstance(gran, int) and not isinstance(gran, bool)
+                and 0 < gran <= sys.float_info.max):
+            raise ValueError("billing_granularity_ms must be a positive integer "
+                             "within the float range")
 
     def cost_units(self, duration_s: float, memory_mb: int) -> int:
         """Exact cost of one invocation in MB-milliseconds: the duration

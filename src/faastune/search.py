@@ -1,28 +1,34 @@
 """Search the memory-configuration space for SLO-feasible assignments.
 
-The three greedy variants walk one order, the greedy bump order: every
-function starts at the smallest ladder size, and each step moves the
-function with the largest current representative (ties on the function
-name) one rung up, until the estimated end-to-end latency fits the SLO.
-Representatives never increase with memory, so that order is the list of
-all (function, rung) cells sorted by descending representative, then name,
-then rung; each search sorts it once and walks it in one shared flat loop,
-told only where to stop. ``greedy_slo`` stops at the first estimate within
-the SLO, and ``greedy_min_time`` walks the whole order, whose minimum
-estimate is the tightest SLO the greedy can satisfy. ``greedy_min_cost``
-stops where ``greedy_slo`` does, then walks on, trading memory for time
-only while the relative cost increase does not exceed the relative time
-gain. All three raise ``ProfileNotMonotone`` on a profile that gets
-slower with more memory. ``brute_force`` takes any table, scans every
-combination and is the optimality oracle for small instances. Every search raises ValueError for a NaN, infinite or negative
-representative before it estimates anything, and all of them evaluate the
-graph with one :class:`~faastune.estimate.GraphEvaluator`.
+The three greedy variants share one trajectory, the greedy bump order
+walked from the all-minimum configuration: each step moves the function
+with the largest current representative (ties on the function name) one
+rung up. Representatives never increase with memory, so that order is the
+list of all (function, rung) cells sorted by descending representative,
+then name, then rung. It depends on neither the SLO nor the objective, so
+an instance's trajectory is walked once, to its end, and kept as its
+records (the estimates lower than every earlier one); the last instance
+walked stays in a one-slot memo, so the three greedy searches and a sweep
+of SLOs over the same graph and profile objects share one walk. Even a
+lone ``greedy_slo`` walks the whole order. ``greedy_slo`` takes the first
+record within the SLO, which is where a walk stopping there would stop,
+and ``greedy_min_time`` the last one, the tightest SLO the greedy can
+satisfy. ``greedy_min_cost`` starts where ``greedy_slo`` stops, then walks
+on with its own evaluator, trading memory for time only while the relative
+cost increase does not exceed the relative time gain. All three raise
+``ProfileNotMonotone`` on a profile that gets slower with more memory.
+``brute_force`` takes any table, scans every combination and is the
+optimality oracle for small instances. Every search raises ValueError for
+a NaN, infinite or negative representative before it estimates anything,
+and all of them evaluate the graph with
+:class:`~faastune.estimate.GraphEvaluator`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Mapping
@@ -121,8 +127,11 @@ def _representatives(
     return table
 
 
-class _BumpOrder:
-    """The greedy bump order of one instance, set up for a walk.
+def _bump_order(
+    seconds: dict[str, tuple[float, ...]],
+) -> tuple[list[int], list[str], list[float | None]]:
+    """The greedy bump order of one table of representatives, as
+    ``(order, names, up)``.
 
     Cell ``i`` is function ``names[i]`` at rung position ``i % M``; cells
     are numbered by function name, then rung. Taking cell ``i`` moves its
@@ -133,75 +142,128 @@ class _BumpOrder:
     which a max-heap of each function's current representative (ties on the
     name) pops them, and a function's cells come in rung order: a walk of
     ``order`` is the greedy search, all functions at the lowest rung, then
-    the slowest one up one rung per step. ``evaluator`` holds the
-    all-minimum configuration, whose estimate is ``estimate``; ``seconds``
-    holds each function's representatives, in execution order.
+    the slowest one up one rung per step.
 
     Raises :class:`ProfileNotMonotone` for the first function, in execution
     order, whose representatives increase along the ladder.
     """
+    by_name = sorted(seconds)
+    per_row = len(seconds[by_name[0]])
+    flat = list(chain.from_iterable(map(seconds.__getitem__, by_name)))
+    # Past a row's top rung ``up`` is -inf for the monotone check, then None.
+    up: list = flat[1:]
+    up.append(-math.inf)
+    up[per_row - 1::per_row] = [-math.inf] * len(by_name)
+    if any(map(operator.gt, up, flat)):
+        raise ProfileNotMonotone(
+            next(name for name, row in seconds.items() if any(map(operator.gt, row[1:], row)))
+        )
+    up[per_row - 1::per_row] = [None] * len(by_name)
+    order = sorted(range(len(flat)), key=flat.__getitem__, reverse=True)
+    names = list(chain.from_iterable(map(repeat, by_name, repeat(per_row))))
+    return order, names, up
 
-    __slots__ = ("seconds", "order", "names", "up", "evaluator", "estimate")
 
-    def __init__(
-        self,
-        graph: CallGraph,
-        profiles: Mapping[str, FunctionProfile],
-        rungs: tuple[int, ...],
-    ):
-        seconds = _representatives(graph.functions(), profiles, rungs)
-        by_name = sorted(seconds)
-        per_row = len(rungs)
-        flat = list(chain.from_iterable(map(seconds.__getitem__, by_name)))
-        # Past a row's top rung ``up`` is -inf for the monotone check, then None.
-        up: list = flat[1:]
-        up.append(-math.inf)
-        up[per_row - 1::per_row] = [-math.inf] * len(by_name)
-        if any(map(operator.gt, up, flat)):
-            raise ProfileNotMonotone(
-                next(name for name, row in seconds.items() if any(map(operator.gt, row[1:], row)))
-            )
-        up[per_row - 1::per_row] = [None] * len(by_name)
+class _Trajectory:
+    """The greedy trajectory of one instance, walked once to its end.
+
+    The walk takes :func:`_bump_order`'s ``order`` from the all-minimum
+    configuration with one :class:`~faastune.estimate.GraphEvaluator`, which
+    makes N*(M-1)+1 estimations and depends on no SLO. Only its records are
+    kept: the all-minimum estimate and every later estimate lower than all
+    before it, as three parallel lists (``estimates``, strictly decreasing;
+    ``estimations``, the estimations made when each was reached, the
+    all-minimum one included; ``taken``, the cells taken by then).
+    ``seconds`` holds each function's representatives, in execution order.
+    Nothing changes after construction, and no evaluator stays reachable.
+    """
+
+    __slots__ = ("seconds", "order", "names", "up", "estimates", "estimations", "taken")
+
+    def __init__(self, graph: CallGraph, seconds: dict[str, tuple[float, ...]]):
+        order, names, up = _bump_order(seconds)
+        evaluator = GraphEvaluator(graph)
+        best = evaluator.evaluate({name: row[0] for name, row in seconds.items()})
+        estimates, estimations, taken_at = [best], [1], [0]
+        made = 1
+        set_seconds = evaluator.set
+        for taken, cell in enumerate(order, 1):
+            seconds_up = up[cell]
+            if seconds_up is not None:
+                estimate = set_seconds(names[cell], seconds_up)
+                made += 1
+                if estimate < best:  # strict: a record is the first of its value
+                    best = estimate
+                    estimates.append(estimate)
+                    estimations.append(made)
+                    taken_at.append(taken)
         self.seconds = seconds
-        self.order = sorted(range(len(flat)), key=flat.__getitem__, reverse=True)
-        self.names = list(chain.from_iterable(map(repeat, by_name, repeat(per_row))))
+        self.order = order
+        self.names = names
         self.up = up
-        self.evaluator = GraphEvaluator(graph)
-        self.estimate = self.evaluator.evaluate({name: row[0] for name, row in seconds.items()})
+        self.estimates = estimates
+        self.estimations = estimations
+        self.taken = taken_at
+
+    def reach(self, stop: float) -> tuple[int, int, float, int]:
+        """A walk of ``order`` from the start until an estimate is within
+        ``stop``, or to its end: the cells taken, the estimations made (the
+        all-minimum one included), the first lowest estimate and the number
+        of cells taken when it was reached.
+
+        While every estimate so far exceeds ``stop``, one within it is a new
+        minimum, so the walk stops at the first record within ``stop``."""
+        estimates, taken = self.estimates, self.taken
+        record = bisect_left(estimates, -stop, key=operator.neg)
+        if record < len(estimates):
+            return taken[record], self.estimations[record], estimates[record], taken[record]
+        # N*M cells, of which the N top-rung ones estimate nothing
+        cells = len(self.order)
+        return cells, cells - len(self.seconds) + 1, estimates[-1], taken[-1]
 
 
-def _walk(walk: _BumpOrder, stop: float) -> tuple[int, int, float, int]:
-    """Take ``walk.order`` from the start until an estimate is within
-    ``stop``, or to its end. Returns the cells taken, the estimations made
-    (the all-minimum one included), the first lowest estimate and the
-    number of cells taken when it was reached."""
-    best_time = walk.estimate
-    if best_time <= stop:
-        return 0, 1, best_time, 0
-    best = 0
-    estimations = 1
-    names, up, set_seconds = walk.names, walk.up, walk.evaluator.set
-    for taken, cell in enumerate(walk.order, 1):
-        seconds = up[cell]
-        if seconds is not None:
-            estimate = set_seconds(names[cell], seconds)
-            estimations += 1
-            # Every earlier estimate exceeds ``stop``, so one within it is a
-            # new minimum; strict ``<`` keeps the first minimum.
-            if estimate < best_time:
-                best_time, best = estimate, taken
-                if estimate <= stop:
-                    return taken, estimations, estimate, taken
-    return len(walk.order), estimations, best_time, best
+#: The last instance a greedy search walked, as (graph, rungs, trajectory).
+#: Replaced whole, never changed in place, so concurrent searches read a
+#: consistent slot.
+_last: tuple[CallGraph, tuple[int, ...], _Trajectory] | None = None
 
 
-def _rungs_after(walk: _BumpOrder, taken: int, per_row: int) -> dict[str, int]:
+def _trajectory(
+    graph: CallGraph,
+    profiles: Mapping[str, FunctionProfile],
+    rungs: tuple[int, ...],
+) -> _Trajectory:
+    """The greedy trajectory of this instance, walked anew unless the last
+    one walked is of the same graph object, equal rungs and the same float
+    object in every cell.
+
+    Equal floats are not enough: 0.0 == -0.0, yet an estimate may differ in
+    sign. The slot keeps the old table alive, so the same objects have the
+    same bits.
+    """
+    global _last
+    seconds = _representatives(graph.functions(), profiles, rungs)
+    last = _last
+    if (
+        last is not None
+        and last[0] is graph
+        and last[1] == rungs
+        and all(map(operator.is_, chain.from_iterable(seconds.values()),
+                    chain.from_iterable(last[2].seconds.values())))
+    ):
+        return last[2]
+    trajectory = _Trajectory(graph, seconds)
+    _last = (graph, rungs, trajectory)
+    return trajectory
+
+
+def _rungs_after(trajectory: _Trajectory, taken: int, per_row: int) -> dict[str, int]:
     """Each function's rung position, in execution order, once the first
-    ``taken`` cells of ``walk.order`` are taken from the all-minimum
+    ``taken`` cells of ``trajectory.order`` are taken from the all-minimum
     configuration; ``per_row`` is the number of rungs."""
-    rung = dict.fromkeys(walk.seconds, 0)
-    names, up = walk.names, walk.up
-    for cell in walk.order[:taken]:
+    rung = dict.fromkeys(trajectory.seconds, 0)
+    names, up = trajectory.names, trajectory.up
+    for cell in trajectory.order[:taken]:
         if up[cell] is not None:
             rung[names[cell]] = cell % per_row + 1
     return rung
@@ -244,16 +306,16 @@ def _greedy(
     slo: SloSpec,
     cost_model: CostModel,
 ) -> SearchResult:
-    """The configuration where :func:`_walk` to ``stop`` first reaches its
-    lowest estimate, or an empty result when that estimate misses the SLO;
-    ``iterations`` counts the cells taken."""
+    """The configuration where a walk to ``stop`` (:meth:`_Trajectory.reach`)
+    first reaches its lowest estimate, or an empty result when that
+    estimate misses the SLO; ``iterations`` counts the cells taken."""
     rungs = ladder.effective()
-    walk = _BumpOrder(graph, profiles, rungs)
-    taken, estimations, best_time, best = _walk(walk, stop)
+    trajectory = _trajectory(graph, profiles, rungs)
+    taken, estimations, best_time, best = trajectory.reach(stop)
     if not best_time <= slo.slo_seconds:
         return SearchResult(algorithm, None, None, None, taken, estimations)
-    rung = _rungs_after(walk, best, len(rungs))
-    units = sum(_units(rung, walk.seconds, rungs, cost_model).values())
+    rung = _rungs_after(trajectory, best, len(rungs))
+    units = sum(_units(rung, trajectory.seconds, rungs, cost_model).values())
     return _found(algorithm, rung, best_time, units, rungs, cost_model, taken, estimations)
 
 
@@ -287,13 +349,12 @@ def greedy_min_cost(
 ) -> SearchResult:
     """Feasible-first search, then keep bumping only where it pays off.
 
-    Walks the ``greedy_slo`` bump order to the SLO, counts the feasible
-    configuration as one more estimation (without estimating it again) and
-    walks the order again from there with every function back in it, as if a fresh walk started
-    at that configuration: it skips each function's cells below its rung
-    and takes its current one, so a function already at the top rung is
-    stepped over once more. Each step considers one more rung for its
-    function and accepts it iff
+    Walks the ``greedy_slo`` bump order to the SLO, estimates the feasible
+    configuration once more and walks the order again from there with every
+    function back in it, as if a fresh walk started at that configuration:
+    it skips each function's cells below its rung and takes its current
+    one, so a function already at the top rung is stepped over once more.
+    Each step considers one more rung for its function and accepts it iff
 
         |new_cost - old_cost| / old_cost  <=  |old_time - new_time| / old_time
 
@@ -307,29 +368,31 @@ def greedy_min_cost(
     """
     rungs = ladder.effective()
     slo_seconds = slo.slo_seconds
-    walk = _BumpOrder(graph, profiles, rungs)
-    taken, estimations, time, _ = _walk(walk, slo_seconds)
+    trajectory = _trajectory(graph, profiles, rungs)
+    taken, estimations, time, _ = trajectory.reach(slo_seconds)
     if not time <= slo_seconds:
         return SearchResult("greedy-min-cost", None, None, None, taken, estimations)
     per_row = len(rungs)
-    seconds, names, up = walk.seconds, walk.names, walk.up
-    rung = _rungs_after(walk, taken, per_row)
+    seconds, names, up = trajectory.seconds, trajectory.names, trajectory.up
+    rung = _rungs_after(trajectory, taken, per_row)
     units = _units(rung, seconds, rungs, cost_model)
     cost = sum(units.values())
     # The first ``taken`` cells all lie below their function's rung but for
     # the ``taken - moved`` top-rung ones, which the second walk steps over
     # once more; every later cell is its function's current one until the
-    # function is frozen. The feasible point counts as one more estimation,
-    # though the evaluator already holds it.
+    # function is frozen. Evaluating the feasible point gives the walk's
+    # estimate ``time`` bit for bit, and counts as one more estimation.
     moved = estimations - 1
     iterations = 2 * taken - moved
     evaluations = estimations + 1
     cost_units = cost_model.cost_units
-    set_seconds = walk.evaluator.set
+    evaluator = GraphEvaluator(graph)
+    evaluator.evaluate({name: seconds[name][index] for name, index in rung.items()})
+    set_seconds = evaluator.set
     frozen: set[str] = set()
     kept: list[tuple[str, int]] = []
     best, best_cost, best_time = 0, cost, time
-    for cell in walk.order[taken:]:
+    for cell in trajectory.order[taken:]:
         name = names[cell]
         if name in frozen:
             continue

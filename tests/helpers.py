@@ -10,6 +10,7 @@ import json
 import math
 import operator
 import random
+from itertools import chain, repeat
 from typing import Callable, Iterable, Mapping, Sequence as Seq
 
 from faastune import (
@@ -44,7 +45,7 @@ from faastune.errors import (
 )
 from faastune.estimate import GraphEvaluator
 from faastune.model import DEFAULT_MEMORY_MB, Samples
-from faastune.search import SearchResult
+from faastune.search import SearchResult, _found, _representatives, _units
 from faastune.profiles import DEFAULT_ALPHA_CANDIDATES, HOLDOUT_FRACTION
 from faastune.traces import TraceSegment
 
@@ -763,3 +764,244 @@ def heap_greedy_min_time(
         "greedy-min-time", config, best_time, configuration_cost(config, profiles, cost_model),
         walk.iterations, walk.evaluations,
     )
+
+
+# --- the sorted-order engine each greedy search walked before trajectories ------
+# A verbatim copy of the bump order and its walk, with the three greedy
+# searches built on them, kept as references: every trajectory-backed
+# search's record must equal theirs. Each call sorts and walks its own order;
+# nothing is shared between calls. ``_representatives``, ``_units`` and
+# ``_found`` are the module's own, unchanged.
+
+
+class BumpOrder:
+    """The greedy bump order of one instance, set up for a walk.
+
+    Cell ``i`` is function ``names[i]`` at rung position ``i % M``; cells
+    are numbered by function name, then rung. Taking cell ``i`` moves its
+    function one rung up, to representative ``up[i]``, or moves nothing
+    when ``up[i]`` is None (the top rung). ``order`` lists the cells by
+    descending representative; a stable sort keeps ties in name, then rung
+    order. Rows never increase along the ladder, so that is the order in
+    which a max-heap of each function's current representative (ties on the
+    name) pops them, and a function's cells come in rung order: a walk of
+    ``order`` is the greedy search, all functions at the lowest rung, then
+    the slowest one up one rung per step. ``evaluator`` holds the
+    all-minimum configuration, whose estimate is ``estimate``; ``seconds``
+    holds each function's representatives, in execution order.
+
+    Raises :class:`ProfileNotMonotone` for the first function, in execution
+    order, whose representatives increase along the ladder.
+    """
+
+    __slots__ = ("seconds", "order", "names", "up", "evaluator", "estimate")
+
+    def __init__(
+        self,
+        graph: CallGraph,
+        profiles: Mapping[str, FunctionProfile],
+        rungs: tuple[int, ...],
+    ):
+        seconds = _representatives(graph.functions(), profiles, rungs)
+        by_name = sorted(seconds)
+        per_row = len(rungs)
+        flat = list(chain.from_iterable(map(seconds.__getitem__, by_name)))
+        # Past a row's top rung ``up`` is -inf for the monotone check, then None.
+        up: list = flat[1:]
+        up.append(-math.inf)
+        up[per_row - 1::per_row] = [-math.inf] * len(by_name)
+        if any(map(operator.gt, up, flat)):
+            raise ProfileNotMonotone(
+                next(name for name, row in seconds.items() if any(map(operator.gt, row[1:], row)))
+            )
+        up[per_row - 1::per_row] = [None] * len(by_name)
+        self.seconds = seconds
+        self.order = sorted(range(len(flat)), key=flat.__getitem__, reverse=True)
+        self.names = list(chain.from_iterable(map(repeat, by_name, repeat(per_row))))
+        self.up = up
+        self.evaluator = GraphEvaluator(graph)
+        self.estimate = self.evaluator.evaluate({name: row[0] for name, row in seconds.items()})
+
+
+def walk_to(walk: BumpOrder, stop: float) -> tuple[int, int, float, int]:
+    """Take ``walk.order`` from the start until an estimate is within
+    ``stop``, or to its end. Returns the cells taken, the estimations made
+    (the all-minimum one included), the first lowest estimate and the
+    number of cells taken when it was reached."""
+    best_time = walk.estimate
+    if best_time <= stop:
+        return 0, 1, best_time, 0
+    best = 0
+    estimations = 1
+    names, up, set_seconds = walk.names, walk.up, walk.evaluator.set
+    for taken, cell in enumerate(walk.order, 1):
+        seconds = up[cell]
+        if seconds is not None:
+            estimate = set_seconds(names[cell], seconds)
+            estimations += 1
+            # Every earlier estimate exceeds ``stop``, so one within it is a
+            # new minimum; strict ``<`` keeps the first minimum.
+            if estimate < best_time:
+                best_time, best = estimate, taken
+                if estimate <= stop:
+                    return taken, estimations, estimate, taken
+    return len(walk.order), estimations, best_time, best
+
+
+def _walk_rungs_after(walk: BumpOrder, taken: int, per_row: int) -> dict[str, int]:
+    """Each function's rung position, in execution order, once the first
+    ``taken`` cells of ``walk.order`` are taken from the all-minimum
+    configuration; ``per_row`` is the number of rungs."""
+    rung = dict.fromkeys(walk.seconds, 0)
+    names, up = walk.names, walk.up
+    for cell in walk.order[:taken]:
+        if up[cell] is not None:
+            rung[names[cell]] = cell % per_row + 1
+    return rung
+
+
+def _walk_greedy(
+    algorithm: str,
+    stop: float,
+    graph: CallGraph,
+    profiles: Mapping[str, FunctionProfile],
+    ladder: MemoryLadder,
+    slo: SloSpec,
+    cost_model: CostModel,
+) -> SearchResult:
+    """The configuration where :func:`walk_to` to ``stop`` first reaches its
+    lowest estimate, or an empty result when that estimate misses the SLO;
+    ``iterations`` counts the cells taken."""
+    rungs = ladder.effective()
+    walk = BumpOrder(graph, profiles, rungs)
+    taken, estimations, best_time, best = walk_to(walk, stop)
+    if not best_time <= slo.slo_seconds:
+        return SearchResult(algorithm, None, None, None, taken, estimations)
+    rung = _walk_rungs_after(walk, best, len(rungs))
+    units = sum(_units(rung, walk.seconds, rungs, cost_model).values())
+    return _found(algorithm, rung, best_time, units, rungs, cost_model, taken, estimations)
+
+
+def walk_greedy_slo(
+    graph: CallGraph,
+    profiles: Mapping[str, FunctionProfile],
+    ladder: MemoryLadder,
+    slo: SloSpec,
+    cost_model: CostModel = CostModel(),
+) -> SearchResult:
+    """Find a feasible configuration by bumping the slowest function first.
+
+    Walks the greedy bump order (all functions at the smallest ladder size,
+    then the slowest function one rung up per step, ties on the function
+    name) until the estimate fits the SLO. Returns an empty result when the
+    order runs out first, which means even the all-maximum configuration is
+    infeasible, since the greedy search takes only profiles whose
+    representatives never increase with memory. ``iterations`` counts the
+    cells taken, top-rung cells included; performs at most N*(M-1)+1
+    latency estimations.
+    """
+    return _walk_greedy("greedy", slo.slo_seconds, graph, profiles, ladder, slo, cost_model)
+
+
+def walk_greedy_min_cost(
+    graph: CallGraph,
+    profiles: Mapping[str, FunctionProfile],
+    ladder: MemoryLadder,
+    slo: SloSpec,
+    cost_model: CostModel = CostModel(),
+) -> SearchResult:
+    """Feasible-first search, then keep bumping only where it pays off.
+
+    Walks the ``greedy_slo`` bump order to the SLO, counts the feasible
+    configuration as one more estimation (without estimating it again) and
+    walks the order again from there with every function back in it, as if a fresh walk started
+    at that configuration: it skips each function's cells below its rung
+    and takes its current one, so a function already at the top rung is
+    stepped over once more. Each step considers one more rung for its
+    function and accepts it iff
+
+        |new_cost - old_cost| / old_cost  <=  |old_time - new_time| / old_time
+
+    at the application level, and the result still meets the SLO. Costs
+    are exact integers (:meth:`CostModel.cost_units`), so each trial's cost
+    is the current one plus one cell's change. A function whose bump fails
+    the test is frozen at its current size and never revisited. The
+    cheapest feasible configuration seen anywhere along the way (including
+    the starting point) is returned, so the cost never exceeds the plain
+    greedy result's.
+    """
+    rungs = ladder.effective()
+    slo_seconds = slo.slo_seconds
+    walk = BumpOrder(graph, profiles, rungs)
+    taken, estimations, time, _ = walk_to(walk, slo_seconds)
+    if not time <= slo_seconds:
+        return SearchResult("greedy-min-cost", None, None, None, taken, estimations)
+    per_row = len(rungs)
+    seconds, names, up = walk.seconds, walk.names, walk.up
+    rung = _walk_rungs_after(walk, taken, per_row)
+    units = _units(rung, seconds, rungs, cost_model)
+    cost = sum(units.values())
+    # The first ``taken`` cells all lie below their function's rung but for
+    # the ``taken - moved`` top-rung ones, which the second walk steps over
+    # once more; every later cell is its function's current one until the
+    # function is frozen. The feasible point counts as one more estimation,
+    # though the evaluator already holds it.
+    moved = estimations - 1
+    iterations = 2 * taken - moved
+    evaluations = estimations + 1
+    cost_units = cost_model.cost_units
+    set_seconds = walk.evaluator.set
+    frozen: set[str] = set()
+    kept: list[tuple[str, int]] = []
+    best, best_cost, best_time = 0, cost, time
+    for cell in walk.order[taken:]:
+        name = names[cell]
+        if name in frozen:
+            continue
+        iterations += 1
+        trial_seconds = up[cell]
+        if trial_seconds is None:
+            continue
+        trial_time = set_seconds(name, trial_seconds)
+        evaluations += 1
+        index = cell % per_row + 1
+        trial_units = cost_units(trial_seconds, rungs[index])
+        delta = trial_units - units[name]
+        cost_step = abs(delta) / cost if cost else (0.0 if delta == 0 else math.inf)
+        gain = time - trial_time
+        time_step = abs(gain) / abs(time) if time else (0.0 if gain == 0 else math.inf)
+        if trial_time > slo_seconds or not cost_step <= time_step:
+            set_seconds(name, seconds[name][index - 1])
+            frozen.add(name)
+            continue
+        units[name] = trial_units
+        cost += delta
+        time = trial_time
+        kept.append((name, index))
+        if cost < best_cost or (cost == best_cost and time < best_time):
+            best, best_cost, best_time = len(kept), cost, time
+
+    rung.update(kept[:best])
+    return _found(
+        "greedy-min-cost", rung, best_time, best_cost, rungs, cost_model, iterations, evaluations
+    )
+
+
+def walk_greedy_min_time(
+    graph: CallGraph,
+    profiles: Mapping[str, FunctionProfile],
+    ladder: MemoryLadder,
+    slo: SloSpec,
+    cost_model: CostModel = CostModel(),
+) -> SearchResult:
+    """The lowest latency the greedy search can reach, in one pass.
+
+    The greedy bump order does not depend on the SLO, so every SLO the
+    greedy search can meet is met at some point of one fixed trajectory,
+    and the tightest such SLO is that trajectory's minimum estimate. This
+    walks the whole order (N*M cells, exactly N*(M-1)+1 latency
+    estimations) and returns the first configuration that reaches the
+    minimum, or an empty result when the minimum exceeds the SLO.
+    ``iterations`` counts the cells.
+    """
+    return _walk_greedy("greedy-min-time", -math.inf, graph, profiles, ladder, slo, cost_model)

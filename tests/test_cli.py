@@ -552,6 +552,16 @@ def test_a_duration_too_long_to_bill_exits_2(workdir, algorithm, capsys):
     assert "finite number of ticks" in err
 
 
+def test_a_billing_granularity_beyond_the_float_range_exits_2(workdir, capsys):
+    """10**400 ms is an integer argparse takes, but no float: one error
+    line, not a traceback."""
+    argv = _chain_files(workdir, [(name, memory_mb, 1.0) for name in ("f1", "f2")
+                                  for memory_mb in (128, 256)])
+    assert main(argv + ["--slo", "4", "--billing-granularity-ms", "1" + "0" * 400]) == 2
+    assert capsys.readouterr().err == (
+        "error: billing_granularity_ms must be a positive integer within the float range\n")
+
+
 def test_tables_sharing_no_memory_size_exit_2(workdir, capsys):
     argv = _chain_files(workdir, [("f1", 128, 1.0), ("f2", 256, 1.0)])
     assert main(argv + ["--slo", "4"]) == 2

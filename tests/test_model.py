@@ -136,6 +136,15 @@ def test_billing_rounds_up_to_granularity():
     assert default.cost_units(1.0005, 256) == 1001 * 256
 
 
+@pytest.mark.parametrize("gran", [0, -1, 10**400, True, 1.5, 100.0],
+                         ids=["zero", "negative", "beyond-float", "bool", "fraction", "float"])
+def test_billing_granularity_must_be_a_positive_integer_within_the_float_range(gran):
+    """10**400 ms used to fail only when billed, with a bare OverflowError;
+    True billed 1 ms ticks and 1.5 fractional ones."""
+    with pytest.raises(ValueError, match="billing_granularity_ms must be a positive integer"):
+        CostModel(billing_granularity_ms=gran)
+
+
 def test_billing_rejects_a_duration_whose_tick_count_overflows():
     """From about 1.8e305 s the duration in milliseconds is infinite and
     bills no whole number of ticks; just below, the count is still exact."""

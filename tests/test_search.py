@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
@@ -34,6 +36,9 @@ from helpers import (
     random_monotone_profile,
     reference_greedy,
     schedule_end_to_end,
+    walk_greedy_min_cost,
+    walk_greedy_min_time,
+    walk_greedy_slo,
 )
 
 
@@ -276,23 +281,226 @@ def test_tie_property_catches_ties_broken_on_rung_first(monkeypatch):
     """The tied instances tell the name-then-rung tie-break from a rung-first
     one: a walk that puts equal representatives in rung, then name order
     differs from the heap somewhere."""
+    name_first = search._bump_order
 
-    class RungFirst(search._BumpOrder):
-        __slots__ = ()
+    def rung_first(seconds):
+        order, names, up = name_first(seconds)
+        per_row = len(next(iter(seconds.values())))
 
-        def __init__(self, graph, profiles, rungs):
-            super().__init__(graph, profiles, rungs)
-            per_row = len(rungs)
+        def key(cell):  # cells are numbered by name, then rung
+            return -seconds[names[cell]][cell % per_row], cell % per_row, cell
 
-            def key(cell):  # cells are numbered by name, then rung
-                return -self.seconds[self.names[cell]][cell % per_row], cell % per_row, cell
+        order.sort(key=key)
+        return order, names, up
 
-            self.order.sort(key=key)
-
-    monkeypatch.setattr(search, "_BumpOrder", RungFirst)
+    monkeypatch.setattr(search, "_bump_order", rung_first)
+    monkeypatch.setattr(search, "_last", None)  # no trajectory walked in the old order
     find(tied_instances(), _differs_from_heap,
          settings=settings(max_examples=300, derandomize=True, database=None,
                            phases=(Phase.generate,)))
+
+
+# --- one trajectory per instance, shared by the greedy searches -------------------
+
+WALK_REFERENCES = (
+    (greedy_slo, walk_greedy_slo),
+    (greedy_min_cost, walk_greedy_min_cost),
+    (greedy_min_time, walk_greedy_min_time),
+)
+
+
+def _three_slos(graph, profiles, ladder):
+    """An infeasible SLO, one between the all-max and all-min estimates, and
+    one at the all-max estimate, the greedy's feasibility boundary; positive
+    ones only, or 0.5 when none is."""
+    rungs = ladder.effective()
+    all_min = estimate_time(graph, dict.fromkeys(graph.functions(), rungs[0]), profiles)
+    all_max = estimate_time(graph, dict.fromkeys(graph.functions(), rungs[-1]), profiles)
+    slos = [s for s in (all_max / 2, (all_min + all_max) / 2, all_max) if s > 0]
+    return [SloSpec(s) for s in slos or [0.5]]
+
+
+def _check_every_call_order(graph, profiles, ladder):
+    """All 6 orders of the three greedy searches, each order over three SLOs
+    from a cleared memo, give the records of the walk that sorts and walks
+    its own order per call."""
+    slos = _three_slos(graph, profiles, ladder)
+    expected = {
+        (run, slo): reference(graph, profiles, ladder, slo).to_record()
+        for run, reference in WALK_REFERENCES for slo in slos
+    }
+    for calls in itertools.permutations([run for run, _ in WALK_REFERENCES]):
+        search._last = None
+        for slo in slos:
+            for run in calls:
+                assert run(graph, profiles, ladder, slo).to_record() == expected[run, slo]
+
+
+def test_trajectory_searches_give_the_walks_records_in_any_call_order():
+    rng = random.Random(23)
+    for _ in range(150):
+        graph, profiles, ladder, _ = random_instance(rng)
+        _check_every_call_order(graph, profiles, ladder)
+
+
+@given(tied_instances())
+@settings(max_examples=100, deadline=None)
+def test_trajectory_searches_give_the_walks_records_on_tied_tables(instance):
+    graph, profiles, ladder, _ = instance
+    _check_every_call_order(graph, profiles, ladder)
+
+
+def _chain(n):
+    return generate_app(n_functions=n, shape="chain", seed=1).graph
+
+
+def test_memo_sees_a_profile_changed_in_place():
+    graph = _chain(3)
+    rungs = (128, 256, 512)
+    profiles = {f: make_profile(f, {128: 3.0, 256: 2.0, 512: 1.0}) for f in graph.functions()}
+    ladder = MemoryLadder(values=rungs, cap_mb=None)
+    slo = SloSpec(7.0)
+    assert greedy_slo(graph, profiles, ladder, slo).config == {"f1": 256, "f2": 256, "f3": 128}
+    profiles["f1"].representatives[256] = 1.0
+    for run, reference in WALK_REFERENCES:
+        assert run(graph, profiles, ladder, slo).to_record() == reference(
+            graph, profiles, ladder, slo).to_record()
+    assert greedy_slo(graph, profiles, ladder, slo).config == {"f1": 256, "f2": 128, "f3": 128}
+
+
+def test_memo_sees_a_changed_ladder():
+    """A table holding one float object in every cell gives the same cell
+    objects on every ladder: only the rungs tell (128, 256) from (128, 256,
+    512) there."""
+    graph = _chain(3)
+    rng = random.Random(24)
+    tables = (
+        {f: random_monotone_profile(f, DEFAULT_MEMORY_MB, rng) for f in graph.functions()},
+        {f: make_profile(f, dict.fromkeys(DEFAULT_MEMORY_MB, 1.5)) for f in graph.functions()},
+    )
+    ladders = [MemoryLadder(values=rungs, cap_mb=None)
+               for rungs in ((128, 256), (128, 256, 512), (256, 512), (128, 256))]
+    for profiles in tables:
+        for ladder in ladders:
+            for slo in _three_slos(graph, profiles, ladder):
+                for run, reference in WALK_REFERENCES:
+                    assert run(graph, profiles, ladder, slo).to_record() == reference(
+                        graph, profiles, ladder, slo).to_record()
+
+
+def test_memo_keys_on_the_graph_object_not_an_equal_graph():
+    rng = random.Random(25)
+    first, second = _chain(4), _chain(4)
+    assert first == second and first is not second
+    profiles = {f: random_monotone_profile(f, (128, 256), rng) for f in first.functions()}
+    ladder = MemoryLadder(values=(128, 256), cap_mb=None)
+    slo = _three_slos(first, profiles, ladder)[1]
+    for graph in (first, second):
+        for run, reference in WALK_REFERENCES:
+            assert run(graph, profiles, ladder, slo).to_record() == reference(
+                graph, profiles, ladder, slo).to_record()
+        assert search._last[0] is graph
+
+
+def test_memo_keeps_the_sign_of_a_zero():
+    """0.0 == -0.0, so a memo keyed on equal cells would serve the first
+    table's +0.0 estimate for the second; keyed on the float objects, it
+    gives -0.0 as a fresh walk does."""
+    graph = CallGraph(FunctionNode("f1"))
+    ladder = MemoryLadder(values=(128, 256), cap_mb=None)
+    slo = SloSpec(2.0)
+    for zero in (0.0, -0.0):
+        profiles = {"f1": make_profile("f1", {128: 1.0, 256: zero})}
+        result = greedy_min_time(graph, profiles, ladder, slo)
+        assert result.estimated_time_s == 0.0
+        assert math.copysign(1.0, result.estimated_time_s) == math.copysign(1.0, zero)
+        assert result.to_record() == walk_greedy_min_time(graph, profiles, ladder, slo).to_record()
+
+
+@given(tied_instances())
+@settings(max_examples=100, deadline=None)
+def test_min_time_on_a_monotone_table_is_the_all_max_estimate(instance):
+    """Rounded ``+`` and ``max`` never rise when an argument falls, so the
+    walk never rises and ends at its minimum, the all-max estimate."""
+    graph, profiles, ladder, slo = instance
+    top = ladder.effective()[-1]
+    all_max = estimate_time(graph, dict.fromkeys(graph.functions(), top), profiles)
+    fastest = greedy_min_time(graph, profiles, ladder, SloSpec(max(all_max, 0.5)))
+    assert fastest.estimated_time_s.hex() == all_max.hex()
+
+
+def test_min_time_on_random_instances_is_the_all_max_estimate():
+    rng = random.Random(26)
+    for _ in range(300):
+        graph, profiles, ladder, _ = random_instance(rng)
+        top = ladder.effective()[-1]
+        all_max = estimate_time(graph, dict.fromkeys(graph.functions(), top), profiles)
+        fastest = greedy_min_time(graph, profiles, ladder, SloSpec(all_max))
+        assert fastest.estimated_time_s.hex() == all_max.hex()
+
+
+def test_searches_after_the_first_on_an_instance_walk_nothing(monkeypatch):
+    """Once ``greedy_slo`` has walked an instance, ``greedy_min_time`` and
+    ``greedy_slo`` at another SLO estimate nothing, and min-cost estimates
+    only its second phase: its feasible point once, then one ``set`` per
+    trial and at most one more to undo it."""
+    calls = {"evaluate": 0, "set": 0}
+    evaluate, set_seconds = search.GraphEvaluator.evaluate, search.GraphEvaluator.set
+
+    def counting_evaluate(self, times):
+        calls["evaluate"] += 1
+        return evaluate(self, times)
+
+    def counting_set(self, function, seconds):
+        calls["set"] += 1
+        return set_seconds(self, function, seconds)
+
+    monkeypatch.setattr(search.GraphEvaluator, "evaluate", counting_evaluate)
+    monkeypatch.setattr(search.GraphEvaluator, "set", counting_set)
+    graph = generate_app(n_functions=40, shape="random", seed=3).graph
+    rungs = MemoryLadder().effective()
+    rng = random.Random(27)
+    profiles = {f: random_monotone_profile(f, rungs, rng) for f in graph.functions()}
+    ladder = MemoryLadder()
+    _, loose, tight = _three_slos(graph, profiles, ladder)
+
+    calls.update(evaluate=0, set=0)
+    base = greedy_slo(graph, profiles, ladder, loose)
+    assert base.found and calls == {"evaluate": 1, "set": len(rungs[1:]) * 40}
+    for run, slo in ((greedy_min_time, loose), (greedy_slo, tight), (greedy_slo, loose)):
+        calls.update(evaluate=0, set=0)
+        run(graph, profiles, ladder, slo)
+        assert calls == {"evaluate": 0, "set": 0}
+    calls.update(evaluate=0, set=0)
+    cheap = greedy_min_cost(graph, profiles, ladder, loose)
+    trials = cheap.evaluations - base.evaluations - 1
+    assert trials > 0 and calls["evaluate"] == 1
+    assert trials <= calls["set"] <= 2 * trials
+
+
+def test_threads_alternating_two_instances_give_the_serial_records():
+    """The memo slot is replaced whole, so two threads searching two
+    instances in turn read a consistent slot and get the serial records."""
+    rng = random.Random(28)
+    rungs = MemoryLadder().effective()
+    instances = []
+    for shape in ("chain", "random"):
+        graph = generate_app(n_functions=60, shape=shape, seed=rng.randrange(2**31)).graph
+        profiles = {f: random_monotone_profile(f, rungs, rng) for f in graph.functions()}
+        for slo in _three_slos(graph, profiles, MemoryLadder()):
+            instances.append((graph, profiles, MemoryLadder(), slo))
+    tasks = [(WALK_REFERENCES[i % 3], instances[(i % 2) * 3 + i // 2 % 3]) for i in range(100)]
+    expected = [reference(*instance).to_record() for (_, reference), instance in tasks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        search._last = None
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(run, *instance) for (run, _), instance in tasks]
+            records = [future.result(timeout=60).to_record() for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert records == expected
 
 
 @pytest.mark.parametrize("objective", Objective)
