@@ -70,14 +70,19 @@ def _read_record(path: Path) -> dict:
 
 
 def _read_timing_sidecar(path: Path) -> float | None:
+    """The seconds in ``path``'s ``.timing`` sidecar, None without one; a
+    ValueError naming the sidecar if it holds anything else."""
     sidecar = Path(str(path) + ".timing")
     if not sidecar.exists():
         return None
-    text = sidecar.read_text().strip()
+    key, _, value = sidecar.read_text(encoding="utf-8", errors="replace").strip().partition("=")
     try:
-        return float(text.split("=", 1)[1])
-    except (IndexError, ValueError):
-        return None
+        elapsed_s = float(value) if key == "elapsed_s" else math.nan
+    except ValueError:
+        elapsed_s = math.nan
+    if not 0 <= elapsed_s < math.inf:
+        raise ValueError(f"{sidecar}: expected elapsed_s=<finite, non-negative number>")
+    return elapsed_s
 
 
 def _parse_ladder(text: str) -> MemoryLadder:

@@ -42,12 +42,12 @@ class MemoryLadder:
         if not self.values:
             raise ValueError("memory ladder must not be empty")
         for v in self.values:
-            if not isinstance(v, int) or v <= 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
                 raise ValueError(f"memory sizes must be positive integers, got {v!r}")
         if any(a >= b for a, b in zip(self.values, self.values[1:])):
             raise ValueError(f"memory ladder must be strictly increasing: {self.values}")
-        if self.cap_mb is not None and self.cap_mb <= 0:
-            raise ValueError("cap_mb must be positive")
+        if self.cap_mb is not None and (isinstance(self.cap_mb, bool) or self.cap_mb <= 0):
+            raise ValueError(f"cap_mb must be positive, got {self.cap_mb!r}")
         if not self.effective():
             raise ValueError(f"cap {self.cap_mb} MB leaves no usable ladder values")
 
@@ -167,10 +167,10 @@ def _normalize_node(node: GraphNode) -> GraphNode:
 
 
 #: Profiling samples by memory size, then function:
-#: ``samples[memory_mb][function]`` is the cell's ``(durations, colds)``
-#: columns. In a profiling run, row k of every column at one memory size
+#: ``samples[memory_mb][function]`` is the cell's column of durations in
+#: seconds. In a profiling run, row k of every column at one memory size
 #: is request k there. A cell exists from its first sample on.
-Samples = dict[int, dict[str, tuple[list[float], list[bool]]]]
+Samples = dict[int, dict[str, list[float]]]
 
 
 @dataclass(frozen=True)
@@ -210,10 +210,10 @@ class SloSpec:
     percentile: float = 95.0
 
     def __post_init__(self):
-        if not 0 < self.slo_seconds < math.inf:
-            raise ValueError("slo_seconds must be positive and finite")
-        if not 0 < self.percentile <= 100:
-            raise ValueError("percentile must be in (0, 100]")
+        if isinstance(self.slo_seconds, bool) or not 0 < self.slo_seconds < math.inf:
+            raise ValueError(f"slo_seconds must be positive and finite, got {self.slo_seconds!r}")
+        if isinstance(self.percentile, bool) or not 0 < self.percentile <= 100:
+            raise ValueError(f"percentile must be in (0, 100], got {self.percentile!r}")
 
 
 class Objective(str, Enum):
@@ -255,8 +255,9 @@ class CostModel:
             raise ValueError(f"duration_s must be non-negative and bill a finite number "
                              f"of ticks, got {duration_s!r}")
         # The 1e-9 slack keeps exact multiples (e.g. 0.1 s at 1 ms) from
-        # being pushed into the next tick by float noise.
-        return math.ceil(ticks - 1e-9) * gran * memory_mb
+        # being pushed into the next tick by float noise; a positive
+        # duration it would round to nothing still bills one tick.
+        return (math.ceil(ticks - 1e-9) or math.ceil(ticks)) * gran * memory_mb
 
     def usd(self, units: int) -> float:
         """USD for a sum of :meth:`cost_units`, converted once at the

@@ -68,7 +68,7 @@ def build_profiles(
         representatives: dict[int, float] = {}
         counts: dict[int, int] = {}
         for memory_mb, by_function in zip(rungs, cells):
-            durations, _ = by_function.get(function, ((), ()))
+            durations = by_function.get(function)
             if not durations:
                 raise MissingCell(function, memory_mb)
             representatives[memory_mb] = percentile_linear(durations, alpha)
@@ -133,7 +133,7 @@ def select_alpha(
     for memory_mb, by_function in zip(rungs, cells):
         columns[memory_mb] = column = {}
         for function in functions:
-            durations, _ = by_function.get(function, ((), ()))
+            durations = by_function.get(function)
             if not durations:
                 raise MissingCell(function, memory_mb)
             column[function] = durations

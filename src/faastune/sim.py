@@ -385,8 +385,8 @@ def _load_traces(
 def profile_application(
     app: SimApp,
     ladder: MemoryLadder,
-    k_per_level: int = 50,
-    rng: random.Random | None = None,
+    k_per_level: int,
+    rng: random.Random,
 ) -> TraceLog:
     """Run the profiling workload: k requests at every uniform ladder level.
 
@@ -396,7 +396,6 @@ def profile_application(
     :func:`~faastune.traces.extract_samples` reads off this log, without
     the log.
     """
-    rng = rng or random.Random(0)
     traces: dict[str, list[TraceSegment]] = {}
     for memory_mb in ladder.effective():
         config = {name: memory_mb for name in app.graph.functions()}
@@ -407,8 +406,8 @@ def profile_application(
 def profile_samples(
     app: SimApp,
     ladder: MemoryLadder,
-    k_per_level: int = 50,
-    rng: random.Random | None = None,
+    k_per_level: int,
+    rng: random.Random,
 ) -> Samples:
     """``extract_samples(profile_application(...))``, drawn without a trace.
 
@@ -419,19 +418,14 @@ def profile_samples(
     only where the walker does: ValueError on a request whose finish is not
     finite.
     """
-    rng = rng or random.Random(0)
     names = [name for name, _, _ in app._plan]
     samples: Samples = {}
     for memory_mb in ladder.effective():
         config = {name: memory_mb for name in app.graph.functions()}
-        rows: list[list[float]] = []
-        flags: list[list[bool]] = []
-        for starts, durations, colds, _ in _simulate(app, config, k_per_level, rng):
-            rows.append([(start + duration) - start for start, duration in zip(starts, durations)])
-            flags.append(colds)
+        rows = [[(start + duration) - start for start, duration in zip(starts, durations)]
+                for starts, durations, _, _ in _simulate(app, config, k_per_level, rng)]
         # The walker gives a row per request; the table keeps a column per function.
-        cells = {name: (list(durations), list(colds))
-                 for name, durations, colds in zip(names, zip(*rows), zip(*flags))}
+        cells = {name: list(column) for name, column in zip(names, zip(*rows))}
         if cells:
             samples[memory_mb] = cells
     return samples
@@ -471,13 +465,12 @@ def validate_config(
     app: SimApp,
     config: Mapping[str, int],
     slo: SloSpec,
-    n_requests: int = 100,
-    rng: random.Random | None = None,
+    n_requests: int,
+    rng: random.Random,
 ) -> ValidationReport:
     """Issue validation requests and report the fraction meeting the SLO."""
     if n_requests < 1:
         raise ValueError(f"n_requests must be at least 1, got {n_requests!r}")
-    rng = rng or random.Random(0)
     durations = [finish for _, _, _, finish in _simulate(app, config, n_requests, rng)]
     within = sum(1 for d in durations if d <= slo.slo_seconds)
     return ValidationReport(

@@ -359,7 +359,7 @@ def _write_lines(log: TraceLog, fh: IO[str]) -> None:
 
 
 def extract_samples(log: TraceLog) -> Samples:
-    """The durations and cold flags of every function segment, as a
+    """The duration of every function segment, as a
     :data:`~faastune.model.Samples` table; backend-service segments are
     skipped.
 
@@ -371,7 +371,7 @@ def extract_samples(log: TraceLog) -> Samples:
     """
     samples: Samples = {}
     for segments in log.traces.values():
-        for _, segment_id, name, kind, start_time, end_time, _, memory_mb, cold_start in segments:
+        for _, segment_id, name, kind, start_time, end_time, _, memory_mb, _ in segments:
             if kind != "function":
                 continue
             if memory_mb is None:
@@ -379,11 +379,10 @@ def extract_samples(log: TraceLog) -> Samples:
             by_function = samples.get(memory_mb)
             if by_function is None:
                 by_function = samples[memory_mb] = {}
-            cell = by_function.get(name)
-            if cell is None:
-                cell = by_function[name] = ([], [])
-            cell[0].append(end_time - start_time)
-            cell[1].append(bool(cold_start))
+            column = by_function.get(name)
+            if column is None:
+                column = by_function[name] = []
+            column.append(end_time - start_time)
     return samples
 
 

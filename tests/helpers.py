@@ -371,20 +371,18 @@ def reference_check_tree(trace_id: str, segments: tuple[TraceSegment, ...]) -> N
 
 
 # --- profile fitting, as written before fit durations were sorted once -------
-# The references read flat (function, memory_mb, duration_s, cold_start)
-# rows, as profiling samples were before they became columns.
+# The references read flat (function, memory_mb, duration_s) rows, as
+# profiling samples were before they became columns.
 
-SampleRow = tuple[str, int, float, bool]
+SampleRow = tuple[str, int, float]
 
 
 def sample_table(rows: Iterable[SampleRow]) -> Samples:
     """The :data:`~faastune.model.Samples` table of ``rows``: each cell's
-    columns in row order, a cell from its first row on."""
+    column in row order, a cell from its first row on."""
     table: Samples = {}
-    for function, memory_mb, duration_s, cold_start in rows:
-        durations, colds = table.setdefault(memory_mb, {}).setdefault(function, ([], []))
-        durations.append(duration_s)
-        colds.append(cold_start)
+    for function, memory_mb, duration_s in rows:
+        table.setdefault(memory_mb, {}).setdefault(function, []).append(duration_s)
     return table
 
 
@@ -408,7 +406,7 @@ def _reference_group_cells(
     rung_set = set(rungs)
     cells: dict[str, dict[int, list[SampleRow]]] = {}
     for s in samples:
-        function, memory_mb, _, _ = s
+        function, memory_mb, _ = s
         if memory_mb not in rung_set:
             continue  # off-ladder observations are not modeled
         by_memory = cells.get(function)
@@ -440,7 +438,7 @@ def reference_build_profiles(
             cell = by_memory.get(memory_mb)
             if not cell:
                 raise MissingCell(function, memory_mb)
-            durations = [duration_s for _, _, duration_s, _ in cell]
+            durations = [duration_s for _, _, duration_s in cell]
             representatives[memory_mb] = _reference_percentile(durations, alpha)
             counts[memory_mb] = len(cell)
         profiles[function] = FunctionProfile(

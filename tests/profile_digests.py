@@ -109,7 +109,7 @@ def profile_digest(workdir: Path, shape: str, seed: str, noisy: bool) -> str:
 
 def ingest_digest(workdir: Path, shape: str, seed: str, noisy: bool) -> str:
     """sha256 of what trace ingestion learns from the app :func:`_write_app`
-    writes: its `profile_application` log (default ladder and requests,
+    writes: its `profile_application` log (default ladder, 50 requests per rung,
     drawn at ``seed``) is written to a file and parsed back, and the digest
     covers the rebuilt graph (as :func:`graph_to_dict` writes it), every
     extracted sample, the alpha :func:`select_alpha` picks at ``seed`` and
@@ -118,22 +118,26 @@ def ingest_digest(workdir: Path, shape: str, seed: str, noisy: bool) -> str:
     The samples enter as ``[function, memory_mb, duration_s, cold_start]``
     rows: the sample table flattened rung by rung, then request by request,
     then column by column. In a profiling log that is trace order, in which
-    the pinned digests were first taken from a flat list of samples."""
+    the pinned digests were first taken from a flat list of samples, so each
+    row's ``cold_start`` is that of the log's function segment in the same
+    place in trace order: the table holds durations only."""
     app = sim.load_app(_write_app(workdir, shape, seed, noisy))
     ladder = MemoryLadder()
     trace = workdir / "trace.ndjson"
-    write_trace_file(sim.profile_application(app, ladder, rng=random.Random(int(seed))), trace)
+    write_trace_file(sim.profile_application(app, ladder, 50, random.Random(int(seed))), trace)
     log = parse_trace_file(trace)
     graph = build_call_graph(log)
     samples = extract_samples(log)
     alpha = select_alpha(samples, ladder, graph, seed=int(seed))
     profiles = {name: monotone_repair(p) for name, p in build_profiles(samples, ladder, alpha).items()}
+    rows = [[function, memory_mb, duration_s]
+            for memory_mb, by_function in samples.items()
+            for request in zip(*by_function.values())
+            for function, duration_s in zip(by_function, request)]
+    segments = [s for trace in log.traces.values() for s in trace if s.kind == "function"]
     learned = {
         "graph": graph_to_dict(graph.root),
-        "samples": [[function, memory_mb, duration_s, cold_start]
-                    for memory_mb, by_function in samples.items()
-                    for request in zip(*(zip(*cell) for cell in by_function.values()))
-                    for function, (duration_s, cold_start) in zip(by_function, request)],
+        "samples": [[*row, s.cold_start] for row, s in zip(rows, segments, strict=True)],
         "alpha": alpha,
         "profiles": {name: [[m, p.representatives[m], p.sample_counts[m]] for m in p.memories()]
                      for name, p in profiles.items()},

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -456,7 +457,7 @@ def test_profile_splits_a_huge_span_among_three_backends(pipeline_files, workdir
     out, expected = workdir / "profiles.csv", workdir / "expected.csv"
     assert main(["profile", "--app", app_path, "--seed", "3", "--out", str(out)]) == 0
     app, ladder = load_app(app_path), MemoryLadder()
-    samples = extract_samples(profile_application(app, ladder, rng=random.Random(3)))
+    samples = extract_samples(profile_application(app, ladder, 50, random.Random(3)))
     alpha = select_alpha(samples, ladder, app.graph, seed=3)
     built = build_profiles(samples, ladder, alpha)
     save_profiles({name: monotone_repair(p) for name, p in built.items()}, expected)
@@ -704,6 +705,37 @@ def test_report_csv_and_wall_ratio(workdir, capsys):
     assert "wall-time ratio brute-force/greedy" in out
     lines = table.read_text().strip().splitlines()
     assert len(lines) == 3  # header + 2 result rows
+
+
+@pytest.mark.parametrize("text", [
+    b"elapsed_s=nan\n", b"elapsed_s=inf\n", b"elapsed_s=-0.5\n", b"elapsed_s=\n",
+    b"elapsed_s=fast\n", b"wall_s=0.5\n", b"0.5\n", b"", b"\xff\xfe\x00",
+], ids=["nan", "inf", "negative", "empty-value", "word", "other-key", "no-key", "empty",
+        "binary"])
+def test_report_on_a_malformed_timing_sidecar_exits_2_naming_it(workdir, capsys, text):
+    """A sidecar that exists must hold elapsed_s=<finite, non-negative
+    number>; anything else used to become a blank cell, and nan, inf or a
+    negative value reached the table and the brute-force/greedy ratio."""
+    _, _, result, _, code = _pipeline(workdir, slo="4.0")
+    assert code == 0
+    sidecar = Path(str(result) + ".timing")
+    sidecar.write_bytes(text)
+    capsys.readouterr()
+    table = workdir / "t.csv"
+    assert main(["report", "--results", str(workdir), "--out", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sidecar}: expected elapsed_s=") and err.count("\n") == 1
+    assert not table.exists()
+
+
+def test_report_leaves_wall_time_blank_without_a_timing_sidecar(workdir):
+    _, _, result, _, code = _pipeline(workdir, slo="4.0")
+    assert code == 0
+    Path(str(result) + ".timing").unlink()
+    table = workdir / "t.csv"
+    assert main(["report", "--results", str(workdir), "--out", str(table)]) == 0
+    (row,) = csv.DictReader(table.open())
+    assert row["name"] == "run" and row["wall_s"] == ""
 
 
 def test_help_lists_exit_codes(capsys):

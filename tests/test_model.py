@@ -42,11 +42,17 @@ def test_uncapped_ladder_keeps_all_values():
 
 @pytest.mark.parametrize(
     "values",
-    [(), (128, 128), (256, 128), (0, 128), (128, -5)],
+    [(), (128, 128), (256, 128), (0, 128), (128, -5), (True, 2)],
 )
 def test_bad_ladders_rejected(values):
     with pytest.raises(ValueError):
         MemoryLadder(values=values, cap_mb=None)
+
+
+def test_bool_cap_rejected():
+    """A bool is an int: a cap of True used to cap (1, 2) at 1 MB."""
+    with pytest.raises(ValueError, match="cap_mb must be positive, got True"):
+        MemoryLadder(values=(1, 2), cap_mb=True)
 
 
 def test_cap_below_smallest_value_rejected():
@@ -59,6 +65,10 @@ def test_slo_spec_validation():
         SloSpec(slo_seconds=0)
     with pytest.raises(ValueError):
         SloSpec(slo_seconds=1.0, percentile=0)
+    with pytest.raises(ValueError, match="slo_seconds must be positive and finite, got True"):
+        SloSpec(slo_seconds=True)
+    with pytest.raises(ValueError, match="percentile must be in \\(0, 100\\], got True"):
+        SloSpec(slo_seconds=1.0, percentile=True)
     assert SloSpec(2.5).percentile == 95.0
 
 
@@ -134,6 +144,16 @@ def test_billing_rounds_up_to_granularity():
     default = CostModel()
     assert default.cost_units(0.1, 256) == 100 * 256  # exact tick stays put
     assert default.cost_units(1.0005, 256) == 1001 * 256
+
+
+def test_a_positive_duration_bills_at_least_one_tick():
+    """The 1e-9 tick slack used to round a positive duration of at most 1e-9
+    ticks down to nothing: a 1 s call at 10**12 ms ticks, or 1e-12 s at 1 ms."""
+    assert CostModel(billing_granularity_ms=10**12).cost_units(1.0, 128) == 10**12 * 128
+    assert CostModel(billing_granularity_ms=2**1023).cost_units(5.0, 128) == 2**1023 * 128
+    assert CostModel().cost_units(1e-12, 128) == 128
+    assert CostModel().cost_units(5e-324, 128) == 128
+    assert CostModel().cost_units(0.0, 128) == 0
 
 
 @pytest.mark.parametrize("gran", [0, -1, 10**400, True, 1.5, 100.0],

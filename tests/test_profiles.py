@@ -25,7 +25,7 @@ from helpers import make_profile, reference_build_profiles, reference_select_alp
 
 
 def _samples(function, memory, durations):
-    return [(function, memory, d, False) for d in durations]
+    return [(function, memory, d) for d in durations]
 
 
 # --- percentile --------------------------------------------------------------
@@ -122,7 +122,7 @@ def _uniform_level_samples(graph, ladder, duration_of, k=8):
     for m in ladder.effective():
         for j in range(k):
             for f in graph.functions():
-                samples.append((f, m, duration_of(f, m, j), False))
+                samples.append((f, m, duration_of(f, m, j)))
     return samples
 
 
@@ -155,7 +155,7 @@ def test_misaligned_cells_rejected():
     graph = generate_app(shape="demo3", seed=0).graph
     ladder = MemoryLadder(values=(128,), cap_mb=None)
     samples = _uniform_level_samples(graph, ladder, lambda f, m, j: 1.0, k=5)
-    samples.append(("f1", 128, 1.0, False))  # f1 now has one extra
+    samples.append(("f1", 128, 1.0))  # f1 now has one extra
     with pytest.raises(InsufficientSamples):
         select_alpha(sample_table(samples), ladder, graph)
 
@@ -165,7 +165,7 @@ def _oracle_alpha(samples, ladder, graph, seed):
     functions = graph.functions()
     rungs = ladder.effective()
     cells = {}
-    for function, memory_mb, duration_s, _ in samples:
+    for function, memory_mb, duration_s in samples:
         cells.setdefault((function, memory_mb), []).append(duration_s)
     counts = {m: len(cells[(functions[0], m)]) for m in rungs}
     rng = random.Random(seed)
@@ -203,7 +203,7 @@ def _heavy_tail_samples(graph, ladder, data_seed, k=30):
             for f in graph.functions():
                 base = 128.0 / m
                 draw = base * rng.lognormvariate(0.0, 0.9)  # heavy right tail
-                samples.append((f, m, draw, False))
+                samples.append((f, m, draw))
     return samples
 
 
@@ -248,11 +248,11 @@ def _fitted(fit, *args, **kwargs):
 @settings(max_examples=120, deadline=None)
 def test_fitting_matches_the_reference(n_functions, app_seed, data):
     """Profiling-shaped sample sets: 4-60 requests per rung, durations that
-    tie often or have tails of random weight, random cold flags and samples
-    off the ladder mixed in; now and then a cell one request short or long,
-    a rung with too few requests, a missing cell or a function the graph
-    does not hold. ``select_alpha`` and ``build_profiles`` must give the
-    reference's alpha and profiles, or its error."""
+    tie often or have tails of random weight, and samples off the ladder
+    mixed in; now and then a cell one request short or long, a rung with
+    too few requests, a missing cell or a function the graph does not hold.
+    ``select_alpha`` and ``build_profiles`` must give the reference's alpha
+    and profiles, or its error."""
     graph = generate_app(n_functions=n_functions, shape="random", seed=app_seed).graph
     functions = list(graph.functions())
     if data.draw(st.booleans()):
@@ -277,11 +277,11 @@ def test_fitting_matches_the_reference(n_functions, app_seed, data):
             k = data.draw(st.integers(1, 3))
         for _ in range(k):
             for function in functions:
-                samples.append((function, memory_mb, duration(function), rng.random() < 0.1))
+                samples.append((function, memory_mb, duration(function)))
                 if rng.random() < 0.05:
-                    samples.append((function, rng.choice(off_ladder), duration(function), False))
+                    samples.append((function, rng.choice(off_ladder), duration(function)))
     if edit == "extra":
-        samples.append((rng.choice(functions), rng.choice(rungs), 1.0, False))
+        samples.append((rng.choice(functions), rng.choice(rungs), 1.0))
     elif edit == "drop":
         del samples[rng.randrange(len(samples))]
     elif edit == "drop-cell":

@@ -166,13 +166,14 @@ def test_simulation_rejects_non_positive_memory_and_non_finite_specs():
     app = generate_app(shape="demo3", seed=0)
     config = {f: 128 for f in app.graph.functions()}
     with pytest.raises(ValueError, match="memory must be a positive integer"):
-        validate_config(app, {**config, "f2": -128}, SloSpec(1.0))
+        validate_config(app, {**config, "f2": -128}, SloSpec(1.0), 1, random.Random(0))
     with pytest.raises(ValueError, match="n_requests must be at least 1"):
-        validate_config(app, config, SloSpec(1.0), n_requests=0)
+        validate_config(app, config, SloSpec(1.0), n_requests=0, rng=random.Random(0))
     chain = generate_app(2, "chain", seed=0)
     huge = {name: _compute_spec(work=1.5e308) for name in chain.specs}
     with pytest.raises(ValueError, match="finite"):  # 1.5e308 s twice overflows
-        validate_config(dataclasses.replace(chain, specs=huge), {"f1": 1, "f2": 1}, SloSpec(1.0))
+        validate_config(dataclasses.replace(chain, specs=huge), {"f1": 1, "f2": 1}, SloSpec(1.0),
+                        1, random.Random(0))
     with pytest.raises(ValueError, match="finite"):
         _compute_spec(work=float("inf"))
     with pytest.raises(ValueError, match="finite"):
@@ -513,7 +514,7 @@ def test_backend_calls_end_within_their_function():
     for backend in backends:
         assert function.start_time <= backend.start_time <= backend.end_time <= function.end_time
     assert backends[-1].end_time == function.end_time == work / 128
-    report = validate_config(app, {"f1": 128}, SloSpec(3.0), n_requests=1)
+    report = validate_config(app, {"f1": 128}, SloSpec(3.0), n_requests=1, rng=random.Random(0))
     assert report.max_s == function.end_time
 
 
@@ -544,8 +545,9 @@ def test_built_apps_are_not_normalized_again(monkeypatch):
     config = {f: 256 for f in app.graph.functions()}
     assert len(run_load(copy, config, 2, random.Random(0)).traces) == 2
     ladder = MemoryLadder(values=(128, 256), cap_mb=None)
-    assert len(profile_application(quiet, ladder, k_per_level=2).traces) == 4
-    assert validate_config(app, config, SloSpec(100.0), n_requests=3).conformance == 1.0
+    assert len(profile_application(quiet, ladder, k_per_level=2, rng=random.Random(0)).traces) == 4
+    report = validate_config(app, config, SloSpec(100.0), n_requests=3, rng=random.Random(0))
+    assert report.conformance == 1.0
 
 
 #: sha256 of the saved app, of the profiling trace file (default ladder,
@@ -624,15 +626,17 @@ def test_profile_application_covers_every_level():
 def _profiled(sampler, app, ladder, k, seed):
     """The sample table ``sampler`` draws (ValueError if it raises one),
     every duration's hex form by rung, function and request, and the
-    generator's state afterwards."""
+    generator's state afterwards. Every cell it draws is a list of floats."""
     rng = random.Random(seed)
     try:
         samples = sampler(app, ladder, k_per_level=k, rng=rng)
     except ValueError:
         return ValueError, None, rng.getstate()
+    columns = [column for by_function in samples.values() for column in by_function.values()]
+    assert all(type(column) is list and all(type(d) is float for d in column) for column in columns)
     hexes = [(memory_mb, name, [duration.hex() for duration in durations])
              for memory_mb, by_function in samples.items()
-             for name, (durations, _) in by_function.items()]
+             for name, durations in by_function.items()]
     return samples, hexes, rng.getstate()
 
 
@@ -655,7 +659,7 @@ def test_profile_samples_are_the_samples_of_the_profiling_traces(shape, noise):
     assert list(drawn[0]) == list(MemoryLadder().effective())
     for by_function in drawn[0].values():
         assert set(by_function) == set(app.graph.functions())
-        assert all(len(durations) == len(colds) == 12 for durations, colds in by_function.values())
+        assert all(len(durations) == 12 for durations in by_function.values())
 
 
 # Latencies near a float's limit: spans whose ``duration * j`` overflows for

@@ -968,7 +968,7 @@ def test_trace_ingestion_is_pinned(tmp_path, shape, seed, noisy):
 
 def test_sample_duration_is_end_minus_start():
     log = _log(_line(seg="s1", name="f1", start=10.0, end=14.5, memory=128))
-    assert extract_samples(log) == {128: {"f1": ([4.5], [False])}}
+    assert extract_samples(log) == {128: {"f1": [4.5]}}
 
 
 def test_baas_segments_yield_no_samples():
@@ -976,7 +976,7 @@ def test_baas_segments_yield_no_samples():
         _line(seg="s1", name="f1"),
         _line(seg="s2", parent="s1", name="db", kind="baas", memory=None),
     )
-    assert extract_samples(log) == {128: {"f1": ([1.0], [False])}}
+    assert extract_samples(log) == {128: {"f1": [1.0]}}
 
 
 def test_function_without_memory_annotation_rejected():
@@ -991,7 +991,7 @@ def test_fifty_traces_of_three_functions_yield_150_samples():
     log = run_load(app, config, 50, random.Random(1))
     (by_function,) = extract_samples(log).values()
     assert set(by_function) == set(app.graph.functions())
-    assert all(len(durations) == len(colds) == 50 for durations, colds in by_function.values())
+    assert all(len(durations) == 50 for durations in by_function.values())
 
 
 def test_row_k_is_trace_k_whatever_order_its_segments_are_listed_in():
@@ -1013,8 +1013,7 @@ def test_row_k_is_trace_k_whatever_order_its_segments_are_listed_in():
         functions = [s for s in segments if s.kind == "function"]
         k = rows[functions[0].memory_mb] = rows.get(functions[0].memory_mb, -1) + 1
         for s in functions:
-            durations, colds = samples[s.memory_mb][s.name]
-            assert (durations[k], colds[k]) == (s.end_time - s.start_time, s.cold_start)
+            assert samples[s.memory_mb][s.name][k] == s.end_time - s.start_time
     assert rows == {128: 7, 256: 7}
     assert samples == extract_samples(log)
 
