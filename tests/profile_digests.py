@@ -2,11 +2,13 @@
 
 ``test_cli.test_profile_tables_are_pinned`` checks each ``profile/*`` table
 with :func:`profile_digest`, ``test_cli.test_generated_apps_are_pinned``
-each ``app/*`` spec file with :func:`app_digest`, and
+each ``app/*`` spec file with :func:`app_digest`,
+``test_traces.test_trace_files_are_pinned`` each ``trace/*`` profiling log
+file with :func:`trace_digest`, and
 ``test_traces.test_trace_ingestion_is_pinned`` each ``ingest/*`` record of
 what trace ingestion learns with :func:`ingest_digest`. Run as a script,
-this module recomputes all 24 tables, 12 spec files and 24 ingestion
-records and compares them with ``golden_digests.json``; it also recomputes
+this module recomputes all 24 tables, 12 spec files, 24 trace files and 24
+ingestion records and compares them with ``golden_digests.json``; it also recomputes
 the nine ``optimize`` records of ``golden_results.json`` and the
 ``petstore/validate-reports`` digest, which ``test_cli`` checks too, and
 the search records ``test_search.test_search_records_are_pinned`` checks
@@ -66,6 +68,10 @@ def app_key(shape: str, seed: str) -> str:
     return f"app/{shape}-{seed}"
 
 
+def trace_key(shape: str, seed: str, noisy: bool) -> str:
+    return f"trace/{shape}-{seed}" + ("-noisy" if noisy else "")
+
+
 def ingest_key(shape: str, seed: str, noisy: bool) -> str:
     return f"ingest/{shape}-{seed}" + ("-noisy" if noisy else "")
 
@@ -107,10 +113,24 @@ def profile_digest(workdir: Path, shape: str, seed: str, noisy: bool) -> str:
     return hashlib.sha256(profiles.read_bytes()).hexdigest()
 
 
+def _write_profiling_trace(workdir: Path, shape: str, seed: str, noisy: bool) -> Path:
+    """``workdir / "trace.ndjson"``, holding the `profile_application` log
+    (default ladder, 50 requests per rung, drawn at ``seed``) of the app
+    :func:`_write_app` writes, as :func:`write_trace_file` writes it."""
+    app = sim.load_app(_write_app(workdir, shape, seed, noisy))
+    trace = workdir / "trace.ndjson"
+    write_trace_file(sim.profile_application(app, MemoryLadder(), 50, random.Random(int(seed))), trace)
+    return trace
+
+
+def trace_digest(workdir: Path, shape: str, seed: str, noisy: bool) -> str:
+    """sha256 of the trace file :func:`_write_profiling_trace` writes."""
+    return hashlib.sha256(_write_profiling_trace(workdir, shape, seed, noisy).read_bytes()).hexdigest()
+
+
 def ingest_digest(workdir: Path, shape: str, seed: str, noisy: bool) -> str:
-    """sha256 of what trace ingestion learns from the app :func:`_write_app`
-    writes: its `profile_application` log (default ladder, 50 requests per rung,
-    drawn at ``seed``) is written to a file and parsed back, and the digest
+    """sha256 of what trace ingestion learns from the trace file
+    :func:`_write_profiling_trace` writes: it is parsed back, and the digest
     covers the rebuilt graph (as :func:`graph_to_dict` writes it), every
     extracted sample, the alpha :func:`select_alpha` picks at ``seed`` and
     the monotone-repaired profiles :func:`build_profiles` fits with it.
@@ -121,11 +141,8 @@ def ingest_digest(workdir: Path, shape: str, seed: str, noisy: bool) -> str:
     the pinned digests were first taken from a flat list of samples, so each
     row's ``cold_start`` is that of the log's function segment in the same
     place in trace order: the table holds durations only."""
-    app = sim.load_app(_write_app(workdir, shape, seed, noisy))
     ladder = MemoryLadder()
-    trace = workdir / "trace.ndjson"
-    write_trace_file(sim.profile_application(app, ladder, 50, random.Random(int(seed))), trace)
-    log = parse_trace_file(trace)
+    log = parse_trace_file(_write_profiling_trace(workdir, shape, seed, noisy))
     graph = build_call_graph(log)
     samples = extract_samples(log)
     alpha = select_alpha(samples, ladder, graph, seed=int(seed))
@@ -180,7 +197,8 @@ def check() -> int:
     golden_results = json.loads(GOLDEN_RESULTS.read_text())
     apps = [(shape, seed) for shape in SHAPES for seed in SEEDS]
     keys = [(shape, seed, noisy) for shape, seed in apps for noisy in (False, True)]
-    app_mismatches, profile_mismatches, ingest_mismatches, result_mismatches = [], [], [], []
+    app_mismatches, profile_mismatches, trace_mismatches, ingest_mismatches = [], [], [], []
+    result_mismatches = []
     with tempfile.TemporaryDirectory() as workdir, redirect_stdout(io.StringIO()):
         for shape, seed in apps:
             if app_digest(Path(workdir), shape, seed) != golden[app_key(shape, seed)]:
@@ -189,6 +207,9 @@ def check() -> int:
             key = profile_key(shape, seed, noisy)
             if profile_digest(Path(workdir), shape, seed, noisy) != golden[key]:
                 profile_mismatches.append(key)
+            key = trace_key(shape, seed, noisy)
+            if trace_digest(Path(workdir), shape, seed, noisy) != golden[key]:
+                trace_mismatches.append(key)
             key = ingest_key(shape, seed, noisy)
             if ingest_digest(Path(workdir), shape, seed, noisy) != golden[key]:
                 ingest_mismatches.append(key)
@@ -205,14 +226,15 @@ def check() -> int:
     search_mismatches = [] if search_digest == PINNED_RECORDS_SHA256 else [
         f"search records (sha256 {search_digest})"
     ]
-    mismatches = (app_mismatches + profile_mismatches + ingest_mismatches + result_mismatches
-                  + search_mismatches)
+    mismatches = (app_mismatches + profile_mismatches + trace_mismatches + ingest_mismatches
+                  + result_mismatches + search_mismatches)
     for key in mismatches:
         print(f"mismatch: {key}")
     checked = len(RESULT_CASES) * len(OBJECTIVES) + 1
     print(f"{platform.python_implementation()} {platform.python_version()}: "
           f"{len(apps) - len(app_mismatches)} of {len(apps)} app, "
-          f"{len(keys) - len(profile_mismatches)} of {len(keys)} profile and "
+          f"{len(keys) - len(profile_mismatches)} of {len(keys)} profile, "
+          f"{len(keys) - len(trace_mismatches)} of {len(keys)} trace and "
           f"{len(keys) - len(ingest_mismatches)} of {len(keys)} ingest digests match "
           f"{GOLDEN.name}; {checked - len(result_mismatches)} of {checked} results and "
           f"reports match {GOLDEN_RESULTS.name} and {GOLDEN.name}; the search records "

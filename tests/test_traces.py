@@ -56,7 +56,7 @@ from helpers import (
     reference_parse_lines,
     reference_segment_from_record,
 )
-from profile_digests import GOLDEN, SEEDS, ingest_digest, ingest_key
+from profile_digests import GOLDEN, SEEDS, ingest_digest, ingest_key, trace_digest, trace_key
 
 
 def _line(trace="t1", seg="s1", parent=None, name="f1", kind="function",
@@ -949,6 +949,18 @@ def test_parsing_then_building_the_graph_checks_each_trace_once(monkeypatch):
     monkeypatch.setattr("faastune.traces._check_tree", counted)
     assert build_call_graph(parse_trace_file(io.StringIO(text))) == app.graph
     assert checked == [f"req-{i:05d}" for i in range(4)]
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["default", "noisy"])
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_trace_files_are_pinned(tmp_path, shape, seed, noisy):
+    """sha256 of the written profiling log of every shape at two seeds, at
+    default and noisy settings: every byte ``write_trace_file`` writes for
+    simulated traces, petstore's backend calls included
+    (``tests/profile_digests.py`` checks the same under any interpreter)."""
+    golden = json.loads(GOLDEN.read_text())
+    assert trace_digest(tmp_path, shape, seed, noisy) == golden[trace_key(shape, seed, noisy)]
 
 
 @pytest.mark.parametrize("noisy", [False, True], ids=["default", "noisy"])
