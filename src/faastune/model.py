@@ -7,6 +7,7 @@ invariants checked at construction; no I/O and no search logic.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -46,8 +47,9 @@ class MemoryLadder:
                 raise ValueError(f"memory sizes must be positive integers, got {v!r}")
         if any(a >= b for a, b in zip(self.values, self.values[1:])):
             raise ValueError(f"memory ladder must be strictly increasing: {self.values}")
-        if self.cap_mb is not None and (isinstance(self.cap_mb, bool) or self.cap_mb <= 0):
-            raise ValueError(f"cap_mb must be positive, got {self.cap_mb!r}")
+        cap = self.cap_mb
+        if cap is not None and (not isinstance(cap, int) or isinstance(cap, bool) or cap <= 0):
+            raise ValueError(f"cap_mb must be a positive integer or None, got {cap!r}")
         if not self.effective():
             raise ValueError(f"cap {self.cap_mb} MB leaves no usable ladder values")
 
@@ -210,10 +212,16 @@ class SloSpec:
     percentile: float = 95.0
 
     def __post_init__(self):
-        if isinstance(self.slo_seconds, bool) or not 0 < self.slo_seconds < math.inf:
+        # Chained comparisons are false for NaN, so these reject it too.
+        if not _is_number(self.slo_seconds) or not 0 < self.slo_seconds < math.inf:
             raise ValueError(f"slo_seconds must be positive and finite, got {self.slo_seconds!r}")
-        if isinstance(self.percentile, bool) or not 0 < self.percentile <= 100:
+        if not _is_number(self.percentile) or not 0 < self.percentile <= 100:
             raise ValueError(f"percentile must be in (0, 100], got {self.percentile!r}")
+
+
+def _is_number(value: object) -> bool:
+    """Whether ``value`` is a real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class Objective(str, Enum):

@@ -271,9 +271,12 @@ def _simulate(
     each one at the latest end of the invocations its plan entry lists
     (the root at 0). Every invocation ends by the time its invoker
     finishes, so the request's finish is its latest end (ValueError, once drawn, if not finite).
-    A configuration :func:`check_configuration` refuses raises its error
-    before anything is drawn.
+    A request count that is not an int, or is a bool, raises ValueError, and
+    a configuration :func:`check_configuration` refuses raises its error,
+    both before anything is drawn.
     """
+    if type(n_requests) is not int:
+        raise ValueError(f"the request count must be an integer, got {n_requests!r}")
     check_configuration(app.graph, config)
     table = []
     for name, _, after in app._plan:
@@ -351,32 +354,45 @@ def _load_traces(
     app: SimApp, config: Mapping[str, int], k_requests: int, rng: random.Random, trace_prefix: str
 ) -> dict[str, list[TraceSegment]]:
     """The traces of :func:`run_load` by trace id, before the log checks them."""
+    new = TraceSegment.__new__  # TraceSegment(...) and its checks, minus type.__call__
+    # Per plan entry, once per call: its segment id's suffix, function,
+    # calling entry, memory size, and each backend call's id suffix, name
+    # and share of the span before its start and end (None: the span's end).
+    entries = []
+    for i, (name, parent, _) in enumerate(app._plan):
+        suffix = ".%04d" % i
+        backends = app.baas_children.get(name, ())
+        n = len(backends)
+        # ``j / n`` is at most 1, so no boundary passes the function's end
+        # or overflows; the last call ends with it.
+        calls = [(suffix + ".b%d" % j, backend, j / n, None if j == n - 1 else (j + 1) / n)
+                 for j, backend in enumerate(backends)]
+        # ``_simulate`` refuses a configuration without ``name`` before any
+        # segment is built.
+        entries.append((suffix, name, parent, config.get(name), calls))
     traces: dict[str, list[TraceSegment]] = {}
-    plan = app._plan
-    backends = [app.baas_children.get(name, ()) for name, _, _ in plan]
     requests = _simulate(app, config, k_requests, rng)
     for request, (starts, durations, colds, _) in enumerate(requests):
         trace_id = f"{trace_prefix}-{request:05d}"
         ids: list[str] = []
         segments: list[TraceSegment] = []
-        for i, (name, parent, _) in enumerate(plan):
-            segment_id = f"{trace_id}.{i:04d}"
+        for (suffix, name, parent, memory_mb, calls), start, duration, cold in zip(
+            entries, starts, durations, colds
+        ):
+            segment_id = trace_id + suffix
             ids.append(segment_id)
-            start, duration = starts[i], durations[i]
+            end = start + duration
             # TraceSegment's fields in order: trace, segment, name, kind,
             # start, end, parent, memory, cold start.
-            segments.append(TraceSegment(
-                trace_id, segment_id, name, "function", start, start + duration,
-                None if parent is None else ids[parent], config[name], colds[i],
+            segments.append(new(
+                TraceSegment, trace_id, segment_id, name, "function", start, end,
+                None if parent is None else ids[parent], memory_mb, cold,
             ))
-            n = len(backends[i])
-            for j, backend in enumerate(backends[i]):
-                # ``j / n`` is at most 1, so no boundary passes the
-                # function's end or overflows; the last call ends with it.
-                end = start + duration if j == n - 1 else start + duration * ((j + 1) / n)
-                segments.append(TraceSegment(
-                    trace_id, f"{segment_id}.b{j}", backend, "baas",
-                    start + duration * (j / n), end, segment_id,
+            for call_suffix, backend, before, until in calls:
+                segments.append(new(
+                    TraceSegment, trace_id, trace_id + call_suffix, backend, "baas",
+                    start + duration * before, end if until is None else start + duration * until,
+                    segment_id,
                 ))
         traces[trace_id] = segments
     return traces
@@ -469,9 +485,9 @@ def validate_config(
     rng: random.Random,
 ) -> ValidationReport:
     """Issue validation requests and report the fraction meeting the SLO."""
-    if n_requests < 1:
-        raise ValueError(f"n_requests must be at least 1, got {n_requests!r}")
     durations = [finish for _, _, _, finish in _simulate(app, config, n_requests, rng)]
+    if not durations:
+        raise ValueError(f"n_requests must be at least 1, got {n_requests!r}")
     within = sum(1 for d in durations if d <= slo.slo_seconds)
     return ValidationReport(
         n_requests=n_requests,

@@ -51,11 +51,20 @@ class _SegmentFields(NamedTuple):
     cold_start: bool | None = None
 
 
+def _mistyped(key: str, value: object, expected: str) -> ValueError:
+    return ValueError(f"{key} must be {expected}, got {value!r}")
+
+
 class TraceSegment(_SegmentFields):
     """One timed span from a distributed trace.
 
     A checked tuple: the parser and the simulator build one per span, so
     construction stays cheap, but every field is validated as it is built.
+    Each field holds the type ``docs/file-formats.md`` documents for its
+    key, so every segment writes a line that parses back to itself: ids and
+    names are strings, ``parent_id`` a string or None, times ints or floats
+    (not bools) stored as floats, ``memory_mb`` an int (not a bool) or
+    None, and ``cold_start`` a bool or None.
     """
 
     __slots__ = ()
@@ -72,6 +81,27 @@ class TraceSegment(_SegmentFields):
         memory_mb: int | None = None,
         cold_start: bool | None = None,
     ):
+        # The types first, in key order, then the values.
+        if type(trace_id) is not str:
+            raise _mistyped("trace_id", trace_id, "a string")
+        if type(segment_id) is not str:
+            raise _mistyped("segment_id", segment_id, "a string")
+        if type(name) is not str:
+            raise _mistyped("name", name, "a string")
+        if type(start_time) is not float:
+            if type(start_time) is not int:
+                raise _mistyped("start_time", start_time, "a number")
+            start_time = float(start_time)
+        if type(end_time) is not float:
+            if type(end_time) is not int:
+                raise _mistyped("end_time", end_time, "a number")
+            end_time = float(end_time)
+        if parent_id is not None and type(parent_id) is not str:
+            raise _mistyped("parent_id", parent_id, "a string or null")
+        if memory_mb is not None and type(memory_mb) is not int:
+            raise _mistyped("memory_mb", memory_mb, "an integer or null")
+        if cold_start is not None and type(cold_start) is not bool:
+            raise _mistyped("cold_start", cold_start, "a boolean or null")
         if not trace_id or not segment_id or not name:
             raise ValueError("trace_id, segment_id and name must be non-empty")
         if kind not in SEGMENT_KINDS:
@@ -118,13 +148,9 @@ _REQUIRED_KEYS = ("trace_id", "segment_id", "name", "kind", "start_time", "end_t
 _KNOWN_KEY_SET = frozenset(_REQUIRED_KEYS) | {"parent_id", "memory_mb", "cold_start"}
 
 
-# ``TraceSegment(...)`` with its checks, minus ``type.__call__``: a tuple
-# has no ``__init__`` to run after ``__new__``.
+#: ``TraceSegment(...)`` with its checks, minus ``type.__call__``: a tuple
+#: has no ``__init__`` to run after ``__new__``.
 _new_segment = TraceSegment.__new__
-
-
-def _mistyped(key: str, value: object, expected: str) -> ValueError:
-    return ValueError(f"{key} must be {expected}, got {value!r}")
 
 
 def _bad_keys(record: dict) -> str:
@@ -134,25 +160,6 @@ def _bad_keys(record: dict) -> str:
     if not keys <= _KNOWN_KEY_SET:
         return f"unknown keys: {sorted(keys - _KNOWN_KEY_SET)}"
     return f"missing keys: {[k for k in _REQUIRED_KEYS if k not in record]}"
-
-
-def _segment_to_record(segment: TraceSegment) -> dict:
-    record = {
-        "trace_id": segment.trace_id,
-        "segment_id": segment.segment_id,
-        "parent_id": segment.parent_id,
-        "name": segment.name,
-        "kind": segment.kind,
-        "start_time": segment.start_time,
-        "end_time": segment.end_time,
-    }
-    if segment.parent_id is None:
-        del record["parent_id"]
-    if segment.memory_mb is not None:
-        record["memory_mb"] = segment.memory_mb
-    if segment.cold_start is not None:
-        record["cold_start"] = segment.cold_start
-    return record
 
 
 def parse_trace_file(source: str | Path | IO[str]) -> TraceLog:
@@ -280,10 +287,9 @@ def _parse_lines(lines: Iterable[str]) -> dict[str, tuple[TraceSegment, ...]]:
                 record = json.loads(text)
             if type(record) is not dict:
                 raise ValueError("record must be a JSON object")
-            # The keys and JSON types ``docs/file-formats.md`` documents:
-            # ``json`` decodes to exactly str, int, float, bool or None, and
-            # a bool is never a number. With every required key present, the
-            # record holds no other key iff its size counts only optional keys.
+            # The keys ``docs/file-formats.md`` documents: with every required
+            # key present, the record holds no other key iff its size counts
+            # only optional keys. ``TraceSegment`` checks the values' types.
             try:
                 trace_id = record["trace_id"]
                 segment_id = record["segment_id"]
@@ -296,42 +302,24 @@ def _parse_lines(lines: Iterable[str]) -> dict[str, tuple[TraceSegment, ...]]:
             optional = ("parent_id" in record) + ("memory_mb" in record) + ("cold_start" in record)
             if len(record) != 6 + optional:
                 raise ValueError(_bad_keys(record))
-            if type(trace_id) is not str:
-                raise _mistyped("trace_id", trace_id, "a string")
-            if type(segment_id) is not str:
-                raise _mistyped("segment_id", segment_id, "a string")
-            if type(name) is not str:
-                raise _mistyped("name", name, "a string")
-            if type(start_time) is not float:
-                if type(start_time) is not int:
-                    raise _mistyped("start_time", start_time, "a number")
-                start_time = float(start_time)
-            if type(end_time) is not float:
-                if type(end_time) is not int:
-                    raise _mistyped("end_time", end_time, "a number")
-                end_time = float(end_time)
             parent_id = record.get("parent_id")
-            if parent_id is not None and type(parent_id) is not str:
-                raise _mistyped("parent_id", parent_id, "a string or null")
-            memory_mb = record.get("memory_mb")
-            if memory_mb is not None and type(memory_mb) is not int:
-                raise _mistyped("memory_mb", memory_mb, "an integer or null")
-            cold_start = record.get("cold_start")
-            if cold_start is not None and type(cold_start) is not bool:
-                raise _mistyped("cold_start", cold_start, "a boolean or null")
             if type(kind) is str:
                 kind = share(kind, kind)
-            trace_id = share(trace_id, trace_id)
-            segments = traces.get(trace_id)
-            if segments is None:
-                segments = traces[trace_id] = {}
-            elif parent_id is not None:
-                parent = segments.get(parent_id)
-                if parent is not None:
-                    parent_id = parent[1]
+            try:
+                trace_id = share(trace_id, trace_id)
+                name = share(name, name)
+                segments = traces.get(trace_id)
+                if segments is None:
+                    segments = traces[trace_id] = {}
+                elif parent_id is not None:
+                    parent = segments.get(parent_id)
+                    if parent is not None:
+                        parent_id = parent[1]
+            except TypeError:
+                pass  # an unhashable id or name, which the segment's check reports
             segment = _new_segment(
-                TraceSegment, trace_id, segment_id, share(name, name), kind, start_time,
-                end_time, parent_id, memory_mb, cold_start,
+                TraceSegment, trace_id, segment_id, name, kind, start_time, end_time,
+                parent_id, record.get("memory_mb"), record.get("cold_start"),
             )
         # OverflowError: an integer time too large for a float;
         # RecursionError: arrays or objects nested too deep to decode.
@@ -352,10 +340,46 @@ def write_trace_file(log: TraceLog, target: str | Path | IO[str]) -> None:
             _write_lines(log, fh)
 
 
+#: The end of a line after ``memory_mb``, by ``cold_start``.
+_COLD_START_ENDS = {None: "}\n", True: ', "cold_start": true}\n', False: ', "cold_start": false}\n'}
+
+
 def _write_lines(log: TraceLog, fh: IO[str]) -> None:
-    for segment in log.all_segments():
-        fh.write(json.dumps(_segment_to_record(segment)))
-        fh.write("\n")
+    """Write each segment as the line ``json.dumps`` writes for its record:
+    keys in field order, ``parent_id``, ``memory_mb`` and ``cold_start``
+    left out when None, default separators. Strings go through the
+    encoder ``json.dumps`` uses, floats and ints through their ``repr``,
+    as ``json`` writes them; a :class:`TraceSegment` holds nothing else.
+    One string is written per trace.
+    """
+    quote = json.encoder.encode_basestring_ascii
+    # ', "name": <name>, "kind": <kind>, "start_time": ' by (name, kind), and
+    # the line's end by (memory_mb, cold_start): each quoted once per call.
+    middles: dict[tuple[str, str], str] = {}
+    ends: dict[tuple[int | None, bool | None], str] = {}
+    for trace_id, segments in log.traces.items():
+        head = '{"trace_id": ' + quote(trace_id) + ', "segment_id": '
+        quoted_ids: dict[str, str] = {}
+        lines = []
+        for _, segment_id, name, kind, start_time, end_time, parent_id, memory_mb, cold_start in segments:
+            quoted_id = quoted_ids[segment_id] = quote(segment_id)
+            middle = middles.get((name, kind))
+            if middle is None:
+                middle = middles[name, kind] = (
+                    ', "name": ' + quote(name) + ', "kind": ' + quote(kind) + ', "start_time": '
+                )
+            end = ends.get((memory_mb, cold_start))
+            if end is None:
+                memory = "" if memory_mb is None else ', "memory_mb": ' + int.__repr__(memory_mb)
+                end = ends[memory_mb, cold_start] = memory + _COLD_START_ENDS[cold_start]
+            if parent_id is None:
+                lines.append(f'{head}{quoted_id}{middle}{start_time!r}, "end_time": {end_time!r}{end}')
+            else:
+                # A parent listed before its child was quoted already.
+                parent = quoted_ids.get(parent_id) or quote(parent_id)
+                lines.append(f'{head}{quoted_id}, "parent_id": {parent}{middle}{start_time!r}, '
+                             f'"end_time": {end_time!r}{end}')
+        fh.write("".join(lines))
 
 
 def extract_samples(log: TraceLog) -> Samples:

@@ -292,6 +292,28 @@ def reference_segment_from_record(record: dict) -> TraceSegment:
     )
 
 
+def segment_to_record(segment: TraceSegment) -> dict:
+    """The record of one written line, for ``json.dumps``: the segment's
+    fields in order, with ``parent_id``, ``memory_mb`` and ``cold_start``
+    left out when None. Oracle for the trace writer."""
+    record = {
+        "trace_id": segment.trace_id,
+        "segment_id": segment.segment_id,
+        "parent_id": segment.parent_id,
+        "name": segment.name,
+        "kind": segment.kind,
+        "start_time": segment.start_time,
+        "end_time": segment.end_time,
+    }
+    if segment.parent_id is None:
+        del record["parent_id"]
+    if segment.memory_mb is not None:
+        record["memory_mb"] = segment.memory_mb
+    if segment.cold_start is not None:
+        record["cold_start"] = segment.cold_start
+    return record
+
+
 _DECODER = json.JSONDecoder()
 
 

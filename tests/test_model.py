@@ -51,8 +51,16 @@ def test_bad_ladders_rejected(values):
 
 def test_bool_cap_rejected():
     """A bool is an int: a cap of True used to cap (1, 2) at 1 MB."""
-    with pytest.raises(ValueError, match="cap_mb must be positive, got True"):
+    with pytest.raises(ValueError, match="cap_mb must be a positive integer or None, got True"):
         MemoryLadder(values=(1, 2), cap_mb=True)
+
+
+@pytest.mark.parametrize("cap", ["512", 300.5, 512.0, [512]])
+def test_cap_that_is_not_an_integer_is_a_value_error_naming_it(cap):
+    """``cap_mb`` is declared ``int``: a string used to fail with a bare
+    TypeError from a comparison, and 300.5 was accepted."""
+    with pytest.raises(ValueError, match=f"got {re.escape(repr(cap))}$"):
+        MemoryLadder(values=(128, 256), cap_mb=cap)
 
 
 def test_cap_below_smallest_value_rejected():
@@ -70,6 +78,20 @@ def test_slo_spec_validation():
     with pytest.raises(ValueError, match="percentile must be in \\(0, 100\\], got True"):
         SloSpec(slo_seconds=1.0, percentile=True)
     assert SloSpec(2.5).percentile == 95.0
+
+
+@pytest.mark.parametrize("fields,value", [
+    ({"slo_seconds": "3"}, "'3'"),
+    ({"slo_seconds": None}, "None"),
+    ({"slo_seconds": [3.0]}, r"\[3.0\]"),
+    ({"slo_seconds": 1.0, "percentile": "95"}, "'95'"),
+    ({"slo_seconds": 1.0, "percentile": None}, "None"),
+])
+def test_slo_field_that_is_not_a_number_is_a_value_error_naming_it(fields, value):
+    """Non-numeric fields used to fail with a bare TypeError from a
+    comparison."""
+    with pytest.raises(ValueError, match=f"got {value}$"):
+        SloSpec(**fields)
 
 
 # --- normalization -----------------------------------------------------------

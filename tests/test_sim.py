@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -621,6 +622,36 @@ def test_profile_application_covers_every_level():
     samples = extract_samples(log)
     profiles = build_profiles(samples, ladder, alpha=95)  # no MissingCell
     assert set(profiles) == set(app.graph.functions())
+
+
+#: Each library entry point that takes a request count, called with a demo3
+#: app, a count and a generator.
+_TAKES_A_REQUEST_COUNT = {
+    "run_load": lambda app, n, rng: run_load(app, dict.fromkeys(app.graph.functions(), 256), n, rng),
+    "profile_application": lambda app, n, rng: profile_application(app, MemoryLadder(), n, rng),
+    "profile_samples": lambda app, n, rng: profile_samples(app, MemoryLadder(), n, rng),
+    "validate_config": lambda app, n, rng: validate_config(
+        app, dict.fromkeys(app.graph.functions(), 256), SloSpec(10.0), n, rng),
+}
+
+
+@pytest.mark.parametrize("count", [True, False, 2.0, "3", None], ids=repr)
+@pytest.mark.parametrize("entry", sorted(_TAKES_A_REQUEST_COUNT))
+def test_a_request_count_that_is_not_an_int_is_a_value_error(entry, count):
+    """A bool used to count as one request (or none), and the report
+    recorded ``true``; other non-integers failed inside ``range``."""
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match=f"got {re.escape(repr(count))}$"):
+        _TAKES_A_REQUEST_COUNT[entry](generate_app(shape="demo3", seed=0), count, rng)
+    assert rng.getstate() == random.Random(0).getstate()
+
+
+def test_zero_requests_per_rung_profile_nothing():
+    app = generate_app(shape="demo3", seed=0)
+    assert profile_application(app, MemoryLadder(), 0, random.Random(0)).traces == {}
+    assert profile_samples(app, MemoryLadder(), 0, random.Random(0)) == {}
+    with pytest.raises(ValueError, match="n_requests must be at least 1, got 0"):
+        _TAKES_A_REQUEST_COUNT["validate_config"](app, 0, random.Random(0))
 
 
 def _profiled(sampler, app, ladder, k, seed):

@@ -45,7 +45,6 @@ from faastune.traces import (
     _check_tree,
     _parallel_groups,
     _parse_lines,
-    _segment_to_record,
     graph_to_dict,
 )
 
@@ -55,6 +54,7 @@ from helpers import (
     reference_parallel_groups,
     reference_parse_lines,
     reference_segment_from_record,
+    segment_to_record,
 )
 from profile_digests import GOLDEN, SEEDS, ingest_digest, ingest_key, trace_digest, trace_key
 
@@ -333,15 +333,15 @@ _instants = st.one_of(st.sampled_from((0.0, 0.5, 1.0, 2.0)), st.floats(-1e6, 1e6
 
 
 @st.composite
-def _segments(draw, trace_id: str, ids=_names):
+def _segments(draw, trace_id: str, ids=_names, names=_names, instants=_instants):
     segment_ids = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
     segments = []
     for i, segment_id in enumerate(segment_ids):
-        start, end = sorted((draw(_instants), draw(_instants)))
+        start, end = sorted((draw(instants), draw(instants)))
         segments.append(TraceSegment(
             trace_id=trace_id,
             segment_id=segment_id,
-            name=draw(_names),
+            name=draw(names),
             kind=draw(st.sampled_from(SEGMENT_KINDS)),
             start_time=start,
             end_time=end,
@@ -353,12 +353,13 @@ def _segments(draw, trace_id: str, ids=_names):
 
 
 @st.composite
-def trace_logs(draw, ids=_names):
+def trace_logs(draw, ids=_names, names=_names, instants=_instants):
     """A valid log: each trace a tree of function and baas segments, with
     every optional field sometimes absent; segment ids are drawn from
-    ``ids``."""
-    trace_ids = draw(st.lists(_names, min_size=1, max_size=4, unique=True))
-    return TraceLog({t: draw(_segments(t, ids)) for t in trace_ids})
+    ``ids``, trace ids and names from ``names`` and times from
+    ``instants``."""
+    trace_ids = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+    return TraceLog({t: draw(_segments(t, ids, names, instants)) for t in trace_ids})
 
 
 def _written(log: TraceLog) -> str:
@@ -370,7 +371,7 @@ def _written(log: TraceLog) -> str:
 def _dumped(traces: dict[str, list[TraceSegment]]) -> str:
     """The lines ``write_trace_file`` would write for these segments, which
     need not form a valid :class:`TraceLog`."""
-    return "".join(json.dumps(_segment_to_record(s)) + "\n"
+    return "".join(json.dumps(segment_to_record(s)) + "\n"
                    for segments in traces.values() for s in segments)
 
 
@@ -380,6 +381,97 @@ def test_written_logs_parse_back_to_themselves(log):
     parsed = parse_trace_file(io.StringIO(_written(log)))
     assert parsed == log
     assert repr(parsed) == repr(log)  # same order, same value types
+
+
+# Characters JSON must escape or that ``ensure_ascii`` writes as escapes: a
+# quote, a backslash, control characters, non-ASCII, a line separator, astral
+# characters (a surrogate pair each) and a lone surrogate.
+_AWKWARD_CHARACTERS = st.one_of(
+    st.sampled_from(('"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "\u2028",
+                     "\U0001f600", "\U0010ffff", "\ud800")),
+    st.characters(),
+)
+_awkward_names = st.text(_AWKWARD_CHARACTERS, min_size=1, max_size=6)
+# Times at the edges of what ``repr`` writes, and integers, stored as floats.
+_awkward_instants = st.one_of(
+    st.sampled_from((-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-7, 0.1)),
+    st.integers(-(2**60), 2**60),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(trace_logs(ids=_awkward_names, names=_awkward_names, instants=_awkward_instants))
+@settings(max_examples=200, deadline=None)
+def test_written_lines_are_what_json_dumps_writes(log):
+    """Byte for byte, the writer writes ``json.dumps`` of each segment's
+    record (``helpers.segment_to_record``) on its own line, and the file
+    parses back to the log."""
+    expected = "".join(json.dumps(segment_to_record(s)) + "\n" for s in log.all_segments())
+    written = _written(log)
+    assert written == expected
+    assert repr(parse_trace_file(io.StringIO(written))) == repr(log)
+
+
+def test_written_lines_keep_the_documented_key_order():
+    log = TraceLog({"t": (
+        TraceSegment("t", "a", "f", "function", 0, 2, memory_mb=128, cold_start=False),
+        TraceSegment("t", "b", "db", "baas", -0.0, 5e-324, parent_id="a"),
+    )})
+    assert _written(log) == (
+        '{"trace_id": "t", "segment_id": "a", "name": "f", "kind": "function", '
+        '"start_time": 0.0, "end_time": 2.0, "memory_mb": 128, "cold_start": false}\n'
+        '{"trace_id": "t", "segment_id": "b", "parent_id": "a", "name": "db", "kind": "baas", '
+        '"start_time": -0.0, "end_time": 5e-324}\n'
+    )
+
+
+_MISTYPED_SEGMENTS = {
+    "memory-float": {"memory_mb": 128.0},
+    "memory-bool": {"memory_mb": True},
+    "cold-start-int": {"cold_start": 1},
+    "start-bool": {"start_time": False},
+    "end-text": {"end_time": "1.0"},
+    "trace-id-int": {"trace_id": 7},
+    "segment-id-none": {"segment_id": None},
+    "name-list": {"name": ["f"]},
+    "parent-id-int": {"parent_id": 5},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISTYPED_SEGMENTS))
+def test_a_segment_built_in_memory_holds_the_documented_types(case):
+    """A segment the parser would reject for a field's type cannot be built
+    in memory either, with the parser's message: it used to be built, and
+    written to a line that did not parse back."""
+    fields = dict(trace_id="t", segment_id="s", name="f", kind="function", start_time=0.0,
+                  end_time=1.0, parent_id=None, memory_mb=128, cold_start=None)
+    fields.update(_MISTYPED_SEGMENTS[case])
+    with pytest.raises(ParseError) as parsed:
+        _log(json.dumps(fields))
+    with pytest.raises(ValueError) as built:
+        TraceSegment(**fields)
+    assert str(built.value) == parsed.value.reason
+    key, value = next(iter(_MISTYPED_SEGMENTS[case].items()))
+    assert str(built.value).startswith(key) and str(built.value).endswith(repr(value))
+
+
+def test_integer_times_are_stored_as_floats():
+    segment = TraceSegment("t", "s", "f", "function", 0, 2**60)
+    assert (segment.start_time, segment.end_time) == (0.0, float(2**60))
+    assert type(segment.start_time) is type(segment.end_time) is float
+    assert _log(_written(TraceLog({"t": (segment,)}))) == TraceLog({"t": (segment,)})
+
+
+def test_an_unhashable_id_or_name_is_a_parse_error_naming_the_field():
+    """The parser shares ids and names before the segment checks their
+    types; a JSON array or object there is still reported as mistyped."""
+    for field, value in (("trace_id", ["t"]), ("name", {"f": 1}), ("parent_id", ["s1"])):
+        record = json.loads(_line(seg="s2", parent="s1", name="f2"))
+        record[field] = value
+        with pytest.raises(ParseError) as excinfo:
+            _log(_line(seg="s1"), json.dumps(record))
+        assert excinfo.value.line == 2
+        assert excinfo.value.reason.startswith(f"{field} must be ")
 
 
 _WRONG_VALUES = {
