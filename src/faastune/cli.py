@@ -38,7 +38,7 @@ EXIT_CODES_HELP = """exit codes:
 
 
 def _write_timing_sidecar(path: Path, elapsed_s: float) -> None:
-    Path(str(path) + ".timing").write_text(f"elapsed_s={elapsed_s!r}\n")
+    Path(str(path) + ".timing").write_text(f"elapsed_s={elapsed_s!r}\n", encoding="utf-8")
 
 
 #: Record fields that ``validate`` and ``report`` compute with: the type
@@ -294,7 +294,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     if out.suffix == ".csv":
-        with open(out, "w", newline="") as fh:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=_REPORT_COLUMNS)
             writer.writeheader()
             for row in rows:
@@ -304,7 +304,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                  "| " + " | ".join("---" for _ in _REPORT_COLUMNS) + " |"]
         for row in rows:
             lines.append("| " + " | ".join(_format_cell(row[k]) for k in _REPORT_COLUMNS) + " |")
-        out.write_text("\n".join(lines) + "\n")
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     brute_walls = [r["wall_s"] for r in rows if r["algorithm"].startswith("brute") and r["wall_s"]]
     greedy_walls = [r["wall_s"] for r in rows if r["algorithm"] == "greedy" and r["wall_s"]]

@@ -240,8 +240,9 @@ class CostModel:
     billing_granularity_ms: int = 1
 
     def __post_init__(self):
-        if not 0 < self.usd_per_gb_second < math.inf:
-            raise ValueError("usd_per_gb_second must be positive and finite")
+        price = self.usd_per_gb_second
+        if not _is_number(price) or not 0 < price < math.inf:
+            raise ValueError(f"usd_per_gb_second must be positive and finite, got {price!r}")
         gran = self.billing_granularity_ms
         # A bool is an int, and an int beyond the float range cannot divide
         # a float duration.

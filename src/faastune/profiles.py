@@ -128,10 +128,14 @@ def select_alpha(
         if function not in sampled:
             raise InsufficientSamples(f"no samples for function {function!r}")
 
-    columns: dict[int, dict[str, list[float]]] = {}
-    counts: dict[int, int] = {}
+    rng = random.Random(seed)
+    evaluator = GraphEvaluator(graph)
+    # Neither each function's fit durations nor each holdout request's
+    # end-to-end latency depends on alpha: both are sorted once per rung.
+    fits: list[dict[str, list[float]]] = []
+    observed: list[list[float]] = []
     for memory_mb, by_function in zip(rungs, cells):
-        columns[memory_mb] = column = {}
+        column: dict[str, list[float]] = {}
         for function in functions:
             durations = by_function.get(function)
             if not durations:
@@ -147,38 +151,23 @@ def select_alpha(
             raise InsufficientSamples(
                 f"need at least 4 samples per cell, got {n} at {memory_mb} MB"
             )
-        counts[memory_mb] = n
-
-    rng = random.Random(seed)
-    splits: dict[int, tuple[list[int], list[int]]] = {}
-    for memory_mb in rungs:
-        indices = list(range(counts[memory_mb]))
+        indices = list(range(n))
         rng.shuffle(indices)
-        n_holdout = min(counts[memory_mb] - 1, max(1, round(HOLDOUT_FRACTION * counts[memory_mb])))
-        splits[memory_mb] = (sorted(indices[n_holdout:]), sorted(indices[:n_holdout]))
-
-    evaluator = GraphEvaluator(graph)
-    # Neither each function's fit durations nor each holdout request's
-    # end-to-end latency depends on alpha: both are sorted once.
-    fits: dict[int, dict[str, list[float]]] = {}
-    observed: dict[int, list[float]] = {}
-    for memory_mb in rungs:
-        fit_idx, holdout_idx = splits[memory_mb]
-        by_function = columns[memory_mb]
-        fits[memory_mb] = {
-            f: sorted(map(by_function[f].__getitem__, fit_idx)) for f in functions
-        }
-        observed[memory_mb] = sorted(
-            evaluator.evaluate({f: by_function[f][i] for f in functions}) for i in holdout_idx
-        )
+        n_holdout = min(n - 1, max(1, round(HOLDOUT_FRACTION * n)))
+        fit_idx = sorted(indices[n_holdout:])
+        fits.append({f: sorted(map(column[f].__getitem__, fit_idx)) for f in functions})
+        observed.append(sorted(
+            evaluator.evaluate({f: column[f][i] for f in functions})
+            for i in sorted(indices[:n_holdout])
+        ))
     best_alpha = DEFAULT_ALPHA_CANDIDATES[0]
     best_mse = math.inf
     for alpha in DEFAULT_ALPHA_CANDIDATES:
         total = 0.0
-        for memory_mb in rungs:
-            fitted = {f: _percentile_of_sorted(xs, alpha) for f, xs in fits[memory_mb].items()}
+        for rung_fits, rung_observed in zip(fits, observed):
+            fitted = {f: _percentile_of_sorted(xs, alpha) for f, xs in rung_fits.items()}
             estimated = evaluator.evaluate(fitted)
-            target = _percentile_of_sorted(observed[memory_mb], alpha)
+            target = _percentile_of_sorted(rung_observed, alpha)
             try:
                 total += (estimated - target) ** 2
             except OverflowError:  # the squared error is beyond the float range
@@ -205,7 +194,7 @@ _NUMBER_COLUMNS = (
 
 def save_profiles(profiles: Mapping[str, FunctionProfile], path: str | Path) -> None:
     """Write profiles as a CSV table, one row per (function, memory)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PROFILE_COLUMNS)
         for function in sorted(profiles):
@@ -236,7 +225,7 @@ def load_profiles(path: str | Path) -> dict[str, FunctionProfile]:
     """
     rows: dict[str, dict[int, tuple[float, int]]] = {}
     alphas: dict[str, float] = {}
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         try:
             reader = csv.reader(fh)
             header = next(reader, [])
@@ -283,7 +272,8 @@ def load_profiles(path: str | Path) -> dict[str, FunctionProfile]:
                         f"{function!r} at {memory_mb} MB"
                     )
                 by_memory[memory_mb] = (representative, sample_count)
-        except csv.Error as exc:  # for one, a field longer than csv.field_size_limit()
+        # csv.Error: for one, a field longer than csv.field_size_limit().
+        except (csv.Error, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: {exc}") from None
     profiles: dict[str, FunctionProfile] = {}
     for function, by_memory in rows.items():

@@ -8,13 +8,12 @@ graph is built, since only functions can be resized.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple
+from typing import IO, Iterable, Mapping, NamedTuple
 
 from .errors import (
     DuplicateFunction,
@@ -139,10 +138,6 @@ class TraceLog:
     def __reduce__(self):  # a mapping proxy does not pickle; the dict it shows does
         return TraceLog, (dict(self.traces),)
 
-    def all_segments(self) -> Iterator[TraceSegment]:
-        for segments in self.traces.values():
-            yield from segments
-
 
 _REQUIRED_KEYS = ("trace_id", "segment_id", "name", "kind", "start_time", "end_time")
 _KNOWN_KEY_SET = frozenset(_REQUIRED_KEYS) | {"parent_id", "memory_mb", "cold_start"}
@@ -167,44 +162,17 @@ def parse_trace_file(source: str | Path | IO[str]) -> TraceLog:
 
     Malformed lines and segment ids repeated within a trace raise
     :class:`ParseError` with their line number; each trace must then form
-    one tree, as every :class:`TraceLog` does. A path is read as UTF-8, and
-    its first line that is not UTF-8 is a :class:`ParseError` too.
+    one tree, as every :class:`TraceLog` does. A path is read once, as
+    UTF-8, and a line that is not UTF-8 is a :class:`ParseError` too.
     """
     if hasattr(source, "read"):
         traces = _parse_lines(iter(source))  # type: ignore[arg-type]
     else:
-        with open(source, encoding="utf-8") as fh:
-            try:
-                traces = _parse_lines(fh)
-            except UnicodeDecodeError:
-                raise _undecodable_line(Path(source).read_bytes()) from None
+        # Bytes that are not UTF-8 are read as lone surrogates, which
+        # :func:`_parse_lines` reports at their line.
+        with open(source, encoding="utf-8", errors="surrogateescape") as fh:
+            traces = _parse_lines(fh)
     return TraceLog(traces)
-
-
-def _undecodable_line(data: bytes) -> ParseError:
-    """The error for the first line of ``data`` that is not UTF-8.
-
-    The text layer decodes whole chunks, so the lines before that line in
-    its chunk were never parsed: they are parsed here first, and an error
-    among them is raised instead. Lines end as in text mode, at ``\\n``,
-    ``\\r\\n`` or ``\\r``.
-    """
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        error = exc
-    lines = io.StringIO(data[: error.start].decode("utf-8"), newline=None).readlines()
-    head = lines.pop() if lines and not lines[-1].endswith("\n") else ""
-    _parse_lines(lines)
-    at = error.start - len(head.encode("utf-8"))  # where the line starts
-    # Decode the line alone: a sequence cut short by the line's end reads
-    # as "unexpected end of data" on its own, not as the byte that follows.
-    ends = [end for end in (data.find(b"\n", error.start), data.find(b"\r", error.start)) if end >= 0]
-    try:
-        data[at : min(ends, default=len(data))].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return ParseError(len(lines) + 1, str(exc))
-    raise AssertionError("unreachable: the line holds the undecodable bytes")
 
 
 def _check_tree(trace_id: str, segments: tuple[TraceSegment, ...]) -> None:
@@ -262,9 +230,12 @@ _DECODER = json.JSONDecoder()
 def _parse_lines(lines: Iterable[str]) -> dict[str, tuple[TraceSegment, ...]]:
     """Each trace's segments, in line order.
 
-    Each non-blank line is decoded and checked on its own. Within one call,
-    equal trace ids, names and kinds share one string object, and a parent
-    id that names a segment already read is that segment's own id object.
+    Each non-blank line is decoded and checked on its own. A line holding
+    a lone surrogate, as a file read with ``surrogateescape`` holds for each
+    byte that is not UTF-8, is an error with the codec's message for that
+    line alone. Within one call, equal trace ids, names and kinds share one
+    string object, and a parent id that names a segment already read is
+    that segment's own id object.
     """
     traces: dict[str, dict[str, TraceSegment]] = {}
     shared = {kind: kind for kind in SEGMENT_KINDS}
@@ -277,6 +248,8 @@ def _parse_lines(lines: Iterable[str]) -> dict[str, tuple[TraceSegment, ...]]:
         if not text:
             continue
         try:
+            if not text.isascii():
+                line.removesuffix("\n").encode("utf-8", "surrogateescape").decode("utf-8")
             try:
                 record, end = raw_decode(text)
             except ValueError:
@@ -321,6 +294,7 @@ def _parse_lines(lines: Iterable[str]) -> dict[str, tuple[TraceSegment, ...]]:
                 TraceSegment, trace_id, segment_id, name, kind, start_time, end_time,
                 parent_id, record.get("memory_mb"), record.get("cold_start"),
             )
+        # ValueError includes UnicodeError, from a line that is not UTF-8;
         # OverflowError: an integer time too large for a float;
         # RecursionError: arrays or objects nested too deep to decode.
         except (ValueError, OverflowError, RecursionError) as exc:
@@ -336,7 +310,7 @@ def write_trace_file(log: TraceLog, target: str | Path | IO[str]) -> None:
     if hasattr(target, "write"):
         _write_lines(log, target)  # type: ignore[arg-type]
     else:
-        with open(target, "w") as fh:
+        with open(target, "w", encoding="utf-8") as fh:
             _write_lines(log, fh)
 
 
@@ -597,7 +571,7 @@ def read_json(path: str | Path) -> object:
     or arrays and objects nested too deep for the decoder.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{path}: {exc}") from None
@@ -605,6 +579,6 @@ def read_json(path: str | Path) -> object:
 
 def write_json(path: str | Path, data: object) -> None:
     """Write ``data`` with two-space indentation, sorted keys and a final newline."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")

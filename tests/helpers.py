@@ -9,10 +9,13 @@ import heapq
 import json
 import math
 import operator
+import os
 import random
 from itertools import chain, repeat
+from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence as Seq
 
+import faastune
 from faastune import (
     CallGraph,
     CostModel,
@@ -155,6 +158,18 @@ def end_to_end_durations(log: TraceLog) -> list[float]:
         end = max(s.end_time for s in segments)
         durations.append(end - start)
     return durations
+
+
+def log_segments(log: TraceLog) -> list[TraceSegment]:
+    """Every segment of ``log``, trace by trace, each trace in its order."""
+    return [s for segments in log.traces.values() for s in segments]
+
+
+def package_env() -> dict[str, str]:
+    """The environment with the directory holding ``faastune`` first on
+    PYTHONPATH, for running the package in a subprocess."""
+    path = [str(Path(faastune.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
 def reference_greedy(graph: CallGraph, profiles, ladder: MemoryLadder, slo: SloSpec):

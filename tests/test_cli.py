@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import random
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -28,6 +30,7 @@ from faastune import (
     write_trace_file,
 )
 from faastune.sim import SHAPES
+from helpers import package_env
 from profile_digests import (
     REPORTS_KEY,
     RESULT_CASES,
@@ -477,6 +480,39 @@ def test_unwritable_out_exits_2_naming_the_file(pipeline_files, argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and out in err
+
+
+def test_profiles_that_are_not_utf8_exit_2_naming_the_file(pipeline_files, workdir, capsys):
+    """The codec's message used to reach the error line without the path."""
+    bad = workdir / "not-utf8.csv"
+    table = Path(pipeline_files["profiles"]).read_bytes()
+    bad.write_bytes(table.replace(b"f2", b"f\xff", 1))
+    assert main(["optimize", "--app", pipeline_files["app"], "--profiles", str(bad),
+                 "--slo", "4", "--out", pipeline_files["out"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "0xff" in err
+
+
+def test_readme_walkthrough_names_the_encoding_of_every_file(tmp_path):
+    """The README's five steps, run with the locale's default encoding
+    turned into an error: every file the CLI reads or writes is opened as
+    UTF-8 by name."""
+    for argv in (
+        ["generate-app", "--shape", "demo3", "--seed", "11", "--out", "app.json"],
+        ["profile", "--app", "app.json", "--requests", "50", "--seed", "11",
+         "--out", "profiles.csv"],
+        ["optimize", "--app", "app.json", "--profiles", "profiles.csv", "--slo", "2.0",
+         "--objective", "min-cost", "--out", "run.result.json"],
+        ["validate", "--app", "app.json", "--config", "run.result.json", "--slo", "2.0",
+         "--requests", "100", "--seed", "99", "--out", "run.validation.json"],
+        ["report", "--results", ".", "--out", "summary.md"],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "faastune.cli", *argv],
+            cwd=tmp_path, env=package_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, (argv[0], done.stderr)
 
 
 def test_absurd_estimate_validates_without_an_accuracy(pipeline_files, capsys):

@@ -178,6 +178,21 @@ def test_a_positive_duration_bills_at_least_one_tick():
     assert CostModel().cost_units(0.0, 128) == 0
 
 
+@pytest.mark.parametrize("price,shown", [
+    ("1", "'1'"),
+    (None, "None"),
+    (True, "True"),
+    (False, "False"),
+    (0.0, "0.0"),
+    (float("inf"), "inf"),
+], ids=["text", "none", "true", "false", "zero", "inf"])
+def test_price_that_is_not_a_positive_number_is_a_value_error_naming_it(price, shown):
+    """A string used to fail with a bare TypeError from a comparison, and
+    True was accepted as a price of 1.0."""
+    with pytest.raises(ValueError, match=f"usd_per_gb_second must be positive and finite, got {shown}$"):
+        CostModel(usd_per_gb_second=price)
+
+
 @pytest.mark.parametrize("gran", [0, -1, 10**400, True, 1.5, 100.0],
                          ids=["zero", "negative", "beyond-float", "bool", "fraction", "float"])
 def test_billing_granularity_must_be_a_positive_integer_within_the_float_range(gran):

@@ -37,7 +37,7 @@ from faastune.model import CallGraph
 from faastune.profiles import percentile_linear
 from faastune.sim import CPU_SATURATION_MB, SHAPES, ValidationReport
 from faastune.traces import compose_calls, graph_to_dict
-from helpers import end_to_end_durations, noiseless
+from helpers import end_to_end_durations, log_segments, noiseless
 
 
 def _compute_spec(work=512.0, **kw):
@@ -101,7 +101,7 @@ def test_generation_deterministic_per_seed():
 def _one_call(spec, memory_mb, rng):
     """Duration and cold-start flag of one request to a one-function app."""
     app = SimApp(graph=CallGraph(FunctionNode("f1")), specs={"f1": spec})
-    (segment,) = run_load(app, {"f1": memory_mb}, 1, rng).all_segments()
+    (segment,) = log_segments(run_load(app, {"f1": memory_mb}, 1, rng))
     return segment.end_time - segment.start_time, segment.cold_start
 
 
@@ -279,7 +279,7 @@ def test_segment_layout_invariants_with_spans_near_the_float_maximum(backends):
     app = SimApp(graph=graph, specs=specs, baas_children=baas)
     log = run_load(app, dict.fromkeys(latencies, 512), 2, random.Random(1))
     _assert_segment_layout(log)
-    assert sum(s.kind == "baas" for s in log.all_segments()) == 2 * 3 * backends
+    assert sum(s.kind == "baas" for s in log_segments(log)) == 2 * 3 * backends
 
 
 _FLOAT_MAX = sys.float_info.max
@@ -324,7 +324,7 @@ def test_round_trip_recovers_generated_graph(shape, seed):
     app = noiseless(generate_app(n, shape, seed=seed))
     config = {f: 128 for f in app.graph.functions()}
     log = run_load(app, config, 3, random.Random(seed))
-    backends = {s.name for s in log.all_segments() if s.kind == "baas"}
+    backends = {s.name for s in log_segments(log) if s.kind == "baas"}
     assert backends == {b for names in app.baas_children.values() for b in names}
     assert build_call_graph(log) == app.graph  # backend segments are dropped
 
@@ -510,7 +510,7 @@ def test_backend_calls_end_within_their_function():
     graph = CallGraph(FunctionNode("f1"))
     app = SimApp(graph=graph, specs={"f1": _compute_spec(work=work)},
                  baas_children={"f1": ("a", "b", "c")})
-    function, *backends = run_load(app, {"f1": 128}, 1, random.Random(0)).all_segments()
+    function, *backends = log_segments(run_load(app, {"f1": 128}, 1, random.Random(0)))
     assert [b.name for b in backends] == ["a", "b", "c"]
     for backend in backends:
         assert function.start_time <= backend.start_time <= backend.end_time <= function.end_time

@@ -2,8 +2,11 @@ import copy
 import dataclasses
 import io
 import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -50,6 +53,7 @@ from faastune.traces import (
 
 from faastune.sim import SHAPES
 from helpers import (
+    package_env,
     reference_check_tree,
     reference_parallel_groups,
     reference_parse_lines,
@@ -96,7 +100,7 @@ def test_baas_segments_are_kept_by_the_parser():
         _line(seg="s1", name="f1"),
         _line(seg="s2", parent="s1", name="orders-db", kind="baas", memory=None),
     )
-    kinds = [s.kind for s in log.all_segments()]
+    kinds = [s.kind for s in log.traces["t1"]]
     assert kinds == ["function", "baas"]
 
 
@@ -263,6 +267,59 @@ def test_the_first_line_that_is_not_utf8_or_not_valid_is_reported(bad_at, broken
     assert (excinfo.value.line, excinfo.value.reason) == (expected.line, expected.reason)
 
 
+_FEED_A_PIPE = """
+import sys, threading
+from faastune import parse_trace_file
+from faastune.errors import ParseError
+
+def feed():
+    with open(sys.argv[1], "wb") as fh:
+        fh.write(sys.stdin.buffer.read())
+
+threading.Thread(target=feed, daemon=True).start()
+try:
+    parse_trace_file(sys.argv[1])
+except ParseError as exc:
+    print(exc.line, exc.reason)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need os.mkfifo")
+def test_a_line_that_is_not_utf8_is_reported_from_a_named_pipe(tmp_path):
+    """A path is read once, so its bytes may come through a pipe that cannot
+    be read twice. The parse runs in a subprocess with a timeout, since a
+    parser that opened the path again would wait for a writer for ever."""
+    line = _line(name="f?").encode().replace(b"?", b"\xff")
+    try:
+        line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        expected = f"1 {exc}\n"
+    pipe = tmp_path / "trace.ndjson"
+    os.mkfifo(pipe)
+    done = subprocess.run([sys.executable, "-c", _FEED_A_PIPE, str(pipe)], input=line + b"\n",
+                          env=package_env(), capture_output=True, timeout=30)
+    assert (done.returncode, done.stdout.decode(), done.stderr) == (0, expected, b"")
+
+
+@pytest.mark.parametrize("character", ["\ud800", "\udfff", "\udcff"])
+def test_a_line_holding_a_lone_surrogate_is_a_parse_error(character):
+    """Text holds the surrogates no UTF-8 file can: such a line is reported
+    as a file's line that is not UTF-8 is."""
+    with pytest.raises(ParseError) as excinfo:
+        _log(_line(), _line(seg="s2", parent="s1", name="f?").replace("?", character))
+    assert excinfo.value.line == 2
+    assert excinfo.value.reason.startswith("'utf-8' codec can't")
+
+
+@pytest.mark.parametrize("name", ["é", "\U0001f600", "\u2028"], ids=["accent", "emoji", "line-separator"])
+def test_a_line_with_non_ascii_text_parses(name, tmp_path):
+    text = _line() + "\n" + _line(seg="s2", parent="s1", name="?").replace("?", name) + "\n"
+    path = tmp_path / "trace.ndjson"
+    path.write_bytes(text.encode("utf-8"))
+    for source in (io.StringIO(text), path):
+        assert parse_trace_file(source).traces["t1"][1].name == name
+
+
 @pytest.mark.parametrize("field,value", [
     ("memory_mb", 128.9),
     ("memory_mb", True),
@@ -406,7 +463,7 @@ def test_written_lines_are_what_json_dumps_writes(log):
     """Byte for byte, the writer writes ``json.dumps`` of each segment's
     record (``helpers.segment_to_record``) on its own line, and the file
     parses back to the log."""
-    expected = "".join(json.dumps(segment_to_record(s)) + "\n" for s in log.all_segments())
+    expected = _dumped(log.traces)
     written = _written(log)
     assert written == expected
     assert repr(parse_trace_file(io.StringIO(written))) == repr(log)
