@@ -11,6 +11,7 @@ import numbers
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
 from .errors import DuplicateFunction, EmptyGroup, MissingProfile, PartialConfiguration
@@ -175,6 +176,11 @@ def _normalize_node(node: GraphNode) -> GraphNode:
 Samples = dict[int, dict[str, list[float]]]
 
 
+#: The ``sample_counts`` of every profile built without counts: one shared,
+#: empty, read-only mapping.
+_NO_COUNTS: Mapping[int, int] = MappingProxyType({})
+
+
 @dataclass(frozen=True)
 class FunctionProfile:
     """Latency representatives for one function across the memory ladder.
@@ -182,13 +188,27 @@ class FunctionProfile:
     ``representatives[m]`` is the ``alpha``-th percentile of the observed
     durations at memory ``m`` (after monotone repair, the running minimum
     of those percentiles), and ``sample_counts[m]`` is how many durations
-    were observed there. The samples themselves are not kept.
+    were observed there. The samples themselves are not kept. Both mappings
+    are read-only copies of the ones passed in, so a profile never changes
+    once built; without counts, ``sample_counts`` is one shared empty
+    mapping.
     """
 
     function: str
     alpha: float
     representatives: Mapping[int, float]
-    sample_counts: Mapping[int, int] = field(default_factory=dict)
+    # A mapping proxy is unhashable, so the dataclass takes it only from a factory.
+    sample_counts: Mapping[int, int] = field(default_factory=lambda: _NO_COUNTS)
+
+    def __post_init__(self):
+        object.__setattr__(self, "representatives", MappingProxyType(dict(self.representatives)))
+        counts = self.sample_counts
+        object.__setattr__(self, "sample_counts",
+                           MappingProxyType(dict(counts)) if counts else _NO_COUNTS)
+
+    def __reduce__(self):  # a mapping proxy does not pickle; the dicts it shows do
+        return FunctionProfile, (self.function, self.alpha, dict(self.representatives),
+                                 dict(self.sample_counts))
 
     def memories(self) -> tuple[int, ...]:
         return tuple(sorted(self.representatives))

@@ -8,14 +8,17 @@ list of all (function, rung) cells sorted by descending representative,
 then name, then rung. It depends on neither the SLO nor the objective, so
 an instance's trajectory is walked once, to its end, and kept as its
 records (the estimates lower than every earlier one); the last instance
-walked stays in a one-slot memo, so the three greedy searches and a sweep
-of SLOs over the same graph and profile objects share one walk. Even a
-lone ``greedy_slo`` walks the whole order. ``greedy_slo`` takes the first
-record within the SLO, which is where a walk stopping there would stop,
-and ``greedy_min_time`` the last one, the tightest SLO the greedy can
-satisfy. ``greedy_min_cost`` starts where ``greedy_slo`` stops, then walks
-on with its own evaluator, trading memory for time only while the relative
-cost increase does not exceed the relative time gain. All three raise
+walked stays in a one-slot memo keyed on the graph object, the rungs and
+each function's profile object (profiles are read-only values), so the
+three greedy searches and a sweep of SLOs over the same graph and profile
+objects share one walk and one table of representatives, and each point a
+search stops at is priced once. Even a lone ``greedy_slo`` walks the whole
+order. ``greedy_slo`` takes the first record within the SLO, which is
+where a walk stopping there would stop, and ``greedy_min_time`` the last
+one, the tightest SLO the greedy can satisfy. ``greedy_min_cost`` starts
+where ``greedy_slo`` stops, then walks on with its own evaluator, trading
+memory for time only while the relative cost increase does not exceed the
+relative time gain. All three raise
 ``ProfileNotMonotone`` on a profile that gets slower with more memory.
 ``brute_force`` takes any table, scans every combination and is the
 optimality oracle for small instances. Every search raises ValueError for
@@ -175,10 +178,12 @@ class _Trajectory:
     ``estimations``, the estimations made when each was reached, the
     all-minimum one included; ``taken``, the cells taken by then).
     ``seconds`` holds each function's representatives, in execution order.
-    Nothing changes after construction, and no evaluator stays reachable.
+    ``points`` memoizes :func:`_point` and is all that changes after
+    construction; no evaluator stays reachable.
     """
 
-    __slots__ = ("seconds", "order", "names", "up", "estimates", "estimations", "taken")
+    __slots__ = ("seconds", "order", "names", "up", "estimates", "estimations", "taken",
+                 "points")
 
     def __init__(self, graph: CallGraph, seconds: dict[str, tuple[float, ...]]):
         order, names, up = _bump_order(seconds)
@@ -204,6 +209,7 @@ class _Trajectory:
         self.estimates = estimates
         self.estimations = estimations
         self.taken = taken_at
+        self.points = {}
 
     def reach(self, stop: float) -> tuple[int, int, float, int]:
         """A walk of ``order`` from the start until an estimate is within
@@ -222,10 +228,11 @@ class _Trajectory:
         return cells, cells - len(self.seconds) + 1, estimates[-1], taken[-1]
 
 
-#: The last instance a greedy search walked, as (graph, rungs, trajectory).
-#: Replaced whole, never changed in place, so concurrent searches read a
-#: consistent slot.
-_last: tuple[CallGraph, tuple[int, ...], _Trajectory] | None = None
+#: The last instance a greedy search walked, as (graph, rungs, each
+#: function's profile object in execution order, trajectory). Replaced
+#: whole, never changed in place, so concurrent searches read a consistent
+#: slot.
+_last: tuple[CallGraph, tuple[int, ...], tuple[FunctionProfile, ...], _Trajectory] | None = None
 
 
 def _trajectory(
@@ -234,26 +241,26 @@ def _trajectory(
     rungs: tuple[int, ...],
 ) -> _Trajectory:
     """The greedy trajectory of this instance, walked anew unless the last
-    one walked is of the same graph object, equal rungs and the same float
-    object in every cell.
+    one walked is of the same graph object, equal rungs and the same profile
+    object for every function.
 
-    Equal floats are not enough: 0.0 == -0.0, yet an estimate may differ in
-    sign. The slot keeps the old table alive, so the same objects have the
-    same bits.
+    A profile never changes once built, and the slot keeps the old profiles
+    alive, so the same objects hold the same floats, bit for bit (equal
+    floats would not do: 0.0 == -0.0, yet an estimate may differ in sign).
+    The table of representatives is built only on a miss.
     """
     global _last
-    seconds = _representatives(graph.functions(), profiles, rungs)
+    functions = graph.functions()
     last = _last
     if (
         last is not None
         and last[0] is graph
         and last[1] == rungs
-        and all(map(operator.is_, chain.from_iterable(seconds.values()),
-                    chain.from_iterable(last[2].seconds.values())))
+        and all(map(operator.is_, map(profiles.get, functions), last[2]))
     ):
-        return last[2]
-    trajectory = _Trajectory(graph, seconds)
-    _last = (graph, rungs, trajectory)
+        return last[3]
+    trajectory = _Trajectory(graph, _representatives(functions, profiles, rungs))
+    _last = (graph, rungs, tuple(map(profiles.get, functions)), trajectory)
     return trajectory
 
 
@@ -278,6 +285,25 @@ def _units(
     """Each function's :meth:`CostModel.cost_units` at its rung position."""
     cost_units = cost_model.cost_units
     return {name: cost_units(seconds[name][index], rungs[index]) for name, index in rung.items()}
+
+
+def _point(
+    trajectory: _Trajectory,
+    taken: int,
+    rungs: tuple[int, ...],
+    cost_model: CostModel,
+) -> tuple[dict[str, int], dict[str, int], int]:
+    """The point a walk of ``trajectory`` reaches with ``taken`` cells:
+    :func:`_rungs_after`, :func:`_units` there and their sum, memoized on
+    the trajectory per ``(taken, cost_model)``. The dicts are shared, so
+    callers copy before they change them."""
+    key = (taken, cost_model)
+    point = trajectory.points.get(key)
+    if point is None:
+        rung = _rungs_after(trajectory, taken, len(rungs))
+        units = _units(rung, trajectory.seconds, rungs, cost_model)
+        point = trajectory.points[key] = (rung, units, sum(units.values()))
+    return point
 
 
 def _found(
@@ -314,8 +340,7 @@ def _greedy(
     taken, estimations, best_time, best = trajectory.reach(stop)
     if not best_time <= slo.slo_seconds:
         return SearchResult(algorithm, None, None, None, taken, estimations)
-    rung = _rungs_after(trajectory, best, len(rungs))
-    units = sum(_units(rung, trajectory.seconds, rungs, cost_model).values())
+    rung, _, units = _point(trajectory, best, rungs, cost_model)
     return _found(algorithm, rung, best_time, units, rungs, cost_model, taken, estimations)
 
 
@@ -374,9 +399,8 @@ def greedy_min_cost(
         return SearchResult("greedy-min-cost", None, None, None, taken, estimations)
     per_row = len(rungs)
     seconds, names, up = trajectory.seconds, trajectory.names, trajectory.up
-    rung = _rungs_after(trajectory, taken, per_row)
-    units = _units(rung, seconds, rungs, cost_model)
-    cost = sum(units.values())
+    rung, units, cost = _point(trajectory, taken, rungs, cost_model)
+    rung, units = dict(rung), dict(units)
     # The first ``taken`` cells all lie below their function's rung but for
     # the ``taken - moved`` top-rung ones, which the second walk steps over
     # once more; every later cell is its function's current one until the
@@ -461,8 +485,10 @@ def brute_force(
     resolve to the lexicographically smallest memory vector. Always scans
     the full space (the evaluation count is exactly M^N); raises
     :class:`SearchSpaceTooLarge` before scanning when M^N exceeds
-    :data:`BRUTE_FORCE_LIMIT`.
+    :data:`BRUTE_FORCE_LIMIT`. ``objective`` may be given by value, and an
+    unknown one raises ValueError before anything is scanned.
     """
+    objective = Objective(objective)
     functions = tuple(sorted(graph.functions()))
     rungs = ladder.effective()
     seconds = _representatives(functions, profiles, rungs)

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import io
+import pickle
 import random
 import re
 
@@ -9,6 +12,7 @@ from faastune import (
     CallGraph,
     CostModel,
     FunctionNode,
+    FunctionProfile,
     MemoryLadder,
     Parallel,
     Sequence,
@@ -17,6 +21,7 @@ from faastune import (
     estimate_cost,
     estimate_time,
     generate_app,
+    monotone_repair,
     parse_trace_file,
     run_load,
     validate_config,
@@ -229,6 +234,60 @@ def test_missing_profile_raises():
     profiles = {"f1": make_profile("f1", {128: 1.0})}
     with pytest.raises(MissingProfile):
         configuration_cost({"f1": 256}, profiles, CostModel())
+
+
+# --- profiles ----------------------------------------------------------------
+
+
+def _counted_profile():
+    return FunctionProfile("f1", 95.0, {128: 2.0, 256: 3.0, 512: 1.0}, {128: 4, 256: 5, 512: 6})
+
+
+def test_profile_mappings_are_read_only():
+    for profile in (_counted_profile(), make_profile("f1", {128: 2.0})):
+        with pytest.raises(TypeError):
+            profile.representatives[128] = 0.5
+        with pytest.raises(TypeError):
+            profile.sample_counts[128] = 9
+
+
+def test_profile_is_unchanged_by_the_dicts_passed_in():
+    representatives, counts = {128: 2.0, 256: 1.0}, {128: 4, 256: 5}
+    profile = FunctionProfile("f1", 95.0, representatives, counts)
+    representatives[256] = 0.5
+    representatives[512] = 0.25
+    del counts[128]
+    assert profile.memories() == (128, 256)
+    assert profile.representative(256) == 1.0
+    assert profile.sample_count(128) == 4
+
+
+@pytest.mark.parametrize("round_trip", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy])
+def test_profile_pickle_and_deepcopy_round_trips_compare_equal(round_trip):
+    for profile in (_counted_profile(), make_profile("f1", {128: 2.0})):
+        again = round_trip(profile)
+        assert again == profile and again is not profile
+        with pytest.raises(TypeError):
+            again.representatives[128] = 0.5
+
+
+def test_replace_and_monotone_repair_give_read_only_profiles():
+    profile = _counted_profile()
+    changed = dataclasses.replace(profile, representatives={128: 2.0, 256: 1.5, 512: 1.0})
+    repaired = monotone_repair(profile)
+    assert changed.representative(256) == 1.5 and profile.representative(256) == 3.0
+    assert dict(repaired.representatives) == {128: 2.0, 256: 2.0, 512: 1.0}
+    for derived in (changed, repaired):
+        assert derived.sample_counts == {128: 4, 256: 5, 512: 6}
+        with pytest.raises(TypeError):
+            derived.representatives[128] = 0.5
+
+
+def test_default_profiles_share_one_empty_sample_counts():
+    first, second = make_profile("f1", {128: 2.0}), make_profile("f2", {256: 1.0})
+    assert first.sample_counts is second.sample_counts
+    assert len(first.sample_counts) == 0 and first.sample_count(128) == 0
+    assert pickle.loads(pickle.dumps(first)).sample_counts is first.sample_counts
 
 
 # --- configurations ----------------------------------------------------------

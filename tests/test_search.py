@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -355,13 +356,18 @@ def _chain(n):
 
 
 def test_memo_sees_a_profile_changed_in_place():
+    """A profile is read-only, so a table changes in place by holding a new
+    profile object for a function; the memo keys on profile objects and
+    walks anew."""
     graph = _chain(3)
     rungs = (128, 256, 512)
     profiles = {f: make_profile(f, {128: 3.0, 256: 2.0, 512: 1.0}) for f in graph.functions()}
     ladder = MemoryLadder(values=rungs, cap_mb=None)
     slo = SloSpec(7.0)
     assert greedy_slo(graph, profiles, ladder, slo).config == {"f1": 256, "f2": 256, "f3": 128}
-    profiles["f1"].representatives[256] = 1.0
+    with pytest.raises(TypeError):
+        profiles["f1"].representatives[256] = 1.0
+    profiles["f1"] = dataclasses.replace(profiles["f1"], representatives={128: 3.0, 256: 1.0, 512: 1.0})
     for run, reference in WALK_REFERENCES:
         assert run(graph, profiles, ladder, slo).to_record() == reference(
             graph, profiles, ladder, slo).to_record()
@@ -400,6 +406,24 @@ def test_memo_keys_on_the_graph_object_not_an_equal_graph():
             assert run(graph, profiles, ladder, slo).to_record() == reference(
                 graph, profiles, ladder, slo).to_record()
         assert search._last[0] is graph
+
+
+def test_memo_prices_each_cost_model_apart():
+    """The point a search stops at is priced once per cost model: on the
+    same instance, a coarser billing tick gives the fresh walk's records."""
+    rng = random.Random(30)
+    graph = _chain(4)
+    profiles = {f: random_monotone_profile(f, MemoryLadder().effective(), rng)
+                for f in graph.functions()}
+    ladder = MemoryLadder()
+    slo = _three_slos(graph, profiles, ladder)[1]
+    costs = set()
+    for cost_model in (CostModel(), CostModel(billing_granularity_ms=100), CostModel()):
+        for run, reference in WALK_REFERENCES:
+            record = run(graph, profiles, ladder, slo, cost_model).to_record()
+            assert record == reference(graph, profiles, ladder, slo, cost_model).to_record()
+            costs.add(record["estimated_cost_usd"])
+    assert len(costs) > 3
 
 
 def test_memo_keeps_the_sign_of_a_zero():
@@ -443,9 +467,14 @@ def test_searches_after_the_first_on_an_instance_walk_nothing(monkeypatch):
     """Once ``greedy_slo`` has walked an instance, ``greedy_min_time`` and
     ``greedy_slo`` at another SLO estimate nothing, and min-cost estimates
     only its second phase: its feasible point once, then one ``set`` per
-    trial and at most one more to undo it."""
+    trial and at most one more to undo it. None of them builds the table of
+    representatives again, and min-cost starts from ``greedy_slo``'s priced
+    point: past its own first point, each search prices only min-cost's
+    trials."""
     calls = {"evaluate": 0, "set": 0}
+    built = {"tables": 0, "units": 0}
     evaluate, set_seconds = search.GraphEvaluator.evaluate, search.GraphEvaluator.set
+    representatives, cost_units = search._representatives, CostModel.cost_units
 
     def counting_evaluate(self, times):
         calls["evaluate"] += 1
@@ -455,8 +484,18 @@ def test_searches_after_the_first_on_an_instance_walk_nothing(monkeypatch):
         calls["set"] += 1
         return set_seconds(self, function, seconds)
 
+    def counting_representatives(*args):
+        built["tables"] += 1
+        return representatives(*args)
+
+    def counting_cost_units(self, duration_s, memory_mb):
+        built["units"] += 1
+        return cost_units(self, duration_s, memory_mb)
+
     monkeypatch.setattr(search.GraphEvaluator, "evaluate", counting_evaluate)
     monkeypatch.setattr(search.GraphEvaluator, "set", counting_set)
+    monkeypatch.setattr(search, "_representatives", counting_representatives)
+    monkeypatch.setattr(CostModel, "cost_units", counting_cost_units)
     graph = generate_app(n_functions=40, shape="random", seed=3).graph
     rungs = MemoryLadder().effective()
     rng = random.Random(27)
@@ -467,15 +506,27 @@ def test_searches_after_the_first_on_an_instance_walk_nothing(monkeypatch):
     calls.update(evaluate=0, set=0)
     base = greedy_slo(graph, profiles, ladder, loose)
     assert base.found and calls == {"evaluate": 1, "set": len(rungs[1:]) * 40}
-    for run, slo in ((greedy_min_time, loose), (greedy_slo, tight), (greedy_slo, loose)):
+    assert built == {"tables": 1, "units": 40}
+    # min-time's point lies past greedy_slo's and is priced on its first
+    # call only; greedy_slo at the tight SLO stops at that point too.
+    for run, slo, units in ((greedy_min_time, loose, 40), (greedy_slo, tight, 0),
+                            (greedy_slo, loose, 0)):
         calls.update(evaluate=0, set=0)
+        built.update(tables=0, units=0)
         run(graph, profiles, ladder, slo)
         assert calls == {"evaluate": 0, "set": 0}
-    calls.update(evaluate=0, set=0)
-    cheap = greedy_min_cost(graph, profiles, ladder, loose)
-    trials = cheap.evaluations - base.evaluations - 1
-    assert trials > 0 and calls["evaluate"] == 1
-    assert trials <= calls["set"] <= 2 * trials
+        assert built == {"tables": 0, "units": units}
+    for _ in range(2):
+        calls.update(evaluate=0, set=0)
+        built.update(tables=0, units=0)
+        cheap = greedy_min_cost(graph, profiles, ladder, loose)
+        trials = cheap.evaluations - base.evaluations - 1
+        assert trials > 0 and calls["evaluate"] == 1
+        assert trials <= calls["set"] <= 2 * trials
+        assert built == {"tables": 0, "units": trials}
+        built.update(tables=0, units=0)
+        greedy_min_time(graph, profiles, ladder, loose)
+        assert built == {"tables": 0, "units": 0}
 
 
 def test_threads_alternating_two_instances_give_the_serial_records():
@@ -674,6 +725,37 @@ def test_space_guard_trips_before_scanning(monkeypatch):
     with pytest.raises(SearchSpaceTooLarge) as caught:
         brute_force(graph, profiles, ladder, SloSpec(1.0))
     assert caught.value.combinations == 5**11 > search.BRUTE_FORCE_LIMIT == 10**7
+
+
+def _demo3_instance():
+    graph = generate_app(shape="demo3", seed=1).graph
+    rungs = MemoryLadder().effective()
+    rng = random.Random(29)
+    profiles = {f: random_monotone_profile(f, rungs, rng) for f in graph.functions()}
+    all_max = estimate_time(graph, dict.fromkeys(graph.functions(), rungs[-1]), profiles)
+    return graph, profiles, MemoryLadder(), SloSpec(1.5 * all_max)
+
+
+@pytest.mark.parametrize("objective", Objective)
+def test_brute_force_takes_its_objective_by_value(objective):
+    instance = _demo3_instance()
+    by_value = brute_force(*instance, objective.value)
+    assert by_value.found and by_value.algorithm == f"brute-force-{objective.value}"
+    assert by_value.to_record() == brute_force(*instance, objective).to_record()
+
+
+def test_brute_force_rejects_an_unknown_objective_before_scanning(monkeypatch):
+    calls = {"set": 0}
+    set_seconds = search.GraphEvaluator.set
+
+    def counting_set(self, function, seconds):
+        calls["set"] += 1
+        return set_seconds(self, function, seconds)
+
+    monkeypatch.setattr(search.GraphEvaluator, "set", counting_set)
+    with pytest.raises(ValueError, match="'bogus' is not a valid Objective"):
+        brute_force(*_demo3_instance(), "bogus")
+    assert calls["set"] == 0
 
 
 def test_brute_force_matches_independent_enumeration():
