@@ -1,7 +1,8 @@
 """Core domain types: memory ladder, call graph, samples, profiles, cost model.
 
 Everything here but the sample table is an immutable value with its
-invariants checked at construction; no I/O and no search logic.
+invariants checked at construction (so every profile's representatives are
+finite and non-negative); no I/O and no search logic.
 """
 
 from __future__ import annotations
@@ -191,7 +192,8 @@ class FunctionProfile:
     were observed there. The samples themselves are not kept. Both mappings
     are read-only copies of the ones passed in, so a profile never changes
     once built; without counts, ``sample_counts`` is one shared empty
-    mapping.
+    mapping. Raises ValueError for the first representative that is NaN,
+    infinite or negative.
     """
 
     function: str
@@ -201,7 +203,18 @@ class FunctionProfile:
     sample_counts: Mapping[int, int] = field(default_factory=lambda: _NO_COUNTS)
 
     def __post_init__(self):
-        object.__setattr__(self, "representatives", MappingProxyType(dict(self.representatives)))
+        representatives = dict(self.representatives)
+        # A NaN or infinity fails the sum and a negative value the minimum; a
+        # finite row whose sum overflows is scanned, and passes.
+        seconds = representatives.values()
+        if seconds and not (0 <= min(seconds) and sum(seconds) < math.inf):
+            for memory_mb, value in representatives.items():
+                if math.isnan(value):
+                    raise ValueError(f"representative of {self.function!r} at {memory_mb} MB is NaN")
+                if not 0 <= value < math.inf:
+                    raise ValueError(f"representative of {self.function!r} at {memory_mb} MB is "
+                                     f"{value!r}, not finite and non-negative")
+        object.__setattr__(self, "representatives", MappingProxyType(representatives))
         counts = self.sample_counts
         object.__setattr__(self, "sample_counts",
                            MappingProxyType(dict(counts)) if counts else _NO_COUNTS)

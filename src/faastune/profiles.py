@@ -193,7 +193,14 @@ _NUMBER_COLUMNS = (
 
 
 def save_profiles(profiles: Mapping[str, FunctionProfile], path: str | Path) -> None:
-    """Write profiles as a CSV table, one row per (function, memory)."""
+    """Write profiles as a CSV table, one row per (function, memory).
+
+    Raises ValueError, before the file is opened, for a profile keyed by a
+    name that is not its ``function``.
+    """
+    for function, profile in profiles.items():
+        if profile.function != function:
+            raise ValueError(f"profile of {profile.function!r} is keyed {function!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PROFILE_COLUMNS)

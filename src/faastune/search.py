@@ -21,10 +21,8 @@ memory for time only while the relative cost increase does not exceed the
 relative time gain. All three raise
 ``ProfileNotMonotone`` on a profile that gets slower with more memory.
 ``brute_force`` takes any table, scans every combination and is the
-optimality oracle for small instances. Every search raises ValueError for
-a NaN, infinite or negative representative before it estimates anything,
-and all of them evaluate the graph with
-:class:`~faastune.estimate.GraphEvaluator`.
+optimality oracle for small instances. All of them evaluate the graph
+with :class:`~faastune.estimate.GraphEvaluator`.
 """
 
 from __future__ import annotations
@@ -98,8 +96,7 @@ def _representatives(
     """Each function's representatives, indexed by rung position.
 
     Raises :class:`MissingProfile` for the first function (then rung) it
-    lacks, then ValueError for the first representative that is NaN,
-    infinite or negative.
+    lacks.
     """
     if len(rungs) > 1:
         fetch = operator.itemgetter(*rungs)
@@ -115,18 +112,6 @@ def _representatives(
             table[name] = fetch(profile.representatives)
         except KeyError:  # raise MissingProfile for the first rung it lacks
             table[name] = tuple(profile.representative(memory_mb) for memory_mb in rungs)
-    # A NaN makes the sum NaN, an infinity makes it inf or NaN, and a negative
-    # cell the minimum negative. A finite table whose sum overflows is
-    # scanned, and passes.
-    cells = list(chain.from_iterable(table.values()))
-    if not (0 <= min(cells) and sum(cells) < math.inf):
-        for name, row in table.items():
-            for memory_mb, seconds in zip(rungs, row):
-                if math.isnan(seconds):
-                    raise ValueError(f"representative of {name!r} at {memory_mb} MB is NaN")
-                if not 0 <= seconds < math.inf:
-                    raise ValueError(f"representative of {name!r} at {memory_mb} MB is "
-                                     f"{seconds!r}, not finite and non-negative")
     return table
 
 

@@ -366,6 +366,8 @@ def extract_samples(log: TraceLog) -> Samples:
     trace order, whatever order a trace lists its segments in, so in a
     profiling log, where each trace calls every function once at one memory
     size, row k of every column at a memory size is the k-th trace there.
+    A segment whose finite ends lie too far apart for their difference to
+    be a float raises ValueError naming it and its trace.
     """
     samples: Samples = {}
     for segments in log.traces.values():
@@ -381,6 +383,15 @@ def extract_samples(log: TraceLog) -> Samples:
             if column is None:
                 column = by_function[name] = []
             column.append(end_time - start_time)
+    # Both ends are finite, so a duration is never NaN; it is inf only when
+    # the difference overflows.
+    if any(math.inf in column for by_function in samples.values()
+           for column in by_function.values()):
+        for trace_id, segments in log.traces.items():
+            for _, segment_id, _, kind, start_time, end_time, *_ in segments:
+                if kind == "function" and end_time - start_time == math.inf:
+                    raise ValueError(f"trace {trace_id!r}: segment {segment_id!r} is too long "
+                                     f"to measure")
     return samples
 
 

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import io
+import math
 import pickle
 import random
 import re
@@ -281,6 +282,27 @@ def test_replace_and_monotone_repair_give_read_only_profiles():
         assert derived.sample_counts == {128: 4, 256: 5, 512: 6}
         with pytest.raises(TypeError):
             derived.representatives[128] = 0.5
+
+
+@pytest.mark.parametrize("representatives", [
+    {}, {128: -0.0}, {128: 5e-324, 256: 0.0}, {128: 1e308, 256: 1e308},
+], ids=["empty", "minus-zero", "subnormal", "sum-overflows"])
+def test_finite_non_negative_representatives_build_a_profile(representatives):
+    profile = make_profile("f1", representatives)
+    assert list(map(float.hex, profile.representatives.values())) == list(
+        map(float.hex, representatives.values())
+    )
+
+
+def test_every_way_of_building_a_profile_checks_its_representatives():
+    """The first bad value in the mapping's order is named, whether the
+    profile is built directly or derived with ``replace``."""
+    with pytest.raises(ValueError, match="^representative of 'f1' at 256 MB is inf, not finite"):
+        FunctionProfile("f1", 95.0, {128: 1.0, 256: math.inf, 512: math.nan})
+    with pytest.raises(ValueError, match="^representative of 'f1' at 512 MB is NaN$"):
+        dataclasses.replace(_counted_profile(), representatives={128: 2.0, 512: math.nan})
+    with pytest.raises(ValueError, match="'f1' at 128 MB is -1e-300, not finite and non-negative"):
+        FunctionProfile("f1", 95.0, {128: -1e-300, 256: 1e308, 512: 1e308})
 
 
 def test_default_profiles_share_one_empty_sample_counts():

@@ -3,11 +3,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from faastune import (
     CallGraph,
     FunctionNode,
+    FunctionProfile,
     MemoryLadder,
     build_profiles,
     generate_app,
@@ -314,6 +315,62 @@ def test_profile_csv_round_trip(tmp_path):
     assert loaded["f1"].alpha == 90
     assert loaded["f1"].representatives == profiles["f1"].representatives
     assert loaded["f1"].sample_count(128) == 3
+
+
+def test_save_refuses_a_profile_keyed_by_another_name(tmp_path):
+    path = tmp_path / "profiles.csv"
+    with pytest.raises(ValueError, match="^profile of 'b' is keyed 'a'$"):
+        save_profiles({"b": make_profile("b", {128: 1.0}), "a": make_profile("b", {128: 2.0})}, path)
+    assert not path.exists()
+
+
+#: Representatives at the edges of the float range, drawn as often as any float.
+_EDGE_SECONDS = (-0.0, 0.0, 5e-324, 1.7e308, math.nan, math.inf, -math.inf, -1.0)
+
+
+@st.composite
+def _profile_fields(draw):
+    """Keyword arguments of a few profiles, keyed by function name, with
+    representatives drawn from all floats."""
+    fields = {}
+    for name in draw(st.lists(st.sampled_from(["f1", "f 2", "f,3", 'f"4']), min_size=1,
+                              unique=True)):
+        memories = draw(st.lists(st.integers(1, 2**40), min_size=1, max_size=4, unique=True))
+        seconds = st.one_of(st.floats(), st.sampled_from(_EDGE_SECONDS))
+        fields[name] = dict(
+            function=name,
+            alpha=draw(st.floats(0, 100)),
+            representatives={m: draw(seconds) for m in memories},
+            sample_counts={m: draw(st.integers(0, 10**9)) for m in memories},
+        )
+    return fields
+
+
+@given(_profile_fields())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_profile_either_fails_to_build_or_round_trips_through_csv(tmp_path, fields):
+    """No profile holds a value its own file cannot carry: building one
+    raises ValueError exactly when a representative is NaN, infinite or
+    negative, and otherwise ``load_profiles`` gives back an equal table,
+    down to the sign of a zero."""
+    bad = any(not 0 <= value < math.inf
+              for kwargs in fields.values() for value in kwargs["representatives"].values())
+    try:
+        profiles = {name: FunctionProfile(**kwargs) for name, kwargs in fields.items()}
+    except ValueError:
+        assert bad
+        return
+    assert not bad
+    path = tmp_path / "profiles.csv"
+    save_profiles(profiles, path)
+    loaded = load_profiles(path)
+    assert loaded == profiles
+
+    def bits(table):
+        return {name: {m: s.hex() for m, s in p.representatives.items()} for name, p in table.items()}
+
+    assert bits(loaded) == bits(profiles)
 
 
 _HEADER = "function,memory_mb,alpha,representative_s,sample_count\n"

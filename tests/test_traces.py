@@ -1146,6 +1146,19 @@ def test_function_without_memory_annotation_rejected():
         extract_samples(log)
 
 
+def test_a_span_too_long_to_measure_is_rejected_naming_its_segment_and_trace():
+    """Both ends of the span are finite, so the segment parses, but its
+    duration overflows to inf; a percentile of such a column is NaN."""
+    log = _log(
+        *(_line(trace=t, seg="s1", name="f1", start=0.0, end=2.0) for t in ("t1", "t2", "t4")),
+        _line(trace="t3", seg="s1", name="f1", start=0.0, end=2.0, memory=256),
+        _line(trace="t3", seg="s2", parent="s1", name="f2", start=-1e308, end=1e308, memory=256),
+    )
+    assert len(log.traces) == 4
+    with pytest.raises(ValueError, match="^trace 't3': segment 's2' is too long to measure$"):
+        extract_samples(log)
+
+
 def test_fifty_traces_of_three_functions_yield_150_samples():
     app = generate_app(shape="demo3", seed=5)
     config = {f: 128 for f in app.graph.functions()}
