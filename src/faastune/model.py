@@ -182,6 +182,22 @@ Samples = dict[int, dict[str, list[float]]]
 _NO_COUNTS: Mapping[int, int] = MappingProxyType({})
 
 
+#: The one type of a column that needs no per-value check: bools are ints,
+#: but their type is ``bool``.
+_INTS = frozenset({int})
+
+
+def _check_memories(function: str, by_memory: Mapping[int, object]) -> None:
+    """Raise ValueError for the first key of ``by_memory`` that is not a
+    positive integer (a bool is not one)."""
+    if by_memory and not (set(map(type, by_memory)) == _INTS and min(by_memory) > 0):
+        for memory_mb in by_memory:
+            if not (isinstance(memory_mb, int) and not isinstance(memory_mb, bool)
+                    and memory_mb > 0):
+                raise ValueError(f"memory size of {function!r} must be a positive integer, "
+                                 f"got {memory_mb!r}")
+
+
 @dataclass(frozen=True)
 class FunctionProfile:
     """Latency representatives for one function across the memory ladder.
@@ -192,8 +208,12 @@ class FunctionProfile:
     were observed there. The samples themselves are not kept. Both mappings
     are read-only copies of the ones passed in, so a profile never changes
     once built; without counts, ``sample_counts`` is one shared empty
-    mapping. Raises ValueError for the first representative that is NaN,
-    infinite or negative.
+    mapping. Raises ValueError, by the rules :func:`~faastune.profiles.load_profiles`
+    reads a saved table with, so every profile that builds loads back: for
+    an ``alpha`` that is not an int or float in [0, 100], for the first
+    memory size that is not a positive integer, for the first representative
+    that is a bool, NaN, infinite or negative, and for the first sample count
+    that is not a non-negative integer. Bools are not integers here.
     """
 
     function: str
@@ -203,21 +223,40 @@ class FunctionProfile:
     sample_counts: Mapping[int, int] = field(default_factory=lambda: _NO_COUNTS)
 
     def __post_init__(self):
+        function, alpha = self.function, self.alpha
+        if not (isinstance(alpha, (int, float)) and not isinstance(alpha, bool)
+                and 0 <= alpha <= 100):
+            raise ValueError(f"alpha of {function!r} must be a number in [0, 100], got {alpha!r}")
         representatives = dict(self.representatives)
+        _check_memories(function, representatives)
         # A NaN or infinity fails the sum and a negative value the minimum; a
         # finite row whose sum overflows is scanned, and passes.
         seconds = representatives.values()
-        if seconds and not (0 <= min(seconds) and sum(seconds) < math.inf):
+        if seconds and not (0 <= min(seconds) and sum(seconds) < math.inf
+                            and bool not in set(map(type, seconds))):
             for memory_mb, value in representatives.items():
+                if isinstance(value, bool):
+                    raise ValueError(f"representative of {function!r} at {memory_mb} MB is "
+                                     f"{value!r}, not a number")
                 if math.isnan(value):
-                    raise ValueError(f"representative of {self.function!r} at {memory_mb} MB is NaN")
+                    raise ValueError(f"representative of {function!r} at {memory_mb} MB is NaN")
                 if not 0 <= value < math.inf:
-                    raise ValueError(f"representative of {self.function!r} at {memory_mb} MB is "
+                    raise ValueError(f"representative of {function!r} at {memory_mb} MB is "
                                      f"{value!r}, not finite and non-negative")
         object.__setattr__(self, "representatives", MappingProxyType(representatives))
         counts = self.sample_counts
+        if counts:
+            counts = dict(counts)
+            if counts.keys() != representatives.keys():
+                _check_memories(function, counts)
+            values = counts.values()
+            if not (set(map(type, values)) == _INTS and min(values) >= 0):
+                for memory_mb, count in counts.items():
+                    if not (isinstance(count, int) and not isinstance(count, bool) and count >= 0):
+                        raise ValueError(f"sample count of {function!r} at {memory_mb} MB must be "
+                                         f"a non-negative integer, got {count!r}")
         object.__setattr__(self, "sample_counts",
-                           MappingProxyType(dict(counts)) if counts else _NO_COUNTS)
+                           MappingProxyType(counts) if counts else _NO_COUNTS)
 
     def __reduce__(self):  # a mapping proxy does not pickle; the dicts it shows do
         return FunctionProfile, (self.function, self.alpha, dict(self.representatives),

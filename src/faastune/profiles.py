@@ -12,11 +12,12 @@ import csv
 import math
 import random
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import InsufficientSamples, MissingCell
-from .estimate import GraphEvaluator
+from .estimate import GraphEvaluator, from_scaled, time_shift, to_scaled
 from .model import CallGraph, FunctionProfile, MemoryLadder, Samples
 
 #: The choice percentiles :func:`select_alpha` picks from, ascending.
@@ -130,10 +131,13 @@ def select_alpha(
 
     rng = random.Random(seed)
     evaluator = GraphEvaluator(graph)
-    # Neither each function's fit durations nor each holdout request's
-    # end-to-end latency depends on alpha: both are sorted once per rung.
-    fits: list[dict[str, list[float]]] = []
+    width = len(functions)
+    # Neither each holdout request's end-to-end latency nor any candidate's
+    # fitted estimate needs the other candidates: both are composed once per
+    # rung, from durations scaled by one shift (any shift that makes every
+    # duration an integer gives the same rounded latencies).
     observed: list[list[float]] = []
+    estimated: list[list[float]] = []  # per rung, per candidate
     for memory_mb, by_function in zip(rungs, cells):
         column: dict[str, list[float]] = {}
         for function in functions:
@@ -155,21 +159,26 @@ def select_alpha(
         rng.shuffle(indices)
         n_holdout = min(n - 1, max(1, round(HOLDOUT_FRACTION * n)))
         fit_idx = sorted(indices[n_holdout:])
-        fits.append({f: sorted(map(column[f].__getitem__, fit_idx)) for f in functions})
-        observed.append(sorted(
-            evaluator.evaluate({f: column[f][i] for f in functions})
-            for i in sorted(indices[:n_holdout])
-        ))
+        fits = [sorted(map(column[f].__getitem__, fit_idx)) for f in functions]
+        # One row of durations per holdout request, then one per candidate.
+        held = [column[f][i] for i in sorted(indices[:n_holdout]) for f in functions]
+        fitted = [_percentile_of_sorted(xs, alpha) for alpha in DEFAULT_ALPHA_CANDIDATES
+                  for xs in fits]
+        shift = time_shift(chain(held, fitted))
+        latencies = [
+            from_scaled(evaluator.evaluate_scaled(dict(zip(functions, row))), shift)
+            for row in zip(*[iter(to_scaled(chain(held, fitted), shift))] * width)
+        ]
+        observed.append(sorted(latencies[:n_holdout]))
+        estimated.append(latencies[n_holdout:])
     best_alpha = DEFAULT_ALPHA_CANDIDATES[0]
     best_mse = math.inf
-    for alpha in DEFAULT_ALPHA_CANDIDATES:
+    for candidate, alpha in enumerate(DEFAULT_ALPHA_CANDIDATES):
         total = 0.0
-        for rung_fits, rung_observed in zip(fits, observed):
-            fitted = {f: _percentile_of_sorted(xs, alpha) for f, xs in rung_fits.items()}
-            estimated = evaluator.evaluate(fitted)
+        for rung_estimated, rung_observed in zip(estimated, observed):
             target = _percentile_of_sorted(rung_observed, alpha)
             try:
-                total += (estimated - target) ** 2
+                total += (rung_estimated[candidate] - target) ** 2
             except OverflowError:  # the squared error is beyond the float range
                 total = math.inf
         mse = total / len(rungs)

@@ -22,7 +22,13 @@ relative time gain. All three raise
 ``ProfileNotMonotone`` on a profile that gets slower with more memory.
 ``brute_force`` takes any table, scans every combination and is the
 optimality oracle for small instances. All of them evaluate the graph
-with :class:`~faastune.estimate.GraphEvaluator`.
+with :class:`~faastune.estimate.GraphEvaluator` on the table scaled to
+exact integers by one shift, and round an estimate only when its exact
+value falls, since rounding never reverses an order; records, the SLO
+test, min-cost's ratio test and brute force's objective compare the
+rounded value, so a result's ``estimated_time_s`` is the value that was
+tested, and :func:`~faastune.estimate.estimate_time` of its configuration
+gives it bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .errors import (
     ProfileNotMonotone,
     SearchSpaceTooLarge,
 )
-from .estimate import GraphEvaluator
+from .estimate import GraphEvaluator, from_scaled, time_shift, to_scaled
 from .model import (
     CallGraph,
     CostModel,
@@ -117,20 +123,22 @@ def _representatives(
 
 def _bump_order(
     seconds: dict[str, tuple[float, ...]],
-) -> tuple[list[int], list[str], list[float | None]]:
+) -> tuple[list[int], list[str], list[int | None], int, dict[str, tuple[int, ...]]]:
     """The greedy bump order of one table of representatives, as
-    ``(order, names, up)``.
+    ``(order, names, up, shift, scaled)``.
 
+    ``scaled`` holds each function's representatives scaled to exact
+    integers by one common ``2**shift`` (:func:`~faastune.estimate.time_shift`).
     Cell ``i`` is function ``names[i]`` at rung position ``i % M``; cells
     are numbered by function name, then rung. Taking cell ``i`` moves its
-    function one rung up, to representative ``up[i]``, or moves nothing
-    when ``up[i]`` is None (the top rung). ``order`` lists the cells by
-    descending representative; a stable sort keeps ties in name, then rung
-    order. Rows never increase along the ladder, so that is the order in
-    which a max-heap of each function's current representative (ties on the
-    name) pops them, and a function's cells come in rung order: a walk of
-    ``order`` is the greedy search, all functions at the lowest rung, then
-    the slowest one up one rung per step.
+    function one rung up, to scaled representative ``up[i]``, or moves
+    nothing when ``up[i]`` is None (the top rung). ``order`` lists the cells
+    by descending representative; a stable sort keeps ties in name, then
+    rung order. Rows never increase along the ladder, so that is the order
+    in which a max-heap of each function's current representative (ties on
+    the name) pops them, and a function's cells come in rung order: a walk
+    of ``order`` is the greedy search, all functions at the lowest rung,
+    then the slowest one up one rung per step.
 
     Raises :class:`ProfileNotMonotone` for the first function, in execution
     order, whose representatives increase along the ladder.
@@ -146,48 +154,63 @@ def _bump_order(
         raise ProfileNotMonotone(
             next(name for name, row in seconds.items() if any(map(operator.gt, row[1:], row)))
         )
+    shift = time_shift(flat)
+    exact = to_scaled(flat, shift)
+    up = exact[1:]
+    up.append(None)
     up[per_row - 1::per_row] = [None] * len(by_name)
+    scaled = dict(zip(by_name, zip(*[iter(exact)] * per_row)))
     order = sorted(range(len(flat)), key=flat.__getitem__, reverse=True)
     names = list(chain.from_iterable(map(repeat, by_name, repeat(per_row))))
-    return order, names, up
+    return order, names, up, shift, scaled
 
 
 class _Trajectory:
     """The greedy trajectory of one instance, walked once to its end.
 
     The walk takes :func:`_bump_order`'s ``order`` from the all-minimum
-    configuration with one :class:`~faastune.estimate.GraphEvaluator`, which
-    makes N*(M-1)+1 estimations and depends on no SLO. Only its records are
-    kept: the all-minimum estimate and every later estimate lower than all
-    before it, as three parallel lists (``estimates``, strictly decreasing;
+    configuration with one :class:`~faastune.estimate.GraphEvaluator` on
+    the scaled table, which makes N*(M-1)+1 exact estimations and depends on
+    no SLO. Only its records are kept: the all-minimum estimate and every
+    later estimate that, rounded, is lower than all before it, as three
+    parallel lists (``estimates``, rounded and strictly decreasing;
     ``estimations``, the estimations made when each was reached, the
-    all-minimum one included; ``taken``, the cells taken by then).
-    ``seconds`` holds each function's representatives, in execution order.
-    ``points`` memoizes :func:`_point` and is all that changes after
-    construction; no evaluator stays reachable.
+    all-minimum one included; ``taken``, the cells taken by then). Rounding
+    never reverses an order, so an estimate is rounded only when its exact
+    value falls below every earlier one. ``seconds`` holds each function's
+    representatives, in execution order, and ``scaled`` each row scaled by
+    ``2**shift``, as ``up`` is. ``points`` memoizes :func:`_point`
+    and is all that changes after construction; no evaluator stays
+    reachable.
     """
 
-    __slots__ = ("seconds", "order", "names", "up", "estimates", "estimations", "taken",
-                 "points")
+    __slots__ = ("seconds", "scaled", "shift", "order", "names", "up", "estimates",
+                 "estimations", "taken", "points")
 
     def __init__(self, graph: CallGraph, seconds: dict[str, tuple[float, ...]]):
-        order, names, up = _bump_order(seconds)
+        order, names, up, shift, scaled = _bump_order(seconds)
         evaluator = GraphEvaluator(graph)
-        best = evaluator.evaluate({name: row[0] for name, row in seconds.items()})
+        lowest = evaluator.evaluate_scaled({name: row[0] for name, row in scaled.items()})
+        best = from_scaled(lowest, shift)
         estimates, estimations, taken_at = [best], [1], [0]
         made = 1
-        set_seconds = evaluator.set
+        set_scaled = evaluator.set_scaled
         for taken, cell in enumerate(order, 1):
-            seconds_up = up[cell]
-            if seconds_up is not None:
-                estimate = set_seconds(names[cell], seconds_up)
+            value = up[cell]
+            if value is not None:
+                exact = set_scaled(names[cell], value)
                 made += 1
-                if estimate < best:  # strict: a record is the first of its value
-                    best = estimate
-                    estimates.append(estimate)
-                    estimations.append(made)
-                    taken_at.append(taken)
+                if exact < lowest:
+                    lowest = exact
+                    estimate = from_scaled(exact, shift)
+                    if estimate < best:  # strict: a record is the first of its value
+                        best = estimate
+                        estimates.append(estimate)
+                        estimations.append(made)
+                        taken_at.append(taken)
         self.seconds = seconds
+        self.scaled = scaled
+        self.shift = shift
         self.order = order
         self.names = names
         self.up = up
@@ -230,9 +253,8 @@ def _trajectory(
     object for every function.
 
     A profile never changes once built, and the slot keeps the old profiles
-    alive, so the same objects hold the same floats, bit for bit (equal
-    floats would not do: 0.0 == -0.0, yet an estimate may differ in sign).
-    The table of representatives is built only on a miss.
+    alive, so the same objects hold the same floats. The tables of
+    representatives are built only on a miss.
     """
     global _last
     functions = graph.functions()
@@ -383,21 +405,23 @@ def greedy_min_cost(
     if not time <= slo_seconds:
         return SearchResult("greedy-min-cost", None, None, None, taken, estimations)
     per_row = len(rungs)
-    seconds, names, up = trajectory.seconds, trajectory.names, trajectory.up
+    seconds, scaled, shift = trajectory.seconds, trajectory.scaled, trajectory.shift
+    names, up = trajectory.names, trajectory.up
     rung, units, cost = _point(trajectory, taken, rungs, cost_model)
     rung, units = dict(rung), dict(units)
     # The first ``taken`` cells all lie below their function's rung but for
     # the ``taken - moved`` top-rung ones, which the second walk steps over
     # once more; every later cell is its function's current one until the
     # function is frozen. Evaluating the feasible point gives the walk's
-    # estimate ``time`` bit for bit, and counts as one more estimation.
+    # exact estimate, which rounds to ``time``, and counts as one more
+    # estimation.
     moved = estimations - 1
     iterations = 2 * taken - moved
     evaluations = estimations + 1
     cost_units = cost_model.cost_units
     evaluator = GraphEvaluator(graph)
-    evaluator.evaluate({name: seconds[name][index] for name, index in rung.items()})
-    set_seconds = evaluator.set
+    exact = evaluator.evaluate_scaled({name: scaled[name][index] for name, index in rung.items()})
+    set_scaled = evaluator.set_scaled
     frozen: set[str] = set()
     kept: list[tuple[str, int]] = []
     best, best_cost, best_time = 0, cost, time
@@ -406,24 +430,26 @@ def greedy_min_cost(
         if name in frozen:
             continue
         iterations += 1
-        trial_seconds = up[cell]
-        if trial_seconds is None:
+        trial = up[cell]
+        if trial is None:
             continue
-        trial_time = set_seconds(name, trial_seconds)
+        trial_exact = set_scaled(name, trial)
         evaluations += 1
+        # The rounded estimate moves only when the exact one does.
+        trial_time = time if trial_exact == exact else from_scaled(trial_exact, shift)
         index = cell % per_row + 1
-        trial_units = cost_units(trial_seconds, rungs[index])
+        trial_units = cost_units(seconds[name][index], rungs[index])
         delta = trial_units - units[name]
         cost_step = abs(delta) / cost if cost else (0.0 if delta == 0 else math.inf)
         gain = time - trial_time
         time_step = abs(gain) / abs(time) if time else (0.0 if gain == 0 else math.inf)
         if trial_time > slo_seconds or not cost_step <= time_step:
-            set_seconds(name, seconds[name][index - 1])
+            set_scaled(name, scaled[name][index - 1])
             frozen.add(name)
             continue
         units[name] = trial_units
         cost += delta
-        time = trial_time
+        exact, time = trial_exact, trial_time
         kept.append((name, index))
         if cost < best_cost or (cost == best_cost and time < best_time):
             best, best_cost, best_time = len(kept), cost, time
@@ -482,20 +508,27 @@ def brute_force(
     if combinations > BRUTE_FORCE_LIMIT:
         raise SearchSpaceTooLarge(combinations, BRUTE_FORCE_LIMIT)
 
-    rows = [seconds[name] for name in functions]
+    shift = time_shift(chain.from_iterable(seconds.values()))
+    rows = [to_scaled(seconds[name], shift) for name in functions]
     cost_units = cost_model.cost_units
-    units = [list(map(cost_units, row, rungs)) for row in rows]
+    units = [list(map(cost_units, seconds[name], rungs)) for name in functions]
     index = [0] * len(functions)
     evaluator = GraphEvaluator(graph)
-    set_seconds = evaluator.set
-    total_time = evaluator.evaluate({name: row[0] for name, row in zip(functions, rows)})
+    set_scaled = evaluator.set_scaled
+    total = evaluator.evaluate_scaled({name: row[0] for name, row in zip(functions, rows)})
     total_cost = sum(row[0] for row in units)
     by_cost = objective is Objective.MIN_COST
     by_time = objective is Objective.MIN_TIME
     slo_seconds = slo.slo_seconds
+    # Rounding never reverses an order, so the exact estimates that meet the
+    # SLO once rounded are those up to some threshold: ``fits`` is the
+    # largest known to, ``misses`` the smallest known not to, and only an
+    # estimate between them is rounded for the test. For min-time, only one
+    # below every feasible one so far (``lowest``) is rounded.
+    fits, misses, lowest = -1, math.inf, math.inf
 
     best_index: list[int] | None = None
-    best_time = math.inf
+    best_total = 0
     best_units = 0
     best_metric = math.inf
     top = len(rungs) - 1
@@ -506,30 +539,38 @@ def brute_force(
             while index[position] == top:  # roll over to the lowest rung
                 index[position] = 0
                 total_cost += units[position][0] - units[position][top]
-                total_time = set_seconds(functions[position], rows[position][0])
+                total = set_scaled(functions[position], rows[position][0])
                 position -= 1
             rung = index[position] + 1
             index[position] = rung
             total_cost += units[position][rung] - units[position][rung - 1]
-            total_time = set_seconds(functions[position], rows[position][rung])
-        if total_time > slo_seconds:
-            continue
+            total = set_scaled(functions[position], rows[position][rung])
+        if total > fits:
+            if total >= misses:
+                continue
+            if from_scaled(total, shift) > slo_seconds:
+                misses = total
+                continue
+            fits = total
         if by_cost:
             metric = total_cost
         elif by_time:
-            metric = total_time
+            if total >= lowest:  # the rounded estimate cannot be lower either
+                continue
+            lowest = total
+            metric = from_scaled(total, shift)
         else:
             metric = 0.0 if best_index is None else math.inf  # first feasible wins
         if metric < best_metric:
             best_metric = metric
             best_index = list(index)
-            best_time = total_time
+            best_total = total
             best_units = total_cost
 
     algorithm = f"brute-force-{objective.value}"
     if best_index is None:
         return SearchResult(algorithm, None, None, None, combinations, combinations)
     return _found(
-        algorithm, dict(zip(functions, best_index)), best_time, best_units, rungs, cost_model,
-        combinations, combinations,
+        algorithm, dict(zip(functions, best_index)), from_scaled(best_total, shift), best_units,
+        rungs, cost_model, combinations, combinations,
     )

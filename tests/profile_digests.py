@@ -20,9 +20,12 @@ have no pytest:
 
 The simulator draws its jitter with the operations of CPython's
 ``random.Random.normalvariate``, so a change to that method in some CPython
-release shows up here as a mismatch, and so does a change to how the
-builtin ``sum`` adds floats, which the latency estimate uses (CPython 3.12
-made it compensated). Exits 1 if anything differs.
+release shows up here as a mismatch. The latency estimate composes exact
+integers and rounds once, so it does not depend on how an interpreter adds
+floats (CPython 3.12 made the builtin ``sum`` compensated), and every
+CPython from 3.10 on gives the pinned records;
+``test_interpreters.py`` runs this script under each one pyenv lists.
+Exits 1 if anything differs.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
+import math
 import random
 import struct
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +18,15 @@ from faastune import (
     generate_app,
 )
 from faastune.errors import MissingProfile, PartialConfiguration
-from faastune.estimate import GraphEvaluator
-from helpers import make_profile, messy_tree, random_monotone_profile, schedule_end_to_end
+from faastune.estimate import GraphEvaluator, from_scaled
+from helpers import (
+    exact_composition,
+    make_profile,
+    messy_tree,
+    random_monotone_profile,
+    rounded_once,
+    schedule_end_to_end,
+)
 
 
 def _two_function_profiles():
@@ -56,11 +65,9 @@ def test_random_trees_match_schedule_oracle(seed):
 
 
 def _recursive(node, times):
-    """Reference composition that the flat evaluator must match bit for bit."""
-    if isinstance(node, FunctionNode):
-        return times[node.name]
-    values = [_recursive(child, times) for child in node.children]
-    return sum(values) if isinstance(node, Sequence) else max(values)
+    """Reference composition that the flat evaluator must match bit for bit:
+    the exact sum/max composition, rounded once."""
+    return rounded_once(exact_composition(node, times))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -101,7 +108,8 @@ def _graphs(draw):
 
 
 #: A few durations, so parallel maxima tie and a time is often set to the
-#: value it already has; 0.1, 0.2 and 0.7 round differently by summation order.
+#: value it already has; float additions of 0.1, 0.2 and 0.7 round
+#: differently by summation order, and the exact sum once.
 _TIMES = st.sampled_from((0.0, -0.0, 0.1, 0.2, 0.7, 3.0))
 
 
@@ -129,11 +137,90 @@ def test_evaluator_early_stop_is_bit_identical(graph, data):
     assert error.value.function == next(f for f in functions if f in missing)
 
 
-def test_setting_a_zero_over_a_negative_zero_is_not_an_early_stop():
-    graph = CallGraph(Parallel((FunctionNode("f1"), FunctionNode("f2"))))
+def test_a_zero_of_either_sign_composes_to_positive_zero():
+    """Scaled to integers, -0.0 and 0.0 are both 0, so setting one over the
+    other changes nothing and every composition of zeros reads +0.0."""
+    for kind in (Sequence, Parallel):
+        evaluator = GraphEvaluator(CallGraph(kind((FunctionNode("f1"), FunctionNode("f2")))))
+        assert _bits(evaluator.evaluate({"f1": -0.0, "f2": -0.0})) == _bits(0.0)
+        assert _bits(evaluator.set("f1", 0.0)) == _bits(0.0)
+        assert _bits(evaluator.set("f2", -0.0)) == _bits(0.0)
+    single = GraphEvaluator(CallGraph(FunctionNode("f1")))
+    assert _bits(single.evaluate({"f1": -0.0})) == _bits(0.0)
+
+
+#: Durations at the edges of the float range: zeros of both signs, the
+#: smallest subnormal, a tiny normal and one of which two overflow a sum.
+_EDGE_TIMES = (0.0, -0.0, 5e-324, 1e-300, 1e308)
+
+
+@st.composite
+def _exact_cases(draw):
+    """A chain of up to 400 functions or a random tree, and durations drawn
+    from :data:`_EDGE_TIMES` and all finite non-negative floats."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 400))
+        graph = CallGraph(Sequence(tuple(FunctionNode(f"f{i}") for i in range(n))))
+    else:
+        graph = draw(_graphs())
+    seconds = st.one_of(st.sampled_from(_EDGE_TIMES),
+                        st.floats(min_value=0.0, allow_infinity=False))
+    return graph, seconds
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_exact_cases(), data=st.data())
+def test_every_estimate_is_the_exact_composition_rounded_once(case, data):
+    """``evaluate``, every ``set`` after it and ``estimate_time`` give the
+    exact sum/max composition, rounded once to the nearest float (inf past
+    the float range)."""
+    graph, seconds = case
+    functions = graph.functions()
+    times = {f: data.draw(seconds) for f in functions}
     evaluator = GraphEvaluator(graph)
-    assert _bits(evaluator.evaluate({"f1": -0.0, "f2": 0.0})) == _bits(-0.0)
-    assert _bits(evaluator.set("f1", 0.0)) == _bits(max(0.0, 0.0))
+    exact = rounded_once(exact_composition(graph.root, times))
+    assert _bits(evaluator.evaluate(times)) == _bits(exact)
+    for name, value in data.draw(st.lists(st.tuples(st.sampled_from(functions), seconds),
+                                          max_size=30)):
+        times[name] = value
+        exact = rounded_once(exact_composition(graph.root, times))
+        assert _bits(evaluator.set(name, value)) == _bits(exact)
+    profiles = {f: make_profile(f, {128: t}) for f, t in times.items()}
+    assert _bits(estimate_time(graph, dict.fromkeys(functions, 128), profiles)) == _bits(exact)
+    assert _bits(evaluator.evaluate(times)) == _bits(exact)
+
+
+def test_a_sum_past_the_float_range_is_inf_and_a_subnormal_sum_is_exact():
+    chain = CallGraph(Sequence((FunctionNode("f1"), FunctionNode("f2"), FunctionNode("f3"))))
+    assert combine_times(chain, {"f1": 1e308, "f2": 1e308, "f3": 5e-324}) == math.inf
+    evaluator = GraphEvaluator(chain)
+    assert evaluator.evaluate({"f1": 5e-324, "f2": 0.0, "f3": 0.0}) == 5e-324
+    assert evaluator.set("f2", 1e-300) == 1e-300
+    assert evaluator.set("f2", 5e-324) == 1e-323
+    assert evaluator.set("f1", 1e308) == 1e308
+    assert evaluator.set("f3", 1e308) == math.inf
+    assert evaluator.set("f3", 0.0) == 1e308
+
+
+@pytest.mark.parametrize("total,shift", [
+    (2**54 + 5, 1077),  # subnormal: rounding 53 bits first, then the scale, ends a step low
+    (2**1023, 0), (2**1024 - 2**970, 0), (2**1024 - 2**970 - 1, 0), (2**1100, 80),  # near the top
+    (3, 1076), (1, 1075), (0, 1126), (2**60 + 1, 59),
+], ids=["double-rounding", "2**1023", "rounds-to-inf", "rounds-to-max", "scaled-down",
+        "sub-subnormal", "half-subnormal", "zero", "ordinary"])
+def test_from_scaled_rounds_once(total, shift):
+    assert from_scaled(total, shift).hex() == rounded_once(Fraction(total, 2**shift)).hex()
+
+
+def test_a_duration_that_is_not_finite_raises_value_error():
+    graph = CallGraph(Sequence((FunctionNode("f1"), FunctionNode("f2"))))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="a duration must be finite"):
+            combine_times(graph, {"f1": 1.0, "f2": bad})
+        evaluator = GraphEvaluator(graph)
+        evaluator.evaluate({"f1": 1.0, "f2": 2.0})
+        with pytest.raises(ValueError, match="a duration must be finite"):
+            evaluator.set("f2", bad)
 
 
 def test_compositionality_of_sequence_and_parallel():

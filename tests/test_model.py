@@ -305,6 +305,29 @@ def test_every_way_of_building_a_profile_checks_its_representatives():
         FunctionProfile("f1", 95.0, {128: -1e-300, 256: 1e308, 512: 1e308})
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(alpha=150.0), "^alpha of 'f1' must be a number in \\[0, 100\\], got 150.0$"),
+    (dict(alpha=math.nan), "^alpha of 'f1' must be a number in \\[0, 100\\], got nan$"),
+    (dict(alpha=True), "^alpha of 'f1' must be a number in \\[0, 100\\], got True$"),
+    (dict(representatives={128: 1.0, 0: 1.0}), "^memory size of 'f1' must be a positive integer, got 0$"),
+    (dict(representatives={True: 1.0}), "^memory size of 'f1' must be a positive integer, got True$"),
+    (dict(representatives={128.0: 1.0}), "^memory size of 'f1' must be a positive integer, got 128.0$"),
+    (dict(representatives={128: True}), "^representative of 'f1' at 128 MB is True, not a number$"),
+    (dict(sample_counts={128: -3}),
+     "^sample count of 'f1' at 128 MB must be a non-negative integer, got -3$"),
+    (dict(sample_counts={128: True}),
+     "^sample count of 'f1' at 128 MB must be a non-negative integer, got True$"),
+    (dict(sample_counts={0: 3}), "^memory size of 'f1' must be a positive integer, got 0$"),
+], ids=["alpha-150", "alpha-nan", "alpha-bool", "zero-memory", "bool-memory", "float-memory",
+        "bool-representative", "negative-count", "bool-count", "count-at-zero-memory"])
+def test_a_profile_field_its_file_cannot_carry_raises(kwargs, message):
+    """A profile takes only what ``save_profiles`` can write and
+    ``load_profiles`` read back."""
+    fields = dict(function="f1", alpha=95.0, representatives={128: 1.0}) | kwargs
+    with pytest.raises(ValueError, match=message):
+        FunctionProfile(**fields)
+
+
 def test_default_profiles_share_one_empty_sample_counts():
     first, second = make_profile("f1", {128: 2.0}), make_profile("f2", {256: 1.0})
     assert first.sample_counts is second.sample_counts

@@ -331,31 +331,55 @@ _EDGE_SECONDS = (-0.0, 0.0, 5e-324, 1.7e308, math.nan, math.inf, -math.inf, -1.0
 @st.composite
 def _profile_fields(draw):
     """Keyword arguments of a few profiles, keyed by function name, with
-    representatives drawn from all floats."""
+    representatives drawn from all floats and bools, alphas from all floats,
+    ints and bools, memory sizes from ints, bools and floats, and a count
+    from ints and bools at every memory size."""
     fields = {}
     for name in draw(st.lists(st.sampled_from(["f1", "f 2", "f,3", 'f"4']), min_size=1,
                               unique=True)):
-        memories = draw(st.lists(st.integers(1, 2**40), min_size=1, max_size=4, unique=True))
-        seconds = st.one_of(st.floats(), st.sampled_from(_EDGE_SECONDS))
+        memory = st.one_of(st.integers(1, 2**40), st.integers(-3, 0), st.booleans(),
+                           st.sampled_from((128.0, 0.5)))
+        memories = draw(st.lists(memory, min_size=1, max_size=4, unique=True))
+        seconds = st.one_of(st.floats(), st.sampled_from(_EDGE_SECONDS), st.booleans())
         fields[name] = dict(
             function=name,
-            alpha=draw(st.floats(0, 100)),
+            alpha=draw(st.one_of(st.floats(0, 100), st.floats(), st.integers(-5, 200),
+                                 st.booleans())),
             representatives={m: draw(seconds) for m in memories},
-            sample_counts={m: draw(st.integers(0, 10**9)) for m in memories},
+            sample_counts={m: draw(st.one_of(st.integers(0, 10**9), st.integers(-3, -1),
+                                             st.booleans())) for m in memories},
         )
     return fields
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _loadable(kwargs) -> bool:
+    """Whether ``load_profiles`` would read back every row of these fields."""
+    alpha = kwargs["alpha"]
+    return (
+        isinstance(alpha, (int, float)) and not isinstance(alpha, bool) and 0 <= alpha <= 100
+        and all(_is_int(m) and m > 0 for m in kwargs["representatives"])
+        and all(not isinstance(value, bool) and 0 <= value < math.inf
+                for value in kwargs["representatives"].values())
+        and all(_is_int(n) and n >= 0 for n in kwargs["sample_counts"].values())
+    )
+
+
 @given(_profile_fields())
-@settings(max_examples=200, deadline=None,
+@settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_a_profile_either_fails_to_build_or_round_trips_through_csv(tmp_path, fields):
     """No profile holds a value its own file cannot carry: building one
-    raises ValueError exactly when a representative is NaN, infinite or
-    negative, and otherwise ``load_profiles`` gives back an equal table,
-    down to the sign of a zero."""
-    bad = any(not 0 <= value < math.inf
-              for kwargs in fields.values() for value in kwargs["representatives"].values())
+    raises ValueError exactly when a field breaks a rule ``load_profiles``
+    reads by (an alpha outside [0, 100], a memory size that is not a
+    positive integer, a representative that is a bool, NaN, infinite or
+    negative, a count that is not a non-negative integer), and otherwise
+    ``load_profiles`` gives back an equal table, down to the sign of a
+    zero."""
+    bad = not all(map(_loadable, fields.values()))
     try:
         profiles = {name: FunctionProfile(**kwargs) for name, kwargs in fields.items()}
     except ValueError:

@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
 import math
+import operator
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
@@ -14,6 +16,7 @@ from faastune import (
     FunctionNode,
     MemoryLadder,
     Objective,
+    Sequence,
     SloSpec,
     brute_force,
     configuration_cost,
@@ -28,6 +31,7 @@ from faastune.errors import MissingProfile, ProfileNotMonotone, SearchSpaceTooLa
 from faastune.model import DEFAULT_MEMORY_MB
 from helpers import (
     PINNED_RECORDS_SHA256,
+    exact_composition,
     heap_greedy_min_cost,
     heap_greedy_min_time,
     heap_greedy_slo,
@@ -36,6 +40,7 @@ from helpers import (
     random_instance,
     random_monotone_profile,
     reference_greedy,
+    rounded_once,
     schedule_end_to_end,
     walk_greedy_min_cost,
     walk_greedy_min_time,
@@ -185,6 +190,76 @@ def test_a_finite_table_whose_sum_overflows_is_searched():
         assert not greedy(graph, profiles, ladder, SloSpec(10.0)).found
 
 
+def test_a_table_from_the_smallest_subnormal_to_1e308_is_searched_exactly():
+    """A table spanning 5e-324 to 1e308 scales by 2**1126, past the float
+    range for 1e308, so its integers come from the exact fallback; every
+    greedy search still gives what the walk that sorts and walks its own
+    order gives, and each estimate is the exact composition rounded once.
+    Brute force bills every cell, and a cell bills a finite tick count only
+    below about 1.8e305 s, so it scans the table with 1e305 in place of
+    1e308, which needs the fallback too."""
+    graph = generate_app(4, shape="random", seed=2).graph
+    rungs = (128, 256, 512)
+    ladder = MemoryLadder(values=rungs, cap_mb=None)
+    rows = ((1e308, 1e300, 5e-324), (2.0, 1e-300, 0.0), (1e308, 1.0, 5e-324), (3.0, 3.0, 1e-323))
+    for top in (1e308, 1e305):
+        profiles = {f: make_profile(f, {m: top if s == 1e308 else s for m, s in zip(rungs, row)})
+                    for f, row in zip(graph.functions(), rows)}
+        table = search._representatives(graph.functions(), profiles, rungs)
+        _, _, _, shift, scaled = search._bump_order(table)
+        assert shift == 1126 and scaled[graph.functions()[0]][0] == Fraction(top) * 2**1126
+        for slo in (SloSpec(1e-300), SloSpec(2.5), SloSpec(1e300)):
+            if top == 1e308:
+                for run, reference in WALK_REFERENCES:
+                    result = run(graph, profiles, ladder, slo)
+                    assert result.to_record() == reference(graph, profiles, ladder, slo).to_record()
+                    assert result.found
+                    times = {f: profiles[f].representative(m) for f, m in result.config.items()}
+                    assert result.estimated_time_s == rounded_once(
+                        exact_composition(graph.root, times))
+                continue
+            for objective in Objective:
+                result = brute_force(graph, profiles, ladder, slo, objective)
+                assert result.found
+                assert result.estimated_time_s == estimate_time(graph, result.config, profiles)
+
+
+#: Representatives at the edges of the float range (see test_estimate).
+_EDGE_SECONDS = (0.0, -0.0, 5e-324, 1e-300, 1e308)
+
+
+@st.composite
+def _edge_tables(draw):
+    """A chain of up to 400 functions or a random graph of up to 12, on a
+    ladder of 1-4 rungs, with non-increasing rows drawn from
+    :data:`_EDGE_SECONDS` and all finite non-negative floats."""
+    if draw(st.booleans()):
+        graph = _chain(draw(st.integers(2, 400)))
+    else:
+        graph = generate_app(n_functions=draw(st.integers(1, 12)), shape="random",
+                             seed=draw(st.integers(0, 2**31 - 1))).graph
+    per_row = draw(st.integers(1, 4))
+    value = st.one_of(st.sampled_from(_EDGE_SECONDS), st.floats(min_value=0.0, allow_infinity=False))
+    row = st.lists(value, min_size=per_row, max_size=per_row)
+    seconds = {f: tuple(sorted(draw(row), reverse=True)) for f in graph.functions()}
+    return graph, seconds
+
+
+@settings(max_examples=60, deadline=None)
+@given(_edge_tables())
+def test_a_trajectorys_records_equal_fresh_evaluations(table):
+    """Every record of a walk equals a fresh exact evaluation, rounded once,
+    of the configuration it was reached at, and the records fall strictly."""
+    graph, seconds = table
+    trajectory = search._Trajectory(graph, seconds)
+    per_row = len(next(iter(seconds.values())))
+    assert all(map(operator.gt, trajectory.estimates, trajectory.estimates[1:]))
+    for estimate, taken in zip(trajectory.estimates, trajectory.taken):
+        rung = search._rungs_after(trajectory, taken, per_row)
+        times = {name: seconds[name][index] for name, index in rung.items()}
+        assert estimate.hex() == rounded_once(exact_composition(graph.root, times)).hex()
+
+
 def test_heap_always_pops_the_current_maximum():
     rng = random.Random(2)
     for _ in range(60):
@@ -266,14 +341,14 @@ def test_tie_property_catches_ties_broken_on_rung_first(monkeypatch):
     name_first = search._bump_order
 
     def rung_first(seconds):
-        order, names, up = name_first(seconds)
+        order, names, *scaled = name_first(seconds)
         per_row = len(next(iter(seconds.values())))
 
         def key(cell):  # cells are numbered by name, then rung
             return -seconds[names[cell]][cell % per_row], cell % per_row, cell
 
         order.sort(key=key)
-        return order, names, up
+        return order, names, *scaled
 
     monkeypatch.setattr(search, "_bump_order", rung_first)
     monkeypatch.setattr(search, "_last", None)  # no trajectory walked in the old order
@@ -407,19 +482,27 @@ def test_memo_prices_each_cost_model_apart():
     assert len(costs) > 3
 
 
-def test_memo_keeps_the_sign_of_a_zero():
-    """0.0 == -0.0, so a memo keyed on equal cells would serve the first
-    table's +0.0 estimate for the second; keyed on the float objects, it
-    gives -0.0 as a fresh walk does."""
-    graph = CallGraph(FunctionNode("f1"))
+def test_a_memo_hit_returns_what_a_fresh_walk_returns():
+    """A repeat search on the same graph and profile objects reads the memo
+    slot, and returns what the same search returns from a cleared memo and
+    what the walk that sorts and walks its own order returns. The tables
+    hold zeros of both signs; an exact composition has no signed zero, so
+    every estimate of zero reads +0.0."""
+    graph = CallGraph(Sequence((FunctionNode("f1"), FunctionNode("f2"))))
     ladder = MemoryLadder(values=(128, 256), cap_mb=None)
     slo = SloSpec(2.0)
     for zero in (0.0, -0.0):
-        profiles = {"f1": make_profile("f1", {128: 1.0, 256: zero})}
-        result = greedy_min_time(graph, profiles, ladder, slo)
-        assert result.estimated_time_s == 0.0
-        assert math.copysign(1.0, result.estimated_time_s) == math.copysign(1.0, zero)
-        assert result.to_record() == walk_greedy_min_time(graph, profiles, ladder, slo).to_record()
+        profiles = {"f1": make_profile("f1", {128: 1.0, 256: zero}),
+                    "f2": make_profile("f2", {128: zero, 256: -zero})}
+        for run, reference in WALK_REFERENCES:
+            search._last = None
+            fresh = run(graph, profiles, ladder, slo)
+            slot = search._last
+            hit = run(graph, profiles, ladder, slo)
+            assert search._last is slot
+            assert hit.to_record() == fresh.to_record() == reference(
+                graph, profiles, ladder, slo).to_record()
+        assert greedy_min_time(graph, profiles, ladder, slo).estimated_time_s.hex() == "0x0.0p+0"
 
 
 @given(tied_instances())
@@ -447,23 +530,23 @@ def test_min_time_on_random_instances_is_the_all_max_estimate():
 def test_searches_after_the_first_on_an_instance_walk_nothing(monkeypatch):
     """Once ``greedy_slo`` has walked an instance, ``greedy_min_time`` and
     ``greedy_slo`` at another SLO estimate nothing, and min-cost estimates
-    only its second phase: its feasible point once, then one ``set`` per
-    trial and at most one more to undo it. None of them builds the table of
+    only its second phase: its feasible point once, then one ``set_scaled``
+    per trial and at most one more to undo it. None of them builds the table of
     representatives again, and min-cost starts from ``greedy_slo``'s priced
     point: past its own first point, each search prices only min-cost's
     trials."""
     calls = {"evaluate": 0, "set": 0}
     built = {"tables": 0, "units": 0}
-    evaluate, set_seconds = search.GraphEvaluator.evaluate, search.GraphEvaluator.set
+    evaluate, set_scaled = search.GraphEvaluator.evaluate_scaled, search.GraphEvaluator.set_scaled
     representatives, cost_units = search._representatives, CostModel.cost_units
 
-    def counting_evaluate(self, times):
+    def counting_evaluate(self, scaled):
         calls["evaluate"] += 1
-        return evaluate(self, times)
+        return evaluate(self, scaled)
 
-    def counting_set(self, function, seconds):
+    def counting_set(self, function, value):
         calls["set"] += 1
-        return set_seconds(self, function, seconds)
+        return set_scaled(self, function, value)
 
     def counting_representatives(*args):
         built["tables"] += 1
@@ -473,8 +556,8 @@ def test_searches_after_the_first_on_an_instance_walk_nothing(monkeypatch):
         built["units"] += 1
         return cost_units(self, duration_s, memory_mb)
 
-    monkeypatch.setattr(search.GraphEvaluator, "evaluate", counting_evaluate)
-    monkeypatch.setattr(search.GraphEvaluator, "set", counting_set)
+    monkeypatch.setattr(search.GraphEvaluator, "evaluate_scaled", counting_evaluate)
+    monkeypatch.setattr(search.GraphEvaluator, "set_scaled", counting_set)
     monkeypatch.setattr(search, "_representatives", counting_representatives)
     monkeypatch.setattr(CostModel, "cost_units", counting_cost_units)
     graph = generate_app(n_functions=40, shape="random", seed=3).graph
@@ -727,13 +810,13 @@ def test_brute_force_takes_its_objective_by_value(objective):
 
 def test_brute_force_rejects_an_unknown_objective_before_scanning(monkeypatch):
     calls = {"set": 0}
-    set_seconds = search.GraphEvaluator.set
+    set_scaled = search.GraphEvaluator.set_scaled
 
-    def counting_set(self, function, seconds):
+    def counting_set(self, function, value):
         calls["set"] += 1
-        return set_seconds(self, function, seconds)
+        return set_scaled(self, function, value)
 
-    monkeypatch.setattr(search.GraphEvaluator, "set", counting_set)
+    monkeypatch.setattr(search.GraphEvaluator, "set_scaled", counting_set)
     with pytest.raises(ValueError, match="'bogus' is not a valid Objective"):
         brute_force(*_demo3_instance(), "bogus")
     assert calls["set"] == 0
