@@ -95,13 +95,11 @@ class GraphEvaluator:
     so on a wide sequence it costs the function's depth, not the width.
     Integer sums do not depend on order, so a value reached through any
     series of ``set_scaled`` calls equals a full ``evaluate_scaled`` of the
-    same values.
+    same values. ``max_plus`` reads, from one walk of a function's path,
+    the root's value as a function of that one function's value.
 
-    ``evaluate`` and ``set`` do the same for durations in seconds: they
-    scale the durations, with a shift ``evaluate`` picks and ``set`` widens
-    when a new duration needs it, and round the root's exact value once.
-    The pairs do not mix: ``set`` continues an ``evaluate``, and
-    ``set_scaled`` an ``evaluate_scaled``.
+    ``evaluate`` composes durations in seconds: it scales them by the shift
+    they need and rounds the root's exact value once.
     """
 
     def __init__(self, graph: CallGraph):
@@ -115,7 +113,6 @@ class GraphEvaluator:
         # parent's child values, the group's slot there) step per group up
         # to the root
         self._paths: dict[str, tuple[tuple[list[int], int, bool, list[int], int], ...]] = {}
-        self._shift = 0  # the scale of ``evaluate`` and ``set``
         pending: list[tuple[GraphNode, list[int], int, tuple]] = [
             (graph.root, self._top, 0, ())
         ]
@@ -174,6 +171,28 @@ class GraphEvaluator:
         top[0] = value
         return value
 
+    def max_plus(self, function: str) -> tuple[int, int | None]:
+        """``(a, b)`` such that, after :meth:`evaluate_scaled` and with every
+        other function's value held, the root's exact value is
+        ``max(x + a, b)`` for any value ``x`` of ``function``, or ``x + a``
+        when ``b`` is None (no parallel group on the path). A sequence on
+        the path adds its other children's sum to both, and a parallel group
+        raises ``b`` to its other children's maximum."""
+        a, b = 0, None
+        for values, slot, sequence, up, at in self._paths[function]:
+            if sequence:
+                others = up[at] - values[slot]
+                a += others
+                if b is not None:
+                    b += others
+                continue
+            others = up[at]
+            if values[slot] == others:  # the maximum may be this child alone
+                others = max(values[:slot] + values[slot + 1:])
+            if b is None or others > b:
+                b = others
+        return a, b
+
     def evaluate(self, times: Mapping[str, float]) -> float:
         """Compose per-function durations (seconds) into the root's
         duration, rounded once.
@@ -186,22 +205,10 @@ class GraphEvaluator:
             seconds = [times[name] for name, _, _ in self._leaves]
         except KeyError as missing:
             raise PartialConfiguration(missing.args[0]) from None
-        shift = self._shift = time_shift(seconds)
+        shift = time_shift(seconds)
         for (_, values, slot), value in zip(self._leaves, to_scaled(seconds, shift)):
             values[slot] = value
         return from_scaled(self._compose(), shift)
-
-    def set(self, function: str, seconds: float) -> float:
-        """Change one function's duration after :meth:`evaluate`; returns
-        the new root duration, rounded once."""
-        shift = self._shift
-        needed = time_shift((seconds,))
-        if needed > shift:  # ``seconds`` has bits below the scale: widen it
-            for values, _, _, _ in self._groups:
-                values[:] = [value << (needed - shift) for value in values]
-            self._top[0] <<= needed - shift
-            shift = self._shift = needed
-        return from_scaled(self.set_scaled(function, to_scaled((seconds,), shift)[0]), shift)
 
 
 def combine_times(graph: CallGraph, times: Mapping[str, float]) -> float:

@@ -207,13 +207,16 @@ class FunctionProfile:
     of those percentiles), and ``sample_counts[m]`` is how many durations
     were observed there. The samples themselves are not kept. Both mappings
     are read-only copies of the ones passed in, so a profile never changes
-    once built; without counts, ``sample_counts`` is one shared empty
+    once built; without counts, or when every count is zero (as a table
+    saved without counts reads back), ``sample_counts`` is one shared empty
     mapping. Raises ValueError, by the rules :func:`~faastune.profiles.load_profiles`
-    reads a saved table with, so every profile that builds loads back: for
-    an ``alpha`` that is not an int or float in [0, 100], for the first
-    memory size that is not a positive integer, for the first representative
-    that is a bool, NaN, infinite or negative, and for the first sample count
-    that is not a non-negative integer. Bools are not integers here.
+    reads a saved table with, so every profile that builds loads back as an
+    equal profile: for an ``alpha`` that is not an int or float in [0, 100],
+    for the first memory size that is not a positive integer, for counts
+    keyed at other memory sizes than the representatives, for the first
+    representative that is a bool, NaN, infinite or negative, and for the
+    first sample count that is not a non-negative integer. Bools are not
+    integers here.
     """
 
     function: str
@@ -249,6 +252,8 @@ class FunctionProfile:
             counts = dict(counts)
             if counts.keys() != representatives.keys():
                 _check_memories(function, counts)
+                raise ValueError(f"sample counts of {function!r} are at {sorted(counts)} MB, "
+                                 f"its representatives at {sorted(representatives)} MB")
             values = counts.values()
             if not (set(map(type, values)) == _INTS and min(values) >= 0):
                 for memory_mb, count in counts.items():
@@ -256,7 +261,7 @@ class FunctionProfile:
                         raise ValueError(f"sample count of {function!r} at {memory_mb} MB must be "
                                          f"a non-negative integer, got {count!r}")
         object.__setattr__(self, "sample_counts",
-                           MappingProxyType(counts) if counts else _NO_COUNTS)
+                           MappingProxyType(counts) if any(counts.values()) else _NO_COUNTS)
 
     def __reduce__(self):  # a mapping proxy does not pickle; the dicts it shows do
         return FunctionProfile, (self.function, self.alpha, dict(self.representatives),

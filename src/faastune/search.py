@@ -7,28 +7,37 @@ rung up. Representatives never increase with memory, so that order is the
 list of all (function, rung) cells sorted by descending representative,
 then name, then rung. It depends on neither the SLO nor the objective, so
 an instance's trajectory is walked once, to its end, and kept as its
-records (the estimates lower than every earlier one); the last instance
-walked stays in a one-slot memo keyed on the graph object, the rungs and
-each function's profile object (profiles are read-only values), so the
-three greedy searches and a sweep of SLOs over the same graph and profile
-objects share one walk and one table of representatives, and each point a
-search stops at is priced once. Even a lone ``greedy_slo`` walks the whole
-order. ``greedy_slo`` takes the first record within the SLO, which is
-where a walk stopping there would stop, and ``greedy_min_time`` the last
-one, the tightest SLO the greedy can satisfy. ``greedy_min_cost`` starts
-where ``greedy_slo`` stops, then walks on with its own evaluator, trading
-memory for time only while the relative cost increase does not exceed the
-relative time gain. All three raise
-``ProfileNotMonotone`` on a profile that gets slower with more memory.
-``brute_force`` takes any table, scans every combination and is the
-optimality oracle for small instances. All of them evaluate the graph
-with :class:`~faastune.estimate.GraphEvaluator` on the table scaled to
-exact integers by one shift, and round an estimate only when its exact
-value falls, since rounding never reverses an order; records, the SLO
-test, min-cost's ratio test and brute force's objective compare the
-rounded value, so a result's ``estimated_time_s`` is the value that was
-tested, and :func:`~faastune.estimate.estimate_time` of its configuration
-gives it bit for bit.
+records (the estimates lower than every earlier one). ``greedy_slo`` takes
+the first record within the SLO, which is where a walk stopping there
+would stop, and ``greedy_min_time`` the last one, the tightest SLO the
+greedy can satisfy. ``greedy_min_cost`` starts where ``greedy_slo`` stops,
+then walks on with its own evaluator, trading memory for time only while
+the relative cost increase does not exceed the relative time gain. All
+three raise ``ProfileNotMonotone`` on a profile that gets slower with more
+memory. ``brute_force`` takes any table, scans every combination and is
+the optimality oracle for small instances; one scan answers all three
+objectives for an SLO and a cost model, and it never walks the greedy
+trajectory.
+
+A one-slot memo keeps the last instance searched, keyed on the graph
+object, the rungs and each function's profile object (profiles are
+read-only values): its trajectory, once a greedy search has walked it,
+and brute force's answers per SLO and cost model. So the three greedy
+searches and a sweep of SLOs over the same graph and profile objects
+share one walk and one table of representatives, each point a search
+stops at is priced once, a lone ``greedy_slo`` walks the whole order, and
+a second brute-force objective on the same instance, SLO and cost model
+is a lookup. The slot keeps only records and answers: no evaluator stays
+reachable once a search returns.
+
+Every search evaluates the graph with
+:class:`~faastune.estimate.GraphEvaluator` on the table scaled to exact
+integers by one shift, and rounds an estimate only when its exact value
+falls, since rounding never reverses an order; records, the SLO test,
+min-cost's ratio test and brute force's objectives compare the rounded
+value, so a result's ``estimated_time_s`` is the value that was tested,
+and :func:`~faastune.estimate.estimate_time` of its configuration gives
+it bit for bit.
 """
 
 from __future__ import annotations
@@ -236,11 +245,36 @@ class _Trajectory:
         return cells, cells - len(self.seconds) + 1, estimates[-1], taken[-1]
 
 
-#: The last instance a greedy search walked, as (graph, rungs, each
-#: function's profile object in execution order, trajectory). Replaced
-#: whole, never changed in place, so concurrent searches read a consistent
-#: slot.
-_last: tuple[CallGraph, tuple[int, ...], tuple[FunctionProfile, ...], _Trajectory] | None = None
+#: The last instance searched, as (graph, rungs, each function's profile
+#: object in execution order, its greedy trajectory or None, brute force's
+#: answers per (slo_seconds, cost model)). A new instance, or the first
+#: trajectory of one, replaces the slot whole; only the answers dict grows
+#: in place, one complete entry at a time, so concurrent searches read a
+#: consistent slot.
+_last: tuple[
+    CallGraph, tuple[int, ...], tuple[FunctionProfile, ...], _Trajectory | None, dict
+] | None = None
+
+
+def _slot(
+    graph: CallGraph,
+    profiles: Mapping[str, FunctionProfile],
+    rungs: tuple[int, ...],
+) -> tuple | None:
+    """The memo slot if it holds this instance: the same graph object, equal
+    rungs and the same profile object for every function, else None.
+
+    A profile never changes once built, and the slot keeps the old profiles
+    alive, so the same objects hold the same floats."""
+    last = _last
+    if (
+        last is not None
+        and last[0] is graph
+        and last[1] == rungs
+        and all(map(operator.is_, map(profiles.get, graph.functions()), last[2]))
+    ):
+        return last
+    return None
 
 
 def _trajectory(
@@ -248,26 +282,17 @@ def _trajectory(
     profiles: Mapping[str, FunctionProfile],
     rungs: tuple[int, ...],
 ) -> _Trajectory:
-    """The greedy trajectory of this instance, walked anew unless the last
-    one walked is of the same graph object, equal rungs and the same profile
-    object for every function.
-
-    A profile never changes once built, and the slot keeps the old profiles
-    alive, so the same objects hold the same floats. The tables of
-    representatives are built only on a miss.
-    """
+    """The greedy trajectory of this instance, walked anew unless the memo
+    slot holds one of it. The table of representatives is built only when
+    the walk is."""
     global _last
+    slot = _slot(graph, profiles, rungs)
+    if slot is not None and slot[3] is not None:
+        return slot[3]
     functions = graph.functions()
-    last = _last
-    if (
-        last is not None
-        and last[0] is graph
-        and last[1] == rungs
-        and all(map(operator.is_, map(profiles.get, functions), last[2]))
-    ):
-        return last[3]
     trajectory = _Trajectory(graph, _representatives(functions, profiles, rungs))
-    _last = (graph, rungs, tuple(map(profiles.get, functions)), trajectory)
+    _last = (graph, rungs, tuple(map(profiles.get, functions)), trajectory,
+             {} if slot is None else slot[4])
     return trajectory
 
 
@@ -480,6 +505,108 @@ def greedy_min_time(
     return _greedy("greedy-min-time", -math.inf, graph, profiles, ladder, slo, cost_model)
 
 
+def _scan(
+    graph: CallGraph,
+    seconds: dict[str, tuple[float, ...]],
+    rungs: tuple[int, ...],
+    slo_seconds: float,
+    cost_model: CostModel,
+) -> dict[Objective, tuple[dict[str, int], float, int] | None]:
+    """Brute force's answer for every objective from one scan of the M^N
+    configurations of ``seconds``, whose rows are in function-name order:
+    the first configuration that meets the SLO, the cheapest (the earlier
+    on a tie) and the fastest by rounded estimate (an exact total that
+    rounds to the same value does not replace the earlier one), each as its
+    rung positions, its estimate and its cost units, or None when no
+    configuration meets the SLO.
+
+    The scan turns the configuration like an odometer, the last function
+    fastest. The first N-1 functions move through
+    :meth:`~faastune.estimate.GraphEvaluator.set_scaled`; the last one
+    stays at its lowest rung in the evaluator, and after each turn of the
+    others :meth:`~faastune.estimate.GraphEvaluator.max_plus` prices all of
+    its rungs, one add and one max each. A turn is skipped whole when its
+    lowest estimate is known to miss the SLO, or when, with a feasible
+    configuration found, none of its rungs could be cheaper or faster than
+    the answers so far.
+    """
+    functions = tuple(seconds)
+    shift = time_shift(chain.from_iterable(seconds.values()))
+    rows = [to_scaled(seconds[name], shift) for name in functions]
+    cost_units = cost_model.cost_units
+    units = [list(map(cost_units, seconds[name], rungs)) for name in functions]
+    evaluator = GraphEvaluator(graph)
+    evaluator.evaluate_scaled({name: row[0] for name, row in zip(functions, rows)})
+    set_scaled, max_plus = evaluator.set_scaled, evaluator.max_plus
+    *turned, last = functions
+    last_cells = list(zip(range(len(rungs)), rows[-1], units[-1]))
+    least, least_units = min(rows[-1]), min(units[-1])
+    index = [0] * len(turned)
+    turned_cost = sum(row[0] for row in units[:-1])
+    # Rounding never reverses an order, so the exact estimates that meet the
+    # SLO once rounded are those up to some threshold: ``fits`` is the
+    # largest known to, ``misses`` the smallest known not to, and only an
+    # estimate between them is rounded for the test. For min-time, only one
+    # below every feasible one so far (``lowest``) is rounded.
+    fits, misses, lowest = -1, math.inf, math.inf
+    first = cheapest = fastest = None
+    best_cost = best_time = math.inf
+    top = len(rungs) - 1
+    for step in range(len(rungs) ** len(turned)):
+        if step:
+            position = len(turned) - 1
+            while index[position] == top:  # roll over to the lowest rung
+                index[position] = 0
+                turned_cost += units[position][0] - units[position][top]
+                set_scaled(turned[position], rows[position][0])
+                position -= 1
+            rung = index[position] + 1
+            index[position] = rung
+            turned_cost += units[position][rung] - units[position][rung - 1]
+            set_scaled(turned[position], rows[position][rung])
+        a, b = max_plus(last)
+        if b is None:
+            b = -1  # below every total: scaled durations are non-negative
+        low = least + a
+        if low < b:
+            low = b
+        if low >= misses or (
+            first is not None and low >= lowest and turned_cost + least_units >= best_cost
+        ):
+            continue  # every rung misses the SLO, or none beats an answer
+        for rung, value, cell_units in last_cells:
+            total = value + a
+            if total < b:
+                total = b
+            if total > fits:
+                if total >= misses:
+                    continue
+                if from_scaled(total, shift) > slo_seconds:
+                    misses = total
+                    continue
+                fits = total
+            cost = turned_cost + cell_units
+            if first is None:
+                first = ((*index, rung), total, cost)
+            if cost < best_cost:
+                best_cost = cost
+                cheapest = ((*index, rung), total, cost)
+            if total < lowest:
+                lowest = total
+                estimate = from_scaled(total, shift)
+                if estimate < best_time:
+                    best_time = estimate
+                    fastest = ((*index, rung), total, cost)
+    answers = {}
+    for objective, answer in ((Objective.FEASIBLE, first), (Objective.MIN_COST, cheapest),
+                              (Objective.MIN_TIME, fastest)):
+        if answer is not None:
+            positions, total, cost = answer
+            answer = (dict(zip(functions, positions)), from_scaled(total, shift), cost)
+        answers[objective] = answer
+    return answers
+
+
 def brute_force(
     graph: CallGraph,
     profiles: Mapping[str, FunctionProfile],
@@ -493,84 +620,35 @@ def brute_force(
     Functions are ordered by name and the ladder ascends, and the scan
     turns the configuration like an odometer (the last function fastest),
     re-evaluating only the functions whose rung changed. Ties therefore
-    resolve to the lexicographically smallest memory vector. Always scans
-    the full space (the evaluation count is exactly M^N); raises
-    :class:`SearchSpaceTooLarge` before scanning when M^N exceeds
-    :data:`BRUTE_FORCE_LIMIT`. ``objective`` may be given by value, and an
-    unknown one raises ValueError before anything is scanned.
+    resolve to the lexicographically smallest memory vector. One scan per
+    instance, SLO and cost model answers every objective, and the memo
+    slot keeps the answers, so asking for another objective scans nothing;
+    every call still counts the full space (iterations and evaluations are
+    exactly M^N). Raises :class:`MissingProfile`, then
+    :class:`SearchSpaceTooLarge` when M^N exceeds
+    :data:`BRUTE_FORCE_LIMIT`, before scanning. ``objective`` may be given
+    by value, and an unknown one raises ValueError before anything else.
     """
+    global _last
     objective = Objective(objective)
-    functions = tuple(sorted(graph.functions()))
     rungs = ladder.effective()
-    seconds = _representatives(functions, profiles, rungs)
-
-    combinations = len(rungs) ** len(functions)
-    if combinations > BRUTE_FORCE_LIMIT:
-        raise SearchSpaceTooLarge(combinations, BRUTE_FORCE_LIMIT)
-
-    shift = time_shift(chain.from_iterable(seconds.values()))
-    rows = [to_scaled(seconds[name], shift) for name in functions]
-    cost_units = cost_model.cost_units
-    units = [list(map(cost_units, seconds[name], rungs)) for name in functions]
-    index = [0] * len(functions)
-    evaluator = GraphEvaluator(graph)
-    set_scaled = evaluator.set_scaled
-    total = evaluator.evaluate_scaled({name: row[0] for name, row in zip(functions, rows)})
-    total_cost = sum(row[0] for row in units)
-    by_cost = objective is Objective.MIN_COST
-    by_time = objective is Objective.MIN_TIME
-    slo_seconds = slo.slo_seconds
-    # Rounding never reverses an order, so the exact estimates that meet the
-    # SLO once rounded are those up to some threshold: ``fits`` is the
-    # largest known to, ``misses`` the smallest known not to, and only an
-    # estimate between them is rounded for the test. For min-time, only one
-    # below every feasible one so far (``lowest``) is rounded.
-    fits, misses, lowest = -1, math.inf, math.inf
-
-    best_index: list[int] | None = None
-    best_total = 0
-    best_units = 0
-    best_metric = math.inf
-    top = len(rungs) - 1
-    last = len(functions) - 1
-    for step in range(combinations):
-        if step:
-            position = last
-            while index[position] == top:  # roll over to the lowest rung
-                index[position] = 0
-                total_cost += units[position][0] - units[position][top]
-                total = set_scaled(functions[position], rows[position][0])
-                position -= 1
-            rung = index[position] + 1
-            index[position] = rung
-            total_cost += units[position][rung] - units[position][rung - 1]
-            total = set_scaled(functions[position], rows[position][rung])
-        if total > fits:
-            if total >= misses:
-                continue
-            if from_scaled(total, shift) > slo_seconds:
-                misses = total
-                continue
-            fits = total
-        if by_cost:
-            metric = total_cost
-        elif by_time:
-            if total >= lowest:  # the rounded estimate cannot be lower either
-                continue
-            lowest = total
-            metric = from_scaled(total, shift)
+    combinations = len(rungs) ** len(graph.functions())
+    key = (slo.slo_seconds, cost_model)
+    slot = _slot(graph, profiles, rungs)
+    answers = None if slot is None else slot[4].get(key)
+    if answers is None:
+        seconds = _representatives(tuple(sorted(graph.functions())), profiles, rungs)
+        if combinations > BRUTE_FORCE_LIMIT:
+            raise SearchSpaceTooLarge(combinations, BRUTE_FORCE_LIMIT)
+        answers = _scan(graph, seconds, rungs, slo.slo_seconds, cost_model)
+        if slot is None:
+            profile_objects = tuple(map(profiles.get, graph.functions()))
+            _last = (graph, rungs, profile_objects, None, {key: answers})
         else:
-            metric = 0.0 if best_index is None else math.inf  # first feasible wins
-        if metric < best_metric:
-            best_metric = metric
-            best_index = list(index)
-            best_total = total
-            best_units = total_cost
-
+            slot[4][key] = answers
     algorithm = f"brute-force-{objective.value}"
-    if best_index is None:
+    answer = answers[objective]
+    if answer is None:
         return SearchResult(algorithm, None, None, None, combinations, combinations)
-    return _found(
-        algorithm, dict(zip(functions, best_index)), from_scaled(best_total, shift), best_units,
-        rungs, cost_model, combinations, combinations,
-    )
+    rung, estimate, units = answer
+    return _found(algorithm, rung, estimate, units, rungs, cost_model, combinations, combinations)

@@ -45,11 +45,18 @@ from faastune.errors import (
     OrphanSegment,
     ParseError,
     ProfileNotMonotone,
+    SearchSpaceTooLarge,
     UnreachableSegment,
 )
-from faastune.estimate import GraphEvaluator
+from faastune.estimate import GraphEvaluator, from_scaled, time_shift, to_scaled
 from faastune.model import DEFAULT_MEMORY_MB, Samples
-from faastune.search import SearchResult, _found, _representatives, _units
+from faastune.search import (
+    BRUTE_FORCE_LIMIT,
+    SearchResult,
+    _found,
+    _representatives,
+    _units,
+)
 from faastune.profiles import DEFAULT_ALPHA_CANDIDATES, HOLDOUT_FRACTION
 from faastune.traces import TraceSegment
 
@@ -578,9 +585,28 @@ def reference_select_alpha(
     return best_alpha
 
 
+class FreshEvaluator:
+    """The reference walks' evaluator: every change composes the whole graph
+    anew from durations in seconds (:meth:`GraphEvaluator.evaluate`), so no
+    reference shares the package's incremental update."""
+
+    def __init__(self, graph: CallGraph):
+        self._evaluator = GraphEvaluator(graph)
+        self._times: dict[str, float] = {}
+
+    def evaluate(self, times: Mapping[str, float]) -> float:
+        self._times = dict(times)
+        return self._evaluator.evaluate(self._times)
+
+    def set(self, function: str, seconds: float) -> float:
+        self._times[function] = seconds
+        return self._evaluator.evaluate(self._times)
+
+
 # --- the heap engine the greedy searches walked before the sorted order ----------
-# A verbatim copy of the max-heap trajectory and the three greedy searches
-# built on it, kept as references: every search's record must equal theirs.
+# A copy of the max-heap trajectory and the three greedy searches built on
+# it, kept as references: every search's record must equal theirs. Only the
+# evaluator differs: it composes the whole graph on every change.
 
 
 def _heap_representatives(
@@ -626,7 +652,7 @@ class HeapTrajectory:
         for name, reps in self.seconds.items():
             if any(map(operator.gt, reps[1:], reps)):
                 raise ProfileNotMonotone(name)
-        self._evaluator = GraphEvaluator(graph)
+        self._evaluator = FreshEvaluator(graph)
         self._set = self._evaluator.set
         self.rung = dict.fromkeys(self.seconds, 0)
         self.iterations = 0
@@ -820,11 +846,12 @@ def heap_greedy_min_time(
 
 
 # --- the sorted-order engine each greedy search walked before trajectories ------
-# A verbatim copy of the bump order and its walk, with the three greedy
-# searches built on them, kept as references: every trajectory-backed
-# search's record must equal theirs. Each call sorts and walks its own order;
-# nothing is shared between calls. ``_representatives``, ``_units`` and
-# ``_found`` are the module's own, unchanged.
+# A copy of the bump order and its walk, with the three greedy searches
+# built on them, kept as references: every trajectory-backed search's record
+# must equal theirs. Each call sorts and walks its own order; nothing is
+# shared between calls. ``_representatives``, ``_units`` and ``_found`` are
+# the module's own, unchanged; the evaluator composes the whole graph on
+# every change.
 
 
 class BumpOrder:
@@ -872,7 +899,7 @@ class BumpOrder:
         self.order = sorted(range(len(flat)), key=flat.__getitem__, reverse=True)
         self.names = list(chain.from_iterable(map(repeat, by_name, repeat(per_row))))
         self.up = up
-        self.evaluator = GraphEvaluator(graph)
+        self.evaluator = FreshEvaluator(graph)
         self.estimate = self.evaluator.evaluate({name: row[0] for name, row in seconds.items()})
 
 
@@ -1058,3 +1085,90 @@ def walk_greedy_min_time(
     ``iterations`` counts the cells.
     """
     return _walk_greedy("greedy-min-time", -math.inf, graph, profiles, ladder, slo, cost_model)
+
+
+# --- the single-objective brute force the one-scan oracle replaced ----------------
+
+
+def reference_brute_force(
+    graph: CallGraph,
+    profiles: Mapping[str, FunctionProfile],
+    ladder: MemoryLadder,
+    slo: SloSpec,
+    objective: Objective = Objective.FEASIBLE,
+    cost_model: CostModel = CostModel(),
+) -> SearchResult:
+    """Exhaustively scan all M^N configurations for one objective, every
+    configuration through :meth:`GraphEvaluator.set_scaled`: the loop
+    ``brute_force`` ran before one scan answered every objective, kept as
+    the reference its records must equal."""
+    objective = Objective(objective)
+    functions = tuple(sorted(graph.functions()))
+    rungs = ladder.effective()
+    seconds = _representatives(functions, profiles, rungs)
+
+    combinations = len(rungs) ** len(functions)
+    if combinations > BRUTE_FORCE_LIMIT:
+        raise SearchSpaceTooLarge(combinations, BRUTE_FORCE_LIMIT)
+
+    shift = time_shift(chain.from_iterable(seconds.values()))
+    rows = [to_scaled(seconds[name], shift) for name in functions]
+    cost_units = cost_model.cost_units
+    units = [list(map(cost_units, seconds[name], rungs)) for name in functions]
+    index = [0] * len(functions)
+    evaluator = GraphEvaluator(graph)
+    set_scaled = evaluator.set_scaled
+    total = evaluator.evaluate_scaled({name: row[0] for name, row in zip(functions, rows)})
+    total_cost = sum(row[0] for row in units)
+    by_cost = objective is Objective.MIN_COST
+    by_time = objective is Objective.MIN_TIME
+    slo_seconds = slo.slo_seconds
+    fits, misses, lowest = -1, math.inf, math.inf
+
+    best_index: list[int] | None = None
+    best_total = 0
+    best_units = 0
+    best_metric = math.inf
+    top = len(rungs) - 1
+    last = len(functions) - 1
+    for step in range(combinations):
+        if step:
+            position = last
+            while index[position] == top:  # roll over to the lowest rung
+                index[position] = 0
+                total_cost += units[position][0] - units[position][top]
+                total = set_scaled(functions[position], rows[position][0])
+                position -= 1
+            rung = index[position] + 1
+            index[position] = rung
+            total_cost += units[position][rung] - units[position][rung - 1]
+            total = set_scaled(functions[position], rows[position][rung])
+        if total > fits:
+            if total >= misses:
+                continue
+            if from_scaled(total, shift) > slo_seconds:
+                misses = total
+                continue
+            fits = total
+        if by_cost:
+            metric = total_cost
+        elif by_time:
+            if total >= lowest:  # the rounded estimate cannot be lower either
+                continue
+            lowest = total
+            metric = from_scaled(total, shift)
+        else:
+            metric = 0.0 if best_index is None else math.inf  # first feasible wins
+        if metric < best_metric:
+            best_metric = metric
+            best_index = list(index)
+            best_total = total
+            best_units = total_cost
+
+    algorithm = f"brute-force-{objective.value}"
+    if best_index is None:
+        return SearchResult(algorithm, None, None, None, combinations, combinations)
+    return _found(
+        algorithm, dict(zip(functions, best_index)), from_scaled(best_total, shift), best_units,
+        rungs, cost_model, combinations, combinations,
+    )

@@ -30,6 +30,7 @@ from faastune import (
     select_alpha,
     validate_config,
 )
+from faastune import search
 from helpers import end_to_end_durations, noiseless, random_instance, random_monotone_profile
 
 SHAPE_SEEDS = {"demo3": 101, "demo6": 102, "demo10": 103, "petstore": 104}
@@ -279,14 +280,22 @@ def test_criterion_7_scalability_shape():
     assert walls["min_cost"][-1] < 60.0, "100-function min-cost run must finish within 60 s"
 
     # brute force must be at least an order of magnitude slower than greedy
-    # on the six-function app with a four-rung ladder
+    # on the six-function app with a four-rung ladder; each call starts from
+    # an empty search memo, which would otherwise answer a repeat at once
     graph = generate_app(shape="demo6", seed=777).graph
     small = MemoryLadder(values=(128, 256, 512, 1024), cap_mb=None)
     profiles = {f: random_monotone_profile(f, small.effective(), rng) for f in graph.functions()}
     all_max = estimate_time(graph, {f: 1024 for f in graph.functions()}, profiles)
     slo = SloSpec(all_max * 1.3)
-    greedy_wall = _timed(lambda: greedy_slo(graph, profiles, small, slo), repeats=5)
-    brute_wall = _timed(lambda: brute_force(graph, profiles, small, slo), repeats=3)
+
+    def fresh(run):
+        def call():
+            search._last = None
+            return run(graph, profiles, small, slo)
+        return call
+
+    greedy_wall = _timed(fresh(greedy_slo), repeats=5)
+    brute_wall = _timed(fresh(brute_force), repeats=3)
     ratio = brute_wall / greedy_wall
     assert ratio >= 10.0, f"brute/greedy wall ratio {ratio:.1f}x below 10x"
     print(

@@ -18,7 +18,7 @@ from faastune import (
     generate_app,
 )
 from faastune.errors import MissingProfile, PartialConfiguration
-from faastune.estimate import GraphEvaluator, from_scaled
+from faastune.estimate import GraphEvaluator, from_scaled, time_shift, to_scaled
 from helpers import (
     exact_composition,
     make_profile,
@@ -70,6 +70,10 @@ def _recursive(node, times):
     return rounded_once(exact_composition(node, times))
 
 
+def _scaled(times, shift):
+    return dict(zip(times, to_scaled(times.values(), shift)))
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_evaluator_updates_are_bit_identical_to_recursive_composition(seed):
     rng = random.Random(seed)
@@ -80,12 +84,16 @@ def test_evaluator_updates_are_bit_identical_to_recursive_composition(seed):
         graph = generate_app(n_functions=n, shape=rng.choice(("random", "chain")), seed=seed).graph
     functions = graph.functions()
     times = {f: rng.uniform(0.01, 5.0) for f in functions}
+    updates = [(rng.choice(functions), rng.uniform(0.01, 5.0)) for _ in range(200)]
+    shift = time_shift([*times.values(), *(seconds for _, seconds in updates)])
     evaluator = GraphEvaluator(graph)
     assert evaluator.evaluate(times) == _recursive(graph.root, times)
-    for _ in range(200):
-        name = rng.choice(functions)
-        times[name] = rng.uniform(0.01, 5.0)
-        assert evaluator.set(name, times[name]) == _recursive(graph.root, times)
+    exact = evaluator.evaluate_scaled(_scaled(times, shift))
+    assert from_scaled(exact, shift) == _recursive(graph.root, times)
+    for name, seconds in updates:
+        times[name] = seconds
+        exact = evaluator.set_scaled(name, to_scaled((seconds,), shift)[0])
+        assert from_scaled(exact, shift) == _recursive(graph.root, times)
     assert evaluator.evaluate(times) == combine_times(graph, times)
 
 
@@ -110,7 +118,8 @@ def _graphs(draw):
 #: A few durations, so parallel maxima tie and a time is often set to the
 #: value it already has; float additions of 0.1, 0.2 and 0.7 round
 #: differently by summation order, and the exact sum once.
-_TIMES = st.sampled_from((0.0, -0.0, 0.1, 0.2, 0.7, 3.0))
+_TIME_VALUES = (0.0, -0.0, 0.1, 0.2, 0.7, 3.0)
+_TIMES = st.sampled_from(_TIME_VALUES)
 
 
 def _bits(value: float) -> bytes:
@@ -122,14 +131,16 @@ def _bits(value: float) -> bytes:
 def test_evaluator_early_stop_is_bit_identical(graph, data):
     functions = graph.functions()
     times = {f: data.draw(_TIMES) for f in functions}
+    shift = time_shift(_TIME_VALUES)
     evaluator = GraphEvaluator(graph)
     assert _bits(evaluator.evaluate(times)) == _bits(_recursive(graph.root, times))
+    evaluator.evaluate_scaled(_scaled(times, shift))
     updates = data.draw(st.lists(st.tuples(st.sampled_from(functions), _TIMES), max_size=200))
     for name, seconds in updates:
         times[name] = seconds
-        value = evaluator.set(name, seconds)
-        assert _bits(value) == _bits(_recursive(graph.root, times))
-        assert _bits(value) == _bits(GraphEvaluator(graph).evaluate(times))
+        exact = evaluator.set_scaled(name, to_scaled((seconds,), shift)[0])
+        assert exact == GraphEvaluator(graph).evaluate_scaled(_scaled(times, shift))
+        assert _bits(from_scaled(exact, shift)) == _bits(_recursive(graph.root, times))
     missing = data.draw(st.sets(st.sampled_from(functions), min_size=1))
     partial = {f: t for f, t in times.items() if f not in missing}
     with pytest.raises(PartialConfiguration) as error:
@@ -137,14 +148,53 @@ def test_evaluator_early_stop_is_bit_identical(graph, data):
     assert error.value.function == next(f for f in functions if f in missing)
 
 
+#: Scaled values: a few small ones, so parallel maxima tie, and any up to
+#: 2**70.
+_SCALED = st.one_of(st.integers(0, 4), st.integers(0, 2**70))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=_graphs(), data=st.data())
+def test_max_plus_gives_the_root_as_a_function_of_one_value(graph, data):
+    """After ``evaluate_scaled`` and any ``set_scaled`` calls, for every
+    function and several values ``x`` of it, ``max(x + a, b)`` (``x + a``
+    when ``b`` is None) of its ``max_plus`` equals a fresh
+    ``evaluate_scaled`` of the same values with ``x`` in place; ``b`` is
+    None on a graph without parallel groups, and ``max_plus`` changes
+    nothing."""
+    functions = graph.functions()
+    scaled = {f: data.draw(_SCALED) for f in functions}
+    evaluator = GraphEvaluator(graph)
+    evaluator.evaluate_scaled(scaled)
+    for name, value in data.draw(st.lists(st.tuples(st.sampled_from(functions), _SCALED),
+                                          max_size=20)):
+        scaled[name] = value
+        evaluator.set_scaled(name, value)
+    groups = [graph.root]
+    parallel = False
+    while groups:
+        node = groups.pop()
+        parallel |= isinstance(node, Parallel)
+        groups.extend(getattr(node, "children", ()))
+    for name in functions:
+        a, b = evaluator.max_plus(name)
+        assert parallel or b is None
+        for x in [scaled[name], *data.draw(st.lists(_SCALED, min_size=1, max_size=4))]:
+            expected = GraphEvaluator(graph).evaluate_scaled({**scaled, name: x})
+            assert (x + a if b is None else max(x + a, b)) == expected
+    name = data.draw(st.sampled_from(functions))
+    assert evaluator.set_scaled(name, scaled[name] + 1) == GraphEvaluator(graph).evaluate_scaled(
+        {**scaled, name: scaled[name] + 1})
+
+
 def test_a_zero_of_either_sign_composes_to_positive_zero():
-    """Scaled to integers, -0.0 and 0.0 are both 0, so setting one over the
-    other changes nothing and every composition of zeros reads +0.0."""
+    """Scaled to integers, -0.0 and 0.0 are both 0, so every composition of
+    zeros reads +0.0."""
+    assert to_scaled((-0.0, 0.0), 1074) == [0, 0]
     for kind in (Sequence, Parallel):
         evaluator = GraphEvaluator(CallGraph(kind((FunctionNode("f1"), FunctionNode("f2")))))
-        assert _bits(evaluator.evaluate({"f1": -0.0, "f2": -0.0})) == _bits(0.0)
-        assert _bits(evaluator.set("f1", 0.0)) == _bits(0.0)
-        assert _bits(evaluator.set("f2", -0.0)) == _bits(0.0)
+        for f1, f2 in ((-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0)):
+            assert _bits(evaluator.evaluate({"f1": f1, "f2": f2})) == _bits(0.0)
     single = GraphEvaluator(CallGraph(FunctionNode("f1")))
     assert _bits(single.evaluate({"f1": -0.0})) == _bits(0.0)
 
@@ -171,20 +221,24 @@ def _exact_cases(draw):
 @settings(max_examples=120, deadline=None)
 @given(case=_exact_cases(), data=st.data())
 def test_every_estimate_is_the_exact_composition_rounded_once(case, data):
-    """``evaluate``, every ``set`` after it and ``estimate_time`` give the
-    exact sum/max composition, rounded once to the nearest float (inf past
-    the float range)."""
+    """``evaluate``, ``evaluate_scaled`` and every ``set_scaled`` after it on
+    one shift for all the values, and ``estimate_time``, give the exact
+    sum/max composition, rounded once to the nearest float (inf past the
+    float range)."""
     graph, seconds = case
     functions = graph.functions()
     times = {f: data.draw(seconds) for f in functions}
+    updates = data.draw(st.lists(st.tuples(st.sampled_from(functions), seconds), max_size=30))
+    shift = time_shift([*times.values(), *(value for _, value in updates)])
     evaluator = GraphEvaluator(graph)
     exact = rounded_once(exact_composition(graph.root, times))
     assert _bits(evaluator.evaluate(times)) == _bits(exact)
-    for name, value in data.draw(st.lists(st.tuples(st.sampled_from(functions), seconds),
-                                          max_size=30)):
+    assert _bits(from_scaled(evaluator.evaluate_scaled(_scaled(times, shift)), shift)) == _bits(exact)
+    for name, value in updates:
         times[name] = value
         exact = rounded_once(exact_composition(graph.root, times))
-        assert _bits(evaluator.set(name, value)) == _bits(exact)
+        total = evaluator.set_scaled(name, to_scaled((value,), shift)[0])
+        assert _bits(from_scaled(total, shift)) == _bits(exact)
     profiles = {f: make_profile(f, {128: t}) for f, t in times.items()}
     assert _bits(estimate_time(graph, dict.fromkeys(functions, 128), profiles)) == _bits(exact)
     assert _bits(evaluator.evaluate(times)) == _bits(exact)
@@ -194,12 +248,10 @@ def test_a_sum_past_the_float_range_is_inf_and_a_subnormal_sum_is_exact():
     chain = CallGraph(Sequence((FunctionNode("f1"), FunctionNode("f2"), FunctionNode("f3"))))
     assert combine_times(chain, {"f1": 1e308, "f2": 1e308, "f3": 5e-324}) == math.inf
     evaluator = GraphEvaluator(chain)
-    assert evaluator.evaluate({"f1": 5e-324, "f2": 0.0, "f3": 0.0}) == 5e-324
-    assert evaluator.set("f2", 1e-300) == 1e-300
-    assert evaluator.set("f2", 5e-324) == 1e-323
-    assert evaluator.set("f1", 1e308) == 1e308
-    assert evaluator.set("f3", 1e308) == math.inf
-    assert evaluator.set("f3", 0.0) == 1e308
+    for f1, f2, f3, total in ((5e-324, 0.0, 0.0, 5e-324), (5e-324, 1e-300, 0.0, 1e-300),
+                              (5e-324, 5e-324, 0.0, 1e-323), (1e308, 5e-324, 0.0, 1e308),
+                              (1e308, 5e-324, 1e308, math.inf), (1e308, 5e-324, 0.0, 1e308)):
+        assert evaluator.evaluate({"f1": f1, "f2": f2, "f3": f3}) == total
 
 
 @pytest.mark.parametrize("total,shift", [
@@ -220,7 +272,9 @@ def test_a_duration_that_is_not_finite_raises_value_error():
         evaluator = GraphEvaluator(graph)
         evaluator.evaluate({"f1": 1.0, "f2": 2.0})
         with pytest.raises(ValueError, match="a duration must be finite"):
-            evaluator.set("f2", bad)
+            evaluator.evaluate({"f1": 1.0, "f2": bad})
+        with pytest.raises(ValueError, match="a duration must be finite"):
+            to_scaled((1.0, bad), 1)
 
 
 def test_compositionality_of_sequence_and_parallel():

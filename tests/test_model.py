@@ -318,8 +318,13 @@ def test_every_way_of_building_a_profile_checks_its_representatives():
     (dict(sample_counts={128: True}),
      "^sample count of 'f1' at 128 MB must be a non-negative integer, got True$"),
     (dict(sample_counts={0: 3}), "^memory size of 'f1' must be a positive integer, got 0$"),
+    (dict(sample_counts={128: 3, 999: 5}),
+     r"^sample counts of 'f1' are at \[128, 999\] MB, its representatives at \[128\] MB$"),
+    (dict(representatives={128: 1.0, 256: 0.5}, sample_counts={256: 0}),
+     r"^sample counts of 'f1' are at \[256\] MB, its representatives at \[128, 256\] MB$"),
 ], ids=["alpha-150", "alpha-nan", "alpha-bool", "zero-memory", "bool-memory", "float-memory",
-        "bool-representative", "negative-count", "bool-count", "count-at-zero-memory"])
+        "bool-representative", "negative-count", "bool-count", "count-at-zero-memory",
+        "count-at-extra-memory", "count-missing-a-memory"])
 def test_a_profile_field_its_file_cannot_carry_raises(kwargs, message):
     """A profile takes only what ``save_profiles`` can write and
     ``load_profiles`` read back."""
@@ -333,6 +338,16 @@ def test_default_profiles_share_one_empty_sample_counts():
     assert first.sample_counts is second.sample_counts
     assert len(first.sample_counts) == 0 and first.sample_count(128) == 0
     assert pickle.loads(pickle.dumps(first)).sample_counts is first.sample_counts
+
+
+def test_all_zero_sample_counts_are_no_counts():
+    """A table saved without counts writes 0 in every row; reading it back
+    gives the profile that was saved."""
+    zeros = FunctionProfile("f1", 95.0, {128: 2.0, 256: 1.0}, {128: 0, 256: 0})
+    assert zeros.sample_counts is make_profile("f2", {128: 2.0}).sample_counts
+    assert zeros == make_profile("f1", {128: 2.0, 256: 1.0})
+    some = FunctionProfile("f1", 95.0, {128: 2.0, 256: 1.0}, {128: 0, 256: 4})
+    assert dict(some.sample_counts) == {128: 0, 256: 4}
 
 
 # --- configurations ----------------------------------------------------------

@@ -315,6 +315,16 @@ def test_profile_csv_round_trip(tmp_path):
     assert loaded["f1"].alpha == 90
     assert loaded["f1"].representatives == profiles["f1"].representatives
     assert loaded["f1"].sample_count(128) == 3
+    assert loaded == profiles
+
+
+def test_a_profile_built_without_counts_round_trips(tmp_path):
+    """It writes a count of 0 in each row, which reads back as no counts."""
+    profiles = {"f1": make_profile("f1", {128: 1.0, 256: 0.5})}
+    path = tmp_path / "profiles.csv"
+    save_profiles(profiles, path)
+    assert "f1,128,95.0,1.0,0" in path.read_text()
+    assert load_profiles(path) == profiles
 
 
 def test_save_refuses_a_profile_keyed_by_another_name(tmp_path):
@@ -332,8 +342,9 @@ _EDGE_SECONDS = (-0.0, 0.0, 5e-324, 1.7e308, math.nan, math.inf, -math.inf, -1.0
 def _profile_fields(draw):
     """Keyword arguments of a few profiles, keyed by function name, with
     representatives drawn from all floats and bools, alphas from all floats,
-    ints and bools, memory sizes from ints, bools and floats, and a count
-    from ints and bools at every memory size."""
+    ints and bools, memory sizes from ints, bools and floats, and counts
+    from ints and bools: at every memory size, at all but one, at one more,
+    or none."""
     fields = {}
     for name in draw(st.lists(st.sampled_from(["f1", "f 2", "f,3", 'f"4']), min_size=1,
                               unique=True)):
@@ -341,13 +352,22 @@ def _profile_fields(draw):
                            st.sampled_from((128.0, 0.5)))
         memories = draw(st.lists(memory, min_size=1, max_size=4, unique=True))
         seconds = st.one_of(st.floats(), st.sampled_from(_EDGE_SECONDS), st.booleans())
+        representatives = {m: draw(seconds) for m in memories}
+        counted = list(representatives)
+        keys = draw(st.sampled_from(("every", "missing", "extra", "none")))
+        if keys == "missing":
+            del counted[draw(st.integers(0, len(counted) - 1))]
+        elif keys == "extra":
+            counted.append(draw(memory.filter(lambda m: m not in representatives)))
+        elif keys == "none":
+            counted = []
+        count = st.one_of(st.integers(0, 10**9), st.just(0), st.integers(-3, -1), st.booleans())
         fields[name] = dict(
             function=name,
             alpha=draw(st.one_of(st.floats(0, 100), st.floats(), st.integers(-5, 200),
                                  st.booleans())),
-            representatives={m: draw(seconds) for m in memories},
-            sample_counts={m: draw(st.one_of(st.integers(0, 10**9), st.integers(-3, -1),
-                                             st.booleans())) for m in memories},
+            representatives=representatives,
+            sample_counts={m: draw(count) for m in counted},
         )
     return fields
 
@@ -364,6 +384,8 @@ def _loadable(kwargs) -> bool:
         and all(_is_int(m) and m > 0 for m in kwargs["representatives"])
         and all(not isinstance(value, bool) and 0 <= value < math.inf
                 for value in kwargs["representatives"].values())
+        and (not kwargs["sample_counts"]
+             or kwargs["sample_counts"].keys() == kwargs["representatives"].keys())
         and all(_is_int(n) and n >= 0 for n in kwargs["sample_counts"].values())
     )
 
@@ -375,10 +397,11 @@ def test_a_profile_either_fails_to_build_or_round_trips_through_csv(tmp_path, fi
     """No profile holds a value its own file cannot carry: building one
     raises ValueError exactly when a field breaks a rule ``load_profiles``
     reads by (an alpha outside [0, 100], a memory size that is not a
-    positive integer, a representative that is a bool, NaN, infinite or
+    positive integer, counts at other memory sizes than the
+    representatives, a representative that is a bool, NaN, infinite or
     negative, a count that is not a non-negative integer), and otherwise
-    ``load_profiles`` gives back an equal table, down to the sign of a
-    zero."""
+    ``load_profiles`` gives back an equal table, counts included, down to
+    the sign of a zero."""
     bad = not all(map(_loadable, fields.values()))
     try:
         profiles = {name: FunctionProfile(**kwargs) for name, kwargs in fields.items()}

@@ -4,6 +4,8 @@ import math
 import operator
 import random
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -36,9 +38,11 @@ from helpers import (
     heap_greedy_min_time,
     heap_greedy_slo,
     make_profile,
+    messy_tree,
     pinned_records_digest,
     random_instance,
     random_monotone_profile,
+    reference_brute_force,
     reference_greedy,
     rounded_once,
     schedule_end_to_end,
@@ -618,6 +622,50 @@ def test_threads_alternating_two_instances_give_the_serial_records():
     assert records == expected
 
 
+def test_eight_threads_on_two_instances_give_the_serial_results():
+    """Eight threads each run the three greedy searches and every
+    brute-force objective on two instances in turn, switching threads every
+    microsecond: every result equals the single-threaded one, and every
+    thread has ended within 2 s."""
+    rng = random.Random(31)
+    ladder = MemoryLadder()
+    instances = []
+    for shape, n in (("random", 5), ("chain", 4)):
+        graph = generate_app(n_functions=n, shape=shape, seed=rng.randrange(2**31)).graph
+        profiles = {f: random_monotone_profile(f, ladder.effective(), rng)
+                    for f in graph.functions()}
+        instances.append((graph, profiles, ladder, _three_slos(graph, profiles, ladder)[1]))
+    searches = (greedy_slo, greedy_min_cost, greedy_min_time, *_brute_force_searches())
+    search._last = None
+    expected = [[run(*instance) for run in searches] for instance in instances]
+    results: list[list] = [[] for _ in range(8)]
+    failures = []
+
+    def work(first, out):
+        try:
+            for turn in range(4):
+                out.append([run(*instances[(first + turn) % 2]) for run in searches])
+        except Exception as error:  # reported by the main thread
+            failures.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        search._last = None
+        threads = [threading.Thread(target=work, args=(i % 2, results[i])) for i in range(8)]
+        deadline = time.monotonic() + 2.0
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    for i, out in enumerate(results):
+        assert out == [expected[(i % 2 + turn) % 2] for turn in range(4)]
+
+
 @pytest.mark.parametrize("objective", Objective)
 def test_equal_searches_give_equal_results(objective):
     """A result is a plain value: the same search on the same instance gives
@@ -847,6 +895,142 @@ def test_brute_force_matches_independent_enumeration():
         if any_feasible:
             assert moet.estimated_time_s == pytest.approx(best_time, rel=1e-12)
             assert moc.estimated_cost_usd == pytest.approx(best_cost, rel=1e-12)
+
+
+#: Representatives the one-scan property draws from, in any order along the
+#: ladder: integers, so times and costs tie, and 2**-60 s, which vanishes
+#: when rounded beside 1 s or more, so distinct exact totals round to one
+#: estimate.
+ORACLE_VALUES = (0.0, 1.0, 2.0, 3.0, 2.0**-60)
+
+#: The default cost model and one whose 700 ms tick bills 1, 2 and 3 s as 2,
+#: 3 and 5 ticks, so the cheapest configuration can differ between them.
+ORACLE_COST_MODELS = (CostModel(), CostModel(billing_granularity_ms=700))
+
+
+@st.composite
+def oracle_instances(draw):
+    """A random, chain or messy graph of 1-5 functions on a ladder of 1-5
+    rungs, with non-monotone rows drawn from :data:`ORACLE_VALUES`, and two
+    SLOs from 0.5 s to just past the largest possible estimate, so either
+    may fall on either side of feasibility. A messy graph places its names
+    in random order, so the last by name, which the scan prices from one
+    path walk, often sits under a parallel group."""
+    n = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(("random", "chain", "messy")))
+    seed = draw(st.integers(0, 2**31 - 1))
+    if shape == "messy":
+        rng = random.Random(seed)
+        names = [f"f{i}" for i in range(1, n + 1)]
+        rng.shuffle(names)
+        graph = CallGraph(messy_tree(rng, names))
+    else:
+        graph = generate_app(n_functions=n, shape=shape, seed=seed).graph
+    rungs = tuple(sorted(draw(
+        st.lists(st.sampled_from(DEFAULT_MEMORY_MB), min_size=1, max_size=5, unique=True)
+    )))
+    row = st.lists(st.sampled_from(ORACLE_VALUES), min_size=len(rungs), max_size=len(rungs))
+    profiles = {f: make_profile(f, dict(zip(rungs, draw(row)))) for f in graph.functions()}
+    slo = st.builds(SloSpec, st.sampled_from([k / 2 for k in range(1, 2 * 3 * n + 2)]))
+    return graph, profiles, MemoryLadder(values=rungs, cap_mb=None), (draw(slo), draw(slo))
+
+
+def _bits_record(result):
+    """``result``'s record with its estimate and cost as hex strings."""
+    record = result.to_record()
+    for key in ("estimated_time_s", "estimated_cost_usd"):
+        if record[key] is not None:
+            record[key] = record[key].hex()
+    return record
+
+
+@given(oracle_instances(), st.permutations(list(Objective)))
+@settings(max_examples=150, deadline=None)
+def test_one_scan_answers_every_objective_as_the_single_objective_loop(instance, order):
+    """Every objective, asked in any order and again from the memo, then on
+    the same instance under a second SLO and a second cost model, gives the
+    record of the loop that scans for that objective alone."""
+    graph, profiles, ladder, slos = instance
+    search._last = None
+    for slo, cost_model in itertools.product(slos, ORACLE_COST_MODELS):
+        expected = {
+            objective: _bits_record(reference_brute_force(
+                graph, profiles, ladder, slo, objective, cost_model))
+            for objective in Objective
+        }
+        for objective in [*order, *order]:
+            result = brute_force(graph, profiles, ladder, slo, objective, cost_model)
+            assert _bits_record(result) == expected[objective]
+
+
+def test_a_second_objective_is_a_lookup_and_a_fresh_result(monkeypatch):
+    """One scan answers every objective for an SLO and cost model: asking
+    for another scans nothing, still counts M^N, and returns a new result
+    whose config is its own. Brute force leaves the greedy trajectory in
+    the slot, and never walks one itself, since it takes any table."""
+    graph, profiles, ladder, slo = _demo3_instance()
+    search._last = None
+    trajectory = search._trajectory(graph, profiles, ladder.effective())
+    cheapest = brute_force(graph, profiles, ladder, slo, Objective.MIN_COST)
+    assert search._last[3] is trajectory
+
+    def no_scan(*args):
+        raise AssertionError("scanned an instance the memo holds")
+
+    scan = search._scan
+    monkeypatch.setattr(search, "_scan", no_scan)
+    for objective in Objective:
+        result = brute_force(graph, profiles, ladder, slo, objective)
+        assert result.iterations == result.evaluations == 5 ** 3
+        assert result.to_record() == reference_brute_force(
+            graph, profiles, ladder, slo, objective).to_record()
+    again = brute_force(graph, profiles, ladder, slo, Objective.MIN_COST)
+    assert again == cheapest and again.config is not cheapest.config
+    again.config.clear()
+    assert brute_force(graph, profiles, ladder, slo, Objective.MIN_COST) == cheapest
+    assert search._trajectory(graph, profiles, ladder.effective()) is trajectory
+    monkeypatch.setattr(search, "_scan", scan)
+    rising = {f: make_profile(f, {128: 1.0, 256: 2.0}) for f in graph.functions()}
+    small = MemoryLadder(values=(128, 256), cap_mb=None)
+    assert brute_force(graph, rising, small, slo).found
+    assert search._last[3] is None
+
+
+def test_brute_force_raises_before_scanning_and_leaves_the_memo(monkeypatch):
+    """An unknown objective, a missing profile and a space past the limit
+    each raise before any scan, and the slot stays as it was, whether it
+    holds another instance or this one."""
+    graph, profiles, ladder, slo = _demo3_instance()
+    search._last = None
+    brute_force(graph, profiles, ladder, slo)
+    slot, answers = search._last, dict(search._last[4])
+
+    def no_scan(*args):
+        raise AssertionError("brute force scanned")
+
+    monkeypatch.setattr(search, "_scan", no_scan)
+    partial = {f: p for f, p in profiles.items() if f != "f2"}
+    rungs = (128, 256, 512, 1024, 2048)
+    big = generate_app(n_functions=11, shape="chain", seed=1).graph
+    rng = random.Random(8)
+    big_profiles = {f: random_monotone_profile(f, rungs, rng) for f in big.functions()}
+    big_ladder = MemoryLadder(values=rungs, cap_mb=None)
+    calls = [
+        (ValueError, lambda: brute_force(graph, profiles, ladder, slo, "bogus")),
+        (MissingProfile, lambda: brute_force(graph, partial, ladder, slo)),
+        (SearchSpaceTooLarge, lambda: brute_force(big, big_profiles, big_ladder, SloSpec(1.0))),
+    ]
+    for error, call in calls:
+        with pytest.raises(error):
+            call()
+        assert search._last is slot and slot[4] == answers
+    greedy_slo(big, big_profiles, big_ladder, SloSpec(1e9))
+    slot = search._last
+    assert slot[0] is big and slot[4] == {}
+    for objective in Objective:
+        with pytest.raises(SearchSpaceTooLarge):
+            brute_force(big, big_profiles, big_ladder, SloSpec(1.0), objective)
+        assert search._last is slot and slot[4] == {}
 
 
 def test_greedy_finds_feasible_whenever_brute_force_does():
