@@ -19,16 +19,15 @@ the optimality oracle for small instances; one scan answers all three
 objectives for an SLO and a cost model, and it never walks the greedy
 trajectory.
 
-A one-slot memo keeps the last instance searched, keyed on the graph
-object, the rungs and each function's profile object (profiles are
-read-only values): its trajectory, once a greedy search has walked it,
-and brute force's answers per SLO and cost model. So the three greedy
-searches and a sweep of SLOs over the same graph and profile objects
-share one walk and one table of representatives, each point a search
-stops at is priced once, a lone ``greedy_slo`` walks the whole order, and
-a second brute-force objective on the same instance, SLO and cost model
-is a lookup. The slot keeps only records and answers: no evaluator stays
-reachable once a search returns.
+Each search runs on a plan of its instance: the table of representatives,
+built and scaled once, the trajectory once a greedy search has walked it,
+and brute force's answers per SLO and cost model. A one-plan memo keeps
+the last instance's plan, keyed on the graph object, the rungs and each
+function's profile object (profiles are read-only values), so the
+searches and a sweep of SLOs over the same objects share one table and
+one walk, and a second brute-force objective is a lookup. A plan keeps
+only records and answers: no evaluator stays reachable once a search
+returns.
 
 Every search evaluates the graph with
 :class:`~faastune.estimate.GraphEvaluator` on the table scaled to exact
@@ -130,16 +129,11 @@ def _representatives(
     return table
 
 
-def _bump_order(
-    seconds: dict[str, tuple[float, ...]],
-) -> tuple[list[int], list[str], list[int | None], int, dict[str, tuple[int, ...]]]:
-    """The greedy bump order of one table of representatives, as
-    ``(order, names, up, shift, scaled)``.
+def _bump_order(plan: _Plan) -> tuple[list[int], list[str], list[int | None]]:
+    """The greedy bump order of ``plan``'s table, as ``(order, names, up)``.
 
-    ``scaled`` holds each function's representatives scaled to exact
-    integers by one common ``2**shift`` (:func:`~faastune.estimate.time_shift`).
-    Cell ``i`` is function ``names[i]`` at rung position ``i % M``; cells
-    are numbered by function name, then rung. Taking cell ``i`` moves its
+    Cell ``i`` is function ``names[i]`` at rung position ``i % M``, whose
+    scaled representative is ``plan.flat[i]``. Taking cell ``i`` moves its
     function one rung up, to scaled representative ``up[i]``, or moves
     nothing when ``up[i]`` is None (the top rung). ``order`` lists the cells
     by descending representative; a stable sort keeps ties in name, then
@@ -147,59 +141,56 @@ def _bump_order(
     in which a max-heap of each function's current representative (ties on
     the name) pops them, and a function's cells come in rung order: a walk
     of ``order`` is the greedy search, all functions at the lowest rung,
-    then the slowest one up one rung per step.
+    then the slowest one up one rung per step. Scaling is exact, so the
+    integers keep every order and tie of the floats, and the monotone check
+    compares them.
 
     Raises :class:`ProfileNotMonotone` for the first function, in execution
     order, whose representatives increase along the ladder.
     """
-    by_name = sorted(seconds)
-    per_row = len(seconds[by_name[0]])
-    flat = list(chain.from_iterable(map(seconds.__getitem__, by_name)))
-    # Past a row's top rung ``up`` is -inf for the monotone check, then None.
+    flat, by_name, per_row = plan.flat, plan.by_name, len(plan.rungs)
+    # Past a row's top rung ``up`` is -1 for the monotone check, since scaled
+    # durations are non-negative, then None.
     up: list = flat[1:]
-    up.append(-math.inf)
-    up[per_row - 1::per_row] = [-math.inf] * len(by_name)
+    up.append(-1)
+    up[per_row - 1::per_row] = [-1] * len(by_name)
     if any(map(operator.gt, up, flat)):
         raise ProfileNotMonotone(
-            next(name for name, row in seconds.items() if any(map(operator.gt, row[1:], row)))
+            next(name for name, row in plan.seconds.items() if any(map(operator.gt, row[1:], row)))
         )
-    shift = time_shift(flat)
-    exact = to_scaled(flat, shift)
-    up = exact[1:]
-    up.append(None)
     up[per_row - 1::per_row] = [None] * len(by_name)
-    scaled = dict(zip(by_name, zip(*[iter(exact)] * per_row)))
-    order = sorted(range(len(flat)), key=flat.__getitem__, reverse=True)
+    # Sorted on the floats, which compare faster than multi-digit integers;
+    # scaling is exact, so both give the same order.
+    cells = list(chain.from_iterable(map(plan.seconds.__getitem__, by_name)))
+    order = sorted(range(len(cells)), key=cells.__getitem__, reverse=True)
     names = list(chain.from_iterable(map(repeat, by_name, repeat(per_row))))
-    return order, names, up, shift, scaled
+    return order, names, up
 
 
 class _Trajectory:
-    """The greedy trajectory of one instance, walked once to its end.
+    """The greedy trajectory of one plan, walked once to its end.
 
     The walk takes :func:`_bump_order`'s ``order`` from the all-minimum
     configuration with one :class:`~faastune.estimate.GraphEvaluator` on
-    the scaled table, which makes N*(M-1)+1 exact estimations and depends on
-    no SLO. Only its records are kept: the all-minimum estimate and every
-    later estimate that, rounded, is lower than all before it, as three
-    parallel lists (``estimates``, rounded and strictly decreasing;
+    the plan's scaled table, which makes N*(M-1)+1 exact estimations and
+    depends on no SLO. Only its records are kept: the all-minimum estimate
+    and every later estimate that, rounded, is lower than all before it, as
+    three parallel lists (``estimates``, rounded and strictly decreasing;
     ``estimations``, the estimations made when each was reached, the
     all-minimum one included; ``taken``, the cells taken by then). Rounding
     never reverses an order, so an estimate is rounded only when its exact
-    value falls below every earlier one. ``seconds`` holds each function's
-    representatives, in execution order, and ``scaled`` each row scaled by
-    ``2**shift``, as ``up`` is. ``points`` memoizes :func:`_point`
+    value falls below every earlier one. ``points`` memoizes :func:`_point`
     and is all that changes after construction; no evaluator stays
     reachable.
     """
 
-    __slots__ = ("seconds", "scaled", "shift", "order", "names", "up", "estimates",
-                 "estimations", "taken", "points")
+    __slots__ = ("order", "names", "up", "estimates", "estimations", "taken", "points")
 
-    def __init__(self, graph: CallGraph, seconds: dict[str, tuple[float, ...]]):
-        order, names, up, shift, scaled = _bump_order(seconds)
-        evaluator = GraphEvaluator(graph)
-        lowest = evaluator.evaluate_scaled({name: row[0] for name, row in scaled.items()})
+    def __init__(self, plan: _Plan):
+        order, names, up = _bump_order(plan)
+        shift = plan.shift
+        evaluator = GraphEvaluator(plan.graph)
+        lowest = evaluator.evaluate_scaled({name: row[0] for name, row in plan.scaled.items()})
         best = from_scaled(lowest, shift)
         estimates, estimations, taken_at = [best], [1], [0]
         made = 1
@@ -217,9 +208,6 @@ class _Trajectory:
                         estimates.append(estimate)
                         estimations.append(made)
                         taken_at.append(taken)
-        self.seconds = seconds
-        self.scaled = scaled
-        self.shift = shift
         self.order = order
         self.names = names
         self.up = up
@@ -228,79 +216,102 @@ class _Trajectory:
         self.taken = taken_at
         self.points = {}
 
+
+class _Plan:
+    """Everything the searches share on one instance.
+
+    The key is the graph object, the rungs and each function's profile
+    object in execution order: a profile never changes once built, and the
+    plan keeps its profiles alive, so the same objects hold the same
+    floats. ``seconds`` is the table of representatives, in execution order
+    (:func:`_representatives`, which raises :class:`MissingProfile`).
+    ``flat`` holds its cells, by function name (``by_name``) then rung,
+    scaled to exact integers by one common ``2**shift``
+    (:func:`~faastune.estimate.time_shift`), and ``scaled`` the same cells
+    as one row per name. ``trajectory`` is the greedy trajectory, walked on
+    first use by :meth:`reach`, and ``answers`` holds brute force's answers
+    per ``(slo_seconds, cost_model)``. Both are set or grown one complete
+    value at a time, so concurrent searches read a consistent plan.
+    """
+
+    __slots__ = ("graph", "rungs", "profiles", "seconds", "by_name", "shift", "flat", "scaled",
+                 "trajectory", "answers")
+
+    def __init__(
+        self,
+        graph: CallGraph,
+        profiles: Mapping[str, FunctionProfile],
+        rungs: tuple[int, ...],
+    ):
+        functions = graph.functions()
+        seconds = _representatives(functions, profiles, rungs)
+        by_name = sorted(seconds)
+        cells = list(chain.from_iterable(map(seconds.__getitem__, by_name)))
+        shift = time_shift(cells)
+        flat = to_scaled(cells, shift)
+        self.graph = graph
+        self.rungs = rungs
+        self.profiles = tuple(map(profiles.get, functions))
+        self.seconds = seconds
+        self.by_name = by_name
+        self.shift = shift
+        self.flat = flat
+        self.scaled = dict(zip(by_name, zip(*[iter(flat)] * len(rungs))))
+        self.trajectory = None
+        self.answers = {}
+
     def reach(self, stop: float) -> tuple[int, int, float, int]:
-        """A walk of ``order`` from the start until an estimate is within
-        ``stop``, or to its end: the cells taken, the estimations made (the
-        all-minimum one included), the first lowest estimate and the number
-        of cells taken when it was reached.
+        """A walk of the trajectory's ``order`` from the start until an
+        estimate is within ``stop``, or to its end: the cells taken, the
+        estimations made (the all-minimum one included), the first lowest
+        estimate and the number of cells taken when it was reached.
 
         While every estimate so far exceeds ``stop``, one within it is a new
         minimum, so the walk stops at the first record within ``stop``."""
-        estimates, taken = self.estimates, self.taken
+        trajectory = self.trajectory
+        if trajectory is None:
+            trajectory = self.trajectory = _Trajectory(self)
+        estimates, taken = trajectory.estimates, trajectory.taken
         record = bisect_left(estimates, -stop, key=operator.neg)
         if record < len(estimates):
-            return taken[record], self.estimations[record], estimates[record], taken[record]
+            return taken[record], trajectory.estimations[record], estimates[record], taken[record]
         # N*M cells, of which the N top-rung ones estimate nothing
-        cells = len(self.order)
-        return cells, cells - len(self.seconds) + 1, estimates[-1], taken[-1]
+        cells = len(self.flat)
+        return cells, cells - len(self.by_name) + 1, estimates[-1], taken[-1]
 
 
-#: The last instance searched, as (graph, rungs, each function's profile
-#: object in execution order, its greedy trajectory or None, brute force's
-#: answers per (slo_seconds, cost model)). A new instance, or the first
-#: trajectory of one, replaces the slot whole; only the answers dict grows
-#: in place, one complete entry at a time, so concurrent searches read a
-#: consistent slot.
-_last: tuple[
-    CallGraph, tuple[int, ...], tuple[FunctionProfile, ...], _Trajectory | None, dict
-] | None = None
+#: The plan of the last instance searched. A new instance's plan replaces it
+#: whole, once its table has built.
+_last: _Plan | None = None
 
 
-def _slot(
+def _plan(
     graph: CallGraph,
     profiles: Mapping[str, FunctionProfile],
     rungs: tuple[int, ...],
-) -> tuple | None:
-    """The memo slot if it holds this instance: the same graph object, equal
-    rungs and the same profile object for every function, else None.
-
-    A profile never changes once built, and the slot keeps the old profiles
-    alive, so the same objects hold the same floats."""
-    last = _last
-    if (
-        last is not None
-        and last[0] is graph
-        and last[1] == rungs
-        and all(map(operator.is_, map(profiles.get, graph.functions()), last[2]))
-    ):
-        return last
-    return None
-
-
-def _trajectory(
-    graph: CallGraph,
-    profiles: Mapping[str, FunctionProfile],
-    rungs: tuple[int, ...],
-) -> _Trajectory:
-    """The greedy trajectory of this instance, walked anew unless the memo
-    slot holds one of it. The table of representatives is built only when
-    the walk is."""
+) -> _Plan:
+    """The memo's plan if it holds this instance (the same graph object,
+    equal rungs and the same profile object for every function), else a new
+    plan, which then replaces the memo."""
     global _last
-    slot = _slot(graph, profiles, rungs)
-    if slot is not None and slot[3] is not None:
-        return slot[3]
-    functions = graph.functions()
-    trajectory = _Trajectory(graph, _representatives(functions, profiles, rungs))
-    _last = (graph, rungs, tuple(map(profiles.get, functions)), trajectory,
-             {} if slot is None else slot[4])
-    return trajectory
+    plan = _last
+    if (
+        plan is not None
+        and plan.graph is graph
+        and plan.rungs == rungs
+        and all(map(operator.is_, map(profiles.get, graph.functions()), plan.profiles))
+    ):
+        return plan
+    plan = _last = _Plan(graph, profiles, rungs)
+    return plan
 
 
-def _rungs_after(trajectory: _Trajectory, taken: int, per_row: int) -> dict[str, int]:
+def _rungs_after(plan: _Plan, taken: int) -> dict[str, int]:
     """Each function's rung position, in execution order, once the first
-    ``taken`` cells of ``trajectory.order`` are taken from the all-minimum
-    configuration; ``per_row`` is the number of rungs."""
-    rung = dict.fromkeys(trajectory.seconds, 0)
+    ``taken`` cells of the walked trajectory's ``order`` are taken from the
+    all-minimum configuration."""
+    rung = dict.fromkeys(plan.seconds, 0)
+    trajectory, per_row = plan.trajectory, len(plan.rungs)
     names, up = trajectory.names, trajectory.up
     for cell in trajectory.order[:taken]:
         if up[cell] is not None:
@@ -320,21 +331,19 @@ def _units(
 
 
 def _point(
-    trajectory: _Trajectory,
-    taken: int,
-    rungs: tuple[int, ...],
-    cost_model: CostModel,
+    plan: _Plan, taken: int, cost_model: CostModel
 ) -> tuple[dict[str, int], dict[str, int], int]:
-    """The point a walk of ``trajectory`` reaches with ``taken`` cells:
-    :func:`_rungs_after`, :func:`_units` there and their sum, memoized on
-    the trajectory per ``(taken, cost_model)``. The dicts are shared, so
-    callers copy before they change them."""
+    """The point a walk of ``plan``'s trajectory reaches with ``taken``
+    cells: :func:`_rungs_after`, :func:`_units` there and their sum,
+    memoized on the trajectory per ``(taken, cost_model)``. The dicts are
+    shared, so callers copy before they change them."""
     key = (taken, cost_model)
-    point = trajectory.points.get(key)
+    points = plan.trajectory.points
+    point = points.get(key)
     if point is None:
-        rung = _rungs_after(trajectory, taken, len(rungs))
-        units = _units(rung, trajectory.seconds, rungs, cost_model)
-        point = trajectory.points[key] = (rung, units, sum(units.values()))
+        rung = _rungs_after(plan, taken)
+        units = _units(rung, plan.seconds, plan.rungs, cost_model)
+        point = points[key] = (rung, units, sum(units.values()))
     return point
 
 
@@ -364,15 +373,15 @@ def _greedy(
     slo: SloSpec,
     cost_model: CostModel,
 ) -> SearchResult:
-    """The configuration where a walk to ``stop`` (:meth:`_Trajectory.reach`)
+    """The configuration where a walk to ``stop`` (:meth:`_Plan.reach`)
     first reaches its lowest estimate, or an empty result when that
     estimate misses the SLO; ``iterations`` counts the cells taken."""
     rungs = ladder.effective()
-    trajectory = _trajectory(graph, profiles, rungs)
-    taken, estimations, best_time, best = trajectory.reach(stop)
+    plan = _plan(graph, profiles, rungs)
+    taken, estimations, best_time, best = plan.reach(stop)
     if not best_time <= slo.slo_seconds:
         return SearchResult(algorithm, None, None, None, taken, estimations)
-    rung, _, units = _point(trajectory, best, rungs, cost_model)
+    rung, _, units = _point(plan, best, cost_model)
     return _found(algorithm, rung, best_time, units, rungs, cost_model, taken, estimations)
 
 
@@ -425,14 +434,15 @@ def greedy_min_cost(
     """
     rungs = ladder.effective()
     slo_seconds = slo.slo_seconds
-    trajectory = _trajectory(graph, profiles, rungs)
-    taken, estimations, time, _ = trajectory.reach(slo_seconds)
+    plan = _plan(graph, profiles, rungs)
+    taken, estimations, time, _ = plan.reach(slo_seconds)
     if not time <= slo_seconds:
         return SearchResult("greedy-min-cost", None, None, None, taken, estimations)
     per_row = len(rungs)
-    seconds, scaled, shift = trajectory.seconds, trajectory.scaled, trajectory.shift
+    seconds, scaled, shift = plan.seconds, plan.scaled, plan.shift
+    trajectory = plan.trajectory
     names, up = trajectory.names, trajectory.up
-    rung, units, cost = _point(trajectory, taken, rungs, cost_model)
+    rung, units, cost = _point(plan, taken, cost_model)
     rung, units = dict(rung), dict(units)
     # The first ``taken`` cells all lie below their function's rung but for
     # the ``taken - moved`` top-rung ones, which the second walk steps over
@@ -506,18 +516,14 @@ def greedy_min_time(
 
 
 def _scan(
-    graph: CallGraph,
-    seconds: dict[str, tuple[float, ...]],
-    rungs: tuple[int, ...],
-    slo_seconds: float,
-    cost_model: CostModel,
+    plan: _Plan, slo_seconds: float, cost_model: CostModel
 ) -> dict[Objective, tuple[dict[str, int], float, int] | None]:
     """Brute force's answer for every objective from one scan of the M^N
-    configurations of ``seconds``, whose rows are in function-name order:
-    the first configuration that meets the SLO, the cheapest (the earlier
-    on a tie) and the fastest by rounded estimate (an exact total that
-    rounds to the same value does not replace the earlier one), each as its
-    rung positions, its estimate and its cost units, or None when no
+    configurations of ``plan``'s table, functions in name order: the first
+    configuration that meets the SLO, the cheapest (the earlier on a tie)
+    and the fastest by rounded estimate (an exact total that rounds to the
+    same value does not replace the earlier one), each as its rung
+    positions, its estimate and its cost units, or None when no
     configuration meets the SLO.
 
     The scan turns the configuration like an odometer, the last function
@@ -530,13 +536,12 @@ def _scan(
     configuration found, none of its rungs could be cheaper or faster than
     the answers so far.
     """
-    functions = tuple(seconds)
-    shift = time_shift(chain.from_iterable(seconds.values()))
-    rows = [to_scaled(seconds[name], shift) for name in functions]
+    functions, seconds, rungs, shift = plan.by_name, plan.seconds, plan.rungs, plan.shift
+    rows = list(plan.scaled.values())
     cost_units = cost_model.cost_units
     units = [list(map(cost_units, seconds[name], rungs)) for name in functions]
-    evaluator = GraphEvaluator(graph)
-    evaluator.evaluate_scaled({name: row[0] for name, row in zip(functions, rows)})
+    evaluator = GraphEvaluator(plan.graph)
+    evaluator.evaluate_scaled({name: row[0] for name, row in plan.scaled.items()})
     set_scaled, max_plus = evaluator.set_scaled, evaluator.max_plus
     *turned, last = functions
     last_cells = list(zip(range(len(rungs)), rows[-1], units[-1]))
@@ -621,31 +626,25 @@ def brute_force(
     turns the configuration like an odometer (the last function fastest),
     re-evaluating only the functions whose rung changed. Ties therefore
     resolve to the lexicographically smallest memory vector. One scan per
-    instance, SLO and cost model answers every objective, and the memo
-    slot keeps the answers, so asking for another objective scans nothing;
+    instance, SLO and cost model answers every objective, and the memo's
+    plan keeps the answers, so asking for another objective scans nothing;
     every call still counts the full space (iterations and evaluations are
-    exactly M^N). Raises :class:`MissingProfile`, then
+    exactly M^N). Raises :class:`MissingProfile` for the first function
+    without a profile in execution order, as the greedy searches do, then
     :class:`SearchSpaceTooLarge` when M^N exceeds
     :data:`BRUTE_FORCE_LIMIT`, before scanning. ``objective`` may be given
     by value, and an unknown one raises ValueError before anything else.
     """
-    global _last
     objective = Objective(objective)
     rungs = ladder.effective()
-    combinations = len(rungs) ** len(graph.functions())
+    plan = _plan(graph, profiles, rungs)
+    combinations = len(rungs) ** len(plan.by_name)
     key = (slo.slo_seconds, cost_model)
-    slot = _slot(graph, profiles, rungs)
-    answers = None if slot is None else slot[4].get(key)
+    answers = plan.answers.get(key)
     if answers is None:
-        seconds = _representatives(tuple(sorted(graph.functions())), profiles, rungs)
         if combinations > BRUTE_FORCE_LIMIT:
             raise SearchSpaceTooLarge(combinations, BRUTE_FORCE_LIMIT)
-        answers = _scan(graph, seconds, rungs, slo.slo_seconds, cost_model)
-        if slot is None:
-            profile_objects = tuple(map(profiles.get, graph.functions()))
-            _last = (graph, rungs, profile_objects, None, {key: answers})
-        else:
-            slot[4][key] = answers
+        answers = plan.answers[key] = _scan(plan, slo.slo_seconds, cost_model)
     algorithm = f"brute-force-{objective.value}"
     answer = answers[objective]
     if answer is None:

@@ -246,6 +246,15 @@ def _timed(fn, repeats=3):
     return best
 
 
+def _fresh(run, *instance):
+    """A call of ``run`` on ``instance`` from an empty search memo, which
+    would otherwise answer a repeat at once."""
+    def call():
+        search._last = None
+        return run(*instance)
+    return call
+
+
 def test_criterion_7_scalability_shape():
     ladder = MemoryLadder(cap_mb=None)  # full 8-rung ladder
     rungs = ladder.effective()
@@ -259,13 +268,10 @@ def test_criterion_7_scalability_shape():
         all_max = estimate_time(graph, {f: rungs[-1] for f in functions}, profiles)
         slo = SloSpec(all_max * 1.25)
         repeats = 3 if n < 100 else 2
-        walls["greedy"].append(_timed(lambda: greedy_slo(graph, profiles, ladder, slo), repeats))
-        walls["min_cost"].append(
-            _timed(lambda: greedy_min_cost(graph, profiles, ladder, slo), repeats)
-        )
-        walls["min_time"].append(
-            _timed(lambda: greedy_min_time(graph, profiles, ladder, slo), repeats)
-        )
+        instance = graph, profiles, ladder, slo
+        walls["greedy"].append(_timed(_fresh(greedy_slo, *instance), repeats))
+        walls["min_cost"].append(_timed(_fresh(greedy_min_cost, *instance), repeats))
+        walls["min_time"].append(_timed(_fresh(greedy_min_time, *instance), repeats))
 
     slopes = {}
     for variant, times in walls.items():
@@ -280,22 +286,15 @@ def test_criterion_7_scalability_shape():
     assert walls["min_cost"][-1] < 60.0, "100-function min-cost run must finish within 60 s"
 
     # brute force must be at least an order of magnitude slower than greedy
-    # on the six-function app with a four-rung ladder; each call starts from
-    # an empty search memo, which would otherwise answer a repeat at once
+    # on the six-function app with a four-rung ladder
     graph = generate_app(shape="demo6", seed=777).graph
     small = MemoryLadder(values=(128, 256, 512, 1024), cap_mb=None)
     profiles = {f: random_monotone_profile(f, small.effective(), rng) for f in graph.functions()}
     all_max = estimate_time(graph, {f: 1024 for f in graph.functions()}, profiles)
     slo = SloSpec(all_max * 1.3)
 
-    def fresh(run):
-        def call():
-            search._last = None
-            return run(graph, profiles, small, slo)
-        return call
-
-    greedy_wall = _timed(fresh(greedy_slo), repeats=5)
-    brute_wall = _timed(fresh(brute_force), repeats=3)
+    greedy_wall = _timed(_fresh(greedy_slo, graph, profiles, small, slo), repeats=5)
+    brute_wall = _timed(_fresh(brute_force, graph, profiles, small, slo), repeats=3)
     ratio = brute_wall / greedy_wall
     assert ratio >= 10.0, f"brute/greedy wall ratio {ratio:.1f}x below 10x"
     print(

@@ -1,11 +1,15 @@
+import ast
 import dataclasses
+import gc
 import itertools
 import math
 import operator
+import pathlib
 import random
 import sys
 import threading
 import time
+import types
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -141,6 +145,15 @@ def test_a_function_without_a_profile_raises_missing_profile():
             run(graph, profiles, ladder, SloSpec(10.0))
 
 
+def test_every_search_names_the_first_function_without_a_profile_in_execution_order():
+    graph = CallGraph(Sequence((FunctionNode("f3"), FunctionNode("f1"), FunctionNode("f2"))))
+    profiles = {"f2": make_profile("f2", {128: 2.0, 256: 1.0})}
+    ladder = MemoryLadder((128, 256), cap_mb=None)
+    for run in (greedy_slo, greedy_min_cost, greedy_min_time, *_brute_force_searches()):
+        with pytest.raises(MissingProfile, match="'f3'"):
+            run(graph, profiles, ladder, SloSpec(10.0))
+
+
 def _brute_force_searches():
     return [
         lambda *instance, objective=objective: brute_force(*instance, objective)
@@ -209,9 +222,8 @@ def test_a_table_from_the_smallest_subnormal_to_1e308_is_searched_exactly():
     for top in (1e308, 1e305):
         profiles = {f: make_profile(f, {m: top if s == 1e308 else s for m, s in zip(rungs, row)})
                     for f, row in zip(graph.functions(), rows)}
-        table = search._representatives(graph.functions(), profiles, rungs)
-        _, _, _, shift, scaled = search._bump_order(table)
-        assert shift == 1126 and scaled[graph.functions()[0]][0] == Fraction(top) * 2**1126
+        plan = search._Plan(graph, profiles, rungs)
+        assert plan.shift == 1126 and plan.scaled[graph.functions()[0]][0] == Fraction(top) * 2**1126
         for slo in (SloSpec(1e-300), SloSpec(2.5), SloSpec(1e300)):
             if top == 1e308:
                 for run, reference in WALK_REFERENCES:
@@ -252,14 +264,18 @@ def _edge_tables(draw):
 @settings(max_examples=60, deadline=None)
 @given(_edge_tables())
 def test_a_trajectorys_records_equal_fresh_evaluations(table):
-    """Every record of a walk equals a fresh exact evaluation, rounded once,
-    of the configuration it was reached at, and the records fall strictly."""
+    """Every record of a plan's walk equals a fresh exact evaluation, rounded
+    once, of the configuration it was reached at, and the records fall
+    strictly."""
     graph, seconds = table
-    trajectory = search._Trajectory(graph, seconds)
-    per_row = len(next(iter(seconds.values())))
+    rungs = DEFAULT_MEMORY_MB[:len(next(iter(seconds.values())))]
+    profiles = {name: make_profile(name, dict(zip(rungs, row))) for name, row in seconds.items()}
+    plan = search._Plan(graph, profiles, rungs)
+    plan.reach(-math.inf)
+    trajectory = plan.trajectory
     assert all(map(operator.gt, trajectory.estimates, trajectory.estimates[1:]))
     for estimate, taken in zip(trajectory.estimates, trajectory.taken):
-        rung = search._rungs_after(trajectory, taken, per_row)
+        rung = search._rungs_after(plan, taken)
         times = {name: seconds[name][index] for name, index in rung.items()}
         assert estimate.hex() == rounded_once(exact_composition(graph.root, times)).hex()
 
@@ -344,15 +360,15 @@ def test_tie_property_catches_ties_broken_on_rung_first(monkeypatch):
     differs from the heap somewhere."""
     name_first = search._bump_order
 
-    def rung_first(seconds):
-        order, names, *scaled = name_first(seconds)
-        per_row = len(next(iter(seconds.values())))
+    def rung_first(plan):
+        order, names, up = name_first(plan)
+        per_row = len(plan.rungs)
 
         def key(cell):  # cells are numbered by name, then rung
-            return -seconds[names[cell]][cell % per_row], cell % per_row, cell
+            return -plan.flat[cell], cell % per_row, cell
 
         order.sort(key=key)
-        return order, names, *scaled
+        return order, names, up
 
     monkeypatch.setattr(search, "_bump_order", rung_first)
     monkeypatch.setattr(search, "_last", None)  # no trajectory walked in the old order
@@ -465,7 +481,7 @@ def test_memo_keys_on_the_graph_object_not_an_equal_graph():
         for run, reference in WALK_REFERENCES:
             assert run(graph, profiles, ladder, slo).to_record() == reference(
                 graph, profiles, ladder, slo).to_record()
-        assert search._last[0] is graph
+        assert search._last.graph is graph
 
 
 def test_memo_prices_each_cost_model_apart():
@@ -487,8 +503,8 @@ def test_memo_prices_each_cost_model_apart():
 
 
 def test_a_memo_hit_returns_what_a_fresh_walk_returns():
-    """A repeat search on the same graph and profile objects reads the memo
-    slot, and returns what the same search returns from a cleared memo and
+    """A repeat search on the same graph and profile objects reads the
+    memo's plan, and returns what the same search returns from a cleared memo and
     what the walk that sorts and walks its own order returns. The tables
     hold zeros of both signs; an exact composition has no signed zero, so
     every estimate of zero reads +0.0."""
@@ -501,9 +517,9 @@ def test_a_memo_hit_returns_what_a_fresh_walk_returns():
         for run, reference in WALK_REFERENCES:
             search._last = None
             fresh = run(graph, profiles, ladder, slo)
-            slot = search._last
+            plan = search._last
             hit = run(graph, profiles, ladder, slo)
-            assert search._last is slot
+            assert search._last is plan
             assert hit.to_record() == fresh.to_record() == reference(
                 graph, profiles, ladder, slo).to_record()
         assert greedy_min_time(graph, profiles, ladder, slo).estimated_time_s.hex() == "0x0.0p+0"
@@ -966,13 +982,17 @@ def test_one_scan_answers_every_objective_as_the_single_objective_loop(instance,
 def test_a_second_objective_is_a_lookup_and_a_fresh_result(monkeypatch):
     """One scan answers every objective for an SLO and cost model: asking
     for another scans nothing, still counts M^N, and returns a new result
-    whose config is its own. Brute force leaves the greedy trajectory in
-    the slot, and never walks one itself, since it takes any table."""
+    whose config is its own. Brute force runs on the plan a greedy search
+    walked and leaves its trajectory, and never walks one itself, since it
+    takes any table."""
     graph, profiles, ladder, slo = _demo3_instance()
     search._last = None
-    trajectory = search._trajectory(graph, profiles, ladder.effective())
+    greedy_min_time(graph, profiles, ladder, slo)
+    plan = search._last
+    trajectory = plan.trajectory
     cheapest = brute_force(graph, profiles, ladder, slo, Objective.MIN_COST)
-    assert search._last[3] is trajectory
+    assert search._last is plan and plan.trajectory is trajectory
+    assert set(plan.answers) == {(slo.slo_seconds, CostModel())}
 
     def no_scan(*args):
         raise AssertionError("scanned an instance the memo holds")
@@ -988,22 +1008,26 @@ def test_a_second_objective_is_a_lookup_and_a_fresh_result(monkeypatch):
     assert again == cheapest and again.config is not cheapest.config
     again.config.clear()
     assert brute_force(graph, profiles, ladder, slo, Objective.MIN_COST) == cheapest
-    assert search._trajectory(graph, profiles, ladder.effective()) is trajectory
+    assert search._plan(graph, profiles, ladder.effective()) is plan
+    assert plan.trajectory is trajectory and len(plan.answers) == 1
     monkeypatch.setattr(search, "_scan", scan)
     rising = {f: make_profile(f, {128: 1.0, 256: 2.0}) for f in graph.functions()}
     small = MemoryLadder(values=(128, 256), cap_mb=None)
     assert brute_force(graph, rising, small, slo).found
-    assert search._last[3] is None
+    assert search._last is not plan and search._last.trajectory is None
 
 
 def test_brute_force_raises_before_scanning_and_leaves_the_memo(monkeypatch):
-    """An unknown objective, a missing profile and a space past the limit
-    each raise before any scan, and the slot stays as it was, whether it
-    holds another instance or this one."""
+    """An unknown objective and a missing profile raise before any plan is
+    built, and leave the memo's plan as it was. A space past the limit
+    raises once the plan's table has built: the new instance's plan takes
+    the memo, with no answers and no trajectory, and a greedy search then
+    walks that plan. A profile that rises along the ladder likewise leaves
+    its instance's plan with no trajectory."""
     graph, profiles, ladder, slo = _demo3_instance()
     search._last = None
     brute_force(graph, profiles, ladder, slo)
-    slot, answers = search._last, dict(search._last[4])
+    plan, answers = search._last, dict(search._last.answers)
 
     def no_scan(*args):
         raise AssertionError("brute force scanned")
@@ -1018,19 +1042,57 @@ def test_brute_force_raises_before_scanning_and_leaves_the_memo(monkeypatch):
     calls = [
         (ValueError, lambda: brute_force(graph, profiles, ladder, slo, "bogus")),
         (MissingProfile, lambda: brute_force(graph, partial, ladder, slo)),
-        (SearchSpaceTooLarge, lambda: brute_force(big, big_profiles, big_ladder, SloSpec(1.0))),
+        (MissingProfile, lambda: greedy_slo(graph, partial, ladder, slo)),
     ]
     for error, call in calls:
         with pytest.raises(error):
             call()
-        assert search._last is slot and slot[4] == answers
+        assert search._last is plan and plan.answers == answers
+    with pytest.raises(SearchSpaceTooLarge):
+        brute_force(big, big_profiles, big_ladder, SloSpec(1.0))
+    plan = search._last
+    assert plan.graph is big and plan.answers == {} and plan.trajectory is None
     greedy_slo(big, big_profiles, big_ladder, SloSpec(1e9))
-    slot = search._last
-    assert slot[0] is big and slot[4] == {}
+    assert search._last is plan and plan.trajectory is not None
     for objective in Objective:
         with pytest.raises(SearchSpaceTooLarge):
             brute_force(big, big_profiles, big_ladder, SloSpec(1.0), objective)
-        assert search._last is slot and slot[4] == {}
+        assert search._last is plan and plan.answers == {}
+    rising = {f: make_profile(f, {128: 1.0, 256: 2.0}) for f in graph.functions()}
+    with pytest.raises(ProfileNotMonotone):
+        greedy_slo(graph, rising, MemoryLadder(values=(128, 256), cap_mb=None), slo)
+    plan = search._last
+    assert plan.graph is graph and plan.answers == {} and plan.trajectory is None
+
+
+def test_no_evaluator_is_reachable_from_the_memo():
+    """After the three greedy searches and every brute-force objective, the
+    memo's plan holds records and answers only: walking its referents, past
+    classes, modules and functions, reaches no evaluator."""
+    instance = _demo3_instance()
+    search._last = None
+    for run in (greedy_slo, greedy_min_cost, greedy_min_time, *_brute_force_searches()):
+        assert run(*instance).found
+    plan = search._last
+    seen, stack = {}, [plan]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen[id(obj)] = obj
+        assert not isinstance(obj, search.GraphEvaluator)
+        stack.extend(gc.get_referents(obj))
+    assert all(id(part) in seen for part in (plan.trajectory, plan.answers, plan.graph.root))
+
+
+def test_only_the_plan_function_writes_the_memo():
+    """``global`` appears in one function of the search module, ``_plan``,
+    for ``_last``: every write to the memo goes through it."""
+    tree = ast.parse(pathlib.Path(search.__file__).read_text())
+    owners = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              and any(isinstance(inner, ast.Global) for inner in ast.walk(node))]
+    statements = [node.names for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert owners == ["_plan"] and statements == [["_last"]]
 
 
 def test_greedy_finds_feasible_whenever_brute_force_does():
