@@ -28,7 +28,7 @@ DEFAULT_MEMORY_CAP_MB = 2048
 DEFAULT_USD_PER_GB_SECOND = 1.6667e-5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemoryLadder:
     """The discrete set of allowed memory sizes, optionally capped.
 
@@ -66,7 +66,7 @@ class MemoryLadder:
         return self.effective()[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionNode:
     """A single function invocation (leaf of the call graph)."""
 
@@ -77,7 +77,7 @@ class FunctionNode:
             raise ValueError("function name must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sequence:
     """Children executed one after another; total time is the sum."""
 
@@ -87,7 +87,7 @@ class Sequence:
         object.__setattr__(self, "children", tuple(self.children))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Parallel:
     """Children executed concurrently; total time is the maximum."""
 
@@ -111,7 +111,7 @@ def iter_function_names(node: GraphNode) -> Iterator[str]:
             pending.extend(reversed(node.children))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallGraph:
     """Recursive sequence/parallel composition of function invocations.
 
@@ -198,7 +198,7 @@ def _check_memories(function: str, by_memory: Mapping[int, object]) -> None:
                                  f"got {memory_mb!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionProfile:
     """Latency representatives for one function across the memory ladder.
 
@@ -280,7 +280,7 @@ class FunctionProfile:
         return self.sample_counts.get(memory_mb, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SloSpec:
     """Latency target: the ``percentile``-th end-to-end latency must stay
     at or below ``slo_seconds``."""
@@ -309,7 +309,7 @@ class Objective(str, Enum):
     MIN_TIME = "min-time"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostModel:
     """Linear execution pricing: USD per GB-second, billed in fixed ticks."""
 

@@ -68,7 +68,7 @@ from .model import (
 BRUTE_FORCE_LIMIT = 10_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchResult:
     """Outcome of one search run.
 

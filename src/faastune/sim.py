@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -29,7 +30,7 @@ from .model import (
     SloSpec,
     check_configuration,
 )
-from .profiles import percentile_linear
+from .profiles import _percentile_of_sorted
 from .traces import (
     TraceLog,
     TraceSegment,
@@ -60,7 +61,7 @@ PETSTORE_BAAS_JITTER_CV = 0.04
 SHAPES = ("chain", "demo3", "demo6", "demo10", "petstore", "random")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimFunctionSpec:
     """Latency model for one simulated function.
 
@@ -103,7 +104,7 @@ class SimFunctionSpec:
 _Invocation = tuple[str, int | None, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimApp:
     """A simulated application: call graph plus per-function latency specs."""
 
@@ -258,10 +259,12 @@ def generate_app(
 
 
 def _simulate(
-    app: SimApp, config: Mapping[str, int], n_requests: int, rng: random.Random
-) -> Iterator[tuple[list[float], list[float], list[bool], float]]:
-    """Yield (starts, durations, cold starts, finish) of ``n_requests``
-    requests, the lists indexed like the app's invocation plan.
+    app: SimApp, config: Mapping[str, int], n_requests: int, rng: random.Random,
+    invocations: bool = False,
+) -> Iterator[float] | Iterator[tuple[list[float], list[float], list[bool], float]]:
+    """Yield the finish of each of ``n_requests`` requests or, with
+    ``invocations``, its (starts, durations, cold starts, finish), the lists
+    indexed like the app's invocation plan. Both draw the same requests.
 
     A compute function's base duration is work / min(memory, saturation); a
     backend-bound one's is its backend latency at any memory. Jitter
@@ -298,9 +301,10 @@ def _simulate(
                       after[0] if len(after) == 1 else after))
     rand, log, exp, nv_magic = rng.random, math.log, math.exp, random.NV_MAGICCONST
     for _ in range(n_requests):
-        starts: list[float] = []
-        durations: list[float] = []
-        colds: list[bool] = []
+        if invocations:
+            starts: list[float] = []
+            durations: list[float] = []
+            colds: list[bool] = []
         ends = [0.0]
         for base, mu, sigma, cold_prob, cold_s, after in table:
             duration = base
@@ -319,14 +323,15 @@ def _simulate(
             if cold:
                 duration += cold_s
             start = ends[after] if type(after) is int else max(map(ends.__getitem__, after))
-            starts.append(start)
-            durations.append(duration)
-            colds.append(cold)
+            if invocations:
+                starts.append(start)
+                durations.append(duration)
+                colds.append(cold)
             ends.append(start + duration)
         finish = max(ends)
         if not finish < math.inf:
             raise ValueError("simulated request latencies must be finite")
-        yield starts, durations, colds, finish
+        yield (starts, durations, colds, finish) if invocations else finish
 
 
 def run_load(
@@ -371,7 +376,7 @@ def _load_traces(
         # segment is built.
         entries.append((suffix, name, parent, config.get(name), calls))
     traces: dict[str, list[TraceSegment]] = {}
-    requests = _simulate(app, config, k_requests, rng)
+    requests = _simulate(app, config, k_requests, rng, invocations=True)
     for request, (starts, durations, colds, _) in enumerate(requests):
         trace_id = f"{trace_prefix}-{request:05d}"
         ids: list[str] = []
@@ -439,7 +444,8 @@ def profile_samples(
     for memory_mb in ladder.effective():
         config = {name: memory_mb for name in app.graph.functions()}
         rows = [[(start + duration) - start for start, duration in zip(starts, durations)]
-                for starts, durations, _, _ in _simulate(app, config, k_per_level, rng)]
+                for starts, durations, _, _ in _simulate(app, config, k_per_level, rng,
+                                                         invocations=True)]
         # The walker gives a row per request; the table keeps a column per function.
         cells = {name: list(column) for name, column in zip(names, zip(*rows))}
         if cells:
@@ -447,7 +453,7 @@ def profile_samples(
     return samples
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     """Observed request latencies for a configuration against an SLO."""
 
@@ -484,21 +490,25 @@ def validate_config(
     n_requests: int,
     rng: random.Random,
 ) -> ValidationReport:
-    """Issue validation requests and report the fraction meeting the SLO."""
-    durations = [finish for _, _, _, finish in _simulate(app, config, n_requests, rng)]
-    if not durations:
+    """Issue validation requests and report the fraction meeting the SLO.
+
+    Each request's latency is its finish; every statistic is read from
+    one sorted list of them, and a request meets the SLO when its latency
+    is at most ``slo_seconds``.
+    """
+    finishes = sorted(_simulate(app, config, n_requests, rng))
+    if not finishes:
         raise ValueError(f"n_requests must be at least 1, got {n_requests!r}")
-    within = sum(1 for d in durations if d <= slo.slo_seconds)
     return ValidationReport(
         n_requests=n_requests,
         slo_seconds=slo.slo_seconds,
         percentile=slo.percentile,
-        conformance=within / n_requests,
-        min_s=min(durations),
-        median_s=percentile_linear(durations, 50),
-        p95_s=percentile_linear(durations, 95),
-        max_s=max(durations),
-        at_percentile_s=percentile_linear(durations, slo.percentile),
+        conformance=bisect_right(finishes, slo.slo_seconds) / n_requests,
+        min_s=finishes[0],
+        median_s=_percentile_of_sorted(finishes, 50),
+        p95_s=_percentile_of_sorted(finishes, 95),
+        max_s=finishes[-1],
+        at_percentile_s=_percentile_of_sorted(finishes, slo.percentile),
     )
 
 

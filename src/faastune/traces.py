@@ -122,7 +122,7 @@ class TraceSegment(_SegmentFields):
         return cls(*iterable)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceLog:
     """Segments grouped by trace, in file/emission order. Each trace must
     be one tree (:func:`_check_tree`) when built; ``traces`` is read-only."""

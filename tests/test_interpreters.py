@@ -1,9 +1,10 @@
-"""The pinned artifacts hold on every CPython from 3.10 on that pyenv lists.
+"""The pinned artifacts hold, and the value types are slotted and round-trip,
+on every CPython from 3.10 on that pyenv lists.
 
-``tests/profile_digests.py`` needs only the standard library, so it runs
-under interpreters that have no pytest. Each interpreter runs it in a
-subprocess, as ``PYENV_VERSION=<version> pyenv exec python3``; the test is
-skipped where pyenv is not installed.
+``tests/profile_digests.py`` and ``tests/value_types.py`` need only the
+standard library, so they run under interpreters that have no pytest. Each
+interpreter runs each script in a subprocess, as ``PYENV_VERSION=<version>
+pyenv exec python3``; the tests are skipped where pyenv is not installed.
 """
 
 import re
@@ -16,6 +17,7 @@ import pytest
 from helpers import package_env
 
 DIGESTS = Path(__file__).with_name("profile_digests.py")
+VALUE_TYPES = Path(__file__).with_name("value_types.py")
 
 
 def _pyenv_versions() -> list[str]:
@@ -36,13 +38,27 @@ def _pyenv_versions() -> list[str]:
 VERSIONS = _pyenv_versions()
 
 
-@pytest.mark.parametrize("version", VERSIONS or [
-    pytest.param(None, marks=pytest.mark.skip(reason="pyenv lists no CPython 3.10 or later")),
-])
-def test_profile_digests_match_every_pin_on(version):
+def _run(script: Path, version: str) -> None:
+    """Run ``script`` under pyenv's CPython ``version``; it must exit 0 and
+    name the version it ran on."""
     done = subprocess.run(
-        [shutil.which("pyenv"), "exec", "python3", "-B", str(DIGESTS)],
+        [shutil.which("pyenv"), "exec", "python3", "-B", str(script)],
         capture_output=True, text=True, env=dict(package_env(), PYENV_VERSION=version), timeout=600,
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert f"CPython {version}:" in done.stdout
+
+
+ON_EVERY_VERSION = pytest.mark.parametrize("version", VERSIONS or [
+    pytest.param(None, marks=pytest.mark.skip(reason="pyenv lists no CPython 3.10 or later")),
+])
+
+
+@ON_EVERY_VERSION
+def test_profile_digests_match_every_pin_on(version):
+    _run(DIGESTS, version)
+
+
+@ON_EVERY_VERSION
+def test_value_types_are_slotted_and_round_trip_on(version):
+    _run(VALUE_TYPES, version)

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -380,16 +381,23 @@ def _report_from(durations, slo):
                      (0.3, 0.5)]),
     st.lists(st.sampled_from((128, 256, 1024, 3008)), min_size=10, max_size=10),
     st.integers(0, 2**32),
+    st.one_of(st.integers(0, 29), st.sampled_from(("below", "above"))),
+    st.floats(0.0, 100.0, exclude_min=True),
 )
 @example(({"f1": [["f2", "f3"], ["f6"]], "f2": [["f4", "f5"]], "f3": [], "f4": [["f7"]],
            "f5": [], "f6": [], "f7": []}, {f"f{i}": 300.0 for i in range(1, 8)}),
-         [3, 7, 0, 5, 1, 6, 2, 0, 0, 0], (0.3, 0.5), [128] * 10, 0)
+         [3, 7, 0, 5, 1, 6, 2, 0, 0, 0], (0.3, 0.5), [128] * 10, 0, 4, 90.0)
+@example(({"f1": []}, {"f1": 300.0}), [0] * 10, (0.0, 0.0), [128] * 10, 0, 7, 100.0)
 @settings(max_examples=80, deadline=None)
-def test_validation_times_requests_as_their_traces_do(table, backends, noise, memories, seed):
+def test_validation_times_requests_as_their_traces_do(table, backends, noise, memories, seed,
+                                                      slo_at, percentile):
     """validate_config's latencies are end_to_end_durations of run_load's
     traces, bit for bit, and it leaves the generator in the same state: one
     request at a time (each report's max is that request's latency) and as
-    one report."""
+    one report. The SLO is one request's own latency (``slo_at`` is its
+    index), or the next float below the fastest or above the slowest, so a
+    count of the sorted latencies at most the SLO is checked where it meets
+    one exactly or none or all of them."""
     calls, work = table
     jitter_cv, cold_start_prob = noise
     graph = CallGraph(compose_calls("f1", calls))
@@ -403,9 +411,15 @@ def test_validation_times_requests_as_their_traces_do(table, backends, noise, me
             for name, count in zip(names, backends) if count}
     app = SimApp(graph=graph, specs=specs, baas_children=baas)
     config = dict(zip(names, memories))
-    slo = SloSpec(2.5, percentile=90.0)
     traced, validated = random.Random(seed), random.Random(seed)
     latencies = end_to_end_durations(run_load(app, config, 30, traced))
+    if slo_at == "below":
+        slo_seconds = math.nextafter(min(latencies), 0.0)
+    elif slo_at == "above":
+        slo_seconds = math.nextafter(max(latencies), math.inf)
+    else:
+        slo_seconds = latencies[slo_at]
+    slo = SloSpec(slo_seconds, percentile=percentile)
     assert [
         validate_config(app, config, slo, n_requests=1, rng=validated).max_s for _ in range(30)
     ] == latencies
@@ -465,6 +479,20 @@ def _walked(walk, app, config, n_requests, seed):
     return requests, rng.getstate()
 
 
+def _finished(walk, app, config, n_requests, seed):
+    """:func:`_walked` for a walk that yields each request's finish alone:
+    the finishes in hex, then the error that ended the walk (if any), and
+    the generator's state afterwards."""
+    rng = random.Random(seed)
+    finishes = []
+    try:
+        for finish in walk(app, config, n_requests, rng):
+            finishes.append(finish.hex())
+    except (OverflowError, ValueError) as exc:
+        finishes.append((type(exc), str(exc)))
+    return finishes, rng.getstate()
+
+
 @given(
     call_tables(),
     st.lists(st.tuples(st.one_of(st.sampled_from((0.0, 1e-200)), st.floats(0.0, 10.0)),
@@ -481,8 +509,9 @@ def _walked(walk, app, config, n_requests, seed):
 @settings(max_examples=200, deadline=None)
 def test_walk_draws_as_lognormvariate_does(table, noise, memories, extreme, n_requests, seed):
     """The inline lognormal draw is ``random.Random.lognormvariate``'s, bit for
-    bit: equal requests, equal errors (a 1e308 s root overflows under jitter,
-    a 1e155 cv overflows its square) and equal generator states."""
+    bit, with or without the invocations: equal requests, equal errors (a
+    1e308 s root overflows under jitter, a 1e155 cv overflows its square)
+    and equal generator states."""
     calls, work = table
     graph = CallGraph(compose_calls("f1", calls))
     names = graph.functions()
@@ -498,8 +527,12 @@ def test_walk_draws_as_lognormvariate_does(table, noise, memories, extreme, n_re
         specs["f1"] = dataclasses.replace(specs["f1"], jitter_cv=1e155)
     app = SimApp(graph=graph, specs=specs)
     config = dict(zip(names, memories))
-    assert (_walked(sim._simulate, app, config, n_requests, seed)
-            == _walked(_reference_walk, app, config, n_requests, seed))
+    requests, state = _walked(_reference_walk, app, config, n_requests, seed)
+    assert _walked(partial(sim._simulate, invocations=True), app, config, n_requests,
+                   seed) == (requests, state)
+    # Without its invocations, the walk draws the same requests and yields their finishes.
+    assert _finished(sim._simulate, app, config, n_requests, seed) == (
+        [request[-1] if len(request) == 4 else request for request in requests], state)
 
 
 def test_backend_calls_end_within_their_function():
@@ -801,6 +834,57 @@ def test_validation_reports_are_pinned(shape):
             reports.append(report.to_dict())
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
     assert digest == PINNED_REPORT_DIGESTS[shape], shape
+
+
+def _times_two(app):
+    """``app`` with every function's work, backend latency and cold-start
+    penalty doubled."""
+    return dataclasses.replace(app, specs={
+        name: dataclasses.replace(
+            spec, work=2 * spec.work, cold_start_s=2 * spec.cold_start_s,
+            baas_latency_s=None if spec.baas_latency_s is None else 2 * spec.baas_latency_s,
+        )
+        for name, spec in app.specs.items()
+    })
+
+
+_REPORT_LATENCIES = ("min_s", "median_s", "p95_s", "max_s", "at_percentile_s")
+
+
+@pytest.mark.parametrize("noise", [None, (0.05, 0.02)], ids=["default", "noisy"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_doubling_every_time_doubles_every_simulated_latency(shape, noise):
+    """A metamorphic relation of the simulator: with every function's work,
+    backend latency and cold-start penalty doubled, the same seed draws every
+    profiling duration and every validated latency exactly doubled (each
+    operation of the walk commutes with doubling), and conformance at twice
+    the SLO is unchanged."""
+    ladder = MemoryLadder()
+    memories = (128, 256, 512, 1024, 2048)
+    for seed in range(6):
+        app = generate_app(12, shape, seed=seed)
+        if noise is not None:
+            jitter_cv, cold_start_prob = noise
+            app = dataclasses.replace(app, specs={
+                name: dataclasses.replace(spec, jitter_cv=jitter_cv, cold_start_prob=cold_start_prob)
+                for name, spec in app.specs.items()
+            })
+        doubled = _times_two(app)
+        samples, _, state = _profiled(profile_samples, app, ladder, 10, seed)
+        expected = [(memory_mb, name, [(2 * d).hex() for d in durations])
+                    for memory_mb, by_function in samples.items()
+                    for name, durations in by_function.items()]
+        assert _profiled(profile_samples, doubled, ladder, 10, seed)[1:] == (expected, state)
+
+        config = {f: memories[i % 5] for i, f in enumerate(app.graph.functions())}
+        # The SLO is the run's own median, so conformance is neither 0 nor 1.
+        median_s = validate_config(app, config, SloSpec(1.0), 100, random.Random(seed)).median_s
+        report = validate_config(app, config, SloSpec(median_s, 90.0), 100, random.Random(seed))
+        twice = validate_config(doubled, config, SloSpec(2 * median_s, 90.0), 100,
+                                random.Random(seed))
+        assert [getattr(twice, field).hex() for field in _REPORT_LATENCIES] == [
+            (2 * getattr(report, field)).hex() for field in _REPORT_LATENCIES]
+        assert 0 < twice.conformance == report.conformance < 1
 
 
 # --- app spec files ----------------------------------------------------------
