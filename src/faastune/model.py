@@ -182,20 +182,13 @@ Samples = dict[int, dict[str, list[float]]]
 _NO_COUNTS: Mapping[int, int] = MappingProxyType({})
 
 
-#: The one type of a column that needs no per-value check: bools are ints,
-#: but their type is ``bool``.
-_INTS = frozenset({int})
-
-
 def _check_memories(function: str, by_memory: Mapping[int, object]) -> None:
     """Raise ValueError for the first key of ``by_memory`` that is not a
     positive integer (a bool is not one)."""
-    if by_memory and not (set(map(type, by_memory)) == _INTS and min(by_memory) > 0):
-        for memory_mb in by_memory:
-            if not (isinstance(memory_mb, int) and not isinstance(memory_mb, bool)
-                    and memory_mb > 0):
-                raise ValueError(f"memory size of {function!r} must be a positive integer, "
-                                 f"got {memory_mb!r}")
+    for memory_mb in by_memory:
+        if not (isinstance(memory_mb, int) and not isinstance(memory_mb, bool) and memory_mb > 0):
+            raise ValueError(f"memory size of {function!r} must be a positive integer, "
+                             f"got {memory_mb!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,20 +225,15 @@ class FunctionProfile:
             raise ValueError(f"alpha of {function!r} must be a number in [0, 100], got {alpha!r}")
         representatives = dict(self.representatives)
         _check_memories(function, representatives)
-        # A NaN or infinity fails the sum and a negative value the minimum; a
-        # finite row whose sum overflows is scanned, and passes.
-        seconds = representatives.values()
-        if seconds and not (0 <= min(seconds) and sum(seconds) < math.inf
-                            and bool not in set(map(type, seconds))):
-            for memory_mb, value in representatives.items():
-                if isinstance(value, bool):
-                    raise ValueError(f"representative of {function!r} at {memory_mb} MB is "
-                                     f"{value!r}, not a number")
-                if math.isnan(value):
-                    raise ValueError(f"representative of {function!r} at {memory_mb} MB is NaN")
-                if not 0 <= value < math.inf:
-                    raise ValueError(f"representative of {function!r} at {memory_mb} MB is "
-                                     f"{value!r}, not finite and non-negative")
+        for memory_mb, value in representatives.items():
+            if isinstance(value, bool):
+                raise ValueError(f"representative of {function!r} at {memory_mb} MB is "
+                                 f"{value!r}, not a number")
+            if math.isnan(value):
+                raise ValueError(f"representative of {function!r} at {memory_mb} MB is NaN")
+            if not 0 <= value < math.inf:
+                raise ValueError(f"representative of {function!r} at {memory_mb} MB is "
+                                 f"{value!r}, not finite and non-negative")
         object.__setattr__(self, "representatives", MappingProxyType(representatives))
         counts = self.sample_counts
         if counts:
@@ -254,12 +242,10 @@ class FunctionProfile:
                 _check_memories(function, counts)
                 raise ValueError(f"sample counts of {function!r} are at {sorted(counts)} MB, "
                                  f"its representatives at {sorted(representatives)} MB")
-            values = counts.values()
-            if not (set(map(type, values)) == _INTS and min(values) >= 0):
-                for memory_mb, count in counts.items():
-                    if not (isinstance(count, int) and not isinstance(count, bool) and count >= 0):
-                        raise ValueError(f"sample count of {function!r} at {memory_mb} MB must be "
-                                         f"a non-negative integer, got {count!r}")
+            for memory_mb, count in counts.items():
+                if not (isinstance(count, int) and not isinstance(count, bool) and count >= 0):
+                    raise ValueError(f"sample count of {function!r} at {memory_mb} MB must be "
+                                     f"a non-negative integer, got {count!r}")
         object.__setattr__(self, "sample_counts",
                            MappingProxyType(counts) if any(counts.values()) else _NO_COUNTS)
 
@@ -366,7 +352,7 @@ def configuration_cost(
     for function, memory_mb in config.items():
         profile = profiles.get(function)
         if profile is None:
-            raise MissingProfile(function, memory_mb)
+            raise MissingProfile(function)
         units += cost_model.cost_units(profile.representative(memory_mb), memory_mb)
     return cost_model.usd(units)
 

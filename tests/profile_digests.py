@@ -100,10 +100,10 @@ def _write_app(workdir: Path, shape: str, seed: str, noisy: bool) -> Path:
     app = workdir / "app.json"
     app_digest(workdir, shape, seed)
     if noisy:
-        spec = json.loads(app.read_text())
+        spec = json.loads(app.read_text(encoding="utf-8"))
         for fields in spec["functions"].values():
             fields.update(jitter_cv=0.05, cold_start_prob=0.02)
-        app.write_text(json.dumps(spec))
+        app.write_text(json.dumps(spec), encoding="utf-8")
     return app
 
 
@@ -196,8 +196,8 @@ def validate_reports_digest(workdir: Path, results: dict[str, Path], slo: str) -
 
 def check() -> int:
     """Print one line per mismatch and a summary; 1 if anything differs."""
-    golden = json.loads(GOLDEN.read_text())
-    golden_results = json.loads(GOLDEN_RESULTS.read_text())
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    golden_results = json.loads(GOLDEN_RESULTS.read_text(encoding="utf-8"))
     apps = [(shape, seed) for shape in SHAPES for seed in SEEDS]
     keys = [(shape, seed, noisy) for shape, seed in apps for noisy in (False, True)]
     app_mismatches, profile_mismatches, trace_mismatches, ingest_mismatches = [], [], [], []
@@ -220,7 +220,7 @@ def check() -> int:
             results = optimize_results(Path(workdir), shape, seed, slo)
             for key, result in results.items():
                 expected = json.dumps(golden_results[key], indent=2, sort_keys=True) + "\n"
-                if result.read_text() != expected:
+                if result.read_text(encoding="utf-8") != expected:
                     result_mismatches.append(key)
             if shape == "petstore":
                 if validate_reports_digest(Path(workdir), results, slo) != golden[REPORTS_KEY]:

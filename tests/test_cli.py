@@ -682,7 +682,7 @@ def test_petstore_validation_and_traces_are_pinned(workdir):
     """sha256 of petstore's three `validate` reports (one per objective, 200
     requests) and of a 20-request `run_load` trace file, the outputs that
     depend on how backend calls are laid out."""
-    golden = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
+    golden = json.loads((Path(__file__).parent / "golden_digests.json").read_text(encoding="utf-8"))
     results = optimize_results(workdir, "petstore", "13", "1.5")
     assert validate_reports_digest(workdir, results, "1.5") == golden[REPORTS_KEY]
     petstore = load_app(workdir / "app.json")
@@ -698,7 +698,7 @@ def test_petstore_validation_and_traces_are_pinned(workdir):
 def test_generated_apps_are_pinned(workdir, shape, seed):
     """sha256 of the `generate-app` spec file of every shape at two seeds
     (``tests/profile_digests.py`` checks the same under any interpreter)."""
-    golden = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
+    golden = json.loads((Path(__file__).parent / "golden_digests.json").read_text(encoding="utf-8"))
     assert app_digest(workdir, shape, seed) == golden[app_key(shape, seed)]
 
 
@@ -709,7 +709,7 @@ def test_profile_tables_are_pinned(workdir, shape, seed, noisy):
     """sha256 of the `profile` table of every shape at two seeds, at the
     simulator's default noise and at jitter cv 0.05 with 2 % cold starts
     (``tests/profile_digests.py`` checks the same under any interpreter)."""
-    golden = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
+    golden = json.loads((Path(__file__).parent / "golden_digests.json").read_text(encoding="utf-8"))
     assert profile_digest(workdir, shape, seed, noisy) == golden[profile_key(shape, seed, noisy)]
 
 

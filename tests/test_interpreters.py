@@ -4,7 +4,9 @@ on every CPython from 3.10 on that pyenv lists.
 ``tests/profile_digests.py`` and ``tests/value_types.py`` need only the
 standard library, so they run under interpreters that have no pytest. Each
 interpreter runs each script in a subprocess, as ``PYENV_VERSION=<version>
-pyenv exec python3``; the tests are skipped where pyenv is not installed.
+pyenv exec python3 -X warn_default_encoding -W error::EncodingWarning``, so a
+file opened in the locale's encoding fails the run; the tests are skipped where
+pyenv is not installed.
 """
 
 import re
@@ -39,10 +41,12 @@ VERSIONS = _pyenv_versions()
 
 
 def _run(script: Path, version: str) -> None:
-    """Run ``script`` under pyenv's CPython ``version``; it must exit 0 and
-    name the version it ran on."""
+    """Run ``script`` under pyenv's CPython ``version``, with every read or
+    write in the locale's encoding an error; it must exit 0 and name the
+    version it ran on."""
     done = subprocess.run(
-        [shutil.which("pyenv"), "exec", "python3", "-B", str(script)],
+        [shutil.which("pyenv"), "exec", "python3", "-B", "-X", "warn_default_encoding",
+         "-W", "error::EncodingWarning", str(script)],
         capture_output=True, text=True, env=dict(package_env(), PYENV_VERSION=version), timeout=600,
     )
     assert done.returncode == 0, done.stdout + done.stderr

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import gc
 import itertools
 import math
@@ -26,6 +27,7 @@ from faastune import (
     SloSpec,
     brute_force,
     configuration_cost,
+    estimate_cost,
     estimate_time,
     generate_app,
     greedy_min_cost,
@@ -154,11 +156,32 @@ def test_every_search_names_the_first_function_without_a_profile_in_execution_or
             run(graph, profiles, ladder, SloSpec(10.0))
 
 
-def _brute_force_searches():
-    return [
-        lambda *instance, objective=objective: brute_force(*instance, objective)
-        for objective in Objective
+def test_every_entry_point_gives_one_message_for_a_missing_profile():
+    """Estimates, costs and searches all name only the function that has no
+    profile; a profile that lacks a rung names its memory size as well."""
+    graph = CallGraph(Sequence((FunctionNode("f1"), FunctionNode("f2"))))
+    profiles = {"f1": make_profile("f1", {128: 2.0, 256: 1.0})}
+    ladder = MemoryLadder((128, 256), cap_mb=None)
+    config = dict.fromkeys(graph.functions(), 128)
+    runs = [
+        lambda: estimate_time(graph, config, profiles),
+        lambda: estimate_cost(graph, config, profiles, CostModel()),
+        lambda: configuration_cost(config, profiles, CostModel()),
+        *(functools.partial(run, graph, profiles, ladder, SloSpec(10.0))
+          for run in (greedy_slo, greedy_min_cost, greedy_min_time, *_brute_force_searches())),
     ]
+    for run in runs:
+        with pytest.raises(MissingProfile, match="^no profile for function 'f2'$"):
+            run()
+    profiles["f2"] = make_profile("f2", {128: 2.0})
+    config["f2"] = 256
+    for run in runs:
+        with pytest.raises(MissingProfile, match="^no profile for function 'f2' at 256 MB$"):
+            run()
+
+
+def _brute_force_searches():
+    return [functools.partial(brute_force, objective=objective) for objective in Objective]
 
 
 @pytest.mark.parametrize("rung", range(3))
@@ -1105,6 +1128,71 @@ def test_greedy_finds_feasible_whenever_brute_force_does():
             assert heuristic.found
         else:
             assert not heuristic.found
+
+
+# --- metamorphic relations ---------------------------------------------------
+
+
+def _record_hex(result, scale=1):
+    """``result.to_record()`` with its estimates times ``scale``, as hex."""
+    record = result.to_record()
+    for key in ("estimated_time_s", "estimated_cost_usd"):
+        if record[key] is not None:
+            record[key] = (scale * record[key]).hex()
+    return record
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_doubling_times_slo_and_billing_tick_doubles_every_search_estimate(seed):
+    """A metamorphic relation of the searches: with every representative, the
+    SLO and the billing tick doubled, every search takes the same steps to the
+    same configuration, and its time and cost estimates double exactly."""
+    graph, profiles, ladder, slo = random_instance(random.Random(seed))
+    doubled = {name: dataclasses.replace(profile, representatives={
+        memory_mb: 2 * seconds for memory_mb, seconds in profile.representatives.items()})
+        for name, profile in profiles.items()}
+    twice_slo = SloSpec(2 * slo.slo_seconds, slo.percentile)
+    for run in (greedy_slo, greedy_min_cost, greedy_min_time, *_brute_force_searches()):
+        result = run(graph, profiles, ladder, slo, cost_model=CostModel())
+        twice = run(graph, doubled, ladder, twice_slo, cost_model=CostModel(billing_granularity_ms=2))
+        assert _record_hex(twice) == _record_hex(result, 2)
+
+
+@given(st.integers(0, 2**32), st.floats(1.0, 4.0), st.floats(0.25, 4.0), st.data())
+@settings(max_examples=150, deadline=None)
+def test_exact_min_cost_and_greedy_min_time_keep_their_order_relations(
+    seed, looser, other, data
+):
+    """Brute-force min-cost's cost never rises when the SLO loosens or the
+    ladder gains rungs the profiles cover, and ``greedy_min_time`` gives the
+    same result at every SLO it meets, and the same counts at one it misses.
+    (``greedy_slo`` and ``greedy_min_cost`` break the first two relations,
+    so they are not asserted here.)"""
+    graph, profiles, ladder, slo = random_instance(random.Random(seed))
+    cheapest = brute_force(graph, profiles, ladder, slo, Objective.MIN_COST)
+    if cheapest.found:
+        loose = SloSpec(looser * slo.slo_seconds, slo.percentile)
+        assert (brute_force(graph, profiles, ladder, loose, Objective.MIN_COST).estimated_cost_usd
+                <= cheapest.estimated_cost_usd)
+
+    rungs = ladder.effective()
+    size = data.draw(st.integers(1, len(rungs)), label="rungs kept")
+    kept = tuple(sorted(data.draw(st.permutations(rungs))[:size]))
+    coarse = brute_force(graph, profiles, MemoryLadder(kept, cap_mb=None), slo, Objective.MIN_COST)
+    if coarse.found:
+        assert cheapest.found and cheapest.estimated_cost_usd <= coarse.estimated_cost_usd
+
+    # The all-minimum configuration, where the greedy walk starts, is its slowest.
+    slowest = estimate_time(graph, dict.fromkeys(graph.functions(), rungs[0]), profiles)
+    fastest = greedy_min_time(graph, profiles, ladder, SloSpec(slowest, slo.percentile))
+    assert fastest.found
+    for seconds in (fastest.estimated_time_s, slo.slo_seconds, looser * slo.slo_seconds,
+                    other * slo.slo_seconds):
+        again = greedy_min_time(graph, profiles, ladder, SloSpec(seconds, slo.percentile))
+        assert again == (fastest if seconds >= fastest.estimated_time_s else
+                         dataclasses.replace(fastest, config=None, estimated_time_s=None,
+                                             estimated_cost_usd=None))
 
 
 # --- full-pipeline orderings -------------------------------------------------
