@@ -199,17 +199,18 @@ class FunctionProfile:
     durations at memory ``m`` (after monotone repair, the running minimum
     of those percentiles), and ``sample_counts[m]`` is how many durations
     were observed there. The samples themselves are not kept. Both mappings
-    are read-only copies of the ones passed in, so a profile never changes
-    once built; without counts, or when every count is zero (as a table
-    saved without counts reads back), ``sample_counts`` is one shared empty
-    mapping. Raises ValueError, by the rules :func:`~faastune.profiles.load_profiles`
-    reads a saved table with, so every profile that builds loads back as an
-    equal profile: for an ``alpha`` that is not an int or float in [0, 100],
-    for the first memory size that is not a positive integer, for counts
-    keyed at other memory sizes than the representatives, for the first
-    representative that is a bool, NaN, infinite or negative, and for the
-    first sample count that is not a non-negative integer. Bools are not
-    integers here.
+    are read-only copies of the ones passed in, each representative as a
+    float, so a profile never changes once built; without counts, or when
+    every count is zero (as a table saved without counts reads back),
+    ``sample_counts`` is one shared empty mapping. Raises ValueError, by
+    the rules :func:`~faastune.profiles.load_profiles` reads a saved table
+    with, so every profile that builds loads back as an equal profile: for
+    an ``alpha`` that is not an int or float in [0, 100], for the first
+    memory size that is not a positive integer, for counts keyed at other
+    memory sizes than the representatives, for the first representative
+    that is not an int or float, or is NaN, infinite, negative or beyond
+    the float range, and for the first sample count that is not a
+    non-negative integer. Bools are not numbers here.
     """
 
     function: str
@@ -226,9 +227,15 @@ class FunctionProfile:
         representatives = dict(self.representatives)
         _check_memories(function, representatives)
         for memory_mb, value in representatives.items():
-            if isinstance(value, bool):
-                raise ValueError(f"representative of {function!r} at {memory_mb} MB is "
-                                 f"{value!r}, not a number")
+            if type(value) is not float:  # held as the float its file reads back
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    raise ValueError(f"representative of {function!r} at {memory_mb} MB is "
+                                     f"{value!r}, not a number")
+                try:
+                    value = representatives[memory_mb] = float(value)
+                except OverflowError:
+                    raise ValueError(f"representative of {function!r} at {memory_mb} MB is "
+                                     f"beyond the float range") from None
             if math.isnan(value):
                 raise ValueError(f"representative of {function!r} at {memory_mb} MB is NaN")
             if not 0 <= value < math.inf:

@@ -79,10 +79,12 @@ class SimFunctionSpec:
     jitter_cv: float = 0.0
 
     def __post_init__(self):
-        if bool in (type(self.work), type(self.baas_latency_s), type(self.cold_start_s),
-                    type(self.cold_start_prob), type(self.jitter_cv)):
-            raise ValueError("work, baas_latency_s, cold_start_s, cold_start_prob and "
-                             "jitter_cv must be numbers, not booleans")
+        # Ints and floats, as JSON numbers load; only baas_latency_s may be None.
+        latency = () if self.baas_latency_s is None else (self.baas_latency_s,)
+        for value in (self.work, *latency, self.cold_start_s, self.cold_start_prob, self.jitter_cv):
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError("work, baas_latency_s, cold_start_s, cold_start_prob and "
+                                 "jitter_cv must be numbers, not booleans")
         if self.kind not in ("compute", "baas_bound"):
             raise ValueError(f"kind must be 'compute' or 'baas_bound', got {self.kind!r}")
         # Chained comparisons are false for NaN, so these reject it too.

@@ -183,6 +183,8 @@ def _check_tree(trace_id: str, segments: tuple[TraceSegment, ...]) -> None:
     parent ids must resolve (:class:`OrphanSegment`), exactly one segment
     may lack a parent (:class:`MultipleRoots`) and every segment must reach
     it through its parents (:class:`UnreachableSegment`, catching cycles).
+    Of a repeated id and a segment of another trace, the first in list
+    order is reported.
     """
     parent_of: dict[str, str | None] = {}
     roots = 0
@@ -190,36 +192,29 @@ def _check_tree(trace_id: str, segments: tuple[TraceSegment, ...]) -> None:
     for segment_trace, segment_id, _, _, _, _, parent_id, _, _ in segments:
         if segment_trace != trace_id:
             raise ParseError(0, f"trace {trace_id!r} holds segment {segment_id!r} of trace {segment_trace!r}")
+        if segment_id in parent_of:
+            raise ParseError(0, f"trace {trace_id!r} repeats segment_id {segment_id!r}")
         if parent_id is None:
             roots += 1
         elif parent_id not in parent_of:
             parents_first = False
         parent_of[segment_id] = parent_id
-    if len(parent_of) != len(segments):
-        seen: set[str] = set()
-        for s in segments:
-            if s.segment_id in seen:
-                raise ParseError(0, f"trace {trace_id!r} repeats segment_id {s.segment_id!r}")
-            seen.add(s.segment_id)
     if roots == 1 and parents_first:
         return  # each parent path runs up the list to the one root
     children: dict[str | None, list[str]] = {}
     for segment_id, parent_id in parent_of.items():
+        if parent_id is not None and parent_id not in parent_of:
+            raise OrphanSegment(segment_id)
         children.setdefault(parent_id, []).append(segment_id)
-    root_ids = children.get(None, [])
-    reached = list(root_ids)
+    if roots > 1:
+        raise MultipleRoots(trace_id)
+    if not roots:
+        raise ParseError(0, f"trace {trace_id!r} has no root segment")
+    reached = children[None]
     for segment_id in reached:
         reached.extend(children.get(segment_id, ()))
-    if len(root_ids) == 1 and len(reached) == len(segments):
-        return
-    for s in segments:
-        if s.parent_id is not None and s.parent_id not in parent_of:
-            raise OrphanSegment(s.segment_id)
-    if len(root_ids) > 1:
-        raise MultipleRoots(trace_id)
-    if not root_ids:
-        raise ParseError(0, f"trace {trace_id!r} has no root segment")
-    raise UnreachableSegment(min(parent_of.keys() - reached))
+    if len(reached) != len(segments):
+        raise UnreachableSegment(min(parent_of.keys() - reached))
 
 
 #: Decodes one line per call; :func:`json.loads` would add two whitespace
@@ -367,31 +362,26 @@ def extract_samples(log: TraceLog) -> Samples:
     profiling log, where each trace calls every function once at one memory
     size, row k of every column at a memory size is the k-th trace there.
     A segment whose finite ends lie too far apart for their difference to
-    be a float raises ValueError naming it and its trace.
+    be a float raises ValueError naming it and its trace. The first fault in
+    trace order is raised; in one segment, a missing ``memory_mb`` comes first.
     """
     samples: Samples = {}
-    for segments in log.traces.values():
+    for trace_id, segments in log.traces.items():
         for _, segment_id, name, kind, start_time, end_time, _, memory_mb, _ in segments:
             if kind != "function":
                 continue
             if memory_mb is None:
                 raise MissingMemoryAnnotation(segment_id)
+            duration = end_time - start_time
+            if duration == math.inf:  # finite ends: never NaN, inf only on overflow
+                raise ValueError(f"trace {trace_id!r}: segment {segment_id!r} is too long to measure")
             by_function = samples.get(memory_mb)
             if by_function is None:
                 by_function = samples[memory_mb] = {}
             column = by_function.get(name)
             if column is None:
                 column = by_function[name] = []
-            column.append(end_time - start_time)
-    # Both ends are finite, so a duration is never NaN; it is inf only when
-    # the difference overflows.
-    if any(math.inf in column for by_function in samples.values()
-           for column in by_function.values()):
-        for trace_id, segments in log.traces.items():
-            for _, segment_id, _, kind, start_time, end_time, *_ in segments:
-                if kind == "function" and end_time - start_time == math.inf:
-                    raise ValueError(f"trace {trace_id!r}: segment {segment_id!r} is too long "
-                                     f"to measure")
+            column.append(duration)
     return samples
 
 
@@ -439,8 +429,6 @@ def _parallel_groups(
     connected components of that relation, ordered by earliest mean start
     time.
     """
-    if len(siblings) == 1:
-        return [list(siblings)]
     votes: dict[tuple[str, str], int] = {}
     for trace_starts, trace_ends in zip(starts, ends):
         # Sweep this trace's siblings in (start, end) order. A later sibling
@@ -477,7 +465,7 @@ def _parallel_groups(
                     unvisited.discard(other)
                     stack.append(other)
         groups.append(sorted(component, key=lambda m: (mean_start[m], m)))
-    groups.sort(key=lambda g: (min(mean_start[m] for m in g), g[0]))
+    groups.sort(key=lambda g: (mean_start[g[0]], g[0]))  # each group is in that order
     return groups
 
 

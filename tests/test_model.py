@@ -313,6 +313,13 @@ def test_every_way_of_building_a_profile_checks_its_representatives():
     (dict(representatives={True: 1.0}), "^memory size of 'f1' must be a positive integer, got True$"),
     (dict(representatives={128.0: 1.0}), "^memory size of 'f1' must be a positive integer, got 128.0$"),
     (dict(representatives={128: True}), "^representative of 'f1' at 128 MB is True, not a number$"),
+    (dict(representatives={128: 1.0, 256: "1.5"}),
+     "^representative of 'f1' at 256 MB is '1.5', not a number$"),
+    (dict(representatives={128: None}), "^representative of 'f1' at 128 MB is None, not a number$"),
+    (dict(representatives={128: 10**400}),
+     "^representative of 'f1' at 128 MB is beyond the float range$"),
+    (dict(representatives={128: -10**400}),
+     "^representative of 'f1' at 128 MB is beyond the float range$"),
     (dict(sample_counts={128: -3}),
      "^sample count of 'f1' at 128 MB must be a non-negative integer, got -3$"),
     (dict(sample_counts={128: True}),
@@ -323,7 +330,9 @@ def test_every_way_of_building_a_profile_checks_its_representatives():
     (dict(representatives={128: 1.0, 256: 0.5}, sample_counts={256: 0}),
      r"^sample counts of 'f1' are at \[256\] MB, its representatives at \[128, 256\] MB$"),
 ], ids=["alpha-150", "alpha-nan", "alpha-bool", "zero-memory", "bool-memory", "float-memory",
-        "bool-representative", "negative-count", "bool-count", "count-at-zero-memory",
+        "bool-representative", "text-representative", "null-representative",
+        "int-representative-beyond-float", "negative-int-representative-beyond-float",
+        "negative-count", "bool-count", "count-at-zero-memory",
         "count-at-extra-memory", "count-missing-a-memory"])
 def test_a_profile_field_its_file_cannot_carry_raises(kwargs, message):
     """A profile takes only what ``save_profiles`` can write and

@@ -334,24 +334,29 @@ def test_save_refuses_a_profile_keyed_by_another_name(tmp_path):
     assert not path.exists()
 
 
-#: Representatives at the edges of the float range, drawn as often as any float.
-_EDGE_SECONDS = (-0.0, 0.0, 5e-324, 1.7e308, math.nan, math.inf, -math.inf, -1.0)
+#: Representatives at the edges of the float range, drawn as often as any float:
+#: ints beyond it and ints a float cannot hold exactly, which load back as the
+#: float they round to, among them.
+_EDGE_SECONDS = (-0.0, 0.0, 5e-324, 1.7e308, math.nan, math.inf, -math.inf, -1.0,
+                 2**53 + 1, 2**1024 - 2**970 - 1, 2**1024 - 2**970, 10**400, -10**400,
+                 "1.5", None)
 
 
 @st.composite
 def _profile_fields(draw):
     """Keyword arguments of a few profiles, keyed by function name, with
-    representatives drawn from all floats and bools, alphas from all floats,
-    ints and bools, memory sizes from ints, bools and floats, and counts
-    from ints and bools: at every memory size, at all but one, at one more,
-    or none."""
+    representatives drawn from all floats, ints and bools, alphas from all
+    floats, ints and bools, memory sizes from ints, bools and floats, and
+    counts from ints and bools: at every memory size, at all but one, at
+    one more, or none."""
     fields = {}
     for name in draw(st.lists(st.sampled_from(["f1", "f 2", "f,3", 'f"4']), min_size=1,
                               unique=True)):
         memory = st.one_of(st.integers(1, 2**40), st.integers(-3, 0), st.booleans(),
                            st.sampled_from((128.0, 0.5)))
         memories = draw(st.lists(memory, min_size=1, max_size=4, unique=True))
-        seconds = st.one_of(st.floats(), st.sampled_from(_EDGE_SECONDS), st.booleans())
+        seconds = st.one_of(st.floats(), st.sampled_from(_EDGE_SECONDS), st.booleans(),
+                            st.integers())
         representatives = {m: draw(seconds) for m in memories}
         counted = list(representatives)
         keys = draw(st.sampled_from(("every", "missing", "extra", "none")))
@@ -376,14 +381,24 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _readable_seconds(value) -> bool:
+    """Whether ``value`` is an int or float that is finite and non-negative
+    as a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return 0 <= float(value) < math.inf
+    except OverflowError:
+        return False
+
+
 def _loadable(kwargs) -> bool:
     """Whether ``load_profiles`` would read back every row of these fields."""
     alpha = kwargs["alpha"]
     return (
         isinstance(alpha, (int, float)) and not isinstance(alpha, bool) and 0 <= alpha <= 100
         and all(_is_int(m) and m > 0 for m in kwargs["representatives"])
-        and all(not isinstance(value, bool) and 0 <= value < math.inf
-                for value in kwargs["representatives"].values())
+        and all(map(_readable_seconds, kwargs["representatives"].values()))
         and (not kwargs["sample_counts"]
              or kwargs["sample_counts"].keys() == kwargs["representatives"].keys())
         and all(_is_int(n) and n >= 0 for n in kwargs["sample_counts"].values())
@@ -398,10 +413,10 @@ def test_a_profile_either_fails_to_build_or_round_trips_through_csv(tmp_path, fi
     raises ValueError exactly when a field breaks a rule ``load_profiles``
     reads by (an alpha outside [0, 100], a memory size that is not a
     positive integer, counts at other memory sizes than the
-    representatives, a representative that is a bool, NaN, infinite or
-    negative, a count that is not a non-negative integer), and otherwise
-    ``load_profiles`` gives back an equal table, counts included, down to
-    the sign of a zero."""
+    representatives, a representative that is not an int or float, or is
+    NaN, infinite, negative or beyond the float range, a count that is not
+    a non-negative integer), and otherwise ``load_profiles`` gives back an
+    equal table, counts included, down to the sign of a zero."""
     bad = not all(map(_loadable, fields.values()))
     try:
         profiles = {name: FunctionProfile(**kwargs) for name, kwargs in fields.items()}

@@ -193,6 +193,19 @@ def test_spec_numbers_reject_booleans_but_take_integers(field):
         SimFunctionSpec(**{**fields, field: True})
 
 
+@pytest.mark.parametrize("fields", [
+    dict(work="1"), dict(work=None), dict(work=1, jitter_cv="x"),
+    dict(kind="baas_bound", baas_latency_s="0.2"),
+    dict(kind="baas_bound", work=None, baas_latency_s=0.2),
+], ids=["text-work", "null-work", "text-jitter", "text-latency", "null-work-of-baas"])
+def test_spec_numbers_reject_what_is_not_a_number(fields):
+    """A value that is not an int or float is a ValueError, not a
+    TypeError from a comparison, and a backend-bound function's unused
+    work is checked too."""
+    with pytest.raises(ValueError, match="must be numbers, not booleans"):
+        SimFunctionSpec(**fields)
+
+
 # --- load runs ---------------------------------------------------------------
 
 

@@ -963,6 +963,18 @@ def test_in_memory_segment_of_another_trace_is_rejected(foreign):
         parse_trace_file(io.StringIO(_dumped(traces)))
 
 
+def test_in_memory_the_first_bad_segment_of_a_trace_is_reported():
+    """A repeated id and a segment of another trace are checked in one walk
+    of the trace, so whichever comes first is the error."""
+    root = TraceSegment("a", "r", "f1", "function", 0.0, 2.0, None, 128)
+    again = root._replace(name="f2")
+    foreign = TraceSegment("b", "c", "f3", "function", 1.0, 2.0, "r", 128)
+    with pytest.raises(ParseError, match="^line 0: trace 'a' repeats segment_id 'r'$"):
+        TraceLog({"a": [root, again, foreign]})
+    with pytest.raises(ParseError, match="^line 0: trace 'a' holds segment 'c' of trace 'b'$"):
+        TraceLog({"a": [root, foreign, again]})
+
+
 # Traces of one function root and more segments, each (segment_id, parent_id,
 # name, kind), that break the tree rule; with the error they raise and the
 # segment or trace it names.
@@ -1157,6 +1169,22 @@ def test_a_span_too_long_to_measure_is_rejected_naming_its_segment_and_trace():
     assert len(log.traces) == 4
     with pytest.raises(ValueError, match="^trace 't3': segment 's2' is too long to measure$"):
         extract_samples(log)
+
+
+def test_the_first_fault_in_trace_order_is_the_one_reported():
+    """Samples are checked in one walk of the log: a span too long to
+    measure is reported before a later segment without ``memory_mb``, and
+    after an earlier one; within one segment the missing memory size comes
+    first."""
+    too_long = _line(trace="t1", seg="s1", name="f1", start=-1e308, end=1e308)
+    unsized = _line(trace="t2", seg="s1", name="f1", start=0.0, end=2.0, memory=None)
+    with pytest.raises(ValueError, match="^trace 't1': segment 's1' is too long to measure$"):
+        extract_samples(_log(too_long, unsized))
+    with pytest.raises(MissingMemoryAnnotation, match="'s1' has no memory_mb"):
+        extract_samples(_log(unsized, too_long))
+    both = _line(trace="t1", seg="s1", name="f1", start=-1e308, end=1e308, memory=None)
+    with pytest.raises(MissingMemoryAnnotation):
+        extract_samples(_log(both))
 
 
 def test_fifty_traces_of_three_functions_yield_150_samples():
