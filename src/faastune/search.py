@@ -11,8 +11,8 @@ records (the estimates lower than every earlier one). ``greedy_slo`` takes
 the first record within the SLO, which is where a walk stopping there
 would stop, and ``greedy_min_time`` the last one, the tightest SLO the
 greedy can satisfy. ``greedy_min_cost`` starts where ``greedy_slo`` stops,
-then walks on with its own evaluator, trading memory for time only while
-the relative cost increase does not exceed the relative time gain. All
+then walks on from there, trading memory for time only while the relative
+cost increase does not exceed the relative time gain. All
 three raise ``ProfileNotMonotone`` on a profile that gets slower with more
 memory. ``brute_force`` takes any table, scans every combination and is
 the optimality oracle for small instances; one scan answers all three
@@ -21,13 +21,17 @@ trajectory.
 
 Each search runs on a plan of its instance: the table of representatives,
 built and scaled once, the trajectory once a greedy search has walked it,
-and brute force's answers per SLO and cost model. A one-plan memo keeps
-the last instance's plan, keyed on the graph object, the rungs and each
-function's profile object (profiles are read-only values), so the
-searches and a sweep of SLOs over the same objects share one table and
-one walk, and a second brute-force objective is a lookup. A plan keeps
-only records and answers: no evaluator stays reachable once a search
-returns.
+brute force's answers per SLO and cost model, and the evaluators its walks
+lend each other. A one-plan memo keeps the last instance's plan, keyed on
+the graph object, the rungs and each function's profile object (profiles
+are read-only values), so the searches and a sweep of SLOs over the same
+objects share one table, one walk and one evaluator, and a second
+brute-force objective is a lookup. Every walk (the trajectory, min-cost's
+second phase and brute force's scan) borrows a free evaluator from the
+plan (:meth:`_Plan.borrow`), builds one only when none is free, composes
+its start point in full and hands the evaluator back when done. The
+trajectory's records and points and brute force's answers hold no
+evaluator, and neither does any result.
 
 Every search evaluates the graph with
 :class:`~faastune.estimate.GraphEvaluator` on the table scaled to exact
@@ -180,8 +184,8 @@ class _Trajectory:
     all-minimum one included; ``taken``, the cells taken by then). Rounding
     never reverses an order, so an estimate is rounded only when its exact
     value falls below every earlier one. ``points`` memoizes :func:`_point`
-    and is all that changes after construction; no evaluator stays
-    reachable.
+    and is all that changes after construction. The walk borrows its
+    evaluator from the plan and hands it back; the trajectory keeps none.
     """
 
     __slots__ = ("order", "names", "up", "estimates", "estimations", "taken", "points")
@@ -189,8 +193,7 @@ class _Trajectory:
     def __init__(self, plan: _Plan):
         order, names, up = _bump_order(plan)
         shift = plan.shift
-        evaluator = GraphEvaluator(plan.graph)
-        lowest = evaluator.evaluate_scaled({name: row[0] for name, row in plan.scaled.items()})
+        evaluator, lowest = plan.borrow({name: row[0] for name, row in plan.scaled.items()})
         best = from_scaled(lowest, shift)
         estimates, estimations, taken_at = [best], [1], [0]
         made = 1
@@ -208,6 +211,7 @@ class _Trajectory:
                         estimates.append(estimate)
                         estimations.append(made)
                         taken_at.append(taken)
+        plan.evaluators.append(evaluator)
         self.order = order
         self.names = names
         self.up = up
@@ -232,10 +236,11 @@ class _Plan:
     first use by :meth:`reach`, and ``answers`` holds brute force's answers
     per ``(slo_seconds, cost_model)``. Both are set or grown one complete
     value at a time, so concurrent searches read a consistent plan.
+    ``evaluators`` holds the free evaluators of the graph (:meth:`borrow`).
     """
 
     __slots__ = ("graph", "rungs", "profiles", "seconds", "by_name", "shift", "flat", "scaled",
-                 "trajectory", "answers")
+                 "trajectory", "answers", "evaluators")
 
     def __init__(
         self,
@@ -259,6 +264,22 @@ class _Plan:
         self.scaled = dict(zip(by_name, zip(*[iter(flat)] * len(rungs))))
         self.trajectory = None
         self.answers = {}
+        self.evaluators = []
+
+    def borrow(self, scaled: Mapping[str, int]) -> tuple[GraphEvaluator, int]:
+        """A free evaluator of the plan's graph, composed at ``scaled``, and
+        the root's exact value there; one is built only when none is free.
+        :meth:`~faastune.estimate.GraphEvaluator.evaluate_scaled` assigns
+        every function and recomposes every group, so nothing of an earlier
+        walk survives. The walk hands the evaluator back with
+        ``evaluators.append`` when done (a walk that raises drops it).
+        ``list.pop`` and ``list.append`` are single atomic steps, so
+        concurrent walks never share an evaluator."""
+        try:
+            evaluator = self.evaluators.pop()
+        except IndexError:
+            evaluator = GraphEvaluator(self.graph)
+        return evaluator, evaluator.evaluate_scaled(scaled)
 
     def reach(self, stop: float) -> tuple[int, int, float, int]:
         """A walk of the trajectory's ``order`` from the start until an
@@ -416,7 +437,9 @@ def greedy_min_cost(
     """Feasible-first search, then keep bumping only where it pays off.
 
     Walks the ``greedy_slo`` bump order to the SLO, estimates the feasible
-    configuration once more and walks the order again from there with every
+    configuration once more, on an evaluator borrowed from the plan
+    (:meth:`_Plan.borrow`: the one the trajectory walked, when no other
+    walk holds it), and walks the order again from there with every
     function back in it, as if a fresh walk started at that configuration:
     it skips each function's cells below its rung and takes its current
     one, so a function already at the top rung is stepped over once more.
@@ -454,8 +477,7 @@ def greedy_min_cost(
     iterations = 2 * taken - moved
     evaluations = estimations + 1
     cost_units = cost_model.cost_units
-    evaluator = GraphEvaluator(graph)
-    exact = evaluator.evaluate_scaled({name: scaled[name][index] for name, index in rung.items()})
+    evaluator, exact = plan.borrow({name: scaled[name][index] for name, index in rung.items()})
     set_scaled = evaluator.set_scaled
     frozen: set[str] = set()
     kept: list[tuple[str, int]] = []
@@ -488,6 +510,7 @@ def greedy_min_cost(
         kept.append((name, index))
         if cost < best_cost or (cost == best_cost and time < best_time):
             best, best_cost, best_time = len(kept), cost, time
+    plan.evaluators.append(evaluator)
 
     rung.update(kept[:best])
     return _found(
@@ -526,8 +549,9 @@ def _scan(
     positions, its estimate and its cost units, or None when no
     configuration meets the SLO.
 
-    The scan turns the configuration like an odometer, the last function
-    fastest. The first N-1 functions move through
+    The scan runs on an evaluator borrowed from the plan
+    (:meth:`_Plan.borrow`) and turns the configuration like an odometer, the
+    last function fastest. The first N-1 functions move through
     :meth:`~faastune.estimate.GraphEvaluator.set_scaled`; the last one
     stays at its lowest rung in the evaluator, and after each turn of the
     others :meth:`~faastune.estimate.GraphEvaluator.max_plus` prices all of
@@ -540,8 +564,7 @@ def _scan(
     rows = list(plan.scaled.values())
     cost_units = cost_model.cost_units
     units = [list(map(cost_units, seconds[name], rungs)) for name in functions]
-    evaluator = GraphEvaluator(plan.graph)
-    evaluator.evaluate_scaled({name: row[0] for name, row in plan.scaled.items()})
+    evaluator, _ = plan.borrow({name: row[0] for name, row in plan.scaled.items()})
     set_scaled, max_plus = evaluator.set_scaled, evaluator.max_plus
     *turned, last = functions
     last_cells = list(zip(range(len(rungs)), rows[-1], units[-1]))
@@ -602,6 +625,7 @@ def _scan(
                 if estimate < best_time:
                     best_time = estimate
                     fastest = ((*index, rung), total, cost)
+    plan.evaluators.append(evaluator)
     answers = {}
     for objective, answer in ((Objective.FEASIBLE, first), (Objective.MIN_COST, cheapest),
                               (Objective.MIN_TIME, fastest)):

@@ -80,11 +80,12 @@ class SimFunctionSpec:
 
     def __post_init__(self):
         # Ints and floats, as JSON numbers load; only baas_latency_s may be None.
-        latency = () if self.baas_latency_s is None else (self.baas_latency_s,)
-        for value in (self.work, *latency, self.cold_start_s, self.cold_start_prob, self.jitter_cv):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError("work, baas_latency_s, cold_start_s, cold_start_prob and "
-                                 "jitter_cv must be numbers, not booleans")
+        for name in ("work", "baas_latency_s", "cold_start_s", "cold_start_prob", "jitter_cv"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, not a boolean")
+            if not isinstance(value, (int, float)) and not (name == "baas_latency_s" and value is None):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.kind not in ("compute", "baas_bound"):
             raise ValueError(f"kind must be 'compute' or 'baas_bound', got {self.kind!r}")
         # Chained comparisons are false for NaN, so these reject it too.
@@ -98,6 +99,13 @@ class SimFunctionSpec:
             raise ValueError("cold_start_prob must be in [0, 1]")
         if not (0 <= self.cold_start_s < math.inf and 0 <= self.jitter_cv < math.inf):
             raise ValueError("cold_start_s and jitter_cv must be non-negative and finite")
+        # A spec file carries only the field its kind reads, so a spec that
+        # sets the other would not load back as itself.
+        if self.kind == "compute" and self.baas_latency_s is not None:
+            raise ValueError("a compute function takes no baas_latency_s, "
+                             f"got {self.baas_latency_s!r}")
+        if self.kind == "baas_bound" and self.work != 0:
+            raise ValueError(f"a baas_bound function takes no work, got {self.work!r}")
 
 
 #: One invocation of a request: its function, the index of the invocation
@@ -128,6 +136,10 @@ class SimApp:
                 raise ValueError(f"baas_children parent {parent!r} is not a function")
             if not isinstance(backends, (tuple, list)) or not all(type(b) is str and b for b in backends):
                 raise ValueError(f"backends of {parent!r} must be a list of non-empty strings")
+        # Tuples, as load_app reads them, so an app built with lists saves
+        # and loads back equal.
+        object.__setattr__(self, "baas_children",
+                           {parent: tuple(backends) for parent, backends in self.baas_children.items()})
         object.__setattr__(self, "_plan", _invocation_plan(self.graph.root))
 
 
@@ -547,7 +559,7 @@ def load_app(path: str | Path) -> SimApp:
     try:
         graph = CallGraph(graph_from_dict(data["graph"]))
         specs = {name: SimFunctionSpec(**fields) for name, fields in data["functions"].items()}
-        baas = {k: tuple(v) if type(v) is list else v for k, v in data.get("baas_children", {}).items()}
+        baas = data.get("baas_children", {})
         shape = data.get("shape", "custom")
         if not isinstance(shape, str):
             raise ValueError(f"shape must be a string, got {shape!r}")

@@ -627,6 +627,17 @@ def test_ladder_that_is_not_integers_exits_2_with_usage(pipeline_files, capsys):
     assert "usage: faastune" in err and "invalid ladder '128,abc'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile", "--app", "{app}"],
+    ["optimize", "--app", "{app}", "--profiles", "{profiles}", "--slo", "4"],
+], ids=["profile", "optimize"])
+def test_ladder_that_is_not_increasing_exits_2_with_usage(pipeline_files, argv, capsys):
+    argv = [arg.format(**pipeline_files) for arg in argv]
+    assert main(argv + ["--ladder", "256,128", "--out", pipeline_files["out"]]) == 2
+    err = capsys.readouterr().err
+    assert "usage: faastune" in err and "memory ladder must be strictly increasing: (256, 128)" in err
+
+
 def test_profile_with_a_fixed_alpha(pipeline_files, workdir):
     """``--alpha`` skips the selection: every row is fitted at that
     percentile, then repaired."""

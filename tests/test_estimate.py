@@ -143,9 +143,11 @@ def test_evaluator_early_stop_is_bit_identical(graph, data):
         assert _bits(from_scaled(exact, shift)) == _bits(_recursive(graph.root, times))
     missing = data.draw(st.sets(st.sampled_from(functions), min_size=1))
     partial = {f: t for f, t in times.items() if f not in missing}
-    with pytest.raises(PartialConfiguration) as error:
-        evaluator.evaluate(partial)
-    assert error.value.function == next(f for f in functions if f in missing)
+    for evaluate, given in ((evaluator.evaluate, partial),
+                            (evaluator.evaluate_scaled, _scaled(partial, shift))):
+        with pytest.raises(PartialConfiguration) as error:
+            evaluate(given)
+        assert error.value.function == next(f for f in functions if f in missing)
 
 
 #: Scaled values: a few small ones, so parallel maxima tie, and any up to
@@ -185,6 +187,21 @@ def test_max_plus_gives_the_root_as_a_function_of_one_value(graph, data):
     name = data.draw(st.sampled_from(functions))
     assert evaluator.set_scaled(name, scaled[name] + 1) == GraphEvaluator(graph).evaluate_scaled(
         {**scaled, name: scaled[name] + 1})
+
+
+@pytest.mark.parametrize("kind, f1, f2, expected", [
+    (Sequence, -1.0, 3.0, 2.0),
+    (Parallel, -1.0, -3.0, -1.0),
+    (Sequence, -2.0**-60, 1.0, 1.0 - 2.0**-60),
+    (Parallel, 0.5, -2.0**-1074, 0.5),
+], ids=["sequence", "parallel", "tiny-negative", "subnormal-negative"])
+def test_negative_durations_compose_exactly(kind, f1, f2, expected):
+    """A negative duration scales by the shift its magnitude needs, so the
+    composition stays exact and is rounded once."""
+    graph = CallGraph(kind((FunctionNode("f1"), FunctionNode("f2"))))
+    times = {"f1": f1, "f2": f2}
+    assert combine_times(graph, times) == expected
+    assert combine_times(graph, times) == rounded_once(exact_composition(graph.root, times))
 
 
 def test_a_zero_of_either_sign_composes_to_positive_zero():

@@ -118,6 +118,11 @@ def test_empty_sequence_rejected():
         CallGraph(Sequence(()))
 
 
+def test_empty_function_name_rejected():
+    with pytest.raises(ValueError, match="^function name must be non-empty$"):
+        FunctionNode("")
+
+
 def test_normal_form_untouched():
     root = Sequence((FunctionNode("f1"), Parallel((FunctionNode("f2"), FunctionNode("f3")))))
     assert CallGraph(root).root == root

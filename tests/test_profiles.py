@@ -46,6 +46,16 @@ def test_interpolated_tail_percentile():
     assert percentile_linear([1, 1, 1, 1, 100], 99) == pytest.approx(96.04, rel=1e-12)
 
 
+@pytest.mark.parametrize("values, pct, message", [
+    ([], 50, "cannot take a percentile of no values"),
+    ([1.0], 101, r"pct must be in \[0, 100\]"),
+    ([1.0], -1, r"pct must be in \[0, 100\]"),
+], ids=["no-values", "above-100", "below-0"])
+def test_percentile_rejects_no_values_and_a_pct_outside_0_to_100(values, pct, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        percentile_linear(values, pct)
+
+
 @given(
     st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=1, max_size=50),
     st.floats(min_value=0, max_value=100),

@@ -1088,24 +1088,94 @@ def test_brute_force_raises_before_scanning_and_leaves_the_memo(monkeypatch):
     assert plan.graph is graph and plan.answers == {} and plan.trajectory is None
 
 
-def test_no_evaluator_is_reachable_from_the_memo():
-    """After the three greedy searches and every brute-force objective, the
-    memo's plan holds records and answers only: walking its referents, past
-    classes, modules and functions, reaches no evaluator."""
+def test_a_fresh_min_cost_search_builds_one_evaluator(monkeypatch):
+    """A fresh ``greedy_min_cost`` builds one evaluator, for the trajectory,
+    and its second phase borrows it back; after ``greedy_slo`` on the same
+    plan, min-cost and every brute-force objective build none."""
     instance = _demo3_instance()
+    built = [0]
+    init = search.GraphEvaluator.__init__
+
+    def counting_init(self, graph):
+        built[0] += 1
+        init(self, graph)
+
+    monkeypatch.setattr(search.GraphEvaluator, "__init__", counting_init)
     search._last = None
-    for run in (greedy_slo, greedy_min_cost, greedy_min_time, *_brute_force_searches()):
+    assert greedy_min_cost(*instance).found and built == [1]
+    built[0] = 0
+    search._last = None
+    assert greedy_slo(*instance).found and built == [1]
+    built[0] = 0
+    for run in (greedy_min_cost, *_brute_force_searches()):
         assert run(*instance).found
-    plan = search._last
-    seen, stack = {}, [plan]
+    assert built == [0] and len(search._last.evaluators) == 1
+
+
+def _reached(*roots) -> dict[int, object]:
+    """Every object reachable from ``roots`` by their referents, past
+    classes, modules and functions, by id."""
+    seen, stack = {}, list(roots)
     while stack:
         obj = stack.pop()
         if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
             continue
         seen[id(obj)] = obj
-        assert not isinstance(obj, search.GraphEvaluator)
         stack.extend(gc.get_referents(obj))
-    assert all(id(part) in seen for part in (plan.trajectory, plan.answers, plan.graph.root))
+    return seen
+
+
+def test_every_reachable_evaluator_is_free_in_the_plan():
+    """After the three greedy searches and every brute-force objective, run
+    one after another, the memo's plan lends exactly one evaluator, and it
+    is the only one reachable from the memo: the trajectory, its points,
+    brute force's answers and every result hold none."""
+    instance = _demo3_instance()
+    search._last = None
+    results = [run(*instance) for run in
+               (greedy_slo, greedy_min_cost, greedy_min_time, *_brute_force_searches())]
+    assert all(result.found for result in results)
+    plan = search._last
+    assert len(plan.evaluators) == 1
+    assert isinstance(plan.evaluators[0], search.GraphEvaluator)
+    reached = _reached(plan)
+    evaluators = [id(obj) for obj in reached.values() if isinstance(obj, search.GraphEvaluator)]
+    assert evaluators == [id(plan.evaluators[0])]
+    assert all(id(part) in reached for part in (plan.trajectory, plan.answers, plan.graph.root))
+    assert plan.trajectory.points and plan.answers
+    held = _reached(plan.trajectory, plan.trajectory.points, plan.answers, results)
+    assert not any(isinstance(obj, search.GraphEvaluator) for obj in held.values())
+
+
+def _scramble(evaluator, rng: random.Random) -> None:
+    """Overwrite every value an evaluator holds: each function's, each
+    group's and the root's."""
+    for _, values, slot in evaluator._leaves:
+        values[slot] = rng.randrange(-2**60, 2**60)
+    for values, _, parent, slot in evaluator._groups:
+        values[:] = [rng.randrange(-2**60, 2**60) for _ in values]
+        parent[slot] = rng.randrange(-2**60, 2**60)
+    evaluator._top[0] = rng.randrange(-2**60, 2**60)
+
+
+@given(st.integers(0, 2**32), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_a_lent_evaluators_old_values_never_reach_a_result(seed, noise):
+    """Whatever values the evaluator a plan lends holds, ``greedy_min_cost``
+    and every brute-force objective that borrow it give the records of the
+    reference searches, which build their own."""
+    instance = random_instance(random.Random(seed))
+    rng = random.Random(noise)
+    search._last = None
+    greedy_slo(*instance)
+    (lent,) = search._last.evaluators
+    _scramble(lent, rng)
+    assert greedy_min_cost(*instance).to_record() == walk_greedy_min_cost(*instance).to_record()
+    _scramble(lent, rng)
+    for objective in Objective:
+        assert (brute_force(*instance, objective).to_record()
+                == reference_brute_force(*instance, objective).to_record())
+    assert search._last.evaluators == [lent]
 
 
 def test_only_the_plan_function_writes_the_memo():

@@ -6,10 +6,12 @@ import math
 import random
 import re
 import sys
+import tempfile
 from functools import partial
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from faastune import (
     FunctionNode,
@@ -185,25 +187,68 @@ def test_simulation_rejects_non_positive_memory_and_non_finite_specs():
 @pytest.mark.parametrize("field", ["work", "baas_latency_s", "cold_start_s",
                                    "cold_start_prob", "jitter_cv"])
 def test_spec_numbers_reject_booleans_but_take_integers(field):
-    kind = "baas_bound" if field == "baas_latency_s" else "compute"
-    fields = {"kind": kind, "work": 512, "baas_latency_s": 1 if kind == "baas_bound" else None,
-              "cold_start_s": 0, "cold_start_prob": 0, "jitter_cv": 0}
+    baas = field == "baas_latency_s"
+    fields = {"kind": "baas_bound" if baas else "compute", "work": 0 if baas else 512,
+              "baas_latency_s": 1 if baas else None, "cold_start_s": 0, "cold_start_prob": 0,
+              "jitter_cv": 0}
     SimFunctionSpec(**fields)  # JSON integers stay numbers
-    with pytest.raises(ValueError, match="must be numbers, not booleans"):
+    with pytest.raises(ValueError, match=f"^{field} must be a number, not a boolean$"):
         SimFunctionSpec(**{**fields, field: True})
 
 
-@pytest.mark.parametrize("fields", [
-    dict(work="1"), dict(work=None), dict(work=1, jitter_cv="x"),
-    dict(kind="baas_bound", baas_latency_s="0.2"),
-    dict(kind="baas_bound", work=None, baas_latency_s=0.2),
+@pytest.mark.parametrize("fields, message", [
+    (dict(work="1"), "work must be a number, got '1'"),
+    (dict(work=None), "work must be a number, got None"),
+    (dict(work=1, jitter_cv="x"), "jitter_cv must be a number, got 'x'"),
+    (dict(kind="baas_bound", baas_latency_s="0.2"), "baas_latency_s must be a number, got '0.2'"),
+    (dict(kind="baas_bound", work=None, baas_latency_s=0.2), "work must be a number, got None"),
 ], ids=["text-work", "null-work", "text-jitter", "text-latency", "null-work-of-baas"])
-def test_spec_numbers_reject_what_is_not_a_number(fields):
-    """A value that is not an int or float is a ValueError, not a
-    TypeError from a comparison, and a backend-bound function's unused
+def test_spec_numbers_reject_what_is_not_a_number(fields, message):
+    """A value that is not an int or float is a ValueError naming its field,
+    not a TypeError from a comparison, and a backend-bound function's unused
     work is checked too."""
-    with pytest.raises(ValueError, match="must be numbers, not booleans"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         SimFunctionSpec(**fields)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(work=1, baas_latency_s=0.2), "a compute function takes no baas_latency_s, got 0.2"),
+    (dict(kind="baas_bound", work=512, baas_latency_s=0.2),
+     "a baas_bound function takes no work, got 512"),
+    (dict(kind="baas_bound", work=math.nan, baas_latency_s=0.2),
+     "a baas_bound function takes no work, got nan"),
+], ids=["latency-of-compute", "work-of-baas", "nan-work-of-baas"])
+def test_spec_rejects_the_field_its_kind_ignores(fields, message):
+    """A spec file carries only the field its kind reads, so a spec that
+    sets the other is rejected rather than saved without it."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SimFunctionSpec(**fields)
+
+
+def test_an_ignored_field_fails_after_every_other_check():
+    """The ignored-field check runs last, so a spec with another fault still
+    reports that one first."""
+    with pytest.raises(ValueError, match="^compute functions need positive, finite work$"):
+        SimFunctionSpec(work=0, baas_latency_s=0.2)
+    with pytest.raises(ValueError, match=r"^cold_start_prob must be in \[0, 1\]$"):
+        SimFunctionSpec(kind="baas_bound", work=5, baas_latency_s=0.2, cold_start_prob=2)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SimFunctionSpec(work=1, kind="x"), "kind must be 'compute' or 'baas_bound', got 'x'"),
+    (lambda: SimFunctionSpec(kind="baas_bound", baas_latency_s=math.inf),
+     "baas_bound functions need positive, finite baas_latency_s"),
+    (lambda: SimFunctionSpec(work=1, cold_start_prob=1.5), "cold_start_prob must be in [0, 1]"),
+    (lambda: SimApp(graph=CallGraph(FunctionNode("f1")), specs={}),
+     "specs must cover exactly the graph's functions"),
+    (lambda: SimApp(graph=CallGraph(FunctionNode("f1")), specs={"f1": _compute_spec()},
+                    baas_children={"f9": ("db",)}),
+     "baas_children parent 'f9' is not a function"),
+], ids=["unknown-kind", "infinite-latency", "probability-above-one", "missing-spec",
+        "unknown-backend-parent"])
+def test_specs_and_apps_reject_what_they_cannot_simulate(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 # --- load runs ---------------------------------------------------------------
@@ -907,5 +952,61 @@ def test_app_spec_round_trip(tmp_path):
     for shape in ("demo3", "petstore", "random"):
         app = generate_app(5, shape=shape, seed=8)
         path = tmp_path / f"{shape}.json"
+        save_app(app, path)
+        assert load_app(path) == app
+
+
+_POSITIVE = st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                      st.integers(1, 2**53))
+_NON_NEGATIVE = st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.integers(0, 2**53))
+
+
+@st.composite
+def _spec_fields(draw, ignored: bool):
+    """A spec's fields: its kind's latency field and noise fields as ints or
+    floats, and, when ``ignored``, a value for the field its kind ignores
+    (a backend-bound one's work is zero otherwise)."""
+    fields = dict(cold_start_s=draw(_NON_NEGATIVE), jitter_cv=draw(_NON_NEGATIVE),
+                  cold_start_prob=draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from((0, 1)))))
+    if draw(st.booleans()):
+        fields.update(work=draw(_POSITIVE))
+        if ignored:
+            fields.update(baas_latency_s=draw(_POSITIVE))
+    else:
+        work = draw(_POSITIVE if ignored else st.sampled_from((0, 0.0, -0.0)))
+        fields.update(kind="baas_bound", work=work, baas_latency_s=draw(_POSITIVE))
+    return fields
+
+
+@given(
+    call_tables(),
+    st.data(),
+    st.text(),
+    st.integers(-2**70, 2**70),
+)
+@settings(max_examples=100, deadline=None)
+def test_every_app_that_builds_saves_and_loads_back_equal(table, data, shape, seed):
+    """An app built from any specs, backend lists or tuples, shape name and
+    seed is equal to the app its saved file loads as. A spec that sets the
+    field its kind ignores does not build, since its file would not carry
+    it."""
+    calls, _ = table
+    graph = CallGraph(compose_calls("f1", calls))
+    odd = data.draw(st.one_of(st.none(), st.sampled_from(graph.functions())), label="odd")
+    specs = {}
+    for name in graph.functions():
+        fields = data.draw(_spec_fields(name == odd), label=name)
+        try:
+            specs[name] = SimFunctionSpec(**fields)
+        except ValueError:
+            assert name == odd
+            reject()
+    parents = data.draw(st.lists(st.sampled_from(sorted(specs)), unique=True), label="parents")
+    names = st.lists(st.text(min_size=1), max_size=3)
+    baas = {parent: data.draw(st.one_of(names, names.map(tuple)), label=parent)
+            for parent in parents}
+    app = SimApp(graph=graph, specs=specs, baas_children=baas, shape=shape, seed=seed)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "app.json"
         save_app(app, path)
         assert load_app(path) == app
