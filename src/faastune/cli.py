@@ -19,11 +19,13 @@ from . import profiles as profiling
 from . import search, sim
 from .errors import FaastuneError, SearchSpaceTooLarge
 from .model import (
+    DEFAULT_PERCENTILE,
     CallGraph,
     CostModel,
     MemoryLadder,
     Objective,
     SloSpec,
+    _is_number,
     check_configuration,
 )
 from .traces import load_manual_graph, read_json, write_json
@@ -41,31 +43,31 @@ def _write_timing_sidecar(path: Path, elapsed_s: float) -> None:
     Path(str(path) + ".timing").write_text(f"elapsed_s={elapsed_s!r}\n", encoding="utf-8")
 
 
-#: Record fields that ``validate`` and ``report`` compute with: the type
-#: each must have when present, and its description for error messages.
+def _finite_or_null(value: object) -> bool:
+    return value is None or (_is_number(value) and abs(value) <= sys.float_info.max)
+
+
+#: Record fields that ``validate`` and ``report`` compute with: the test
+#: each must pass when present, and its description for error messages.
 _RECORD_FIELDS = {
-    "algorithm": ((str,), "a string"),
-    "estimated_time_s": ((int, float, type(None)), "a finite number or null"),
-    "conformance": ((int, float, type(None)), "a finite number or null"),
+    "algorithm": (lambda value: isinstance(value, str), "a string"),
+    "estimated_time_s": (_finite_or_null, "a finite number or null"),
+    "conformance": (_finite_or_null, "a finite number or null"),
+    "config": (lambda value: value is None or isinstance(value, dict), "an object or null"),
 }
 
 
 def _read_record(path: Path) -> dict:
     """The JSON object stored at ``path``. Raises ValueError, naming the
-    file, if it holds another JSON value, if a field in :data:`_RECORD_FIELDS`
-    has a wrong type or if a number in one is NaN or infinite (``json`` reads
-    those, but writing them back would not be standard JSON)."""
+    file, if it holds another JSON value or a field that fails its test in
+    :data:`_RECORD_FIELDS` (a number fails if it is NaN or infinite, which
+    standard JSON cannot hold, or an int no float arithmetic can take)."""
     data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
-    for name, (types, expected) in _RECORD_FIELDS.items():
-        value = data.get(name)
-        if name in data and (
-            not isinstance(value, types)
-            or isinstance(value, bool)
-            or (isinstance(value, float) and not math.isfinite(value))
-        ):
-            raise ValueError(f"{path}: field {name!r} must be {expected}, got {value!r}")
+    for name, (valid, expected) in _RECORD_FIELDS.items():
+        if name in data and not valid(data[name]):
+            raise ValueError(f"{path}: field {name!r} must be {expected}, got {data[name]!r}")
     return data
 
 
@@ -130,13 +132,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _infer_ladder(profs: dict) -> MemoryLadder | None:
-    common: set[int] | None = None
-    for profile in profs.values():
-        memories = set(profile.representatives)
-        common = memories if common is None else common & memories
+def _infer_ladder(profs: dict) -> MemoryLadder:
+    """The memory sizes every one of ``profs`` (not empty) has, as a ladder."""
+    common = set.intersection(*(set(profile.representatives) for profile in profs.values()))
     if not common:
-        return None
+        raise ValueError("profiles share no common memory sizes; pass --ladder")
     return MemoryLadder(values=tuple(sorted(common)), cap_mb=None)
 
 
@@ -146,9 +146,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     else:
         graph = load_manual_graph(args.graph)
     profs = profiling.load_profiles(args.profiles)
+    if not profs:
+        raise ValueError(f"{args.profiles} holds no profiles")
     ladder = args.ladder or _infer_ladder(profs)
-    if ladder is None:
-        raise ValueError("profiles share no common memory sizes; pass --ladder")
     slo = SloSpec(slo_seconds=args.slo)
     cost_model = CostModel(
         usd_per_gb_second=args.usd_per_gb_second,
@@ -195,9 +195,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     config = record.get("config")
     if not config:
         raise ValueError(f"{args.config} holds an empty (infeasible) configuration")
-    if not isinstance(config, dict):
-        raise ValueError(f"{args.config}: invalid configuration: expected an object, "
-                         f"got {type(config).__name__}")
     try:
         check_configuration(app.graph, config)
     except (FaastuneError, ValueError) as exc:
@@ -243,9 +240,6 @@ def _report_rows(results_dir: Path) -> list[dict]:
         missing = [key for key in ("algorithm", "config") if key not in record]
         if missing:
             raise ValueError(f"{result_path}: not a search result: missing fields {missing}")
-        if record["config"] is not None and not isinstance(record["config"], dict):
-            raise ValueError(f"{result_path}: field 'config' must be an object or null, "
-                             f"got {record['config']!r}")
         row = {
             "name": stem,
             "app": "",
@@ -357,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ladder", type=_parse_ladder, default=None,
                    help="restrict to these MB values (default: sizes common to all profiles)")
     p.add_argument("--usd-per-gb-second", type=float, default=CostModel().usd_per_gb_second)
-    p.add_argument("--billing-granularity-ms", type=int, default=1)
+    p.add_argument("--billing-granularity-ms", type=int, default=CostModel().billing_granularity_ms)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_optimize)
 
@@ -367,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slo", type=float, required=True)
     p.add_argument("--requests", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--percentile", type=float, default=95.0)
+    p.add_argument("--percentile", type=float, default=DEFAULT_PERCENTILE)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_validate)
 

@@ -8,7 +8,6 @@ finite and non-negative); no I/O and no search logic.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -26,6 +25,19 @@ DEFAULT_MEMORY_CAP_MB = 2048
 
 #: Provider-typical execution price; a config value, not a contract.
 DEFAULT_USD_PER_GB_SECOND = 1.6667e-5
+
+#: The latency percentile an SLO holds at unless it names another.
+DEFAULT_PERCENTILE = 95.0
+
+
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is an integer: an int, never a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    """Whether ``value`` is a number: an int or a float, never a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,13 +57,12 @@ class MemoryLadder:
         if not self.values:
             raise ValueError("memory ladder must not be empty")
         for v in self.values:
-            if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
+            if not _is_int(v) or v <= 0:
                 raise ValueError(f"memory sizes must be positive integers, got {v!r}")
         if any(a >= b for a, b in zip(self.values, self.values[1:])):
             raise ValueError(f"memory ladder must be strictly increasing: {self.values}")
-        cap = self.cap_mb
-        if cap is not None and (not isinstance(cap, int) or isinstance(cap, bool) or cap <= 0):
-            raise ValueError(f"cap_mb must be a positive integer or None, got {cap!r}")
+        if self.cap_mb is not None and not (_is_int(self.cap_mb) and self.cap_mb > 0):
+            raise ValueError(f"cap_mb must be a positive integer or None, got {self.cap_mb!r}")
         if not self.effective():
             raise ValueError(f"cap {self.cap_mb} MB leaves no usable ladder values")
 
@@ -68,11 +79,13 @@ class MemoryLadder:
 
 @dataclass(frozen=True, slots=True)
 class FunctionNode:
-    """A single function invocation (leaf of the call graph)."""
+    """A single function invocation (leaf of the call graph); its name is a non-empty string."""
 
     name: str
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"function name must be a non-empty string, got {self.name!r}")
         if not self.name:
             raise ValueError("function name must be non-empty")
 
@@ -183,10 +196,9 @@ _NO_COUNTS: Mapping[int, int] = MappingProxyType({})
 
 
 def _check_memories(function: str, by_memory: Mapping[int, object]) -> None:
-    """Raise ValueError for the first key of ``by_memory`` that is not a
-    positive integer (a bool is not one)."""
+    """Raise ValueError for the first key of ``by_memory`` that is not a positive integer."""
     for memory_mb in by_memory:
-        if not (isinstance(memory_mb, int) and not isinstance(memory_mb, bool) and memory_mb > 0):
+        if not (_is_int(memory_mb) and memory_mb > 0):
             raise ValueError(f"memory size of {function!r} must be a positive integer, "
                              f"got {memory_mb!r}")
 
@@ -205,12 +217,11 @@ class FunctionProfile:
     ``sample_counts`` is one shared empty mapping. Raises ValueError, by
     the rules :func:`~faastune.profiles.load_profiles` reads a saved table
     with, so every profile that builds loads back as an equal profile: for
-    an ``alpha`` that is not an int or float in [0, 100], for the first
-    memory size that is not a positive integer, for counts keyed at other
-    memory sizes than the representatives, for the first representative
-    that is not an int or float, or is NaN, infinite, negative or beyond
-    the float range, and for the first sample count that is not a
-    non-negative integer. Bools are not numbers here.
+    an ``alpha`` that is not a number in [0, 100], for the first memory
+    size that is not a positive integer, for counts keyed at other memory
+    sizes than the representatives, for the first representative that is
+    not a number, or is NaN, infinite, negative or beyond the float range,
+    and for the first sample count that is not a non-negative integer.
     """
 
     function: str
@@ -221,14 +232,13 @@ class FunctionProfile:
 
     def __post_init__(self):
         function, alpha = self.function, self.alpha
-        if not (isinstance(alpha, (int, float)) and not isinstance(alpha, bool)
-                and 0 <= alpha <= 100):
+        if not (_is_number(alpha) and 0 <= alpha <= 100):
             raise ValueError(f"alpha of {function!r} must be a number in [0, 100], got {alpha!r}")
         representatives = dict(self.representatives)
         _check_memories(function, representatives)
         for memory_mb, value in representatives.items():
             if type(value) is not float:  # held as the float its file reads back
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                if not _is_number(value):
                     raise ValueError(f"representative of {function!r} at {memory_mb} MB is "
                                      f"{value!r}, not a number")
                 try:
@@ -250,7 +260,7 @@ class FunctionProfile:
                 raise ValueError(f"sample counts of {function!r} are at {sorted(counts)} MB, "
                                  f"its representatives at {sorted(representatives)} MB")
             for memory_mb, count in counts.items():
-                if not (isinstance(count, int) and not isinstance(count, bool) and count >= 0):
+                if not (_is_int(count) and count >= 0):
                     raise ValueError(f"sample count of {function!r} at {memory_mb} MB must be "
                                      f"a non-negative integer, got {count!r}")
         object.__setattr__(self, "sample_counts",
@@ -279,7 +289,7 @@ class SloSpec:
     at or below ``slo_seconds``."""
 
     slo_seconds: float
-    percentile: float = 95.0
+    percentile: float = DEFAULT_PERCENTILE
 
     def __post_init__(self):
         # Chained comparisons are false for NaN, so these reject it too.
@@ -287,11 +297,6 @@ class SloSpec:
             raise ValueError(f"slo_seconds must be positive and finite, got {self.slo_seconds!r}")
         if not _is_number(self.percentile) or not 0 < self.percentile <= 100:
             raise ValueError(f"percentile must be in (0, 100], got {self.percentile!r}")
-
-
-def _is_number(value: object) -> bool:
-    """Whether ``value`` is a real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class Objective(str, Enum):
@@ -314,10 +319,8 @@ class CostModel:
         if not _is_number(price) or not 0 < price < math.inf:
             raise ValueError(f"usd_per_gb_second must be positive and finite, got {price!r}")
         gran = self.billing_granularity_ms
-        # A bool is an int, and an int beyond the float range cannot divide
-        # a float duration.
-        if not (isinstance(gran, int) and not isinstance(gran, bool)
-                and 0 < gran <= sys.float_info.max):
+        # An int beyond the float range cannot divide a float duration.
+        if not (_is_int(gran) and 0 < gran <= sys.float_info.max):
             raise ValueError("billing_granularity_ms must be a positive integer "
                              "within the float range")
 
@@ -379,5 +382,5 @@ def check_configuration(graph: CallGraph, config: Mapping[str, int]) -> None:
     if extra:
         raise ValueError(f"configuration assigns unknown functions: {sorted(extra)}")
     for name, memory_mb in config.items():
-        if not isinstance(memory_mb, int) or isinstance(memory_mb, bool) or memory_mb <= 0:
+        if not _is_int(memory_mb) or memory_mb <= 0:
             raise ValueError(f"{name!r}: memory must be a positive integer, got {memory_mb!r}")

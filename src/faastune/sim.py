@@ -28,6 +28,8 @@ from .model import (
     Samples,
     Sequence,
     SloSpec,
+    _is_int,
+    _is_number,
     check_configuration,
 )
 from .profiles import _percentile_of_sorted
@@ -79,12 +81,11 @@ class SimFunctionSpec:
     jitter_cv: float = 0.0
 
     def __post_init__(self):
-        # Ints and floats, as JSON numbers load; only baas_latency_s may be None.
         for name in ("work", "baas_latency_s", "cold_start_s", "cold_start_prob", "jitter_cv"):
             value = getattr(self, name)
             if isinstance(value, bool):
                 raise ValueError(f"{name} must be a number, not a boolean")
-            if not isinstance(value, (int, float)) and not (name == "baas_latency_s" and value is None):
+            if not _is_number(value) and not (name == "baas_latency_s" and value is None):
                 raise ValueError(f"{name} must be a number, got {value!r}")
         if self.kind not in ("compute", "baas_bound"):
             raise ValueError(f"kind must be 'compute' or 'baas_bound', got {self.kind!r}")
@@ -116,7 +117,8 @@ _Invocation = tuple[str, int | None, tuple[int, ...]]
 
 @dataclass(frozen=True, slots=True)
 class SimApp:
-    """A simulated application: call graph plus per-function latency specs."""
+    """A simulated application: call graph plus per-function latency specs.
+    Raises ValueError for all that :func:`load_app` refuses in an app file."""
 
     graph: CallGraph
     specs: Mapping[str, SimFunctionSpec]
@@ -128,6 +130,10 @@ class SimApp:
     _plan: tuple[_Invocation, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.shape, str):
+            raise ValueError(f"shape must be a string, got {self.shape!r}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         functions = set(self.graph.functions())
         if set(self.specs) != functions:
             raise ValueError("specs must cover exactly the graph's functions")
@@ -238,14 +244,16 @@ def generate_app(
     default jitter and cold starts (``DEFAULT_JITTER_CV`` and
     ``DEFAULT_COLD_START_*``; petstore's backend-bound functions jitter
     more); to simulate other noise, ``dataclasses.replace`` the specs.
+    Raises InvalidShape for an unknown shape and, for ``chain`` and
+    ``random``, an ``n_functions`` that is not a positive integer.
     """
     if shape not in SHAPES:
         raise InvalidShape(f"unknown shape {shape!r}; choose from {SHAPES}")
+    if shape not in _FIXED_CALLS and not (_is_int(n_functions) and n_functions >= 1):
+        raise InvalidShape(f"n_functions must be an integer of at least 1, got {n_functions!r}")
     rng = random.Random(seed)
     if shape in _FIXED_CALLS:
         calls = _FIXED_CALLS[shape]
-    elif n_functions < 1:
-        raise InvalidShape("n_functions must be at least 1")
     elif shape == "chain":
         calls = {"f1": [[f"f{i}"] for i in range(2, n_functions + 1)]}
     else:
@@ -292,7 +300,7 @@ def _simulate(
     a configuration :func:`check_configuration` refuses raises its error,
     both before anything is drawn.
     """
-    if type(n_requests) is not int:
+    if not _is_int(n_requests):
         raise ValueError(f"the request count must be an integer, got {n_requests!r}")
     check_configuration(app.graph, config)
     table = []
@@ -559,13 +567,7 @@ def load_app(path: str | Path) -> SimApp:
     try:
         graph = CallGraph(graph_from_dict(data["graph"]))
         specs = {name: SimFunctionSpec(**fields) for name, fields in data["functions"].items()}
-        baas = data.get("baas_children", {})
-        shape = data.get("shape", "custom")
-        if not isinstance(shape, str):
-            raise ValueError(f"shape must be a string, got {shape!r}")
-        seed = data.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        return SimApp(graph=graph, specs=specs, baas_children=baas, shape=shape, seed=seed)
+        optional = {key: data[key] for key in ("baas_children", "shape", "seed") if key in data}
+        return SimApp(graph=graph, specs=specs, **optional)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: invalid app spec: {exc}") from None

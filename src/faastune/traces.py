@@ -139,8 +139,7 @@ class TraceLog:
         return TraceLog, (dict(self.traces),)
 
 
-_REQUIRED_KEYS = ("trace_id", "segment_id", "name", "kind", "start_time", "end_time")
-_KNOWN_KEY_SET = frozenset(_REQUIRED_KEYS) | {"parent_id", "memory_mb", "cold_start"}
+_KNOWN_KEY_SET = frozenset(_SegmentFields._fields)
 
 
 #: ``TraceSegment(...)`` with its checks, minus ``type.__call__``: a tuple
@@ -149,12 +148,13 @@ _new_segment = TraceSegment.__new__
 
 
 def _bad_keys(record: dict) -> str:
-    """Why the keys of ``record`` are not those of a segment: unknown keys
-    first, then missing ones."""
+    """Why the keys of ``record`` are not the fields of a segment: unknown
+    keys first, then missing ones."""
     keys = record.keys()
     if not keys <= _KNOWN_KEY_SET:
         return f"unknown keys: {sorted(keys - _KNOWN_KEY_SET)}"
-    return f"missing keys: {[k for k in _REQUIRED_KEYS if k not in record]}"
+    required = (k for k in _SegmentFields._fields if k not in _SegmentFields._field_defaults)
+    return f"missing keys: {[k for k in required if k not in record]}"
 
 
 def parse_trace_file(source: str | Path | IO[str]) -> TraceLog:
@@ -537,12 +537,13 @@ def graph_from_dict(data: object) -> GraphNode:
     if kind not in _NODE_KINDS:
         raise SchemaError(f"node kind must be one of {_NODE_KINDS}, got {kind!r}")
     if kind == "function":
-        name = data.get("name")
-        if not isinstance(name, str) or not name:
-            raise SchemaError("function node needs a non-empty 'name'")
+        try:
+            node = FunctionNode(data.get("name"))
+        except ValueError:
+            raise SchemaError("function node needs a non-empty 'name'") from None
         if "children" in data:
             raise SchemaError("function nodes cannot have children")
-        return FunctionNode(name)
+        return node
     children = data.get("children")
     if not isinstance(children, list) or not children:
         raise SchemaError(f"{kind} node needs a non-empty 'children' array")

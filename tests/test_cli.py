@@ -232,6 +232,9 @@ def pipeline_files(tmp_path_factory):
     record["estimated_time_s"] = float("inf")
     inf_estimate = workdir / "inf-estimate.json"
     inf_estimate.write_text(json.dumps(record))
+    record["estimated_time_s"] = 10**400  # an integer JSON reads, but no float
+    huge_estimate = workdir / "huge-estimate.json"
+    huge_estimate.write_text(json.dumps(record))
     alpha = rest[0].split(",")[2]
     duplicate_profiles = workdir / "duplicate-row.csv"
     duplicate_profiles.write_text(profiles.read_text() + f"f1,128,{alpha},9.0,5\n")
@@ -251,6 +254,10 @@ def pipeline_files(tmp_path_factory):
     nan_conformance.mkdir()
     (nan_conformance / "run.result.json").write_text(result.read_text())
     (nan_conformance / "run.validation.json").write_text(json.dumps({"conformance": float("nan")}))
+    huge_conformance = workdir / "huge-conformance"
+    huge_conformance.mkdir()
+    (huge_conformance / "run.result.json").write_text(result.read_text())
+    (huge_conformance / "run.validation.json").write_text(json.dumps({"conformance": 10**400}))
     spec = json.loads(app.read_text())
     spec["functions"]["f1"]["work"] = float("nan")
     nan_work_app = workdir / "nan-work.json"
@@ -337,6 +344,7 @@ def pipeline_files(tmp_path_factory):
             "text_conformance": str(text_conformance), "float_memory": str(float_memory),
             "bool_memory": str(bool_memory), "nan_estimate": str(nan_estimate),
             "inf_estimate": str(inf_estimate), "nan_conformance": str(nan_conformance),
+            "huge_estimate": str(huge_estimate), "huge_conformance": str(huge_conformance),
             "deep_json": str(deep_json), "nan_work_app": str(nan_work_app),
             "binary": str(binary), "directory": str(directory),
             "long_field_profiles": str(long_field_profiles),
@@ -387,6 +395,8 @@ def pipeline_files(tmp_path_factory):
     ["validate", "--app", "{app}", "--config", "{nan_estimate}", "--slo", "4"],
     ["validate", "--app", "{app}", "--config", "{inf_estimate}", "--slo", "4"],
     ["report", "--results", "{nan_conformance}"],
+    ["validate", "--app", "{app}", "--config", "{huge_estimate}", "--slo", "4"],
+    ["report", "--results", "{huge_conformance}"],
     ["validate", "--app", "{app}", "--config", "{deep_json}", "--slo", "4"],
     ["optimize", "--graph", "{deep_json}", "--profiles", "{profiles}", "--slo", "4"],
     ["profile", "--app", "{deep_json}"],
@@ -422,7 +432,8 @@ def pipeline_files(tmp_path_factory):
         "report-malformed-result", "validate-estimate-text", "report-algorithm-int",
         "report-conformance-text", "validate-config-zero-memory", "profiles-duplicate-row",
         "validate-config-float-memory", "validate-config-bool-memory", "validate-estimate-nan",
-        "validate-estimate-inf", "report-conformance-nan", "validate-config-deeply-nested",
+        "validate-estimate-inf", "report-conformance-nan", "validate-estimate-beyond-floats",
+        "report-conformance-beyond-floats", "validate-config-deeply-nested",
         "optimize-graph-deeply-nested", "profile-app-deeply-nested", "profile-app-nan-work",
         "profile-app-binary", "profile-app-directory", "optimize-profiles-directory",
         "profiles-field-too-long", "profiles-extra-field", "profiles-repeated-column",
@@ -599,6 +610,13 @@ def test_a_billing_granularity_beyond_the_float_range_exits_2(workdir, capsys):
         "error: billing_granularity_ms must be a positive integer within the float range\n")
 
 
+@pytest.mark.parametrize("ladder", [[], ["--ladder", "128,256"]], ids=["inferred", "given"])
+def test_a_table_with_a_header_and_no_rows_exits_2_naming_it(workdir, ladder, capsys):
+    argv = _chain_files(workdir, [])
+    assert main(argv + ["--slo", "4"] + ladder) == 2
+    assert capsys.readouterr().err == f"error: {workdir / 'chain.csv'} holds no profiles\n"
+
+
 def test_tables_sharing_no_memory_size_exit_2(workdir, capsys):
     argv = _chain_files(workdir, [("f1", 128, 1.0), ("f2", 256, 1.0)])
     assert main(argv + ["--slo", "4"]) == 2
@@ -616,7 +634,8 @@ def test_validate_a_record_without_a_configuration_object_exits_2(
     assert main(["validate", "--app", pipeline_files["app"], "--config", str(path),
                  "--slo", "4", "--out", str(workdir / "v.json")]) == 2
     err = capsys.readouterr().err
-    expected = "empty (infeasible) configuration" if config is None else "expected an object"
+    expected = ("empty (infeasible) configuration" if config is None
+                else f"field 'config' must be an object or null, got {config!r}")
     assert err.startswith("error: ") and expected in err
 
 

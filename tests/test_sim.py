@@ -35,7 +35,7 @@ from faastune import (
     write_trace_file,
 )
 from faastune import model, sim
-from faastune.errors import InvalidShape
+from faastune.errors import InvalidShape, SchemaError
 from faastune.model import CallGraph
 from faastune.profiles import percentile_linear
 from faastune.sim import CPU_SATURATION_MB, SHAPES, ValidationReport
@@ -91,6 +91,16 @@ def test_invalid_shapes_rejected():
         generate_app(shape="mystery")
     with pytest.raises(InvalidShape):
         generate_app(n_functions=0, shape="chain")
+
+
+@pytest.mark.parametrize("shape", ["chain", "random"])
+@pytest.mark.parametrize("n_functions", [True, False, 2.5, "3", None, 0])
+def test_a_function_count_that_is_not_a_positive_integer_is_an_invalid_shape(
+        shape, n_functions, monkeypatch):
+    """Refused before anything is drawn: the generator is never built."""
+    monkeypatch.setattr(sim, "random", None)
+    with pytest.raises(InvalidShape, match="^n_functions must be an integer of at least 1, got "):
+        generate_app(n_functions, shape)
 
 
 def test_generation_deterministic_per_seed():
@@ -978,18 +988,24 @@ def _spec_fields(draw, ignored: bool):
     return fields
 
 
+#: Values code might pass as an app's shape or seed: only text is a shape
+#: and only an int that is not a bool a seed.
+_SHAPES_OR_SEEDS = st.one_of(st.text(), st.integers(-2**70, 2**70), st.booleans(), st.floats(),
+                             st.none(), st.lists(st.integers(), max_size=2))
+
+
 @given(
     call_tables(),
     st.data(),
-    st.text(),
-    st.integers(-2**70, 2**70),
+    _SHAPES_OR_SEEDS,
+    _SHAPES_OR_SEEDS,
 )
 @settings(max_examples=100, deadline=None)
 def test_every_app_that_builds_saves_and_loads_back_equal(table, data, shape, seed):
-    """An app built from any specs, backend lists or tuples, shape name and
-    seed is equal to the app its saved file loads as. A spec that sets the
-    field its kind ignores does not build, since its file would not carry
-    it."""
+    """An app built from any specs, backend lists or tuples, shape and seed
+    is equal to the app its saved file loads as, and one that does not
+    build has a file that does not load. A spec that sets the field its
+    kind ignores does not build, since its file would not carry it."""
     calls, _ = table
     graph = CallGraph(compose_calls("f1", calls))
     odd = data.draw(st.one_of(st.none(), st.sampled_from(graph.functions())), label="odd")
@@ -1005,8 +1021,19 @@ def test_every_app_that_builds_saves_and_loads_back_equal(table, data, shape, se
     names = st.lists(st.text(min_size=1), max_size=3)
     baas = {parent: data.draw(st.one_of(names, names.map(tuple)), label=parent)
             for parent in parents}
-    app = SimApp(graph=graph, specs=specs, baas_children=baas, shape=shape, seed=seed)
+    base = SimApp(graph=graph, specs=specs, baas_children=baas)
+    try:
+        app = dataclasses.replace(base, shape=shape, seed=seed)
+    except ValueError:
+        app = None
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "app.json"
-        save_app(app, path)
-        assert load_app(path) == app
+        if app is None:  # the file save_app would write, were it to build
+            save_app(base, path)
+            saved = json.loads(path.read_text(encoding="utf-8"))
+            path.write_text(json.dumps({**saved, "shape": shape, "seed": seed}), encoding="utf-8")
+            with pytest.raises(SchemaError):
+                load_app(path)
+        else:
+            save_app(app, path)
+            assert load_app(path) == app

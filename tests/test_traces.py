@@ -1246,6 +1246,37 @@ def test_manual_graph_duplicate_function(tmp_path):
         load_manual_graph(path)
 
 
+#: Function names as code might pass them: text, the empty name, and
+#: values that are not strings.
+_ANY_NAMES = st.one_of(st.text(max_size=3), st.just(""), st.integers(-3, 3),
+                       st.tuples(st.text(max_size=2)))
+
+
+@given(st.lists(_ANY_NAMES, min_size=1, max_size=4), st.sampled_from((Sequence, Parallel)))
+@settings(max_examples=200, deadline=None)
+def test_a_graph_builds_if_and_only_if_its_file_loads_back_equal(names, group):
+    """A graph of the drawn function names either builds and loads back
+    equal from the file :func:`graph_to_dict` writes of it, or does not
+    build and its file, written by hand, fails to load."""
+    try:
+        leaves = tuple(FunctionNode(name) for name in names)
+        graph = CallGraph(leaves[0] if len(leaves) == 1 else group(leaves))
+    except (ValueError, FaastuneError):
+        graph = None
+    functions = [{"kind": "function", "name": name} for name in names]
+    data = functions[0] if len(names) == 1 else {
+        "kind": "sequence" if group is Sequence else "parallel", "children": functions}
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "graph.json"
+        path.write_text(json.dumps(data if graph is None else graph_to_dict(graph.root)),
+                        encoding="utf-8")
+        if graph is None:
+            with pytest.raises(FaastuneError):
+                load_manual_graph(path)
+        else:
+            assert load_manual_graph(path) == graph
+
+
 @pytest.mark.parametrize(
     "data",
     [
