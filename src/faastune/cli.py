@@ -19,6 +19,7 @@ from . import profiles as profiling
 from . import search, sim
 from .errors import FaastuneError, SearchSpaceTooLarge
 from .model import (
+    DEFAULT_MEMORY_CAP_MB,
     DEFAULT_PERCENTILE,
     CallGraph,
     CostModel,
@@ -103,7 +104,9 @@ class _SimulationFailed(Exception):
 
 
 def cmd_generate_app(args: argparse.Namespace) -> int:
-    app = sim.generate_app(n_functions=args.functions, shape=args.shape, seed=args.seed)
+    # Only the flags given: ``generate_app``'s signature owns the defaults.
+    given = {key: getattr(args, key) for key in ("n_functions", "shape", "seed") if key in args}
+    app = sim.generate_app(**given)
     sim.save_app(app, args.out)
     print(f"wrote {args.out}: shape={app.shape} functions={len(app.graph.functions())}")
     return 0
@@ -323,16 +326,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate-app", help="create a synthetic application spec")
-    p.add_argument("--shape", choices=sim.SHAPES, default="random")
-    p.add_argument("--functions", type=int, default=3, help="function count for chain/random shapes")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--shape", choices=sim.SHAPES, default=argparse.SUPPRESS)
+    p.add_argument("--functions", dest="n_functions", type=int, default=argparse.SUPPRESS,
+                   help="function count for chain/random shapes")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate_app)
 
     p = sub.add_parser("profile", help="profile an app across the memory ladder")
     p.add_argument("--app", required=True)
     p.add_argument("--ladder", type=_parse_ladder, default=None,
-                   help="comma-separated MB values (default: platform ladder capped at 2048)")
+                   help="comma-separated MB values (default: platform ladder capped at "
+                   f"{DEFAULT_MEMORY_CAP_MB})")
     p.add_argument("--requests", type=int, default=50, help="requests per memory level")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=None,

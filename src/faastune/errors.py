@@ -128,4 +128,5 @@ class SearchSpaceTooLarge(FaastuneError):
 
 
 class InvalidShape(FaastuneError):
-    """Unknown generated-app shape or invalid function count."""
+    """Unknown generated-app shape, or a function count or seed that is not
+    an integer (a count below 1 too)."""

@@ -137,17 +137,17 @@ def _bump_order(plan: _Plan) -> tuple[list[int], list[str], list[int | None]]:
     """The greedy bump order of ``plan``'s table, as ``(order, names, up)``.
 
     Cell ``i`` is function ``names[i]`` at rung position ``i % M``, whose
-    scaled representative is ``plan.flat[i]``. Taking cell ``i`` moves its
-    function one rung up, to scaled representative ``up[i]``, or moves
-    nothing when ``up[i]`` is None (the top rung). ``order`` lists the cells
-    by descending representative; a stable sort keeps ties in name, then
-    rung order. Rows never increase along the ladder, so that is the order
-    in which a max-heap of each function's current representative (ties on
-    the name) pops them, and a function's cells come in rung order: a walk
-    of ``order`` is the greedy search, all functions at the lowest rung,
-    then the slowest one up one rung per step. Scaling is exact, so the
-    integers keep every order and tie of the floats, and the monotone check
-    compares them.
+    representative is ``plan.cells[i]``, scaled ``plan.flat[i]``. Taking
+    cell ``i`` moves its function one rung up, to scaled representative
+    ``up[i]``, or moves nothing when ``up[i]`` is None (the top rung).
+    ``order`` lists the cells by descending representative; a stable sort
+    keeps ties in name, then rung order. Rows never increase along the
+    ladder, so that is the order in which a max-heap of each function's
+    current representative (ties on the name) pops them, and a function's
+    cells come in rung order: a walk of ``order`` is the greedy search, all
+    functions at the lowest rung, then the slowest one up one rung per
+    step. Scaling is exact, so the integers keep every order and tie of the
+    floats, and the monotone check compares them.
 
     Raises :class:`ProfileNotMonotone` for the first function, in execution
     order, whose representatives increase along the ladder.
@@ -165,7 +165,7 @@ def _bump_order(plan: _Plan) -> tuple[list[int], list[str], list[int | None]]:
     up[per_row - 1::per_row] = [None] * len(by_name)
     # Sorted on the floats, which compare faster than multi-digit integers;
     # scaling is exact, so both give the same order.
-    cells = list(chain.from_iterable(map(plan.seconds.__getitem__, by_name)))
+    cells = plan.cells
     order = sorted(range(len(cells)), key=cells.__getitem__, reverse=True)
     names = list(chain.from_iterable(map(repeat, by_name, repeat(per_row))))
     return order, names, up
@@ -193,7 +193,7 @@ class _Trajectory:
     def __init__(self, plan: _Plan):
         order, names, up = _bump_order(plan)
         shift = plan.shift
-        evaluator, lowest = plan.borrow({name: row[0] for name, row in plan.scaled.items()})
+        evaluator, lowest = plan.borrow(plan.lowest)
         best = from_scaled(lowest, shift)
         estimates, estimations, taken_at = [best], [1], [0]
         made = 1
@@ -229,18 +229,21 @@ class _Plan:
     plan keeps its profiles alive, so the same objects hold the same
     floats. ``seconds`` is the table of representatives, in execution order
     (:func:`_representatives`, which raises :class:`MissingProfile`).
-    ``flat`` holds its cells, by function name (``by_name``) then rung,
-    scaled to exact integers by one common ``2**shift``
-    (:func:`~faastune.estimate.time_shift`), and ``scaled`` the same cells
-    as one row per name. ``trajectory`` is the greedy trajectory, walked on
-    first use by :meth:`reach`, and ``answers`` holds brute force's answers
-    per ``(slo_seconds, cost_model)``. Both are set or grown one complete
-    value at a time, so concurrent searches read a consistent plan.
-    ``evaluators`` holds the free evaluators of the graph (:meth:`borrow`).
+    ``cells`` holds its cells, by function name (``by_name``) then rung, and
+    ``flat`` the same cells scaled to exact integers by one common
+    ``2**shift`` (:func:`~faastune.estimate.time_shift`); ``scaled`` holds
+    ``flat`` as one row per name, and ``lowest`` each name's lowest-rung
+    scaled cell, the all-minimum start of the trajectory and of brute
+    force's scan. None of these changes once built. ``trajectory`` is the
+    greedy trajectory, walked on first use by :meth:`reach`, and
+    ``answers`` holds brute force's answers per ``(slo_seconds,
+    cost_model)``. Both are set or grown one complete value at a time, so
+    concurrent searches read a consistent plan. ``evaluators`` holds the
+    free evaluators of the graph (:meth:`borrow`).
     """
 
-    __slots__ = ("graph", "rungs", "profiles", "seconds", "by_name", "shift", "flat", "scaled",
-                 "trajectory", "answers", "evaluators")
+    __slots__ = ("graph", "rungs", "profiles", "seconds", "by_name", "cells", "shift", "flat",
+                 "scaled", "lowest", "trajectory", "answers", "evaluators")
 
     def __init__(
         self,
@@ -259,9 +262,11 @@ class _Plan:
         self.profiles = tuple(map(profiles.get, functions))
         self.seconds = seconds
         self.by_name = by_name
+        self.cells = cells
         self.shift = shift
         self.flat = flat
-        self.scaled = dict(zip(by_name, zip(*[iter(flat)] * len(rungs))))
+        self.scaled = scaled = dict(zip(by_name, zip(*[iter(flat)] * len(rungs))))
+        self.lowest = {name: row[0] for name, row in scaled.items()}
         self.trajectory = None
         self.answers = {}
         self.evaluators = []
@@ -309,12 +314,13 @@ _last: _Plan | None = None
 def _plan(
     graph: CallGraph,
     profiles: Mapping[str, FunctionProfile],
-    rungs: tuple[int, ...],
+    ladder: MemoryLadder,
 ) -> _Plan:
     """The memo's plan if it holds this instance (the same graph object,
-    equal rungs and the same profile object for every function), else a new
-    plan, which then replaces the memo."""
+    equal effective rungs of ``ladder`` and the same profile object for
+    every function), else a new plan, which then replaces the memo."""
     global _last
+    rungs = ladder.effective()
     plan = _last
     if (
         plan is not None
@@ -327,44 +333,30 @@ def _plan(
     return plan
 
 
-def _rungs_after(plan: _Plan, taken: int) -> dict[str, int]:
-    """Each function's rung position, in execution order, once the first
-    ``taken`` cells of the walked trajectory's ``order`` are taken from the
-    all-minimum configuration."""
-    rung = dict.fromkeys(plan.seconds, 0)
-    trajectory, per_row = plan.trajectory, len(plan.rungs)
-    names, up = trajectory.names, trajectory.up
-    for cell in trajectory.order[:taken]:
-        if up[cell] is not None:
-            rung[names[cell]] = cell % per_row + 1
-    return rung
-
-
-def _units(
-    rung: Mapping[str, int],
-    seconds: Mapping[str, tuple[float, ...]],
-    rungs: tuple[int, ...],
-    cost_model: CostModel,
-) -> dict[str, int]:
-    """Each function's :meth:`CostModel.cost_units` at its rung position."""
-    cost_units = cost_model.cost_units
-    return {name: cost_units(seconds[name][index], rungs[index]) for name, index in rung.items()}
-
-
 def _point(
     plan: _Plan, taken: int, cost_model: CostModel
 ) -> tuple[dict[str, int], dict[str, int], int]:
     """The point a walk of ``plan``'s trajectory reaches with ``taken``
-    cells: :func:`_rungs_after`, :func:`_units` there and their sum,
-    memoized on the trajectory per ``(taken, cost_model)``. The dicts are
-    shared, so callers copy before they change them."""
+    cells: each function's rung position, in execution order, once the
+    first ``taken`` cells of the trajectory's ``order`` are taken from the
+    all-minimum configuration, each function's :meth:`CostModel.cost_units`
+    there and their sum, memoized on the trajectory per ``(taken,
+    cost_model)``. The dicts are shared, so callers copy before they change
+    them."""
+    trajectory = plan.trajectory
     key = (taken, cost_model)
-    points = plan.trajectory.points
-    point = points.get(key)
+    point = trajectory.points.get(key)
     if point is None:
-        rung = _rungs_after(plan, taken)
-        units = _units(rung, plan.seconds, plan.rungs, cost_model)
-        point = points[key] = (rung, units, sum(units.values()))
+        seconds, rungs, per_row = plan.seconds, plan.rungs, len(plan.rungs)
+        names, up = trajectory.names, trajectory.up
+        rung = dict.fromkeys(seconds, 0)
+        for cell in trajectory.order[:taken]:
+            if up[cell] is not None:
+                rung[names[cell]] = cell % per_row + 1
+        cost_units = cost_model.cost_units
+        units = {name: cost_units(seconds[name][index], rungs[index])
+                 for name, index in rung.items()}
+        point = trajectory.points[key] = (rung, units, sum(units.values()))
     return point
 
 
@@ -397,13 +389,12 @@ def _greedy(
     """The configuration where a walk to ``stop`` (:meth:`_Plan.reach`)
     first reaches its lowest estimate, or an empty result when that
     estimate misses the SLO; ``iterations`` counts the cells taken."""
-    rungs = ladder.effective()
-    plan = _plan(graph, profiles, rungs)
+    plan = _plan(graph, profiles, ladder)
     taken, estimations, best_time, best = plan.reach(stop)
     if not best_time <= slo.slo_seconds:
         return SearchResult(algorithm, None, None, None, taken, estimations)
     rung, _, units = _point(plan, best, cost_model)
-    return _found(algorithm, rung, best_time, units, rungs, cost_model, taken, estimations)
+    return _found(algorithm, rung, best_time, units, plan.rungs, cost_model, taken, estimations)
 
 
 def greedy_slo(
@@ -455,14 +446,13 @@ def greedy_min_cost(
     the starting point) is returned, so the cost never exceeds the plain
     greedy result's.
     """
-    rungs = ladder.effective()
     slo_seconds = slo.slo_seconds
-    plan = _plan(graph, profiles, rungs)
+    plan = _plan(graph, profiles, ladder)
     taken, estimations, time, _ = plan.reach(slo_seconds)
     if not time <= slo_seconds:
         return SearchResult("greedy-min-cost", None, None, None, taken, estimations)
+    rungs, seconds, scaled, shift = plan.rungs, plan.seconds, plan.scaled, plan.shift
     per_row = len(rungs)
-    seconds, scaled, shift = plan.seconds, plan.scaled, plan.shift
     trajectory = plan.trajectory
     names, up = trajectory.names, trajectory.up
     rung, units, cost = _point(plan, taken, cost_model)
@@ -564,7 +554,7 @@ def _scan(
     rows = list(plan.scaled.values())
     cost_units = cost_model.cost_units
     units = [list(map(cost_units, seconds[name], rungs)) for name in functions]
-    evaluator, _ = plan.borrow({name: row[0] for name, row in plan.scaled.items()})
+    evaluator, _ = plan.borrow(plan.lowest)
     set_scaled, max_plus = evaluator.set_scaled, evaluator.max_plus
     *turned, last = functions
     last_cells = list(zip(range(len(rungs)), rows[-1], units[-1]))
@@ -660,9 +650,8 @@ def brute_force(
     by value, and an unknown one raises ValueError before anything else.
     """
     objective = Objective(objective)
-    rungs = ladder.effective()
-    plan = _plan(graph, profiles, rungs)
-    combinations = len(rungs) ** len(plan.by_name)
+    plan = _plan(graph, profiles, ladder)
+    combinations = len(plan.rungs) ** len(plan.by_name)
     key = (slo.slo_seconds, cost_model)
     answers = plan.answers.get(key)
     if answers is None:
@@ -674,4 +663,6 @@ def brute_force(
     if answer is None:
         return SearchResult(algorithm, None, None, None, combinations, combinations)
     rung, estimate, units = answer
-    return _found(algorithm, rung, estimate, units, rungs, cost_model, combinations, combinations)
+    return _found(
+        algorithm, rung, estimate, units, plan.rungs, cost_model, combinations, combinations
+    )

@@ -244,13 +244,16 @@ def generate_app(
     default jitter and cold starts (``DEFAULT_JITTER_CV`` and
     ``DEFAULT_COLD_START_*``; petstore's backend-bound functions jitter
     more); to simulate other noise, ``dataclasses.replace`` the specs.
-    Raises InvalidShape for an unknown shape and, for ``chain`` and
-    ``random``, an ``n_functions`` that is not a positive integer.
+    Raises InvalidShape, before anything is drawn, for an unknown shape, a
+    ``seed`` that is not an integer and, for ``chain`` and ``random``, an
+    ``n_functions`` that is not a positive integer.
     """
     if shape not in SHAPES:
         raise InvalidShape(f"unknown shape {shape!r}; choose from {SHAPES}")
     if shape not in _FIXED_CALLS and not (_is_int(n_functions) and n_functions >= 1):
         raise InvalidShape(f"n_functions must be an integer of at least 1, got {n_functions!r}")
+    if not _is_int(seed):
+        raise InvalidShape(f"seed must be an integer, got {seed!r}")
     rng = random.Random(seed)
     if shape in _FIXED_CALLS:
         calls = _FIXED_CALLS[shape]

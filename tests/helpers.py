@@ -55,7 +55,6 @@ from faastune.search import (
     SearchResult,
     _found,
     _representatives,
-    _units,
 )
 from faastune.profiles import DEFAULT_ALPHA_CANDIDATES, HOLDOUT_FRACTION
 from faastune.traces import TraceSegment
@@ -849,9 +848,11 @@ def heap_greedy_min_time(
 # A copy of the bump order and its walk, with the three greedy searches
 # built on them, kept as references: every trajectory-backed search's record
 # must equal theirs. Each call sorts and walks its own order; nothing is
-# shared between calls. ``_representatives``, ``_units`` and ``_found`` are
-# the module's own, unchanged; the evaluator composes the whole graph on
-# every change.
+# shared between calls. ``_representatives`` and ``_found`` are the
+# module's own, unchanged; costs are summed here from
+# ``CostModel.cost_units``, so the reference shares no pricing with the
+# searches it checks; the evaluator composes the whole graph on every
+# change.
 
 
 class BumpOrder:
@@ -940,6 +941,14 @@ def _walk_rungs_after(walk: BumpOrder, taken: int, per_row: int) -> dict[str, in
     return rung
 
 
+def _walk_units(
+    rung: Mapping[str, int], walk: BumpOrder, rungs: tuple[int, ...], cost_model: CostModel
+) -> dict[str, int]:
+    """Each function's :meth:`CostModel.cost_units` at its rung position."""
+    return {name: cost_model.cost_units(walk.seconds[name][index], rungs[index])
+            for name, index in rung.items()}
+
+
 def _walk_greedy(
     algorithm: str,
     stop: float,
@@ -958,7 +967,7 @@ def _walk_greedy(
     if not best_time <= slo.slo_seconds:
         return SearchResult(algorithm, None, None, None, taken, estimations)
     rung = _walk_rungs_after(walk, best, len(rungs))
-    units = sum(_units(rung, walk.seconds, rungs, cost_model).values())
+    units = sum(_walk_units(rung, walk, rungs, cost_model).values())
     return _found(algorithm, rung, best_time, units, rungs, cost_model, taken, estimations)
 
 
@@ -1019,7 +1028,7 @@ def walk_greedy_min_cost(
     per_row = len(rungs)
     seconds, names, up = walk.seconds, walk.names, walk.up
     rung = _walk_rungs_after(walk, taken, per_row)
-    units = _units(rung, seconds, rungs, cost_model)
+    units = _walk_units(rung, walk, rungs, cost_model)
     cost = sum(units.values())
     # The first ``taken`` cells all lie below their function's rung but for
     # the ``taken - moved`` top-rung ones, which the second walk steps over

@@ -25,10 +25,12 @@ from faastune import (
     profile_samples,
     profile_application,
     run_load,
+    save_app,
     save_profiles,
     select_alpha,
     write_trace_file,
 )
+from faastune.model import DEFAULT_MEMORY_CAP_MB
 from faastune.sim import SHAPES
 from helpers import package_env
 from profile_digests import (
@@ -153,6 +155,20 @@ def test_removed_monotone_flags_exit_2_with_usage(pipeline_files, argv, capsys):
 def test_zero_functions_exits_2(workdir):
     assert main(["generate-app", "--shape", "chain", "--functions", "0",
                  "--out", str(workdir / "x.json")]) == 2
+
+
+def test_generate_app_with_no_flag_but_out_writes_the_library_default(workdir):
+    """The CLI passes only the flags given, so ``generate_app``'s signature
+    owns the defaults."""
+    out, expected = workdir / "a.json", workdir / "expected.json"
+    assert main(["generate-app", "--out", str(out)]) == 0
+    save_app(generate_app(), expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_profile_help_states_the_ladder_cap_constant(capsys):
+    assert main(["profile", "--help"]) == 0
+    assert f"capped at {DEFAULT_MEMORY_CAP_MB})" in " ".join(capsys.readouterr().out.split())
 
 
 def test_missing_app_file_exits_2(workdir):

@@ -297,9 +297,15 @@ def test_a_trajectorys_records_equal_fresh_evaluations(table):
     plan.reach(-math.inf)
     trajectory = plan.trajectory
     assert all(map(operator.gt, trajectory.estimates, trajectory.estimates[1:]))
+    per_row = len(rungs)
     for estimate, taken in zip(trajectory.estimates, trajectory.taken):
-        rung = search._rungs_after(plan, taken)
-        times = {name: seconds[name][index] for name, index in rung.items()}
+        # Replayed here, not through ``search._point``: it also prices the
+        # point, and a 1e308 s cell bills no finite number of ticks.
+        times = {name: row[0] for name, row in seconds.items()}
+        for cell in trajectory.order[:taken]:
+            if trajectory.up[cell] is not None:
+                name = trajectory.names[cell]
+                times[name] = seconds[name][cell % per_row + 1]
         assert estimate.hex() == rounded_once(exact_composition(graph.root, times)).hex()
 
 
@@ -1031,7 +1037,7 @@ def test_a_second_objective_is_a_lookup_and_a_fresh_result(monkeypatch):
     assert again == cheapest and again.config is not cheapest.config
     again.config.clear()
     assert brute_force(graph, profiles, ladder, slo, Objective.MIN_COST) == cheapest
-    assert search._plan(graph, profiles, ladder.effective()) is plan
+    assert search._plan(graph, profiles, ladder) is plan
     assert plan.trajectory is trajectory and len(plan.answers) == 1
     monkeypatch.setattr(search, "_scan", scan)
     rising = {f: make_profile(f, {128: 1.0, 256: 2.0}) for f in graph.functions()}
@@ -1227,6 +1233,33 @@ def test_doubling_times_slo_and_billing_tick_doubles_every_search_estimate(seed)
         result = run(graph, profiles, ladder, slo, cost_model=CostModel())
         twice = run(graph, doubled, ladder, twice_slo, cost_model=CostModel(billing_granularity_ms=2))
         assert _record_hex(twice) == _record_hex(result, 2)
+
+
+def _prefixed(node, prefix):
+    """``node`` with every function name prefixed by ``prefix``."""
+    if isinstance(node, FunctionNode):
+        return FunctionNode(prefix + node.name)
+    return type(node)(tuple(_prefixed(child, prefix) for child in node.children))
+
+
+@given(st.integers(0, 2**32), st.text(min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_prefixing_every_function_name_relabels_every_search_result(seed, prefix):
+    """A metamorphic relation of the searches: a common prefix keeps the
+    names' order, so the greedy tie-break, the bump order and brute force's
+    odometer are unchanged, and every search gives the same record with its
+    configuration's keys prefixed: the same estimates and costs bit for
+    bit, and the same iteration and evaluation counts."""
+    graph, profiles, ladder, slo = random_instance(random.Random(seed))
+    renamed = CallGraph(_prefixed(graph.root, prefix))
+    renamed_profiles = {prefix + name: dataclasses.replace(profile, function=prefix + name)
+                        for name, profile in profiles.items()}
+    assert renamed.functions() == tuple(prefix + name for name in graph.functions())
+    for run in (greedy_slo, greedy_min_cost, greedy_min_time, *_brute_force_searches()):
+        record = _record_hex(run(graph, profiles, ladder, slo))
+        if record["config"] is not None:
+            record["config"] = {prefix + name: mb for name, mb in record["config"].items()}
+        assert _record_hex(run(renamed, renamed_profiles, ladder, slo)) == record
 
 
 @given(st.integers(0, 2**32), st.floats(1.0, 4.0), st.floats(0.25, 4.0), st.data())

@@ -103,6 +103,21 @@ def test_a_function_count_that_is_not_a_positive_integer_is_an_invalid_shape(
         generate_app(n_functions, shape)
 
 
+@pytest.mark.parametrize("shape", ["chain", "random", "demo3"])
+@pytest.mark.parametrize("seed", ["x", 1.5, b"y", True, None])
+def test_a_seed_that_is_not_an_integer_is_an_invalid_shape(shape, seed, monkeypatch):
+    """Refused before anything is drawn, with ``SimApp``'s message: neither
+    the generator nor the random topology is built."""
+    def no_draw(*args):
+        raise AssertionError("drew an app for a seed that is not an integer")
+
+    monkeypatch.setattr(sim, "_random_calls", no_draw)
+    monkeypatch.setattr(sim, "random", None)
+    message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(InvalidShape, match=message):
+        generate_app(3, shape, seed)
+
+
 def test_generation_deterministic_per_seed():
     assert generate_app(7, "random", seed=9) == generate_app(7, "random", seed=9)
     assert generate_app(7, "random", seed=9) != generate_app(7, "random", seed=10)
